@@ -57,7 +57,6 @@ def _fresh_process_run(store_dir):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["REPRO_STORE"] = store_dir
-    env.pop("REPRO_WORKERS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])

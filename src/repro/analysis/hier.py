@@ -141,8 +141,8 @@ class _View:
             self._layer_bboxes[layer] = box
         return self._layer_bboxes[layer]
 
-    # Views cross process boundaries in the parallel per-cell fan-out; the
-    # lazily built spatial indexes are cheap to rebuild and stay behind.
+    # Views are pickled into the disk store; the lazily built spatial
+    # indexes are cheap to rebuild and stay behind.
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in self.__slots__
                 if slot not in ("_indexes", "_layer_bboxes")}
@@ -399,11 +399,6 @@ class HierAnalyzer:
     makes warm starts survive process restarts.  Pass one store to several
     analyzers (or rely on a shared ``REPRO_STORE``) to share artifacts
     between them.
-
-    ``use_parallel=True`` (the default) prewarms the depth-1 child
-    artifacts across worker processes (:mod:`repro.parallel.hier`) when
-    ``REPRO_WORKERS`` asks for 2+ workers and the design is large enough;
-    the composition pass and its results are unchanged.
     """
 
     #: Artifact kinds whose payloads embed the cell's *name*
@@ -413,10 +408,8 @@ class HierAnalyzer:
     _NAME_KINDS = frozenset({"erc", "timing"})
 
     def __init__(self, technology: Technology, direct_threshold: int = 96,
-                 use_parallel: bool = True,
                  store: Optional[ArtifactStore] = None):
         self.technology = technology
-        self.use_parallel = use_parallel
         # Cells whose instances average fewer rectangles than this are
         # analyzed directly on their flat view instead of composed from
         # per-instance artifacts: tiling arrays of tiny cells (ROM/PLA bit
@@ -460,27 +453,9 @@ class HierAnalyzer:
 
     # -- public API ---------------------------------------------------------
 
-    def _maybe_prewarm(self, cell: Cell, call: str) -> None:
-        if not self.use_parallel:
-            return
-        from repro import parallel
-
-        if parallel.worker_count() >= 2 and not parallel.in_worker():
-            from repro.diagnostics import run_with_fallback
-            from repro.parallel.hier import prewarm
-
-            # A fan-out failure costs only the prewarm: the serial
-            # composition pass recomputes whatever is missing.
-            run_with_fallback(
-                "hier artifact fan-out",
-                lambda: prewarm(self, cell, call),
-                lambda: None,
-                code="FBK007")
-
     def drc(self, cell: Cell) -> List[DrcViolation]:
         """All design-rule violations, identical to the flat checker's list."""
         with obs_trace.span("hier.drc", cat="hier", cell=cell.name):
-            self._maybe_prewarm(cell, "drc")
             artifact = self._drc_artifact(cell, Orientation.R0)
             return [viol for rule_viols in artifact.viols
                     for _ids, viol in rule_viols]
@@ -488,7 +463,6 @@ class HierAnalyzer:
     def extract(self, cell: Cell) -> ExtractedCircuit:
         """Extracted netlist, identical to the flat extractor's output."""
         with obs_trace.span("hier.extract", cat="hier", cell=cell.name):
-            self._maybe_prewarm(cell, "extract")
             artifact = self._extract_artifact(cell, Orientation.R0)
             return self._finish_extract(cell, artifact)
 
@@ -503,7 +477,6 @@ class HierAnalyzer:
         pure function of the (incrementally composed) extracted circuit.
         """
         with obs_trace.span("hier.timing", cat="hier", cell=cell.name):
-            self._maybe_prewarm(cell, "timing")
             return self._timing_artifact(cell, Orientation.R0)
 
     def _timing_artifact(self, cell: Cell, orientation: Orientation) -> BlockTiming:
@@ -539,7 +512,6 @@ class HierAnalyzer:
         pure function of the composed extracted circuit.
         """
         with obs_trace.span("hier.erc", cat="hier", cell=cell.name):
-            self._maybe_prewarm(cell, "erc")
             return self._erc_artifact(cell, Orientation.R0)
 
     def _erc_artifact(self, cell: Cell, orientation: Orientation) -> ErcReport:

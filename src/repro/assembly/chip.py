@@ -7,8 +7,9 @@ chip each time.  The assembler refines the shelf-packed floorplan with the
 wirelength-driven placer, generates a pad ring sized to fit, routes pad
 tails (and inter-block connections) to core ports through the
 obstacle-aware router in :mod:`repro.pnr`, and reports the area breakdown.
-Routing failures degrade to the legacy blind L-shaped route with a ROU008
-warning (fatal under ``REPRO_STRICT=1``), so assembly always completes.
+A net the router cannot complete raises its typed routing error from
+``assemble()``: a blind route would be exactly the silent short the router
+exists to prevent.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.diagnostics import DiagnosticCollector, strict_mode
+from repro.diagnostics import DiagnosticCollector
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.geometry.point import Point
@@ -198,7 +199,7 @@ class ChipAssembler:
         self.report: Optional[ChipReport] = None
         self.placement_report = None
         self.routing_report = None
-        #: Warnings raised during assembly (routing fallbacks and the like).
+        #: Warnings raised during assembly.
         self.diagnostics = DiagnosticCollector()
         self._chip: Optional[Cell] = None
         #: (pad, block, port, length, width) of every drawn pad route.
@@ -334,25 +335,8 @@ class ChipAssembler:
                 self.routing_report = router.route_all(
                     chip, [request for request, _ in requests])
             lengths = {net.name: net.length for net in self.routing_report.routed}
-            # Any failure degrades to the legacy blind L-route — loudly, and
-            # fatally under REPRO_STRICT=1 (the legacy route is exactly the
-            # kind of silent short this subsystem exists to prevent).
-            for request, error in self.routing_report.failed:
-                if strict_mode():
-                    raise error
-                self.diagnostics.warning(
-                    "ROU008",
-                    f"net {request.name!r}: {type(error).__name__}: {error}; "
-                    f"falling back to the legacy L-route",
-                    hint="set REPRO_STRICT=1 to make this fatal")
-                source, target = request.source, request.target
-                points = [source, Point(source.x, target.y), target]
-                if source.x == target.x or source.y == target.y:
-                    points = [source, target]
-                chip.add_wire(layer, points, route_width)
-                lengths[request.name] = sum(
-                    abs(a.x - b.x) + abs(a.y - b.y)
-                    for a, b in zip(points, points[1:]))
+            if self.routing_report.failed:
+                raise self.routing_report.failed[0][1]
             for request, info in requests:
                 length = lengths.get(request.name, 0)
                 total_length += length

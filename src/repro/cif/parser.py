@@ -123,14 +123,6 @@ class CifParser:
         """Parse ``text``; with a ``collector``, recover instead of raising."""
         return _Run(self.technology, collector).parse(text, library_name)
 
-    # Back-compat shims: helpers that used to live on the parser.
-
-    def _resolve_layer(self, cif_name: str) -> str:
-        layer = self.technology.layers.by_cif_name(cif_name)
-        if layer is not None:
-            return layer.name
-        return cif_name
-
 
 class _Run:
     """One parse: holds the per-parse state and the error policy."""

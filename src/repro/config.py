@@ -2,19 +2,12 @@
 
 Every behavioural environment variable the toolchain reads is parsed and
 validated here, once, so the knobs cannot drift between subsystems (the
-worker pool, the diagnostics layer and the artifact store all used to
-parse their own copies).  The full table:
+diagnostics layer and the artifact store used to parse their own copies).
+The full table:
 
 ===================== ============ ===================================================
 Variable              Default      Meaning
 ===================== ============ ===================================================
-``REPRO_WORKERS``     serial       ``0``/unset/``1`` run serial, ``auto`` uses
-                                   ``os.cpu_count()``, any other non-negative
-                                   integer is the worker count for the sharded
-                                   analysis engines (:mod:`repro.parallel`).
-``REPRO_PARALLEL_MIN`` ``5000``    Minimum flat rectangle count before the
-                                   geometry engines shard; small designs are not
-                                   worth the pool round-trips.
 ``REPRO_STRICT``      off          ``1`` (any non-``0`` value) makes every guarded
                                    fallback fatal — FBK/ROU degradations *and* the
                                    artifact store's STO corruption recoveries —
@@ -25,16 +18,13 @@ Variable              Default      Meaning
                                    every :class:`~repro.analysis.HierAnalyzer`
                                    layers a durable :class:`~repro.store.DiskStore`
                                    under its in-memory cache, so analysis warm
-                                   starts survive process restarts and worker
-                                   processes publish prewarmed artifacts once
-                                   instead of pickling them back per run.
+                                   starts survive process restarts.
 ``REPRO_TRACE``       unset        Path of a Chrome trace-event JSON file.  When
                                    set, :mod:`repro.obs.trace` records spans for
                                    every flow stage (analysis passes, PnR
-                                   escalation, sim settle, store traffic,
-                                   including pool-worker spans) and writes the
-                                   trace there at process exit; open it in
-                                   Perfetto.  Unset, tracing is off and the
+                                   escalation, sim settle, store traffic) and
+                                   writes the trace there at process exit; open
+                                   it in Perfetto.  Unset, tracing is off and the
                                    instrumentation is a no-op.
 ``REPRO_METRICS``     unset        Path of a JSON file receiving a final
                                    :mod:`repro.obs.metrics` registry snapshot
@@ -43,8 +33,8 @@ Variable              Default      Meaning
 ===================== ============ ===================================================
 
 Parsing raises ``ValueError`` on malformed values (a typo'd knob silently
-running serial — or silently not persisting — is exactly the kind of
-configuration bug this module exists to catch).
+not persisting is exactly the kind of configuration bug this module exists
+to catch).
 """
 
 from __future__ import annotations
@@ -53,55 +43,11 @@ import os
 from typing import Optional
 
 __all__ = [
-    "DEFAULT_PARALLEL_MIN",
-    "workers",
-    "parallel_min",
     "strict_mode",
     "store_dir",
     "trace_path",
     "metrics_path",
 ]
-
-#: Default for ``REPRO_PARALLEL_MIN``: below this many flat rectangles the
-#: geometry engines stay serial (pool startup would dominate the analysis).
-DEFAULT_PARALLEL_MIN = 5000
-
-
-def workers() -> int:
-    """The configured worker count from ``REPRO_WORKERS``; < 2 means serial.
-
-    ``0``/unset/empty/``1`` select serial execution, ``auto`` resolves to
-    ``os.cpu_count()``, anything else must parse as a non-negative integer.
-    """
-    raw = os.environ.get("REPRO_WORKERS", "").strip().lower()
-    if raw in ("", "0", "1"):
-        return 0
-    if raw == "auto":
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_WORKERS must be an integer or 'auto', got {raw!r}")
-    if value < 0:
-        raise ValueError(f"REPRO_WORKERS must be >= 0, got {value}")
-    return value
-
-
-def parallel_min() -> int:
-    """Minimum flat rectangle count before DRC/extraction shard."""
-    raw = os.environ.get("REPRO_PARALLEL_MIN", "").strip()
-    if not raw:
-        return DEFAULT_PARALLEL_MIN
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PARALLEL_MIN must be an integer, got {raw!r}")
-    if value < 0:
-        raise ValueError(f"REPRO_PARALLEL_MIN must be >= 0, got {value}")
-    return value
-
 
 def strict_mode() -> bool:
     """True when ``REPRO_STRICT`` is set (CI): fallbacks become fatal."""

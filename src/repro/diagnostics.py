@@ -21,10 +21,13 @@ vocabulary defined here:
   (settle sweeps, component re-merges, routing, path enumeration), raising
   :class:`BudgetExceeded` instead of hanging;
 * :func:`run_with_fallback` degrades a fast path (compiled kernel, spatial
-  index, incremental settle, parallel worker pool — ``FBK007``) to its
-  retained reference implementation with a warning — unless
-  ``REPRO_STRICT=1`` is set, in which case the failure is fatal so CI
-  cannot silently mask a fast-path regression.
+  index, incremental settle) to its retained reference implementation with
+  a warning — unless ``REPRO_STRICT=1`` is set, in which case the failure
+  is fatal so CI cannot silently mask a fast-path regression.
+
+Codes are stable and never reused: ``FBK007`` (worker-pool degradation) and
+``ROU008`` (legacy blind L-route) are retired along with the code paths
+that emitted them.
 
 Logging: the ``repro`` logger hierarchy carries the same information as the
 diagnostics (a :class:`DiagnosticCollector` logs everything it records).

@@ -109,20 +109,11 @@ def exact_size_violation(rule: DesignRule, rect: Rect) -> Optional[DrcViolation]
 
 
 class DrcChecker:
-    """Checks a cell hierarchy against a technology's rule set.
+    """Checks a cell hierarchy against a technology's rule set."""
 
-    ``use_parallel=True`` (the default) shards the check across worker
-    processes via :mod:`repro.parallel.drc` when ``REPRO_WORKERS`` asks for
-    2+ workers and the flat view is large enough to amortize the pool; the
-    sharded result is byte-identical to the serial indexed path, which
-    remains the fallback (FBK007) and the small-design path.
-    """
-
-    def __init__(self, technology: Technology, use_index: bool = True,
-                 use_parallel: bool = True):
+    def __init__(self, technology: Technology, use_index: bool = True):
         self.technology = technology
         self.use_index = use_index
-        self.use_parallel = use_parallel
 
     def check(self, cell: Cell) -> List[DrcViolation]:
         """Flatten ``cell`` and return all violations found."""
@@ -137,30 +128,11 @@ class DrcChecker:
 
         # An index bug must not block verification: degrade to the retained
         # all-pairs scans with a warning (fatal under REPRO_STRICT=1).
-        def serial() -> List[DrcViolation]:
-            return run_with_fallback(
-                "indexed DRC",
-                lambda: self._check(cell, brute=False),
-                lambda: self._check(cell, brute=True),
-                code="FBK006")
-
-        if self.use_parallel:
-            from repro import parallel
-
-            workers = parallel.worker_count()
-            if workers >= 2 and not parallel.in_worker():
-                flat = flatten_cell(cell)
-                total = sum(len(rects)
-                            for rects in flat.rects_by_layer().values())
-                if total >= parallel.parallel_threshold():
-                    from repro.parallel.drc import parallel_check
-
-                    return run_with_fallback(
-                        "tile-sharded DRC",
-                        lambda: parallel_check(self, cell, workers=workers),
-                        serial,
-                        code="FBK007")
-        return serial()
+        return run_with_fallback(
+            "indexed DRC",
+            lambda: self._check(cell, brute=False),
+            lambda: self._check(cell, brute=True),
+            code="FBK006")
 
     def _check(self, cell: Cell, brute: bool) -> List[DrcViolation]:
         flat = flatten_cell(cell)

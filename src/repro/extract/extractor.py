@@ -88,20 +88,11 @@ class _NodeBuilder:
 
 
 class Extractor:
-    """Extract transistor netlists from NMOS layout.
+    """Extract transistor netlists from NMOS layout."""
 
-    ``use_parallel=True`` (the default) shards extraction across worker
-    processes via :mod:`repro.parallel.extract` when ``REPRO_WORKERS`` asks
-    for 2+ workers and the flat view is large enough to amortize the pool;
-    the sharded netlist is byte-identical to the serial indexed path, which
-    remains the fallback (FBK007) and the small-design path.
-    """
-
-    def __init__(self, technology: Technology, use_index: bool = True,
-                 use_parallel: bool = True):
+    def __init__(self, technology: Technology, use_index: bool = True):
         self.technology = technology
         self.use_index = use_index
-        self.use_parallel = use_parallel
         self._diffusion_layers = [
             name for name in ("diffusion", "active") if technology.has_layer(name)
         ]
@@ -121,30 +112,11 @@ class Extractor:
 
         # An index bug must not block extraction: degrade to the retained
         # all-pairs scans with a warning (fatal under REPRO_STRICT=1).
-        def serial() -> ExtractedCircuit:
-            return run_with_fallback(
-                "indexed extractor",
-                lambda: self._extract(cell, brute=False),
-                lambda: self._extract(cell, brute=True),
-                code="FBK005")
-
-        if self.use_parallel:
-            from repro import parallel
-
-            workers = parallel.worker_count()
-            if workers >= 2 and not parallel.in_worker():
-                flat = flatten_cell(cell)
-                total = sum(len(rects)
-                            for rects in flat.rects_by_layer().values())
-                if total >= parallel.parallel_threshold():
-                    from repro.parallel.extract import parallel_extract
-
-                    return run_with_fallback(
-                        "tile-sharded extraction",
-                        lambda: parallel_extract(self, cell, workers=workers),
-                        serial,
-                        code="FBK007")
-        return serial()
+        return run_with_fallback(
+            "indexed extractor",
+            lambda: self._extract(cell, brute=False),
+            lambda: self._extract(cell, brute=True),
+            code="FBK005")
 
     def _extract(self, cell: Cell, brute: bool) -> ExtractedCircuit:
         flat = flatten_cell(cell)

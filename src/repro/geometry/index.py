@@ -19,14 +19,6 @@ golden reference for equivalence tests.
 Both implementations return candidate **ids** (positions in the indexed
 rectangle list) in ascending order, so consumers that care about the exact
 iteration order of the historical all-pairs loops get identical results.
-
-These ordering contracts (ascending query ids; :meth:`UnionFind.components`
-ordered by smallest member with members ascending, independent of union
-call order) are what the tile-sharded engines in :mod:`repro.parallel`
-build on: a worker's locally indexed ids map monotonically back to global
-ids, and the parent's cross-tile union-find stitches per-tile edges into
-exactly the serial component order — which is how sharded output stays
-byte-identical to the serial engines for any worker count or tiling.
 """
 
 from __future__ import annotations

@@ -89,13 +89,13 @@ class Cell:
 
     # -- pickling ------------------------------------------------------------
     #
-    # Cells cross process boundaries in the parallel analysis paths
-    # (repro.parallel).  The parent back-references are weakrefs (not
+    # Cells are pickled into the disk store (a hier view's sources name
+    # their cells).  The parent back-references are weakrefs (not
     # picklable) and the flat cache is redundant, so both stay behind; the
-    # receiving side rebuilds the back-references from the instance lists of
+    # loading side rebuilds the back-references from the instance lists of
     # the cells that arrived in the same pickle.  A parent outside the
     # pickled subgraph is not reconstructed — mutation propagation is scoped
-    # to the transferred DAG, which is all a worker process can see anyway.
+    # to the loaded DAG.
 
     def __getstate__(self):
         state = self.__dict__.copy()

@@ -3,11 +3,9 @@
 Three pillars, one package:
 
 * :mod:`repro.obs.trace` — nested context-manager spans across every
-  subsystem (DRC/extract/ERC tiles, hier prewarm and artifact builds, PnR
-  escalation, compiled-sim settle, STA, store get/put), exported as Chrome
-  trace-event JSON (``REPRO_TRACE=<path>``) viewable in Perfetto, with
-  worker-process spans shipped back through the pool and merged under
-  their real pids;
+  subsystem (DRC/extract/ERC, hier artifact builds, PnR escalation,
+  compiled-sim settle, STA, store get/put), exported as Chrome trace-event
+  JSON (``REPRO_TRACE=<path>``) viewable in Perfetto;
 * :mod:`repro.obs.metrics` — a process-global registry of counters,
   gauges and histograms with stable dotted names (fallback firings by FBK
   code, store hits/misses, rip-up counts, settle iterations, ...),

@@ -14,17 +14,12 @@ one call instead of each layer growing its own ad-hoc stats dict:
                                         synced from ``store.stats()`` at
                                         sign-off;
 * ``pnr.route.*`` / ``pnr.ripup.*``   — routing escalation and rip-up counts;
-* ``sim.settle.*``                    — simulator settle calls/iterations;
-* ``parallel.<engine>.<phase>_seconds`` — shard/execute/merge wall time
-                                        (the :mod:`repro.parallel` phase log
-                                        is a shim over these counters).
+* ``sim.settle.*``                    — simulator settle calls/iterations.
 
 :meth:`MetricsRegistry.snapshot` returns a flat, JSON-serialisable dict;
 :meth:`~repro.assembly.ChipAssembler.sign_off` stores one on
 ``SignOffReport.flow_metrics``.  When ``REPRO_METRICS=<path>`` is set the
-process dumps a final snapshot there at exit (parent process only — worker
-increments stay worker-local and are intentionally not merged; spans are
-the cross-process signal, see :mod:`repro.obs.trace`).
+process dumps a final snapshot there at exit.
 
 All operations are plain attribute updates on small objects — cheap enough
 for hot loops when the instance is cached (``self._m = counter("x")`` once,

@@ -14,12 +14,8 @@ enabled (``REPRO_TRACE=<path>`` or :func:`enable`), each span records one
 Chrome *complete* event (``"ph": "X"``) with epoch-microsecond start time,
 duration, pid, tid and its keyword attributes.
 
-The buffer is process-local.  Pool workers ship their buffered events back
-to the parent piggybacked on task results (:class:`repro.parallel.SharedPool`
-wraps/unwraps them transparently), and the parent :func:`ingest`\\ s them, so
-one trace file shows the real multi-process timeline with correct pids.
-Timestamps are epoch-based precisely so parent and worker spans share one
-clock.
+The buffer is process-local; timestamps are epoch-based so traces written
+by separate processes share one clock.
 
 :func:`write` emits ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` —
 the JSON object form of the trace-event format — which loads directly in
@@ -45,7 +41,6 @@ __all__ = [
     "disable",
     "reset",
     "drain",
-    "ingest",
     "write",
     "read_trace",
 ]
@@ -157,32 +152,18 @@ def reset() -> None:
     _EVENTS.clear()
 
 
-def fork_reset() -> None:
-    """Drop events a forked worker inherited from its parent's buffer.
-
-    Called by the pool layer when a process first discovers it is a worker;
-    without it every fork child would re-ship the parent's history.
-    """
-    _EVENTS.clear()
-
-
 def drain() -> List[dict]:
-    """Remove and return all buffered events (workers ship these back)."""
+    """Remove and return all buffered events."""
     events = _EVENTS[:]
     _EVENTS.clear()
     return events
 
 
-def ingest(events: List[dict]) -> None:
-    """Merge events shipped back from a worker into this process's buffer."""
-    _EVENTS.extend(events)
-
-
 def write(path: Optional[str] = None) -> str:
     """Write the buffered events as a Chrome trace JSON file.
 
-    Adds ``process_name`` metadata events so Perfetto labels the parent and
-    each worker pid.  The buffer is left intact (callers may keep tracing).
+    Adds ``process_name`` metadata events so Perfetto labels each pid.  The
+    buffer is left intact (callers may keep tracing).
     """
     target = path or _PATH
     if target is None:
@@ -190,8 +171,7 @@ def write(path: Optional[str] = None) -> str:
     pids = sorted({event["pid"] for event in _EVENTS})
     metadata = [{
         "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-        "args": {"name": "repro" if pid == _OWNER_PID
-                 else f"repro worker {pid}"},
+        "args": {"name": "repro"},
     } for pid in pids]
     document = {"traceEvents": metadata + _EVENTS, "displayTimeUnit": "ms"}
     with open(target, "w", encoding="utf-8") as handle:

@@ -290,7 +290,7 @@ class PnrRouter:
     def route_all(self, cell: Cell,
                   requests: Sequence[RouteRequest]) -> RoutingReport:
         """Route every request into ``cell``; failures are collected, not
-        raised, so the caller decides between strict abort and fallback."""
+        raised, so the report names every net that could not be routed."""
         report = RoutingReport()
         with obs_trace.span("pnr.route_all", cat="pnr", cell=cell.name,
                             nets=len(requests)) as span:

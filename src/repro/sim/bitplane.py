@@ -300,28 +300,10 @@ def evaluate_vectors(compiled: CompiledNetlist,
     return [{name: columns[name][w] for name in watch} for w in range(width)]
 
 
-#: Below this many streams ``run_streams`` stays serial: each extra batch
-#: pays the per-evaluate interpreter overhead again, so thin workloads are
-#: not worth the pool.
-DEFAULT_MIN_PARALLEL_WIDTH = 128
-
-
-def _stream_worker(payload, task):
-    """Simulate one contiguous slice of the stimulus streams."""
-    start, stop = task
-    with obs_trace.span("sim.streams_slice", cat="sim",
-                        start=start, stop=stop):
-        return _simulate_streams(payload["compiled"],
-                                 payload["stimulus"][start:stop],
-                                 payload["watch"], payload["reset_value"])
-
-
 def run_streams(compiled: CompiledNetlist,
                 stimulus: Sequence[Sequence[Dict[str, Optional[int]]]],
                 record: Optional[Sequence[str]] = None,
                 reset_value: Optional[int] = 0,
-                use_parallel: bool = True,
-                min_parallel_width: int = DEFAULT_MIN_PARALLEL_WIDTH,
                 ) -> List[List[Dict[str, Optional[int]]]]:
     """Clocked co-simulation of W independent stimulus streams.
 
@@ -332,13 +314,6 @@ def run_streams(compiled: CompiledNetlist,
     combinational settle and before the clock edge; as with ``set_inputs``,
     an input omitted from a cycle's vector holds its previous value while
     an explicit ``None`` drives X.
-
-    Streams are mutually independent, so with ``use_parallel=True`` (the
-    default) and 2+ configured workers (``REPRO_WORKERS``) a workload of at
-    least ``min_parallel_width`` streams is split into one contiguous
-    stream group per worker; each group simulates exactly as a standalone
-    ``run_streams`` call would, and the traces concatenate back in input
-    order, so the result is identical to the serial run.
     """
     width = len(stimulus)
     if width == 0:
@@ -348,12 +323,10 @@ def run_streams(compiled: CompiledNetlist,
         raise ValueError("all stimulus streams must have the same length")
     with obs_trace.span("sim.run_streams", cat="sim", streams=width,
                         cycles=next(iter(cycle_counts))):
-        return _run_streams(compiled, stimulus, record, reset_value,
-                            use_parallel, min_parallel_width, width)
+        return _run_streams(compiled, stimulus, record, reset_value)
 
 
-def _run_streams(compiled, stimulus, record, reset_value, use_parallel,
-                 min_parallel_width, width):
+def _run_streams(compiled, stimulus, record, reset_value):
     """``run_streams`` body (inputs length-checked by the wrapper)."""
 
     input_names = [compiled.net_names[i] for i in compiled.input_ids]
@@ -371,43 +344,8 @@ def _run_streams(compiled, stimulus, record, reset_value, use_parallel,
     else:
         watch = compiled.module.input_names() + compiled.module.output_names()
 
-    if use_parallel:
-        from repro import parallel
-
-        workers = parallel.worker_count()
-        if (workers >= 2 and not parallel.in_worker()
-                and width >= min_parallel_width):
-            # Inputs are validated above, so worker-side errors are real
-            # faults, not stimulus typos surfacing remotely.
-            payload = {"compiled": compiled, "stimulus": list(stimulus),
-                       "watch": watch, "reset_value": reset_value}
-            bounds = [width * k // workers for k in range(workers + 1)]
-            tasks = [(bounds[k], bounds[k + 1]) for k in range(workers)
-                     if bounds[k] < bounds[k + 1]]
-            with parallel.SharedPool("batched bitplane simulation",
-                                     _stream_worker, payload,
-                                     workers=workers) as pool:
-                groups = pool.map(tasks)
-            traces: List[List[Dict[str, Optional[int]]]] = []
-            for group in groups:
-                traces.extend(group)
-            return traces
-
-    return _simulate_streams(compiled, stimulus, watch, reset_value)
-
-
-def _simulate_streams(compiled: CompiledNetlist,
-                      stimulus: Sequence[Sequence[Dict[str, Optional[int]]]],
-                      watch: Sequence[str],
-                      reset_value: Optional[int],
-                      ) -> List[List[Dict[str, Optional[int]]]]:
-    """The plane-level stream loop (inputs already validated)."""
     width = len(stimulus)
-    if width == 0:
-        return []
     cycles = len(stimulus[0])
-    input_names = [compiled.net_names[i] for i in compiled.input_ids]
-
     evaluator = BitplaneEvaluator(compiled, width)
     if reset_value is not None:
         evaluator.reset(reset_value)

@@ -103,11 +103,6 @@ class ArtifactStore:
         """Drop every entry whose key is not in ``keep``; returns count."""
         raise NotImplementedError
 
-    @property
-    def persistent_dir(self) -> Optional[str]:
-        """Root directory of the durable tier, or ``None`` if memory-only."""
-        return None
-
 
 class MemoryStore(ArtifactStore):
     """In-process LRU over live objects, optionally byte-budgeted.
@@ -479,10 +474,6 @@ class TieredStore(ArtifactStore):
         return {"hits": self._hits, "misses": self._misses,
                 "puts": self._puts,
                 "memory": self.memory.stats(), "disk": self.disk.stats()}
-
-    @property
-    def persistent_dir(self) -> Optional[str]:
-        return self.disk.root
 
 
 def default_store() -> ArtifactStore:

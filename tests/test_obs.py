@@ -3,9 +3,8 @@
 Covers the three pillars of ``repro.obs`` in isolation (span semantics,
 registry arithmetic, VCD round-trips through the in-repo reader) and then
 end to end: a traced sign-off of a real example chip must emit a valid
-Chrome trace-event JSON whose categories span the whole flow, a 2-worker
-parallel run must ship child-process spans back with their real pids, and
-the ``flow_metrics`` snapshot attached to every sign-off must keep its
+Chrome trace-event JSON whose categories span the whole flow, and the
+``flow_metrics`` snapshot attached to every sign-off must keep its
 committed shape on all four example designs.
 
 Goldens live in ``tests/golden/``; set ``REPRO_UPDATE_GOLDENS=1`` to
@@ -32,9 +31,7 @@ from repro.generators import FsmLayoutGenerator, PlaGenerator
 from repro.logic import TruthTable, parse_expr
 from repro.netlist import GateLevelSimulator, GateType, Module
 from repro.obs import metrics, trace, vcd
-from repro.parallel import log_phase, phase, phase_log, reset_phase_log
 from repro.rtl import RtlSimulator, parse_rtl
-from repro.sim import compile_netlist, run_streams
 from repro.technology import nmos_technology
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -47,8 +44,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 UPDATE_GOLDENS = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
 
 #: Metric families whose *names* are deterministic per chip regardless of
-#: worker count or wall-clock (``parallel.*`` counters hold seconds and only
-#: appear when a pool actually runs, so they stay out of the goldens).
+#: wall-clock.
 GOLDEN_METRIC_PREFIXES = ("budget.", "diagnostics.", "fallback.", "pnr.",
                          "store.")
 
@@ -194,45 +190,21 @@ class TestMetricsRegistry:
             assert json.load(handle)["obs.dumped"] == 7
 
 
-# -- the phase-log shim over the registry --------------------------------------
-
-
-class TestPhaseShim:
-    def test_log_phase_roundtrip(self):
-        reset_phase_log("obstest")
-        log_phase("obstest", "shard", 0.25)
-        log_phase("obstest", "shard", 0.5)
-        assert phase_log("obstest") == {"shard": 0.75}
-        reset_phase_log("obstest")
-        assert phase_log("obstest") == {}
-
-    def test_phase_context_times_and_traces(self):
-        reset_phase_log("obstest")
-        trace.enable()
-        with phase("obstest", "merge"):
-            pass
-        assert "merge" in phase_log("obstest")
-        events = trace.drain()
-        assert events[0]["name"] == "parallel.obstest.merge"
-        assert events[0]["cat"] == "parallel"
-        reset_phase_log("obstest")
-
-
 # -- flow counters: fallbacks, diagnostics, budgets ----------------------------
 
 
 class TestFlowCounters:
     def test_run_with_fallback_counts_degradations(self, monkeypatch):
         monkeypatch.delenv("REPRO_STRICT", raising=False)
-        before = metrics.snapshot(prefix="fallback.FBK007").get(
-            "fallback.FBK007", 0)
+        before = metrics.snapshot(prefix="fallback.FBK006").get(
+            "fallback.FBK006", 0)
 
         def broken():
             raise RuntimeError("primary failed")
 
         assert run_with_fallback("obs test", broken, lambda: 42,
-                                 code="FBK007") == 42
-        after = metrics.snapshot(prefix="fallback.FBK007")["fallback.FBK007"]
+                                 code="FBK006") == 42
+        after = metrics.snapshot(prefix="fallback.FBK006")["fallback.FBK006"]
         assert after == before + 1
 
     def test_diagnostics_counted_by_code(self):
@@ -278,31 +250,6 @@ class TestTracedFlow:
         assert "assembly.sign_off" in names
         assert "pnr.route_all" in names
         assert "store.get" in names
-
-    def test_worker_spans_carry_child_pids(self, tmp_path, monkeypatch):
-        """Spans from pool workers merge back with their real pids."""
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        machine = parse_rtl(LFSR_RTL)
-        from repro.rtl import RtlCompiler
-
-        module = RtlCompiler(machine).compile().module
-        compiled = compile_netlist(module.flattened())
-        stimulus = [
-            [{"load_0": 1 if cycle == 0 else 0,
-              **{f"seed_{i}": (stream >> i) & 1 for i in range(8)}}
-             for cycle in range(4)]
-            for stream in range(4)
-        ]
-        trace.enable()
-        run_streams(compiled, stimulus, min_parallel_width=2)
-        events = trace.drain()
-        pids = {event["pid"] for event in events}
-        assert os.getpid() in pids
-        assert len(pids) >= 2, "no worker-process spans were shipped back"
-        worker_spans = [event for event in events
-                        if event["pid"] != os.getpid()]
-        assert any(event["name"] == "sim.streams_slice"
-                   for event in worker_spans)
 
 
 # -- VCD export ----------------------------------------------------------------

@@ -183,8 +183,6 @@ class TestChipPnr:
         assembler, _chip = family_chip
         assert assembler.routing_report.completion == 1.0
         assert not assembler.routing_report.failed
-        assert not any(d.code == "ROU008"
-                       for d in assembler.diagnostics.diagnostics)
 
     def test_routed_nets_are_pairwise_disjoint(self, family_chip):
         assembler, _chip = family_chip
@@ -194,6 +192,31 @@ class TestChipPnr:
                  for net in assembler.routing_report.routed}
         assert len(rects) == len(assembler.routing_report.routed)
         assert_nets_disjoint(rects)
+
+    @pytest.mark.parametrize("strict", ["0", "1"])
+    def test_unroutable_net_is_a_typed_error(self, technology, monkeypatch,
+                                             strict):
+        """A port sealed inside a block-wide metal ring cannot be reached:
+        assembly raises the router's typed error in every mode instead of
+        drawing a wire across the ring."""
+        from repro.assembly import ChipAssembler
+        from repro.pnr.router import RoutingError
+
+        monkeypatch.setenv("REPRO_STRICT", strict)
+        block = Cell("pnr_walled_block")
+        for x1, y1, x2, y2 in ((0, 0, 80, 4), (0, 76, 80, 80),
+                               (0, 0, 4, 80), (76, 0, 80, 80),
+                               (38, 38, 42, 42)):
+            block.add_box("metal", x1, y1, x2, y2)
+        block.add_port("a", Point(40, 40), "metal")
+        assembler = ChipAssembler("pnr_walled", technology)
+        assembler.add_block("core", block)
+        assembler.add_supply_pads()
+        assembler.add_pad("a_pad", connect_to=("core", "a"))
+        with pytest.raises(RoutingError) as caught:
+            assembler.assemble()
+        assert caught.value.diagnostic.code == "ROU005"
+        assert "a_pad" in str(caught.value)
 
 
 # -- sign-off goldens over the four example designs ---------------------------

@@ -277,6 +277,8 @@ class TestBitplane:
         m.add_gate(GateType.BUF, "y", ["a"])
         with pytest.raises(KeyError, match="unknown input net"):
             run_streams(CompiledNetlist(m), [[{"a_typo": 1}]])
+        with pytest.raises(ValueError, match="same length"):
+            run_streams(CompiledNetlist(m), [[{}], [{}, {}]])
 
     def test_omitted_inputs_hold_their_previous_value(self):
         m = Module("and2")

@@ -1,6 +1,6 @@
 """Content-addressed artifact store: hashes, stores, analyzer rekeying.
 
-Four layers:
+Five layers:
 
 * **config** — the centralized environment-knob parsing in
   :mod:`repro.config` (validation, defaults, errors);
@@ -10,6 +10,9 @@ Four layers:
 * **stores** — the LRU byte budget, the durable disk round-trip, atomic
   envelopes, corruption and format-mismatch recovery (``STO001`` /
   ``STO002``, fatal under ``REPRO_STRICT=1``), ``gc`` and ``stats``;
+* **pickling** — what the disk tier serialises (value types, cells with
+  their weak parent links, hier artifacts sharing one view) survives the
+  round trip;
 * **analyzer integration** — independently built identical cells share
   artifacts, repeated mutation retains one artifact generation (not N),
   and the compiled-netlist cache dedupes structurally identical modules.
@@ -17,6 +20,7 @@ Four layers:
 
 import logging
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +28,13 @@ from hypothesis import given, settings, strategies as st
 from repro import config
 from repro.analysis import HierAnalyzer
 from repro.diagnostics import DiagnosticError
+from repro.generators import PlaGenerator
 from repro.geometry.point import Point
-from repro.geometry.transform import Orientation
+from repro.geometry.rect import Rect
+from repro.geometry.transform import Orientation, Transform
 from repro.layout.cell import Cell
+from repro.layout.shapes import Label, Shape
+from repro.logic import TruthTable, parse_expr
 from repro.store import (
     DiskStore,
     MemoryStore,
@@ -50,35 +58,6 @@ def technology():
 
 
 class TestConfig:
-    def test_workers_default_and_aliases(self, monkeypatch):
-        for value in (None, "", "0", "1"):
-            if value is None:
-                monkeypatch.delenv("REPRO_WORKERS", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_WORKERS", value)
-            assert config.workers() == 0
-
-    def test_workers_auto_and_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "auto")
-        assert config.workers() == (os.cpu_count() or 1)
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert config.workers() == 3
-
-    def test_workers_rejects_garbage(self, monkeypatch):
-        for bad in ("two", "-1", "1.5"):
-            monkeypatch.setenv("REPRO_WORKERS", bad)
-            with pytest.raises(ValueError):
-                config.workers()
-
-    def test_parallel_min(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_MIN", raising=False)
-        assert config.parallel_min() == config.DEFAULT_PARALLEL_MIN
-        monkeypatch.setenv("REPRO_PARALLEL_MIN", "123")
-        assert config.parallel_min() == 123
-        monkeypatch.setenv("REPRO_PARALLEL_MIN", "soon")
-        with pytest.raises(ValueError):
-            config.parallel_min()
-
     def test_strict_mode(self, monkeypatch):
         monkeypatch.delenv("REPRO_STRICT", raising=False)
         assert not config.strict_mode()
@@ -108,7 +87,7 @@ class TestConfig:
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         store = default_store()
         assert isinstance(store, TieredStore)
-        assert store.persistent_dir == str(tmp_path / "store")
+        assert store.disk.root == str(tmp_path / "store")
 
 
 # -- hashing properties -------------------------------------------------------
@@ -358,6 +337,60 @@ class TestTieredStore:
         store.put("k", "v")
         assert store.evict("k")
         assert store.get("k") == "v"          # reloaded from disk
+
+
+# -- pickling -----------------------------------------------------------------
+
+
+class TestPickling:
+    def test_value_types_round_trip(self):
+        for obj in (
+            Point(3, -4),
+            Rect(-1, 0, 5, 7),
+            Transform(Orientation.R90, Point(2, 1)),
+            Shape("metal", Rect(0, 0, 3, 3)),
+            Label("vdd", Point(1, 1), "metal"),
+        ):
+            assert pickle.loads(pickle.dumps(obj)) == obj
+
+    def test_cell_round_trip_rebuilds_parent_links(self):
+        leaf = Cell("pkl_leaf")
+        leaf.add_box("metal", 0, 0, 6, 4)
+        top = Cell("pkl_top")
+        top.place(leaf, 0, 0)
+        top.place(leaf, 10, 0, Orientation.R90)
+        top.add_port("a", Point(0, 0), "metal")
+
+        copy = pickle.loads(pickle.dumps(top))
+        assert copy.name == top.name
+        assert len(copy.instances) == len(top.instances)
+        assert copy.ports.keys() == top.ports.keys()
+        assert [s.layer for s in copy.instances[0].cell.shapes] == ["metal"]
+        # The weak parent links are rebuilt: mutating the loaded leaf must
+        # invalidate the loaded top's caches.
+        version = copy.subtree_version
+        copy.instances[0].cell.add_box("poly", 0, 0, 2, 2)
+        assert copy.subtree_version == version + 1
+
+    def test_hier_artifacts_round_trip(self, technology):
+        table = TruthTable.from_expressions(
+            {"q": parse_expr("a & b | c")}, input_names=["a", "b", "c"])
+        cell = PlaGenerator(technology, table, name="pkl_pla").cell()
+        analyzer = HierAnalyzer(technology)
+        analyzer.drc(cell)
+        analyzer.extract(cell)
+        analyzer.erc(cell)
+        analyzer.timing(cell)
+        bundle = {kind: analyzer._cached(kind, cell, Orientation.R0)
+                  for kind in ("view", "drc", "extract", "timing", "erc")}
+        assert all(value is not None for value in bundle.values())
+        copy = pickle.loads(pickle.dumps(bundle))
+        # Artifacts sharing a view keep sharing it after the round trip —
+        # the composition pass relies on that identity.
+        assert copy["drc"].view is copy["view"]
+        assert copy["extract"].view is copy["view"]
+        assert copy["timing"] == bundle["timing"]
+        assert copy["erc"] == bundle["erc"]
 
 
 # -- analyzer integration -----------------------------------------------------

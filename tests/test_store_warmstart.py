@@ -5,6 +5,10 @@ directory; process B — a fresh interpreter with no shared memory — must
 reproduce every sign-off byte-identical while rebuilding *zero*
 hierarchical artifacts (views included): every lookup is a store hit.
 
+The same runs pin determinism as one property: the same description yields
+byte-identical CIF and sign-off reports across two fresh processes with no
+store, with a cold store and with a warm one.
+
 A corruption smoke test rides along: truncating one blob between runs
 must surface an ``STO001`` diagnostic and a recompute that still matches,
 and must be fatal under ``REPRO_STRICT=1``.
@@ -28,24 +32,47 @@ DRIVER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 BUILD_COUNTERS = ("views", "drc_artifacts", "extract_artifacts",
                   "erc_artifacts", "timing_artifacts")
 
+DESIGNS = ("quickstart", "fsm", "family", "pdp8")
+
 
 def run_driver(store_dir):
     env = dict(os.environ)
-    env["REPRO_STORE"] = str(store_dir)
-    env.pop("REPRO_WORKERS", None)       # determinism is the point here
+    if store_dir is None:
+        env.pop("REPRO_STORE", None)
+    else:
+        env["REPRO_STORE"] = str(store_dir)
     result = subprocess.run(
         [sys.executable, DRIVER], env=env, capture_output=True, text=True,
         check=True, timeout=1800)
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
-def test_cross_process_warm_start_rebuilds_nothing(tmp_path):
-    store_dir = tmp_path / "store"
-    cold = run_driver(store_dir)
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Two fresh processes per store mode; each cold run populates its own
+    empty directory, which the matching warm run then reads."""
+    store_dirs = [tmp_path_factory.mktemp(tag) / "store" for tag in "ab"]
+    return {
+        "none": [run_driver(None) for _ in store_dirs],
+        "cold": [run_driver(store_dir) for store_dir in store_dirs],
+        "warm": [run_driver(store_dir) for store_dir in store_dirs],
+    }
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+@pytest.mark.parametrize("mode", ("none", "cold", "warm"))
+def test_same_description_same_bytes(runs, mode, design):
+    reference = runs["none"][0]
+    for run in runs[mode]:
+        assert run["cif"][design] == reference["cif"][design]
+        assert run["digests"][design] == reference["digests"][design]
+
+
+def test_cross_process_warm_start_rebuilds_nothing(runs):
+    cold, warm = runs["cold"][0], runs["warm"][0]
     assert all(cold["stats"][counter] > 0 for counter in BUILD_COUNTERS)
     assert cold["store"]["puts"] > 0
 
-    warm = run_driver(store_dir)
     # Byte-identical sign-off on every design...
     assert warm["digests"] == cold["digests"]
     # ...with zero artifact rebuilds: every view, DRC, extraction, ERC and

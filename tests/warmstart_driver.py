@@ -2,14 +2,15 @@
 
 Builds the four example designs (the same set as ``test_pnr``'s sign-off
 goldens), signs each off through one shared analyzer, and prints a JSON
-record: a canonical SHA-256 digest of every report plus the analyzer's
-build/hit counters and store statistics.
+record: a canonical SHA-256 digest of every report and of every chip's CIF
+text, plus the analyzer's build/hit counters and store statistics.
 
-``tests/test_store_warmstart.py`` runs this twice against one
-``REPRO_STORE`` directory — process A cold, process B warm — and asserts
-that B rebuilds *zero* artifacts while producing byte-identical digests.
-Every field folded into the digest is a dataclass repr or primitive, so
-the digest is deterministic across processes.
+``tests/test_store_warmstart.py`` runs this in fresh processes with no
+store, against an empty ``REPRO_STORE`` directory (cold) and against the
+populated one (warm), and asserts that every run produces byte-identical
+digests and that the warm run rebuilds *zero* artifacts.  Every field
+folded into the report digest is a dataclass repr or primitive, so the
+digest is deterministic across processes.
 """
 
 import hashlib
@@ -71,17 +72,22 @@ def build_designs(technology):
 def main():
     sys.path.insert(0, HERE)     # for test_pnr.wrap_in_chip
     from repro.analysis import HierAnalyzer
+    from repro.cif import cell_to_cif
     from repro.technology import nmos_technology
 
     technology = nmos_technology()
     analyzer = HierAnalyzer(technology)
     digests = {}
+    cif = {}
     for name, assembler in build_designs(technology):
         report = assembler.sign_off(analyzer)
         payload = json.dumps(summarize(report), sort_keys=True)
         digests[name] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        text = cell_to_cif(assembler._chip, technology=technology)
+        cif[name] = hashlib.sha256(text.encode("ascii")).hexdigest()
     print(json.dumps({
         "digests": digests,
+        "cif": cif,
         "stats": analyzer.stats,
         "store": analyzer.store.stats(),
     }))
