@@ -16,7 +16,12 @@ the replacement subsystem (:mod:`repro.pnr`) on the chip-assembly family's
 ``BENCH_e15.json`` records the figures; ``wirelength_speedup`` (initial
 over refined HPWL, >= 1.0 by construction) is the ratio CI gates with
 ``check_regression.py`` — both sides are measured in the same run, so the
-guard is machine-independent.
+guard is machine-independent.  The router's work is recorded as counts
+(``maze_calls``, ``maze_expansions``, ``maze_unreachable``) that repeat
+exactly from run to run, beside the wall time of ``route_all``; CI fails
+when a count or ``total_route_length`` differs from the committed file
+(``check_regression.py --exact``), because either means the search order
+moved.
 """
 
 import os
@@ -25,16 +30,33 @@ import time
 
 from benchmarks.conftest import emit, record_bench
 from repro.metrics import format_table
+from repro.obs import metrics as obs_metrics
+from repro.pnr import PnrRouter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
 from chip_assembly import build_chip  # noqa: E402
 
 
-def test_e15_place_and_route():
+def test_e15_place_and_route(monkeypatch):
+    route_seconds = []
+    route_all = PnrRouter.route_all
+
+    def timed_route_all(self, cell, requests):
+        start = time.perf_counter()
+        try:
+            return route_all(self, cell, requests)
+        finally:
+            route_seconds.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(PnrRouter, "route_all", timed_route_all)
+    before = obs_metrics.snapshot(prefix="pnr.maze.")
     start = time.perf_counter()
     assembler, chip = build_chip("e15_family_8b", 8, 0)
     assemble_seconds = time.perf_counter() - start
+    after = obs_metrics.snapshot(prefix="pnr.maze.")
+    maze = {name: after[f"pnr.maze.{name}"] - before.get(f"pnr.maze.{name}", 0)
+            for name in ("calls", "expansions", "unreachable")}
 
     placement = assembler.placement_report
     assert placement is not None
@@ -70,7 +92,12 @@ def test_e15_place_and_route():
          ["moves accepted", f"{placement.moves_accepted}"
                             f"/{placement.moves_tried}"],
          ["DRC violations", str(len(report.violations))],
+         ["maze searches", f"{maze['calls']} "
+                           f"({maze['unreachable']} sealed)"],
+         ["maze expansions", str(maze["expansions"])],
+         ["lattice cells", str(after["pnr.maze.grid_cells"])],
          ["assemble time (s)", f"{assemble_seconds:.2f}"],
+         ["  of which routing (s)", f"{sum(route_seconds):.2f}"],
          ["sign-off time (s)", f"{sign_off_seconds:.2f}"]],
         "E15: placement refinement and sign-off"))
 
@@ -86,7 +113,11 @@ def test_e15_place_and_route():
         placement_overlaps=len(placement.overlaps),
         drc_violations=len(report.violations),
         erc_errors=len(report.erc.errors()),
+        maze_calls=maze["calls"],
+        maze_expansions=maze["expansions"],
+        maze_unreachable=maze["unreachable"],
         assemble_seconds=round(assemble_seconds, 4),
+        route_seconds=round(sum(route_seconds), 4),
         sign_off_seconds=round(sign_off_seconds, 4),
         wirelength_speedup=round(wirelength_speedup, 4),
     )

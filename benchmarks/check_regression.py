@@ -3,6 +3,7 @@
 Usage::
 
     python benchmarks/check_regression.py BASELINE.json CURRENT.json [FACTOR]
+    python benchmarks/check_regression.py --exact BASELINE CURRENT FIELD...
     python benchmarks/check_regression.py --summarize
 
 Either argument may also be a bare experiment id (``e13``), which resolves
@@ -15,6 +16,10 @@ than ``FACTOR`` (default 2.0).  Speedup ratios are compared rather than
 raw wall times because both sides of each ratio are measured on the same
 machine in the same run — a slower CI runner shifts the numerator and
 denominator together, so the guard stays meaningful across machines.
+
+``--exact`` instead requires the named fields to be *equal* in both files:
+for counts that repeat exactly from run to run on any machine (search
+expansions, route lengths), where any difference means behaviour moved.
 
 ``--summarize`` instead prints the committed performance trajectory: one
 row per ``BENCH_e*.json`` in the results directory, showing each
@@ -75,9 +80,27 @@ def summarize() -> int:
     return 0
 
 
+def check_exact(baseline_path: str, current_path: str, fields) -> int:
+    """Fail unless every named field is equal in both result files."""
+    with open(bench_result_path(baseline_path)) as handle:
+        baseline = json.load(handle)
+    with open(bench_result_path(current_path)) as handle:
+        current = json.load(handle)
+    failures = 0
+    for field in fields:
+        committed, measured = baseline.get(field), current.get(field)
+        same = committed is not None and committed == measured
+        print(f"{field}: committed {committed}, measured {measured} -> "
+              f"{'ok' if same else 'DIFFERS'}")
+        failures += not same
+    return 1 if failures else 0
+
+
 def main(argv) -> int:
     if len(argv) >= 2 and argv[1] == "--summarize":
         return summarize()
+    if len(argv) >= 5 and argv[1] == "--exact":
+        return check_exact(argv[2], argv[3], argv[4:])
     if len(argv) < 3:
         print(__doc__)
         return 2

@@ -14,6 +14,11 @@ one call instead of each layer growing its own ad-hoc stats dict:
                                         synced from ``store.stats()`` at
                                         sign-off;
 * ``pnr.route.*`` / ``pnr.ripup.*``   — routing escalation and rip-up counts;
+* ``pnr.maze.*``                      — maze searches (``calls``), those the
+                                        reachability flood ended
+                                        (``unreachable``), priced-search
+                                        ``expansions``, and lattice cells
+                                        rasterised (``grid_cells``, gauge);
 * ``sim.settle.*``                    — simulator settle calls/iterations.
 
 :meth:`MetricsRegistry.snapshot` returns a flat, JSON-serialisable dict;

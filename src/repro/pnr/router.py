@@ -3,25 +3,31 @@
 The maze router works on a uniform lattice over the routing region.  A
 lattice node is usable when a wire footprint centred there, grown by the
 technology's spacing, overlaps no blockage — blockages being every metal
-rectangle of the placed blocks and pad ring (queried through the spatial
-index built once per assembly) plus the wires of previously routed nets.
-Metal is the routing layer and only metal blocks it: poly and diffusion
-running underneath cannot short to a route without a contact cut, which the
-router never draws.
+rectangle of the placed blocks and pad ring plus the wires of previously
+routed nets.  That predicate is evaluated once per obstacle, not once per
+visit: each :class:`MazeRouter` rasterises its blockages into a blocked-cell
+array over the lattice, a routed net stamps and un-stamps its own cells by
+name, and the search reads one byte per neighbour.  Metal is the routing
+layer and only metal blocks it: poly and diffusion running underneath
+cannot short to a route without a contact cut, which the router never
+draws.
 
 Search is Dijkstra with unit step cost and a small turn penalty (fewer
-corners means fewer rectangles and less capacitance), budget-bounded so an
-unroutable maze terminates with a diagnostic instead of flooding.  Where a
-whole group of connections faces one pad-ring side across an empty
-corridor, :class:`PnrRouter` skips the maze entirely and hands the group to
-the planar river router — the cheap, provably non-crossing special case.
+corners means fewer rectangles and less capacitance), preceded by a
+two-sided reachability flood so a sealed net fails after exhausting its
+pocket, and budget-bounded so a huge maze terminates with a diagnostic
+instead of flooding.  Where a whole group of connections faces one pad-ring
+side across an empty corridor, :class:`PnrRouter` skips the maze entirely
+and hands the group to the planar river router — the cheap, provably
+non-crossing special case.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.assembly.river import RiverRoutingError, river_route
 from repro.diagnostics import (
@@ -83,8 +89,20 @@ class RoutingReport:
         return len(self.routed) / total
 
 
+#: Non-zero values of a lattice cell in ``MazeRouter._blocked``: blocked by
+#: the obstacle set or ``bounds`` alone, or by a routed net (whatever else).
+_STATIC, _ROUTED = 1, 2
+
+
 class MazeRouter:
-    """Grid router over a fixed obstacle set plus accumulated routes."""
+    """Grid router over a fixed obstacle set plus the nets blocked so far.
+
+    The lattice is rasterised once into a flat ``bytearray`` with a one-cell
+    sentinel ring: a cell is non-zero when a wire footprint centred on its
+    node, grown by the spacing rule, would leave ``bounds`` or strictly
+    overlap a blockage.  The search then tests a neighbour with one array
+    read, and the ring means it never needs a range check.
+    """
 
     def __init__(self, bounds: Rect, obstacles: Sequence[Rect],
                  wire_width: int = 3, spacing: int = 3,
@@ -95,26 +113,112 @@ class MazeRouter:
         self.wire_width = wire_width
         self.spacing = spacing
         self.pitch = grid if grid is not None else wire_width + spacing
+        if self.pitch < 1:
+            raise ValueError(
+                f"lattice pitch must be positive, got {self.pitch}")
         self.turn_cost = turn_cost
         self.max_expansions = max_expansions
         self._obstacles = list(obstacles)
         self._index: SpatialIndex = build_index(self._obstacles)
-        #: Wires routed so far (checked in addition to the static index).
-        self._routed_rects: List[Rect] = []
+        #: Wire rectangles of each blocked net, by net name.
+        self._nets: Dict[str, List[Rect]] = {}
 
-    # -- obstacle bookkeeping --------------------------------------------------------
+        half = wire_width // 2
+        other = wire_width - half
+        # A node is blocked by a rectangle when it lies strictly inside the
+        # rectangle grown by these reaches (low side, high side).
+        self._reach = (other + spacing, half + spacing)
+        # Nodes whose bare footprint fits inside ``bounds``.
+        first = -(-half // self.pitch)
+        self._columns = max((bounds.width - other) // self.pitch + 1, 0)
+        self._rows = max((bounds.height - other) // self.pitch + 1, 0)
+        self._stride = self._columns + 2
+        self._static = bytearray([_STATIC]) * (self._stride * (self._rows + 2))
+        inside = bytes(max(self._columns - first, 0))
+        for row in range(first, self._rows):
+            base = (row + 1) * self._stride + 1 + first
+            self._static[base:base + len(inside)] = inside
+        for rect in self._obstacles:
+            self._stamp(self._static, rect, _STATIC)
+        #: ``_static`` plus the blocked nets' cells: what the search reads.
+        self._blocked = bytearray(self._static)
 
-    def add_obstacles(self, rects: Sequence[Rect]) -> None:
-        """Block future routes with ``rects`` (e.g. a net just drawn)."""
-        self._routed_rects.extend(rects)
+    @property
+    def grid_cells(self) -> int:
+        """Lattice nodes inside ``bounds`` (the sentinel ring excluded)."""
+        return self._columns * self._rows
 
-    def remove_obstacles(self, rects: Sequence[Rect]) -> None:
-        """Unblock ``rects`` previously added (e.g. a ripped-up net)."""
+    def at_pitch(self, pitch: int) -> "MazeRouter":
+        """A router over the same obstacles and blocked nets on another
+        lattice (the half-pitch retry's)."""
+        other = MazeRouter(self.bounds, self._obstacles,
+                           wire_width=self.wire_width, spacing=self.spacing,
+                           grid=pitch, turn_cost=self.turn_cost,
+                           max_expansions=self.max_expansions)
+        for net, rects in self._nets.items():
+            other.block(net, rects)
+        return other
+
+    # -- blockage bookkeeping --------------------------------------------------------
+
+    def block(self, net: str, rects: Sequence[Rect]) -> None:
+        """Block future routes with the wires of ``net`` (just drawn)."""
+        if net in self._nets:
+            raise _bookkeeping_error(f"net {net!r} is already blocked")
+        self._nets[net] = list(rects)
         for rect in rects:
-            try:
-                self._routed_rects.remove(rect)
-            except ValueError:
-                pass
+            self._stamp(self._blocked, rect, _ROUTED)
+
+    def unblock(self, net: str) -> None:
+        """Free the cells only ``net`` blocked (it is being ripped up)."""
+        if net not in self._nets:
+            raise _bookkeeping_error(f"net {net!r} was never blocked")
+        for rect in self._nets.pop(net):
+            for lo, hi in self._row_slices(rect):
+                self._blocked[lo:hi] = self._static[lo:hi]
+        # Cells shared with a net that stays must stay blocked.
+        for rects in self._nets.values():
+            for rect in rects:
+                self._stamp(self._blocked, rect, _ROUTED)
+
+    def region_clear(self, rect: Rect, exempt: Sequence[Point] = ()) -> bool:
+        """True when ``rect`` keeps the spacing rule to every blockage.
+
+        The terminal shapes at the ``exempt`` points do not count: a wire
+        drawn in the region is meant to land on them.
+        """
+        probe = rect.expanded(self.spacing)
+        if not self._static_clear(probe, self._exempt_ids(*exempt)):
+            return False
+        return not any(probe.overlaps(wire, strict=True)
+                       for rects in self._nets.values() for wire in rects)
+
+    def _row_slices(self, rect: Rect) -> Iterator[Tuple[int, int]]:
+        """Per lattice row, the ``[lo, hi)`` cell range ``rect`` blocks."""
+        low, high = self._reach
+        pitch = self.pitch
+        x_lo = rect.x1 - low - self.bounds.x1
+        x_hi = rect.x2 + high - self.bounds.x1
+        y_lo = rect.y1 - low - self.bounds.y1
+        y_hi = rect.y2 + high - self.bounds.y1
+        first_column = max(x_lo // pitch + 1, 0)
+        last_column = min(-(-x_hi // pitch) - 1, self._columns - 1)
+        if first_column > last_column:
+            return
+        first_row = max(y_lo // pitch + 1, 0)
+        last_row = min(-(-y_hi // pitch) - 1, self._rows - 1)
+        for row in range(first_row, last_row + 1):
+            base = (row + 1) * self._stride + 1
+            yield base + first_column, base + last_column + 1
+
+    def _stamp(self, cells: bytearray, rect: Rect, value: int) -> None:
+        for lo, hi in self._row_slices(rect):
+            cells[lo:hi] = bytes([value]) * (hi - lo)
+
+    def _node(self, cell: int) -> Tuple[int, int]:
+        row, column = divmod(cell, self._stride)
+        return (self.bounds.x1 + (column - 1) * self.pitch,
+                self.bounds.y1 + (row - 1) * self.pitch)
 
     def _footprint(self, x: int, y: int) -> Rect:
         half = self.wire_width // 2
@@ -136,19 +240,29 @@ class MazeRouter:
             exempt.update(self._index.query(probe))
         return exempt
 
-    def _free(self, x: int, y: int, exempt: Set[int]) -> bool:
-        foot = self._footprint(x, y)
-        if not (self.bounds.x1 <= foot.x1 and foot.x2 <= self.bounds.x2
-                and self.bounds.y1 <= foot.y1 and foot.y2 <= self.bounds.y2):
-            return False
-        probe = foot.expanded(self.spacing)
-        for i in self._index.query(probe, strict=True):
-            if i not in exempt:
-                return False
-        for rect in self._routed_rects:
-            if probe.overlaps(rect, strict=True):
-                return False
-        return True
+    def _static_clear(self, probe: Rect, exempt: Set[int]) -> bool:
+        return all(i in exempt
+                   for i in self._index.query(probe, strict=True))
+
+    def _opened(self, *terminals: Point) -> Set[int]:
+        """Cells that only the terminals' own shapes block.
+
+        The grid cannot tell which obstacle stamped a cell, so the cells
+        under the exempt shapes are re-checked exactly, once per route; the
+        search treats the survivors as free.
+        """
+        exempt = self._exempt_ids(*terminals)
+        blocked = self._blocked
+        candidates = {cell for i in exempt
+                      for lo, hi in self._row_slices(self._obstacles[i])
+                      for cell in range(lo, hi) if blocked[cell] == _STATIC}
+        opened: Set[int] = set()
+        for cell in candidates:
+            foot = self._footprint(*self._node(cell))
+            if (self.bounds.contains_rect(foot) and self._static_clear(
+                    foot.expanded(self.spacing), exempt)):
+                opened.add(cell)
+        return opened
 
     # -- search ---------------------------------------------------------------------
 
@@ -156,13 +270,20 @@ class MazeRouter:
         """Find a Manhattan path from source to target.
 
         Raises :class:`RoutingError` (ROU005) when the terminals cannot be
-        joined, or :class:`~repro.diagnostics.BudgetExceeded` (ROU006) when
-        the expansion budget runs out first.
+        joined — decided by a reachability flood before any priced search,
+        so a sealed net costs its pocket's cells, not the budget — or
+        :class:`~repro.diagnostics.BudgetExceeded` (ROU006) when a reachable
+        target is not found within the expansion budget.
         """
+        obs_metrics.counter("pnr.maze.calls").inc()
         source, target = request.source, request.target
-        exempt = self._exempt_ids(source, target)
-        start = self._snap(source, exempt)
-        goal = self._snap(target, exempt)
+        if source == target:
+            # Nothing to draw; off the lattice the L-taps to and from the
+            # nearest node would otherwise cancel into a zero-length path.
+            return RoutedNet(request.name, [source], 0)
+        opened = self._opened(source, target)
+        start = self._snap(source, opened)
+        goal = self._snap(target, opened)
         if start is None or goal is None:
             raise RoutingError(
                 f"net {request.name!r}: no free grid node near "
@@ -172,86 +293,142 @@ class MazeRouter:
                            hint="clear the area around the terminals or "
                                 "widen the routing region"))
 
-        budget = Budget(iterations=self.max_expansions,
-                        label=f"maze expansion for {request.name}",
-                        code="ROU006")
-        came: Dict[Tuple[int, int, int], Tuple[int, int, int]] = {}
-        # State: (x, y, heading); headings 0=none, 1=horizontal, 2=vertical.
-        costs: Dict[Tuple[int, int, int], int] = {(start[0], start[1], 0): 0}
-        frontier: List[Tuple[int, int, Tuple[int, int, int]]] = [
-            (0, 0, (start[0], start[1], 0))]
-        tie = 0
-        found: Optional[Tuple[int, int, int]] = None
-        while frontier:
-            budget.tick(
-                f"maze router exceeded {self.max_expansions} expansions "
-                f"routing net {request.name!r}")
-            cost, _, state = heapq.heappop(frontier)
-            if cost > costs.get(state, cost):
-                continue
-            x, y, heading = state
-            if (x, y) == goal:
-                found = state
-                break
-            for dx, dy, new_heading in ((self.pitch, 0, 1), (-self.pitch, 0, 1),
-                                        (0, self.pitch, 2), (0, -self.pitch, 2)):
-                nx, ny = x + dx, y + dy
-                if not self._free(nx, ny, exempt):
-                    continue
-                step = self.pitch
-                if heading and new_heading != heading:
-                    step += self.turn_cost
-                next_state = (nx, ny, new_heading)
-                next_cost = cost + step
-                if next_cost < costs.get(next_state, next_cost + 1):
-                    costs[next_state] = next_cost
-                    came[next_state] = state
-                    tie += 1
-                    heapq.heappush(frontier, (next_cost, tie, next_state))
-        if found is None:
+        path = None
+        if self._reachable(start, goal, opened):
+            path = self._search(request.name, start, goal, opened)
+        else:
+            obs_metrics.counter("pnr.maze.unreachable").inc()
+        if path is None:
             raise RoutingError(
                 f"net {request.name!r}: no path from {source} to {target}",
                 Diagnostic(Severity.ERROR, "ROU005",
                            f"maze router found no path for net {request.name!r}",
                            hint="the routing region may be fully blocked"))
 
-        points = self._reconstruct(came, found, start)
+        points = [Point(*self._node(cell)) for cell in path]
         points = _attach(source, points, prepend=True)
         points = _attach(target, points, prepend=False)
         points = _simplify(points)
         return RoutedNet(request.name, points, _length(points))
 
-    def _snap(self, point: Point, exempt: Set[int],
-              ) -> Optional[Tuple[int, int]]:
-        """Nearest free lattice node to ``point`` (searching outwards)."""
-        base_x = self.bounds.x1 + round((point.x - self.bounds.x1) / self.pitch) * self.pitch
-        base_y = self.bounds.y1 + round((point.y - self.bounds.y1) / self.pitch) * self.pitch
+    def _reachable(self, start: int, goal: int, opened: Set[int]) -> bool:
+        """Whether any lattice path joins the two cells.
+
+        Breadth-first from both ends, always growing the smaller frontier:
+        a sealed terminal's pocket is exhausted after a handful of cells,
+        and the whole flood is bounded by the grid, so it needs no budget.
+        """
+        if start == goal:
+            return True
+        blocked = self._blocked
+        stride = self._stride
+        side_of = bytearray(len(blocked))
+        side_of[start], side_of[goal] = 1, 2
+        frontiers = {1: [start], 2: [goal]}
+        while True:
+            side = 1 if len(frontiers[1]) <= len(frontiers[2]) else 2
+            grown: List[int] = []
+            for cell in frontiers[side]:
+                for near in (cell + 1, cell - 1, cell + stride, cell - stride):
+                    if side_of[near] == side or (
+                            blocked[near] and near not in opened):
+                        continue
+                    if side_of[near]:
+                        return True
+                    side_of[near] = side
+                    grown.append(near)
+            if not grown:
+                return False
+            frontiers[side] = grown
+
+    def _search(self, net: str, start: int, goal: int,
+                opened: Set[int]) -> Optional[List[int]]:
+        """Cheapest cell path (Dijkstra, unit steps plus a turn penalty).
+
+        A state is ``3 * cell + heading`` with headings 0=none,
+        1=horizontal, 2=vertical.  Returns ``None`` when the frontier
+        empties before the goal is reached.
+        """
+        blocked = self._blocked
+        pitch = self.pitch
+        turn_cost = self.turn_cost
+        steps = ((1, 1), (-1, 1), (self._stride, 2), (-self._stride, 2))
+        budget = Budget(iterations=self.max_expansions,
+                        label="maze expansion", code="ROU006")
+        message = (f"maze router exceeded {self.max_expansions} expansions "
+                   f"routing net {net!r}")
+        came: Dict[int, int] = {}
+        costs: Dict[int, int] = {3 * start: 0}
+        frontier: List[Tuple[int, int, int]] = [(0, 0, 3 * start)]
+        tie = 0
+        found: Optional[int] = None
+        try:
+            while frontier:
+                budget.tick(message)
+                cost, _, state = heapq.heappop(frontier)
+                if cost > costs.get(state, cost):
+                    continue
+                cell, heading = divmod(state, 3)
+                if cell == goal:
+                    found = state
+                    break
+                for offset, new_heading in steps:
+                    near = cell + offset
+                    if blocked[near] and near not in opened:
+                        continue
+                    next_cost = cost + pitch
+                    if heading and new_heading != heading:
+                        next_cost += turn_cost
+                    next_state = 3 * near + new_heading
+                    if next_cost < costs.get(next_state, next_cost + 1):
+                        costs[next_state] = next_cost
+                        came[next_state] = state
+                        tie += 1
+                        heapq.heappush(frontier, (next_cost, tie, next_state))
+        finally:
+            obs_metrics.counter("pnr.maze.expansions").inc(budget.count)
+        if found is None:
+            return None
+        path = [found // 3]
+        state = found
+        while state in came:
+            state = came[state]
+            path.append(state // 3)
+        path.reverse()
+        return path
+
+    def _usable(self, column: int, row: int,
+                opened: Set[int]) -> Optional[int]:
+        """The cell of lattice node ``(column, row)`` if a wire may sit
+        there.  Range-checked, unlike the search's reads: a node off the
+        lattice must not wrap into the array."""
+        if not (0 <= column < self._columns and 0 <= row < self._rows):
+            return None
+        cell = (row + 1) * self._stride + column + 1
+        if self._blocked[cell] and cell not in opened:
+            return None
+        return cell
+
+    def _snap(self, point: Point, opened: Set[int]) -> Optional[int]:
+        """Nearest free lattice cell to ``point`` (searching outwards)."""
+        pitch = self.pitch
+        base_column = round((point.x - self.bounds.x1) / pitch)
+        base_row = round((point.y - self.bounds.y1) / pitch)
         for ring in range(4):
             candidates = []
             for dx in range(-ring, ring + 1):
                 for dy in range(-ring, ring + 1):
                     if max(abs(dx), abs(dy)) != ring:
                         continue
-                    candidates.append((base_x + dx * self.pitch,
-                                       base_y + dy * self.pitch))
-            candidates.sort(key=lambda c: abs(c[0] - point.x) + abs(c[1] - point.y))
-            for x, y in candidates:
-                if self._free(x, y, exempt):
-                    return (x, y)
+                    candidates.append((base_column + dx, base_row + dy))
+            candidates.sort(key=lambda c: (
+                abs(self.bounds.x1 + c[0] * pitch - point.x)
+                + abs(self.bounds.y1 + c[1] * pitch - point.y)))
+            for column, row in candidates:
+                cell = self._usable(column, row, opened)
+                if cell is not None:
+                    return cell
         return None
-
-    def _reconstruct(self, came: Dict, state: Tuple[int, int, int],
-                     start: Tuple[int, int]) -> List[Point]:
-        points = [Point(state[0], state[1])]
-        while state in came:
-            state = came[state]
-            point = Point(state[0], state[1])
-            if point != points[-1]:
-                points.append(point)
-        if points[-1] != Point(start[0], start[1]):
-            points.append(Point(start[0], start[1]))
-        points.reverse()
-        return points
 
 
 class PnrRouter:
@@ -282,10 +459,37 @@ class PnrRouter:
         #: Per-net drawn geometry for maze-routed nets, so a net that seals
         #: the region against a later one can be ripped up and rerouted.
         self._drawn: Dict[str, Tuple["Shape", List[Rect], RouteRequest]] = {}
+        obs_metrics.gauge("pnr.maze.grid_cells").set(self.maze.grid_cells)
 
     @property
     def pitch(self) -> int:
         return self.maze.pitch
+
+    def _lattices(self) -> List[MazeRouter]:
+        if self._fine_maze is None:
+            return [self.maze]
+        return [self.maze, self._fine_maze]
+
+    def _block(self, net: str, rects: Sequence[Rect]) -> None:
+        """Every wire drawn blocks both lattices, whichever routed it."""
+        for maze in self._lattices():
+            maze.block(net, rects)
+
+    def _unblock(self, net: str) -> None:
+        for maze in self._lattices():
+            maze.unblock(net)
+
+    @contextmanager
+    def _attempt(self, name: str, level: str, request: RouteRequest):
+        """One escalation level for one net, as a span carrying its cost."""
+        expansions = obs_metrics.counter("pnr.maze.expansions")
+        before = expansions.value
+        with obs_trace.span(name, cat="pnr", net=request.name,
+                            level=level) as span:
+            try:
+                yield span
+            finally:
+                span.set(expansions=expansions.value - before)
 
     def route_all(self, cell: Cell,
                   requests: Sequence[RouteRequest]) -> RoutingReport:
@@ -306,20 +510,20 @@ class PnrRouter:
                     remaining = [r for r in remaining if r.side != side]
             for request in remaining:
                 try:
-                    with obs_trace.span("pnr.maze", cat="pnr",
-                                        net=request.name):
+                    with self._attempt("pnr.maze", "coarse", request):
                         net = self.route_one(cell, request)
                     obs_metrics.counter("pnr.route.maze").inc()
                 except (RoutingError, BudgetExceeded) as error:
-                    with obs_trace.span("pnr.half_pitch", cat="pnr",
-                                        net=request.name):
+                    with self._attempt("pnr.half_pitch", "half_pitch",
+                                       request):
                         net = self._retry_fine(cell, request)
                     if net is not None:
                         obs_metrics.counter("pnr.route.half_pitch").inc()
                     else:
-                        with obs_trace.span("pnr.ripup", cat="pnr",
-                                            net=request.name):
-                            net = self._rip_and_reroute(cell, request, report)
+                        with self._attempt("pnr.ripup", "ripup",
+                                           request) as ripup:
+                            net = self._rip_and_reroute(cell, request, report,
+                                                        ripup)
                         if net is not None:
                             obs_metrics.counter("pnr.ripup.success").inc()
                     if net is None:
@@ -340,20 +544,17 @@ class PnrRouter:
         """Second attempt on a half-pitch lattice.
 
         A corridor narrower than one coarse pitch is invisible to the main
-        grid; halving the pitch recovers those nets.  The fine maze shares
-        the routed-wire list with the coarse one, so wires drawn by either
-        block both.
+        grid; halving the pitch recovers those nets.  The fine lattice
+        starts from the coarse one's obstacles and blocked nets and is kept
+        in step with it from then on, so wires drawn by either block both.
         """
         fine = self.pitch // 2
         if fine < 2:
             return None
         if self._fine_maze is None:
-            self._fine_maze = MazeRouter(self.maze.bounds,
-                                         self.maze._obstacles,
-                                         wire_width=self.wire_width,
-                                         spacing=self.spacing, grid=fine,
-                                         max_expansions=self.maze.max_expansions)
-            self._fine_maze._routed_rects = self.maze._routed_rects
+            self._fine_maze = self.maze.at_pitch(fine)
+            obs_metrics.gauge("pnr.maze.grid_cells").set(
+                sum(maze.grid_cells for maze in self._lattices()))
         try:
             net = self._fine_maze.route(request)
         except (RoutingError, BudgetExceeded):
@@ -362,7 +563,7 @@ class PnrRouter:
         return net
 
     def _rip_and_reroute(self, cell: Cell, request: RouteRequest,
-                         report: RoutingReport) -> Optional[RoutedNet]:
+                         report: RoutingReport, span) -> Optional[RoutedNet]:
         """Last resort: rip up an earlier net that seals the failed one in.
 
         Earlier maze routes become obstacles, and in a tight corridor the
@@ -371,7 +572,8 @@ class PnrRouter:
         net's bounding box first: rip it, route the failed net, then reroute
         the victim.  If either step fails the victim's original wire is
         restored and the next candidate is tried.  One level only — a
-        victim's reroute never rips a third net.
+        victim's reroute never rips a third net.  ``span`` records how many
+        victims were tried and which one made room.
         """
         bbox = Rect(min(request.source.x, request.target.x),
                     min(request.source.y, request.target.y),
@@ -389,9 +591,12 @@ class PnrRouter:
 
         candidates = sorted(self._drawn.items(),
                             key=lambda item: distance(item[1][1]))
+        attempts = 0
         for victim_name, (shape, rects, victim_request) in candidates:
             if victim_name == request.name:
                 continue
+            attempts += 1
+            span.set(attempts=attempts)
             obs_metrics.counter("pnr.ripup.attempts").inc()
             self._undraw(cell, victim_name)
             try:
@@ -414,21 +619,22 @@ class PnrRouter:
                 if routed.name == victim_name:
                     report.routed[index] = victim_net
                     break
+            span.set(victim=victim_name)
             return net
         return None
 
     def _undraw(self, cell: Cell, name: str) -> None:
-        shape, rects, _ = self._drawn.pop(name)
+        shape, _rects, _ = self._drawn.pop(name)
         try:
             cell.shapes.remove(shape)
         except ValueError:
             pass
-        self.maze.remove_obstacles(rects)
+        self._unblock(name)
 
     def _restore(self, cell: Cell, name: str, shape, rects: List[Rect],
                  request: RouteRequest) -> None:
         cell.shapes.append(shape)
-        self.maze.add_obstacles(rects)
+        self._block(name, rects)
         self._drawn[name] = (shape, rects, request)
 
     # -- river-corridor fast path ----------------------------------------------------
@@ -467,11 +673,7 @@ class PnrRouter:
             return None
         corridor = Rect(min(p.x for p in bottom + top) - min_gap, floor + 1,
                         max(p.x for p in bottom + top) + min_gap, ceiling - 1)
-        exempt = self.maze._exempt_ids(*(bottom + top))
-        blocked = [i for i in self.maze._index.query(
-            corridor.expanded(self.spacing), strict=True) if i not in exempt]
-        if blocked or any(corridor.expanded(self.spacing).overlaps(r, strict=True)
-                          for r in self.maze._routed_rects):
+        if not self.maze.region_clear(corridor, exempt=bottom + top):
             return None
         try:
             route = river_route(cell, bottom, top, layer=self.layer,
@@ -481,8 +683,7 @@ class PnrRouter:
             return None
         routed: List[RoutedNet] = []
         for request, points in zip(ordered, route.wires):
-            rects = _wire_rects(points, self.wire_width)
-            self.maze.add_obstacles(rects)
+            self._block(request.name, _wire_rects(points, self.wire_width))
             routed.append(RoutedNet(request.name, list(points),
                                     _length(points), method="river"))
         return routed
@@ -493,11 +694,17 @@ class PnrRouter:
             return
         shape = cell.add_wire(self.layer, points, self.wire_width)
         rects = shape.as_rects()
-        self.maze.add_obstacles(rects)
+        self._block(request.name, rects)
         self._drawn[request.name] = (shape, rects, request)
 
 
 # -- geometry helpers ---------------------------------------------------------------
+
+
+def _bookkeeping_error(message: str) -> RoutingError:
+    return RoutingError(message, Diagnostic(
+        Severity.ERROR, "ROU009", message,
+        hint="block() and unblock() must pair up, once each per net"))
 
 
 def _attach(terminal: Point, points: List[Point], prepend: bool) -> List[Point]:

@@ -18,7 +18,7 @@ makes it too slow for the tier-1 suite.  CI runs it explicitly::
 
     FAULT_INJECTION_EXAMPLES=25 pytest tests/fault_injection.py
 
-The default budget (120 examples per property, 7 properties) exercises
+The default budget (120 examples per property, 8 properties) exercises
 more than 500 mutated inputs per full run.
 """
 
@@ -40,6 +40,7 @@ from repro.drc import DrcChecker
 from repro.erc import ErcChecker
 from repro.extract.extractor import Extractor
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 from repro.layout import Library
 from repro.layout.cell import Cell
 from repro.netlist import GateType, Module, NetlistError
@@ -49,6 +50,8 @@ from repro.netlist.switch_sim import (
     SwitchNetwork,
     TransistorKind,
 )
+from repro.obs import metrics
+from repro.pnr import PnrRouter, RouteRequest
 from repro.rtl import parse_rtl
 from repro.rtl.parser import RtlSyntaxError
 from repro.technology import nmos_technology
@@ -295,6 +298,119 @@ class TestSwitchNetworkMutation:
             except BudgetExceeded as error:
                 results.append(str(error))
         assert results[0] == results[1]
+
+
+# -- place & route ------------------------------------------------------------
+
+
+PNR_BOUNDS = Rect(0, 0, 120, 120)
+PNR_BUDGET = 4000
+#: Terminals on the coarse lattice (pitch 6), up to two nodes outside bounds.
+pnr_nodes = st.builds(lambda i, j: Point(6 * i, 6 * j),
+                      st.integers(-2, 22), st.integers(-2, 22))
+pnr_obstacles = st.lists(
+    st.builds(lambda x, y, w, h: Rect(x, y, x + w, y + h),
+              st.integers(-10, 120), st.integers(-10, 120),
+              st.integers(0, 60), st.integers(0, 60)),
+    max_size=10)
+
+
+def route_net(obstacles, source, target, bounds=PNR_BOUNDS,
+              max_expansions=PNR_BUDGET):
+    """Route one net through every escalation level; check the contract.
+
+    The outcome is either a typed ``ROU*`` failure or a wire — one that,
+    between terminals on the lattice, keeps the spacing rule to every
+    obstacle other than the shapes its terminals sit on — reached within
+    the expansion budget, never a traceback.
+    """
+    router = PnrRouter(TECHNOLOGY, bounds, obstacles,
+                       max_expansions=max_expansions)
+    expansions = metrics.counter("pnr.maze.expansions")
+    before = expansions.value
+    report = router.route_all(Cell("pnr_fault"),
+                              [RouteRequest("n", source, target)])
+    assert len(report.routed) + len(report.failed) == 1
+    for _request, error in report.failed:
+        assert isinstance(error, DiagnosticError)
+        assert error.diagnostic.code.startswith("ROU")
+    # Coarse attempt plus at most one half-pitch retry (no victims to rip).
+    assert expansions.value - before <= 2 * (max_expansions + 1)
+    # The lattice path is what the blockage grid vouches for; the L-tap that
+    # joins an off-lattice terminal to its nearest free node is drawn blind.
+    width, pitch = router.wire_width, router.pitch
+    half, other = width // 2, width - width // 2
+    if not all(p.x % pitch == 0 and p.y % pitch == 0 and bounds.contains_rect(
+            Rect(p.x - half, p.y - half, p.x + other, p.y + other))
+            for p in (source, target)):
+        return report
+    reach = half + router.spacing
+    terminal_shapes = [
+        rect for rect in obstacles for p in (source, target)
+        if Rect(p.x - reach, p.y - reach, p.x + reach, p.y + reach)
+        .overlaps(rect, strict=False)]
+    for net in report.routed:
+        for a, b in zip(net.points, net.points[1:]):
+            halo = Rect(min(a.x, b.x) - half, min(a.y, b.y) - half,
+                        max(a.x, b.x) + other,
+                        max(a.y, b.y) + other).expanded(router.spacing)
+            for rect in obstacles:
+                assert (rect in terminal_shapes
+                        or not halo.overlaps(rect, strict=True)), (net, rect)
+    return report
+
+
+class TestPnrFaults:
+    def test_coincident_terminals_need_no_wire(self):
+        for point in (Point(60, 60), Point(61, 59), Point(0, 6)):
+            report = route_net([], point, point)
+            assert [net.length for net in report.routed] == [0]
+
+    def test_terminal_outside_bounds_is_typed(self):
+        report = route_net([], Point(60, 60), Point(400, 60))
+        assert report.failed[0][1].diagnostic.code == "ROU005"
+        report = route_net([], Point(-300, -300), Point(60, 60))
+        assert report.failed[0][1].diagnostic.code == "ROU005"
+
+    def test_degenerate_bounds_are_typed(self):
+        for bounds in (Rect(0, 0, 0, 0), Rect(0, 0, 2, 200),
+                       Rect(5, 5, 5, 90)):
+            report = route_net([], Point(0, 0), Point(0, 60), bounds=bounds)
+            assert report.failed[0][1].diagnostic.code == "ROU005"
+
+    def test_zero_width_corridor_is_unroutable_not_shorted(self):
+        # Two slabs abut (corridor width 0), then leave a gap one lambda
+        # too narrow for wire + spacing on both lattices: sealed either way.
+        for gap in (0, 8):
+            walls = [Rect(0, 50, 60, 58), Rect(60 + gap, 50, 120, 58)]
+            report = route_net(walls, Point(60, 24), Point(60, 96))
+            assert report.failed[0][1].diagnostic.code == "ROU005"
+        walls = [Rect(0, 50, 54, 58), Rect(66, 50, 120, 58)]
+        report = route_net(walls, Point(60, 24), Point(60, 96))
+        assert report.routed and report.routed[0].length >= 72
+
+    def test_pad_inside_a_block_lands_or_fails_typed(self):
+        # The terminal's own block is exempt (landing on it is the point);
+        # a ring of slabs over the block, clear of the terminal, is not,
+        # and seals it.
+        block = Rect(30, 30, 90, 90)
+        report = route_net([block], Point(60, 60), Point(6, 6))
+        assert report.routed
+        lid = [Rect(20, 20, 50, 100), Rect(20, 20, 100, 50),
+               Rect(70, 20, 100, 100), Rect(20, 70, 100, 100)]
+        report = route_net([block] + lid, Point(60, 60), Point(6, 6))
+        assert report.failed[0][1].diagnostic.code == "ROU005"
+
+    def test_exhausted_budget_is_typed(self):
+        report = route_net([], Point(6, 6), Point(114, 114), max_expansions=50)
+        error = report.failed[0][1]
+        assert isinstance(error, BudgetExceeded)
+        assert error.diagnostic.code == "ROU006"
+
+    @given(obstacles=pnr_obstacles, source=pnr_nodes, target=pnr_nodes)
+    def test_random_obstacle_fields_route_or_fail_typed(
+            self, obstacles, source, target):
+        route_net(obstacles, source, target)
 
 
 if __name__ == "__main__":

@@ -233,7 +233,10 @@ class TestTracedFlow:
     def test_full_sign_off_trace_covers_the_flow(self, tmp_path):
         """Acceptance: one traced run covers every flow category."""
         trace.enable()
+        expansions_before = metrics.counter("pnr.maze.expansions").value
         assembler, _chip = build_chip("obs_traced_4b", 4, 0)
+        expansions = (metrics.counter("pnr.maze.expansions").value
+                      - expansions_before)
         report = assembler.sign_off()
         assert report.clean
         # Simulation rides in the same trace: compile + run the adder.
@@ -250,6 +253,24 @@ class TestTracedFlow:
         assert "assembly.sign_off" in names
         assert "pnr.route_all" in names
         assert "store.get" in names
+        # "Which net forced a rip-up and what did it cost" is in the trace:
+        # every escalation span names its net, level and expansions, and the
+        # levels together account for every expansion the counter saw.
+        levels = {"pnr.maze": "coarse", "pnr.half_pitch": "half_pitch",
+                  "pnr.ripup": "ripup"}
+        escalations = [event for event in info["events"]
+                       if event["name"] in levels]
+        assert {event["name"] for event in escalations} == set(levels)
+        for event in escalations:
+            assert event["args"]["level"] == levels[event["name"]]
+            assert event["args"]["net"]
+        assert sum(event["args"]["expansions"]
+                   for event in escalations) == expansions > 0
+        ripups = [event["args"] for event in escalations
+                  if event["name"] == "pnr.ripup"]
+        routed = {net.name for net in assembler.routing_report.routed}
+        assert all(args["attempts"] >= 1 and args["victim"] in routed
+                   for args in ripups)
 
 
 # -- VCD export ----------------------------------------------------------------
@@ -386,6 +407,12 @@ class TestFlowMetricsSnapshots:
                      if key.startswith("pnr.route.")
                      and not key.endswith("failed"))
         assert routed > 0
+        # One budget gauge for the whole router, not one per net.
+        assert [key for key in snapshot if key.startswith("budget.maze")] == [
+            "budget.maze_expansion.consumed_fraction"]
+        assert snapshot["pnr.maze.expansions"] > 0
+        assert snapshot["pnr.maze.unreachable"] > 0
+        assert snapshot["pnr.maze.grid_cells"] > 0
 
     def test_metric_names_match_golden(self, flow_metric_reports):
         produced = {
@@ -440,3 +467,23 @@ class TestCliValidators:
         assert result.returncode == 0, result.stderr
         assert "e13" in result.stdout
         assert "speedup" in result.stdout
+
+    def test_check_regression_exact_gates_counts(self, tmp_path):
+        script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "benchmarks", "check_regression.py")
+        with open(os.path.join(os.path.dirname(script), "results",
+                               "BENCH_e15.json")) as handle:
+            committed = json.load(handle)
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps({
+            "maze_expansions": committed["maze_expansions"] + 1,
+            "total_route_length": committed["total_route_length"]}))
+        for current, fields, code in (
+                ("e15", ["maze_calls", "maze_expansions"], 0),
+                (str(moved), ["total_route_length"], 0),
+                (str(moved), ["total_route_length", "maze_expansions"], 1),
+                (str(moved), ["maze_calls"], 1)):      # missing field
+            result = subprocess.run(
+                [sys.executable, script, "--exact", "e15", current, *fields],
+                capture_output=True, text=True, timeout=120)
+            assert result.returncode == code, result.stdout + result.stderr

@@ -12,11 +12,14 @@ Two layers:
   completion, and a sane extracted capacitance for every pad route.
 """
 
+import json
 import os
 import sys
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.assembly.channel import (ChannelNet, ChannelRouter,
                                     ChannelRoutingError)
@@ -28,6 +31,8 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.logic import TruthTable, parse_expr
+from repro.obs import metrics
+from repro.pnr.router import MazeRouter, RouteRequest, RoutingError
 from repro.technology import nmos_technology
 from repro.timing.parasitics import ParasiticModel
 
@@ -35,6 +40,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
 from chip_assembly import build_chip  # noqa: E402
 from traffic_light_controller import build_fsm  # noqa: E402
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+UPDATE_GOLDENS = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +169,190 @@ class TestRiverRouter:
         # One track per jogged wire, plus one pitch of clearance above.
         assert route.tracks_used >= 1
         assert route.channel_height == (route.tracks_used + 1) * 7
+
+
+# -- maze router: blocked-cell grid == geometric predicate --------------------
+
+
+def oracle_exempt(obstacles, width, spacing, terminals):
+    """Ids of the obstacles touching a terminal's immediate footprint."""
+    reach = width // 2 + spacing
+    return {i for i, rect in enumerate(obstacles) for p in terminals
+            if Rect(p.x - reach, p.y - reach, p.x + reach,
+                    p.y + reach).overlaps(rect, strict=False)}
+
+
+def oracle_free(bounds, obstacles, wires, width, spacing, exempt, x, y):
+    """The per-point predicate the router evaluated before it rasterised:
+    a wire footprint centred on (x, y) stays inside ``bounds`` and, grown by
+    the spacing, strictly overlaps no non-exempt obstacle and no wire."""
+    half = width // 2
+    foot = Rect(x - half, y - half, x + width - half, y + width - half)
+    if not bounds.contains_rect(foot):
+        return False
+    probe = foot.expanded(spacing)
+    if any(probe.overlaps(rect, strict=True)
+           for i, rect in enumerate(obstacles) if i not in exempt):
+        return False
+    return not any(probe.overlaps(rect, strict=True) for rect in wires)
+
+
+def assert_grid_matches_oracle(maze, obstacles, wires, terminals):
+    """Every lattice node, and one ring of nodes outside ``bounds``."""
+    bounds, pitch = maze.bounds, maze.pitch
+    opened = maze._opened(*terminals)
+    exempt = oracle_exempt(obstacles, maze.wire_width, maze.spacing,
+                           terminals)
+    for column in range(-1, bounds.width // pitch + 2):
+        for row in range(-1, bounds.height // pitch + 2):
+            x, y = bounds.x1 + column * pitch, bounds.y1 + row * pitch
+            expected = oracle_free(bounds, obstacles, wires, maze.wire_width,
+                                   maze.spacing, exempt, x, y)
+            usable = maze._usable(column, row, opened) is not None
+            assert usable == expected, (
+                f"node ({x}, {y}) at pitch {pitch}: oracle says "
+                f"{'free' if expected else 'blocked'}")
+
+
+@st.composite
+def rects(draw, low=-8, high=48, max_side=20):
+    x = draw(st.integers(low, high))
+    y = draw(st.integers(low, high))
+    return Rect(x, y, x + draw(st.integers(0, max_side)),
+                y + draw(st.integers(0, max_side)))
+
+
+points = st.builds(Point, st.integers(-4, 44), st.integers(-4, 44))
+
+
+@st.composite
+def mazes(draw):
+    """(coarse maze, half-pitch maze, obstacles) over one random region."""
+    x, y = draw(st.integers(-10, 10)), draw(st.integers(-10, 10))
+    bounds = Rect(x, y, x + draw(st.integers(0, 40)),
+                  y + draw(st.integers(0, 40)))
+    obstacles = draw(st.lists(rects(), max_size=8))
+    width, spacing = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    coarse = MazeRouter(bounds, obstacles, wire_width=width, spacing=spacing,
+                        max_expansions=10**6)
+    return coarse, coarse.at_pitch(max(coarse.pitch // 2, 1)), obstacles
+
+
+@st.composite
+def walled_mazes(draw):
+    """(coarse maze, half-pitch maze, two terminals inside the region) with
+    walls across it, whole or gapped, so sealed pockets are common."""
+    side = draw(st.integers(30, 60))
+    obstacles = draw(st.lists(rects(0, side, 12), max_size=6))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(4, side - 6))
+        gap = draw(st.integers(0, side))
+        opening = draw(st.sampled_from((0, 0, 4, 10)))
+        for lo, hi in ((0, gap), (gap + opening, side)):
+            if lo < hi:
+                obstacles.append(Rect(lo, at, hi, at + 2)
+                                 if draw(st.booleans())
+                                 else Rect(at, lo, at + 2, hi))
+    coarse = MazeRouter(Rect(0, 0, side, side), obstacles,
+                        wire_width=draw(st.integers(1, 3)),
+                        spacing=draw(st.integers(0, 2)),
+                        max_expansions=10**6)
+    inside = st.builds(Point, st.integers(2, side - 2),
+                       st.integers(2, side - 2))
+    return (coarse, coarse.at_pitch(max(coarse.pitch // 2, 1)),
+            draw(inside), draw(inside))
+
+
+class TestBlockedCellGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(setup=mazes(), terminals=st.lists(points, max_size=2),
+           edits=st.lists(st.tuples(st.sampled_from("abc"),
+                                    st.lists(rects(), min_size=1, max_size=3)),
+                          max_size=6))
+    def test_grid_equals_predicate_under_block_and_unblock(
+            self, setup, terminals, edits):
+        coarse, fine, obstacles = setup
+        blocked = {}
+        for maze in (coarse, fine):
+            assert_grid_matches_oracle(maze, obstacles, [], terminals)
+        # Each edit toggles one net: blocked nets are ripped up, others drawn.
+        for net, wires in edits:
+            for maze in (coarse, fine):
+                if net in blocked:
+                    maze.unblock(net)
+                else:
+                    maze.block(net, wires)
+            if net in blocked:
+                del blocked[net]
+            else:
+                blocked[net] = wires
+            drawn = [rect for rects_ in blocked.values() for rect in rects_]
+            for maze in (coarse, fine):
+                assert_grid_matches_oracle(maze, obstacles, drawn, terminals)
+
+    def test_a_cell_under_300_stacked_rects_frees_with_the_last(self):
+        cover = Rect(18, 18, 24, 24)
+        obstacles = [Rect(40, 40, 44, 44)] * 300
+        maze = MazeRouter(Rect(0, 0, 60, 60), obstacles)
+        assert maze._usable(3, 3, set()) is not None
+        assert maze._usable(7, 7, set()) is None
+        # All 300 static rects are the terminal's own shape: exempt together.
+        assert maze._usable(7, 7, maze._opened(Point(42, 42))) is not None
+        for k in range(300):
+            maze.block(f"n{k}", [cover])
+        for k in range(300):
+            assert maze._usable(3, 3, set()) is None
+            maze.unblock(f"n{k}")
+        assert maze._usable(3, 3, set()) is not None
+        assert_grid_matches_oracle(maze, obstacles, [], [])
+
+    def test_unpaired_block_and_unblock_are_typed_errors(self):
+        maze = MazeRouter(Rect(0, 0, 60, 60), [])
+        with pytest.raises(RoutingError) as caught:
+            maze.unblock("ghost")
+        assert caught.value.diagnostic.code == "ROU009"
+        maze.block("a", [Rect(10, 10, 20, 13)])
+        with pytest.raises(RoutingError) as caught:
+            maze.block("a", [Rect(30, 30, 40, 33)])
+        assert caught.value.diagnostic.code == "ROU009"
+
+    def test_region_clear_honours_spacing_wires_and_exemptions(self):
+        pad = Rect(0, 0, 10, 10)
+        maze = MazeRouter(Rect(0, 0, 100, 100), [pad], spacing=3)
+        assert maze.region_clear(Rect(13, 0, 30, 10))       # abuts the halo
+        assert not maze.region_clear(Rect(12, 0, 30, 10))
+        assert maze.region_clear(Rect(12, 0, 30, 10), exempt=[Point(5, 5)])
+        maze.block("w", [Rect(40, 0, 43, 10)])
+        assert not maze.region_clear(Rect(13, 0, 38, 10))
+        maze.unblock("w")
+        assert maze.region_clear(Rect(13, 0, 38, 10))
+
+    @settings(max_examples=100, deadline=None)
+    @given(setup=walled_mazes())
+    def test_flood_reaches_iff_priced_search_finds_a_path(self, setup):
+        source, target = setup[2:]
+        for maze in setup[:2]:
+            opened = maze._opened(source, target)
+            start = maze._snap(source, opened)
+            goal = maze._snap(target, opened)
+            if start is None or goal is None:
+                with pytest.raises(RoutingError) as caught:
+                    maze.route(RouteRequest("n", source, target))
+                assert caught.value.diagnostic.code == "ROU005"
+                continue
+            path = maze._search("n", start, goal, opened)
+            assert maze._reachable(start, goal, opened) == (path is not None)
+            if path is None:
+                sealed = metrics.counter("pnr.maze.unreachable")
+                before = sealed.value
+                with pytest.raises(RoutingError):
+                    maze.route(RouteRequest("n", source, target))
+                assert sealed.value == before + 1
+                continue
+            assert path[0] == start and path[-1] == goal
+            for here, there in zip(path, path[1:]):
+                assert abs(here - there) in (1, maze._stride)
+                assert not maze._blocked[there] or there in opened
 
 
 # -- chip-level place & route -------------------------------------------------
@@ -293,3 +485,40 @@ class TestSignOffGoldens:
                 assert path.route_delay_ns >= 0.0
                 checked += 1
         assert checked > 0
+
+
+def routes_of(assembler):
+    """JSON-ready record of every routed net of an assembled chip."""
+    if assembler.routing_report is None:
+        return []
+    return [{"name": net.name, "method": net.method, "length": net.length,
+             "points": [[point.x, point.y] for point in net.points]}
+            for net in assembler.routing_report.routed]
+
+
+class TestRoutesPinned:
+    """Every routed point of the example chips, pinned to the golden.
+
+    ``tests/golden/routes.json`` was generated before the router's blockage
+    test was rasterised; equality here is the proof that the blocked-cell
+    grid visits lattice points in the same order as the geometric predicate
+    it replaced (same neighbour order, costs and tie counter), so the CIF
+    does not move by a byte.
+    """
+
+    def test_routes_match_golden(self, signed_off_chips):
+        produced = {name: routes_of(assembler)
+                    for name, (assembler, _report) in signed_off_chips.items()}
+        # The larger members of the example family; the 8-bit one is the
+        # chip the E15 and end-to-end benchmarks measure (five nets, eight
+        # sealed searches, four rip-up attempts).
+        for bits, extra in ((8, 0), (16, 4)):
+            produced[f"family_{bits}b"] = routes_of(
+                build_chip(f"pnr_golden_{bits}b", bits, extra)[0])
+        golden_path = os.path.join(GOLDEN_DIR, "routes.json")
+        if UPDATE_GOLDENS:
+            with open(golden_path, "w") as handle:
+                json.dump(produced, handle, sort_keys=True)
+                handle.write("\n")
+        with open(golden_path) as handle:
+            assert produced == json.load(handle)
