@@ -2,10 +2,10 @@
 
 Not a paper experiment: this benchmark tracks the cost of the analysis
 passes themselves.  It builds the ``examples/chip_assembly.py`` chip family
-and runs DRC plus extraction twice — once on the indexed paths (the
-default) and once on the historical all-pairs scans (``use_index=False``)
-— asserting the results are identical and recording the speedup in
-``BENCH_e11.json``.  This is the number the ROADMAP's "fast as the
+and runs DRC plus extraction twice — once on the production (indexed)
+engines and once on the all-pairs oracles
+(``repro.reference.BruteDrcChecker`` / ``BruteExtractor``) — asserting the
+results are identical and recording the speedup in ``BENCH_e11.json``.  This is the number the ROADMAP's "fast as the
 hardware allows" goal is graded on: the indexed engine must scale
 near-linearly where the reference scales quadratically.
 """
@@ -21,6 +21,7 @@ from repro.drc import DrcChecker
 from repro.extract.extractor import Extractor
 from repro.layout.flatten import flatten_cell
 from repro.metrics import format_table
+from repro.reference import BruteDrcChecker, BruteExtractor
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
@@ -36,10 +37,10 @@ def netlist_signature(circuit):
     )
 
 
-def analyse(chips, technology, use_index):
+def analyse(chips, technology, checker_class, extractor_class):
     """DRC + extract every chip; returns (seconds, drc results, netlists)."""
-    checker = DrcChecker(technology, use_index=use_index)
-    extractor = Extractor(technology, use_index=use_index)
+    checker = checker_class(technology)
+    extractor = extractor_class(technology)
     violations = []
     netlists = []
     start = time.perf_counter()
@@ -55,8 +56,9 @@ def test_e11_indexed_analysis_vs_brute_force(benchmark, technology):
     shape_counts = [len(flatten_cell(chip).shapes) for chip in chips]
 
     indexed_seconds, indexed_drc, indexed_netlists = benchmark(
-        analyse, chips, technology, True)
-    brute_seconds, brute_drc, brute_netlists = analyse(chips, technology, False)
+        analyse, chips, technology, DrcChecker, Extractor)
+    brute_seconds, brute_drc, brute_netlists = analyse(
+        chips, technology, BruteDrcChecker, BruteExtractor)
 
     # The index is pure optimisation: identical violations and netlists.
     assert indexed_drc == brute_drc

@@ -5,8 +5,8 @@ the same treatment applied to the *verification* side.  A bank of
 RTL-compiled LFSRs (> 1k primitive gates) is clocked for 256 cycles three
 ways:
 
-* the reference interpreter (``use_compiled=False``) — the seed's
-  rescan-every-instance settle loop;
+* the reference interpreter (``repro.reference.GateLevelInterpreter``) —
+  the seed's rescan-every-instance settle loop;
 * the compiled scalar kernel (default) — integer-indexed arrays,
   precomputed fanout, event-driven sweeps, trace-identical by
   construction (asserted here and pinned by the differential suite);
@@ -29,6 +29,7 @@ import time
 from benchmarks.conftest import emit, record_bench
 from repro.metrics import format_table
 from repro.netlist import GateLevelSimulator, GateType, Module, compare_netlists
+from repro.reference import GateLevelInterpreter
 from repro.rtl import RtlCompiler, parse_rtl
 from repro.sim import CompiledNetlist, run_streams
 
@@ -101,7 +102,7 @@ def test_e13_sim_kernel_throughput():
 
     vectors = _stimulus(CYCLES)
 
-    interpreter = GateLevelSimulator(bank, use_compiled=False)
+    interpreter = GateLevelInterpreter(bank)
     interpreter.reset(0)
     start = time.perf_counter()
     interpreter_trace = interpreter.run(vectors)

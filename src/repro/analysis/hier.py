@@ -8,7 +8,7 @@ artifacts, so repeated instances cost id bookkeeping instead of geometry
 work.  The composed output is **byte-identical** to the flat reference —
 violation objects, netlist node names, transistor order, metrics — which the
 differential suite in ``tests/test_hier_golden.py`` pins against the
-``use_index=False`` brute-force path.
+all-pairs oracles in :mod:`repro.reference`.
 
 Three ideas make exact composition possible:
 
@@ -407,6 +407,11 @@ class HierAnalyzer:
     #: name-free geometric kinds stay fully rename-invariant.
     _NAME_KINDS = frozenset({"erc", "timing"})
 
+    #: Trace category of each kind's ``hier.build.<kind>`` span: the flat
+    #: engine the build belongs to, so per-category folds attribute it there.
+    _BUILD_SPAN_CAT = {"drc": "drc", "extract": "extract", "erc": "erc",
+                       "timing": "sta"}
+
     def __init__(self, technology: Technology, direct_threshold: int = 96,
                  store: Optional[ArtifactStore] = None):
         self.technology = technology
@@ -479,16 +484,20 @@ class HierAnalyzer:
         with obs_trace.span("hier.timing", cat="hier", cell=cell.name):
             return self._timing_artifact(cell, Orientation.R0)
 
-    def _timing_artifact(self, cell: Cell, orientation: Orientation) -> BlockTiming:
-        hit = self._cached("timing", cell, orientation)
+    def _artifact(self, kind: str, cell: Cell, orientation: Orientation, build):
+        """Get-or-build of one cached artifact: store hit, else ``build``."""
+        hit = self._cached(kind, cell, orientation)
         if hit is not None:
-            self.stats["timing_hits"] += 1
+            self.stats[f"{kind}_hits"] += 1
             return hit
-        self.stats["timing_artifacts"] += 1
-        span = obs_trace.span("hier.build.timing", cat="sta", cell=cell.name,
-                              orientation=orientation.name)
-        with span:
-            return self._build_timing_artifact(cell, orientation)
+        self.stats[f"{kind}_artifacts"] += 1
+        with obs_trace.span(f"hier.build.{kind}", cat=self._BUILD_SPAN_CAT[kind],
+                            cell=cell.name, orientation=orientation.name):
+            return build(cell, orientation)
+
+    def _timing_artifact(self, cell: Cell, orientation: Orientation) -> BlockTiming:
+        return self._artifact("timing", cell, orientation,
+                              self._build_timing_artifact)
 
     def _build_timing_artifact(self, cell: Cell,
                                orientation: Orientation) -> BlockTiming:
@@ -515,20 +524,18 @@ class HierAnalyzer:
             return self._erc_artifact(cell, Orientation.R0)
 
     def _erc_artifact(self, cell: Cell, orientation: Orientation) -> ErcReport:
-        hit = self._cached("erc", cell, orientation)
-        if hit is not None:
-            self.stats["erc_hits"] += 1
-            return hit
-        self.stats["erc_artifacts"] += 1
-        with obs_trace.span("hier.build.erc", cat="erc", cell=cell.name,
-                            orientation=orientation.name):
-            view = self._view(cell, orientation)
-            for source in view.sources[1:]:
-                self._erc_artifact(source.cell, source.orientation)
-            circuit = self._finish_extract(
-                cell, self._extract_artifact(cell, orientation))
-            report = ErcChecker().check_circuit(circuit)
-            return self._store("erc", cell, orientation, report)
+        return self._artifact("erc", cell, orientation,
+                              self._build_erc_artifact)
+
+    def _build_erc_artifact(self, cell: Cell,
+                            orientation: Orientation) -> ErcReport:
+        view = self._view(cell, orientation)
+        for source in view.sources[1:]:
+            self._erc_artifact(source.cell, source.orientation)
+        circuit = self._finish_extract(
+            cell, self._extract_artifact(cell, orientation))
+        report = ErcChecker().check_circuit(circuit)
+        return self._store("erc", cell, orientation, report)
 
     def measure(self, cell: Cell) -> DesignMetrics:
         """Design metrics, identical to :func:`repro.metrics.measure_cell`."""
@@ -736,14 +743,8 @@ class HierAnalyzer:
     # -- DRC ----------------------------------------------------------------
 
     def _drc_artifact(self, cell: Cell, orientation: Orientation) -> _DrcArtifact:
-        hit = self._cached("drc", cell, orientation)
-        if hit is not None:
-            self.stats["drc_hits"] += 1
-            return hit
-        self.stats["drc_artifacts"] += 1
-        with obs_trace.span("hier.build.drc", cat="drc", cell=cell.name,
-                            orientation=orientation.name):
-            return self._build_drc_artifact(cell, orientation)
+        return self._artifact("drc", cell, orientation,
+                              self._build_drc_artifact)
 
     def _build_drc_artifact(self, cell: Cell,
                             orientation: Orientation) -> _DrcArtifact:
@@ -1164,14 +1165,8 @@ class HierAnalyzer:
     # -- extraction ---------------------------------------------------------
 
     def _extract_artifact(self, cell: Cell, orientation: Orientation) -> _ExtractArtifact:
-        hit = self._cached("extract", cell, orientation)
-        if hit is not None:
-            self.stats["extract_hits"] += 1
-            return hit
-        self.stats["extract_artifacts"] += 1
-        with obs_trace.span("hier.build.extract", cat="extract",
-                            cell=cell.name, orientation=orientation.name):
-            return self._build_extract_artifact(cell, orientation)
+        return self._artifact("extract", cell, orientation,
+                              self._build_extract_artifact)
 
     def _build_extract_artifact(self, cell: Cell, orientation: Orientation
                                 ) -> "_ExtractArtifact":

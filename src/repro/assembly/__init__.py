@@ -10,7 +10,13 @@ parameterised description.
 
 from repro.assembly.river import river_route, RiverRoutingError
 from repro.assembly.channel import ChannelRouter, ChannelNet, ChannelResult
-from repro.assembly.floorplan import Floorplan, FloorplanItem, pack_shelves
+from repro.assembly.floorplan import (
+    Floorplan,
+    FloorplanItem,
+    PlacementError,
+    UnknownTerminalError,
+    pack_shelves,
+)
 from repro.assembly.padframe import PadRing, PadSpec
 from repro.assembly.chip import (
     ChipAssembler,
@@ -31,6 +37,8 @@ __all__ = [
     "Floorplan",
     "FloorplanItem",
     "pack_shelves",
+    "PlacementError",
+    "UnknownTerminalError",
     "PadRing",
     "PadSpec",
     "ChipAssembler",

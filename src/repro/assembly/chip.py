@@ -23,7 +23,12 @@ from repro.obs import trace as obs_trace
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
-from repro.assembly.floorplan import Floorplan, pack_shelves
+from repro.assembly.floorplan import (
+    Floorplan,
+    UnknownTerminalError,
+    check_unique_names,
+    pack_shelves,
+)
 from repro.assembly.padframe import PadRing, PadSpec
 from repro.technology.layers import LayerPurpose
 from repro.technology.technology import Technology
@@ -209,6 +214,7 @@ class ChipAssembler:
 
     def add_block(self, name: str, cell: Cell) -> None:
         """Add a core block (a compiled PLA, datapath, memory, ...)."""
+        check_unique_names([block for block, _ in self._blocks] + [name])
         self._blocks.append((name, cell))
 
     def add_pad(self, name: str, kind: str = "signal",
@@ -294,20 +300,18 @@ class ChipAssembler:
         pad_side = {p.spec.name: p.side for p in ring.placements}
 
         def port_position(block_name: str, port_name: str) -> Point:
-            placement = placements.get(block_name)
-            if placement is None:
-                raise KeyError(f"no core block named {block_name!r}")
+            # Placement already rejected unknown block names (ROU011).
+            placement = placements[block_name]
             block_cell = placement.item.cell
             if not block_cell.has_port(port_name):
-                raise KeyError(f"block {block_name!r} has no port {port_name!r}")
+                raise UnknownTerminalError(
+                    f"block {block_name!r} has no port {port_name!r}")
             local = placement.instance.transform.apply(
                 block_cell.port(port_name).position)
             return Point(local.x + core_origin.x, local.y + core_origin.y)
 
         requests: List[Tuple[RouteRequest, Optional[Tuple[str, str, str]]]] = []
         for pad_name, (block_name, port_name) in self._connections:
-            if pad_name not in pad_position:
-                raise KeyError(f"no pad named {pad_name!r}")
             requests.append((RouteRequest(
                 name=pad_name,
                 source=pad_position[pad_name],

@@ -10,10 +10,35 @@ wiring-management experiments track.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.diagnostics import DiagnosticError
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
+
+
+class PlacementError(DiagnosticError, ValueError):
+    """The placement problem is malformed: no packing can answer it."""
+
+    default_code = "ROU010"
+
+
+class UnknownTerminalError(DiagnosticError, KeyError):
+    """A connection names a block, port or pad the chip does not have."""
+
+    default_code = "ROU011"
+
+    def __str__(self) -> str:       # KeyError would repr() the message
+        return str(self.args[0])
+
+
+def check_unique_names(names: Iterable[str]) -> None:
+    """Blocks are looked up by name from here on: no two may share one."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise PlacementError(f"duplicate block name {name!r}")
+        seen.add(name)
 
 
 @dataclass
@@ -96,6 +121,9 @@ def pack_shelves(cells: Sequence[Tuple[str, Cell]], max_width: Optional[int] = N
     blocks in the order given — the knob the annealing placer turns: it
     explores permutations of the block list, so the packer must honour them.
     """
+    if spacing < 0:     # would pack blocks on top of each other
+        raise PlacementError(f"block spacing must be >= 0, got {spacing}")
+    check_unique_names(name for name, _ in cells)
     items = [FloorplanItem(cell, name) for name, cell in cells]
     if not items:
         return Floorplan([], 0, 0, spacing)

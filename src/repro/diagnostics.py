@@ -27,7 +27,9 @@ vocabulary defined here:
 
 Codes are stable and never reused: ``FBK007`` (worker-pool degradation) and
 ``ROU008`` (legacy blind L-route) are retired along with the code paths
-that emitted them.
+that emitted them.  ``ROU010`` (duplicate block name, negative spacing)
+and ``ROU011`` (a connection naming an unknown block, port or pad) reject
+a malformed placement problem (:mod:`repro.assembly.floorplan`).
 
 Logging: the ``repro`` logger hierarchy carries the same information as the
 diagnostics (a :class:`DiagnosticCollector` logs everything it records).

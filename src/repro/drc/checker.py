@@ -15,18 +15,19 @@ The checker is deliberately conservative and rectangle-based: that matches
 the 1979-80 era tools (and the geometry our generators emit).  All
 neighbourhood questions go through the spatial index
 (:mod:`repro.geometry.index`), so the cost per rectangle depends on its
-local neighbourhood, not on the total rectangle count; ``use_index=False``
-selects the all-pairs reference path, which golden-equivalence tests compare
-against.
+local neighbourhood, not on the total rectangle count.  The same checks run
+on an all-pairs index are :class:`repro.reference.BruteDrcChecker`, the
+oracle the golden-equivalence tests compare against and the ``FBK006``
+fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.diagnostics import run_with_fallback
-from repro.geometry.index import SpatialIndex, build_index
+from repro.geometry.index import IndexFactory, SpatialIndex, build_index
 from repro.obs import trace as obs_trace
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
@@ -111,9 +112,8 @@ def exact_size_violation(rule: DesignRule, rect: Rect) -> Optional[DrcViolation]
 class DrcChecker:
     """Checks a cell hierarchy against a technology's rule set."""
 
-    def __init__(self, technology: Technology, use_index: bool = True):
+    def __init__(self, technology: Technology):
         self.technology = technology
-        self.use_index = use_index
 
     def check(self, cell: Cell) -> List[DrcViolation]:
         """Flatten ``cell`` and return all violations found."""
@@ -123,21 +123,21 @@ class DrcChecker:
             return violations
 
     def _check_entry(self, cell: Cell) -> List[DrcViolation]:
-        if not self.use_index:
-            return self._check(cell, brute=True)
+        def all_pairs() -> List[DrcViolation]:
+            from repro.reference.geometry import BruteDrcChecker
 
-        # An index bug must not block verification: degrade to the retained
-        # all-pairs scans with a warning (fatal under REPRO_STRICT=1).
+            return BruteDrcChecker(self.technology)._check_entry(cell)
+
+        # An index bug must not block verification: degrade to the
+        # all-pairs reference with a warning (fatal under REPRO_STRICT=1).
         return run_with_fallback(
-            "indexed DRC",
-            lambda: self._check(cell, brute=False),
-            lambda: self._check(cell, brute=True),
+            "indexed DRC", lambda: self._check(cell, build_index), all_pairs,
             code="FBK006")
 
-    def _check(self, cell: Cell, brute: bool) -> List[DrcViolation]:
+    def _check(self, cell: Cell, index: IndexFactory) -> List[DrcViolation]:
         flat = flatten_cell(cell)
         rects_by_layer = flat.rects_by_layer()
-        merged = {layer: _merge_touching(rects, brute_force=brute)
+        merged = {layer: _merge_touching(rects, index)
                   for layer, rects in rects_by_layer.items()}
         # One index per layer, shared by every rule touching that layer.
         merged_index: Dict[str, SpatialIndex] = {}
@@ -145,11 +145,11 @@ class DrcChecker:
 
         def index_of(table: Dict[str, SpatialIndex], rects: Dict[str, List[Rect]],
                      layer: str) -> SpatialIndex:
-            index = table.get(layer)
-            if index is None:
-                index = build_index(rects.get(layer, []), brute_force=brute)
-                table[layer] = index
-            return index
+            built = table.get(layer)
+            if built is None:
+                built = index(rects.get(layer, []))
+                table[layer] = built
+            return built
 
         violations: List[DrcViolation] = []
         for rule in self.technology.rules:
@@ -253,21 +253,20 @@ def check_cell(cell: Cell, technology: Technology) -> List[DrcViolation]:
 # -- geometry helpers ---------------------------------------------------------------------
 
 
-def _merge_touching(rects: Sequence[Rect], brute_force: bool = False) -> List[Rect]:
+def _merge_touching(rects: Sequence[Rect], index: IndexFactory) -> List[Rect]:
     """Merge overlapping/abutting same-layer rectangles into maximal regions.
 
     The merge is approximate (union of bounding boxes of connected groups
     only when the union is exactly covered by the group); otherwise the
     original rectangles of the group are kept.  This is sufficient to avoid
     false width errors from rail segments drawn as several pieces.
-    Connectivity comes from the spatial index's sweep-line merge instead of
-    an all-pairs touch scan.
+    Connectivity comes from the index's ``connected_components``.
     """
     remaining = [r for r in rects if not r.is_degenerate]
     if not remaining:
         return []
     merged: List[Rect] = []
-    for component in build_index(remaining, brute_force=brute_force).connected_components():
+    for component in index(remaining).connected_components():
         group = [remaining[i] for i in component]
         bounding = group[0]
         for rect in group[1:]:

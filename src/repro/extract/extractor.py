@@ -15,9 +15,10 @@ The extraction model mirrors how the layout generators construct devices:
 All geometric neighbourhood questions (layer crossings, same-layer
 connectivity, contact hits, channel terminals) are answered by the spatial
 index (:mod:`repro.geometry.index`), so extraction cost scales with local
-congestion rather than quadratically with total rectangle count.
-``use_index=False`` selects the historical all-pairs scans; the golden
-equivalence tests verify both paths produce identical netlists.
+congestion rather than quadratically with total rectangle count.  The same
+pipeline run on an all-pairs index is :class:`repro.reference.BruteExtractor`,
+the oracle the golden-equivalence tests compare netlists against and the
+``FBK005`` fallback.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import run_with_fallback
-from repro.geometry.index import SpatialIndex, UnionFind, build_index
+from repro.geometry.index import (
+    IndexFactory,
+    SpatialIndex,
+    UnionFind,
+    build_index,
+)
 from repro.obs import trace as obs_trace
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
@@ -90,9 +96,8 @@ class _NodeBuilder:
 class Extractor:
     """Extract transistor netlists from NMOS layout."""
 
-    def __init__(self, technology: Technology, use_index: bool = True):
+    def __init__(self, technology: Technology):
         self.technology = technology
-        self.use_index = use_index
         self._diffusion_layers = [
             name for name in ("diffusion", "active") if technology.has_layer(name)
         ]
@@ -107,18 +112,18 @@ class Extractor:
             return circuit
 
     def _extract_entry(self, cell: Cell) -> ExtractedCircuit:
-        if not self.use_index:
-            return self._extract(cell, brute=True)
+        def all_pairs() -> ExtractedCircuit:
+            from repro.reference.geometry import BruteExtractor
 
-        # An index bug must not block extraction: degrade to the retained
-        # all-pairs scans with a warning (fatal under REPRO_STRICT=1).
+            return BruteExtractor(self.technology)._extract_entry(cell)
+
+        # An index bug must not block extraction: degrade to the all-pairs
+        # reference with a warning (fatal under REPRO_STRICT=1).
         return run_with_fallback(
-            "indexed extractor",
-            lambda: self._extract(cell, brute=False),
-            lambda: self._extract(cell, brute=True),
-            code="FBK005")
+            "indexed extractor", lambda: self._extract(cell, build_index),
+            all_pairs, code="FBK005")
 
-    def _extract(self, cell: Cell, brute: bool) -> ExtractedCircuit:
+    def _extract(self, cell: Cell, index: IndexFactory) -> ExtractedCircuit:
         flat = flatten_cell(cell)
         rects = flat.rects_by_layer()
         diffusion = [r for layer in self._diffusion_layers for r in rects.get(layer, [])]
@@ -129,8 +134,8 @@ class Extractor:
         implant = rects.get("implant", [])
 
         # 1. Find channels: poly x diffusion crossings not covered by buried.
-        diffusion_index = build_index(diffusion, brute_force=brute)
-        buried_index = build_index(buried, brute_force=brute)
+        diffusion_index = index(diffusion)
+        buried_index = index(buried)
         channels: List[Rect] = []
         for poly_rect in poly:
             for _, overlap in diffusion_crossings(poly_rect, diffusion, diffusion_index):
@@ -140,7 +145,7 @@ class Extractor:
         channels = _dedupe(channels)
 
         # 2. Split diffusion by the channels that actually cross each piece.
-        channel_index = build_index(channels, brute_force=brute)
+        channel_index = index(channels)
         diffusion_pieces: List[Rect] = []
         for diff_rect in diffusion:
             crossing = [channels[i] for i in channel_index.query(diff_rect, strict=True)]
@@ -152,14 +157,14 @@ class Extractor:
         poly_ids = [builder.add("poly", r) for r in poly]
         metal_ids = [builder.add("metal", r) for r in metal]
 
-        _connect_same_layer(builder, diff_ids, diffusion_pieces, brute)
-        _connect_same_layer(builder, poly_ids, poly, brute)
-        _connect_same_layer(builder, metal_ids, metal, brute)
+        _connect_same_layer(builder, diff_ids, diffusion_pieces, index)
+        _connect_same_layer(builder, poly_ids, poly, index)
+        _connect_same_layer(builder, metal_ids, metal, index)
 
         # One index over all conducting items; ids coincide with builder ids
         # because the items were added in the same order.
         conducting = diffusion_pieces + poly + metal
-        conducting_index = build_index(conducting, brute_force=brute)
+        conducting_index = index(conducting)
         metal_start = len(diff_ids) + len(poly_ids)
 
         # Contacts join every conducting layer they touch.
@@ -192,9 +197,9 @@ class Extractor:
 
         # 5. Emit transistors.  Terminal lookups run on per-layer indexes
         # whose ids map back to builder ids by a constant offset.
-        poly_index = build_index(poly, brute_force=brute)
-        diff_piece_index = build_index(diffusion_pieces, brute_force=brute)
-        implant_index = build_index(implant, brute_force=brute)
+        poly_index = index(poly)
+        diff_piece_index = index(diffusion_pieces)
+        implant_index = index(implant)
         network = SwitchNetwork(cell.name)
         enhancement = depletion = 0
         device_channels: List[Rect] = []
@@ -413,8 +418,8 @@ def _dedupe(rects: Sequence[Rect]) -> List[Rect]:
 
 
 def _connect_same_layer(builder: _NodeBuilder, ids: List[int],
-                        layer_rects: Sequence[Rect], brute_force: bool) -> None:
+                        layer_rects: Sequence[Rect], index: IndexFactory) -> None:
     """Union all touching rectangles of one layer (ids parallel layer_rects)."""
-    for component in build_index(layer_rects, brute_force=brute_force).connected_components():
+    for component in index(layer_rects).connected_components():
         for first, second in zip(component, component[1:]):
             builder.union(ids[first], ids[second])

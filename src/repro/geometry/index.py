@@ -24,11 +24,12 @@ iteration order of the historical all-pairs loops get identical results.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.rect import Rect
 
-__all__ = ["SpatialIndex", "GridIndex", "BruteForceIndex", "UnionFind", "build_index"]
+__all__ = ["SpatialIndex", "GridIndex", "BruteForceIndex", "UnionFind",
+           "IndexFactory", "build_index"]
 
 
 class SpatialIndex:
@@ -201,17 +202,20 @@ class GridIndex(SpatialIndex):
         return _sweep_components(self.rects)
 
 
-def build_index(rects: Sequence[Rect], brute_force: bool = False,
-                cell_size: Optional[int] = None) -> SpatialIndex:
+def build_index(rects: Sequence[Rect]) -> SpatialIndex:
     """Build the appropriate index for a rectangle list.
 
-    ``brute_force=True`` selects the all-pairs reference implementation
-    (used by golden-equivalence tests); tiny lists also fall back to it
-    because the grid bookkeeping costs more than it saves.
+    Tiny lists get the all-pairs index because the grid bookkeeping costs
+    more than it saves.
     """
-    if brute_force or len(rects) <= 4:
+    if len(rects) <= 4:
         return BruteForceIndex(rects)
-    return GridIndex(rects, cell_size=cell_size)
+    return GridIndex(rects)
+
+
+#: Anything that indexes a rectangle list: :func:`build_index` in production,
+#: :class:`BruteForceIndex` in the ``repro.reference`` oracles.
+IndexFactory = Callable[[Sequence[Rect]], SpatialIndex]
 
 
 # -- connectivity helpers -----------------------------------------------------------

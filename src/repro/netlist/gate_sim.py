@@ -5,38 +5,28 @@ cycle, clocked D flip-flops (one implicit clock) and transparent latches.
 Also reports a unit-delay critical-path estimate per evaluation, which the
 E2 "cost in space and speed" experiment uses as its speed metric.
 
-Two execution paths share this façade:
+The netlist is lowered once by :mod:`repro.sim.kernel` to integer-indexed
+arrays with precomputed fanout, so each settle sweep after the first
+touches only the gates downstream of nets that actually changed; every
+operation here delegates to that one engine.  The original
+rescan-everything interpreter lives in :mod:`repro.reference.gate_sim` as
+the golden semantic reference: differential tests pin the kernel
+trace-identical to it (values, ``last_depth`` and
+``critical_path_estimate`` included), and a lowering failure degrades to
+it under ``FBK002``.
 
-* the **compiled kernel** (default, ``use_compiled=True``): the netlist is
-  lowered once by :mod:`repro.sim.kernel` to integer-indexed arrays with
-  precomputed fanout, so each settle sweep after the first touches only the
-  gates downstream of nets that actually changed;
-* the **reference interpreter** (``use_compiled=False``): the original
-  rescan-everything implementation, kept as the golden semantic reference —
-  differential tests pin the compiled path trace-identical to it (values,
-  ``last_depth`` and ``critical_path_estimate`` included), mirroring the
-  ``use_index=False`` convention of the geometry engine.
-
-In compiled mode ``values`` and ``state`` remain live name-keyed views that
-the kernel keeps in sync; mutate state through ``set_inputs``/``reset``
-(direct writes into ``values`` are only honoured by the interpreter path).
+``values`` and ``state`` are live name-keyed views that the engine keeps
+in sync; mutate state through ``set_inputs``/``reset``, not by writing
+into ``values``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
-from typing import TYPE_CHECKING
-
-from repro.diagnostics import (
-    BudgetExceeded,
-    Diagnostic,
-    Severity,
-    run_with_fallback,
-)
-from repro.netlist.module import GateType, Instance, Module
-from repro.obs import metrics as obs_metrics
+from repro.diagnostics import run_with_fallback
+from repro.netlist.module import Module
 from repro.obs import trace as obs_trace
 from repro.obs import vcd as obs_vcd
 
@@ -65,8 +55,7 @@ class SimulationTrace:
 class GateLevelSimulator:
     """Simulate a (flattened) structural module."""
 
-    def __init__(self, module: Module, settle_limit: int = 10000,
-                 use_compiled: bool = True):
+    def __init__(self, module: Module, settle_limit: int = 10000):
         self.module = module.flattened()
         problems = [p for p in self.module.validate() if "never driven" not in p]
         if problems:
@@ -75,135 +64,45 @@ class GateLevelSimulator:
         self.values: Dict[str, Optional[int]] = {name: X for name in self.module.nets}
         self.state: Dict[str, Optional[int]] = {}
         self.last_depth = 0
-        self._dffs: List[Instance] = [
-            instance for instance in self.module.instances
-            if instance.kind is GateType.DFF
-        ]
-        self.use_compiled = use_compiled
-        self._engine: Optional["ScalarEngine"] = None
-        if use_compiled:
-            # Imported here, not at module top: repro.sim.kernel imports
-            # repro.netlist.module, so a top-level import would make
-            # ``import repro.sim`` fail depending on which package is
-            # imported first.
-            from repro.sim.kernel import ScalarEngine, compile_netlist
+        self._engine = self._make_engine()
 
-            def build() -> "ScalarEngine":
-                self._compiled = compile_netlist(self.module)
-                return ScalarEngine(
-                    self._compiled, self.values, self.state, settle_limit
-                )
+    def _make_engine(self) -> "ScalarEngine":
+        """The engine every operation below delegates to."""
+        # Imported here, not at module top: repro.sim.kernel imports
+        # repro.netlist.module, so a top-level import would make
+        # ``import repro.sim`` fail depending on which package is
+        # imported first.
+        from repro.sim.kernel import ScalarEngine, compile_netlist
 
-            # A lowering bug must not take the simulator down: degrade to
-            # the retained interpreter with a warning (fatal under
-            # REPRO_STRICT=1 so CI still surfaces it).
-            self._engine = run_with_fallback(
-                "gate-level simulator", build, lambda: None, code="FBK002")
-            if self._engine is None:
-                self.use_compiled = False
+        def interpreter():
+            from repro.reference.gate_sim import InterpreterEngine
+
+            return InterpreterEngine(
+                self.module, self.values, self.state, self.settle_limit)
+
+        # A lowering bug must not take the simulator down: degrade to the
+        # reference interpreter with a warning (fatal under REPRO_STRICT=1
+        # so CI still surfaces it).
+        return run_with_fallback(
+            "gate-level simulator",
+            lambda: ScalarEngine(compile_netlist(self.module), self.values,
+                                 self.state, self.settle_limit),
+            interpreter, code="FBK002")
 
     # -- evaluation -----------------------------------------------------------------
 
-    def _gate_output(self, instance: Instance) -> Optional[int]:
-        gate: GateType = instance.kind
-        inputs = [self.values.get(net) for net in instance.data_input_nets()]
-        if gate is GateType.CONST0:
-            return 0
-        if gate is GateType.CONST1:
-            return 1
-        if gate is GateType.MUX2:
-            sel = self.values.get(instance.connections.get("sel", ""))
-            a = self.values.get(instance.connections.get("a", ""))
-            b = self.values.get(instance.connections.get("b", ""))
-            if sel is X:
-                return a if a == b else X
-            return b if sel else a
-        if gate is GateType.LATCH:
-            enable = self.values.get(instance.connections.get("enable", ""))
-            data = self.values.get(instance.connections.get("in0", ""))
-            if enable == 1:
-                self.state[instance.name] = data   # transparent: track the data
-                return data
-            return self.state.get(instance.name, X)
-        if any(value is X for value in inputs):
-            return self._x_result(gate, inputs)
-        if gate in (GateType.AND, GateType.NAND):
-            result = int(all(inputs))
-            return result if gate is GateType.AND else 1 - result
-        if gate in (GateType.OR, GateType.NOR):
-            result = int(any(inputs))
-            return result if gate is GateType.OR else 1 - result
-        if gate in (GateType.XOR, GateType.XNOR):
-            result = sum(inputs) % 2
-            return result if gate is GateType.XOR else 1 - result
-        if gate is GateType.NOT:
-            return 1 - inputs[0]
-        if gate is GateType.BUF:
-            return inputs[0]
-        raise AssertionError(f"unhandled gate {gate}")
-
-    @staticmethod
-    def _x_result(gate: GateType, inputs: List[Optional[int]]) -> Optional[int]:
-        """Partial evaluation with unknowns (controlling values still decide)."""
-        known = [value for value in inputs if value is not X]
-        if gate in (GateType.AND, GateType.NAND) and 0 in known:
-            return 0 if gate is GateType.AND else 1
-        if gate in (GateType.OR, GateType.NOR) and 1 in known:
-            return 1 if gate is GateType.OR else 0
-        return X
-
     def settle(self) -> int:
         """Propagate combinational logic to a fixed point; returns the depth."""
-        if self._engine is not None:
-            self.last_depth = self._engine.settle()
-            return self.last_depth
-        depth = 0
-        iterations = 0
-        changed_nets: Set[str] = set(self.module.nets)
-        while changed_nets:
-            iterations += 1
-            if iterations > self.settle_limit:
-                raise BudgetExceeded(
-                    "combinational loop did not settle (oscillation?)",
-                    Diagnostic(Severity.ERROR, "GRD002",
-                               "combinational loop did not settle "
-                               "(oscillation?)", source="sim"))
-            next_changed: Set[str] = set()
-            for instance in self.module.instances:
-                if instance.kind.is_sequential and instance.kind is not GateType.LATCH:
-                    continue
-                input_nets = instance.input_nets()
-                if input_nets and not any(net in changed_nets for net in input_nets):
-                    continue
-                output_net = instance.connections.get("out")
-                if output_net is None:
-                    continue
-                new_value = self._gate_output(instance)
-                if new_value != self.values.get(output_net):
-                    self.values[output_net] = new_value
-                    next_changed.add(output_net)
-            if next_changed:
-                depth += 1
-            changed_nets = next_changed
-        self.last_depth = depth
-        obs_metrics.counter("sim.settle.calls").inc()
-        obs_metrics.counter("sim.settle.iterations").inc(iterations)
-        return depth
+        self.last_depth = self._engine.settle()
+        return self.last_depth
 
     def set_inputs(self, assignment: Dict[str, int]) -> None:
-        engine = self._engine
-        if engine is not None:
-            index = self._compiled.net_index
-            for name, value in assignment.items():
-                if name not in self.module.nets:
-                    raise KeyError(f"unknown input net {name!r}")
-                engine.set_value(index[name],
-                                 value if value is X else int(bool(value)))
-            return
+        set_value = self._engine.set_value
+        nets = self.module.nets
         for name, value in assignment.items():
-            if name not in self.module.nets:
+            if name not in nets:
                 raise KeyError(f"unknown input net {name!r}")
-            self.values[name] = value if value is X else int(bool(value))
+            set_value(name, value if value is X else int(bool(value)))
 
     def evaluate(self, assignment: Dict[str, int]) -> Dict[str, Optional[int]]:
         """Combinational evaluation: set inputs, settle, read outputs."""
@@ -213,18 +112,7 @@ class GateLevelSimulator:
 
     def clock(self) -> None:
         """One clock edge: all DFFs capture their D inputs simultaneously."""
-        if self._engine is not None:
-            self._engine.clock()
-        else:
-            # Single pass over the flip-flops: capture every D first, then
-            # apply, so a DFF feeding another DFF shifts its *old* value.
-            captured = [
-                (instance, self.values.get(instance.connections.get("in0")))
-                for instance in self._dffs
-            ]
-            for instance, value in captured:
-                self.state[instance.name] = value
-                self.values[instance.connections["out"]] = value
+        self._engine.clock()
         self.settle()
 
     def run(self, input_sequence: Sequence[Dict[str, int]],
@@ -261,43 +149,9 @@ class GateLevelSimulator:
 
     def reset(self, value: int = 0) -> None:
         """Force all flip-flop states to ``value`` and re-settle."""
-        if self._engine is not None:
-            self._engine.reset(value)
-        else:
-            for instance in self._dffs:
-                self.state[instance.name] = value
-                self.values[instance.connections["out"]] = value
+        self._engine.reset(value)
         self.settle()
 
     def critical_path_estimate(self) -> int:
         """Longest combinational depth (unit delay per gate) in the module."""
-        if self._engine is not None:
-            return self._compiled.critical_path_estimate()
-        depth_of: Dict[str, int] = {name: 0 for name in self.module.input_names()}
-        for instance in self._dffs:
-            depth_of[instance.connections["out"]] = 0
-
-        # Iteratively relax until stable (handles arbitrary topological order).
-        changed = True
-        iterations = 0
-        best = 0
-        while changed:
-            iterations += 1
-            if iterations > len(self.module.instances) + 2:
-                break
-            changed = False
-            for instance in self.module.instances:
-                if instance.kind.is_sequential:
-                    continue
-                output = instance.connections.get("out")
-                if output is None:
-                    continue
-                input_depths = [
-                    depth_of.get(net, 0) for net in instance.input_nets()
-                ]
-                candidate = (max(input_depths) if input_depths else 0) + 1
-                if candidate > depth_of.get(output, 0):
-                    depth_of[output] = candidate
-                    best = max(best, candidate)
-                    changed = True
-        return best
+        return self._engine.critical_path_estimate()

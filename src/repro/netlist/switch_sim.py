@@ -23,14 +23,14 @@ exist only as extraction geometry for reporting; an earlier ``strength``
 (W/L) property was never consulted by conflict resolution and has been
 removed so the model can't silently diverge from its documentation.
 
-Settling is incremental (``use_incremental=True``, the default): the
-gate→device fanout and source/drain channel adjacency are precomputed
-once, and each settle iteration re-merges only the connected components
-whose controlling gate nodes actually changed — devices that switched off
-dissolve their component for a local rebuild, devices that switched on
-merge two components wholesale.  The original rebuild-everything loop is
-kept verbatim behind ``use_incremental=False`` as the golden reference,
-and differential tests pin the two paths value-identical.
+Settling is incremental: the gate→device fanout and source/drain channel
+adjacency are precomputed once, and each settle iteration re-merges only
+the connected components whose controlling gate nodes actually changed —
+devices that switched off dissolve their component for a local rebuild,
+devices that switched on merge two components wholesale.  The original
+rebuild-everything loop lives in :mod:`repro.reference.switch_sim` as the
+golden reference; differential tests pin the two value-identical, and an
+incremental-bookkeeping failure degrades to it under ``FBK003``.
 """
 
 from __future__ import annotations
@@ -130,11 +130,9 @@ class SwitchNetwork:
 class SwitchLevelSimulator:
     """Evaluate a :class:`SwitchNetwork` with the ratioed-NMOS switch model."""
 
-    def __init__(self, network: SwitchNetwork, settle_limit: int = 200,
-                 use_incremental: bool = True):
+    def __init__(self, network: SwitchNetwork, settle_limit: int = 200):
         self.network = network
         self.settle_limit = settle_limit
-        self.use_incremental = use_incremental
         self.values: Dict[str, Optional[int]] = {node: None for node in network.nodes()}
         self.values[VDD] = 1
         self.values[GND] = 0
@@ -170,79 +168,33 @@ class SwitchLevelSimulator:
         gate_value = self.values.get(device.gate)
         return gate_value == 1
 
-    def _settle(self) -> None:
+    def _clamped(self) -> Set[str]:
         # Only inputs that have actually been given a value act as drivers; an
         # undriven "inout" terminal (e.g. the far side of a pass transistor)
         # must be free to take whatever value the network gives it.
-        clamped = {name for name in self.network.inputs
-                   if self.values.get(name) is not None} | {VDD, GND}
-        if self.use_incremental:
-            # An incremental-bookkeeping bug must not take simulation down:
-            # degrade to the retained reference loop (with its state reset,
-            # so it rebuilds from the network alone).  BudgetExceeded
-            # propagates — a genuine oscillation hangs both paths.
-            def fallback() -> None:
-                self._num_devices = -1
-                self._topo_valid = False
-                self._settle_reference(clamped)
+        return {name for name in self.network.inputs
+                if self.values.get(name) is not None} | {VDD, GND}
 
-            run_with_fallback("switch-level settle",
-                              lambda: self._settle_incremental(clamped),
-                              fallback, code="FBK003")
-        else:
-            self._settle_reference(clamped)
+    def _settle(self) -> None:
+        clamped = self._clamped()
 
-    # -- reference path (the seed implementation, kept as the golden model) ---------------
+        # An incremental-bookkeeping bug must not take simulation down:
+        # degrade to the reference full-rebuild loop (with the incremental
+        # state reset, so the next settle rebuilds it from the network
+        # alone).  BudgetExceeded propagates — a genuine oscillation hangs
+        # both paths.
+        def full_rebuild() -> None:
+            from repro.reference.switch_sim import settle_full_rebuild
 
-    def _settle_reference(self, clamped: Set[str]) -> None:
-        for _ in range(self.settle_limit):
-            changed = False
-            groups = self._conducting_groups(clamped)
-            for group in groups:
-                new_value = self._resolve_group(group, clamped)
-                for node in group:
-                    if node in clamped:
-                        continue
-                    if self.values.get(node) != new_value and new_value is not None:
-                        self.values[node] = new_value
-                        changed = True
-            if not changed:
-                return
-        raise _settle_budget_error()
+            self._num_devices = -1
+            self._topo_valid = False
+            settle_full_rebuild(self, clamped)
 
-    def _conducting_groups(self, clamped: Set[str]) -> List[Set[str]]:
-        """Connected components of nodes joined by conducting channels.
+        run_with_fallback("switch-level settle",
+                          lambda: self._settle_incremental(clamped),
+                          full_rebuild, code="FBK003")
 
-        Supply nodes and clamped inputs terminate the merge: they belong to a
-        group but do not merge two groups into one through themselves.
-        """
-        parent: Dict[str, str] = {node: node for node in self.network.nodes()}
-
-        def find(node: str) -> str:
-            while parent[node] != node:
-                parent[node] = parent[parent[node]]
-                node = parent[node]
-            return node
-
-        def union(a: str, b: str) -> None:
-            root_a, root_b = find(a), find(b)
-            if root_a != root_b:
-                parent[root_a] = root_b
-
-        for device in self.network.transistors:
-            if not self._conducting(device):
-                continue
-            source, drain = device.source, device.drain
-            # Merging across a clamped node would short distinct signal nets
-            # through an input; only merge if at most one side is clamped.
-            union(source, drain)
-
-        groups: Dict[str, Set[str]] = {}
-        for node in self.network.nodes():
-            groups.setdefault(find(node), set()).add(node)
-        return list(groups.values())
-
-    # -- incremental path -------------------------------------------------------------------
+    # -- incremental settling ---------------------------------------------------------------
 
     def _build_static(self) -> None:
         """Precompute gate→device fanout and channel adjacency once."""

@@ -10,6 +10,7 @@ blockages — placed blocks, the pad ring, and previously routed nets —
 falling back to the planar river router inside clean corridors.
 """
 
+from repro.assembly.floorplan import PlacementError, UnknownTerminalError
 from repro.pnr.placement import PlacementReport, refine_placement
 from repro.pnr.router import (
     MazeRouter,
@@ -22,11 +23,13 @@ from repro.pnr.router import (
 
 __all__ = [
     "MazeRouter",
+    "PlacementError",
     "PlacementReport",
     "PnrRouter",
     "RouteRequest",
     "RoutedNet",
     "RoutingError",
     "RoutingReport",
+    "UnknownTerminalError",
     "refine_placement",
 ]

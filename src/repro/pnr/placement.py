@@ -20,9 +20,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.assembly.floorplan import Floorplan, pack_shelves
+from repro.assembly.floorplan import (
+    Floorplan,
+    UnknownTerminalError,
+    pack_shelves,
+)
 from repro.assembly.padframe import PadSpec, distribute_pads
 from repro.diagnostics import Budget, BudgetExceeded
 from repro.geometry.index import build_index
@@ -93,12 +97,19 @@ def refine_placement(blocks: Sequence[Tuple[str, Cell]],
     (code ROU007 recommended) bounds the work; on exhaustion the best
     placement found so far is returned with ``budget_exhausted`` set rather
     than raising, so a slow anneal can never block assembly.
+
+    A malformed problem is rejected up front: duplicate block names or
+    negative ``spacing`` raise :class:`PlacementError` (ROU010); an endpoint
+    that is not a known pad name or a ``(known block, port)`` pair raises
+    :class:`UnknownTerminalError` (ROU011).
     """
     # ``Cell.bbox`` is recursive and uncached; the annealer packs hundreds
     # of candidate orders, so it works on dimension snapshots and only the
     # winning order is packed with the real cells.
     stubs = [(name, _BlockStub(cell)) for name, cell in blocks]
     baseline = pack_shelves(stubs, max_width=max_width, spacing=spacing)
+    _check_terminals(connections, {name for name, _ in blocks},
+                     {spec.name for spec in pads})
     anchors = _pad_anchors(pads, baseline.width, baseline.height)
     initial = _wirelength(baseline, connections, anchors)
     if len(blocks) <= 1 or not connections:
@@ -187,6 +198,28 @@ def _pad_anchors(pads: Sequence[PadSpec], core_width: int,
     return anchors
 
 
+def _check_terminals(connections: Sequence[Tuple[Terminal, Terminal]],
+                     block_names: Set[str], pad_names: Set[str]) -> None:
+    """Every endpoint must resolve, or its net would silently score zero."""
+    for connection in connections:
+        if not isinstance(connection, (tuple, list)) or len(connection) != 2:
+            raise UnknownTerminalError(
+                f"connection {connection!r} is not a pair of terminals")
+        for terminal in connection:
+            if isinstance(terminal, str):
+                if terminal not in pad_names:
+                    raise UnknownTerminalError(f"no pad named {terminal!r}")
+            elif (isinstance(terminal, (tuple, list)) and len(terminal) == 2
+                    and all(isinstance(part, str) for part in terminal)):
+                if terminal[0] not in block_names:
+                    raise UnknownTerminalError(
+                        f"no core block named {terminal[0]!r}")
+            else:
+                raise UnknownTerminalError(
+                    f"terminal {terminal!r} is neither a pad name nor a "
+                    "(block, port) pair")
+
+
 def _wirelength(plan: Floorplan,
                 connections: Sequence[Tuple[Terminal, Terminal]],
                 anchors: Dict[str, Tuple[int, int]]) -> int:
@@ -194,8 +227,6 @@ def _wirelength(plan: Floorplan,
     for a, b in connections:
         pa = _terminal_position(plan, a, anchors)
         pb = _terminal_position(plan, b, anchors)
-        if pa is None or pb is None:
-            continue
         # HPWL of a two-terminal net is its Manhattan length.
         total += abs(pa[0] - pb[0]) + abs(pa[1] - pb[1])
     return total
@@ -203,14 +234,11 @@ def _wirelength(plan: Floorplan,
 
 def _terminal_position(plan: Floorplan, terminal: Terminal,
                        anchors: Dict[str, Tuple[int, int]],
-                       ) -> Optional[Tuple[int, int]]:
+                       ) -> Tuple[int, int]:
     if isinstance(terminal, str):
-        return anchors.get(terminal)
+        return anchors[terminal]
     block, port_name = terminal
-    try:
-        item = plan.item(block)
-    except KeyError:
-        return None
+    item = plan.item(block)
     port = item.cell.ports.get(port_name)
     if port is not None:
         return (item.x + port.position.x, item.y + port.position.y)

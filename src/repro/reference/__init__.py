@@ -1,0 +1,36 @@
+"""Reference implementations: test oracles, not production paths.
+
+Each class here has the public API of a production engine and the seed's
+original, obviously-correct algorithm underneath:
+
+==============================  ==========================================
+oracle                          production twin
+==============================  ==========================================
+:class:`GateLevelInterpreter`   :class:`repro.netlist.GateLevelSimulator`
+:class:`RtlInterpreter`         :class:`repro.rtl.RtlSimulator`
+:class:`SwitchLevelReference`   :class:`repro.netlist.SwitchLevelSimulator`
+:class:`BruteDrcChecker`        :class:`repro.drc.DrcChecker`
+:class:`BruteExtractor`         :class:`repro.extract.Extractor`
+==============================  ==========================================
+
+Every oracle subclasses its twin and overrides the one hook that chooses
+the algorithm, so run loops, VCD export and state access exist once.  The
+differential suites and ``bench_e11``/``bench_e13`` construct oracles from
+here; production code imports this package only lazily, inside the
+``FBK002``–``FBK006`` fallback callables of
+:func:`repro.diagnostics.run_with_fallback`
+(``tests/test_reference_isolation.py`` enforces both).
+"""
+
+from repro.reference.gate_sim import GateLevelInterpreter
+from repro.reference.geometry import BruteDrcChecker, BruteExtractor
+from repro.reference.rtl_sim import RtlInterpreter
+from repro.reference.switch_sim import SwitchLevelReference
+
+__all__ = [
+    "BruteDrcChecker",
+    "BruteExtractor",
+    "GateLevelInterpreter",
+    "RtlInterpreter",
+    "SwitchLevelReference",
+]

@@ -7,19 +7,21 @@ assignments take effect immediately (in textual order), clocked transfers
 (``<-``) are collected and applied together at the end of the cycle, and
 memories behave as word-addressable arrays.
 
-By default the machine body is **compiled once** at construction: every
-statement and expression becomes a Python closure with widths, masks and
+The machine body is **compiled once** at construction: every statement
+and expression becomes a Python closure with widths, masks and
 declaration checks resolved up front, so a cycle is a chain of direct
 calls instead of an ``isinstance`` walk over the AST.  The tree-walking
-interpreter is retained behind ``use_compiled=False`` as the golden
+interpreter lives in :mod:`repro.reference.rtl_sim` as the golden
 reference; differential tests pin the two cycle-for-cycle identical,
-including the statement-ordering and masking semantics.
+including the statement-ordering and masking semantics, and a lowering
+failure degrades to it under ``FBK004``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.diagnostics import run_with_fallback
 from repro.rtl.ast import (
     Assignment,
     BinaryOp,
@@ -73,7 +75,7 @@ def expression_width(machine: MachineDescription, expression: Expression) -> int
 class RtlSimulator:
     """Execute a machine description cycle by cycle."""
 
-    def __init__(self, machine: MachineDescription, use_compiled: bool = True):
+    def __init__(self, machine: MachineDescription):
         self.machine = machine
         self.values: Dict[str, int] = {}
         self.memories: Dict[str, List[int]] = {}
@@ -83,21 +85,25 @@ class RtlSimulator:
             else:
                 self.values[declaration.name] = 0
         self.cycle_count = 0
-        self.use_compiled = use_compiled
-        self._compiled_body: Optional[_StmtFn] = None
-        if use_compiled:
-            # Name-resolution errors are deferred into the closures (they
-            # surface at step() time, identically on both paths), so a
-            # failure *here* is a lowering bug: degrade to the interpreter
-            # with a warning rather than taking the simulator down.
-            from repro.diagnostics import run_with_fallback
+        self._body = self._compile_body()
 
-            self._compiled_body = run_with_fallback(
-                "rtl simulator",
-                lambda: _StatementCompiler(machine).compile_block(machine.body),
-                lambda: None, code="FBK004")
-            if self._compiled_body is None:
-                self.use_compiled = False
+    def _compile_body(self) -> _StmtFn:
+        """The machine body as one callable, run once per cycle."""
+        machine = self.machine
+
+        def tree_walker() -> _StmtFn:
+            from repro.reference.rtl_sim import TreeWalker
+
+            return TreeWalker(machine)
+
+        # Name-resolution errors are deferred into the closures (they
+        # surface at step() time, exactly as in the reference), so a
+        # failure *here* is a lowering bug: degrade to the tree-walking
+        # reference with a warning rather than taking the simulator down.
+        return run_with_fallback(
+            "rtl simulator",
+            lambda: _StatementCompiler(machine).compile_block(machine.body),
+            tree_walker, code="FBK004")
 
     # -- state access ----------------------------------------------------------------
 
@@ -139,12 +145,8 @@ class RtlSimulator:
 
         pending_registers: Dict[str, int] = {}
         pending_memory_writes: List[Tuple[str, int, int]] = []
-        if self._compiled_body is not None:
-            self._compiled_body(self.values, self.memories,
-                                pending_registers, pending_memory_writes)
-        else:
-            self._execute_block(self.machine.body, pending_registers,
-                                pending_memory_writes)
+        self._body(self.values, self.memories,
+                   pending_registers, pending_memory_writes)
 
         for name, value in pending_registers.items():
             declaration = self.machine.declaration(name)
@@ -195,145 +197,6 @@ class RtlSimulator:
             if owns_writer and writer is not None:
                 writer.close()
         return trace
-
-    # -- statement execution (reference interpreter) ---------------------------------------
-
-    def _execute_block(self, block: Block, pending: Dict[str, int],
-                       memory_writes: List[Tuple[str, int, int]]) -> None:
-        for statement in block:
-            self._execute_statement(statement, pending, memory_writes)
-
-    def _execute_statement(self, statement: Statement, pending: Dict[str, int],
-                           memory_writes: List[Tuple[str, int, int]]) -> None:
-        if isinstance(statement, Block):
-            self._execute_block(statement, pending, memory_writes)
-        elif isinstance(statement, IfStatement):
-            if self._evaluate(statement.condition, pending):
-                self._execute_block(statement.then_branch, pending, memory_writes)
-            elif statement.else_branch is not None:
-                self._execute_block(statement.else_branch, pending, memory_writes)
-        elif isinstance(statement, Assignment):
-            self._execute_assignment(statement, pending, memory_writes)
-        else:
-            raise TypeError(f"unknown statement type {type(statement).__name__}")
-
-    def _execute_assignment(self, assignment: Assignment, pending: Dict[str, int],
-                            memory_writes: List[Tuple[str, int, int]]) -> None:
-        value = self._evaluate(assignment.value, pending)
-        target = assignment.target
-        if isinstance(target, MemoryAccess):
-            address = self._evaluate(target.address, pending)
-            memory_writes.append((target.memory, address, value))
-            return
-        if isinstance(target, BitSelect):
-            base = target.operand
-            if not isinstance(base, Identifier):
-                raise ValueError("bit-select assignment target must be a plain name")
-            name = base.name
-            declaration = self.machine.declaration(name)
-            current = pending.get(name, self.values.get(name, 0)) if assignment.clocked \
-                else self.values.get(name, 0)
-            width = target.high - target.low + 1
-            mask = ((1 << width) - 1) << target.low
-            new_value = (current & ~mask) | ((value << target.low) & mask)
-            if assignment.clocked:
-                pending[name] = new_value & declaration.mask
-            else:
-                self.values[name] = new_value & declaration.mask
-            return
-        name = target.name
-        declaration = self.machine.declaration(name)
-        if assignment.clocked:
-            if declaration.kind not in (DeclKind.REGISTER, DeclKind.OUTPUT):
-                raise ValueError(f"clocked transfer to non-register {name!r}")
-            pending[name] = value & declaration.mask
-        else:
-            if declaration.kind is DeclKind.REGISTER:
-                raise ValueError(f"combinational assignment to register {name!r}; use <-")
-            self.values[name] = value & declaration.mask
-
-    # -- expression evaluation (reference interpreter) ----------------------------------------
-
-    def _evaluate(self, expression: Expression, pending: Dict[str, int]) -> int:
-        if isinstance(expression, Constant):
-            return expression.value
-        if isinstance(expression, Identifier):
-            if expression.name not in self.values:
-                raise KeyError(f"undeclared signal {expression.name!r}")
-            return self.values[expression.name]
-        if isinstance(expression, BitSelect):
-            base = self._evaluate(expression.operand, pending)
-            width = expression.high - expression.low + 1
-            return (base >> expression.low) & ((1 << width) - 1)
-        if isinstance(expression, MemoryAccess):
-            address = self._evaluate(expression.address, pending)
-            storage = self.memories.get(expression.memory)
-            if storage is None:
-                raise KeyError(f"undeclared memory {expression.memory!r}")
-            if not 0 <= address < len(storage):
-                return 0
-            return storage[address]
-        if isinstance(expression, Concatenate):
-            value = 0
-            for part in expression.parts:
-                part_width = self._width_of(part)
-                value = (value << part_width) | (self._evaluate(part, pending)
-                                                 & ((1 << part_width) - 1))
-            return value
-        if isinstance(expression, UnaryOp):
-            operand = self._evaluate(expression.operand, pending)
-            width = self._width_of(expression.operand)
-            mask = (1 << width) - 1
-            if expression.operator == "~":
-                return (~operand) & mask
-            if expression.operator == "-":
-                return (-operand) & mask
-            if expression.operator == "!":
-                return 0 if operand else 1
-            raise ValueError(f"unknown unary operator {expression.operator!r}")
-        if isinstance(expression, BinaryOp):
-            left = self._evaluate(expression.left, pending)
-            right = self._evaluate(expression.right, pending)
-            width = max(self._width_of(expression.left), self._width_of(expression.right))
-            mask = (1 << width) - 1
-            op = expression.operator
-            if op == "+":
-                return (left + right) & mask
-            if op == "-":
-                return (left - right) & mask
-            if op == "*":
-                return (left * right) & mask
-            if op == "&":
-                return left & right
-            if op == "|":
-                return left | right
-            if op == "^":
-                return left ^ right
-            if op == "==":
-                return int(left == right)
-            if op == "!=":
-                return int(left != right)
-            if op == "<":
-                return int(left < right)
-            if op == "<=":
-                return int(left <= right)
-            if op == ">":
-                return int(left > right)
-            if op == ">=":
-                return int(left >= right)
-            if op == "<<":
-                return (left << right) & mask
-            if op == ">>":
-                return left >> right
-            if op == "&&":
-                return int(bool(left) and bool(right))
-            if op == "||":
-                return int(bool(left) or bool(right))
-            raise ValueError(f"unknown binary operator {op!r}")
-        raise TypeError(f"unknown expression type {type(expression).__name__}")
-
-    def _width_of(self, expression: Expression) -> int:
-        return expression_width(self.machine, expression)
 
 
 class _StatementCompiler:

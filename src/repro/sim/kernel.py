@@ -311,6 +311,7 @@ class ScalarEngine:
         #: individually huge).
         self.settle_seconds = settle_seconds
         self.vals: List[Optional[int]] = [None] * compiled.num_slots
+        self._net_index = compiled.net_index
         for name, net_id in compiled.net_index.items():
             self.vals[net_id] = values_dict.get(name)
         self._all_gates: List[int] = list(range(compiled.num_gates))
@@ -405,9 +406,9 @@ class ScalarEngine:
 
     # -- operations --------------------------------------------------------------------
 
-    def set_value(self, net_id: int, value: Optional[int]) -> None:
-        self.vals[net_id] = value
-        self.values[self.compiled.net_names[net_id]] = value
+    def set_value(self, name: str, value: Optional[int]) -> None:
+        self.vals[self._net_index[name]] = value
+        self.values[name] = value
 
     def settle(self) -> int:
         """Propagate to a fixed point; returns the sweep depth."""
@@ -485,3 +486,6 @@ class ScalarEngine:
             state[name] = value
             vals[q_id] = value
             values[names[q_id]] = value
+
+    def critical_path_estimate(self) -> int:
+        return self.compiled.critical_path_estimate()

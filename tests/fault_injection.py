@@ -11,15 +11,15 @@ mutation of every external input format:
   raise at all;
 * **never silently return wrong results** — on inputs both execution
   paths accept, the compiled/indexed/incremental fast paths must agree
-  with the retained reference implementations exactly.
+  with their :mod:`repro.reference` oracles exactly.
 
 This module is deliberately *not* named ``test_*``: the mutation budget
 makes it too slow for the tier-1 suite.  CI runs it explicitly::
 
     FAULT_INJECTION_EXAMPLES=25 pytest tests/fault_injection.py
 
-The default budget (120 examples per property, 8 properties) exercises
-more than 500 mutated inputs per full run.
+The default budget (120 examples per property, 10 properties) exercises
+more than 1000 mutated inputs per full run.
 """
 
 import os
@@ -51,7 +51,20 @@ from repro.netlist.switch_sim import (
     TransistorKind,
 )
 from repro.obs import metrics
-from repro.pnr import PnrRouter, RouteRequest
+from repro.assembly.padframe import PadSpec
+from repro.pnr import (
+    PlacementError,
+    PnrRouter,
+    RouteRequest,
+    UnknownTerminalError,
+    refine_placement,
+)
+from repro.reference import (
+    BruteDrcChecker,
+    BruteExtractor,
+    GateLevelInterpreter,
+    SwitchLevelReference,
+)
 from repro.rtl import parse_rtl
 from repro.rtl.parser import RtlSyntaxError
 from repro.technology import nmos_technology
@@ -200,10 +213,9 @@ class TestNetlistMutation:
         module.validate()
 
         sims = []
-        for compiled in (True, False):
+        for simulator in (GateLevelSimulator, GateLevelInterpreter):
             try:
-                sims.append(GateLevelSimulator(module, settle_limit=64,
-                                               use_compiled=compiled))
+                sims.append(simulator(module, settle_limit=64))
             except ValueError as error:
                 sims.append(str(error))
         if isinstance(sims[0], str) or isinstance(sims[1], str):
@@ -252,12 +264,12 @@ class TestLayoutMutation:
 
         # DRC: indexed and brute-force agree on arbitrary geometry.
         indexed = DrcChecker(TECHNOLOGY).check(cell)
-        brute = DrcChecker(TECHNOLOGY, use_index=False).check(cell)
+        brute = BruteDrcChecker(TECHNOLOGY).check(cell)
         assert indexed == brute
 
         # Extraction: both paths produce the same netlist; ERC is total.
         fast = Extractor(TECHNOLOGY).extract(cell)
-        slow = Extractor(TECHNOLOGY, use_index=False).extract(cell)
+        slow = BruteExtractor(TECHNOLOGY).extract(cell)
         assert fast.transistor_count == slow.transistor_count
         assert fast.node_names == slow.node_names
         fast_report = ErcChecker().check_circuit(fast)
@@ -290,9 +302,8 @@ class TestSwitchNetworkMutation:
         ErcChecker().check_network(network)   # total on any topology
 
         results = []
-        for incremental in (True, False):
-            sim = SwitchLevelSimulator(network, settle_limit=60,
-                                       use_incremental=incremental)
+        for simulator in (SwitchLevelSimulator, SwitchLevelReference):
+            sim = simulator(network, settle_limit=60)
             try:
                 results.append(sim.evaluate({"a": a, "b": b}))
             except BudgetExceeded as error:
@@ -411,6 +422,119 @@ class TestPnrFaults:
     def test_random_obstacle_fields_route_or_fail_typed(
             self, obstacles, source, target):
         route_net(obstacles, source, target)
+
+
+# -- placement ----------------------------------------------------------------
+
+
+def plain_block(name, width, height):
+    cell = Cell(f"pf_{name}_{width}x{height}")
+    if width and height:
+        cell.add_box("metal", 0, 0, width, height)
+    return cell
+
+
+def place(blocks, connections=(), **options):
+    """Refine one placement problem; check the contract.
+
+    The outcome is either a typed ``ROU*`` rejection (returned) or a
+    report whose floorplan is overlap-free and holds every input block
+    exactly once under its own name — never a bare builtin error, never a
+    cell placed twice or dropped.
+    """
+    try:
+        report = refine_placement(blocks, connections, **options)
+    except (PlacementError, UnknownTerminalError) as error:
+        assert error.diagnostic.code.startswith("ROU")
+        return error.diagnostic.code
+    assert report.legal, report.overlaps
+    assert sorted((item.name, id(item.cell)) for item in report.floorplan.items) \
+        == sorted((name, id(cell)) for name, cell in blocks)
+    assert report.final_wirelength <= report.initial_wirelength
+    return report
+
+
+PLACEMENT_BLOCKS = [("a", plain_block("a", 10, 10)),
+                    ("b", plain_block("b", 40, 40)),
+                    ("c", plain_block("c", 30, 12)),
+                    ("d", plain_block("d", 18, 26)),
+                    ("e", plain_block("e", 22, 22))]
+PLACEMENT_NETS = [(("a", "p"), ("e", "p")), (("b", "p"), ("d", "p")),
+                  (("c", "p"), ("a", "p"))]
+
+block_names = st.sampled_from(("a", "b", "c", "d", "ghost"))
+placement_terminals = st.one_of(
+    st.tuples(block_names, st.sampled_from(("p", "q"))),
+    st.sampled_from(("pad0", "nopad")),
+    st.tuples(block_names),                               # malformed
+    st.tuples(block_names, st.just("p"), st.just("extra")),
+    st.integers(0, 3))
+placement_problems = st.fixed_dictionaries({
+    "blocks": st.lists(st.tuples(block_names, st.integers(0, 40),
+                                 st.integers(0, 40)), max_size=6),
+    "connections": st.lists(st.tuples(placement_terminals,
+                                      placement_terminals), max_size=5),
+    "max_width": st.one_of(st.none(), st.integers(-10, 150)),
+    "spacing": st.integers(-5, 20),
+    "iterations": st.integers(-5, 60),
+    "seed": st.integers(0, 5),
+})
+
+
+class TestPlacementFaults:
+    def test_empty_block_list_is_an_empty_floorplan(self):
+        assert place([]).floorplan.items == []
+        assert place([], [("pad0", "pad0")],
+                     pads=[PadSpec("pad0")]).floorplan.items == []
+
+    def test_zero_area_cell_is_placed(self):
+        blocks = PLACEMENT_BLOCKS + [("z", plain_block("z", 0, 0)),
+                                     ("flat", plain_block("flat", 25, 0))]
+        nets = PLACEMENT_NETS + [(("z", "p"), ("flat", "p"))]
+        assert not isinstance(place(blocks, nets), str)
+
+    def test_duplicate_names_are_typed(self):
+        blocks = list(PLACEMENT_BLOCKS)
+        blocks[1] = ("a", blocks[1][1])
+        for seed in range(6):
+            assert place(blocks, PLACEMENT_NETS, max_width=120,
+                         seed=seed) == "ROU010"
+
+    def test_max_width_below_widest_block_still_packs_legally(self):
+        for max_width in (0, 1, 39, -7):
+            report = place(PLACEMENT_BLOCKS, PLACEMENT_NETS,
+                           max_width=max_width)
+            # Nothing fits beside anything: one block per shelf.
+            assert len({item.y for item in report.floorplan.items}) == 5
+
+    def test_negative_spacing_and_iterations(self):
+        assert place(PLACEMENT_BLOCKS, PLACEMENT_NETS, spacing=-1) == "ROU010"
+        report = place(PLACEMENT_BLOCKS, PLACEMENT_NETS, iterations=-10)
+        assert report.moves_tried == 0
+
+    def test_unknown_block_and_port_terminals(self):
+        assert place(PLACEMENT_BLOCKS,
+                     [(("ghost", "p"), ("a", "p"))]) == "ROU011"
+        assert place(PLACEMENT_BLOCKS, [("nopad", ("a", "p"))]) == "ROU011"
+        # An unknown *port* is anchored at its block's centre, by design.
+        assert not isinstance(
+            place(PLACEMENT_BLOCKS, [(("a", "nosuch"), ("b", "p"))]), str)
+
+    def test_malformed_terminal_tuples_are_typed(self):
+        for connection in ((("a",), ("b", "p")),
+                           (("a", "p", "extra"), ("b", "p")),
+                           (("a", 3), ("b", "p")),
+                           (None, ("b", "p")),
+                           (("a", "p"),),
+                           (("a", "p"), ("b", "p"), ("c", "p"))):
+            assert place(PLACEMENT_BLOCKS, [connection]) == "ROU011"
+
+    @given(problem=placement_problems)
+    def test_random_problems_place_legally_or_fail_typed(self, problem):
+        blocks = [(name, plain_block(name, width, height))
+                  for name, width, height in problem.pop("blocks")]
+        place(blocks, problem.pop("connections"), pads=[PadSpec("pad0")],
+              **problem)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ Pins the robustness contract end to end:
 * a truncated CIF input produces a typed diagnostic with a source span
   instead of a traceback (raising mode) or a recovered partial library
   (collector mode);
-* a fast-path failure degrades to the reference implementation with a
-  warning, and ``REPRO_STRICT=1`` turns the same failure fatal;
+* a failure injected into any of the five fast paths degrades to its
+  :mod:`repro.reference` oracle with a coded warning and a counted
+  ``fallback.FBK00x``, and ``REPRO_STRICT=1`` turns the same failure fatal;
 * the channel router and K-worst path enumeration stop at their budgets.
 """
 
@@ -19,10 +20,17 @@ import logging
 
 import pytest
 
+import repro.drc.checker as drc_checker
+import repro.extract.extractor as extractor_module
+import repro.rtl.simulator as rtl_simulator
+import repro.sim.kernel as sim_kernel
 from repro.assembly.channel import ChannelNet, ChannelRouter
+from repro.cells import NandCell
 from repro.cif import parse_cif
 from repro.cif.parser import CifSyntaxError
 from repro.diagnostics import BudgetExceeded, DiagnosticCollector
+from repro.drc import DrcChecker
+from repro.extract.extractor import Extractor
 from repro.layout.cell import Cell
 from repro.netlist import GateType, Module
 from repro.netlist.gate_sim import GateLevelSimulator
@@ -31,7 +39,17 @@ from repro.netlist.switch_sim import (
     SwitchNetwork,
     TransistorKind,
 )
+from repro.obs import metrics
+from repro.reference import (
+    BruteDrcChecker,
+    BruteExtractor,
+    GateLevelInterpreter,
+    RtlInterpreter,
+    SwitchLevelReference,
+)
+from repro.rtl import RtlSimulator, parse_rtl
 from repro.sim.kernel import CompiledNetlist
+from repro.technology import nmos_technology
 from repro.timing import TimingGraph
 
 
@@ -56,9 +74,9 @@ def ring_network():
 class TestOscillationBudgets:
     def test_gate_level_raises_identically_on_both_paths(self):
         errors = {}
-        for compiled in (True, False):
-            sim = GateLevelSimulator(oscillating_module(), settle_limit=50,
-                                     use_compiled=compiled)
+        for compiled, simulator in ((True, GateLevelSimulator),
+                                    (False, GateLevelInterpreter)):
+            sim = simulator(oscillating_module(), settle_limit=50)
             sim.set_inputs({"q": 0})
             with pytest.raises(BudgetExceeded) as info:
                 sim.settle()
@@ -70,9 +88,9 @@ class TestOscillationBudgets:
 
     def test_switch_level_raises_identically_on_both_paths(self):
         errors = {}
-        for incremental in (True, False):
-            sim = SwitchLevelSimulator(ring_network(), settle_limit=30,
-                                       use_incremental=incremental)
+        for incremental, simulator in ((True, SwitchLevelSimulator),
+                                       (False, SwitchLevelReference)):
+            sim = simulator(ring_network(), settle_limit=30)
             sim.values["a"] = 0
             with pytest.raises(BudgetExceeded) as info:
                 sim.evaluate()
@@ -89,8 +107,8 @@ class TestOscillationBudgets:
             module.add_gate(GateType.NOT, f"n{index}", [previous])
             previous = f"n{index}"
         module.add_output(previous)
-        for compiled in (True, False):
-            sim = GateLevelSimulator(module, use_compiled=compiled)
+        for simulator in (GateLevelSimulator, GateLevelInterpreter):
+            sim = simulator(module)
             assert sim.evaluate({"a": 1})[previous] == 1
 
 
@@ -125,54 +143,144 @@ class TestTruncatedCif:
         assert write_cif(plain) == write_cif(recovered)
 
 
+class InjectedFault(Exception):
+    """Raised by the fast path a fallback test has sabotaged."""
+
+
+def _explode(*args, **kwargs):
+    raise InjectedFault("injected fast-path bug")
+
+
+def _fallback_count(code):
+    return metrics.snapshot(prefix=f"fallback.{code}").get(
+        f"fallback.{code}", 0)
+
+
+def _half_adder():
+    module = Module("half")
+    module.add_inputs("a", "b")
+    module.add_output("s")
+    module.add_gate(GateType.XOR, "s", ["a", "b"])
+    return module
+
+
+def _inverter_network():
+    network = SwitchNetwork("inv")
+    network.add_transistor("out", "out", "vdd", TransistorKind.DEPLETION)
+    network.add_transistor("a", "out", "gnd")
+    network.add_input("a")
+    network.add_output("out")
+    return network
+
+
+_COUNTER_RTL = """
+machine counter;
+input load[1], data[4];
+output q[4];
+register count[4];
+always begin
+    if (load) count <- data;
+    else count <- count + 1;
+    q = count;
+end
+"""
+
+
+def _run_gate(simulator):
+    sim = simulator(_half_adder())
+    return sim.evaluate({"a": 1, "b": 0}), sim.last_depth
+
+
+def _run_switch(simulator):
+    sim = simulator(_inverter_network())
+    return [sim.evaluate({"a": a}) for a in (1, 0, 1)]
+
+
+def _run_rtl(simulator):
+    return simulator(parse_rtl(_COUNTER_RTL)).run(
+        5, [{"load": 1, "data": 9}] + [{"load": 0}] * 4)
+
+
+def _run_extract(extractor):
+    technology = nmos_technology()
+    circuit = extractor(technology).extract(NandCell(technology).cell())
+    return circuit.node_names, circuit.network.transistors, circuit.summary()
+
+
+def _run_drc(checker):
+    cell = Cell("narrow")
+    for index in range(6):          # above build_index's all-pairs cut-off
+        cell.add_box("metal", 0, 5 * index, 20, 5 * index + 1)
+    violations = checker(nmos_technology()).check(cell)
+    assert violations               # the oracle must have something to say
+    return violations
+
+
+#: code, (module, attribute) the failure is injected at, runner, production
+#: class, repro.reference oracle.
+FALLBACK_CASES = [
+    ("FBK002", (sim_kernel, "compile_netlist"), _run_gate,
+     GateLevelSimulator, GateLevelInterpreter),
+    ("FBK003", (SwitchLevelSimulator, "_settle_incremental"), _run_switch,
+     SwitchLevelSimulator, SwitchLevelReference),
+    ("FBK004", (rtl_simulator._StatementCompiler, "compile_block"), _run_rtl,
+     RtlSimulator, RtlInterpreter),
+    ("FBK005", (extractor_module, "build_index"), _run_extract,
+     Extractor, BruteExtractor),
+    ("FBK006", (drc_checker, "build_index"), _run_drc,
+     DrcChecker, BruteDrcChecker),
+]
+
+
 class TestFallbacks:
+    @pytest.mark.parametrize(
+        "code, target, run, production, oracle", FALLBACK_CASES,
+        ids=[case[0] for case in FALLBACK_CASES])
+    def test_every_fast_path_degrades_to_its_oracle(
+            self, code, target, run, production, oracle, monkeypatch, caplog):
+        monkeypatch.delenv("REPRO_STRICT", raising=False)
+        expected = run(oracle)
+        assert run(production) == expected     # healthy fast path agrees
+        healthy = _fallback_count(code)
+
+        monkeypatch.setattr(*target, _explode)
+        with caplog.at_level(logging.WARNING, logger="repro.fallback"):
+            assert run(production) == expected
+        assert _fallback_count(code) > healthy
+        warnings = [r.getMessage() for r in caplog.records]
+        assert any(code in text and "InjectedFault" in text
+                   for text in warnings)
+
+        monkeypatch.setenv("REPRO_STRICT", "1")
+        with pytest.raises(InjectedFault):
+            run(production)
+
     def test_broken_kernel_degrades_to_interpreter(self, monkeypatch, caplog):
         monkeypatch.delenv("REPRO_STRICT", raising=False)
-        import repro.sim.kernel as kernel
-
-        def explode(module):
-            raise AssertionError("injected lowering bug")
-
-        monkeypatch.setattr(kernel, "CompiledNetlist", explode)
-        module = Module("half")
-        module.add_inputs("a", "b")
-        module.add_output("s")
-        module.add_gate(GateType.XOR, "s", ["a", "b"])
+        monkeypatch.setattr(sim_kernel, "CompiledNetlist", _explode)
+        module = _half_adder()
+        module.name = "half_uncached"    # lowering is cached by content
+        before = _fallback_count("FBK002")
         with caplog.at_level(logging.WARNING, logger="repro.fallback"):
-            sim = GateLevelSimulator(module, use_compiled=True)
-        assert not sim.use_compiled                  # degraded, not dead
+            sim = GateLevelSimulator(module)
+        assert _fallback_count("FBK002") == before + 1   # degraded, not dead
         assert sim.evaluate({"a": 1, "b": 0})["s"] == 1
         assert any("falling back" in r.message for r in caplog.records)
 
     def test_strict_mode_makes_kernel_failure_fatal(self, monkeypatch):
         monkeypatch.setenv("REPRO_STRICT", "1")
-        import repro.sim.kernel as kernel
-
-        def explode(module):
-            raise AssertionError("injected lowering bug")
-
-        monkeypatch.setattr(kernel, "CompiledNetlist", explode)
-        module = Module("half")
-        module.add_inputs("a", "b")
-        module.add_output("s")
-        module.add_gate(GateType.XOR, "s", ["a", "b"])
-        with pytest.raises(AssertionError, match="injected lowering bug"):
-            GateLevelSimulator(module, use_compiled=True)
+        monkeypatch.setattr(sim_kernel, "compile_netlist", _explode)
+        with pytest.raises(InjectedFault, match="injected fast-path bug"):
+            GateLevelSimulator(_half_adder())
 
     def test_broken_incremental_settle_degrades(self, monkeypatch, caplog):
         monkeypatch.delenv("REPRO_STRICT", raising=False)
-        network = SwitchNetwork("inv")
-        network.add_transistor("out", "out", "vdd", TransistorKind.DEPLETION)
-        network.add_transistor("a", "out", "gnd")
-        network.add_input("a")
-        network.add_output("out")
-        sim = SwitchLevelSimulator(network, use_incremental=True)
-        monkeypatch.setattr(
-            sim, "_settle_incremental",
-            lambda clamped: (_ for _ in ()).throw(
-                KeyError("injected bookkeeping bug")))
+        sim = SwitchLevelSimulator(_inverter_network())
+        monkeypatch.setattr(sim, "_settle_incremental", _explode)
         with caplog.at_level(logging.WARNING, logger="repro.fallback"):
             assert sim.evaluate({"a": 1})["out"] == 0
+            # The degraded settle leaves the simulator usable afterwards.
+            assert sim.evaluate({"a": 0})["out"] == 1
         assert any("switch-level settle" in r.message for r in caplog.records)
 
 

@@ -4,7 +4,7 @@ The hierarchical engine (:mod:`repro.analysis.hier`) must be a pure
 optimisation: for every design, its DRC violations, extracted netlist and
 metrics must be **byte-identical** — ordering, node names, device names,
 violation locations included — to the flat reference path.  The reference
-here is the all-pairs ``use_index=False`` engines for the small example
+here is the all-pairs :mod:`repro.reference` engines for the small example
 designs and the indexed flat path for the big PDP-8 layout (the indexed
 path is itself pinned to the brute-force one by ``test_index_golden``).
 
@@ -30,6 +30,7 @@ from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
 from repro.logic import TruthTable, parse_expr
 from repro.metrics import measure_cell
+from repro.reference import BruteDrcChecker, BruteExtractor
 from repro.technology import nmos_technology
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -56,15 +57,17 @@ def netlist_identity(circuit):
     )
 
 
-def assert_hier_equals_flat(cell, technology, use_index=False, analyzer=None,
-                            check_metrics=True):
+def assert_hier_equals_flat(cell, technology,
+                            flat=(BruteDrcChecker, BruteExtractor),
+                            analyzer=None, check_metrics=True):
     """The differential assertion: hierarchical == flat, byte for byte."""
     if analyzer is None:
         analyzer = HierAnalyzer(technology)
-    flat_violations = DrcChecker(technology, use_index=use_index).check(cell)
+    flat_checker, flat_extractor = flat
+    flat_violations = flat_checker(technology).check(cell)
     hier_violations = analyzer.drc(cell)
     assert hier_violations == flat_violations
-    flat_circuit = Extractor(technology, use_index=use_index).extract(cell)
+    flat_circuit = flat_extractor(technology).extract(cell)
     hier_circuit = analyzer.extract(cell)
     assert netlist_identity(hier_circuit) == netlist_identity(flat_circuit)
     if check_metrics:
@@ -103,7 +106,8 @@ class TestExampleDesigns:
         # tier-1 time; the indexed flat path stands in (it is pinned to the
         # brute-force path by test_index_golden / bench E11).
         _compiled, layout, _report = compiled_machine_summary()
-        assert_hier_equals_flat(layout, technology, use_index=True)
+        assert_hier_equals_flat(layout, technology,
+                                flat=(DrcChecker, Extractor))
 
 
 # -- deliberate boundary violations -------------------------------------------
@@ -140,8 +144,7 @@ class TestBoundaryViolations:
         alone = Cell("bv_enclosure_alone")
         alone.place(cut, 0, 0)
         analyzer = HierAnalyzer(technology)
-        assert analyzer.drc(alone) == DrcChecker(
-            technology, use_index=False).check(alone)
+        assert analyzer.drc(alone) == BruteDrcChecker(technology).check(alone)
         assert any(v.rule_name == "N.M.C" for v in analyzer.drc(alone))
 
     def test_nets_merge_across_instance_boundary(self, technology):
@@ -170,7 +173,7 @@ class TestBoundaryViolations:
         top.place(poly_cell, 0, 0)
         top.place(diff_cell, 0, 4)
         analyzer = assert_hier_equals_flat(top, technology)
-        flat = Extractor(technology, use_index=False).extract(top)
+        flat = BruteExtractor(technology).extract(top)
         assert analyzer.extract(top).transistor_count == flat.transistor_count
 
 

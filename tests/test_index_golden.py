@@ -2,8 +2,8 @@
 
 DRC and extraction were rewritten on top of the spatial index; these tests
 assemble a real (small) chip and verify that the indexed paths produce the
-*identical* violation list and extracted netlist as the historical brute
-force scans, and that the memoized flatten cache is invalidated correctly
+*identical* violation list and extracted netlist as the all-pairs oracles
+in :mod:`repro.reference`, and that the memoized flatten cache is invalidated correctly
 by cell mutation.
 """
 
@@ -18,6 +18,7 @@ from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 from repro.logic import TruthTable, parse_expr
+from repro.reference import BruteDrcChecker, BruteExtractor
 from repro.technology import nmos_technology
 
 
@@ -60,12 +61,12 @@ def netlist_signature(circuit):
 class TestGoldenEquivalence:
     def test_drc_violations_identical(self, chip, technology):
         indexed = DrcChecker(technology).check(chip)
-        brute = DrcChecker(technology, use_index=False).check(chip)
+        brute = BruteDrcChecker(technology).check(chip)
         assert [str(v) for v in indexed] == [str(v) for v in brute]
 
     def test_extracted_netlist_identical(self, chip, technology):
         indexed = Extractor(technology).extract(chip)
-        brute = Extractor(technology, use_index=False).extract(chip)
+        brute = BruteExtractor(technology).extract(chip)
         assert netlist_signature(indexed) == netlist_signature(brute)
 
 

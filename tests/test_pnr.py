@@ -32,6 +32,7 @@ from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.logic import TruthTable, parse_expr
 from repro.obs import metrics
+from repro.pnr import PlacementError, UnknownTerminalError, refine_placement
 from repro.pnr.router import MazeRouter, RouteRequest, RoutingError
 from repro.technology import nmos_technology
 from repro.timing.parasitics import ParasiticModel
@@ -332,6 +333,9 @@ class TestBlockedCellGrid:
     def test_flood_reaches_iff_priced_search_finds_a_path(self, setup):
         source, target = setup[2:]
         for maze in setup[:2]:
+            if source == target:      # nothing to draw, walled in or not
+                assert maze.route(RouteRequest("n", source, target)).length == 0
+                continue
             opened = maze._opened(source, target)
             start = maze._snap(source, opened)
             goal = maze._snap(target, opened)
@@ -409,6 +413,61 @@ class TestChipPnr:
             assembler.assemble()
         assert caught.value.diagnostic.code == "ROU005"
         assert "a_pad" in str(caught.value)
+
+
+class TestMalformedPlacementIsTyped:
+    """A placement problem with no legal answer is rejected, not mis-solved."""
+
+    @staticmethod
+    def plain_block(name, width, height):
+        cell = Cell(name)
+        cell.add_box("metal", 0, 0, width, height)
+        return cell
+
+    def five_blocks(self):
+        return [(name, self.plain_block(f"mp_{name}", width, height))
+                for name, width, height in (
+                    ("a", 10, 10), ("b", 40, 40), ("c", 30, 12),
+                    ("d", 18, 26), ("e", 22, 22))]
+
+    NETS = [(("a", "p"), ("e", "p")), (("b", "p"), ("d", "p")),
+            (("c", "p"), ("a", "p"))]
+
+    def test_duplicate_block_name_never_drops_a_block(self, technology):
+        from repro.assembly import ChipAssembler
+
+        blocks = self.five_blocks()
+        blocks[1] = ("a", blocks[1][1])       # two blocks both called "a"
+        for seed in range(6):
+            with pytest.raises(PlacementError) as caught:
+                refine_placement(blocks, self.NETS, max_width=120, seed=seed)
+            assert caught.value.diagnostic.code == "ROU010"
+        assembler = ChipAssembler("mp_dup", technology)
+        assembler.add_block("a", blocks[0][1])
+        with pytest.raises(PlacementError) as caught:
+            assembler.add_block("a", blocks[1][1])
+        assert caught.value.diagnostic.code == "ROU010"
+
+    def test_negative_spacing_is_rejected_not_overlapped(self):
+        with pytest.raises(PlacementError) as caught:
+            refine_placement(self.five_blocks(), self.NETS, spacing=-15)
+        assert caught.value.diagnostic.code == "ROU010"
+
+    def test_unknown_block_in_a_connection_is_typed(self, technology):
+        from repro.assembly import ChipAssembler
+
+        nets = self.NETS + [(("ghost", "p"), ("a", "p"))]
+        with pytest.raises(UnknownTerminalError) as caught:
+            refine_placement(self.five_blocks(), nets)
+        assert caught.value.diagnostic.code == "ROU011"
+        assert str(caught.value) == "no core block named 'ghost'"
+        assembler = ChipAssembler("mp_ghost", technology)
+        assembler.add_block("core", self.plain_block("mp_core", 50, 50))
+        assembler.add_supply_pads()
+        assembler.add_pad("x", "input", connect_to=("ghost", "p"))
+        with pytest.raises(UnknownTerminalError) as caught:
+            assembler.assemble()
+        assert caught.value.diagnostic.code == "ROU011"
 
 
 # -- sign-off goldens over the four example designs ---------------------------

@@ -1,0 +1,190 @@
+"""Reference isolation: oracles stay oracles, production has one path.
+
+``repro.reference`` holds the five reference implementations the
+differential suites compare against.  Two things keep them from drifting
+back into production branches:
+
+* a source scan — none of the deleted engine flags reappears anywhere in
+  ``src/repro`` outside the reference package, and the only imports of
+  ``repro.reference`` there sit inside a nested function that is handed to
+  :func:`repro.diagnostics.run_with_fallback` as the fallback;
+* a fresh process under ``REPRO_STRICT=1`` builds and signs off an example
+  chip and runs gate, RTL and switch simulation without the package ever
+  being imported.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "repro")
+REFERENCE = os.path.join(PACKAGE, "reference")
+DELETED_FLAGS = re.compile(
+    r"\b(use_index|use_compiled|use_incremental|brute_force)\b")
+
+
+def production_sources():
+    for directory, _subdirs, files in os.walk(PACKAGE):
+        if os.path.commonpath([directory, REFERENCE]) == REFERENCE:
+            continue
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as handle:
+                    yield os.path.relpath(path, ROOT), handle.read()
+
+
+def imports_reference(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[:2] == ["repro", "reference"]
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return module[:2] == ["repro", "reference"] or (
+            module == ["repro"]
+            and any(alias.name == "reference" for alias in node.names))
+    return False
+
+
+def is_fallback_of(function, enclosing):
+    """``function`` is passed as the fallback of a guard in ``enclosing``."""
+    for node in ast.walk(enclosing):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", ""))
+                == "run_with_fallback"
+                and len(node.args) >= 3
+                and isinstance(node.args[2], ast.Name)
+                and node.args[2].id == function.name):
+            return True
+    return False
+
+
+def misplaced_reference_imports(source):
+    """Line numbers of ``repro.reference`` imports outside fallback callables."""
+    tree = ast.parse(source)
+    parents = {}
+    for parent in ast.walk(tree):
+        for child in ast.iter_child_nodes(parent):
+            parents[child] = parent
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def enclosing_function(node):
+        node = parents.get(node)
+        while node is not None and not isinstance(node, functions):
+            node = parents.get(node)
+        return node
+
+    bad = []
+    for node in ast.walk(tree):
+        if not imports_reference(node):
+            continue
+        callable_ = enclosing_function(node)
+        guard = None if callable_ is None else enclosing_function(callable_)
+        if guard is None or not is_fallback_of(callable_, guard):
+            bad.append(node.lineno)
+    return bad
+
+
+class TestSourceScan:
+    def test_deleted_flags_stay_deleted(self):
+        hits = [f"{path}:{number}: {line.strip()}"
+                for path, text in production_sources()
+                for number, line in enumerate(text.splitlines(), 1)
+                if DELETED_FLAGS.search(line)]
+        assert not hits, "\n".join(hits)
+
+    def test_reference_is_imported_only_inside_fallback_callables(self):
+        importers = set()
+        for path, text in production_sources():
+            bad = misplaced_reference_imports(text)
+            assert not bad, f"{path}: lines {bad}"
+            if any(imports_reference(n) for n in ast.walk(ast.parse(text))):
+                importers.add(path)
+        # The five guarded engines, and nothing else.
+        assert sorted(importers) == sorted(
+            os.path.join("src", "repro", *parts) for parts in (
+                ("drc", "checker.py"), ("extract", "extractor.py"),
+                ("netlist", "gate_sim.py"), ("netlist", "switch_sim.py"),
+                ("rtl", "simulator.py")))
+
+    def test_the_scan_catches_a_top_level_or_unguarded_import(self):
+        assert misplaced_reference_imports(
+            "from repro.reference import BruteDrcChecker\n") == [1]
+        assert misplaced_reference_imports(
+            "def check():\n"
+            "    import repro.reference.geometry\n") == [2]
+        assert misplaced_reference_imports(
+            "def check():\n"
+            "    def oracle():\n"
+            "        from repro.reference import BruteDrcChecker\n"
+            "    return oracle()\n") == [3]
+        assert misplaced_reference_imports(
+            "def check():\n"
+            "    def oracle():\n"
+            "        from repro.reference import BruteDrcChecker\n"
+            "    return run_with_fallback('x', fast, oracle, code='F')\n") == []
+
+
+PRODUCTION_FLOW = """
+import os, sys
+sys.path[:0] = [os.path.join({root!r}, "src"), os.path.join({root!r}, "examples")]
+
+from chip_assembly import build_chip
+from repro.cells import InverterCell
+from repro.drc import check_cell
+from repro.extract import extract_cell
+from repro.netlist import GateLevelSimulator, GateType, Module, SwitchLevelSimulator
+from repro.rtl import RtlSimulator, parse_rtl
+from repro.technology import nmos_technology
+
+assembler, chip = build_chip("isolation_4b", 4, 0)
+report = assembler.sign_off()
+assert report.clean and report.circuit.transistor_count > 0
+
+module = Module("toggle")
+module.add_input("en")
+module.add_output("q")
+module.add_gate(GateType.XOR, "d", ["q", "en"])
+module.add_gate(GateType.DFF, "q", ["d"])
+gate = GateLevelSimulator(module)
+gate.reset(0)
+assert gate.run([{{"en": 1}}] * 4).series("q") == [0, 1, 0, 1]
+
+rtl = RtlSimulator(parse_rtl('''
+machine counter;
+input load[1], data[4];
+output q[4];
+register count[4];
+always begin
+    if (load) count <- data;
+    else count <- count + 1;
+    q = count;
+end
+'''))
+stimulus = [{{"load": 1, "data": 5}}, {{"load": 0}}, {{"load": 0}}]
+assert [row["q"] for row in rtl.run(3, stimulus)] == [0, 5, 6]
+
+technology = nmos_technology()
+assert check_cell(InverterCell(technology).cell(), technology) == []
+inverter = extract_cell(InverterCell(technology).cell(), technology)
+switch = SwitchLevelSimulator(inverter.network)
+assert switch.evaluate({{"in": 1}})["out"] == 0
+assert switch.evaluate({{"in": 0}})["out"] == 1
+
+loaded = sorted(name for name in sys.modules if name.startswith("repro.reference"))
+assert not loaded, loaded
+print("production flow ran without repro.reference")
+"""
+
+
+def test_strict_production_flow_never_imports_reference():
+    environment = dict(os.environ, REPRO_STRICT="1")
+    environment.pop("REPRO_STORE", None)
+    result = subprocess.run(
+        [sys.executable, "-c", PRODUCTION_FLOW.format(root=os.path.abspath(ROOT))],
+        capture_output=True, text=True, env=environment, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert "without repro.reference" in result.stdout

@@ -13,6 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netlist import GateLevelSimulator, GateType, Module, \
     SwitchLevelSimulator, SwitchNetwork, TransistorKind
+from repro.reference import (
+    GateLevelInterpreter,
+    RtlInterpreter,
+    SwitchLevelReference,
+)
 from repro.rtl import RtlCompiler, RtlSimulator, parse_rtl
 from repro.sim import CompiledNetlist, run_streams
 
@@ -119,8 +124,7 @@ class TestGateLevelDifferential:
         # A small settle_limit keeps oscillating examples cheap; parity of
         # the limit-triggered RuntimeError is part of the contract.
         compiled = GateLevelSimulator(module, settle_limit=64)
-        reference = GateLevelSimulator(module, settle_limit=64,
-                                       use_compiled=False)
+        reference = GateLevelInterpreter(module, settle_limit=64)
         assert compiled.critical_path_estimate() == \
             reference.critical_path_estimate()
         if _lockstep(compiled, reference, lambda sim: sim.reset(0)):
@@ -146,7 +150,7 @@ class TestGateLevelDifferential:
         if lowered.is_cyclic:
             return   # stream runner guarantees exactness for DAGs only
         traces = run_streams(lowered, [sequence, sequence])
-        reference = GateLevelSimulator(module, use_compiled=False)
+        reference = GateLevelInterpreter(module)
         reference.reset(0)
         expected = reference.run(sequence)
         assert traces[0] == expected.cycles
@@ -195,7 +199,7 @@ class TestSwitchLevelDifferential:
     def test_incremental_matches_reference(self, case):
         network, assignments = case
         incremental = SwitchLevelSimulator(network)
-        reference = SwitchLevelSimulator(network, use_incremental=False)
+        reference = SwitchLevelReference(network)
         for assignment in assignments:
             incremental_error = reference_error = None
             try:
@@ -279,8 +283,8 @@ class TestRtlErrorParity:
         machine = self._machine_with_body(
             IfStatement(Identifier("a"), Block((dead,))),
         )
-        for use_compiled in (True, False):
-            sim = RtlSimulator(machine, use_compiled=use_compiled)
+        for simulator in (RtlSimulator, RtlInterpreter):
+            sim = simulator(machine)
             sim.step({"a": 0})   # branch not taken: no error either way
             with pytest.raises(KeyError, match="undeclared signal 'ghost'"):
                 sim.step({"a": 1})
@@ -293,8 +297,8 @@ class TestRtlErrorParity:
             Assignment(Identifier("nosuch_target"), Identifier("nosuch_value"),
                        clocked=False),
         )
-        for use_compiled in (True, False):
-            sim = RtlSimulator(machine, use_compiled=use_compiled)
+        for simulator in (RtlSimulator, RtlInterpreter):
+            sim = simulator(machine)
             with pytest.raises(KeyError, match="undeclared signal 'nosuch_value'"):
                 sim.step()
 
@@ -303,8 +307,8 @@ class TestRtlErrorParity:
         machine = self._machine_with_body(
             Assignment(Identifier("a"), Constant(1), clocked=True),
         )
-        for use_compiled in (True, False):
-            sim = RtlSimulator(machine, use_compiled=use_compiled)
+        for simulator in (RtlSimulator, RtlInterpreter):
+            sim = simulator(machine)
             with pytest.raises(ValueError, match="clocked transfer to non-register"):
                 sim.step()
 
@@ -315,8 +319,8 @@ class TestRtlErrorParity:
                        MemoryAccess("nomem", Identifier("bogus")),
                        clocked=False),
         )
-        for use_compiled in (True, False):
-            sim = RtlSimulator(machine, use_compiled=use_compiled)
+        for simulator in (RtlSimulator, RtlInterpreter):
+            sim = simulator(machine)
             # The address operand's own error must surface first.
             with pytest.raises(KeyError, match="undeclared signal 'bogus'"):
                 sim.step()
@@ -328,8 +332,8 @@ class TestRtlErrorParity:
                        BinaryOp("&&", Constant(0), Identifier("mem")),
                        clocked=False),
         )
-        for use_compiled in (True, False):
-            sim = RtlSimulator(machine, use_compiled=use_compiled)
+        for simulator in (RtlSimulator, RtlInterpreter):
+            sim = simulator(machine)
             # The interpreter evaluates both operands of && even when the
             # left is falsy; 'mem' names a memory, which is not a signal.
             with pytest.raises(KeyError, match="undeclared signal 'mem'"):
@@ -343,7 +347,7 @@ class TestRtlDifferential:
     def test_compiled_closures_match_interpreter(self, source, data):
         machine = parse_rtl(source)
         compiled = RtlSimulator(machine)
-        reference = RtlSimulator(machine, use_compiled=False)
+        reference = RtlInterpreter(machine)
         cycles = data.draw(st.integers(1, 8))
         masks = {d.name: d.mask for d in machine.inputs}
         for _ in range(cycles):

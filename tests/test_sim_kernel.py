@@ -18,6 +18,7 @@ from repro.netlist import (
     Transistor,
     TransistorKind,
 )
+from repro.reference import GateLevelInterpreter, SwitchLevelReference
 from repro.sim import (
     BitplaneEvaluator,
     CompiledNetlist,
@@ -108,15 +109,14 @@ class TestLowering:
         modules.append(looped)
         for module in modules:
             compiled = GateLevelSimulator(module).critical_path_estimate()
-            interpreted = GateLevelSimulator(
-                module, use_compiled=False).critical_path_estimate()
+            interpreted = GateLevelInterpreter(module).critical_path_estimate()
             assert compiled == interpreted
 
 
 class TestScalarParity:
     def test_full_adder_truth_table(self):
         sim = GateLevelSimulator(full_adder())
-        ref = GateLevelSimulator(full_adder(), use_compiled=False)
+        ref = GateLevelInterpreter(full_adder())
         for a in (0, 1, None):
             for b in (0, 1, None):
                 for c in (0, 1, None):
@@ -132,7 +132,7 @@ class TestScalarParity:
 
     def test_counter_trace_and_depths(self):
         sim = GateLevelSimulator(two_bit_counter())
-        ref = GateLevelSimulator(two_bit_counter(), use_compiled=False)
+        ref = GateLevelInterpreter(two_bit_counter())
         sim.reset()
         ref.reset()
         for _ in range(6):
@@ -153,8 +153,8 @@ class TestScalarParity:
         m = Module("osc")
         m.add_inputs("a")
         m.add_gate(GateType.NAND, "y", ["y", "a"])
-        for use_compiled in (True, False):
-            sim = GateLevelSimulator(m, settle_limit=50, use_compiled=use_compiled)
+        for simulator in (GateLevelSimulator, GateLevelInterpreter):
+            sim = simulator(m, settle_limit=50)
             assert sim.evaluate({"a": None}) == {}
             assert sim.values["y"] is None
             sim.evaluate({"a": 0})
@@ -181,8 +181,8 @@ class TestSatelliteRegressions:
         m.add_outputs("y")
         m.add_gate(GateType.XOR, "y", nets)
         vector = {f"i{k}": (1 if k in (0, 10) else 0) for k in range(11)}
-        for use_compiled in (True, False):
-            sim = GateLevelSimulator(m, use_compiled=use_compiled)
+        for simulator in (GateLevelSimulator, GateLevelInterpreter):
+            sim = simulator(m)
             assert sim.evaluate(vector)["y"] == 0
             vector_odd = dict(vector, i10=0)
             assert sim.evaluate(vector_odd)["y"] == 1
@@ -195,8 +195,8 @@ class TestSatelliteRegressions:
         m.add_outputs("q0", "q1")
         m.add_gate(GateType.DFF, "q0", ["d"], name="dff0")
         m.add_gate(GateType.DFF, "q1", ["q0"], name="dff1")
-        for use_compiled in (True, False):
-            sim = GateLevelSimulator(m, use_compiled=use_compiled)
+        for simulator in (GateLevelSimulator, GateLevelInterpreter):
+            sim = simulator(m)
             sim.reset(0)
             trace = sim.run([{"d": 1}, {"d": 0}, {"d": 0}])
             assert trace.series("q0") == [0, 1, 0]
@@ -214,7 +214,7 @@ class TestBitplane:
         m.add_inputs("a", "b")
         m.add_outputs("y")
         m.add_gate(gate, "y", ["a", "b"])
-        ref = GateLevelSimulator(m, use_compiled=False)
+        ref = GateLevelInterpreter(m)
         domain = [(a, b) for a in (0, 1, None) for b in (0, 1, None)]
         vectors = [{"a": a, "b": b} for a, b in domain]
         results = evaluate_vectors(CompiledNetlist(m), vectors)
@@ -228,7 +228,7 @@ class TestBitplane:
         m.add_outputs("y", "na")
         m.add_gate(GateType.MUX2, "y", [], sel="s", a="a", b="b")
         m.add_gate(GateType.NOT, "na", ["a"])
-        ref = GateLevelSimulator(m, use_compiled=False)
+        ref = GateLevelInterpreter(m)
         domain = [(s, a, b) for s in (0, 1, None)
                   for a in (0, 1, None) for b in (0, 1, None)]
         vectors = [{"s": s, "a": a, "b": b} for s, a, b in domain]
@@ -327,9 +327,9 @@ class TestSwitchRegressions:
         # Two nodes storing opposite values, then joined by a pass
         # transistor: the resolver returns "unknown", and the model keeps
         # each node's stored charge rather than inventing a winner.
-        for use_incremental in (True, False):
+        for simulator in (SwitchLevelSimulator, SwitchLevelReference):
             n = self.pass_gate_network()
-            sim = SwitchLevelSimulator(n, use_incremental=use_incremental)
+            sim = simulator(n)
             sim.evaluate({"clk": 0, "a": 1, "b": 1, "x2": 1, "y2": 0})
             assert sim.node_value("x") == 1
             assert sim.node_value("y") == 0
@@ -337,21 +337,21 @@ class TestSwitchRegressions:
             assert out["x"] == 1 and out["y"] == 0
 
     def test_agreeing_stored_charge_shares(self):
-        for use_incremental in (True, False):
+        for simulator in (SwitchLevelSimulator, SwitchLevelReference):
             n = self.pass_gate_network()
-            sim = SwitchLevelSimulator(n, use_incremental=use_incremental)
+            sim = simulator(n)
             sim.evaluate({"clk": 0, "a": 1, "b": 1, "x2": 1, "y2": 1})
             out = sim.evaluate({"clk": 1, "a": 0, "b": 0, "x2": None, "y2": None})
             assert out["x"] == 1 and out["y"] == 1
 
     def test_clamped_input_beats_stored_charge(self):
-        for use_incremental in (True, False):
+        for simulator in (SwitchLevelSimulator, SwitchLevelReference):
             n = SwitchNetwork("drive")
             n.add_input("clk")
             n.add_input("d")
             n.add_output("node")
             n.add_transistor("clk", "d", "node")
-            sim = SwitchLevelSimulator(n, use_incremental=use_incremental)
+            sim = simulator(n)
             assert sim.evaluate({"d": 1, "clk": 1})["node"] == 1
             # Stored 1; reconnecting to a clamped 0 must override the charge.
             assert sim.evaluate({"d": 0, "clk": 1})["node"] == 0
@@ -372,7 +372,7 @@ class TestSwitchRegressions:
             {"a": 0, "b": 1}, {"a": 1, "b": 1}, {"a": None, "b": 1},
         ]
         incremental = SwitchLevelSimulator(nand())
-        reference = SwitchLevelSimulator(nand(), use_incremental=False)
+        reference = SwitchLevelReference(nand())
         for assignment in sequence:
             assert incremental.evaluate(assignment) == reference.evaluate(assignment)
             assert incremental.values == reference.values

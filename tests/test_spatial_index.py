@@ -115,4 +115,3 @@ class TestIndexSemantics:
         large = [Rect(i * 3, 0, i * 3 + 1, 1) for i in range(20)]
         assert isinstance(build_index(small), BruteForceIndex)
         assert isinstance(build_index(large), GridIndex)
-        assert isinstance(build_index(large, brute_force=True), BruteForceIndex)
