@@ -12,7 +12,11 @@ process.  E17 measures what the content-addressed store
   ``REPRO_STORE``: the paper's designed-once/instanced-many argument
   extended across process restarts.  The child must rebuild zero
   artifacts (its build counters are asserted) and agree with the cold
-  run's results exactly.
+  run's results exactly; it reads the two result blobs (``violations``,
+  ``circuit``) and no geometry.
+
+The warm in-process ratio is capped before recording, as in E12 and E14: two
+memory-tier hits are timer noise above the cap.
 """
 
 import json
@@ -23,8 +27,8 @@ import tempfile
 import time
 
 from benchmarks.conftest import emit, record_bench
-from benchmarks.bench_e12_hier_analysis import build_tile_chip, \
-    hier_analysis, netlist_identity
+from benchmarks.bench_e12_hier_analysis import WARM_REPEATS, \
+    WARM_SPEEDUP_CAP, build_tile_chip, hier_analysis, netlist_identity
 from repro.analysis import HierAnalyzer
 from repro.layout.flatten import flatten_cell
 from repro.metrics import format_table
@@ -38,7 +42,7 @@ from repro.technology import nmos_technology
 from benchmarks.bench_e12_hier_analysis import build_tile_chip
 
 technology = nmos_technology()
-chip, _rom = build_tile_chip(technology)
+chip, _rom = build_tile_chip(technology, name={name!r})
 analyzer = HierAnalyzer(technology)    # REPRO_STORE is set by the parent
 start = time.perf_counter()
 violations = analyzer.drc(chip)
@@ -53,14 +57,14 @@ print(json.dumps({{
 """
 
 
-def _fresh_process_run(store_dir):
+def _fresh_process_run(store_dir, name):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["REPRO_STORE"] = store_dir
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    script = _CHILD.format(root=root)
+    script = _CHILD.format(root=root, name=name)
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, check=True,
                             timeout=1800)
@@ -82,16 +86,18 @@ def _measure_cycle(technology, chip):
 
         # Warm, same process: memory-tier hits.
         warm_start = time.perf_counter()
-        warm = hier_analysis(chip, analyzer)
-        warm_memory_seconds = time.perf_counter() - warm_start
+        for _ in range(WARM_REPEATS):
+            warm = hier_analysis(chip, analyzer)
+        warm_memory_seconds = (time.perf_counter() - warm_start) / WARM_REPEATS
         assert warm[0] == cold_violations
         assert netlist_identity(warm[1]) == netlist_identity(cold_circuit)
 
-        # Warm, fresh process: every artifact read back from disk.
-        child = _fresh_process_run(store_dir)
+        # Warm, fresh process: both results read back from disk.
+        child = _fresh_process_run(store_dir, chip.name)
         assert child["violations"] == len(cold_violations)
         assert child["transistors"] == cold_circuit.transistor_count
-        for counter in ("views", "drc_artifacts", "extract_artifacts"):
+        for counter in ("views", "drc_artifacts", "extract_artifacts",
+                        "violations_artifacts", "circuit_artifacts"):
             assert child["stats"][counter] == 0, (counter, child["stats"])
 
     return {"cold": cold_seconds, "warm_memory": warm_memory_seconds,
@@ -111,11 +117,13 @@ def test_e17_persistent_store_warm_start(technology):
     disk_stats = cycles[0]["disk_stats"]
 
     warm_disk_speedup = cold_seconds / max(warm_disk_seconds, 1e-9)
-    warm_memory_speedup = cold_seconds / max(warm_memory_seconds, 1e-9)
+    warm_memory_speedup = min(cold_seconds / max(warm_memory_seconds, 1e-9),
+                              WARM_SPEEDUP_CAP)
     emit(format_table(
         ["path", "seconds", "vs cold"],
         [["cold (build + persist)", f"{cold_seconds:.3f}", "1.0x"],
-         ["warm in-process", f"{warm_memory_seconds:.4f}",
+         [f"warm in-process (avg of {WARM_REPEATS})",
+          f"{warm_memory_seconds:.5f}",
           f"{warm_memory_speedup:.0f}x"],
          ["warm from disk, fresh process", f"{warm_disk_seconds:.4f}",
           f"{warm_disk_speedup:.1f}x"]],
@@ -125,10 +133,10 @@ def test_e17_persistent_store_warm_start(technology):
 
     # Acceptance floor: a restarted process with a populated store must
     # beat its own cold run — the warm start genuinely survived the
-    # restart.  The margin is modest because hierarchy already dedupes
-    # the cold compute and the warm path still pays to deserialize the
-    # two top-level multi-megabyte artifacts; the committed BENCH_e17
-    # baseline (via check_regression.py) guards the actual ratios.
+    # restart.  The floors are far below the measured ratios (the child
+    # unpickles two result blobs; interpreter start-up is outside its
+    # clock); the committed BENCH_e17 baseline (via check_regression.py)
+    # guards the actual values.
     assert warm_disk_speedup > 1.1
     assert warm_memory_speedup > 2.0
 
@@ -138,7 +146,7 @@ def test_e17_persistent_store_warm_start(technology):
         store_blobs=disk_stats["entries"],
         store_bytes=disk_stats["bytes"],
         cold_seconds=round(cold_seconds, 4),
-        warm_memory_seconds=round(warm_memory_seconds, 5),
+        warm_memory_seconds=round(warm_memory_seconds, 7),
         warm_disk_seconds=round(warm_disk_seconds, 4),
         warm_disk_speedup=round(warm_disk_speedup, 2),
         warm_memory_speedup=round(warm_memory_speedup, 1),

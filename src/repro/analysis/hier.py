@@ -46,6 +46,14 @@ at any depth changes its digest and the digest of every ancestor
 (:meth:`repro.layout.cell.Cell._mutated` bumps the transitive mutation
 counter that gates the digest memo), so exactly the artifacts that depend
 on the edit are rebuilt and every other key keeps hitting.
+
+Two layers of kinds share that store.  The *composable artifacts* (``view``,
+``drc``, ``extract``, ``areas``) are what a parent cell is built from.  The
+*results* (``violations``, ``circuit``, ``extent``, ``erc``, ``timing``) are
+what the five public passes return: a pass reads its result first and
+touches a composable artifact only on a miss, so a warm sign-off — by this
+analyzer or by a fresh process over the disk tier — loads a handful of
+small blobs and no geometry, and node naming runs once per analysed cell.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ from repro.layout.shapes import Label
 from repro.layout.stats import CellStatistics, hierarchy_depth
 from repro.metrics.report import DesignMetrics, metrics_from_stats
 from repro.netlist.switch_sim import SwitchNetwork
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.store.artifact import ArtifactStore, default_store
 from repro.store.hashing import cell_digest, technology_hash
@@ -89,6 +98,14 @@ from repro.timing.parasitics import ParasiticModel, annotate_parasitics
 from repro.timing.switch import BlockTiming, SwitchTimingAnalyzer
 
 _ORIGIN = Point(0, 0)
+
+#: Generation of the store-key scheme (:meth:`HierAnalyzer._key`), bumped
+#: when a kind's payload changes shape — 2: ``drc`` / ``extract`` artifacts
+#: no longer embed their view.  Blobs of an older generation are never
+#: addressed: they miss and wait for ``gc``, where bumping the store's
+#: envelope format would make every one of them an ``STO002`` (fatal under
+#: ``REPRO_STRICT=1``).
+_KEY_SCHEME = 2
 
 
 # -- oriented flat views ------------------------------------------------------
@@ -303,12 +320,15 @@ class _LayerMerge:
 
 
 class _DrcArtifact:
-    """Cached DRC result of one (cell, orientation): merges + id'd verdicts."""
+    """Cached DRC result of one (cell, orientation): merges + id'd verdicts.
 
-    __slots__ = ("view", "merges", "viols")
+    Like :class:`_ExtractArtifact` it holds no reference to the cell's
+    :class:`_View`: the view is stored (and pickled) once, under its own key.
+    """
 
-    def __init__(self, view: _View):
-        self.view = view
+    __slots__ = ("merges", "viols")
+
+    def __init__(self) -> None:
         self.merges: Dict[str, _LayerMerge] = {}
         # Per rule index: list of ((element ids...), violation), in the flat
         # checker's emission order for that rule.
@@ -325,18 +345,18 @@ class _ExtractArtifact:
     naming: channels, diffusion pieces, same-layer connectivity, contact and
     label resolutions, per-channel device data.  Node naming and port
     declaration are global (anonymous names follow the whole-chip group
-    order), so they run only at the top level, in
-    :meth:`HierAnalyzer._finish_extract` — linear, query-free work.
+    order), so they cannot be *composed* from the children's: they run once
+    per analysed cell, in :meth:`HierAnalyzer._finish_extract` — linear,
+    query-free work whose result is cached as the ``circuit`` kind.
     """
 
-    __slots__ = ("view", "diffusion", "diff_offsets", "crossings",
+    __slots__ = ("diffusion", "diff_offsets", "crossings",
                  "chan_of_poly", "channels", "chan_x_diff", "pieces",
                  "piece_slices", "piece_edges", "poly_comps", "metal_comps",
                  "contact_touch", "buried_touch", "label_hits", "gates",
                  "terminals", "depletion", "_diff_index", "_piece_index")
 
-    def __init__(self, view: _View):
-        self.view = view
+    def __init__(self) -> None:
         self.diffusion: List[Rect] = []
         self.diff_offsets: List[int] = [0]     # per (layer, source) blocks
         # Per poly rect: [(global diffusion id, overlap, covered)] ascending.
@@ -391,7 +411,9 @@ class HierAnalyzer:
     cells — even independently rebuilt identical cells) to benefit from
     caching.  Results are byte-identical to
     ``DrcChecker(technology).check``, ``Extractor(technology).extract`` and
-    ``measure_cell``.
+    ``measure_cell``; all five passes (:meth:`drc`, :meth:`extract`,
+    :meth:`measure`, :meth:`timing`, :meth:`erc`) cache what they return
+    under the content key, and the objects they return are shared.
 
     ``store`` is the :class:`repro.store.ArtifactStore` the artifacts live
     in; by default a fresh in-memory LRU, tiered over a durable on-disk
@@ -401,16 +423,21 @@ class HierAnalyzer:
     between them.
     """
 
-    #: Artifact kinds whose payloads embed the cell's *name*
-    #: (``ErcReport.name``, ``BlockTiming.name``): their store keys append
-    #: the name so a renamed cell gets a correctly-named report, while the
-    #: name-free geometric kinds stay fully rename-invariant.
-    _NAME_KINDS = frozenset({"erc", "timing"})
+    #: Kinds whose payloads embed the cell's *name*
+    #: (``ExtractedCircuit.cell_name``, ``ErcReport.name``,
+    #: ``BlockTiming.name``): their store keys append the name so a renamed
+    #: cell gets a correctly-named result, while the name-free geometric
+    #: kinds stay fully rename-invariant.
+    _NAME_KINDS = frozenset({"circuit", "erc", "timing"})
 
-    #: Trace category of each kind's ``hier.build.<kind>`` span: the flat
-    #: engine the build belongs to, so per-category folds attribute it there.
-    _BUILD_SPAN_CAT = {"drc": "drc", "extract": "extract", "erc": "erc",
-                       "timing": "sta"}
+    #: Every kind :meth:`_artifact` caches, with the trace category of its
+    #: ``hier.build.<kind>`` span: the flat engine the build belongs to, so
+    #: per-category folds attribute it there.  ``drc`` and ``extract`` are
+    #: the *composable* artifacts a parent cell is built from; the other
+    #: five are the *results* the public passes return.
+    _BUILD_SPAN_CAT = {"drc": "drc", "extract": "extract",
+                       "violations": "drc", "circuit": "extract",
+                       "erc": "erc", "timing": "sta", "extent": "hier"}
 
     def __init__(self, technology: Technology, direct_threshold: int = 96,
                  store: Optional[ArtifactStore] = None):
@@ -451,25 +478,41 @@ class HierAnalyzer:
         self._keys: ("weakref.WeakKeyDictionary"
                      "[Cell, List]")
         self._keys = weakref.WeakKeyDictionary()
-        self.stats = {"views": 0, "drc_artifacts": 0, "extract_artifacts": 0,
-                      "drc_hits": 0, "extract_hits": 0,
-                      "timing_artifacts": 0, "timing_hits": 0,
-                      "erc_artifacts": 0, "erc_hits": 0}
+        self.stats = {"views": 0}
+        for kind in self._BUILD_SPAN_CAT:
+            self.stats[f"{kind}_artifacts"] = self.stats[f"{kind}_hits"] = 0
 
     # -- public API ---------------------------------------------------------
 
     def drc(self, cell: Cell) -> List[DrcViolation]:
-        """All design-rule violations, identical to the flat checker's list."""
+        """All design-rule violations, identical to the flat checker's list.
+
+        The cached result is a tuple; every call returns a fresh ``list`` of
+        it, so a caller may sort or extend what it gets.
+        """
         with obs_trace.span("hier.drc", cat="hier", cell=cell.name):
-            artifact = self._drc_artifact(cell, Orientation.R0)
-            return [viol for rule_viols in artifact.viols
-                    for _ids, viol in rule_viols]
+            return list(self._artifact("violations", cell, Orientation.R0,
+                                       self._build_violations))
+
+    def _build_violations(self, cell: Cell, orientation: Orientation
+                          ) -> Tuple[DrcViolation, ...]:
+        artifact = self._drc_artifact(cell, orientation)
+        return tuple(viol for rule_viols in artifact.viols
+                     for _ids, viol in rule_viols)
 
     def extract(self, cell: Cell) -> ExtractedCircuit:
-        """Extracted netlist, identical to the flat extractor's output."""
+        """Extracted netlist, identical to the flat extractor's output.
+
+        Cached per cell version like :meth:`timing` and :meth:`erc`, and like
+        theirs the returned object is **shared and read-only**: every caller
+        (and the timing and ERC builds) gets the same ``ExtractedCircuit``.
+        """
         with obs_trace.span("hier.extract", cat="hier", cell=cell.name):
-            artifact = self._extract_artifact(cell, Orientation.R0)
-            return self._finish_extract(cell, artifact)
+            return self._circuit(cell, Orientation.R0)
+
+    def _circuit(self, cell: Cell, orientation: Orientation) -> ExtractedCircuit:
+        return self._artifact("circuit", cell, orientation,
+                              self._finish_extract)
 
     def timing(self, cell: Cell) -> BlockTiming:
         """Static timing of the cell's extracted circuit, cached per cell.
@@ -480,20 +523,29 @@ class HierAnalyzer:
         cell's artifact is a cache hit, visible in ``stats``), and the
         result is float-identical to a cold run because the analysis is a
         pure function of the (incrementally composed) extracted circuit.
+        The returned object is shared and read-only.
         """
         with obs_trace.span("hier.timing", cat="hier", cell=cell.name):
             return self._timing_artifact(cell, Orientation.R0)
 
     def _artifact(self, kind: str, cell: Cell, orientation: Orientation, build):
-        """Get-or-build of one cached artifact: store hit, else ``build``."""
+        """Get-or-build of one cached kind: store hit, else ``build`` + put.
+
+        Counted in ``stats`` and mirrored into the metrics registry as
+        ``hier.<kind>.hits`` / ``hier.<kind>.builds``, so a sign-off's
+        ``flow_metrics`` shows which kind missed.
+        """
         hit = self._cached(kind, cell, orientation)
         if hit is not None:
             self.stats[f"{kind}_hits"] += 1
+            obs_metrics.counter(f"hier.{kind}.hits").inc()
             return hit
         self.stats[f"{kind}_artifacts"] += 1
+        obs_metrics.counter(f"hier.{kind}.builds").inc()
         with obs_trace.span(f"hier.build.{kind}", cat=self._BUILD_SPAN_CAT[kind],
                             cell=cell.name, orientation=orientation.name):
-            return build(cell, orientation)
+            return self._store(kind, cell, orientation,
+                               build(cell, orientation))
 
     def _timing_artifact(self, cell: Cell, orientation: Orientation) -> BlockTiming:
         return self._artifact("timing", cell, orientation,
@@ -507,10 +559,8 @@ class HierAnalyzer:
         # repeated placements within one chip).
         for source in view.sources[1:]:
             self._timing_artifact(source.cell, source.orientation)
-        circuit = self._finish_extract(
-            cell, self._extract_artifact(cell, orientation))
-        timing = SwitchTimingAnalyzer(self.technology).analyze(circuit)
-        return self._store("timing", cell, orientation, timing)
+        return SwitchTimingAnalyzer(self.technology).analyze(
+            self._circuit(cell, orientation))
 
     def erc(self, cell: Cell) -> ErcReport:
         """Electrical rule check of the cell's extracted circuit, cached.
@@ -518,7 +568,8 @@ class HierAnalyzer:
         Artifacts follow the timing pattern: keyed by ``(content digest,
         orientation)``, children prewarmed first so a family of
         chips shares every generator block's report, and the result is a
-        pure function of the composed extracted circuit.
+        pure function of the composed extracted circuit.  The returned
+        object is shared and read-only.
         """
         with obs_trace.span("hier.erc", cat="hier", cell=cell.name):
             return self._erc_artifact(cell, Orientation.R0)
@@ -532,10 +583,7 @@ class HierAnalyzer:
         view = self._view(cell, orientation)
         for source in view.sources[1:]:
             self._erc_artifact(source.cell, source.orientation)
-        circuit = self._finish_extract(
-            cell, self._extract_artifact(cell, orientation))
-        report = ErcChecker().check_circuit(circuit)
-        return self._store("erc", cell, orientation, report)
+        return ErcChecker().check_circuit(self._circuit(cell, orientation))
 
     def measure(self, cell: Cell) -> DesignMetrics:
         """Design metrics, identical to :func:`repro.metrics.measure_cell`."""
@@ -543,15 +591,18 @@ class HierAnalyzer:
             return self._measure(cell)
 
     def _measure(self, cell: Cell) -> DesignMetrics:
-        view = self._view(cell, Orientation.R0)
-        bbox = view.bbox
+        # The geometric part is cached by content; the hierarchy counts are
+        # read off the live cell, because a content digest cannot tell one
+        # shared child object from two identical copies and the metrics can.
+        bbox, shape_count, path_length = self._artifact(
+            "extent", cell, Orientation.R0, self._build_extent)
         distinct_cells = cell.descendants() + [cell]
         stats = CellStatistics(
             name=cell.name,
             bbox_width=0 if bbox is None else bbox.width,
             bbox_height=0 if bbox is None else bbox.height,
             bbox_area=0 if bbox is None else bbox.area,
-            flattened_shape_count=view.shape_count,
+            flattened_shape_count=shape_count,
             distinct_shape_count=sum(len(c.shapes) for c in distinct_cells),
             distinct_cell_count=len(distinct_cells),
             instance_count=cell.instance_count(),
@@ -559,21 +610,27 @@ class HierAnalyzer:
             mask_area_by_layer=self._areas(cell, Orientation.R0),
         )
         return metrics_from_stats(stats, self.technology,
-                                  wire_length=view.path_length)
+                                  wire_length=path_length)
+
+    def _build_extent(self, cell: Cell, orientation: Orientation
+                      ) -> Tuple[Optional[Rect], int, int]:
+        view = self._view(cell, orientation)
+        return view.bbox, view.shape_count, view.path_length
 
     # -- oriented views -----------------------------------------------------
 
     def _key(self, kind: str, cell: Cell, orientation: Orientation) -> str:
         """The store key of one artifact: pure content, no object identity.
 
-        ``kind : orientation : cell digest : technology digest :
-        composition threshold`` (the threshold shapes the view structure,
-        so artifacts built under different thresholds must not collide),
-        plus the cell name for the report kinds that embed it.  Keys are
-        memoized per cell and validated against the transitive mutation
-        counter; a mutated cell evicts its previous generation's keys from
-        the memory tier on the way through, which bounds the store to one
-        live generation per cell however often the design is edited.
+        ``kind : key scheme : orientation : cell digest : technology
+        digest : composition threshold`` (the threshold shapes the view
+        structure, so artifacts built under different thresholds must not
+        collide), plus the cell name for the result kinds that embed it.
+        Keys are memoized per cell and validated against the transitive
+        mutation counter; a mutated cell evicts its previous generation's
+        keys from the memory tier on the way through, which bounds the
+        store to one live generation per cell however often the design is
+        edited.
         """
         version = cell.subtree_version
         memo = self._keys.get(cell)
@@ -587,8 +644,9 @@ class HierAnalyzer:
             memo[1].clear()
         key = memo[1].get((kind, orientation))
         if key is None:
-            key = (f"{kind}:{orientation.name}:{cell_digest(cell)}:"
-                   f"{self._tech_hash}:{self.direct_threshold}")
+            key = (f"{kind}:{_KEY_SCHEME}:{orientation.name}:"
+                   f"{cell_digest(cell)}:{self._tech_hash}:"
+                   f"{self.direct_threshold}")
             if kind in self._NAME_KINDS:
                 key += ":" + cell.name
             memo[1][(kind, orientation)] = key
@@ -753,7 +811,7 @@ class HierAnalyzer:
         for source in view.sources[1:]:
             children.append(self._drc_artifact(source.cell, source.orientation))
 
-        artifact = _DrcArtifact(view)
+        artifact = _DrcArtifact()
         for layer in self._merge_layers:
             artifact.merges[layer] = self._compose_merge(view, children, layer)
 
@@ -782,7 +840,7 @@ class HierAnalyzer:
                 # checked geometrically (matches the flat checker).
                 composed = []
             artifact.viols.append(composed)
-        return self._store("drc", cell, orientation, artifact)
+        return artifact
 
     def _is_implant(self, layer_name: str) -> bool:
         layer = self.technology.layers.get(layer_name)
@@ -1175,7 +1233,7 @@ class HierAnalyzer:
         children: List[Optional[_ExtractArtifact]] = [None]
         for source in sources[1:]:
             children.append(self._extract_artifact(source.cell, source.orientation))
-        art = _ExtractArtifact(view)
+        art = _ExtractArtifact()
         DL = self._diffusion_layers
         own_view = sources[0].view
 
@@ -1188,7 +1246,7 @@ class HierAnalyzer:
         ]
         own_diff_ids: List[int] = []
         child_layer_counts = [None] + [
-            [len(children[k].view.layer(layer)) for layer in DL]
+            [len(sources[k].view.layer(layer)) for layer in DL]
             for k in range(1, len(sources))
         ]
         for layer_pos, layer in enumerate(DL):
@@ -1515,7 +1573,7 @@ class HierAnalyzer:
             child_pieces = len(child.pieces)
             if item < child_pieces:
                 return piece_map[k][item]
-            child_poly = len(child.view.layer("poly"))
+            child_poly = len(sources[k].view.layer("poly"))
             if item < child_pieces + child_poly:
                 return P + poly_offsets[k] + (item - child_pieces)
             return (metal_start + metal_offsets[k]
@@ -1717,7 +1775,7 @@ class HierAnalyzer:
             art.gates.append(gate_gid)
             art.terminals.append(terminals)
             art.depletion.append(depletion)
-        return self._store("extract", cell, orientation, art)
+        return art
 
     @staticmethod
     def _item_layer(item: int, pieces_end: int, metal_start: int) -> str:
@@ -1761,15 +1819,18 @@ class HierAnalyzer:
                                          cross_pairs)
         return finder.components()
 
-    def _finish_extract(self, cell: Cell, art: _ExtractArtifact) -> ExtractedCircuit:
-        """Node naming, device emission and port declaration (top level only).
+    def _finish_extract(self, cell: Cell,
+                        orientation: Orientation) -> ExtractedCircuit:
+        """Node naming, device emission and port declaration: the ``circuit``.
 
         Anonymous node names (``n0``, ``n1``, ...) and device names follow
-        the whole-chip group and channel enumeration, so this stage cannot
-        be cached per cell — but it is linear, query-free bookkeeping over
-        the composed artifact.
+        the analysed cell's own group and channel enumeration, so this stage
+        cannot be *composed* from the children's circuits — it is linear,
+        query-free bookkeeping over the composed artifact, run once per
+        analysed (cell, orientation) and cached like every other result.
         """
-        view = art.view
+        view = self._view(cell, orientation)
+        art = self._extract_artifact(cell, orientation)
         P = len(art.pieces)
         Y = len(view.layer("poly"))
         M = len(view.layer("metal"))

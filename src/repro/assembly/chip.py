@@ -101,7 +101,13 @@ class ChipTimingReport:
 
 @dataclass
 class SignOffReport:
-    """The full physical verification result of an assembled chip."""
+    """The full physical verification result of an assembled chip.
+
+    ``circuit``, ``timing`` (its ``BlockTiming`` rows) and ``erc`` are the
+    analyzer's cached results — **shared and read-only**: the next sign-off
+    of the same content returns the same objects.  ``violations`` is the
+    report's own list, free to sort or extend.
+    """
 
     violations: List = field(default_factory=list)
     circuit: Optional[object] = None

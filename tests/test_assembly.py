@@ -248,15 +248,27 @@ class TestSignOff:
         first = helper.build_chip(bits=4)
         first.assemble()
         first.sign_off(analyzer)
-        built = analyzer.stats["drc_artifacts"]
-        hits = analyzer.stats["drc_hits"]
+        built = dict(analyzer.stats)
         second = helper.build_chip(bits=4)
         second.assemble()
         report = second.sign_off(analyzer)
         # The second chip rebuilds its cells as fresh objects, but the
-        # store keys artifacts by *content*: the identical rebuild is
-        # served entirely from the first chip's artifacts — zero rebuilds,
-        # only hits.
-        assert analyzer.stats["drc_artifacts"] == built
-        assert analyzer.stats["drc_hits"] > hits
+        # store keys results by *content*: the identical rebuild is served
+        # entirely by the first chip's results — zero rebuilds of any kind,
+        # one hit per pass, and no composable artifact even looked up.
+        for kind in ("violations", "circuit", "extent", "erc"):
+            assert analyzer.stats[f"{kind}_artifacts"] == built[f"{kind}_artifacts"]
+            assert analyzer.stats[f"{kind}_hits"] == built[f"{kind}_hits"] + 1
+        for kind in ("drc", "extract"):
+            assert analyzer.stats[f"{kind}_artifacts"] == built[f"{kind}_artifacts"]
+            assert analyzer.stats[f"{kind}_hits"] == built[f"{kind}_hits"]
         assert report.violations == second.sign_off(analyzer).violations
+        # A wider sibling is new content at the top but shares the control
+        # PLA, the pads and the bit slices: it is composed from the stored
+        # artifacts of those, and builds fewer than the first chip did.
+        wider = helper.build_chip(bits=8)
+        wider.assemble()
+        wider.sign_off(analyzer)
+        assert analyzer.stats["drc_hits"] > built["drc_hits"]
+        assert (0 < analyzer.stats["drc_artifacts"] - built["drc_artifacts"]
+                < built["drc_artifacts"])

@@ -282,3 +282,32 @@ class TestArtifactCaching:
         analyzer.drc(chip_b)
         # Only chip_b's own artifact is new; the PLA's is shared.
         assert analyzer.stats["drc_artifacts"] == built + 1
+
+    def test_results_are_shared_but_cannot_be_poisoned(self, technology):
+        """The sharing contract of the result cache: ``drc`` hands out a
+        fresh list each call; ``extract`` hands out the one cached, read-only
+        circuit until an edit makes a new one."""
+        leaf = Cell("share_leaf")
+        leaf.add_box("poly", 4, 0, 6, 12)
+        leaf.add_box("diffusion", 0, 4, 20, 8)
+        leaf.add_box("metal", 0, 20, 9, 21)          # too narrow: a violation
+        top = Cell("share_top")
+        top.place(leaf, 0, 0)
+        top.place(leaf, 40, 0)
+        analyzer = HierAnalyzer(technology)
+
+        flat = DrcChecker(technology).check(top)
+        first = analyzer.drc(top)
+        assert first == flat and flat
+        first.reverse()
+        first.append("not a violation")
+        assert analyzer.drc(top) == flat
+
+        circuit = analyzer.extract(top)
+        assert analyzer.extract(top) is circuit
+        leaf.add_box("poly", 14, 0, 16, 12)           # a second device
+        edited = analyzer.extract(top)
+        assert edited is not circuit
+        assert edited.transistor_count == circuit.transistor_count + 2
+        assert netlist_identity(edited) == netlist_identity(
+            Extractor(technology).extract(top))

@@ -237,7 +237,8 @@ class TestTracedFlow:
         assembler, _chip = build_chip("obs_traced_4b", 4, 0)
         expansions = (metrics.counter("pnr.maze.expansions").value
                       - expansions_before)
-        report = assembler.sign_off()
+        analyzer = HierAnalyzer(assembler.technology)
+        report = assembler.sign_off(analyzer)
         assert report.clean
         # Simulation rides in the same trace: compile + run the adder.
         simulator = GateLevelSimulator(adder_module())
@@ -253,6 +254,30 @@ class TestTracedFlow:
         assert "assembly.sign_off" in names
         assert "pnr.route_all" in names
         assert "store.get" in names
+        # "Which cache missed": every cached kind has its own build span, in
+        # the category of the engine the build belongs to — node naming
+        # (``circuit``) included, which used to hide inside three others.
+        build_cats = {event["name"]: event["cat"] for event in info["events"]
+                      if event["name"].startswith("hier.build.")}
+        assert build_cats == {
+            "hier.build.drc": "drc", "hier.build.violations": "drc",
+            "hier.build.extract": "extract", "hier.build.circuit": "extract",
+            "hier.build.erc": "erc", "hier.build.timing": "sta",
+            "hier.build.extent": "hier"}
+        # ...and the per-kind reuse is in the report: a cold sign-off built
+        # every kind, a warm one only hits the five results.
+        cold = report.flow_metrics
+        warm = assembler.sign_off(analyzer).flow_metrics
+        for kind in ("drc", "extract", "violations", "circuit", "extent",
+                     "erc", "timing"):
+            assert cold[f"hier.{kind}.builds"] >= 1, kind
+            assert warm[f"hier.{kind}.builds"] == cold[f"hier.{kind}.builds"]
+        for kind in ("violations", "circuit", "extent", "erc"):
+            assert warm[f"hier.{kind}.hits"] == cold.get(
+                f"hier.{kind}.hits", 0) + 1, kind
+        for kind in ("drc", "extract"):
+            assert warm.get(f"hier.{kind}.hits", 0) == cold.get(
+                f"hier.{kind}.hits", 0), kind
         # "Which net forced a rip-up and what did it cost" is in the trace:
         # every escalation span names its net, level and expansions, and the
         # levels together account for every expansion the counter saw.

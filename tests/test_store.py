@@ -21,6 +21,7 @@ Five layers:
 import logging
 import os
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,10 @@ from repro.store import (
     technology_hash,
 )
 from repro.technology import nmos_technology
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "examples"))
+from chip_assembly import build_chip  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +344,21 @@ class TestTieredStore:
         assert store.get("k") == "v"          # reloaded from disk
 
 
+def sign_off_bare_cell(analyzer, cell):
+    """The five passes of a sign-off, for a cell that has no assembler."""
+    return (analyzer.drc(cell), analyzer.extract(cell),
+            analyzer.measure(cell), analyzer.timing(cell), analyzer.erc(cell))
+
+
+def signed_off_pla(technology):
+    table = TruthTable.from_expressions(
+        {"q": parse_expr("a & b | c")}, input_names=["a", "b", "c"])
+    cell = PlaGenerator(technology, table, name="pkl_pla").cell()
+    analyzer = HierAnalyzer(technology)
+    sign_off_bare_cell(analyzer, cell)
+    return analyzer, cell
+
+
 # -- pickling -----------------------------------------------------------------
 
 
@@ -373,24 +393,80 @@ class TestPickling:
         assert copy.subtree_version == version + 1
 
     def test_hier_artifacts_round_trip(self, technology):
-        table = TruthTable.from_expressions(
-            {"q": parse_expr("a & b | c")}, input_names=["a", "b", "c"])
-        cell = PlaGenerator(technology, table, name="pkl_pla").cell()
-        analyzer = HierAnalyzer(technology)
-        analyzer.drc(cell)
-        analyzer.extract(cell)
-        analyzer.erc(cell)
-        analyzer.timing(cell)
+        analyzer, cell = signed_off_pla(technology)
         bundle = {kind: analyzer._cached(kind, cell, Orientation.R0)
-                  for kind in ("view", "drc", "extract", "timing", "erc")}
+                  for kind in ("view", "drc", "extract", "violations",
+                               "circuit", "extent", "areas", "timing", "erc")}
         assert all(value is not None for value in bundle.values())
+        # The public passes return what the store holds under the result
+        # kinds (``drc`` a fresh list of it)...
+        assert analyzer.drc(cell) == list(bundle["violations"])
+        assert analyzer.extract(cell) is bundle["circuit"]
+        assert analyzer.timing(cell) is bundle["timing"]
+        assert analyzer.erc(cell) is bundle["erc"]
+        # ...and all of it survives the round trip.
         copy = pickle.loads(pickle.dumps(bundle))
-        # Artifacts sharing a view keep sharing it after the round trip —
-        # the composition pass relies on that identity.
-        assert copy["drc"].view is copy["view"]
-        assert copy["extract"].view is copy["view"]
+        assert copy["violations"] == bundle["violations"]
         assert copy["timing"] == bundle["timing"]
         assert copy["erc"] == bundle["erc"]
+        assert copy["extent"] == bundle["extent"]
+        assert copy["circuit"].node_names == bundle["circuit"].node_names
+        assert copy["circuit"].parasitics == bundle["circuit"].parasitics
+
+    def test_one_view_one_pickle(self, technology):
+        """A view is serialised under its own key and nowhere else: the
+        composable artifacts and the results carry no ``_View``."""
+        analyzer, cell = signed_off_pla(technology)
+        for kind in ("drc", "extract", "violations", "circuit", "extent",
+                     "areas", "timing", "erc"):
+            value = analyzer._cached(kind, cell, Orientation.R0)
+            assert not hasattr(value, "view"), kind
+            assert b"_View" not in pickle.dumps(value), kind
+        view = analyzer._cached("view", cell, Orientation.R0)
+        assert b"_View" in pickle.dumps(view)
+
+    def test_sign_off_finishes_each_circuit_once(self, technology, tmp_path,
+                                                 monkeypatch):
+        """Count, do not time: a cold sign-off names the nodes of each
+        (cell, orientation) it times exactly once; a sign-off by a fresh
+        analyzer over the populated disk store finishes nothing, puts
+        nothing, and reads only the top cell's results."""
+        finished = []
+        finish = HierAnalyzer._finish_extract
+
+        def counting(self, cell, orientation):
+            finished.append((cell.name, cell_digest(cell), orientation))
+            return finish(self, cell, orientation)
+
+        monkeypatch.setattr(HierAnalyzer, "_finish_extract", counting)
+        assembler, _chip = build_chip("store_once_4b", 4, 0)
+        store_dir = str(tmp_path / "store")
+        cold = HierAnalyzer(technology, store=TieredStore(
+            MemoryStore(), DiskStore(store_dir)))
+        report = assembler.sign_off(cold)
+        assert len(finished) == len(set(finished)) > 1
+        assert (len(finished) == cold.stats["circuit_artifacts"]
+                == cold.stats["timing_artifacts"]
+                == cold.stats["erc_artifacts"])
+
+        del finished[:]
+        read = []
+        get_sized = DiskStore.get_sized
+        monkeypatch.setattr(
+            DiskStore, "get_sized",
+            lambda self, key: read.append(key) or get_sized(self, key))
+        warm = HierAnalyzer(technology, store=TieredStore(
+            MemoryStore(), DiskStore(store_dir)))
+        again = assembler.sign_off(warm)
+        assert not finished
+        assert again.store["puts"] == 0 and again.store["misses"] == 0
+        assert {key.split(":")[0] for key in read} == {
+            "violations", "circuit", "extent", "areas", "timing", "erc"}
+        assert again.violations == report.violations
+        assert again.metrics == report.metrics
+        assert again.circuit.node_names == report.circuit.node_names
+        assert again.max_frequency_mhz == report.max_frequency_mhz
+        assert again.erc == report.erc
 
 
 # -- analyzer integration -----------------------------------------------------
@@ -411,9 +487,13 @@ class TestAnalyzerRekeying:
         viols = analyzer.drc(first)
         built = analyzer.stats["drc_artifacts"]
         assert analyzer.drc(second) == viols
-        # The second, independently built cell was served from the store.
+        # The second, independently built cell was served from the store —
+        # by the name-free ``violations`` result, the first blob ``drc()``
+        # reads, so its composable artifact was not even looked up.
         assert analyzer.stats["drc_artifacts"] == built
-        assert analyzer.stats["drc_hits"] >= 1
+        assert analyzer.stats["violations_artifacts"] == 1
+        assert analyzer.stats["violations_hits"] == 1
+        assert analyzer.stats["drc_hits"] == 0
 
     def test_mutation_does_not_retain_generations(self, technology):
         analyzer = HierAnalyzer(technology)
@@ -445,14 +525,67 @@ class TestAnalyzerRekeying:
         assert analyzer.erc(first).name == "named_a"
         assert analyzer.erc(second).name == "named_b"
 
+    @pytest.mark.parametrize("order", ("shared_first", "copies_first"))
+    def test_metrics_are_not_cached_by_digest(self, technology, tmp_path,
+                                              order):
+        """One child object placed twice and two identical copies placed
+        once each are the same *content* — one digest, one set of cached
+        results — but not the same *hierarchy*: ``measure`` must keep
+        telling them apart, whichever was analysed (and stored) first."""
+        from repro.metrics import measure_cell
+
+        def parent(children):
+            top = Cell("pair")
+            for column, child in enumerate(children):
+                top.place(child, 30 * column, 0)
+            return top
+
+        child = two_box_cell("pair_child")
+        shared = parent([child, child])
+        copies = parent([two_box_cell("pair_child"), two_box_cell("pair_child")])
+        assert cell_digest(shared) == cell_digest(copies)
+        expected = {id(cell): measure_cell(cell, technology)
+                    for cell in (shared, copies)}
+        assert (expected[id(shared)].distinct_cells + 1
+                == expected[id(copies)].distinct_cells)
+        assert expected[id(shared)].regularity != expected[id(copies)].regularity
+
+        cells = [shared, copies] if order == "shared_first" else [copies, shared]
+        store_dir = str(tmp_path / "store")
+        analyzer = HierAnalyzer(technology, store=TieredStore(
+            MemoryStore(), DiskStore(store_dir)))
+        for cell in cells:
+            assert analyzer.measure(cell) == expected[id(cell)]
+        assert analyzer.stats["extent_artifacts"] == 1
+        assert analyzer.stats["extent_hits"] == 1
+        # ...and through the disk tier, by an analyzer that built nothing.
+        fresh = HierAnalyzer(technology, store=TieredStore(
+            MemoryStore(), DiskStore(store_dir)))
+        for cell in reversed(cells):
+            assert fresh.measure(cell) == expected[id(cell)]
+        assert fresh.stats["views"] == fresh.stats["extent_artifacts"] == 0
+
+    @pytest.mark.parametrize("order", ((0, 1), (1, 0)))
+    def test_renamed_top_shares_geometry_not_names(self, technology, order):
+        """A renamed twin reuses the name-free results (``violations``, the
+        view extent) and gets its own named ones (``circuit``, ``erc``,
+        ``timing``), whichever of the two is signed off first."""
+        cells = [two_box_cell("twin_a"), two_box_cell("twin_b")]
+        analyzer = HierAnalyzer(technology)
+        reports = {}
+        for index in order:
+            cell = cells[index]
+            reports[index] = sign_off_bare_cell(analyzer, cell)
+            _viols, circuit, metrics, timing, erc = reports[index]
+            assert (circuit.cell_name == metrics.name == timing.name
+                    == erc.name == cell.name)
+        assert reports[0][0] == reports[1][0]
+        for kind, builds in (("violations", 1), ("extent", 1), ("drc", 1),
+                             ("extract", 1), ("circuit", 2), ("erc", 2),
+                             ("timing", 2)):
+            assert analyzer.stats[f"{kind}_artifacts"] == builds, kind
+
     def test_sign_off_surfaces_store_stats(self, technology):
-        import sys
-
-        sys.path.insert(0, os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), os.pardir,
-            "examples"))
-        from chip_assembly import build_chip
-
         assembler, _chip = build_chip("store_stats_4b", 4, 0)
         report = assembler.sign_off()
         assert report.store is not None

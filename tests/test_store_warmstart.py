@@ -9,9 +9,12 @@ The same runs pin determinism as one property: the same description yields
 byte-identical CIF and sign-off reports across two fresh processes with no
 store, with a cold store and with a warm one.
 
-A corruption smoke test rides along: truncating one blob between runs
-must surface an ``STO001`` diagnostic and a recompute that still matches,
-and must be fatal under ``REPRO_STRICT=1``.
+Corruption tests ride along, for both layers of the store: a truncated
+*result* blob (the one a warm pass reads first) must surface an ``STO001``
+diagnostic and a rebuild from the intact composable artifact; a truncated
+*composable* artifact under an intact result is never opened by a warm
+pass and is detected by the first edit that needs it; both are fatal under
+``REPRO_STRICT=1``.  Blobs of an older key scheme miss instead of loading.
 """
 
 import json
@@ -30,7 +33,8 @@ DRIVER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "warmstart_driver.py")
 
 BUILD_COUNTERS = ("views", "drc_artifacts", "extract_artifacts",
-                  "erc_artifacts", "timing_artifacts")
+                  "violations_artifacts", "circuit_artifacts",
+                  "extent_artifacts", "erc_artifacts", "timing_artifacts")
 
 DESIGNS = ("quickstart", "fsm", "family", "pdp8")
 
@@ -75,10 +79,10 @@ def test_cross_process_warm_start_rebuilds_nothing(runs):
 
     # Byte-identical sign-off on every design...
     assert warm["digests"] == cold["digests"]
-    # ...with zero artifact rebuilds: every view, DRC, extraction, ERC and
-    # timing artifact the warm process needed came out of the durable
-    # store.  (Hierarchical short-circuit means it needs only the
-    # top-level artifacts — the point is that not one was recomputed.)
+    # ...with zero rebuilds: every result the warm process needed came out
+    # of the durable store.  (It needs only the top-level *results* — no
+    # view, no composable artifact; the point is that nothing was
+    # recomputed.)
     for counter in BUILD_COUNTERS:
         assert warm["stats"][counter] == 0, (counter, warm["stats"])
     assert warm["store"]["puts"] == 0
@@ -86,69 +90,154 @@ def test_cross_process_warm_start_rebuilds_nothing(runs):
     assert warm["store"]["hits"] > 0
 
 
-def _small_cell():
+def _small_cell(name, poly_x):
     from repro.layout.cell import Cell
 
-    cell = Cell("smoke_cell")
+    cell = Cell(name)
     cell.add_box("metal", 0, 0, 9, 3)
     cell.add_box("metal", 0, 10, 9, 13)
-    cell.add_box("poly", 0, 20, 2, 23)
+    cell.add_box("poly", poly_x, 20, poly_x + 2, 32)
+    cell.add_box("diffusion", 0, 24, 12, 28)     # crosses the poly: a device
     return cell
 
 
-def _drc_blob(analyzer, cell, store_dir):
-    """Path of the cell's top-level DRC artifact blob (the one the next
-    ``drc()`` call reads first, so corrupting it is always observed)."""
+def _two_leaf_cell():
+    """A parent of two different leaves: editing one leaf rebuilds the
+    parent from the *other* leaf's stored composable artifact."""
+    from repro.layout.cell import Cell
+
+    kept, edited = _small_cell("smoke_kept", 2), _small_cell("smoke_edited", 6)
+    top = Cell("smoke_top")
+    top.place(kept, 0, 0)
+    top.place(edited, 40, 0)
+    return top, kept, edited
+
+
+def _analyzer(technology, store_dir):
+    # Threshold 0: always compose, so the leaves' artifacts are really read.
+    return HierAnalyzer(technology, direct_threshold=0, store=TieredStore(
+        MemoryStore(), DiskStore(store_dir)))
+
+
+def _truncate_blob(analyzer, kind, cell, store_dir):
     from repro.geometry.transform import Orientation
 
-    key = analyzer._key("drc", cell, Orientation.R0)
-    path = DiskStore(store_dir)._path(key)
+    path = DiskStore(store_dir)._path(analyzer._key(kind, cell, Orientation.R0))
     assert os.path.exists(path)
-    return path
-
-
-def test_corrupted_blob_recomputes_identically(tmp_path, caplog, monkeypatch):
-    monkeypatch.delenv("REPRO_STRICT", raising=False)
-    technology = nmos_technology()
-    store_dir = str(tmp_path / "store")
-    cell = _small_cell()
-    first = HierAnalyzer(
-        technology, store=TieredStore(MemoryStore(), DiskStore(store_dir)))
-    golden = first.drc(cell)
-
-    blob = _drc_blob(first, cell, store_dir)
-    with open(blob, "r+b") as handle:
+    with open(path, "r+b") as handle:
         handle.truncate(20)
 
-    second = HierAnalyzer(
-        technology, store=TieredStore(MemoryStore(), DiskStore(store_dir)))
+
+def _netlist(circuit):
+    return (circuit.cell_name, circuit.node_names, circuit.network.transistors,
+            circuit.network.inputs, circuit.network.outputs, circuit.summary(),
+            circuit.parasitics)
+
+
+def each_layer(test):
+    """Run ``test`` for both cached passes, as one test under its own name.
+
+    Each case is (result kind, the composable kind it is built from, public
+    pass, what two results of that pass must agree on); the *result* blob is
+    the one a warm analyzer reads first — and the only one it reads.
+    """
+    def run(tmp_path, caplog, monkeypatch):
+        for case in (("violations", "drc", HierAnalyzer.drc, list),
+                     ("circuit", "extract", HierAnalyzer.extract, _netlist)):
+            caplog.clear()
+            monkeypatch.delenv("REPRO_STRICT", raising=False)
+            test(str(tmp_path / case[0]), caplog, monkeypatch, *case)
+    run.__name__ = test.__name__
+    return run
+
+
+@each_layer
+def test_corrupted_blob_recomputes_identically(
+        store_dir, caplog, monkeypatch, result, composable, run_pass, identity):
+    technology = nmos_technology()
+    top, _kept, _edited = _two_leaf_cell()
+    first = _analyzer(technology, store_dir)
+    golden = identity(run_pass(first, top))
+    _truncate_blob(first, result, top, store_dir)
+
+    second = _analyzer(technology, store_dir)
     with caplog.at_level(logging.WARNING, logger="repro"):
-        recomputed = second.drc(cell)
-    # The damage was detected, reported, and recomputed around — and the
-    # recomputed result is identical to the pre-corruption one.
+        recomputed = identity(run_pass(second, top))
+    # The damage was detected, reported, and recomputed around — from the
+    # intact composable artifact, which was read, not rebuilt.
     assert recomputed == golden
     assert any("STO001" in record.message for record in caplog.records)
+    assert second.stats[f"{result}_artifacts"] == 1
+    assert second.stats[f"{composable}_artifacts"] == 0
     # The quarantined blob was replaced by the recompute's fresh write.
-    third = HierAnalyzer(
-        technology, store=TieredStore(MemoryStore(), DiskStore(store_dir)))
-    assert third.drc(cell) == golden
-    assert third.stats["drc_artifacts"] == 0
+    third = _analyzer(technology, store_dir)
+    assert identity(run_pass(third, top)) == golden
+    assert third.stats[f"{result}_artifacts"] == 0
+    assert third.store.stats()["puts"] == 0
 
 
-def test_corrupted_blob_is_fatal_under_strict(tmp_path, monkeypatch):
+@each_layer
+def test_corrupted_composable_blob_surfaces_on_the_edit_that_needs_it(
+        store_dir, caplog, monkeypatch, result, composable, run_pass, identity):
     technology = nmos_technology()
-    store_dir = str(tmp_path / "store")
-    cell = _small_cell()
-    populate = HierAnalyzer(
-        technology, store=TieredStore(MemoryStore(), DiskStore(store_dir)))
-    populate.drc(cell)
+    top, kept, edited = _two_leaf_cell()
+    first = _analyzer(technology, store_dir)
+    golden = identity(run_pass(first, top))
+    _truncate_blob(first, composable, kept, store_dir)
 
-    blob = _drc_blob(populate, cell, store_dir)
-    with open(blob, "r+b") as handle:
-        handle.truncate(20)
+    # A warm sign-off is served by the result blob and never opens the
+    # damaged artifact beneath it.
+    second = _analyzer(technology, store_dir)
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        assert identity(run_pass(second, top)) == golden
+        assert not caplog.records
+        assert second.store.stats()["disk"]["hits"] == 1
+        # Editing the sibling rebuilds the parent out of its children's
+        # artifacts: now the damaged one is read, reported and rebuilt.
+        edited.add_box("metal", 0, 40, 9, 43)
+        recomputed = identity(run_pass(second, top))
+    assert any("STO001" in record.message for record in caplog.records)
+    assert second.store.stats()["disk"]["corrupt"] == 1
+    assert recomputed == identity(run_pass(
+        HierAnalyzer(technology, direct_threshold=0, store=MemoryStore()), top))
+
+
+@each_layer
+def test_corrupted_blob_is_fatal_under_strict(
+        store_dir, caplog, monkeypatch, result, composable, run_pass, identity):
+    technology = nmos_technology()
+    top, kept, edited = _two_leaf_cell()
+    populate = _analyzer(technology, store_dir)
+    run_pass(populate, top)
+    _truncate_blob(populate, composable, kept, store_dir)
 
     monkeypatch.setenv("REPRO_STRICT", "1")
-    strict = HierAnalyzer(
-        technology, store=TieredStore(MemoryStore(), DiskStore(store_dir)))
+    strict = _analyzer(technology, store_dir)
+    run_pass(strict, top)                   # the intact result: no damage seen
+    _truncate_blob(populate, result, top, store_dir)
     with pytest.raises(StoreCorruption):
-        strict.drc(cell)
+        run_pass(_analyzer(technology, store_dir), top)
+    edited.add_box("metal", 0, 40, 9, 43)
+    with pytest.raises(StoreCorruption):
+        run_pass(strict, top)
+
+
+def test_blobs_of_an_older_key_scheme_miss(tmp_path, monkeypatch):
+    """Blobs of another key-scheme generation (the pre-change artifacts,
+    which embed their view) are never addressed: a plain miss and a
+    rebuild, even under ``REPRO_STRICT=1``."""
+    from repro.analysis import hier
+
+    monkeypatch.setenv("REPRO_STRICT", "1")
+    technology = nmos_technology()
+    store_dir = str(tmp_path / "store")
+    top, _kept, _edited = _two_leaf_cell()
+    with monkeypatch.context() as patch:
+        patch.setattr(hier, "_KEY_SCHEME", hier._KEY_SCHEME - 1)
+        old = _analyzer(technology, store_dir)
+        golden = old.drc(top)
+
+    new = _analyzer(technology, store_dir)
+    assert new.drc(top) == golden
+    assert new.store.stats()["disk"]["hits"] == 0
+    assert new.stats["drc_artifacts"] == old.stats["drc_artifacts"] > 0
