@@ -54,6 +54,29 @@ what the five public passes return: a pass reads its result first and
 touches a composable artifact only on a miss, so a warm sign-off — by this
 analyzer or by a fresh process over the disk tier — loads a handful of
 small blobs and no geometry, and node naming runs once per analysed cell.
+
+**Blob layout (key scheme 3).**  In memory every artifact holds plain lists
+of :class:`Rect`; pickled, each such list is one integer column
+(:func:`repro.geometry.rect.pack_rects`: ``_View.rects``,
+``_LayerMerge.inputs`` / ``merged``, ``_ExtractArtifact.diffusion`` /
+``channels`` / ``pieces``), because a list of ``Rect`` costs a Python-level
+``__getstate__`` call per element and that was ~85 % of every ``dumps``.
+A loaded blob therefore shares no ``Rect`` objects between its lists, and
+the two composition fast paths that recognise "the child's output *is* its
+input" compare by value.  (``crossings`` keeps its per-poly tuples: 12 k
+rects on a 64-tile top, ~20 ms of a 0.6 s pass.)
+
+**Builds run with the cyclic collector paused.**  :meth:`HierAnalyzer._artifact`
+wraps a *miss* — the build and its put — in :func:`repro.runtime.gc_paused`:
+a build allocates ~1 M acyclic objects and frees almost none, so the
+collector's ~1 100 runs per incremental sign-off (six of them full, 0.27 s)
+found nothing.  Hits, warm passes and disk loads never enter the pause.  Two
+extensions were measured and left out: pausing around hits and loads as
+well moves the deferred young collection into the warm-from-disk pass
+(0.034 → 0.039 s), and never storing the query root's ``drc`` / ``extract``
+artifacts saves another 0.10 s and 50 MiB but shifts a full collection into
+that same pass (0.036 → 0.063 s) and breaks the "a damaged result is rebuilt
+from the intact composable artifact" contract.
 """
 
 from __future__ import annotations
@@ -80,7 +103,7 @@ from repro.extract.extractor import (
 )
 from repro.geometry.index import SpatialIndex, UnionFind, build_index
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect, merged_area
+from repro.geometry.rect import Rect, merged_area, pack_rects, unpack_rects
 from repro.geometry.path import Path
 from repro.geometry.transform import Orientation, Transform
 from repro.layout.cell import Cell
@@ -90,6 +113,7 @@ from repro.metrics.report import DesignMetrics, metrics_from_stats
 from repro.netlist.switch_sim import SwitchNetwork
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.runtime import gc_paused
 from repro.store.artifact import ArtifactStore, default_store
 from repro.store.hashing import cell_digest, technology_hash
 from repro.technology.rules import RuleKind
@@ -101,11 +125,11 @@ _ORIGIN = Point(0, 0)
 
 #: Generation of the store-key scheme (:meth:`HierAnalyzer._key`), bumped
 #: when a kind's payload changes shape — 2: ``drc`` / ``extract`` artifacts
-#: no longer embed their view.  Blobs of an older generation are never
-#: addressed: they miss and wait for ``gc``, where bumping the store's
-#: envelope format would make every one of them an ``STO002`` (fatal under
-#: ``REPRO_STRICT=1``).
-_KEY_SCHEME = 2
+#: no longer embed their view; 3: rect lists pickle as columns.  Blobs of an
+#: older generation are never addressed: they miss and wait for ``gc``,
+#: where bumping the store's envelope format would make every one of them an
+#: ``STO002`` (fatal under ``REPRO_STRICT=1``).
+_KEY_SCHEME = 3
 
 
 # -- oriented flat views ------------------------------------------------------
@@ -125,7 +149,7 @@ class _View:
 
     __slots__ = ("name", "rects", "offsets", "labels", "label_offsets",
                  "sources", "bbox", "shape_count", "path_length", "_indexes",
-                 "_layer_bboxes")
+                 "_layer_bboxes", "__weakref__")
 
     def __init__(self, name: str):
         self.name = name
@@ -158,15 +182,23 @@ class _View:
             self._layer_bboxes[layer] = box
         return self._layer_bboxes[layer]
 
-    # Views are pickled into the disk store; the lazily built spatial
-    # indexes are cheap to rebuild and stay behind.
+    _TRANSIENT = ("_indexes", "_layer_bboxes", "__weakref__")
+
+    # Views are pickled into the disk store: rect lists as columns
+    # (:func:`pack_rects`); the lazily built spatial indexes are cheap to
+    # rebuild and stay behind.
     def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__
-                if slot not in ("_indexes", "_layer_bboxes")}
+        state = {slot: getattr(self, slot) for slot in self.__slots__
+                 if slot not in self._TRANSIENT}
+        state["rects"] = {layer: pack_rects(rects)
+                          for layer, rects in self.rects.items()}
+        return state
 
     def __setstate__(self, state):
         for slot, value in state.items():
             setattr(self, slot, value)
+        self.rects = {layer: unpack_rects(packed)
+                      for layer, packed in state["rects"].items()}
         self._indexes = {}
         self._layer_bboxes = {}
 
@@ -200,6 +232,30 @@ class _Source:
     def global_rect(self, layer: str, local_id: int) -> Rect:
         rect = self.view.layer(layer)[local_id]
         return rect.translated(self.dx, self.dy) if (self.dx or self.dy) else rect
+
+
+class _OwnSource(_Source):
+    """The single source of a collapsed view: the view's own flat geometry.
+
+    Holds its owner weakly.  A strong reference would make every collapsed
+    view a cycle, and every evicted generation of an edited leaf — its rect
+    lists and spatial indexes — garbage that only the cyclic collector can
+    free, which the build path runs without (:func:`repro.runtime.gc_paused`).
+    """
+
+    __slots__ = ("_owner",)
+
+    def __init__(self, owner: _View):
+        self._owner = weakref.ref(owner)
+        self.dx = self.dy = 0
+        self.cell = self.orientation = None
+
+    @property
+    def view(self) -> _View:
+        return self._owner()
+
+    def __reduce__(self):
+        return (_OwnSource, (self._owner(),))
 
 
 def _translated(rects: Sequence[Rect], dx: int, dy: int) -> List[Rect]:
@@ -245,10 +301,38 @@ class _BoxIndex:
                                                  strict=strict)]
 
 
+class _StoredSlots:
+    """Pickled form of a slotted artifact, as the disk store writes it.
+
+    ``_TRANSIENT`` slots (lazily built indexes, cheap to rebuild) stay
+    behind and come back ``None``; ``_RECT_LISTS`` slots travel as integer
+    columns (:func:`pack_rects`) and come back as fresh lists of ``Rect``.
+    """
+
+    __slots__ = ()
+    _TRANSIENT: Tuple[str, ...] = ()
+    _RECT_LISTS: Tuple[str, ...] = ()
+
+    def __getstate__(self):
+        state = {slot: getattr(self, slot) for slot in self.__slots__
+                 if slot not in self._TRANSIENT}
+        for slot in self._RECT_LISTS:
+            state[slot] = pack_rects(state[slot])
+        return state
+
+    def __setstate__(self, state):
+        for slot, value in state.items():
+            setattr(self, slot, value)
+        for slot in self._RECT_LISTS:
+            setattr(self, slot, unpack_rects(state[slot]))
+        for slot in self._TRANSIENT:
+            setattr(self, slot, None)
+
+
 # -- per-layer merge artifact (DRC width/spacing run on merged regions) -------
 
 
-class _LayerMerge:
+class _LayerMerge(_StoredSlots):
     """The composed ``_merge_touching`` result of one layer.
 
     ``inputs`` is the non-degenerate rectangle list in flat order (the merge
@@ -307,16 +391,7 @@ class _LayerMerge:
         return self._bbox[0]
 
     _TRANSIENT = ("_input_index", "_merged_index", "_bbox", "_box_index")
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__
-                if slot not in self._TRANSIENT}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        for slot in self._TRANSIENT:
-            setattr(self, slot, None)
+    _RECT_LISTS = ("inputs", "merged")
 
 
 class _DrcArtifact:
@@ -338,7 +413,7 @@ class _DrcArtifact:
 # -- extraction artifact ------------------------------------------------------
 
 
-class _ExtractArtifact:
+class _ExtractArtifact(_StoredSlots):
     """Cached extraction structure of one (cell, orientation).
 
     Holds everything the flat pipeline derives from geometry *before* node
@@ -389,15 +464,8 @@ class _ExtractArtifact:
             self._piece_index = build_index(self.pieces)
         return self._piece_index
 
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__
-                if slot not in ("_diff_index", "_piece_index")}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._diff_index = None
-        self._piece_index = None
+    _TRANSIENT = ("_diff_index", "_piece_index")
+    _RECT_LISTS = ("diffusion", "channels", "pieces")
 
 
 # -- the analyzer -------------------------------------------------------------
@@ -542,8 +610,11 @@ class HierAnalyzer:
             return hit
         self.stats[f"{kind}_artifacts"] += 1
         obs_metrics.counter(f"hier.{kind}.builds").inc()
-        with obs_trace.span(f"hier.build.{kind}", cat=self._BUILD_SPAN_CAT[kind],
-                            cell=cell.name, orientation=orientation.name):
+        # A miss only: hits, warm passes and disk loads never pause, and a
+        # child's build inside its parent's finds the collector already off.
+        with gc_paused(), obs_trace.span(
+                f"hier.build.{kind}", cat=self._BUILD_SPAN_CAT[kind],
+                cell=cell.name, orientation=orientation.name, gc_paused=True):
             return self._store(kind, cell, orientation,
                                build(cell, orientation))
 
@@ -736,7 +807,7 @@ class HierAnalyzer:
             child_rects = sum(offs[-1] - offs[1]
                               for offs in view.offsets.values())
             if child_rects < self.direct_threshold * instance_count:
-                view.sources = [_Source(view, 0, 0, None, None)]
+                view.sources = [_OwnSource(view)]
                 view.offsets = {layer: [0, len(rects)]
                                 for layer, rects in view.rects.items()}
                 view.label_offsets = [0, len(view.labels)]
@@ -921,9 +992,11 @@ class HierAnalyzer:
                 for position in range(child_len):
                     child_map[child_start + position] = start + position
                 if (child_len == 1 and len(comp) == 1
-                        and child.merged[child_start] is child.inputs[comp[0] - offsets[src]]):
+                        and child.merged[child_start] == child.inputs[comp[0] - offsets[src]]):
                     # Singleton component: the merge output is the input
-                    # rect itself, already materialized in this frame.
+                    # rect, already materialized in this frame.  (Equality,
+                    # not identity: a blob loaded from the store does not
+                    # share objects between its rect lists.)
                     merge.merged.append(inputs[comp[0]])
                 else:
                     merge.merged.extend(_translated(
@@ -1463,10 +1536,10 @@ class HierAnalyzer:
                             start = len(art.pieces)
                             p_start, p_len = child.piece_slices[d_local]
                             if (p_len == 1 and child.pieces[p_start]
-                                    is child.diffusion[d_local]):
+                                    == child.diffusion[d_local]):
                                 # Unsplit rectangle: the piece is the
-                                # diffusion rect itself, already
-                                # materialized in this frame.
+                                # diffusion rect, already materialized
+                                # in this frame.
                                 art.pieces.append(d_rect)
                                 pmap[p_start] = start
                             else:

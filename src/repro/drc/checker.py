@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.diagnostics import run_with_fallback
 from repro.geometry.index import IndexFactory, SpatialIndex, build_index
 from repro.obs import trace as obs_trace
+from repro.runtime import gc_paused
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
@@ -117,7 +118,8 @@ class DrcChecker:
 
     def check(self, cell: Cell) -> List[DrcViolation]:
         """Flatten ``cell`` and return all violations found."""
-        with obs_trace.span("drc.check", cat="drc", cell=cell.name) as span:
+        with gc_paused(), obs_trace.span("drc.check", cat="drc",
+                                         cell=cell.name) as span:
             violations = self._check_entry(cell)
             span.set(violations=len(violations))
             return violations

@@ -34,6 +34,7 @@ from repro.geometry.index import (
     build_index,
 )
 from repro.obs import trace as obs_trace
+from repro.runtime import gc_paused
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
@@ -105,8 +106,8 @@ class Extractor:
     # -- main entry point ------------------------------------------------------------
 
     def extract(self, cell: Cell) -> ExtractedCircuit:
-        with obs_trace.span("extract.extract", cat="extract",
-                            cell=cell.name) as span:
+        with gc_paused(), obs_trace.span("extract.extract", cat="extract",
+                                         cell=cell.name) as span:
             circuit = self._extract_entry(cell)
             span.set(transistors=circuit.transistor_count)
             return circuit

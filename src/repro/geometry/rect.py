@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, List, Optional, Tuple
 
 from repro.geometry.point import Point
@@ -214,6 +217,32 @@ class Rect:
         if clipped.x2 < self.x2:  # right
             pieces.append(Rect(clipped.x2, clipped.y1, self.x2, clipped.y2))
         return [piece for piece in pieces if not piece.is_degenerate]
+
+
+_CORNERS = attrgetter("x1", "y1", "x2", "y2")
+
+
+def pack_rects(rects: Iterable[Rect]) -> array:
+    """The corners of ``rects`` as one flat integer array, four per rect.
+
+    This is the pickled form of every rect list an analysis artifact
+    carries: an array pickles as one bytes object, where a list of
+    :class:`Rect` costs a Python-level ``__getstate__`` call per element.
+    Typecode ``'i'`` where every corner fits a C int, ``'q'`` otherwise
+    (corners beyond 64 bits raise ``OverflowError``, which the stores treat
+    like any other unpicklable value).
+    """
+    corners = list(chain.from_iterable(map(_CORNERS, rects)))
+    try:
+        return array("i", corners)
+    except OverflowError:
+        return array("q", corners)
+
+
+def unpack_rects(packed: array) -> List[Rect]:
+    """Inverse of :func:`pack_rects`: a fresh list of equal rects."""
+    corners = iter(packed)
+    return list(map(Rect, corners, corners, corners, corners))
 
 
 def merged_area(rects: Iterable[Rect]) -> int:

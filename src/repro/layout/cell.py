@@ -270,18 +270,7 @@ class Cell:
     def descendants(self) -> List["Cell"]:
         """All distinct cells reachable from this one, bottom-up (children first)."""
         order: List[Cell] = []
-        seen: Set[int] = set()
-
-        def visit(cell: "Cell") -> None:
-            if id(cell) in seen:
-                return
-            seen.add(id(cell))
-            for instance in cell.instances:
-                visit(instance.cell)
-            order.append(cell)
-
-        for instance in self.instances:
-            visit(instance.cell)
+        _collect_descendants(self, set(), order)
         return order
 
     def bbox(self) -> Optional[Rect]:
@@ -329,3 +318,15 @@ class Cell:
             f"Cell({self.name!r}, {len(self.shapes)} shapes, "
             f"{len(self.instances)} instances, {len(self._ports)} ports)"
         )
+
+
+def _collect_descendants(cell: Cell, seen: Set[int], order: List[Cell]) -> None:
+    # A module-level function, not a closure inside ``descendants``: a nested
+    # function that calls itself is a reference cycle (function -> closure
+    # cell -> function) that pins ``order`` until the cyclic collector runs.
+    for instance in cell.instances:
+        child = instance.cell
+        if id(child) not in seen:
+            seen.add(id(child))
+            _collect_descendants(child, seen, order)
+            order.append(child)

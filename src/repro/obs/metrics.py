@@ -19,7 +19,12 @@ one call instead of each layer growing its own ad-hoc stats dict:
                                         (``unreachable``), priced-search
                                         ``expansions``, and lattice cells
                                         rasterised (``grid_cells``, gauge);
-* ``sim.settle.*``                    — simulator settle calls/iterations.
+* ``sim.settle.*``                    — simulator settle calls/iterations;
+* ``runtime.gc.gen{0,1,2}.collections`` / ``runtime.gc.pause_s``
+                                      — runs of the cyclic collector and the
+                                        time they took, counted only while
+                                        tracing is armed
+                                        (:mod:`repro.obs.trace`).
 
 :meth:`MetricsRegistry.snapshot` returns a flat, JSON-serialisable dict;
 :meth:`~repro.assembly.ChipAssembler.sign_off` stores one on

@@ -17,6 +17,13 @@ duration, pid, tid and its keyword attributes.
 The buffer is process-local; timestamps are epoch-based so traces written
 by separate processes share one clock.
 
+While tracing is armed a ``gc.callbacks`` hook records every run of the
+cyclic collector as a ``runtime.gc`` complete event (category ``runtime``)
+and accumulates ``runtime.gc.gen{0,1,2}.collections`` and
+``runtime.gc.pause_s`` in the metrics registry — collector time would
+otherwise hide inside whichever span it happened to interrupt.  Nothing is
+installed while tracing is disabled.
+
 :func:`write` emits ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` —
 the JSON object form of the trace-event format — which loads directly in
 Perfetto (ui.perfetto.dev) or ``chrome://tracing``.  With ``REPRO_TRACE``
@@ -27,11 +34,14 @@ is the matching in-repo reader/validator used by tests and CI.
 from __future__ import annotations
 
 import atexit
+import gc
 import json
 import os
 import threading
 import time
 from typing import Dict, List, Optional, Set, Tuple
+
+from repro.obs import metrics
 
 __all__ = [
     "span",
@@ -129,6 +139,28 @@ def instant(name: str, cat: str = "flow", **args) -> None:
     })
 
 
+_GC_STARTED = 0
+
+
+def _on_gc(phase: str, info: Dict[str, int]) -> None:
+    """The ``gc.callbacks`` hook: one event and two counters per collection."""
+    global _GC_STARTED
+    if phase == "start":
+        _GC_STARTED = time.time_ns()
+        return
+    elapsed = time.time_ns() - _GC_STARTED
+    metrics.counter(f"runtime.gc.gen{info['generation']}.collections").inc()
+    metrics.counter("runtime.gc.pause_s").add(elapsed / 1e9)
+    _EVENTS.append({
+        "name": "runtime.gc", "cat": "runtime", "ph": "X",
+        "ts": _GC_STARTED // 1000, "dur": elapsed // 1000,
+        "pid": os.getpid(),
+        "tid": threading.get_ident() & _TID_MASK,
+        "args": {"generation": info["generation"],
+                 "collected": info["collected"]},
+    })
+
+
 def enabled() -> bool:
     return _ENABLED
 
@@ -140,11 +172,15 @@ def enable(path: Optional[str] = None) -> None:
     if path is not None:
         _PATH = path
     _OWNER_PID = os.getpid()
+    if _on_gc not in gc.callbacks:
+        gc.callbacks.append(_on_gc)
 
 
 def disable() -> None:
     global _ENABLED
     _ENABLED = False
+    if _on_gc in gc.callbacks:
+        gc.callbacks.remove(_on_gc)
 
 
 def reset() -> None:

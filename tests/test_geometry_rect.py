@@ -1,9 +1,13 @@
-"""Tests for rectangles: construction, predicates, decomposition, area."""
+"""Tests for rectangles: construction, predicates, decomposition, area,
+and the columnar form rect lists are pickled in."""
+
+import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect, merged_area
+from repro.geometry.rect import Rect, merged_area, pack_rects, unpack_rects
 from repro.geometry.transform import Orientation, Transform
 
 
@@ -124,3 +128,43 @@ class TestSubtractAndMergedArea:
 
     def test_merged_area_empty(self):
         assert merged_area([]) == 0
+
+
+def rects(bound):
+    """Rects with corners in ``[-bound, bound]``; degenerate ones included."""
+    coordinate = st.integers(-bound, bound)
+    return st.builds(lambda a, b, c, d: Rect(min(a, c), min(b, d),
+                                             max(a, c), max(b, d)),
+                     coordinate, coordinate, coordinate, coordinate)
+
+
+class TestColumnarRects:
+    @given(st.lists(rects(2 ** 31 - 1), max_size=40))
+    def test_round_trip_in_c_ints(self, rect_list):
+        packed = pack_rects(rect_list)
+        assert packed.typecode == "i" and len(packed) == 4 * len(rect_list)
+        assert unpack_rects(pickle.loads(pickle.dumps(packed))) == rect_list
+
+    @given(st.lists(rects(2 ** 31 - 1), max_size=10), rects(2 ** 62),
+           st.integers(0, 10))
+    def test_a_corner_beyond_32_bits_widens_the_column(self, rect_list, wide,
+                                                       position):
+        if max(map(abs, (wide.x1, wide.y1, wide.x2, wide.y2))) < 2 ** 31:
+            wide = Rect(wide.x1, wide.y1, wide.x2, 2 ** 31)
+        rect_list.insert(position, wide)
+        packed = pack_rects(rect_list)
+        assert packed.typecode == "q"
+        assert unpack_rects(pickle.loads(pickle.dumps(packed))) == rect_list
+
+    def test_empty_and_fresh(self):
+        assert unpack_rects(pack_rects([])) == []
+        original = [Rect(0, 0, 0, 0), Rect(-3, -3, -3, 9)]
+        copy = unpack_rects(pack_rects(iter(original)))
+        assert copy == original and copy[0] is not original[0]
+
+    def test_no_reduce_per_rect(self):
+        rect_list = [Rect(i, -i, i + 3, i) for i in range(1000)]
+        columnar = pickle.dumps(pack_rects(rect_list), pickle.HIGHEST_PROTOCOL)
+        assert b"Rect" not in columnar
+        assert len(columnar) < len(pickle.dumps(rect_list,
+                                                pickle.HIGHEST_PROTOCOL))

@@ -11,6 +11,7 @@ Goldens live in ``tests/golden/``; set ``REPRO_UPDATE_GOLDENS=1`` to
 regenerate them after an intentional change.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -37,6 +38,7 @@ from repro.technology import nmos_technology
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
 from chip_assembly import build_chip  # noqa: E402
+from tile_array import TileArray  # noqa: E402
 from traffic_light_controller import build_fsm  # noqa: E402
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -68,10 +70,17 @@ def technology():
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
-    """Each test starts and ends with tracing off and an empty buffer."""
+    """Each test starts and ends with tracing off and an empty buffer.
+
+    The cyclic collector is off in between: while tracing is armed each of
+    its runs is a ``runtime.gc`` event, and a test that counts the events it
+    recorded must not depend on when the interpreter chose to collect.
+    """
     trace.disable()
     trace.reset()
+    gc.disable()
     yield
+    gc.enable()
     trace.disable()
     trace.reset()
 
@@ -296,6 +305,64 @@ class TestTracedFlow:
         routed = {net.name for net in assembler.routing_report.routed}
         assert all(args["attempts"] >= 1 and args["victim"] in routed
                    for args in ripups)
+
+
+# -- the collector, visible -----------------------------------------------------
+
+
+class TestCollectorIsVisible:
+    """Collector time shows as ``runtime.gc`` events and ``runtime.gc.*``
+    counters while tracing is armed, instead of hiding inside whichever span
+    a collection happened to interrupt."""
+
+    def test_hook_is_installed_only_while_tracing_is_armed(self):
+        assert trace._on_gc not in gc.callbacks
+        trace.enable()
+        trace.enable()
+        assert gc.callbacks.count(trace._on_gc) == 1
+        trace.disable()
+        assert trace._on_gc not in gc.callbacks
+        gc.collect()
+        assert trace.drain() == []
+
+    def test_a_collection_is_an_event_and_two_counters(self):
+        trace.enable()
+        full = metrics.counter("runtime.gc.gen2.collections").value
+        paused = metrics.counter("runtime.gc.pause_s").value
+        gc.collect()
+        assert metrics.counter("runtime.gc.gen2.collections").value == full + 1
+        assert metrics.counter("runtime.gc.pause_s").value > paused
+        event = [e for e in trace.drain() if e["name"] == "runtime.gc"][-1]
+        assert event["cat"] == "runtime" and event["ph"] == "X"
+        assert event["args"]["generation"] == 2
+        trace.validate_events([event])
+
+    def test_builds_run_paused_and_the_trace_shows_it(self, technology):
+        """An incremental sign-off with the collector made eager: it runs
+        between builds, never inside one."""
+        array = TileArray(technology, "obs_tiles")
+        analyzer = HierAnalyzer(technology)
+        array.sign_off(analyzer)
+        array.edit()
+        thresholds = gc.get_threshold()
+        gc.set_threshold(100, 2, 2)
+        gc.enable()
+        try:
+            trace.enable()
+            array.sign_off(analyzer)
+            trace.disable()
+        finally:
+            gc.set_threshold(*thresholds)
+        events = trace.drain()
+        builds = [e for e in events if e["name"].startswith("hier.build.")]
+        collections = [e for e in events if e["name"] == "runtime.gc"]
+        assert builds and all(e["args"]["gc_paused"] is True for e in builds)
+        assert collections
+        # None inside a build, of any generation: in particular no full one.
+        inside = [(c["args"], b["name"]) for c in collections for b in builds
+                  if b["ts"] < c["ts"] < b["ts"] + b["dur"]]
+        assert not inside
+        assert metrics.snapshot("runtime.gc")["runtime.gc.pause_s"] > 0
 
 
 # -- VCD export ----------------------------------------------------------------

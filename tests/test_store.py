@@ -21,6 +21,7 @@ Five layers:
 import logging
 import os
 import pickle
+import pickletools
 import sys
 
 import pytest
@@ -412,6 +413,27 @@ class TestPickling:
         assert copy["extent"] == bundle["extent"]
         assert copy["circuit"].node_names == bundle["circuit"].node_names
         assert copy["circuit"].parasitics == bundle["circuit"].parasitics
+        # The three composable artifacts pickle their rect lists as columns:
+        # equal lists come back, and no payload spends a reduce per Rect.
+        view, merge, extract = (bundle["view"], bundle["drc"].merges["metal"],
+                                bundle["extract"])
+        assert copy["view"].rects == view.rects and view.layer("metal")
+        loaded = copy["drc"].merges["metal"]
+        assert (loaded.inputs, loaded.merged) == (merge.inputs, merge.merged)
+        assert merge.inputs and merge.merged
+        for slot in ("diffusion", "channels", "pieces"):
+            assert getattr(copy["extract"], slot) == getattr(extract, slot)
+            assert getattr(extract, slot)
+        # (Counted against rects that are certainly distinct objects; the
+        # list-of-Rect form built at least one object per such rect.)
+        for artifact, distinct_rects in (
+                (view, sum(map(len, view.rects.values()))),
+                (merge, len(merge.inputs)),
+                (extract, len(extract.diffusion) + len(extract.channels))):
+            built = sum(1 for opcode, _, _ in pickletools.genops(
+                pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL))
+                if opcode.name == "NEWOBJ")
+            assert built < distinct_rects, type(artifact).__name__
 
     def test_one_view_one_pickle(self, technology):
         """A view is serialised under its own key and nowhere else: the

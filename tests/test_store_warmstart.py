@@ -222,10 +222,11 @@ def test_corrupted_blob_is_fatal_under_strict(
         run_pass(strict, top)
 
 
-def test_blobs_of_an_older_key_scheme_miss(tmp_path, monkeypatch):
-    """Blobs of another key-scheme generation (the pre-change artifacts,
-    which embed their view) are never addressed: a plain miss and a
-    rebuild, even under ``REPRO_STRICT=1``."""
+def test_blobs_of_an_older_key_scheme_miss(tmp_path, monkeypatch, caplog):
+    """Blobs of another key-scheme generation (scheme 2: rect lists pickled
+    as lists of ``Rect``; scheme 1: artifacts that embed their view) are
+    never addressed: a plain miss and a rebuild, no ``STO001`` / ``STO002``,
+    even under ``REPRO_STRICT=1``."""
     from repro.analysis import hier
 
     monkeypatch.setenv("REPRO_STRICT", "1")
@@ -238,6 +239,48 @@ def test_blobs_of_an_older_key_scheme_miss(tmp_path, monkeypatch):
         golden = old.drc(top)
 
     new = _analyzer(technology, store_dir)
-    assert new.drc(top) == golden
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        assert new.drc(top) == golden
+    assert not caplog.records
     assert new.store.stats()["disk"]["hits"] == 0
     assert new.stats["drc_artifacts"] == old.stats["drc_artifacts"] > 0
+
+
+def test_edit_after_restart_composes_from_artifacts_loaded_from_disk(tmp_path):
+    """A fresh analyzer over a populated disk store, one leaf edited: the
+    parent is rebuilt from the *other* tiles' composable artifacts as the
+    disk tier unpickles them — rect lists that share no objects with each
+    other — and the sign-off equals a cold analyzer's and the flat engines'.
+    """
+    from repro.drc import DrcChecker
+    from repro.extract.extractor import Extractor
+    from repro.metrics import measure_cell
+
+    from tile_array import TileArray
+
+    technology = nmos_technology()
+    array = TileArray(technology, "warm_tiles")
+
+    def restarted():
+        return HierAnalyzer(technology, store=TieredStore(
+            MemoryStore(), DiskStore(str(tmp_path / "store"))))
+
+    array.sign_off(restarted())
+    array.edit()
+    fresh = restarted()
+    signed = array.sign_off(fresh)
+    disk = fresh.store.stats()["disk"]
+    # The PLA's and every brick's artifacts were read, the ROM's and the
+    # top's rebuilt: both happened.
+    assert disk["hits"] > 0 and disk["puts"] > 0
+    assert 0 < fresh.stats["drc_artifacts"] < fresh.stats["drc_hits"]
+    assert 0 < fresh.stats["extract_artifacts"] < fresh.stats["extract_hits"]
+
+    assert signed == array.sign_off(HierAnalyzer(technology,
+                                                 store=MemoryStore()))
+    violations, netlist, metrics = signed[:3]
+    assert violations == DrcChecker(technology).check(array.top)
+    flat = Extractor(technology).extract(array.top)
+    assert netlist == (flat.node_names, flat.network.transistors,
+                       flat.summary(), flat.parasitics)
+    assert metrics == measure_cell(array.top, technology)
