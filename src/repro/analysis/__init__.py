@@ -10,16 +10,6 @@ The composed results are byte-identical to the flat reference paths — the
 differential suite in ``tests/test_hier_golden.py`` pins this.
 """
 
-from repro.analysis.hier import (
-    HierAnalyzer,
-    hier_check_cell,
-    hier_extract_cell,
-    hier_measure_cell,
-)
+from repro.analysis.hier import HierAnalyzer
 
-__all__ = [
-    "HierAnalyzer",
-    "hier_check_cell",
-    "hier_extract_cell",
-    "hier_measure_cell",
-]
+__all__ = ["HierAnalyzer"]

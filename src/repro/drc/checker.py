@@ -30,7 +30,7 @@ from repro.diagnostics import run_with_fallback
 from repro.geometry.index import IndexFactory, SpatialIndex, build_index
 from repro.obs import trace as obs_trace
 from repro.runtime import gc_paused
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, merged_area
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 from repro.technology.rules import DesignRule, RuleKind
@@ -59,9 +59,38 @@ class DrcViolation:
 # -- per-element verdicts -----------------------------------------------------
 #
 # Each check reduces to a verdict on one element (a merged rectangle, an
-# unordered pair, an inner rectangle with its outer neighbourhood).  The flat
-# checker below and the hierarchical engine both call these, so the two paths
-# cannot drift apart.
+# unordered pair, an inner rectangle with its outer neighbourhood, a touching
+# group to merge).  The flat checker below and the hierarchical composer
+# (:mod:`repro.drc.compose`) both call these, so the two paths cannot drift
+# apart.
+
+
+def merge_group(group: Sequence[Rect]) -> Sequence[Rect]:
+    """The merged form of one touching-closed group of rectangles.
+
+    The merge is approximate: the group's bounding box when the group covers
+    it exactly, otherwise the group's own rectangles.  This is sufficient to
+    avoid false width errors from rail segments drawn as several pieces.
+    """
+    if len(group) == 1:
+        return group
+    bounding = group[0]
+    for rect in group[1:]:
+        bounding = bounding.union(rect)
+    if merged_area(group) == bounding.area:
+        return [bounding]
+    return group
+
+
+def checked_geometrically(technology: Technology, rule: DesignRule) -> bool:
+    """False for the enclosure rules that are device-formation rules.
+
+    Implant surround applies to depletion channels, not to every poly shape
+    the implant happens to touch; it is validated by the extractor's device
+    checks rather than geometrically.
+    """
+    layer = technology.layers.get(rule.layers[0])
+    return layer is None or layer.purpose.name not in ("IMPLANT", "WELL")
 
 
 def width_violation(rule: DesignRule, rect: Rect) -> Optional[DrcViolation]:
@@ -165,11 +194,7 @@ class DrcChecker:
                     same_layer=rule.layers[0] == rule.layers[1],
                 ))
             elif rule.kind is RuleKind.MIN_ENCLOSURE:
-                if self._is_implant(rule.layers[0]):
-                    # Implant surround is a device-formation rule (it applies
-                    # to depletion channels, not to every poly shape the
-                    # implant happens to touch); it is validated by the
-                    # extractor's device checks rather than geometrically.
+                if not checked_geometrically(self.technology, rule):
                     continue
                 violations.extend(self._check_enclosure(
                     rule,
@@ -187,12 +212,6 @@ class DrcChecker:
         return violations
 
     # -- individual checks ----------------------------------------------------------
-
-    def _is_implant(self, layer_name: str) -> bool:
-        layer = self.technology.layers.get(layer_name)
-        if layer is None:
-            return False
-        return layer.purpose.name in ("IMPLANT", "WELL")
 
     def _check_width(self, rule: DesignRule, rects: List[Rect]) -> List[DrcViolation]:
         violations = []
@@ -258,33 +277,16 @@ def check_cell(cell: Cell, technology: Technology) -> List[DrcViolation]:
 def _merge_touching(rects: Sequence[Rect], index: IndexFactory) -> List[Rect]:
     """Merge overlapping/abutting same-layer rectangles into maximal regions.
 
-    The merge is approximate (union of bounding boxes of connected groups
-    only when the union is exactly covered by the group); otherwise the
-    original rectangles of the group are kept.  This is sufficient to avoid
-    false width errors from rail segments drawn as several pieces.
-    Connectivity comes from the index's ``connected_components``.
+    Connectivity comes from the index's ``connected_components``; each
+    component merges by :func:`merge_group`.
     """
     remaining = [r for r in rects if not r.is_degenerate]
     if not remaining:
         return []
     merged: List[Rect] = []
     for component in index(remaining).connected_components():
-        group = [remaining[i] for i in component]
-        bounding = group[0]
-        for rect in group[1:]:
-            bounding = bounding.union(rect)
-        group_area = _union_area(group)
-        if group_area == bounding.area:
-            merged.append(bounding)
-        else:
-            merged.extend(group)
+        merged.extend(merge_group([remaining[i] for i in component]))
     return merged
-
-
-def _union_area(rects: Sequence[Rect]) -> int:
-    from repro.geometry.rect import merged_area
-
-    return merged_area(rects)
 
 
 def _covered_by(target: Rect, covers: Sequence[Rect]) -> bool:

@@ -1,0 +1,485 @@
+"""Hierarchical DRC: a cell's verdicts composed from its instances'.
+
+:func:`compose_drc` builds the :class:`_DrcArtifact` of one oriented view
+(:mod:`repro.layout.view`) from the artifacts of the view's instances.  A
+child's cached verdict is replayed — location translated, element ids
+re-based by block offsets — unless foreign geometry enters the element's
+interaction halo (the rule's reach): elements near another source's geometry
+are conservatively marked *suspect* and recomputed in the parent's context
+with spatial-index queries against every source.  Over-marking a suspect
+costs time, never correctness, because recomputation calls the flat
+checker's own per-element verdict functions (:mod:`repro.drc.checker`) and
+so yields the flat answer.  The composed violation list is byte-identical
+to :meth:`DrcChecker.check`; ``tests/test_hier_golden.py`` pins it.
+
+The composer sees a view and child artifacts only: caching, store keys,
+spans and the collector pause belong to :mod:`repro.analysis.hier`.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from repro.drc.checker import (
+    DrcViolation,
+    checked_geometrically,
+    enclosure_violation,
+    exact_size_violation,
+    merge_group,
+    spacing_violation,
+    width_violation,
+)
+from repro.geometry.index import SpatialIndex, build_index
+from repro.geometry.rect import Rect
+from repro.layout.view import (
+    _BoxIndex,
+    _StoredSlots,
+    _View,
+    _bounding,
+    _translated,
+    compose_components,
+)
+from repro.technology.rules import DesignRule, RuleKind
+from repro.technology.technology import Technology
+
+#: ``((element ids...), violation)``, in the flat checker's emission order.
+_Verdict = Tuple[Tuple[int, ...], DrcViolation]
+
+
+class _LayerMerge(_StoredSlots):
+    """The composed ``_merge_touching`` result of one layer.
+
+    ``inputs`` is the non-degenerate rectangle list in flat order (the merge
+    operates on filtered rects), ``components`` its touching-closure
+    partition, ``merged`` the merge output in flat order.  ``child_maps[k]``
+    re-bases instance ``k``'s merged ids into this cell's merged id space
+    (-1 where the child component was merged across sources and its output
+    no longer exists as such).
+    """
+
+    __slots__ = ("inputs", "offsets", "components", "comp_of_input",
+                 "comp_slices", "comp_source", "merged", "merged_source",
+                 "child_maps", "block_bboxes", "_input_index", "_merged_index",
+                 "_bbox", "_box_index")
+    _TRANSIENT = ("_input_index", "_merged_index", "_bbox", "_box_index")
+    _RECT_LISTS = ("inputs", "merged")
+
+    def __init__(self) -> None:
+        self.inputs: List[Rect] = []
+        self.offsets: List[int] = [0]
+        self.components: List[List[int]] = []
+        self.comp_of_input: List[int] = []
+        self.comp_slices: List[Tuple[int, int]] = []
+        self.comp_source: List[int] = []
+        self.merged: List[Rect] = []
+        self.merged_source: List[int] = []
+        self.child_maps: List[Optional[List[int]]] = []
+        # Per-source bbox of that source's merge inputs, in this cell's
+        # frame (None for empty blocks) — the prefilter for interface probes.
+        self.block_bboxes: List[Optional[Rect]] = []
+        self._input_index: Optional[SpatialIndex] = None
+        self._merged_index: Optional[SpatialIndex] = None
+        self._bbox: Optional[Tuple[Optional[Rect]]] = None
+        self._box_index: Optional[_BoxIndex] = None
+
+    def box_index(self) -> _BoxIndex:
+        """Index over instance-block bboxes (own block excluded)."""
+        if self._box_index is None:
+            self._box_index = _BoxIndex(self.block_bboxes, skip_first=True)
+        return self._box_index
+
+    def input_index(self) -> SpatialIndex:
+        if self._input_index is None:
+            self._input_index = build_index(self.inputs)
+        return self._input_index
+
+    def merged_index(self) -> SpatialIndex:
+        if self._merged_index is None:
+            self._merged_index = build_index(self.merged)
+        return self._merged_index
+
+    def bbox(self) -> Optional[Rect]:
+        if self._bbox is None:
+            self._bbox = (_bounding(self.inputs),)
+        return self._bbox[0]
+
+
+class _DrcArtifact:
+    """Cached DRC result of one (cell, orientation): merges + id'd verdicts.
+
+    It holds no reference to the cell's :class:`_View`: the view is stored
+    (and pickled) once, under its own key.
+    """
+
+    __slots__ = ("merges", "viols")
+
+    def __init__(self) -> None:
+        self.merges: Dict[str, _LayerMerge] = {}
+        self.viols: List[List[_Verdict]] = []          # per rule index
+
+
+def compose_drc(technology: Technology, view: _View,
+                children: Sequence[Optional[_DrcArtifact]]) -> _DrcArtifact:
+    """The DRC artifact of ``view``; ``children[k]`` is instance ``k``'s."""
+    artifact = _DrcArtifact()
+    merges = artifact.merges
+    for rule in technology.rules:
+        # Width and spacing rules run on merged regions.
+        if rule.kind is RuleKind.MIN_WIDTH:
+            layers: Tuple[str, ...] = rule.layers[:1]
+        elif rule.kind is RuleKind.MIN_SPACING:
+            layers = rule.layers
+        else:
+            continue
+        for layer in layers:
+            if layer not in merges:
+                merges[layer] = _compose_merge(view, children, layer)
+
+    for rule_index, rule in enumerate(technology.rules):
+        child_viols = [None] + [child.viols[rule_index]
+                                for child in children[1:]]
+        composed: List[_Verdict] = []
+        if rule.kind is RuleKind.MIN_WIDTH:
+            composed = _compose_width(rule, view, child_viols,
+                                      merges[rule.layers[0]])
+        elif rule.kind is RuleKind.MIN_SPACING:
+            composed = _compose_spacing(rule, view, children, child_viols,
+                                        merges[rule.layers[0]],
+                                        merges[rule.layers[1]])
+        elif rule.kind is RuleKind.MIN_ENCLOSURE:
+            if checked_geometrically(technology, rule):
+                composed = _compose_enclosure(rule, view, child_viols)
+        elif rule.kind is RuleKind.EXACT_SIZE:
+            composed = _compose_exact(rule, view, child_viols)
+        # MIN_EXTENSION / MIN_OVERLAP: device-formation rules, not checked
+        # geometrically (matches the flat checker).
+        composed.sort(key=lambda entry: entry[0])
+        artifact.viols.append(composed)
+    return artifact
+
+
+def _moved_viol(viol: DrcViolation, dx: int, dy: int) -> DrcViolation:
+    if not (dx or dy):
+        return viol
+    return DrcViolation(viol.rule_name, viol.kind, viol.layers, viol.required,
+                        viol.actual, viol.location.translated(dx, dy))
+
+
+def _compose_merge(view: _View, children: Sequence[Optional[_DrcArtifact]],
+                   layer: str) -> _LayerMerge:
+    merge = _LayerMerge()
+    # The filtered list shares the view's rect objects: filtering commutes
+    # with translation, so the slice per source equals the child's filtered
+    # inputs translated.
+    merge.inputs = inputs = [r for r in view.layer(layer)
+                             if not r.is_degenerate]
+    own_count = sum(1 for r in view.layer(layer)[:view.layer_offsets(layer)[1]]
+                    if not r.is_degenerate)
+    own_filtered = inputs[:own_count]
+    own_index = build_index(own_filtered)
+    merge.offsets.append(own_count)
+    block_comps: List[Sequence[Sequence[int]]] = [
+        own_index.connected_components()]
+    block_indexes: List[SpatialIndex] = [own_index]
+    block_moves: List[Tuple[int, int]] = [(0, 0)]
+    merge.block_bboxes = block_bboxes = [_bounding(own_filtered)]
+    for k, source in enumerate(view.sources[1:], 1):
+        child = children[k].merges[layer]
+        merge.offsets.append(merge.offsets[-1] + len(child.inputs))
+        block_comps.append(child.components)
+        block_indexes.append(child.input_index())
+        block_moves.append((source.dx, source.dy))
+        block_bboxes.append(source.placed(child.bbox()))
+
+    merge.components, crossed = compose_components(
+        inputs, merge.offsets, block_comps, block_indexes, block_moves,
+        block_bboxes)
+    if crossed:
+        _merge_crossed(merge, view, children, layer)
+    else:
+        _merge_concatenated(merge, view, children, layer, len(block_comps[0]))
+    return merge
+
+
+def _merge_crossed(merge: _LayerMerge, view: _View, children,
+                   layer: str) -> None:
+    """Fill ``merge`` from its components when some span two blocks."""
+    inputs = merge.inputs
+    offsets = merge.offsets
+    merge.comp_of_input = [0] * len(inputs)
+    merge.child_maps = [None] + [
+        [-1] * len(children[k].merges[layer].merged)
+        for k in range(1, len(view.sources))
+    ]
+    for comp_index, comp in enumerate(merge.components):
+        for member in comp:
+            merge.comp_of_input[member] = comp_index
+        src = bisect_right(offsets, comp[0]) - 1      # the first member's block
+        single = src >= 1 and comp[-1] < offsets[src + 1]
+        start = len(merge.merged)
+        if single:
+            child = children[src].merges[layer]
+            source = view.sources[src]
+            child_comp = child.comp_of_input[comp[0] - offsets[src]]
+            child_start, child_len = child.comp_slices[child_comp]
+            child_map = merge.child_maps[src]
+            for position in range(child_len):
+                child_map[child_start + position] = start + position
+            if (child_len == 1 and len(comp) == 1
+                    and child.merged[child_start] == child.inputs[comp[0] - offsets[src]]):
+                # Singleton component: the merge output is the input
+                # rect, already materialized in this frame.  (Equality,
+                # not identity: a blob loaded from the store does not
+                # share objects between its rect lists.)
+                merge.merged.append(inputs[comp[0]])
+            else:
+                merge.merged.extend(_translated(
+                    child.merged[child_start:child_start + child_len],
+                    source.dx, source.dy))
+            merge.comp_source.append(src)
+        else:
+            merge.merged.extend(merge_group([inputs[i] for i in comp]))
+            merge.comp_source.append(-1)
+        length = len(merge.merged) - start
+        merge.comp_slices.append((start, length))
+        merge.merged_source.extend([merge.comp_source[-1]] * length)
+
+
+def _merge_concatenated(merge: _LayerMerge, view: _View, children,
+                        layer: str, own_comps: int) -> None:
+    """Fill ``merge`` for a layer with no cross-block edges.
+
+    Every block's cached partition and merge output carries over under
+    offset arithmetic; only the cell's own components (the first
+    ``own_comps``) need the merge computation.
+    """
+    inputs = merge.inputs
+    merged = merge.merged
+    merge.child_maps = [None] * len(view.sources)
+    merge.comp_of_input = [0] * merge.offsets[1]
+    for comp_index, comp in enumerate(merge.components[:own_comps]):
+        for member in comp:
+            merge.comp_of_input[member] = comp_index
+        start = len(merged)
+        merged.extend(merge_group([inputs[i] for i in comp]))
+        length = len(merged) - start
+        merge.comp_slices.append((start, length))
+        merge.comp_source.append(-1)
+        merge.merged_source.extend([-1] * length)
+    comp_base = own_comps
+    for k, source in enumerate(view.sources[1:], 1):
+        child = children[k].merges[layer]
+        merge.comp_of_input.extend(c + comp_base for c in child.comp_of_input)
+        comp_base += len(child.components)
+        merged_base = len(merged)
+        merged.extend(_translated(child.merged, source.dx, source.dy))
+        merge.merged_source.extend([k] * len(child.merged))
+        merge.comp_slices.extend((s + merged_base, length)
+                                 for s, length in child.comp_slices)
+        merge.comp_source.extend([k] * len(child.components))
+        merge.child_maps[k] = list(range(merged_base,
+                                         merged_base + len(child.merged)))
+
+
+def _compose_width(rule: DesignRule, view: _View, child_viols,
+                   merge: _LayerMerge) -> List[_Verdict]:
+    out: List[_Verdict] = []
+    for k, source in enumerate(view.sources[1:], 1):
+        child_map = merge.child_maps[k]
+        for ids, viol in child_viols[k]:
+            gid = child_map[ids[0]]
+            if gid >= 0:
+                out.append(((gid,), _moved_viol(viol, source.dx, source.dy)))
+    for comp_index, comp_source in enumerate(merge.comp_source):
+        if comp_source != -1:
+            continue
+        start, length = merge.comp_slices[comp_index]
+        for gid in range(start, start + length):
+            viol = width_violation(rule, merge.merged[gid])
+            if viol is not None:
+                out.append(((gid,), viol))
+    return out
+
+
+def _merged_candidates(view: _View, children, layer: str, merge: _LayerMerge,
+                       new_ids: List[int], new_index: SpatialIndex,
+                       rect: Rect, reach: int) -> List[int]:
+    """Global merged ids of ``layer`` possibly within ``reach`` of rect."""
+    found: List[int] = []
+    for k in merge.box_index().near(rect, margin=reach):
+        found.extend(_reused_near(view.sources[k], children[k].merges[layer],
+                                  merge.child_maps[k], rect, reach))
+    for position in new_index.query(rect, margin=reach):
+        found.append(new_ids[position])
+    return found
+
+
+def _reused_near(source, child: _LayerMerge, child_map: List[int],
+                 region: Rect, reach: int) -> List[int]:
+    """Merged ids reused from one instance that lie within ``reach``."""
+    local = region.translated(-source.dx, -source.dy)
+    return [child_map[cid]
+            for cid in child.merged_index().query(local, margin=reach)
+            if child_map[cid] >= 0]
+
+
+def _compose_spacing(rule: DesignRule, view: _View, children, child_viols,
+                     merge_a: _LayerMerge, merge_b: _LayerMerge
+                     ) -> List[_Verdict]:
+    same_layer = merge_a is merge_b
+    reach = rule.value - 1
+    sources = view.sources
+    out: List[_Verdict] = []
+    for k, source in enumerate(sources[1:], 1):
+        map_a = merge_a.child_maps[k]
+        map_b = merge_b.child_maps[k]
+        for ids, viol in child_viols[k]:
+            ga = map_a[ids[0]]
+            gb = map_b[ids[1]]
+            if ga >= 0 and gb >= 0:
+                out.append(((ga, gb), _moved_viol(viol, source.dx, source.dy)))
+
+    layer_a, layer_b = rule.layers[0], rule.layers[1]
+    new_a = [g for g, s in enumerate(merge_a.merged_source) if s == -1]
+    new_index_a = build_index([merge_a.merged[g] for g in new_a])
+    if same_layer:
+        new_b, new_index_b = new_a, new_index_a
+    else:
+        new_b = [g for g, s in enumerate(merge_b.merged_source) if s == -1]
+        new_index_b = build_index([merge_b.merged[g] for g in new_b])
+
+    def suspects(merge_from: _LayerMerge, layer_from: str,
+                 merge_other: _LayerMerge, new_other: List[int]) -> Set[int]:
+        """Reused elements of one layer near foreign other-layer stuff."""
+        found: Set[int] = set()
+        from_index = merge_from.box_index()
+        for j in range(1, len(sources)):
+            other_box = merge_other.block_bboxes[j]
+            if other_box is None:
+                continue
+            for k in from_index.near(other_box, margin=reach):
+                if k != j:
+                    found.update(_reused_near(
+                        sources[k], children[k].merges[layer_from],
+                        merge_from.child_maps[k], other_box, reach))
+        # Near the computed (own / cross-merged) other-layer elements.
+        for gid_other in new_other:
+            rect = merge_other.merged[gid_other]
+            for k in from_index.near(rect, margin=reach):
+                found.update(_reused_near(
+                    sources[k], children[k].merges[layer_from],
+                    merge_from.child_maps[k], rect, reach))
+        return found
+
+    pairs: Set[Tuple[int, int]] = set()
+
+    def collect(a_ids: Iterable[int]) -> None:
+        for a in a_ids:
+            for b in _merged_candidates(view, children, layer_b, merge_b,
+                                        new_b, new_index_b,
+                                        merge_a.merged[a], reach):
+                if same_layer:
+                    if a != b:
+                        pairs.add((a, b) if a < b else (b, a))
+                else:
+                    pairs.add((a, b))
+
+    collect(new_a)
+    collect(suspects(merge_a, layer_a, merge_b, new_b))
+    if not same_layer:      # else the a-side sweep covered both directions
+        suspects_b = suspects(merge_b, layer_b, merge_a, new_a)
+        for b in list(new_b) + sorted(suspects_b):
+            for a in _merged_candidates(view, children, layer_a, merge_a,
+                                        new_a, new_index_a,
+                                        merge_b.merged[b], reach):
+                pairs.add((a, b))
+
+    for a, b in pairs:
+        source_a = merge_a.merged_source[a]
+        if source_a != -1 and source_a == merge_b.merged_source[b]:
+            continue  # same-instance pair: the child artifact covered it
+        viol = spacing_violation(rule, merge_a.merged[a], merge_b.merged[b])
+        if viol is not None:
+            out.append(((a, b), viol))
+    return out
+
+
+def _compose_enclosure(rule: DesignRule, view: _View,
+                       child_viols) -> List[_Verdict]:
+    outer_layer, inner_layer = rule.layers[0], rule.layers[1]
+    sources = view.sources
+    inner = view.layer(inner_layer)
+    inner_offsets = view.layer_offsets(inner_layer)
+    margin = rule.value
+    suspect: Set[int] = set(range(inner_offsets[0], inner_offsets[1]))
+
+    own_view = sources[0].view
+    own_outer_index = own_view.index(outer_layer)
+    own_outer = own_view.layer(outer_layer)
+    inner_boxes = [source.layer_bbox(inner_layer) for source in sources]
+    outer_boxes = [source.layer_bbox(outer_layer) for source in sources]
+    for k, source in enumerate(sources[1:], 1):
+        box_k = inner_boxes[k]
+        if box_k is None:
+            continue
+        offset = inner_offsets[k]
+        # Foreign instances' outer geometry.
+        for j in range(1, len(sources)):
+            if j == k:
+                continue
+            other_box = outer_boxes[j]
+            if other_box is None or box_k.distance_to(other_box) > margin:
+                continue
+            for cid in source.probe(inner_layer, other_box, margin=margin):
+                suspect.add(offset + cid)
+        # The cell's own outer geometry near this instance.
+        if own_outer:
+            for oid in own_outer_index.query(box_k, margin=margin):
+                for cid in source.probe(inner_layer, own_outer[oid],
+                                        margin=margin):
+                    suspect.add(offset + cid)
+
+    out: List[_Verdict] = []
+    for k, source in enumerate(sources[1:], 1):
+        offset = inner_offsets[k]
+        for ids, viol in child_viols[k]:
+            gid = offset + ids[0]
+            if gid not in suspect:
+                out.append(((gid,), _moved_viol(viol, source.dx, source.dy)))
+
+    for gid in sorted(suspect):
+        rect = inner[gid]
+        grown = rect.expanded(margin)
+        triggered = False
+        nearby: List[Rect] = []
+        for k, source in enumerate(sources):
+            box = outer_boxes[k]
+            if box is None or not grown.touches(box):
+                continue
+            if not triggered and source.probe(outer_layer, rect, strict=True):
+                triggered = True
+            for oid in source.probe(outer_layer, rect, margin=margin):
+                nearby.append(source.global_rect(outer_layer, oid))
+        viol = enclosure_violation(rule, rect, nearby, triggered)
+        if viol is not None:
+            out.append(((gid,), viol))
+    return out
+
+
+def _compose_exact(rule: DesignRule, view: _View,
+                   child_viols) -> List[_Verdict]:
+    layer = rule.layers[0]
+    rects = view.layer(layer)
+    offsets = view.layer_offsets(layer)
+    out: List[_Verdict] = []
+    for k, source in enumerate(view.sources[1:], 1):
+        offset = offsets[k]
+        for ids, viol in child_viols[k]:
+            out.append(((offset + ids[0],),
+                        _moved_viol(viol, source.dx, source.dy)))
+    for gid in range(offsets[0], offsets[1]):
+        viol = exact_size_violation(rule, rects[gid])
+        if viol is not None:
+            out.append(((gid,), viol))
+    return out

@@ -1,0 +1,732 @@
+"""Hierarchical extraction: a cell's netlist structure composed from its instances'.
+
+:func:`compose_extract` builds the :class:`_ExtractArtifact` of one oriented
+view (:mod:`repro.layout.view`) from the artifacts of the view's instances,
+in the flat extractor's five stages — channels, diffusion split, same-layer
+connectivity, contacts / buried straps / labels, per-channel device data.
+Each stage replays a child's cached per-element result (ids re-based by block
+offsets, geometry translated) unless foreign geometry could change it; those
+*suspect* elements are recomputed in the parent's context with the flat
+extractor's own stage functions (:mod:`repro.extract.extractor`), so
+over-marking costs time, never correctness.  :func:`circuit_of` then runs the
+shared circuit finisher over the composed artifact; the netlist is
+byte-identical to :meth:`Extractor.extract` (``tests/test_hier_golden.py``).
+
+The composer sees a view and child artifacts only: caching, store keys,
+spans and the collector pause belong to :mod:`repro.analysis.hier`.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.extract.extractor import (
+    ExtractedCircuit,
+    finish_circuit,
+    split_by_channels,
+    union_chain,
+)
+from repro.geometry.index import SpatialIndex, UnionFind, build_index
+from repro.geometry.rect import Rect
+from repro.layout.cell import Cell
+from repro.layout.view import (
+    _BoxIndex,
+    _StoredSlots,
+    _View,
+    _translated,
+    compose_components,
+)
+from repro.technology.technology import Technology
+
+
+class _ExtractArtifact(_StoredSlots):
+    """Cached extraction structure of one (cell, orientation).
+
+    Holds everything the flat pipeline derives from geometry *before* node
+    naming: channels, diffusion pieces, same-layer connectivity, contact and
+    label resolutions, per-channel device data.  Node naming and port
+    declaration are global (anonymous names follow the whole-chip group
+    order), so they cannot be *composed* from the children's: they run once
+    per analysed cell, in :func:`circuit_of` — linear, query-free work whose
+    result is cached as the ``circuit`` kind.
+    """
+
+    __slots__ = ("diffusion", "diff_offsets", "crossings",
+                 "chan_of_poly", "channels", "chan_x_diff", "pieces",
+                 "piece_slices", "piece_edges", "poly_comps", "metal_comps",
+                 "contact_touch", "buried_touch", "label_hits", "gates",
+                 "terminals", "depletion", "_piece_index")
+    _TRANSIENT = ("_piece_index",)
+    # ``crossings`` keeps its per-poly tuples: 12 k rects on a 64-tile top,
+    # ~20 ms of a 0.6 s pass.
+    _RECT_LISTS = ("diffusion", "channels", "pieces")
+
+    def __init__(self) -> None:
+        self.diffusion: List[Rect] = []
+        self.diff_offsets: List[int] = [0]     # per (layer, source) blocks
+        # Per poly rect: [(global diffusion id, overlap, covered)] ascending.
+        self.crossings: List[List[Tuple[int, Rect, bool]]] = []
+        # Per poly rect: channel id per crossing (-1 where buried-covered).
+        self.chan_of_poly: List[List[int]] = []
+        self.channels: List[Rect] = []
+        self.chan_x_diff: List[List[int]] = []  # per diffusion id, ascending
+        self.pieces: List[Rect] = []
+        self.piece_slices: List[Tuple[int, int]] = []
+        self.piece_edges: List[Tuple[int, int]] = []
+        self.poly_comps: List[List[int]] = []
+        self.metal_comps: List[List[int]] = []
+        self.contact_touch: List[List[int]] = []
+        self.buried_touch: List[List[int]] = []
+        self.label_hits: List[List[int]] = []
+        self.gates: List[Optional[int]] = []
+        self.terminals: List[List[int]] = []
+        self.depletion: List[bool] = []
+        self._piece_index: Optional[SpatialIndex] = None
+
+    def piece_index(self) -> SpatialIndex:
+        if self._piece_index is None:
+            self._piece_index = build_index(self.pieces)
+        return self._piece_index
+
+
+def compose_extract(technology: Technology, view: _View,
+                    children: Sequence[Optional[_ExtractArtifact]]
+                    ) -> _ExtractArtifact:
+    """The extraction artifact of ``view``; ``children[k]`` is instance ``k``'s."""
+    build = _Build(technology, view, children)
+    _channels(build)
+    _split(build)
+    _connectivity(build)
+    _contacts_and_labels(build)
+    _devices(build)
+    return build.art
+
+
+def circuit_of(technology: Technology, cell: Cell, view: _View,
+               art: _ExtractArtifact) -> ExtractedCircuit:
+    """The ``circuit`` of an analysed cell: the flat finisher on ``art``.
+
+    The item enumeration mirrors the flat extractor's exactly (diffusion
+    pieces, then poly, then metal, same layer names), so node names, device
+    order and the parasitic annotation are identical whenever the composed
+    structure is.
+    """
+    poly, metal = view.layer("poly"), view.layer("metal")
+    poly_start = len(art.pieces)
+    metal_start = poly_start + len(poly)
+    finder = UnionFind(metal_start + len(metal))
+    for i, j in art.piece_edges:
+        finder.union(i, j)
+    for comp in art.poly_comps:
+        union_chain(finder, comp, poly_start)
+    for comp in art.metal_comps:
+        union_chain(finder, comp, metal_start)
+    for touching in art.contact_touch:
+        union_chain(finder, touching)
+    for touching in art.buried_touch:
+        union_chain(finder, touching)
+    items = ([("diffusion", rect) for rect in art.pieces]
+             + [("poly", rect) for rect in poly]
+             + [("metal", rect) for rect in metal])
+    return finish_circuit(technology, cell, view.labels, art.label_hits,
+                          finder, items, poly_start, art.channels,
+                          zip(art.gates, art.terminals, art.depletion))
+
+
+# -- the per-build context ----------------------------------------------------
+
+
+class _Build:
+    """State of one :func:`compose_extract` run.
+
+    Owns the id maps from each child's element ids to this cell's
+    (``diff_map``, ``chan_map``, ``piece_map``: ``-1`` where the child's
+    element did not survive as such), the per-source box indexes that
+    localize the interface probes, and the candidate queries the stages
+    share.  The stages fill ``art`` in order; each reads what the earlier
+    ones left here.
+    """
+
+    def __init__(self, technology: Technology, view: _View,
+                 children: Sequence[Optional[_ExtractArtifact]]):
+        self.view = view
+        self.sources = sources = view.sources
+        self.children = children
+        self.art = art = _ExtractArtifact()
+        self.DL = DL = [name for name in ("diffusion", "active")
+                        if technology.has_layer(name)]
+        self.own_view = sources[0].view
+        self.src_bbox: List[Optional[Rect]] = [s.bbox() for s in sources]
+        self.poly = view.layer("poly")
+        self.poly_offsets = view.layer_offsets("poly")
+        self.metal_offsets = view.layer_offsets("metal")
+
+        # Global diffusion list: layer-major, source blocks within a layer —
+        # exactly the flat extractor's `[r for layer in DL for r in rects]`.
+        self.diff_map: List[Optional[List[int]]] = [None] + [
+            [0] * len(children[k].diffusion) for k in range(1, len(sources))
+        ]
+        self.own_diff_ids: List[int] = []
+        # Start of each layer's block in a child's own (layer-major) ids.
+        self.child_layer_starts: List[Optional[List[int]]] = [None]
+        for source in sources[1:]:
+            starts = [0]
+            for layer in DL:
+                starts.append(starts[-1] + len(source.view.layer(layer)))
+            self.child_layer_starts.append(starts)
+        for layer_pos, layer in enumerate(DL):
+            # The concat shares the view's already-materialized rect lists.
+            offs = view.layer_offsets(layer)
+            base = len(art.diffusion)
+            art.diffusion.extend(view.layer(layer))
+            self.own_diff_ids.extend(range(base, base + offs[1]))
+            art.diff_offsets.append(base + offs[1])
+            for k in range(1, len(sources)):
+                art.diff_offsets.append(base + offs[k + 1])
+                # Child diffusion ids are layer-major too; re-base this
+                # layer's block.
+                child_start = self.child_layer_starts[k][layer_pos]
+                start = base + offs[k]
+                self.diff_map[k][child_start:child_start + offs[k + 1] - offs[k]] = \
+                    range(start, base + offs[k + 1])
+
+        diff_boxes: List[Optional[Rect]] = []
+        for source in sources:
+            diff_box: Optional[Rect] = None
+            for layer in DL:
+                box = source.layer_bbox(layer)
+                if box is not None:
+                    diff_box = box if diff_box is None else diff_box.union(box)
+            diff_boxes.append(diff_box)
+        self.diff_boxes = diff_boxes
+        self.poly_boxes = poly_boxes = [s.layer_bbox("poly") for s in sources]
+        implant_boxes = [s.layer_bbox("implant") for s in sources]
+        self.diff_box_index = _BoxIndex(diff_boxes)
+        self.child_diff_box_index = _BoxIndex(diff_boxes, skip_first=True)
+        self.poly_box_index = _BoxIndex(poly_boxes)
+        self.metal_box_index = _BoxIndex(
+            [s.layer_bbox("metal") for s in sources])
+        self.buried_box_index = _BoxIndex(
+            [s.layer_bbox("buried") for s in sources])
+        self.implant_box_index = _BoxIndex(implant_boxes)
+        # Channels of an instance lie inside poly ∩ diffusion of that
+        # instance; devices reference poly, diffusion pieces and implant.
+        chan_boxes: List[Optional[Rect]] = [None]
+        device_boxes: List[Optional[Rect]] = [None]
+        for k in range(1, len(sources)):
+            pb, db = poly_boxes[k], diff_boxes[k]
+            chan_boxes.append(None if pb is None or db is None
+                              else pb.intersection(db))
+            box = pb
+            for other in (db, implant_boxes[k]):
+                if other is not None:
+                    box = other if box is None else box.union(other)
+            device_boxes.append(box)
+        self.chan_box_index = _BoxIndex(chan_boxes, skip_first=True)
+        self.device_box_index = _BoxIndex(device_boxes, skip_first=True)
+
+        # Left by the stages for the later ones.
+        self.fresh_channels: Set[int] = set()
+        self.chan_map: List[Optional[List[int]]] = [None] + [
+            [-1] * len(children[k].channels) for k in range(1, len(sources))
+        ]
+        # Per-block interface flag: does a foreign channel extent reach it?
+        self.chan_foreign = [False] * len(sources)
+        self.piece_map: List[Optional[List[int]]] = [None] + [
+            [-1] * len(children[k].pieces) for k in range(1, len(sources))
+        ]
+        self.new_pieces: List[int] = []
+        self.new_piece_index: Optional[SpatialIndex] = None
+        # Set by index_items() once the pieces are final.
+        self.wire_layers: List[Tuple[str, _BoxIndex, List[int], int]] = []
+        self.item_maps: List[Optional[Tuple[List[int], int, int, int, int]]] = []
+
+    # -- candidate queries ----------------------------------------------------
+
+    def diffusion_candidates(self, region: Rect, strict: bool) -> List[int]:
+        """Global diffusion ids touching (``strict``: overlapping) region."""
+        sources, diff_offsets = self.sources, self.art.diff_offsets
+        found: List[int] = []
+        for k in self.diff_box_index.near(region, strict=strict):
+            source = sources[k]
+            for layer_pos, layer in enumerate(self.DL):
+                block_start = diff_offsets[layer_pos * len(sources) + k]
+                for cid in source.probe(layer, region, strict=strict):
+                    found.append(block_start + cid)
+        found.sort()
+        return found
+
+    def covered(self, layer: str, box_index: _BoxIndex, region: Rect) -> bool:
+        """Does one ``layer`` rect of any source contain ``region``?"""
+        sources = self.sources
+        for k in box_index.near(region):
+            source = sources[k]
+            for cid in source.probe(layer, region):
+                if source.global_rect(layer, cid).contains_rect(region):
+                    return True
+        return False
+
+    def piece_candidates(self, region: Rect, strict: bool = False) -> List[int]:
+        """Global diffusion-piece ids touching region (stage 2 onwards)."""
+        sources, children, piece_map = self.sources, self.children, self.piece_map
+        found: List[int] = []
+        for k in self.child_diff_box_index.near(region, strict=strict):
+            child = children[k]
+            if not child.pieces:
+                continue
+            source = sources[k]
+            pmap = piece_map[k]
+            local = region.translated(-source.dx, -source.dy)
+            for cid in child.piece_index().query(local, strict=strict):
+                gid = pmap[cid]
+                if gid >= 0:
+                    found.append(gid)
+        new_pieces = self.new_pieces
+        for position in self.new_piece_index.query(region, strict=strict):
+            found.append(new_pieces[position])
+        found.sort()
+        return found
+
+    def conducting_candidates(self, region: Rect, strict: bool = False,
+                              include_metal: bool = True) -> List[int]:
+        """Global conducting item ids (pieces, poly, metal) touching region."""
+        sources = self.sources
+        found = self.piece_candidates(region, strict=strict)
+        for layer, box_index, offsets, start in (
+                self.wire_layers if include_metal else self.wire_layers[:1]):
+            for k in box_index.near(region, strict=strict):
+                base = start + offsets[k]
+                for cid in sources[k].probe(layer, region, strict=strict):
+                    found.append(base + cid)
+        found.sort()
+        return found
+
+    def map_item(self, k: int, item: int) -> int:
+        """Instance ``k``'s conducting item id in this cell's id space."""
+        pmap, pieces_end, poly_end, poly_base, metal_base = self.item_maps[k]
+        if item < pieces_end:
+            return pmap[item]
+        if item < poly_end:
+            return poly_base + item
+        return metal_base + item
+
+    def index_items(self) -> None:
+        """Freeze the item id spaces once the pieces are final (stage 2)."""
+        poly_start = len(self.art.pieces)
+        metal_start = poly_start + len(self.poly)
+        self.wire_layers = [
+            ("poly", self.poly_box_index, self.poly_offsets, poly_start),
+            ("metal", self.metal_box_index, self.metal_offsets, metal_start)]
+        self.item_maps = [None]
+        for k in range(1, len(self.sources)):
+            pieces_end = len(self.children[k].pieces)
+            poly_end = pieces_end + len(self.sources[k].view.layer("poly"))
+            self.item_maps.append((
+                self.piece_map[k], pieces_end, poly_end,
+                poly_start + self.poly_offsets[k] - pieces_end,
+                metal_start + self.metal_offsets[k] - poly_end))
+
+
+# -- stage 1: channels (poly x diffusion minus buried) ------------------------
+
+
+def _channels(build: _Build) -> None:
+    art, sources, children = build.art, build.sources, build.children
+    poly, poly_offsets = build.poly, build.poly_offsets
+    diff_boxes, src_bbox = build.diff_boxes, build.src_bbox
+    buried_box_index, chan_box_index = build.buried_box_index, build.chan_box_index
+    diffusion, channels = art.diffusion, art.channels
+    fresh_channels = build.fresh_channels
+
+    suspect_poly: Set[int] = set(range(poly_offsets[0], poly_offsets[1]))
+    for k, source in enumerate(sources[1:], 1):
+        box_k = build.poly_boxes[k]
+        if box_k is None:
+            continue
+        offset = poly_offsets[k]
+        for j in range(len(sources)):
+            if j == k:
+                continue
+            diff_box = diff_boxes[j]
+            if diff_box is None or not box_k.overlaps(diff_box, strict=True):
+                continue
+            for cid in source.probe("poly", diff_box, strict=True):
+                suspect_poly.add(offset + cid)
+
+    # Per-block interface flags: a block well clear of every other source's
+    # relevant geometry skips the per-element checks entirely.
+    buried_foreign = [False] * len(sources)
+    for k in range(1, len(sources)):
+        box = src_bbox[k]
+        if box is None:
+            continue
+        buried_foreign[k] = any(j != k for j in buried_box_index.near(box))
+        diff_box = diff_boxes[k]
+        if diff_box is not None:
+            build.chan_foreign[k] = any(
+                j != k for j in chan_box_index.near(diff_box, strict=True))
+
+    seen_channels: Dict[Rect, int] = {}
+    for src, source in enumerate(sources):
+        child = children[src]
+        cmap = build.diff_map[src]
+        chan_map = build.chan_map[src]
+        check_buried = src == 0 or buried_foreign[src]
+        dx, dy = source.dx, source.dy
+        moves = src > 0 and (dx or dy)
+        poly_base = poly_offsets[src]
+        for p_gid in range(poly_base, poly_offsets[src + 1]):
+            crossings: List[Tuple[int, Rect, bool]] = []
+            channel_ids: List[int] = []
+            reused = src > 0 and p_gid not in suspect_poly
+            if reused:
+                for d_local, overlap, covered in child.crossings[p_gid - poly_base]:
+                    if moves:
+                        overlap = overlap.translated(dx, dy)
+                    # The buried-cover verdict can flip if foreign buried
+                    # material reaches the crossing.
+                    if check_buried and any(
+                            j != src for j in buried_box_index.near(overlap)):
+                        covered = build.covered("buried", buried_box_index,
+                                                overlap)
+                    crossings.append((cmap[d_local], overlap, covered))
+            else:
+                poly_rect = poly[p_gid]
+                for d_gid in build.diffusion_candidates(poly_rect, strict=True):
+                    overlap = poly_rect.intersection(diffusion[d_gid])
+                    if overlap is None or overlap.is_degenerate:
+                        continue
+                    crossings.append((d_gid, overlap, build.covered(
+                        "buried", buried_box_index, overlap)))
+            for cross_pos, (d_gid, overlap, covered) in enumerate(crossings):
+                if covered:
+                    channel_ids.append(-1)
+                    continue
+                cid = seen_channels.get(overlap)
+                if cid is None:
+                    cid = len(channels)
+                    channels.append(overlap)
+                    seen_channels[overlap] = cid
+                channel_ids.append(cid)
+                if reused:
+                    child_cid = child.chan_of_poly[p_gid - poly_base][cross_pos]
+                    if child_cid >= 0:
+                        chan_map[child_cid] = cid
+                else:
+                    fresh_channels.add(cid)
+            art.crossings.append(crossings)
+            art.chan_of_poly.append(channel_ids)
+
+
+# -- stage 2: split diffusion by crossing channels ----------------------------
+
+
+def _split(build: _Build) -> None:
+    art, sources, children = build.art, build.sources, build.children
+    diffusion, channels, pieces = art.diffusion, art.channels, art.pieces
+    diff_offsets, chan_box_index = art.diff_offsets, build.chan_box_index
+    blocks = len(sources)
+
+    suspect_diff: Set[int] = set(build.own_diff_ids)
+    for layer_pos in range(len(build.DL)):
+        for src in range(1, blocks):
+            if not build.chan_foreign[src]:
+                # Reused channels of other instances lie inside their
+                # poly ∩ diffusion extents, none of which reach this
+                # block; fresh channels are handled below.
+                continue
+            block = layer_pos * blocks + src
+            for d_gid in range(diff_offsets[block], diff_offsets[block + 1]):
+                if any(j != src for j in chan_box_index.near(
+                        diffusion[d_gid], strict=True)):
+                    suspect_diff.add(d_gid)
+    for cid in build.fresh_channels:
+        suspect_diff.update(build.diffusion_candidates(channels[cid],
+                                                       strict=True))
+
+    channel_index = build_index(channels)
+    for layer_pos in range(len(build.DL)):
+        for src, source in enumerate(sources):
+            block = layer_pos * blocks + src
+            child = children[src]
+            cmap = build.chan_map[src]
+            pmap = build.piece_map[src]
+            block_start = diff_offsets[block]
+            # This block's first id among the child's own diffusion ids.
+            local_shift = (build.child_layer_starts[src][layer_pos] - block_start
+                           if src else 0)
+            for d_gid in range(block_start, diff_offsets[block + 1]):
+                d_rect = diffusion[d_gid]
+                if src >= 1 and d_gid not in suspect_diff:
+                    d_local = d_gid + local_shift
+                    child_cross = child.chan_x_diff[d_local]
+                    if all(cmap[c] >= 0 for c in child_cross):
+                        start = len(pieces)
+                        p_start, p_len = child.piece_slices[d_local]
+                        if (p_len == 1 and child.pieces[p_start]
+                                == child.diffusion[d_local]):
+                            # Unsplit rectangle: the piece is the diffusion
+                            # rect, already materialized in this frame.
+                            pieces.append(d_rect)
+                        else:
+                            pieces.extend(_translated(
+                                child.pieces[p_start:p_start + p_len],
+                                source.dx, source.dy))
+                        pmap[p_start:p_start + p_len] = range(start, start + p_len)
+                        art.piece_slices.append((start, p_len))
+                        art.chan_x_diff.append(sorted(cmap[c] for c in child_cross))
+                        continue
+                crossing_ids = channel_index.query(d_rect, strict=True)
+                start = len(pieces)
+                pieces.extend(split_by_channels(
+                    d_rect, [channels[i] for i in crossing_ids]))
+                art.piece_slices.append((start, len(pieces) - start))
+                art.chan_x_diff.append(list(crossing_ids))
+
+    mapped = {gid for pmap in build.piece_map[1:] for gid in pmap if gid >= 0}
+    build.new_pieces = [g for g in range(len(pieces)) if g not in mapped]
+    build.new_piece_index = build_index([pieces[g] for g in build.new_pieces])
+    build.index_items()
+
+
+# -- stage 3: same-layer connectivity -----------------------------------------
+
+
+def _connectivity(build: _Build) -> None:
+    art, sources, children = build.art, build.sources, build.children
+    pieces, piece_map, src_bbox = art.pieces, build.piece_map, build.src_bbox
+
+    edge_set: Set[Tuple[int, int]] = set()
+    for k in range(1, len(sources)):
+        pmap = piece_map[k]
+        for i, j in children[k].piece_edges:
+            gi, gj = pmap[i], pmap[j]
+            if gi >= 0 and gj >= 0:
+                edge_set.add((gi, gj) if gi < gj else (gj, gi))
+    for gid in build.new_pieces:
+        for other in build.piece_candidates(pieces[gid]):
+            if other != gid:
+                edge_set.add((gid, other) if gid < other else (other, gid))
+    # Cross-instance abutments between reused pieces.
+    for k in range(1, len(sources)):
+        child_k, box_k = children[k], src_bbox[k]
+        if not child_k.pieces or box_k is None:
+            continue
+        pmap_k = piece_map[k]
+        source_k = sources[k]
+        for j in range(k + 1, len(sources)):
+            child_j, box_j = children[j], src_bbox[j]
+            if not child_j.pieces or box_j is None or not box_k.touches(box_j):
+                continue
+            pmap_j = piece_map[j]
+            source_j = sources[j]
+            local_k = box_j.translated(-source_k.dx, -source_k.dy)
+            for ck in child_k.piece_index().query(local_k):
+                gk = pmap_k[ck]
+                if gk < 0:
+                    continue
+                local_j = pieces[gk].translated(-source_j.dx, -source_j.dy)
+                for cj in child_j.piece_index().query(local_j):
+                    gj = pmap_j[cj]
+                    if gj >= 0:
+                        edge_set.add((gk, gj) if gk < gj else (gj, gk))
+    art.piece_edges = sorted(edge_set)
+    art.poly_comps = _layer_components(build.view, "poly", [
+        child.poly_comps if child else None for child in children])
+    art.metal_comps = _layer_components(build.view, "metal", [
+        child.metal_comps if child else None for child in children])
+
+
+def _layer_components(view: _View, layer: str,
+                      child_comps: Sequence[Optional[List[List[int]]]]
+                      ) -> List[List[int]]:
+    sources = view.sources
+    block_comps = [sources[0].view.index(layer).connected_components()]
+    block_comps.extend(child_comps[1:])
+    components, _crossed = compose_components(
+        view.layer(layer), view.layer_offsets(layer), block_comps,
+        [source.view.index(layer) for source in sources],
+        [(source.dx, source.dy) for source in sources],
+        [source.layer_bbox(layer) for source in sources])
+    return components
+
+
+# -- stage 4: contacts, buried straps, labels ---------------------------------
+
+
+def _contacts_and_labels(build: _Build) -> None:
+    art, view, sources = build.art, build.view, build.sources
+    children, src_bbox, DL = build.children, build.src_bbox, build.DL
+    art.contact_touch = _compose_touch(build, "contact", strict=False,
+                                       include_metal=True)
+    art.buried_touch = _compose_touch(build, "buried", strict=True,
+                                      include_metal=False)
+
+    poly_start = len(art.pieces)
+    metal_start = poly_start + len(build.poly)
+    label_offsets = view.label_offsets
+    # Which other sources could a block's labels land on?  Usually none.
+    # Exact for a label inside its own source's bbox; that bbox spans shapes
+    # only, so a label may lie outside it and is then located by the index.
+    foreign_near = [[j for j in range(len(sources))
+                     if j != k and src_bbox[j] is not None
+                     and src_bbox[k] is not None
+                     and src_bbox[k].touches(src_bbox[j])]
+                    for k in range(len(sources))]
+    src_box_index = _BoxIndex(src_bbox)
+    for src in range(len(sources)):
+        near = foreign_near[src]
+        own_box = src_bbox[src]
+        child = children[src]
+        offset = label_offsets[src]
+        for l_gid in range(offset, label_offsets[src + 1]):
+            label = view.labels[l_gid]
+            position = label.position
+            probe = Rect(position.x, position.y, position.x, position.y)
+            if src == 0:
+                recompute = True
+            elif own_box is not None and own_box.contains_point(position):
+                recompute = any(src_bbox[j].contains_point(position)
+                                for j in near)
+            else:
+                recompute = any(j != src for j in src_box_index.near(probe))
+            hits: Optional[List[int]] = None
+            if not recompute:
+                mapped_hits = [build.map_item(src, item)
+                               for item in child.label_hits[l_gid - offset]]
+                if all(g >= 0 for g in mapped_hits):
+                    hits = mapped_hits
+            if hits is None:
+                hits = []
+                for item in build.conducting_candidates(probe):
+                    member_layer = ("diffusion" if item < poly_start else
+                                    "poly" if item < metal_start else "metal")
+                    if label.layer and label.layer != member_layer and not (
+                        label.layer in DL and member_layer == "diffusion"
+                    ):
+                        continue
+                    hits.append(item)
+            art.label_hits.append(sorted(hits))
+
+
+def _compose_touch(build: _Build, layer: str, strict: bool,
+                   include_metal: bool) -> List[List[int]]:
+    """Per ``layer`` rect (contact cut or buried strap): the items it joins."""
+    view, sources, src_bbox = build.view, build.sources, build.src_bbox
+    own_view = build.own_view
+    rects = view.layer(layer)
+    offsets = view.layer_offsets(layer)
+    own_cond_layers = [own_layer for own_layer in (build.DL + ["poly", "metal"])
+                       if own_view.layer(own_layer)]
+    suspect: Set[int] = set(range(offsets[0], offsets[1]))
+    for k, source in enumerate(sources[1:], 1):
+        box_k = src_bbox[k]
+        if not source.view.layer(layer) or box_k is None:
+            continue
+        offset = offsets[k]
+        # The cell's own conducting rects near this instance.
+        for own_layer in own_cond_layers:
+            own_rects = own_view.layer(own_layer)
+            for oid in own_view.index(own_layer).query(box_k):
+                for cid in source.probe(layer, own_rects[oid], strict=strict):
+                    suspect.add(offset + cid)
+        for j in range(1, len(sources)):
+            box = src_bbox[j]
+            if j == k or box is None or not box_k.touches(box):
+                continue
+            for cid in source.probe(layer, box, strict=strict):
+                suspect.add(offset + cid)
+    result: List[List[int]] = []
+    map_item = build.map_item
+    for src in range(len(sources)):
+        if src:
+            child = build.children[src]
+            child_touch = (child.contact_touch if layer == "contact"
+                           else child.buried_touch)
+        base = offsets[src]
+        for gid in range(base, offsets[src + 1]):
+            if src and gid not in suspect:
+                touch = [map_item(src, item) for item in child_touch[gid - base]]
+                if all(g >= 0 for g in touch):
+                    result.append(touch)
+                    continue
+            result.append(build.conducting_candidates(
+                rects[gid], strict=strict, include_metal=include_metal))
+    return result
+
+
+# -- stage 5: per-channel device data -----------------------------------------
+
+
+def _devices(build: _Build) -> None:
+    art, sources, children = build.art, build.sources, build.children
+    poly, poly_offsets, piece_map = build.poly, build.poly_offsets, build.piece_map
+    own_view, device_box_index = build.own_view, build.device_box_index
+    fresh_channels = build.fresh_channels
+    own_probe_indexes = [own_view.index(layer)
+                         for layer in (build.DL + ["poly", "implant"])
+                         if own_view.layer(layer)]
+    reverse_chan: List[int] = [-1] * len(art.channels)
+    reverse_local: List[int] = [-1] * len(art.channels)
+    for k in range(1, len(sources)):
+        for child_cid, gid in enumerate(build.chan_map[k]):
+            if gid >= 0 and reverse_chan[gid] == -1:
+                reverse_chan[gid] = k
+                reverse_local[gid] = child_cid
+
+    # Per-block fast path: a block with no foreign device geometry and no
+    # own-cell poly/diffusion/implant near it keeps every reused channel's
+    # verdicts without any per-channel probing.
+    block_isolated = [False] * len(sources)
+    for k in range(1, len(sources)):
+        box = build.src_bbox[k]
+        block_isolated[k] = (
+            box is not None
+            and not any(j != k for j in device_box_index.near(box))
+            and not any(index.query(box) for index in own_probe_indexes))
+
+    for cid, channel in enumerate(art.channels):
+        src = reverse_chan[cid]
+        valid = src >= 1 and cid not in fresh_channels
+        if valid and not block_isolated[src]:
+            # Foreign device geometry, or the cell's own poly / diffusion /
+            # implant, can also supply a gate, terminal or implant cover;
+            # probe precisely (own extents often span the whole cell).
+            valid = not (
+                any(j != src for j in device_box_index.near(channel))
+                or any(index.query(channel) for index in own_probe_indexes))
+        gate_gid: Optional[int] = None
+        terminals: Optional[List[int]] = None
+        depletion = False
+        if valid:
+            child = children[src]
+            child_cid = reverse_local[cid]
+            pmap = piece_map[src]
+            mapped_terms = [pmap[p] for p in child.terminals[child_cid]]
+            if all(g >= 0 for g in mapped_terms):
+                terminals = mapped_terms
+                depletion = child.depletion[child_cid]
+                child_gate = child.gates[child_cid]
+                if child_gate is not None:
+                    gate_gid = poly_offsets[src] + child_gate
+            else:
+                valid = False
+        if not valid:
+            candidates: List[int] = []
+            for k in build.poly_box_index.near(channel):
+                base = poly_offsets[k]
+                for local in sources[k].probe("poly", channel):
+                    candidates.append(base + local)
+            candidates.sort()
+            for candidate in candidates:
+                rect = poly[candidate]
+                if rect.contains_rect(channel) or rect.overlaps(channel, strict=True):
+                    gate_gid = candidate
+                    break
+            terminals = [g for g in build.piece_candidates(channel)
+                         if not art.pieces[g].overlaps(channel, strict=True)]
+            depletion = build.covered("implant", build.implant_box_index,
+                                      channel)
+        art.gates.append(gate_gid)
+        art.terminals.append(terminals)
+        art.depletion.append(depletion)

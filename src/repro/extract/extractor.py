@@ -24,7 +24,7 @@ the oracle the golden-equivalence tests compare netlists against and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import run_with_fallback
 from repro.geometry.index import (
@@ -68,30 +68,6 @@ class ExtractedCircuit:
             "enhancement": self.enhancement_count,
             "depletion": self.depletion_count,
         }
-
-
-class _NodeBuilder:
-    """Union-find over conducting rectangles to form electrical nodes."""
-
-    def __init__(self) -> None:
-        self.items: List[Tuple[str, Rect]] = []
-        self._finder = UnionFind()
-
-    def add(self, layer: str, rect: Rect) -> int:
-        self.items.append((layer, rect))
-        return self._finder.add()
-
-    def find(self, index: int) -> int:
-        return self._finder.find(index)
-
-    def union(self, a: int, b: int) -> None:
-        self._finder.union(a, b)
-
-    def groups(self) -> Dict[int, List[int]]:
-        result: Dict[int, List[int]] = {}
-        for index in range(len(self.items)):
-            result.setdefault(self.find(index), []).append(index)
-        return result
 
 
 class Extractor:
@@ -152,89 +128,48 @@ class Extractor:
             crossing = [channels[i] for i in channel_index.query(diff_rect, strict=True)]
             diffusion_pieces.extend(split_by_channels(diff_rect, crossing))
 
-        # 3. Build electrical nodes over diffusion pieces, poly and metal.
-        builder = _NodeBuilder()
-        diff_ids = [builder.add("diffusion", r) for r in diffusion_pieces]
-        poly_ids = [builder.add("poly", r) for r in poly]
-        metal_ids = [builder.add("metal", r) for r in metal]
-
-        _connect_same_layer(builder, diff_ids, diffusion_pieces, index)
-        _connect_same_layer(builder, poly_ids, poly, index)
-        _connect_same_layer(builder, metal_ids, metal, index)
-
-        # One index over all conducting items; ids coincide with builder ids
-        # because the items were added in the same order.
+        # 3. Build electrical nodes over diffusion pieces, poly and metal:
+        # one union-find and one index over all conducting items.
         conducting = diffusion_pieces + poly + metal
+        poly_start = len(diffusion_pieces)
+        metal_start = poly_start + len(poly)
+        finder = UnionFind(len(conducting))
+        for base, layer_rects in ((0, diffusion_pieces), (poly_start, poly),
+                                  (metal_start, metal)):
+            for component in index(layer_rects).connected_components():
+                union_chain(finder, component, base)
         conducting_index = index(conducting)
-        metal_start = len(diff_ids) + len(poly_ids)
-
         # Contacts join every conducting layer they touch.
         for cut in contacts:
-            touching = conducting_index.query(cut)
-            for first, second in zip(touching, touching[1:]):
-                builder.union(first, second)
+            union_chain(finder, conducting_index.query(cut))
         # Buried contacts join poly and diffusion directly.
         for buried_rect in buried:
-            touching = [item_id for item_id in
-                        conducting_index.query(buried_rect, strict=True)
-                        if item_id < metal_start]
-            for first, second in zip(touching, touching[1:]):
-                builder.union(first, second)
+            union_chain(finder, [item_id for item_id in
+                                 conducting_index.query(buried_rect, strict=True)
+                                 if item_id < metal_start])
 
-        # 4. Name the nodes using labels.  Each label is resolved to the
-        # groups whose geometry contains its position via a point query;
-        # a group takes the first label that hits it, except that the first
-        # supply label (vdd/gnd) to hit always wins — the same precedence the
-        # historical per-group label scan implemented.
-        first_hit: Dict[int, str] = {}
-        supply_hit: Dict[int, str] = {}
-        item_layers = [item[0] for item in builder.items]
-        for label in flat.labels:
-            hits = label_item_hits(label, conducting_index, item_layers,
-                                   self._diffusion_layers)
-            apply_label(label, hits, builder.find, supply_hit, first_hit)
-        groups = builder.groups()
-        names, node_of_item = resolve_node_names(groups, supply_hit, first_hit)
+        # 4. Resolve each label to the items whose geometry contains its
+        # position via a point query.
+        item_layers = (["diffusion"] * poly_start + ["poly"] * len(poly)
+                       + ["metal"] * len(metal))
+        label_hits = [label_item_hits(label, conducting_index, item_layers,
+                                      self._diffusion_layers)
+                      for label in flat.labels]
 
-        # 5. Emit transistors.  Terminal lookups run on per-layer indexes
-        # whose ids map back to builder ids by a constant offset.
+        # 5. Per channel: gate, terminals, implant cover.  Lookups run on
+        # per-layer indexes whose ids are the finisher's poly / piece ids.
         poly_index = index(poly)
         diff_piece_index = index(diffusion_pieces)
         implant_index = index(implant)
-        network = SwitchNetwork(cell.name)
-        enhancement = depletion = 0
-        device_channels: List[Rect] = []
-        for index, channel in enumerate(channels):
-            gate_id = gate_item(poly, poly_index, channel)
-            gate_node = None if gate_id is None else node_of_item[len(diff_ids) + gate_id]
-            terminals = dedupe_nodes(
-                adjacent_piece_ids(diffusion_pieces, diff_piece_index, channel),
-                node_of_item)
-            is_depletion = any(implant[i].contains_rect(channel)
-                               for i in implant_index.query(channel))
-            device = emit_transistor(network, index, channel, gate_node,
-                                     terminals, is_depletion)
-            if device is not None:
-                device_channels.append(channel)
-                if is_depletion:
-                    depletion += 1
-                else:
-                    enhancement += 1
-
-        declare_ports(network, cell.ports, set(names.values()), flat.labels)
-
-        circuit = ExtractedCircuit(
-            cell_name=cell.name,
-            network=network,
-            node_names=sorted(set(names.values())),
-            transistor_count=len(network.transistors),
-            enhancement_count=enhancement,
-            depletion_count=depletion,
-            parasitics=annotate_parasitics(
-                ParasiticModel(self.technology), builder.items, node_of_item,
-                network.transistors, device_channels),
-        )
-        return circuit
+        devices = (
+            (gate_item(poly, poly_index, channel),
+             adjacent_piece_ids(diffusion_pieces, diff_piece_index, channel),
+             any(implant[i].contains_rect(channel)
+                 for i in implant_index.query(channel)))
+            for channel in channels)
+        return finish_circuit(
+            self.technology, cell, flat.labels, label_hits, finder,
+            list(zip(item_layers, conducting)), poly_start, channels, devices)
 
 
 def extract_cell(cell: Cell, technology: Technology) -> ExtractedCircuit:
@@ -244,11 +179,11 @@ def extract_cell(cell: Cell, technology: Technology) -> ExtractedCircuit:
 
 # -- shared stages ------------------------------------------------------------------------
 #
-# The extraction pipeline is decomposed into per-element stage functions so
-# the flat extractor above and the hierarchical engine
-# (:mod:`repro.analysis.hier`) run exactly the same geometry-to-netlist
-# semantics; the hierarchical engine merely caches and replays the results
-# per unique cell.
+# The extraction pipeline is decomposed into per-element stage functions and
+# one circuit finisher so the flat extractor above and the hierarchical
+# composer (:mod:`repro.extract.compose`) run exactly the same
+# geometry-to-netlist semantics; the composer merely caches and replays the
+# per-element results per unique cell.
 
 
 def diffusion_crossings(poly_rect: Rect, diffusion: Sequence[Rect],
@@ -405,6 +340,70 @@ def declare_ports(network: SwitchNetwork, declared: Dict[str, object],
             network.add_output(name)
 
 
+def union_chain(finder: UnionFind, ids: Sequence[int], base: int = 0) -> None:
+    """Union consecutive members of ``ids`` (offset by ``base``) into one set."""
+    for first, second in zip(ids, ids[1:]):
+        finder.union(base + first, base + second)
+
+
+def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
+                   label_hits: Iterable[Sequence[int]], finder: UnionFind,
+                   items: Sequence[Tuple[str, Rect]], poly_start: int,
+                   channels: Sequence[Rect],
+                   devices: Iterable[Tuple[Optional[int], Sequence[int], bool]]
+                   ) -> ExtractedCircuit:
+    """Node naming, device emission, ports and parasitics: the circuit.
+
+    ``items`` are the conducting rectangles (diffusion pieces, then poly
+    from ``poly_start``, then metal) that ``finder`` partitions into
+    electrical nodes; ``label_hits`` runs parallel to ``labels`` and
+    ``devices`` — ``(gate poly id, terminal piece ids, is depletion)`` —
+    parallel to ``channels``.  A group takes the first label that hits it,
+    except that the first supply label (vdd/gnd) to hit always wins; the
+    anonymous names (``n0``, ``n1``, ...) and device names follow the whole
+    design's group and channel enumeration, which is why this stage runs on
+    the analysed cell as a whole in both extraction paths.
+    """
+    first_hit: Dict[int, str] = {}
+    supply_hit: Dict[int, str] = {}
+    find = finder.find
+    for label, hits in zip(labels, label_hits):
+        apply_label(label, hits, find, supply_hit, first_hit)
+    groups: Dict[int, List[int]] = {}
+    for item in range(len(items)):
+        groups.setdefault(find(item), []).append(item)
+    names, node_of_item = resolve_node_names(groups, supply_hit, first_hit)
+
+    network = SwitchNetwork(cell.name)
+    enhancement = depletion = 0
+    device_channels: List[Rect] = []
+    for index, (channel, (gate_id, terminal_ids, is_depletion)) in enumerate(
+            zip(channels, devices)):
+        gate_node = None if gate_id is None else node_of_item[poly_start + gate_id]
+        device = emit_transistor(network, index, channel, gate_node,
+                                 dedupe_nodes(terminal_ids, node_of_item),
+                                 is_depletion)
+        if device is not None:
+            device_channels.append(channel)
+            if is_depletion:
+                depletion += 1
+            else:
+                enhancement += 1
+
+    declare_ports(network, cell.ports, set(names.values()), labels)
+    return ExtractedCircuit(
+        cell_name=cell.name,
+        network=network,
+        node_names=sorted(set(names.values())),
+        transistor_count=len(network.transistors),
+        enhancement_count=enhancement,
+        depletion_count=depletion,
+        parasitics=annotate_parasitics(
+            ParasiticModel(technology), items, node_of_item,
+            network.transistors, device_channels),
+    )
+
+
 # -- helpers ------------------------------------------------------------------------------
 
 
@@ -416,11 +415,3 @@ def _dedupe(rects: Sequence[Rect]) -> List[Rect]:
             seen.add(rect)
             result.append(rect)
     return result
-
-
-def _connect_same_layer(builder: _NodeBuilder, ids: List[int],
-                        layer_rects: Sequence[Rect], index: IndexFactory) -> None:
-    """Union all touching rectangles of one layer (ids parallel layer_rects)."""
-    for component in index(layer_rects).connected_components():
-        for first, second in zip(component, component[1:]):
-            builder.union(ids[first], ids[second])

@@ -238,12 +238,13 @@ class TestSignOff:
         with pytest.raises(ValueError):
             assembler.sign_off()
 
-    def test_sign_off_shares_analyzer_across_family(self):
-        from repro.analysis import HierAnalyzer
+    def test_sign_off_shares_analyzer_across_family(self, monkeypatch):
+        from repro.analysis import HierAnalyzer, hier
 
         # Force full composition (no direct-build collapse) so per-cell
         # artifact reuse across the two chips is observable.
-        analyzer = HierAnalyzer(NMOS, direct_threshold=0)
+        monkeypatch.setattr(hier, "_DIRECT_THRESHOLD", 0)
+        analyzer = HierAnalyzer(NMOS)
         helper = TestChipAssembler()
         first = helper.build_chip(bits=4)
         first.assemble()

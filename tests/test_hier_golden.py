@@ -12,6 +12,16 @@ Randomized coverage comes from a hypothesis strategy that grows nested
 cells with rotated and mirrored instances, overlapping abutments and
 deliberate violations straddling instance boundaries — exactly the
 geometry the interface pass must get right.
+
+Small cells *collapse*: below ``hier._DIRECT_THRESHOLD`` rectangles per
+instance a cell is analysed directly on its flat view, and every randomized
+hierarchy and boundary case here is that small.  So those suites run twice —
+``collapsed`` (the default threshold) and ``composed`` (threshold 0, every
+instance its own source) — and each run asserts which path it took, or the
+interface pass would go untested without anyone noticing (as it did until
+PR 17, hiding a dropped-label bug).  The example budget scales with the
+active hypothesis profile: ``--hypothesis-profile=hier-deep`` (registered in
+``conftest.py``) is the CI robustness budget.
 """
 
 import os
@@ -21,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import HierAnalyzer
+from repro.analysis import HierAnalyzer, hier
 from repro.drc import DrcChecker
 from repro.extract.extractor import Extractor
 from repro.generators import FsmLayoutGenerator, PlaGenerator
@@ -55,6 +65,43 @@ def netlist_identity(circuit):
         circuit.network.outputs,
         circuit.summary(),
     )
+
+
+def on_both_paths(test):
+    """Run ``test(self, technology, check)`` collapsed, then composed, as one
+    test under its own name.
+
+    ``check(top)`` is the differential assertion; it returns the analyzer and
+    notes which path the top cell took, and each run ends by asserting the
+    large majority of its tops took the path it was meant to exercise.
+    """
+    def run(self, technology):
+        for path, threshold in (("collapsed", hier._DIRECT_THRESHOLD),
+                                ("composed", 0)):
+            composed = []
+
+            def check(top):
+                analyzer = assert_hier_equals_flat(top, technology)
+                view = analyzer.store.get(
+                    analyzer._key("view", top, Orientation.R0))
+                composed.append(len(view.sources) > 1)
+                return analyzer
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hier, "_DIRECT_THRESHOLD", threshold)
+                test(self, technology, check)
+            share = sum(composed) / len(composed)
+            assert (share >= 0.9) if path == "composed" else (share <= 0.1), (
+                f"{sum(composed)} of {len(composed)} top views composed on "
+                f"the {path} run")
+    run.__name__ = test.__name__
+    run.__doc__ = test.__doc__
+    return run
+
+
+def examples(tier1):
+    """The tier-1 example budget, scaled by the active hypothesis profile."""
+    return tier1 * settings.default.max_examples // 100
 
 
 def assert_hier_equals_flat(cell, technology,
@@ -116,18 +163,20 @@ class TestExampleDesigns:
 class TestBoundaryViolations:
     """Violations that exist only because of how instances are placed."""
 
-    def test_spacing_violation_straddles_abutting_instances(self, technology):
+    @on_both_paths
+    def test_spacing_violation_straddles_abutting_instances(self, technology, check):
         leaf = Cell("bv_leaf")
         leaf.add_box("metal", 0, 0, 6, 4)
         top = Cell("bv_top")
         top.place(leaf, 0, 0)
         top.place(leaf, 8, 0)     # gap 2 < metal spacing 3: interface violation
         top.place(leaf, 20, 0)    # far away: clean
-        analyzer = assert_hier_equals_flat(top, technology)
+        analyzer = check(top)
         violations = analyzer.drc(top)
         assert any(v.rule_name == "S.M.M" and v.actual == 2 for v in violations)
 
-    def test_enclosure_satisfied_only_across_instance_edge(self, technology):
+    @on_both_paths
+    def test_enclosure_satisfied_only_across_instance_edge(self, technology, check):
         # The contact's metal surround is completed by a neighbouring
         # instance's metal: the per-cell verdict (violation) must be
         # overturned by the interface pass.
@@ -139,7 +188,7 @@ class TestBoundaryViolations:
         top = Cell("bv_enclosure")
         top.place(cut, 0, 0)
         top.place(cap, 2, 0)                  # completes the surround
-        assert_hier_equals_flat(top, technology)
+        check(top)
         # And without the cap, the violation must survive composition.
         alone = Cell("bv_enclosure_alone")
         alone.place(cut, 0, 0)
@@ -147,7 +196,8 @@ class TestBoundaryViolations:
         assert analyzer.drc(alone) == BruteDrcChecker(technology).check(alone)
         assert any(v.rule_name == "N.M.C" for v in analyzer.drc(alone))
 
-    def test_nets_merge_across_instance_boundary(self, technology):
+    @on_both_paths
+    def test_nets_merge_across_instance_boundary(self, technology, check):
         # Two instances abut so their diffusion fuses into one node; a label
         # in one instance must name geometry of the other.
         half = Cell("bv_half")
@@ -158,11 +208,12 @@ class TestBoundaryViolations:
         top = Cell("bv_net_merge")
         top.place(named, 0, 0)
         top.place(half, 6, 0)                 # abuts: same electrical node
-        analyzer = assert_hier_equals_flat(top, technology)
+        analyzer = check(top)
         circuit = analyzer.extract(top)
         assert "bus" in circuit.node_names
 
-    def test_transistor_formed_across_instance_boundary(self, technology):
+    @on_both_paths
+    def test_transistor_formed_across_instance_boundary(self, technology, check):
         # Poly from one instance crosses diffusion from another: the channel
         # exists only in the composed view.
         poly_cell = Cell("bv_poly")
@@ -172,9 +223,26 @@ class TestBoundaryViolations:
         top = Cell("bv_device")
         top.place(poly_cell, 0, 0)
         top.place(diff_cell, 0, 4)
-        analyzer = assert_hier_equals_flat(top, technology)
+        analyzer = check(top)
         flat = BruteExtractor(technology).extract(top)
         assert analyzer.extract(top).transistor_count == flat.transistor_count
+
+    @on_both_paths
+    def test_label_outside_its_cells_shapes_names_a_neighbour(self, technology, check):
+        # A view's bbox spans shapes only, so a label may lie outside its own
+        # cell's box — and on another instance's geometry.  (Composed
+        # extraction dropped it: hypothesis-shrunk, PR 17.)
+        labelled = Cell("bv_label_outside")
+        labelled.add_box("diffusion", 0, 2, 1, 3)
+        labelled.add_label("a", Point(0, 0))
+        target = Cell("bv_label_target")
+        target.add_box("diffusion", 0, 0, 1, 1)
+        top = Cell("bv_stray_label")
+        top.place(labelled, 0, 0)
+        top.place(target, 0, 0)
+        circuit = check(top).extract(top)
+        assert circuit.node_names == ["a", "n0"]
+        assert circuit.network.outputs == ["a"]
 
 
 # -- randomized hierarchies ---------------------------------------------------
@@ -227,27 +295,33 @@ def hierarchies(draw):
 
 
 class TestRandomizedHierarchies:
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(top=hierarchies())
-    def test_hierarchical_equals_brute_force(self, top):
-        technology = nmos_technology()
-        assert_hier_equals_flat(top, technology)
+    @on_both_paths
+    def test_hierarchical_equals_brute_force(self, technology, check):
+        @settings(max_examples=examples(30), deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(top=hierarchies())
+        def hierarchical_equals_brute_force(top):
+            check(top)
 
-    @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(top=hierarchies(), data=st.data())
-    def test_incremental_reanalysis_after_mutation(self, top, data):
+        hierarchical_equals_brute_force()
+
+    @on_both_paths
+    def test_incremental_reanalysis_after_mutation(self, technology, check):
         """Mutating any cell at any depth must invalidate exactly the right
         caches: the SAME analyzer must keep matching the flat reference."""
-        technology = nmos_technology()
-        analyzer = assert_hier_equals_flat(top, technology)
-        victims = top.descendants() or [top]
-        victim = data.draw(st.sampled_from(victims))
-        layer = data.draw(st.sampled_from(LAYERS))
-        x = data.draw(coords)
-        victim.add_box(layer, x, x, x + 3, x + 2)
-        assert_hier_equals_flat(top, technology, analyzer=analyzer)
+        @settings(max_examples=examples(15), deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(top=hierarchies(), data=st.data())
+        def incremental_reanalysis_after_mutation(top, data):
+            analyzer = check(top)
+            victims = top.descendants() or [top]
+            victim = data.draw(st.sampled_from(victims))
+            layer = data.draw(st.sampled_from(LAYERS))
+            x = data.draw(coords)
+            victim.add_box(layer, x, x, x + 3, x + 2)
+            assert_hier_equals_flat(top, technology, analyzer=analyzer)
+
+        incremental_reanalysis_after_mutation()
 
 
 # -- cache behaviour ----------------------------------------------------------

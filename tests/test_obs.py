@@ -269,6 +269,7 @@ class TestTracedFlow:
         build_cats = {event["name"]: event["cat"] for event in info["events"]
                       if event["name"].startswith("hier.build.")}
         assert build_cats == {
+            "hier.build.view": "hier", "hier.build.areas": "hier",
             "hier.build.drc": "drc", "hier.build.violations": "drc",
             "hier.build.extract": "extract", "hier.build.circuit": "extract",
             "hier.build.erc": "erc", "hier.build.timing": "sta",
@@ -277,14 +278,14 @@ class TestTracedFlow:
         # every kind, a warm one only hits the five results.
         cold = report.flow_metrics
         warm = assembler.sign_off(analyzer).flow_metrics
-        for kind in ("drc", "extract", "violations", "circuit", "extent",
-                     "erc", "timing"):
+        for kind in ("view", "areas", "drc", "extract", "violations",
+                     "circuit", "extent", "erc", "timing"):
             assert cold[f"hier.{kind}.builds"] >= 1, kind
             assert warm[f"hier.{kind}.builds"] == cold[f"hier.{kind}.builds"]
-        for kind in ("violations", "circuit", "extent", "erc"):
+        for kind in ("violations", "circuit", "extent", "erc", "areas"):
             assert warm[f"hier.{kind}.hits"] == cold.get(
                 f"hier.{kind}.hits", 0) + 1, kind
-        for kind in ("drc", "extract"):
+        for kind in ("drc", "extract", "view"):
             assert warm.get(f"hier.{kind}.hits", 0) == cold.get(
                 f"hier.{kind}.hits", 0), kind
         # "Which net forced a rip-up and what did it cost" is in the trace:

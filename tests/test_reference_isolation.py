@@ -11,6 +11,10 @@ back into production branches:
 * a fresh process under ``REPRO_STRICT=1`` builds and signs off an example
   chip and runs gate, RTL and switch simulation without the package ever
   being imported.
+
+The same kind of scan keeps the hierarchical analyzer a scheduler: geometry
+stays with the composers beside the flat engines, and the artifact store is
+read and written in one place.
 """
 
 import ast
@@ -126,6 +130,43 @@ class TestSourceScan:
             "    def oracle():\n"
             "        from repro.reference import BruteDrcChecker\n"
             "    return run_with_fallback('x', fast, oracle, code='F')\n") == []
+
+
+class TestSchedulerStaysAScheduler:
+    """``repro.analysis.hier`` decides what is built when; it touches no
+    rectangle and has one get-or-build."""
+
+    ANALYSIS = os.path.join("src", "repro", "analysis")
+
+    def test_hier_imports_no_rect_geometry(self):
+        source = dict(production_sources())[
+            os.path.join(self.ANALYSIS, "hier.py")]
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}"
+                                for alias in node.names)
+        assert not imported & {"repro.geometry.index", "repro.geometry.rect"}
+
+    def test_the_store_is_read_and_written_in_one_function(self):
+        callers = {"get": [], "put": []}
+        for path, text in production_sources():
+            if not path.startswith(self.ANALYSIS):
+                continue
+            for function in ast.walk(ast.parse(text)):
+                if not isinstance(function, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(function):
+                    if (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in callers
+                            and getattr(node.func.value, "attr", None) == "store"):
+                        callers[node.func.attr].append(function.name)
+        assert callers == {"get": ["_get"], "put": ["_get"]}
 
 
 PRODUCTION_FLOW = """

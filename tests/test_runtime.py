@@ -73,22 +73,21 @@ class TestPauseRestoresTheCollector:
         assert gc.isenabled() == collector
 
     def test_every_build_runs_paused_and_children_keep_it_so(
-            self, technology, collector, monkeypatch):
+            self, technology, collector):
         """A parent's artifact is stored after its children's builds have
         exited their own pause: the collector must still be off then."""
         seen = []
-        store = HierAnalyzer._store
 
-        def recording(self, kind, cell, orientation, value):
-            if kind in self._BUILD_SPAN_CAT:
-                seen.append((kind, cell.name, gc.isenabled()))
-            return store(self, kind, cell, orientation, value)
+        class RecordingStore(MemoryStore):
+            def put(self, key, value, size=None):
+                kind, _scheme, _orientation, digest = key.split(":")[:4]
+                seen.append((kind, digest, gc.isenabled()))
+                super().put(key, value, size)
 
-        monkeypatch.setattr(HierAnalyzer, "_store", recording)
         array = TileArray(technology, "rt_nested")
-        array.sign_off(HierAnalyzer(technology))
-        assert {kind for kind, _, _ in seen} == set(HierAnalyzer._BUILD_SPAN_CAT)
-        assert len({name for _, name, _ in seen}) > 1      # children and top
+        array.sign_off(HierAnalyzer(technology, store=RecordingStore()))
+        assert {kind for kind, _, _ in seen} == set(hier._KINDS)
+        assert len({digest for _, digest, _ in seen}) > 1  # children and top
         assert not any(enabled for _, _, enabled in seen)
         assert gc.isenabled() == collector
 

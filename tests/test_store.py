@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import config
-from repro.analysis import HierAnalyzer
+from repro.analysis import HierAnalyzer, hier
 from repro.diagnostics import DiagnosticError
 from repro.generators import PlaGenerator
 from repro.geometry.point import Point
@@ -351,6 +351,11 @@ def sign_off_bare_cell(analyzer, cell):
             analyzer.measure(cell), analyzer.timing(cell), analyzer.erc(cell))
 
 
+def stored(analyzer, kind, cell):
+    """What the analyzer's store holds for one kind of ``cell`` (no build)."""
+    return analyzer.store.get(analyzer._key(kind, cell, Orientation.R0))
+
+
 def signed_off_pla(technology):
     table = TruthTable.from_expressions(
         {"q": parse_expr("a & b | c")}, input_names=["a", "b", "c"])
@@ -395,9 +400,8 @@ class TestPickling:
 
     def test_hier_artifacts_round_trip(self, technology):
         analyzer, cell = signed_off_pla(technology)
-        bundle = {kind: analyzer._cached(kind, cell, Orientation.R0)
-                  for kind in ("view", "drc", "extract", "violations",
-                               "circuit", "extent", "areas", "timing", "erc")}
+        bundle = {kind: stored(analyzer, kind, cell) for kind in hier._KINDS}
+        assert len(bundle) == 9
         assert all(value is not None for value in bundle.values())
         # The public passes return what the store holds under the result
         # kinds (``drc`` a fresh list of it)...
@@ -439,12 +443,11 @@ class TestPickling:
         """A view is serialised under its own key and nowhere else: the
         composable artifacts and the results carry no ``_View``."""
         analyzer, cell = signed_off_pla(technology)
-        for kind in ("drc", "extract", "violations", "circuit", "extent",
-                     "areas", "timing", "erc"):
-            value = analyzer._cached(kind, cell, Orientation.R0)
+        for kind in set(hier._KINDS) - {"view"}:
+            value = stored(analyzer, kind, cell)
             assert not hasattr(value, "view"), kind
             assert b"_View" not in pickle.dumps(value), kind
-        view = analyzer._cached("view", cell, Orientation.R0)
+        view = stored(analyzer, "view", cell)
         assert b"_View" in pickle.dumps(view)
 
     def test_sign_off_finishes_each_circuit_once(self, technology, tmp_path,
@@ -454,13 +457,13 @@ class TestPickling:
         analyzer over the populated disk store finishes nothing, puts
         nothing, and reads only the top cell's results."""
         finished = []
-        finish = HierAnalyzer._finish_extract
+        category, named, finish = hier._KINDS["circuit"]
 
-        def counting(self, cell, orientation):
+        def counting(analyzer, cell, orientation):
             finished.append((cell.name, cell_digest(cell), orientation))
-            return finish(self, cell, orientation)
+            return finish(analyzer, cell, orientation)
 
-        monkeypatch.setattr(HierAnalyzer, "_finish_extract", counting)
+        monkeypatch.setitem(hier._KINDS, "circuit", (category, named, counting))
         assembler, _chip = build_chip("store_once_4b", 4, 0)
         store_dir = str(tmp_path / "store")
         cold = HierAnalyzer(technology, store=TieredStore(

@@ -25,7 +25,7 @@ import sys
 
 import pytest
 
-from repro.analysis import HierAnalyzer
+from repro.analysis import HierAnalyzer, hier
 from repro.store import DiskStore, MemoryStore, StoreCorruption, TieredStore
 from repro.technology import nmos_technology
 
@@ -113,9 +113,14 @@ def _two_leaf_cell():
     return top, kept, edited
 
 
+@pytest.fixture
+def always_compose(monkeypatch):
+    """Threshold 0: always compose, so the leaves' artifacts are really read."""
+    monkeypatch.setattr(hier, "_DIRECT_THRESHOLD", 0)
+
+
 def _analyzer(technology, store_dir):
-    # Threshold 0: always compose, so the leaves' artifacts are really read.
-    return HierAnalyzer(technology, direct_threshold=0, store=TieredStore(
+    return HierAnalyzer(technology, store=TieredStore(
         MemoryStore(), DiskStore(store_dir)))
 
 
@@ -141,7 +146,7 @@ def each_layer(test):
     pass, what two results of that pass must agree on); the *result* blob is
     the one a warm analyzer reads first — and the only one it reads.
     """
-    def run(tmp_path, caplog, monkeypatch):
+    def run(tmp_path, caplog, monkeypatch, always_compose):
         for case in (("violations", "drc", HierAnalyzer.drc, list),
                      ("circuit", "extract", HierAnalyzer.extract, _netlist)):
             caplog.clear()
@@ -199,7 +204,7 @@ def test_corrupted_composable_blob_surfaces_on_the_edit_that_needs_it(
     assert any("STO001" in record.message for record in caplog.records)
     assert second.store.stats()["disk"]["corrupt"] == 1
     assert recomputed == identity(run_pass(
-        HierAnalyzer(technology, direct_threshold=0, store=MemoryStore()), top))
+        HierAnalyzer(technology, store=MemoryStore()), top))
 
 
 @each_layer
@@ -222,13 +227,13 @@ def test_corrupted_blob_is_fatal_under_strict(
         run_pass(strict, top)
 
 
-def test_blobs_of_an_older_key_scheme_miss(tmp_path, monkeypatch, caplog):
-    """Blobs of another key-scheme generation (scheme 2: rect lists pickled
-    as lists of ``Rect``; scheme 1: artifacts that embed their view) are
-    never addressed: a plain miss and a rebuild, no ``STO001`` / ``STO002``,
-    even under ``REPRO_STRICT=1``."""
-    from repro.analysis import hier
-
+def test_blobs_of_an_older_key_scheme_miss(tmp_path, monkeypatch, caplog,
+                                           always_compose):
+    """Blobs of another key-scheme generation (scheme 3: artifact classes
+    pickled under ``repro.analysis.hier``, where they no longer live;
+    scheme 2: rect lists pickled as lists of ``Rect``; scheme 1: artifacts
+    that embed their view) are never addressed: a plain miss and a rebuild,
+    no ``STO001`` / ``STO002``, even under ``REPRO_STRICT=1``."""
     monkeypatch.setenv("REPRO_STRICT", "1")
     technology = nmos_technology()
     store_dir = str(tmp_path / "store")
