@@ -76,10 +76,9 @@ def test_e15_place_and_route(monkeypatch):
                           / max(placement.final_wirelength, 1))
     assert wirelength_speedup >= 1.0
 
-    rows = [[net.name, net.method, str(net.length)]
-            for net in routing.routed]
+    rows = [[net.name, str(net.length)] for net in routing.routed]
     emit(format_table(
-        ["net", "router", "length (lambda)"], rows,
+        ["net", "length (lambda)"], rows,
         f"E15: pad routing of the 8-bit family chip "
         f"({assembler.report.chip_width} x {assembler.report.chip_height} "
         f"lambda, {len(routing.routed)} nets, completion "

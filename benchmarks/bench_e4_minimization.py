@@ -5,7 +5,7 @@ minimiser is the difference between a usable and an unusable PLA compiler.
 This benchmark compares no minimisation, the heuristic (consensus) minimiser
 and the exact (Quine-McCluskey) minimiser on structured and random
 personalities, reporting terms and resulting PLA area.  It is also the
-ablation for the "minimisation algorithm" design choice in DESIGN.md.
+ablation for the PLA generator's choice of minimisation algorithm.
 """
 
 import random

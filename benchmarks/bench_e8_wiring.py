@@ -42,11 +42,15 @@ def channel_routed_links(technology, bits, shuffle, seed=1979):
     positions = list(range(bits))
     if shuffle:
         rng.shuffle(positions)
+    # A slice drives its neighbour from a pin on its right third and listens
+    # on its left third, so no two links ever share a pin column: the channel
+    # router's vertical-constraint graph stays empty and the track count is
+    # the placement's own interval density, which is what E8 compares.
     nets = []
     for bit in range(bits - 1):
-        left = positions[bit] * slice_width + slice_width // 2
-        right = positions[bit + 1] * slice_width + slice_width // 2
-        nets.append(ChannelNet(f"link{bit}", [min(left, right)], [max(left, right)]))
+        out_pin = positions[bit] * slice_width + 2 * slice_width // 3
+        in_pin = positions[bit + 1] * slice_width + slice_width // 3
+        nets.append(ChannelNet(f"link{bit}", [out_pin], [in_pin]))
     router = ChannelRouter()
     cell = Cell(f"e8_channel_{bits}_{'shuffled' if shuffle else 'ordered'}")
     result = router.route(cell, nets, bottom_y=0)
@@ -82,9 +86,9 @@ def test_e8_abutment_vs_channel_routing(benchmark, technology):
     for (bits, ordered_len, ordered_tracks, shuffled_len, shuffled_tracks,
          channel_area, _ratio, _area) in rows:
         # Keeping the structural order (what abutment gives for free) needs
-        # at most two tracks (adjacent links alternate) and nearest-neighbour
+        # one track (neighbour links never overlap) and nearest-neighbour
         # wires; ignoring it costs more wire and more tracks.
-        assert ordered_tracks <= 2
+        assert ordered_tracks == 1
         assert shuffled_len >= ordered_len
         if bits >= 8:
             assert shuffled_len > ordered_len

@@ -1,7 +1,8 @@
 """Shared fixtures and helpers for the experiment benchmarks.
 
-Every benchmark regenerates one experiment from DESIGN.md (E1..E10) and
-prints a paper-style table of the rows it measured, in addition to the
+Every benchmark regenerates one experiment (the table in ``README.md``
+lists them; ``PERFORMANCE.md`` has the engine write-ups) and prints a
+paper-style table of the rows it measured, in addition to the
 pytest-benchmark timing of the compilation step it exercises.
 
 Each benchmark also writes a machine-readable ``BENCH_e*.json`` (wall time
@@ -19,11 +20,7 @@ import pytest
 from repro.technology import nmos_technology
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from paths import bench_result_path, ensure_results_dir, results_dir  # noqa: E402
-
-#: Kept as a module attribute for existing importers; resolved through
-#: :mod:`benchmarks.paths` so the location is defined exactly once.
-RESULTS_DIR = results_dir()
+from paths import bench_result_path, ensure_results_dir  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,7 @@
 
 Every writer (``conftest.record_bench``) and reader
 (``check_regression``, CI steps, ad-hoc analysis) resolves artifact
-locations through these helpers, so relocating the results directory — or
-pointing a CI run somewhere disposable via ``REPRO_BENCH_RESULTS`` — is a
+locations through these helpers, so relocating the results directory is a
 one-line change instead of a grep across the benchmark suite.
 """
 
@@ -14,14 +13,12 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def results_dir() -> str:
-    """The benchmark results directory (override: ``REPRO_BENCH_RESULTS``).
+    """The benchmark results directory, ``benchmarks/results/``.
 
-    The default, ``benchmarks/results/``, is committed so the performance
-    trajectory stays diffable across PRs; CI jobs that should not dirty
-    the checkout can point the override at a scratch directory.
+    Committed, so the performance trajectory stays diffable across PRs; CI
+    copies the committed baselines aside before a run overwrites them.
     """
-    return os.environ.get("REPRO_BENCH_RESULTS",
-                          os.path.join(BENCH_DIR, "results"))
+    return os.path.join(BENCH_DIR, "results")
 
 
 def ensure_results_dir() -> str:

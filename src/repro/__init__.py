@@ -8,8 +8,8 @@ a compiler down to layout, physical verification (DRC, extraction, netlist
 comparison), chip assembly, and the Caltech Intermediate Form as the
 manufacturing interface.
 
-The public API is re-exported from the subpackages; see the README for a
-quickstart and DESIGN.md for the system inventory.
+The public API is re-exported from the subpackages; see ``README.md`` for a
+quickstart and ``PERFORMANCE.md`` for how each engine is built.
 """
 
 __version__ = "0.1.0"

@@ -268,8 +268,8 @@ class ChipAssembler:
             return self._assemble()
 
     def _assemble(self) -> Cell:
-        # Imported here: repro.pnr builds on the floorplan/river modules of
-        # this package, so a module-level import would be circular.
+        # Imported here: repro.pnr builds on the floorplan module of this
+        # package, so a module-level import would be circular.
         from repro.pnr import RouteRequest, refine_placement
         from repro.pnr.router import PnrRouter
 
@@ -303,7 +303,6 @@ class ChipAssembler:
         # already drawn on the routing layer, each net blocking the next.
         layer, route_width, route_spacing = self.route_style()
         pad_position = {p.spec.name: p.core_position for p in ring.placements}
-        pad_side = {p.spec.name: p.side for p in ring.placements}
 
         def port_position(block_name: str, port_name: str) -> Point:
             # Placement already rejected unknown block names (ROU011).
@@ -322,7 +321,6 @@ class ChipAssembler:
                 name=pad_name,
                 source=pad_position[pad_name],
                 target=port_position(block_name, port_name),
-                side=pad_side[pad_name],
             ), (pad_name, block_name, port_name)))
         for index, (a, b) in enumerate(self._block_connections):
             requests.append((RouteRequest(

@@ -33,12 +33,16 @@ Gate-level modules get a structural variant (:meth:`ErcChecker.check_module`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.diagnostics import Diagnostic, Severity, get_logger
-from repro.geometry.index import UnionFind
 from repro.obs import trace as obs_trace
-from repro.netlist.module import GateType, Module
+from repro.netlist.module import Module
+from repro.netlist.switch_lowering import (
+    LoweredSwitchNetwork,
+    lower_switch,
+    strongly_connected,
+)
 from repro.netlist.switch_sim import (
     GND,
     SwitchNetwork,
@@ -118,55 +122,6 @@ class ErcReport:
                 f"{warnings} warning(s)")
 
 
-def _tarjan_sccs(graph: Dict[int, List[int]], count: int) -> List[List[int]]:
-    """Strongly connected components, iteratively (chips exceed recursion)."""
-    index_of = [-1] * count
-    low = [0] * count
-    on_stack = [False] * count
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = 0
-    for root in range(count):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pos = work[-1]
-            if pos == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            successors = graph.get(node, ())
-            while pos < len(successors):
-                succ = successors[pos]
-                pos += 1
-                if index_of[succ] == -1:
-                    work[-1] = (node, pos)
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    low[node] = min(low[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                component: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
-
-
 class ErcChecker:
     """Run the electrical rule checks on networks and modules."""
 
@@ -179,27 +134,24 @@ class ErcChecker:
 
     def _check_network(self, network: SwitchNetwork,
                        name: Optional[str] = None) -> ErcReport:
+        lowered = lower_switch(network)
         report = ErcReport(name or network.name,
                            device_count=network.device_count(),
-                           node_count=len(network.nodes()))
+                           node_count=len(lowered.names))
         devices = network.transistors
-        inputs = set(network.inputs)
+        inputs = {lowered.index[port] for port in network.inputs}
+        supplies = {lowered.vdd, lowered.gnd}
         # Named boundary nodes are assumed driven by the next level up; at
         # the top level ERC003 still reports the ones touching nothing.
-        boundary = inputs | set(network.outputs)
-        supplies = {VDD, GND}
-        terminal_nodes: Set[str] = set()
-        for device in devices:
-            terminal_nodes.add(device.source)
-            terminal_nodes.add(device.drain)
-        live = self._live_nodes(devices, supplies | boundary)
+        driven = supplies | inputs | {lowered.index[port]
+                                      for port in network.outputs}
+        live = self._live_nodes(lowered, driven)
 
-        self._check_floating_gates(report, devices, boundary, terminal_nodes,
-                                   supplies, live)
-        self._check_supply_short(report, devices)
-        self._check_dead_ports(report, network, terminal_nodes)
-        self._check_feedback(report, devices, inputs, live)
-        self._check_pullups(report, devices, live)
+        self._check_floating_gates(report, devices, lowered, driven, live)
+        self._check_supply_short(report, devices, lowered)
+        self._check_dead_ports(report, network, lowered)
+        self._check_feedback(report, devices, lowered, supplies | inputs, live)
+        self._check_pullups(report, devices, lowered, live)
         for violation in report.violations:
             _LOG.log(30 if Severity.ERROR <= violation.severity else 20,
                      "%s: %s", report.name, violation)
@@ -210,42 +162,30 @@ class ErcChecker:
         return self.check_network(circuit.network, name=circuit.cell_name)
 
     # -- switch-level checks --------------------------------------------------
+    #
+    # All of them read the shared lowering (node ids, terminal arrays, channel
+    # partition) and go back to names only to word a violation.
 
     @staticmethod
-    def _live_nodes(devices, seeds) -> Set[str]:
-        """Nodes channel-connected to a supply or boundary node.
+    def _live_nodes(lowered: LoweredSwitchNetwork, seeds) -> List[bool]:
+        """Per node: channel-connected to a supply or boundary node.
 
         Abstract layouts (PLA programming bricks, unprogrammed crosspoints)
         extract little device clusters with no path to any supply; they can
         never corrupt the live circuit, so the per-device checks skip them
         instead of drowning the report in dead-geometry noise.
         """
-        ids: Dict[str, int] = {}
-        finder = UnionFind()
+        group = lowered.channel_groups()
+        live_groups = {group[seed] for seed in seeds}
+        return [root in live_groups for root in group]
 
-        def node_id(name: str) -> int:
-            found = ids.get(name)
-            if found is None:
-                found = finder.add()
-                ids[name] = found
-            return found
-
-        for device in devices:
-            finder.union(node_id(device.source), node_id(device.drain))
-        live_roots = {finder.find(ids[seed]) for seed in seeds if seed in ids}
-        live = set(seeds)
-        for name, raw in ids.items():
-            if finder.find(raw) in live_roots:
-                live.add(name)
-        return live
-
-    def _check_floating_gates(self, report: ErcReport, devices, boundary,
-                              terminal_nodes, supplies, live) -> None:
-        drivable = supplies | boundary | terminal_nodes
-        for device in devices:
-            if device.gate in drivable:
+    def _check_floating_gates(self, report: ErcReport, devices, lowered,
+                              driven, live) -> None:
+        for device, gate, source, drain in zip(
+                devices, lowered.gate, lowered.source, lowered.drain):
+            if gate < lowered.channel_nodes or gate in driven:
                 continue
-            if device.source not in live and device.drain not in live:
+            if not (live[source] or live[drain]):
                 continue  # dead cluster: cannot disturb the circuit
             report.violations.append(ErcViolation(
                 "ERC001", Severity.ERROR,
@@ -253,98 +193,67 @@ class ErcChecker:
                 "is floating (never driven)",
                 nodes=(device.gate,), devices=(device.name,)))
 
-    def _check_supply_short(self, report: ErcReport, devices) -> None:
-        # Union source/drain across devices that conduct no matter what the
+    def _check_supply_short(self, report: ErcReport, devices, lowered) -> None:
+        # Join source/drain across devices that conduct no matter what the
         # circuit state is; a VDD~GND merge is a hard short.
-        ids: Dict[str, int] = {}
-        finder = UnionFind()
-
-        def node_id(name: str) -> int:
-            found = ids.get(name)
-            if found is None:
-                found = finder.add()
-                ids[name] = found
-            return found
-
-        node_id(VDD)
-        node_id(GND)
-        culprits: List[str] = []
-        for device in devices:
-            always_on = (device.kind is TransistorKind.DEPLETION
-                         or device.gate == VDD)
-            if always_on:
-                finder.union(node_id(device.source), node_id(device.drain))
-                culprits.append(device.name)
-        if finder.find(ids[VDD]) == finder.find(ids[GND]):
+        always_on = [depletion or gate == lowered.vdd for depletion, gate
+                     in zip(lowered.depletion, lowered.gate)]
+        group = lowered.channel_groups(conducts=always_on)
+        if group[lowered.vdd] == group[lowered.gnd]:
             report.violations.append(ErcViolation(
                 "ERC002", Severity.ERROR,
                 "VDD is shorted to GND through always-conducting devices",
-                nodes=(VDD, GND), devices=tuple(culprits)))
+                nodes=(VDD, GND),
+                devices=tuple(device.name for device, on
+                              in zip(devices, always_on) if on)))
 
     def _check_dead_ports(self, report: ErcReport, network: SwitchNetwork,
-                          terminal_nodes) -> None:
-        touched = set(terminal_nodes)
-        for device in network.transistors:
-            touched.add(device.gate)
+                          lowered) -> None:
         for port in list(network.inputs) + [p for p in network.outputs
                                             if p not in network.inputs]:
-            if port not in touched and port not in (VDD, GND):
+            if (lowered.index[port] >= lowered.device_nodes
+                    and port not in (VDD, GND)):
                 report.violations.append(ErcViolation(
                     "ERC003", Severity.WARNING,
                     f"port {port!r} touches no device", nodes=(port,)))
 
-    def _check_feedback(self, report: ErcReport, devices, inputs,
+    def _check_feedback(self, report: ErcReport, devices, lowered, cut,
                         live) -> None:
         """Cycles of gate→channel dependence between channel groups.
 
         Nodes are first merged into channel-connected groups (source/drain
-        adjacency with VDD, GND and clamped inputs removed — the standard
+        adjacency with VDD, GND and clamped inputs cut out — the standard
         switch-level partition), so a series pulldown stack is one group
         and does not read as a cycle.  An *enhancement* device whose gate
         lands in its own channel group is direct self-feedback; a depletion
         load's customary gate-to-source tie is not reported.
         """
-        excluded = {VDD, GND} | set(inputs)
-        ids: Dict[str, int] = {}
-        finder = UnionFind()
-
-        def node_id(name: str) -> Optional[int]:
-            if name in excluded:
-                return None
-            found = ids.get(name)
-            if found is None:
-                found = finder.add()
-                ids[name] = found
-            return found
-
-        for device in devices:
-            source_id = node_id(device.source)
-            drain_id = node_id(device.drain)
-            if source_id is not None and drain_id is not None:
-                finder.union(source_id, drain_id)
-        # Group the remaining nodes and build gate -> channel edges.
-        group_of: Dict[str, int] = {}
-        group_names: Dict[int, List[str]] = {}
-        for name, raw in ids.items():
-            root = finder.find(raw)
-            group_of[name] = root
-            group_names.setdefault(root, []).append(name)
-        edges: Dict[int, Set[int]] = {}
+        group = lowered.channel_groups(cut=cut)
+        members: Dict[int, List[int]] = {}
+        for node in range(lowered.channel_nodes):
+            if group[node] >= 0:
+                members.setdefault(group[node], []).append(node)
+        roots = sorted(members)
+        position = {root: i for i, root in enumerate(roots)}
+        # Gate -> channel edges between groups; a gate that is no channel
+        # terminal has nothing upstream and cannot close a cycle.
+        edges: List[Set[int]] = [set() for _ in roots]
         self_loop_devices: List = []
-        for device in devices:
-            gate_group = group_of.get(device.gate)
+        for device, gate, source, drain in zip(
+                devices, lowered.gate, lowered.source, lowered.drain):
+            gate_group = position.get(group[gate])
             if gate_group is None:
                 continue
-            for terminal in (device.source, device.drain):
-                term_group = group_of.get(terminal)
+            for terminal in (source, drain):
+                term_group = position.get(group[terminal])
                 if term_group is None:
                     continue
                 if term_group == gate_group:
                     if (device.kind is TransistorKind.ENHANCEMENT
-                            and terminal in live):
+                            and live[terminal]):
                         self_loop_devices.append(device)
                     continue
-                edges.setdefault(gate_group, set()).add(term_group)
+                edges[gate_group].add(term_group)
 
         reported: Set[str] = set()
         for device in self_loop_devices:
@@ -357,41 +266,37 @@ class ErcChecker:
                 f"(node {device.gate!r})",
                 nodes=(device.gate,), devices=(device.name,)))
 
-        roots = sorted(group_names)
-        position = {root: i for i, root in enumerate(roots)}
-        graph = {position[src]: sorted(position[dst] for dst in dsts)
-                 for src, dsts in edges.items()}
-        for scc in _tarjan_sccs(graph, len(roots)):
+        _, sccs = strongly_connected([sorted(dsts) for dsts in edges])
+        for scc in sccs:
             if len(scc) < 2:
                 continue
-            members = sorted(name for i in scc
-                             for name in group_names[roots[i]])
-            if not any(member in live for member in members):
+            nodes = [node for i in scc for node in members[roots[i]]]
+            if not any(live[node] for node in nodes):
                 continue  # a dead cluster has no supply to oscillate with
-            report.violations.append(ErcViolation(
-                "ERC004", Severity.WARNING,
-                "combinational feedback through nodes "
-                + ", ".join(repr(m) for m in members[:6])
-                + ("..." if len(members) > 6 else ""),
-                nodes=tuple(members)))
+            report.violations.append(_feedback_violation(
+                "nodes", sorted(lowered.names[node] for node in nodes)))
 
-    def _check_pullups(self, report: ErcReport, devices, live) -> None:
+    def _check_pullups(self, report: ErcReport, devices, lowered,
+                       live) -> None:
+        supplies = (lowered.vdd, lowered.gnd)
         # Strongest pulldown (enhancement W/L) adjacent to each node.
-        pulldown_strength: Dict[str, float] = {}
-        for device in devices:
+        pulldown_strength: Dict[int, float] = {}
+        for device, source, drain in zip(devices, lowered.source,
+                                         lowered.drain):
             if device.kind is not TransistorKind.ENHANCEMENT:
                 continue
             strength = device.width / device.length
-            for terminal in (device.source, device.drain):
-                if terminal in (VDD, GND):
+            for terminal in (source, drain):
+                if terminal in supplies:
                     continue
                 if strength > pulldown_strength.get(terminal, 0.0):
                     pulldown_strength[terminal] = strength
-        for device in devices:
+        for device, source, drain in zip(devices, lowered.source,
+                                         lowered.drain):
             if device.kind is not TransistorKind.DEPLETION:
                 continue
-            if VDD not in (device.source, device.drain):
-                if device.source in live or device.drain in live:
+            if lowered.vdd not in (source, drain):
+                if live[source] or live[drain]:
                     report.violations.append(ErcViolation(
                         "ERC005", Severity.WARNING,
                         f"depletion device {device.name} has no VDD terminal "
@@ -399,8 +304,8 @@ class ErcChecker:
                         nodes=(device.source, device.drain),
                         devices=(device.name,)))
                 continue
-            output = device.drain if device.source == VDD else device.source
-            if output in (VDD, GND):
+            output = drain if source == lowered.vdd else source
+            if output in supplies:
                 continue
             strongest = pulldown_strength.get(output)
             if strongest is None:
@@ -409,12 +314,13 @@ class ErcChecker:
                 continue
             pullup = device.width / device.length
             if pullup > strongest:
+                name = lowered.names[output]
                 report.violations.append(ErcViolation(
                     "ERC005", Severity.ERROR,
-                    f"pullup {device.name} on node {output!r} is stronger "
+                    f"pullup {device.name} on node {name!r} is stronger "
                     f"(W/L {pullup:g}) than the strongest pulldown "
                     f"(W/L {strongest:g})",
-                    nodes=(output,), devices=(device.name,)))
+                    nodes=(name,), devices=(device.name,)))
 
     # -- gate-level module check ----------------------------------------------
 
@@ -459,31 +365,34 @@ class ErcChecker:
             flat = module.flattened()
         names = sorted(flat.nets)
         position = {name: i for i, name in enumerate(names)}
-        graph: Dict[int, List[int]] = {}
+        fanin: List[Set[int]] = [set() for _ in names]
         for instance in flat.instances:
             if not instance.is_primitive or instance.kind.is_sequential:
                 continue  # registers break combinational cycles
             out = instance.connections.get("out")
             if out is None or out in inputs:
                 continue
-            targets = graph.setdefault(position[out], [])
             for net in instance.input_nets():
                 if net in inputs or net not in position:
                     continue
-                targets.append(position[net])
+                fanin[position[out]].add(position[net])
         # Edge direction out <- in is fine for cycle existence; report the
         # SCC membership, which is direction-agnostic.
-        for scc in _tarjan_sccs({k: sorted(set(v)) for k, v in graph.items()},
-                                len(names)):
-            if len(scc) < 2:
-                continue
-            members = sorted(names[i] for i in scc)
-            report.violations.append(ErcViolation(
-                "ERC004", Severity.WARNING,
-                "combinational feedback through nets "
-                + ", ".join(repr(m) for m in members[:6])
-                + ("..." if len(members) > 6 else ""),
-                nodes=tuple(members)))
+        _, sccs = strongly_connected([sorted(nets) for nets in fanin])
+        for scc in sccs:
+            if len(scc) >= 2:
+                report.violations.append(_feedback_violation(
+                    "nets", [names[i] for i in scc]))
+
+
+def _feedback_violation(what: str, members: List[str]) -> ErcViolation:
+    """The ``ERC004`` entry of one cycle (``members`` in name order)."""
+    return ErcViolation(
+        "ERC004", Severity.WARNING,
+        f"combinational feedback through {what} "
+        + ", ".join(repr(m) for m in members[:6])
+        + ("..." if len(members) > 6 else ""),
+        nodes=tuple(members))
 
 
 def check_network(network: SwitchNetwork) -> ErcReport:

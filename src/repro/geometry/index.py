@@ -224,9 +224,14 @@ IndexFactory = Callable[[Sequence[Rect]], SpatialIndex]
 class UnionFind:
     """Union-find with path halving; components come out deterministically.
 
-    Shared by the sweep-line merge here and by the extractor's node builder
-    (:mod:`repro.extract.extractor`), so there is exactly one union-find in
-    the codebase.
+    Shared by the sweep-line merge here, the layer merge of
+    :mod:`repro.layout.view`, the node builders of :mod:`repro.extract` and
+    the channel partition every switch-level analysis reads
+    (:meth:`repro.netlist.switch_lowering.LoweredSwitchNetwork.channel_groups`),
+    so there is exactly one union-find in production code
+    (``tests/test_reference_isolation.py`` scans for a second); the
+    switch-simulator oracle in :mod:`repro.reference` keeps its own name-keyed
+    one on purpose.
     """
 
     __slots__ = ("parent",)

@@ -16,10 +16,7 @@ Search is Dijkstra with unit step cost and a small turn penalty (fewer
 corners means fewer rectangles and less capacitance), preceded by a
 two-sided reachability flood so a sealed net fails after exhausting its
 pocket, and budget-bounded so a huge maze terminates with a diagnostic
-instead of flooding.  Where a whole group of connections faces one pad-ring
-side across an empty corridor, :class:`PnrRouter` skips the maze entirely
-and hands the group to the planar river router — the cheap, provably
-non-crossing special case.
+instead of flooding.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from dataclasses import dataclass, field
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.assembly.river import RiverRoutingError, river_route
 from repro.diagnostics import (
     Budget,
     BudgetExceeded,
@@ -59,9 +55,6 @@ class RouteRequest:
     name: str
     source: Point
     target: Point
-    #: Pad-ring side the source sits on, when known ("south"/"north"/
-    #: "east"/"west"); enables the river-corridor fast path.
-    side: str = ""
 
 
 @dataclass
@@ -71,7 +64,6 @@ class RoutedNet:
     name: str
     points: List[Point]
     length: int
-    method: str = "maze"    # "maze" or "river"
 
 
 @dataclass
@@ -180,18 +172,6 @@ class MazeRouter:
         for rects in self._nets.values():
             for rect in rects:
                 self._stamp(self._blocked, rect, _ROUTED)
-
-    def region_clear(self, rect: Rect, exempt: Sequence[Point] = ()) -> bool:
-        """True when ``rect`` keeps the spacing rule to every blockage.
-
-        The terminal shapes at the ``exempt`` points do not count: a wire
-        drawn in the region is meant to land on them.
-        """
-        probe = rect.expanded(self.spacing)
-        if not self._static_clear(probe, self._exempt_ids(*exempt)):
-            return False
-        return not any(probe.overlaps(wire, strict=True)
-                       for rects in self._nets.values() for wire in rects)
 
     def _row_slices(self, rect: Rect) -> Iterator[Tuple[int, int]]:
         """Per lattice row, the ``[lo, hi)`` cell range ``rect`` blocks."""
@@ -432,13 +412,11 @@ class MazeRouter:
 
 
 class PnrRouter:
-    """Route a batch of chip-level connections, corridor-first.
+    """Route a batch of chip-level connections, one net at a time.
 
-    Connections whose pads share one ring side, whose terminals are planar
-    and whose corridor is free of blockages go to the river router as one
-    group (no tracks burnt on straight runs, provably crossing-free);
-    everything else is maze-routed one net at a time, each finished net
-    becoming an obstacle for the next.
+    Each finished net becomes an obstacle for the next; a net the coarse
+    lattice cannot thread escalates to the half-pitch lattice, then to
+    ripping up one earlier net.
     """
 
     def __init__(self, technology: Technology, bounds: Rect,
@@ -498,17 +476,7 @@ class PnrRouter:
         report = RoutingReport()
         with obs_trace.span("pnr.route_all", cat="pnr", cell=cell.name,
                             nets=len(requests)) as span:
-            remaining = list(requests)
-            for side in ("south", "north"):
-                group = [r for r in remaining if r.side == side]
-                with obs_trace.span("pnr.river", cat="pnr", side=side,
-                                    nets=len(group)):
-                    routed = self._try_river(cell, group, side)
-                if routed:
-                    obs_metrics.counter("pnr.route.river").inc(len(routed))
-                    report.routed.extend(routed)
-                    remaining = [r for r in remaining if r.side != side]
-            for request in remaining:
+            for request in requests:
                 try:
                     with self._attempt("pnr.maze", "coarse", request):
                         net = self.route_one(cell, request)
@@ -637,57 +605,6 @@ class PnrRouter:
         self._block(name, rects)
         self._drawn[name] = (shape, rects, request)
 
-    # -- river-corridor fast path ----------------------------------------------------
-
-    def _try_river(self, cell: Cell, group: List[RouteRequest],
-                   side: str) -> Optional[List[RoutedNet]]:
-        """Route a whole side's pad connections as one planar river channel.
-
-        Applicable when the group has two or more nets, both terminal rows
-        are ordered identically left-to-right with room for vertical runs,
-        and the corridor between the rows contains no blockage.  Returns
-        ``None`` (try the maze) otherwise.
-        """
-        if len(group) < 2:
-            return None
-        ordered = sorted(group, key=lambda r: r.source.x)
-        sources = [r.source for r in ordered]
-        targets = [r.target for r in ordered]
-        if [t.x for t in targets] != sorted(t.x for t in targets):
-            return None
-        min_gap = self.wire_width + self.spacing
-        for row in (sources, targets):
-            if any(b.x - a.x < min_gap for a, b in zip(row, row[1:])):
-                return None
-        if side == "south":
-            bottom, top = sources, targets
-        else:
-            bottom, top = targets, sources
-        if not all(b.y < t.y for b, t in zip(bottom, top)):
-            return None
-        floor = max(p.y for p in bottom)
-        ceiling = min(p.y for p in top)
-        jogs = sum(1 for b, t in zip(bottom, top) if b.x != t.x)
-        pitch = self.pitch + 1
-        if floor + (jogs + 1) * pitch >= ceiling:
-            return None
-        corridor = Rect(min(p.x for p in bottom + top) - min_gap, floor + 1,
-                        max(p.x for p in bottom + top) + min_gap, ceiling - 1)
-        if not self.maze.region_clear(corridor, exempt=bottom + top):
-            return None
-        try:
-            route = river_route(cell, bottom, top, layer=self.layer,
-                                wire_width=self.wire_width, pitch=pitch,
-                                start_y=floor, spacing=self.spacing)
-        except RiverRoutingError:
-            return None
-        routed: List[RoutedNet] = []
-        for request, points in zip(ordered, route.wires):
-            self._block(request.name, _wire_rects(points, self.wire_width))
-            routed.append(RoutedNet(request.name, list(points),
-                                    _length(points), method="river"))
-        return routed
-
     def _draw(self, cell: Cell, request: RouteRequest,
               points: List[Point]) -> None:
         if len(points) < 2:
@@ -738,17 +655,3 @@ def _simplify(points: List[Point]) -> List[Point]:
 def _length(points: Sequence[Point]) -> int:
     return sum(abs(a.x - b.x) + abs(a.y - b.y)
                for a, b in zip(points, points[1:]))
-
-
-def _wire_rects(points: Sequence[Point], width: int) -> List[Rect]:
-    half = width // 2
-    other = width - half
-    rects: List[Rect] = []
-    for a, b in zip(points, points[1:]):
-        if a.y == b.y:
-            x1, x2 = sorted((a.x, b.x))
-            rects.append(Rect(x1 - half, a.y - half, x2 + other, a.y + other))
-        else:
-            y1, y2 = sorted((a.y, b.y))
-            rects.append(Rect(a.x - half, y1 - half, a.x + other, y2 + other))
-    return rects

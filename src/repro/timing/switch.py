@@ -31,10 +31,13 @@ structured it:
    never leave a CCC by construction, so the flow graph is cyclic
    exactly where the circuit has *gate feedback* — the cross-coupled
    pair inside every register, FSM state loops.  Those cycles are
-   condensed (iterative Tarjan) and each loop is traversed once (the
-   sum of its member CCC costs), the loop-breaking-at-registers
+   condensed (strongly connected components) and each loop is traversed
+   once (the sum of its member CCC costs), the loop-breaking-at-registers
    convention of synchronous timing analysis; the condensed loop count
    is reported so unexpected feedback is visible.
+
+Node ids, the channel partition and the SCC pass come from the network's one
+lowering (:mod:`repro.netlist.switch_lowering`), shared with ERC.
 
 Everything is a deterministic pure function of the extracted circuit, so
 two runs over byte-identical netlists produce float-identical timing —
@@ -46,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.netlist.switch_lowering import lower_switch, strongly_connected
 from repro.netlist.switch_sim import GND, VDD, TransistorKind
 
 if TYPE_CHECKING:   # import cycle: the extractor annotates with our parasitics
@@ -126,86 +130,76 @@ class SwitchTimingAnalyzer:
                  ) -> BlockTiming:
         parasitics = parasitics if parasitics is not None else circuit.parasitics
         network = circuit.network
-        names = sorted(name for name in
-                       set(parasitics) | set(network.nodes())
-                       if name not in _SUPPLIES)
-        index = {name: i for i, name in enumerate(names)}
-        count = len(names)
+        lowered = lower_switch(network)
+        # The timed nodes: every non-supply node of the network, plus the
+        # annotated wires that touch no device (each its own stage).
+        names = sorted((parasitics.keys() | lowered.index.keys())
+                       - set(_SUPPLIES))
         empty = NetParasitics("")
 
         def para(name: str) -> NetParasitics:
             return parasitics.get(name, empty)
 
         # Restoring stages: nodes held up by a depletion load on VDD.
-        restoring: Set[int] = set()
+        restoring: Set[str] = set()
         for device in network.transistors:
             if device.kind is TransistorKind.DEPLETION:
-                if device.source == VDD and device.drain in index:
-                    restoring.add(index[device.drain])
-                if device.drain == VDD and device.source in index:
-                    restoring.add(index[device.source])
+                if device.source == VDD and device.drain not in _SUPPLIES:
+                    restoring.add(device.drain)
+                if device.drain == VDD and device.source not in _SUPPLIES:
+                    restoring.add(device.source)
 
-        # 1. Channel-connected components over the non-supply nodes.
-        finder = list(range(count))
-
-        def find(node: int) -> int:
-            root = node
-            while finder[root] != root:
-                root = finder[root]
-            while finder[node] != root:
-                finder[node], node = root, finder[node]
-            return root
-
-        for device in network.transistors:
-            s = index.get(device.source)
-            d = index.get(device.drain)
-            if s is not None and d is not None and s != d:
-                finder[find(s)] = find(d)
-
-        ccc_of: List[int] = [-1] * count
-        ccc_members: List[List[int]] = []
-        for node in range(count):          # node order: deterministic ids
-            root = find(node)
-            if ccc_of[root] == -1:
-                ccc_of[root] = len(ccc_members)
+        # 1. Channel-connected components over the non-supply nodes, numbered
+        #    in name order (deterministic ids), members in name order.
+        group = lowered.channel_groups(cut={lowered.vdd, lowered.gnd})
+        ccc_of_group: Dict[int, int] = {}
+        ccc_of_node = [-1] * len(group)
+        ccc_members: List[List[str]] = []
+        for name in names:
+            node = lowered.index.get(name)
+            ccc = len(ccc_members)
+            if node is not None:
+                ccc = ccc_of_node[node] = ccc_of_group.setdefault(
+                    group[node], ccc)
+            if ccc == len(ccc_members):
                 ccc_members.append([])
-            ccc_of[node] = ccc_of[root]
-            ccc_members[ccc_of[node]].append(node)
+            ccc_members[ccc].append(name)
 
         # 2. Traversal cost of each CCC: the sum of its member stages.
         model = self.delay_model
-        weight = [0.0] * len(ccc_members)
-        for ccc, members in enumerate(ccc_members):
-            weight[ccc] = sum(
-                model.stage_delay_ns(para(names[node]), node in restoring)
-                for node in members)
+        weight = [sum(model.stage_delay_ns(para(name), name in restoring)
+                      for name in members)
+                  for members in ccc_members]
 
-        # 3. Signal flow arcs: gate -> the CCC its channel drives.
-        arcs: List[List[Tuple[int, float, str]]] = [
-            [] for _ in range(len(ccc_members))]
-        arc_seen: Set[Tuple[int, int]] = set()
-        for device in network.transistors:
-            if device.kind is not TransistorKind.ENHANCEMENT:
+        # 3. Signal flow arcs: gate -> the CCC its channel drives, each
+        #    remembered with the first device that makes it.
+        arcs: List[List[int]] = [[] for _ in ccc_members]
+        arc_device: Dict[Tuple[int, int], str] = {}
+        for device, depletion, gate, source, drain in zip(
+                network.transistors, lowered.depletion, lowered.gate,
+                lowered.source, lowered.drain):
+            if depletion:
                 continue   # depletion loads are priced inside their stage
-            g = index.get(device.gate)
-            if g is None:
+            driver = ccc_of_node[gate]
+            target = ccc_of_node[drain]
+            if target < 0:
+                target = ccc_of_node[source]
+            if driver < 0 or target < 0:
                 continue
-            target = index.get(device.drain)
-            if target is None:
-                target = index.get(device.source)
-            if target is None:
-                continue
-            edge = (ccc_of[g], ccc_of[target])
-            if edge not in arc_seen:
-                arc_seen.add(edge)
-                arcs[edge[0]].append((edge[1], 0.0, device.name))
+            if (driver, target) not in arc_device:
+                arc_device[(driver, target)] = device.name
+                arcs[driver].append(target)
 
-        comp_of, comps = _tarjan_scc(len(ccc_members), arcs)
+        comp_of, comps = strongly_connected(arcs)
+        scc_of_port = {
+            port: comp_of[ccc_of_node[lowered.index[port]]]
+            for port in (*network.inputs, *network.outputs)
+            if port not in _SUPPLIES}
         timing = self._condensed_longest_paths(
-            names, index, arcs, ccc_of, ccc_members, weight, comp_of, comps,
-            network)
+            arcs, arc_device, ccc_members, weight, comp_of, comps,
+            network, scc_of_port)
         timing.name = circuit.cell_name
-        timing.node_count = count
+        timing.node_count = len(names)
         timing.device_count = len(network.transistors)
         timing.restoring_stages = len(restoring)
         timing.total_cap_ff = sum(para(name).total_cap_ff for name in names)
@@ -213,15 +207,14 @@ class SwitchTimingAnalyzer:
 
     # -- condensation traversal ----------------------------------------------
 
-    def _condensed_longest_paths(self, names: Sequence[str],
-                                 index: Dict[str, int],
-                                 arcs: Sequence[Sequence[Tuple[int, float, str]]],
-                                 ccc_of: Sequence[int],
-                                 ccc_members: Sequence[Sequence[int]],
+    def _condensed_longest_paths(self, arcs: Sequence[Sequence[int]],
+                                 arc_device: Dict[Tuple[int, int], str],
+                                 ccc_members: Sequence[Sequence[str]],
                                  weight: Sequence[float],
                                  comp_of: Sequence[int],
                                  comps: Sequence[Sequence[int]],
-                                 network) -> BlockTiming:
+                                 network,
+                                 scc_of_port: Dict[str, int]) -> BlockTiming:
         num_comps = len(comps)
         # Condensed node weight: a feedback loop is traversed once, i.e.
         # every member CCC transitions once.
@@ -232,9 +225,9 @@ class SwitchTimingAnalyzer:
         successors: List[Set[int]] = [set() for _ in range(num_comps)]
         entry_device: Dict[Tuple[int, int], str] = {}
         indegree = [0] * num_comps
-        for ccc in range(len(ccc_members)):
+        for ccc, targets in enumerate(arcs):
             cu = comp_of[ccc]
-            for target, _zero, device in arcs[ccc]:
+            for target in targets:
                 cv = comp_of[target]
                 if cu == cv:
                     if target == ccc:
@@ -242,7 +235,7 @@ class SwitchTimingAnalyzer:
                     continue
                 if cv not in successors[cu]:
                     successors[cu].add(cv)
-                    entry_device[(cu, cv)] = device
+                    entry_device[(cu, cv)] = arc_device[(ccc, target)]
                     indegree[cv] += 1
 
         # Longest path over the condensation (Kahn order): arrivals are
@@ -281,118 +274,54 @@ class SwitchTimingAnalyzer:
             1 for scc in range(num_comps)
             if len(comps[scc]) > 1 or has_self_loop[scc])
 
-        sinks = [c for c in range(num_comps) if not successors[c]]
-        endpoint_arrivals: Dict[str, float] = {}
+        # A loop is named after its first node in name order; CCC ids and
+        # member lists are both in name order already.
+        representative = [ccc_members[members[0]][0] for members in comps]
+
+        # Capture points, by condensed component: the declared outputs,
+        # then every driven sink under its representative's name.
+        endpoints: Dict[str, int] = {}
         for out_name in network.outputs:
-            node = index.get(out_name)
-            if node is not None:
-                endpoint_arrivals[out_name] = arrival[comp_of[ccc_of[node]]]
-        for scc in sinks:
-            if arrival[scc] <= 0.0:
-                continue
-            representative = names[min(min(ccc_members[ccc])
-                                       for ccc in comps[scc])]
-            endpoint_arrivals.setdefault(representative, arrival[scc])
-        timing.endpoint_arrivals = dict(sorted(endpoint_arrivals.items()))
+            if out_name in scc_of_port:
+                endpoints[out_name] = scc_of_port[out_name]
+        for scc in range(num_comps):
+            if not successors[scc] and arrival[scc] > 0.0:
+                endpoints.setdefault(representative[scc], scc)
+        timing.endpoint_arrivals = {
+            name: arrival[scc] for name, scc in sorted(endpoints.items())}
 
         for in_name in network.inputs:
-            node = index.get(in_name)
-            if node is not None:
-                scc = comp_of[ccc_of[node]]
+            if in_name in scc_of_port:
+                scc = scc_of_port[in_name]
                 timing.input_depth_ns[in_name] = (condensed_weight[scc]
                                                   + tail[scc])
         for out_name in network.outputs:
-            node = index.get(out_name)
-            if node is not None:
+            if out_name in scc_of_port:
                 timing.output_arrival_ns[out_name] = arrival[
-                    comp_of[ccc_of[node]]]
+                    scc_of_port[out_name]]
 
-        if endpoint_arrivals:
-            end_name = max(endpoint_arrivals, key=lambda n: endpoint_arrivals[n])
-            timing.worst_delay_ns = endpoint_arrivals[end_name]
-            end_node = index.get(end_name)
-            if end_node is not None:
-                timing.critical_path = self._backtrack(
-                    names, ccc_members, condensed_weight, comps, pred,
-                    entry_device, arrival, comp_of[ccc_of[end_node]])
+        if endpoints:
+            end_scc = endpoints[max(endpoints,
+                                    key=lambda n: arrival[endpoints[n]])]
+            timing.worst_delay_ns = arrival[end_scc]
+            timing.critical_path = self._backtrack(
+                representative, condensed_weight, pred, entry_device,
+                arrival, end_scc)
         return timing
 
     @staticmethod
-    def _backtrack(names, ccc_members, condensed_weight, comps, pred,
-                   entry_device, arrival, end_scc: int) -> TimingPath:
+    def _backtrack(representative, condensed_weight, pred, entry_device,
+                   arrival, end_scc: int) -> TimingPath:
         chain: List[int] = [end_scc]
         while pred[chain[-1]] is not None:
             chain.append(pred[chain[-1]])
         chain.reverse()
 
-        def representative(scc: int) -> str:
-            return names[min(min(ccc_members[ccc]) for ccc in comps[scc])]
-
-        steps = [PathStep(None, representative(chain[0]),
+        steps = [PathStep(None, representative[chain[0]],
                           condensed_weight[chain[0]])]
         at = condensed_weight[chain[0]]
         for previous, scc in zip(chain, chain[1:]):
             at += condensed_weight[scc]
             steps.append(PathStep(entry_device[(previous, scc)],
-                                  representative(scc), at))
+                                  representative[scc], at))
         return TimingPath(arrival[end_scc], steps)
-
-
-def _tarjan_scc(count: int,
-                arcs: Sequence[Sequence[Tuple[int, float, str]]]
-                ) -> Tuple[List[int], List[List[int]]]:
-    """Iterative Tarjan: (component id per node, members per component).
-
-    Component ids are assigned in discovery completion order (reverse
-    topological order of the condensation); membership lists are sorted so
-    the partition is deterministic for a given arc construction order.
-    """
-    index_of = [-1] * count
-    low = [0] * count
-    on_stack = [False] * count
-    stack: List[int] = []
-    comp_of = [-1] * count
-    comps: List[List[int]] = []
-    counter = 0
-    for root in range(count):
-        if index_of[root] != -1:
-            continue
-        work: List[Tuple[int, int]] = [(root, 0)]
-        while work:
-            node, edge_pos = work[-1]
-            if edge_pos == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            targets = arcs[node]
-            while edge_pos < len(targets):
-                target = targets[edge_pos][0]
-                edge_pos += 1
-                if index_of[target] == -1:
-                    work[-1] = (node, edge_pos)
-                    work.append((target, 0))
-                    advanced = True
-                    break
-                if on_stack[target] and low[target] < low[node]:
-                    low[node] = low[target]
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                members: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    comp_of[member] = len(comps)
-                    members.append(member)
-                    if member == node:
-                        break
-                members.sort()
-                comps.append(members)
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-    return comp_of, comps

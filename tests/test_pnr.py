@@ -317,17 +317,6 @@ class TestBlockedCellGrid:
             maze.block("a", [Rect(30, 30, 40, 33)])
         assert caught.value.diagnostic.code == "ROU009"
 
-    def test_region_clear_honours_spacing_wires_and_exemptions(self):
-        pad = Rect(0, 0, 10, 10)
-        maze = MazeRouter(Rect(0, 0, 100, 100), [pad], spacing=3)
-        assert maze.region_clear(Rect(13, 0, 30, 10))       # abuts the halo
-        assert not maze.region_clear(Rect(12, 0, 30, 10))
-        assert maze.region_clear(Rect(12, 0, 30, 10), exempt=[Point(5, 5)])
-        maze.block("w", [Rect(40, 0, 43, 10)])
-        assert not maze.region_clear(Rect(13, 0, 38, 10))
-        maze.unblock("w")
-        assert maze.region_clear(Rect(13, 0, 38, 10))
-
     @settings(max_examples=100, deadline=None)
     @given(setup=walled_mazes())
     def test_flood_reaches_iff_priced_search_finds_a_path(self, setup):
@@ -550,7 +539,7 @@ def routes_of(assembler):
     """JSON-ready record of every routed net of an assembled chip."""
     if assembler.routing_report is None:
         return []
-    return [{"name": net.name, "method": net.method, "length": net.length,
+    return [{"name": net.name, "length": net.length,
              "points": [[point.x, point.y] for point in net.points]}
             for net in assembler.routing_report.routed]
 

@@ -14,7 +14,9 @@ back into production branches:
 
 The same kind of scan keeps the hierarchical analyzer a scheduler: geometry
 stays with the composers beside the flat engines, and the artifact store is
-read and written in one place.
+read and written in one place.  And it keeps the graph kernels single: one
+union-find and one Tarjan in production code, recognised by their defining
+idioms rather than by name.
 """
 
 import ast
@@ -167,6 +169,56 @@ class TestSchedulerStaysAScheduler:
                             and getattr(node.func.value, "attr", None) == "store"):
                         callers[node.func.attr].append(function.name)
         assert callers == {"get": ["_get"], "put": ["_get"]}
+
+
+def graph_kernel_idioms(source):
+    """``(kind, line)`` of every union-find root walk (``while p[i] != i``)
+    and every Tarjan root test (``low[n] == index[n]``) in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        test = node.test if isinstance(node, ast.While) else node
+        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.left, ast.Subscript)):
+            continue
+        left, right = test.left, test.comparators[0]
+        if (isinstance(node, ast.While) and isinstance(test.ops[0], ast.NotEq)
+                and ast.dump(left.slice) == ast.dump(right)):
+            found.add(("union-find", node.lineno))
+        elif (isinstance(test.ops[0], ast.Eq)
+                and isinstance(right, ast.Subscript)
+                and ast.dump(left.slice) == ast.dump(right.slice)
+                and ast.dump(left.value) != ast.dump(right.value)):
+            found.add(("tarjan", node.lineno))
+    return found
+
+
+class TestOneGraphKernel:
+    """Every production partition goes through ``geometry.index.UnionFind``
+    and every SCC pass through ``netlist.switch_lowering.strongly_connected``
+    (the switch-simulator oracle in ``repro.reference`` keeps its own)."""
+
+    def test_one_union_find_and_one_tarjan_in_production(self):
+        homes = {(kind, path) for path, text in production_sources()
+                 for kind, _line in graph_kernel_idioms(text)}
+        assert homes == {
+            ("union-find", os.path.join("src", "repro", "geometry", "index.py")),
+            ("tarjan", os.path.join("src", "repro", "netlist",
+                                    "switch_lowering.py"))}
+        for path, text in production_sources():
+            assert len(graph_kernel_idioms(text)) <= 1, path
+
+    def test_the_scan_recognises_both_idioms(self):
+        assert graph_kernel_idioms(
+            "def find(node):\n"
+            "    while finder[node] != node:\n"
+            "        node = finder[node]\n"
+            "    return node\n") == {("union-find", 2)}
+        assert graph_kernel_idioms(
+            "if low[node] == index_of[node]:\n"
+            "    pop()\n") == {("tarjan", 1)}
+        assert graph_kernel_idioms(
+            "while queue[0] != last and rows[i] == rows[j]:\n"
+            "    step()\n") == set()
 
 
 PRODUCTION_FLOW = """

@@ -1,0 +1,254 @@
+"""The switch-level lowering: one node numbering, one partition, one SCC.
+
+Three layers:
+
+* **properties** — :func:`strongly_connected` is the mutual-reachability
+  partition of a random digraph, numbered sinks-first;
+  :meth:`LoweredSwitchNetwork.channel_groups` is the name-keyed union-find
+  partition of a random network under each of the four cut / conduct
+  settings ERC and switch timing use.
+* **prove it ran** — a sign-off lowers each analysed circuit once, ERC and
+  timing sharing the result, and the lowering never reaches a pickle.
+* **golden** — ``tests/golden/switch_signoff.json`` holds every
+  ``ErcReport.violations`` entry (order included) and every ``BlockTiming``
+  field of the four example chips and the tile array, written at the commit
+  *before* ERC and switch timing moved onto the shared lowering; equality
+  here is the proof that the move changed no byte and no float.
+"""
+
+import dataclasses
+import json
+import os
+import pickle
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import HierAnalyzer
+from repro.erc import ErcChecker
+from repro.extract.extractor import ExtractedCircuit
+from repro.netlist.switch_lowering import lower_switch, strongly_connected
+from repro.netlist.switch_sim import GND, VDD, SwitchNetwork, TransistorKind
+from repro.obs import trace
+from repro.timing import NetParasitics, SwitchTimingAnalyzer
+
+from test_pnr import signed_off_chips, technology  # noqa: F401  (fixtures)
+from tile_array import TileArray
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                      "switch_signoff.json")
+UPDATE_GOLDENS = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
+
+
+# -- properties ---------------------------------------------------------------
+
+
+@st.composite
+def digraphs(draw):
+    count = draw(st.integers(1, 9))
+    return [draw(st.lists(st.integers(0, count - 1), max_size=4))
+            for _ in range(count)]
+
+
+def reachable(successors, start):
+    seen, frontier = {start}, [start]
+    while frontier:
+        for target in successors[frontier.pop()]:
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(successors=digraphs())
+def test_scc_is_the_mutual_reachability_partition(successors):
+    comp_of, comps = strongly_connected(successors)
+    reach = [reachable(successors, node) for node in range(len(successors))]
+    for node, component in enumerate(comp_of):
+        assert comps[component] == [other for other in range(len(successors))
+                                    if other in reach[node]
+                                    and node in reach[other]]
+        # Completion order: every arc stays inside a component or points at
+        # one numbered earlier.
+        assert all(comp_of[target] <= component for target in successors[node])
+
+
+NODES = [VDD, GND, "a", "b", "c", "d", "e", "f"]
+
+
+@st.composite
+def switch_networks(draw):
+    network = SwitchNetwork("random")
+    for _ in range(draw(st.integers(0, 12))):
+        gate, source, drain = (draw(st.sampled_from(NODES)) for _ in range(3))
+        network.add_transistor(gate, source, drain,
+                               draw(st.sampled_from(list(TransistorKind))))
+    for port in draw(st.lists(st.sampled_from(NODES[2:]), max_size=3)):
+        network.add_input(port)
+    for port in draw(st.lists(st.sampled_from(NODES[2:]), max_size=3)):
+        network.add_output(port)
+    return network
+
+
+def name_keyed_groups(network, cut, conducts):
+    """The reference partition: a dict union-find over node names, in the
+    style of ``repro.reference.switch_sim.conducting_groups``."""
+    parent = {node: node for node in network.nodes() if node not in cut}
+
+    def find(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for number, device in enumerate(network.transistors):
+        if ((conducts is None or conducts[number])
+                and device.source in parent and device.drain in parent):
+            parent[find(device.source)] = find(device.drain)
+    groups = {}
+    for node in parent:
+        groups.setdefault(find(node), []).append(node)
+    return sorted(sorted(group) for group in groups.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(network=switch_networks())
+def test_channel_groups_equal_the_name_keyed_partition(network):
+    lowered = lower_switch(network)
+    assert set(lowered.names) == network.nodes()
+    assert [lowered.names[i] for i in lowered.gate] == [
+        device.gate for device in network.transistors]
+    always_on = [device.kind is TransistorKind.DEPLETION or device.gate == VDD
+                 for device in network.transistors]
+    for cut, conducts in (
+            (set(), None),                                   # ERC live set
+            (set(), always_on),                              # ERC002
+            ({VDD, GND} | set(network.inputs), None),        # ERC004
+            ({VDD, GND}, None)):                             # timing CCCs
+        group = lowered.channel_groups(
+            cut={lowered.index[name] for name in cut}, conducts=conducts)
+        produced = {}
+        for node, root in enumerate(group):
+            assert (root == -1) == (lowered.names[node] in cut)
+            if root != -1:
+                produced.setdefault(root, []).append(lowered.names[node])
+        assert sorted(sorted(g) for g in produced.values()) == \
+            name_keyed_groups(network, cut, conducts)
+
+
+# -- prove it ran: one lowering per analysed circuit, none in a pickle --------
+
+#: ``len(pickle.dumps(circuit))`` of the tile array's top at the commit before
+#: the lowering existed.
+TILE_CIRCUIT_PICKLE_BYTES = 80826
+
+
+def test_sign_off_lowers_each_circuit_once_and_pickles_none(technology):
+    tiles = TileArray(technology, "lowering_tiles")
+    analyzer = HierAnalyzer(technology)
+    trace.reset()
+    trace.enable()
+    try:
+        tiles.sign_off(analyzer)
+    finally:
+        trace.disable()
+    events = trace.drain()
+    lowerings = [event["args"]["network"] for event in events
+                 if event["name"] == "netlist.lower_switch"]
+    # ERC and timing each analysed the top, the ROM and the PLA: six
+    # analyses, three lowerings.
+    assert analyzer.stats["erc_artifacts"] == 3
+    assert analyzer.stats["timing_artifacts"] == 3
+    assert sorted(lowerings) == sorted(
+        cell.name for cell in (tiles.top, tiles.rom,
+                               tiles.top.instances[-1].cell))
+    circuit = analyzer.extract(tiles.top)
+    assert lower_switch(circuit.network) is lower_switch(circuit.network)
+    assert len(pickle.dumps(circuit, protocol=pickle.HIGHEST_PROTOCOL)) == \
+        TILE_CIRCUIT_PICKLE_BYTES
+
+
+def test_a_grown_network_is_lowered_again():
+    network = SwitchNetwork("grows")
+    network.add_transistor("a", "out", GND)
+    first = lower_switch(network)
+    network.add_transistor("b", "out", VDD, TransistorKind.DEPLETION)
+    assert lower_switch(network) is not first
+    assert len(lower_switch(network).gate) == 2
+
+
+# -- golden: ERC reports and switch timing of whole chips ---------------------
+
+
+def erc_record(report):
+    return [[v.code, v.severity.name, v.message, list(v.nodes),
+             list(v.devices)] for v in report.violations]
+
+
+def sign_off_record(report):
+    """JSON-ready ERC and timing (chip row, then every block row)."""
+    rows = [("chip", report.timing.chip)] + list(report.timing.blocks)
+    return {"erc": erc_record(report.erc),
+            "timing": {name: dataclasses.asdict(timing)
+                       for name, timing in rows}}
+
+
+def latch_bank():
+    """Feedback loops declared so that name order, device order and the order
+    in which channel groups merge all differ: the chips above carry no
+    ``ERC004`` *cycle* entry and few timing ties, this circuit is made of both.
+    """
+    network = SwitchNetwork("latch_bank")
+
+    def inverter(input_node, output_node):
+        network.add_transistor(output_node, output_node, "vdd",
+                               TransistorKind.DEPLETION,
+                               name=f"pu_{output_node}")
+        network.add_transistor(input_node, output_node, "gnd",
+                               name=f"pd_{output_node}")
+
+    for q, q_bar in (("q2", "p2"), ("a_q", "z_q"), ("m", "k")):
+        inverter(q, q_bar)
+        inverter(q_bar, q)
+    for stage in range(3):                      # a three-inverter ring
+        inverter(f"ring{stage}", f"ring{(stage + 1) % 3}")
+    # Pass devices that merge two latches' channel groups after both exist.
+    network.add_transistor("en", "k", "t0", name="pass0")
+    network.add_transistor("en", "a_q", "t0", name="pass1")
+    inverter("q2", "tap")                       # a plain fan-out stage
+    inverter("tap", "out")
+    network.add_input("en")
+    network.add_output("out")
+    network.add_output("ring0")
+    parasitics = {name: NetParasitics(name, wire_cap_ff=40.0,
+                                      wire_res_ohm=25.0, gate_cap_ff=11.2)
+                  for name in sorted(network.nodes())}
+    parasitics["out"].wire_cap_ff = 90.0
+    for isolated in ("n_island", "a_island"):   # wires that touch no device
+        parasitics[isolated] = NetParasitics(isolated, wire_cap_ff=12.0,
+                                             wire_res_ohm=3.0)
+    return ExtractedCircuit("latch_bank", network, parasitics=parasitics)
+
+
+def test_erc_and_timing_match_the_pre_lowering_golden(signed_off_chips,
+                                                      technology):
+    produced = {name: sign_off_record(report)
+                for name, (_assembler, report) in signed_off_chips.items()}
+    tiles = TileArray(technology, "lowering_tiles")
+    analyzer = HierAnalyzer(technology)
+    produced["tiles"] = {
+        "erc": erc_record(analyzer.erc(tiles.top)),
+        "timing": {"chip": dataclasses.asdict(analyzer.timing(tiles.top))}}
+    bank = latch_bank()
+    produced["latch_bank"] = {
+        "erc": erc_record(ErcChecker().check_circuit(bank)),
+        "timing": {"chip": dataclasses.asdict(
+            SwitchTimingAnalyzer(technology).analyze(bank))}}
+    # Through JSON and back: tuples become lists, floats survive exactly.
+    produced = json.loads(json.dumps(produced))
+    if UPDATE_GOLDENS:
+        with open(GOLDEN, "w") as handle:
+            json.dump(produced, handle, sort_keys=True)
+            handle.write("\n")
+    with open(GOLDEN) as handle:
+        assert produced == json.load(handle)
