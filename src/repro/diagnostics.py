@@ -25,6 +25,10 @@ vocabulary defined here:
   a warning — unless ``REPRO_STRICT=1`` is set, in which case the failure
   is fatal so CI cannot silently mask a fast-path regression.
 
+Code families: ``RTL0xx`` RTL syntax, ``RTL1xx`` the static rules both RTL
+back ends enforce at construction (:mod:`repro.rtl.check`), ``RTL2xx`` legal
+RTL the gate compiler cannot synthesise; ``ERC006``–``008`` are also what
+``Module.validate()`` returns, ``FSM0xx`` what ``FSM.validate()`` returns.
 Codes are stable and never reused: ``FBK007`` (worker-pool degradation) and
 ``ROU008`` (legacy blind L-route) are retired along with the code paths
 that emitted them.  ``ROU010`` (duplicate block name, negative spacing)

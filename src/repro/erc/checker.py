@@ -329,37 +329,15 @@ class ErcChecker:
         report = ErcReport(module.name,
                            device_count=module.gate_count(),
                            node_count=len(module.nets))
-        driven = module.driven_nets()
-        inputs = set(module.input_names())
-        for net in module.nets.values():
-            if net.is_output and net.name not in driven and net.name not in inputs:
-                report.violations.append(ErcViolation(
-                    "ERC006", Severity.ERROR,
-                    f"output net {net.name!r} is never driven",
-                    nodes=(net.name,)))
-        driver_count: Dict[str, int] = {}
-        for instance in module.instances:
-            for port, net_name in instance.connections.items():
-                if net_name not in module.nets:
-                    report.violations.append(ErcViolation(
-                        "ERC007", Severity.ERROR,
-                        f"instance {instance.name!r} port {port!r} "
-                        f"references unknown net {net_name!r}",
-                        nodes=(net_name,), devices=(instance.name,)))
-            if instance.is_primitive and "out" in instance.connections:
-                out = instance.connections["out"]
-                driver_count[out] = driver_count.get(out, 0) + 1
-        for net_name in sorted(driver_count):
-            if driver_count[net_name] > 1:
-                report.violations.append(ErcViolation(
-                    "ERC008", Severity.ERROR,
-                    f"net {net_name!r} has multiple drivers",
-                    nodes=(net_name,)))
-        self._check_module_feedback(report, module, inputs)
+        report.violations.extend(
+            ErcViolation(code, Severity.ERROR, message, nets, instances)
+            for code, message, nets, instances in module.rule_violations())
+        self._check_module_feedback(report, module)
         return report
 
-    def _check_module_feedback(self, report: ErcReport, module: Module,
-                               inputs) -> None:
+    def _check_module_feedback(self, report: ErcReport,
+                               module: Module) -> None:
+        inputs = set(module.input_names())
         flat = module
         if any(not instance.is_primitive for instance in module.instances):
             flat = module.flattened()

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.diagnostics import Diagnostic, Severity
 from repro.logic.cube import Cover, Cube
 
 
@@ -116,11 +117,13 @@ class FSM:
     def transitions_from(self, state_name: str) -> List[Transition]:
         return [t for t in self.transitions if t.source == state_name]
 
-    def validate(self) -> List[str]:
-        """Return a list of diagnostics (empty when the machine is well formed)."""
-        problems: List[str] = []
+    def validate(self) -> List[Diagnostic]:
+        """Problems of the machine: ``FSM001`` no reset state, ``FSM002`` an
+        unreachable state (errors, :func:`encode_fsm` refuses), ``FSM003``
+        overlapping transition conditions (a warning)."""
+        problems: List[Tuple[Severity, str, str]] = []
         if self.reset_state is None:
-            problems.append("no reset state defined")
+            problems.append((Severity.ERROR, "FSM001", "no reset state defined"))
         reachable: Set[str] = set()
         if self.reset_state is not None:
             frontier = [self.reset_state]
@@ -132,12 +135,14 @@ class FSM:
                 frontier.extend(t.target for t in self.transitions_from(current))
             for name in self.states:
                 if name not in reachable:
-                    problems.append(f"state {name!r} unreachable from reset")
+                    problems.append((Severity.ERROR, "FSM002",
+                                     f"state {name!r} unreachable from reset"))
         for state_name in self.states:
             conditions = [t.condition_dict() for t in self.transitions_from(state_name)]
             if _conditions_overlap(conditions, self.inputs):
-                problems.append(f"state {state_name!r} has overlapping transition conditions")
-        return problems
+                problems.append((Severity.WARNING, "FSM003",
+                                 f"state {state_name!r} has overlapping transition conditions"))
+        return [Diagnostic(*problem, source="fsm") for problem in problems]
 
     def simulate(self, input_sequence: Iterable[Dict[str, int]],
                  encoding: Optional["EncodedFSM"] = None) -> List[Dict[str, int]]:
@@ -207,9 +212,10 @@ class EncodedFSM:
 
 def encode_fsm(fsm: FSM, encoding: StateEncoding = StateEncoding.BINARY) -> EncodedFSM:
     """Assign state codes and derive the next-state/output PLA personality."""
-    problems = [p for p in fsm.validate() if "overlapping" not in p]
-    if problems:
-        raise ValueError("FSM is not well formed: " + "; ".join(problems))
+    errors = [d for d in fsm.validate() if Severity.ERROR <= d.severity]
+    if errors:
+        raise ValueError("FSM is not well formed: "
+                         + "; ".join(d.message for d in errors))
     state_names = fsm.state_names()
     codes = _assign_codes(state_names, fsm.reset_state, encoding)
     num_bits = len(next(iter(codes.values()))) if codes else 0

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
+from repro.diagnostics import BudgetExceeded
 from repro.netlist.module import Module
 from repro.netlist.switch_sim import SwitchNetwork
 
@@ -130,7 +131,7 @@ def _functional_mismatches(golden_flat: Module, candidate_flat: Module,
                                         record=outputs, reset_value=0)
             candidate_traces = run_streams(candidate_compiled, stimulus,
                                            record=outputs, reset_value=0)
-        except RuntimeError as error:
+        except BudgetExceeded as error:
             # An oscillating (typically cross-coupled) netlist has no
             # settled value to compare; refuse to call that equivalent.
             return [

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from repro.diagnostics import run_with_fallback
-from repro.netlist.module import Module
+from repro.netlist.module import Module, NetlistError
 from repro.obs import trace as obs_trace
 from repro.obs import vcd as obs_vcd
 
@@ -57,9 +57,12 @@ class GateLevelSimulator:
 
     def __init__(self, module: Module, settle_limit: int = 10000):
         self.module = module.flattened()
-        problems = [p for p in self.module.validate() if "never driven" not in p]
+        # An undriven output (ERC006) simulates as X; the other rules do not.
+        problems = [d for d in self.module.validate() if d.code != "ERC006"]
         if problems:
-            raise ValueError("netlist is not simulatable: " + "; ".join(problems))
+            raise NetlistError(
+                "netlist is not simulatable: "
+                + "; ".join(d.message for d in problems), problems[0])
         self.settle_limit = settle_limit
         self.values: Dict[str, Optional[int]] = {name: X for name in self.module.nets}
         self.state: Dict[str, Optional[int]] = {}

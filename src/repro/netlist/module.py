@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.diagnostics import Diagnostic, DiagnosticError, Severity
 
@@ -266,37 +266,45 @@ class Module:
                 total += costs[gate] or 0
         return total
 
-    def driven_nets(self) -> Set[str]:
-        driven: Set[str] = set()
-        for instance in self.instances:
-            if instance.is_primitive:
-                if "out" in instance.connections:
-                    driven.add(instance.connections["out"])
-            else:
-                for port, net in instance.connections.items():
-                    if port in instance.kind.output_names():
-                        driven.add(net)
-        return driven
+    def rule_violations(self) -> Iterator[
+            Tuple[str, str, Tuple[str, ...], Tuple[str, ...]]]:
+        """``(code, message, nets, instances)`` per broken structural rule.
 
-    def validate(self) -> List[str]:
-        """Structural sanity checks; returns a list of diagnostics."""
-        problems: List[str] = []
-        driven = self.driven_nets()
-        for net in self.nets.values():
-            if net.is_output and net.name not in driven and net.name not in self.input_names():
-                problems.append(f"output net {net.name!r} is never driven")
+        ``ERC006`` undriven output net, ``ERC007`` connection to a net the
+        module lacks, ``ERC008`` several primitive drivers on one net; the
+        one pass :meth:`validate` and ``ErcChecker.check_module`` share.
+        """
+        nets = self.nets
+        driven: Set[str] = set()
+        drivers: Dict[str, int] = {}      # primitive drivers only
+        unknown = []
         for instance in self.instances:
+            outputs = (("out",) if instance.is_primitive
+                       else instance.kind.output_names())
             for port, net_name in instance.connections.items():
-                if net_name not in self.nets:
-                    problems.append(
-                        f"instance {instance.name!r} port {port!r} references unknown net {net_name!r}"
-                    )
-        multiple = [name for name in driven
-                    if sum(1 for inst in self.instances
-                           if inst.is_primitive and inst.connections.get("out") == name) > 1]
-        for name in multiple:
-            problems.append(f"net {name!r} has multiple drivers")
-        return problems
+                if net_name not in nets:
+                    unknown.append((
+                        "ERC007", f"instance {instance.name!r} port {port!r} "
+                        f"references unknown net {net_name!r}",
+                        (net_name,), (instance.name,)))
+                if port in outputs:
+                    driven.add(net_name)
+                    if instance.is_primitive:
+                        drivers[net_name] = drivers.get(net_name, 0) + 1
+        for net in nets.values():
+            if net.is_output and not net.is_input and net.name not in driven:
+                yield ("ERC006", f"output net {net.name!r} is never driven",
+                       (net.name,), ())
+        yield from unknown
+        for net_name in sorted(drivers):
+            if drivers[net_name] > 1:
+                yield ("ERC008", f"net {net_name!r} has multiple drivers",
+                       (net_name,), ())
+
+    def validate(self) -> List[Diagnostic]:
+        """Structural sanity checks (``ERC006``/``007``/``008`` errors)."""
+        return [Diagnostic(Severity.ERROR, code, message, source="netlist")
+                for code, message, _nets, _instances in self.rule_violations()]
 
     def flattened(self, prefix: str = "") -> "Module":
         """A copy with all sub-module instances expanded to primitive gates."""

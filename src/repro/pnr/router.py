@@ -81,6 +81,9 @@ class RoutingReport:
         return len(self.routed) / total
 
 
+#: Cost of a bend, on top of the unit step: keeps wires straight.
+_TURN_COST = 2
+
 #: Non-zero values of a lattice cell in ``MazeRouter._blocked``: blocked by
 #: the obstacle set or ``bounds`` alone, or by a routed net (whatever else).
 _STATIC, _ROUTED = 1, 2
@@ -99,7 +102,6 @@ class MazeRouter:
     def __init__(self, bounds: Rect, obstacles: Sequence[Rect],
                  wire_width: int = 3, spacing: int = 3,
                  grid: Optional[int] = None,
-                 turn_cost: int = 2,
                  max_expansions: int = 200_000):
         self.bounds = bounds
         self.wire_width = wire_width
@@ -108,7 +110,6 @@ class MazeRouter:
         if self.pitch < 1:
             raise ValueError(
                 f"lattice pitch must be positive, got {self.pitch}")
-        self.turn_cost = turn_cost
         self.max_expansions = max_expansions
         self._obstacles = list(obstacles)
         self._index: SpatialIndex = build_index(self._obstacles)
@@ -145,8 +146,7 @@ class MazeRouter:
         lattice (the half-pitch retry's)."""
         other = MazeRouter(self.bounds, self._obstacles,
                            wire_width=self.wire_width, spacing=self.spacing,
-                           grid=pitch, turn_cost=self.turn_cost,
-                           max_expansions=self.max_expansions)
+                           grid=pitch, max_expansions=self.max_expansions)
         for net, rects in self._nets.items():
             other.block(net, rects)
         return other
@@ -331,7 +331,6 @@ class MazeRouter:
         """
         blocked = self._blocked
         pitch = self.pitch
-        turn_cost = self.turn_cost
         steps = ((1, 1), (-1, 1), (self._stride, 2), (-self._stride, 2))
         budget = Budget(iterations=self.max_expansions,
                         label="maze expansion", code="ROU006")
@@ -358,7 +357,7 @@ class MazeRouter:
                         continue
                     next_cost = cost + pitch
                     if heading and new_heading != heading:
-                        next_cost += turn_cost
+                        next_cost += _TURN_COST
                     next_state = 3 * near + new_heading
                     if next_cost < costs.get(next_state, next_cost + 1):
                         costs[next_state] = next_cost

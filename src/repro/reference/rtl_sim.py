@@ -2,9 +2,12 @@
 
 :class:`TreeWalker` is the seed's statement/expression interpreter, callable
 with the signature of a compiled machine body; :class:`RtlInterpreter` is
-:class:`~repro.rtl.simulator.RtlSimulator` with that walker as its body.
-The differential suite pins the closure compiler cycle-for-cycle identical
-to it, error text and error timing included.
+:class:`~repro.rtl.simulator.RtlSimulator` with that walker as its body —
+and so with its constructor: parse → check → walk.  The walker only ever
+sees a machine that passed :func:`repro.rtl.check.require_valid` (every
+name declared, every target of the right kind, every node known), and the
+differential suite pins the closure compiler cycle-for-cycle identical to
+it on every such machine.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from repro.rtl.ast import (
     Block,
     Concatenate,
     Constant,
-    DeclKind,
     Expression,
     Identifier,
     IfStatement,
@@ -26,8 +28,9 @@ from repro.rtl.ast import (
     MemoryAccess,
     Statement,
     UnaryOp,
+    expression_width,
 )
-from repro.rtl.simulator import RtlSimulator, expression_width
+from repro.rtl.simulator import RtlSimulator
 
 
 class TreeWalker:
@@ -60,10 +63,8 @@ class TreeWalker:
                 self._execute_block(statement.then_branch, pending, memory_writes)
             elif statement.else_branch is not None:
                 self._execute_block(statement.else_branch, pending, memory_writes)
-        elif isinstance(statement, Assignment):
-            self._execute_assignment(statement, pending, memory_writes)
         else:
-            raise TypeError(f"unknown statement type {type(statement).__name__}")
+            self._execute_assignment(statement, pending, memory_writes)
 
     def _execute_assignment(self, assignment: Assignment, pending: Dict[str, int],
                             memory_writes: List[Tuple[str, int, int]]) -> None:
@@ -74,10 +75,7 @@ class TreeWalker:
             memory_writes.append((target.memory, address, value))
             return
         if isinstance(target, BitSelect):
-            base = target.operand
-            if not isinstance(base, Identifier):
-                raise ValueError("bit-select assignment target must be a plain name")
-            name = base.name
+            name = target.operand.name
             declaration = self.machine.declaration(name)
             current = pending.get(name, self.values.get(name, 0)) if assignment.clocked \
                 else self.values.get(name, 0)
@@ -92,12 +90,8 @@ class TreeWalker:
         name = target.name
         declaration = self.machine.declaration(name)
         if assignment.clocked:
-            if declaration.kind not in (DeclKind.REGISTER, DeclKind.OUTPUT):
-                raise ValueError(f"clocked transfer to non-register {name!r}")
             pending[name] = value & declaration.mask
         else:
-            if declaration.kind is DeclKind.REGISTER:
-                raise ValueError(f"combinational assignment to register {name!r}; use <-")
             self.values[name] = value & declaration.mask
 
     # -- expression evaluation -------------------------------------------------------------
@@ -106,8 +100,6 @@ class TreeWalker:
         if isinstance(expression, Constant):
             return expression.value
         if isinstance(expression, Identifier):
-            if expression.name not in self.values:
-                raise KeyError(f"undeclared signal {expression.name!r}")
             return self.values[expression.name]
         if isinstance(expression, BitSelect):
             base = self._evaluate(expression.operand, pending)
@@ -115,34 +107,31 @@ class TreeWalker:
             return (base >> expression.low) & ((1 << width) - 1)
         if isinstance(expression, MemoryAccess):
             address = self._evaluate(expression.address, pending)
-            storage = self.memories.get(expression.memory)
-            if storage is None:
-                raise KeyError(f"undeclared memory {expression.memory!r}")
+            storage = self.memories[expression.memory]
             if not 0 <= address < len(storage):
                 return 0
             return storage[address]
         if isinstance(expression, Concatenate):
             value = 0
             for part in expression.parts:
-                part_width = self._width_of(part)
+                part_width = expression_width(self.machine, part)
                 value = (value << part_width) | (self._evaluate(part, pending)
                                                  & ((1 << part_width) - 1))
             return value
         if isinstance(expression, UnaryOp):
             operand = self._evaluate(expression.operand, pending)
-            width = self._width_of(expression.operand)
+            width = expression_width(self.machine, expression.operand)
             mask = (1 << width) - 1
             if expression.operator == "~":
                 return (~operand) & mask
             if expression.operator == "-":
                 return (-operand) & mask
-            if expression.operator == "!":
-                return 0 if operand else 1
-            raise ValueError(f"unknown unary operator {expression.operator!r}")
+            return 0 if operand else 1
         if isinstance(expression, BinaryOp):
             left = self._evaluate(expression.left, pending)
             right = self._evaluate(expression.right, pending)
-            width = max(self._width_of(expression.left), self._width_of(expression.right))
+            width = max(expression_width(self.machine, expression.left),
+                        expression_width(self.machine, expression.right))
             mask = (1 << width) - 1
             op = expression.operator
             if op == "+":
@@ -175,13 +164,8 @@ class TreeWalker:
                 return left >> right
             if op == "&&":
                 return int(bool(left) and bool(right))
-            if op == "||":
-                return int(bool(left) or bool(right))
-            raise ValueError(f"unknown binary operator {op!r}")
+            return int(bool(left) or bool(right))
         raise TypeError(f"unknown expression type {type(expression).__name__}")
-
-    def _width_of(self, expression: Expression) -> int:
-        return expression_width(self.machine, expression)
 
 
 class RtlInterpreter(RtlSimulator):

@@ -8,6 +8,12 @@ clocked transfers, combinational assignments and conditionals; a simulator
 (compile-and-execute verification, as the RTL tradition the paper cites
 does); and a compiler that maps the behaviour onto a structural netlist and
 then onto layout via the generators.
+
+The pipeline is parse → check → back ends: :func:`parse_rtl` checks syntax
+(``RTL0xx``), :func:`check_machine` the static rules (``RTL1xx``), and the
+simulator and the compiler both refuse a machine that fails it, at
+construction, with the same :class:`RtlSemanticError` — what simulates is
+what synthesis accepts (or declines as not synthesisable, ``RTL2xx``).
 """
 
 from repro.rtl.ast import (
@@ -24,9 +30,10 @@ from repro.rtl.ast import (
     BitSelect,
     MemoryAccess,
 )
+from repro.rtl.check import check_machine, RtlSemanticError
 from repro.rtl.parser import parse_rtl, RtlSyntaxError
 from repro.rtl.simulator import RtlSimulator
-from repro.rtl.compiler import RtlCompiler, CompiledMachine
+from repro.rtl.compiler import RtlCompiler, CompiledMachine, RtlSynthesisError
 
 __all__ = [
     "MachineDescription",
@@ -41,9 +48,12 @@ __all__ = [
     "Constant",
     "BitSelect",
     "MemoryAccess",
+    "check_machine",
+    "RtlSemanticError",
     "parse_rtl",
     "RtlSyntaxError",
     "RtlSimulator",
     "RtlCompiler",
     "CompiledMachine",
+    "RtlSynthesisError",
 ]

@@ -191,3 +191,59 @@ class MachineDescription:
             elif declaration.kind is DeclKind.MEMORY:
                 total += declaration.width * declaration.depth
         return total
+
+
+def expression_width(machine: MachineDescription, expression: Expression) -> int:
+    """Static bit width of an expression of a checked machine."""
+    if isinstance(expression, Identifier):
+        return machine.declaration(expression.name).width
+    if isinstance(expression, Constant):
+        if expression.width is not None:
+            return expression.width
+        return max(1, expression.value.bit_length())
+    if isinstance(expression, BitSelect):
+        return expression.width
+    if isinstance(expression, MemoryAccess):
+        return machine.declaration(expression.memory).width
+    if isinstance(expression, Concatenate):
+        return sum(expression_width(machine, part) for part in expression.parts)
+    if isinstance(expression, UnaryOp):
+        return expression_width(machine, expression.operand)
+    if isinstance(expression, BinaryOp):
+        if expression.operator in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
+            return 1
+        return max(expression_width(machine, expression.left),
+                   expression_width(machine, expression.right))
+    raise TypeError(f"unknown expression type {type(expression).__name__}")
+
+
+def render_statement(statement: Statement) -> str:
+    """Render an RTL AST statement back to (normalised) source text."""
+
+    def expr(e) -> str:
+        if isinstance(e, Identifier):
+            return e.name
+        if isinstance(e, Constant):
+            return str(e.value)
+        if isinstance(e, BitSelect):
+            if e.high == e.low:
+                return f"{expr(e.operand)}[{e.low}]"
+            return f"{expr(e.operand)}[{e.high}:{e.low}]"
+        if isinstance(e, MemoryAccess):
+            return f"{e.memory}[{expr(e.address)}]"
+        if isinstance(e, UnaryOp):
+            return f"{e.operator}{expr(e.operand)}"
+        if isinstance(e, BinaryOp):
+            return f"({expr(e.left)} {e.operator} {expr(e.right)})"
+        if isinstance(e, Concatenate):
+            return "{" + ", ".join(expr(p) for p in e.parts) + "}"
+        return repr(e)
+
+    if isinstance(statement, Assignment):
+        arrow = "<-" if statement.clocked else "="
+        return f"{expr(statement.target)} {arrow} {expr(statement.value)};"
+    if isinstance(statement, IfStatement):
+        return f"if ({expr(statement.condition)}) ..."
+    if isinstance(statement, Block):
+        return "begin ... end"
+    return repr(statement)

@@ -13,6 +13,12 @@ in the style of the CMU standard-modules work it cites [6]:
    giving a layout cell whose area can be compared against hand design —
    the "cost in space and speed" of automatic compilation (experiments E1
    and E2).
+
+An illegal machine is refused at construction (``RTL1xx``, the check the
+simulator runs too); legal RTL that flattened gates cannot express is an
+:class:`RtlSynthesisError`: ``RTL201`` a memory deeper than
+:data:`MAX_FLATTENED_MEMORY_WORDS`, ``RTL202`` multiplication, ``RTL203`` a
+shift by a non-constant amount.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.diagnostics import Diagnostic, DiagnosticError, Severity
 from repro.layout.cell import Cell
 from repro.netlist.module import GateType, Module
 from repro.rtl.ast import (
@@ -38,7 +45,10 @@ from repro.rtl.ast import (
     MemoryAccess,
     Statement,
     UnaryOp,
+    expression_width,
+    render_statement,
 )
+from repro.rtl.check import require_valid
 from repro.technology.technology import Technology
 
 #: A word value during elaboration: a list of net names, least significant first.
@@ -47,6 +57,12 @@ Bits = List[str]
 #: Memories larger than this are rejected (they should use the RAM generator
 #: as a separate physical block rather than being flattened into gates).
 MAX_FLATTENED_MEMORY_WORDS = 256
+
+
+class RtlSynthesisError(DiagnosticError, ValueError):
+    """Legal RTL that the gate compiler cannot synthesise."""
+
+    default_code = "RTL200"
 
 
 @dataclass
@@ -58,7 +74,6 @@ class CompiledMachine:
     gate_count: int
     dff_count: int
     transistor_estimate: int
-    warnings: List[str] = field(default_factory=list)
     #: Source statements that assign each signal, in elaboration order —
     #: the map static timing uses to trace a register-to-register path
     #: back to the transfers that created its logic.
@@ -76,17 +91,19 @@ class RtlCompiler:
     """Compile a :class:`MachineDescription` to a structural netlist."""
 
     def __init__(self, machine: MachineDescription):
+        require_valid(machine)
         self.machine = machine
         self.module = Module(machine.name)
         self._net_counter = 0
         self._const_nets: Dict[int, str] = {}
-        self.warnings: List[str] = []
         # Current symbolic value of every signal (bit nets, LSB first).
         self._env: Dict[str, Bits] = {}
         # Next-cycle value of registers / memory words.
         self._next: Dict[str, Bits] = {}
         # Which source statements wrote each signal (for timing reports).
         self._writers: Dict[str, List[Statement]] = {}
+        # The statement being elaborated (named by RTL2xx refusals).
+        self._statement: Optional[Statement] = None
 
     # -- public API -----------------------------------------------------------------
 
@@ -104,7 +121,6 @@ class RtlCompiler:
             gate_count=module.gate_count() - dff_count,
             dff_count=dff_count,
             transistor_estimate=module.transistor_estimate(),
-            warnings=list(self.warnings),
             register_writers={name: list(statements)
                               for name, statements in self._writers.items()},
         )
@@ -141,7 +157,8 @@ class RtlCompiler:
             self._next[declaration.name] = list(bits)
         for declaration in self.machine.memories:
             if declaration.depth > MAX_FLATTENED_MEMORY_WORDS:
-                raise ValueError(
+                raise self._unsynthesisable(
+                    "RTL201",
                     f"memory {declaration.name!r} has {declaration.depth} words; "
                     f"flattened synthesis is limited to {MAX_FLATTENED_MEMORY_WORDS} — "
                     "instantiate a RAM block instead"
@@ -182,7 +199,9 @@ class RtlCompiler:
     def _elaborate_statement(self, statement: Statement, condition: Optional[str]) -> None:
         if isinstance(statement, Block):
             self._elaborate(statement, condition)
-        elif isinstance(statement, IfStatement):
+            return
+        self._statement = statement
+        if isinstance(statement, IfStatement):
             test = self._reduce_to_bit(self._eval(statement.condition))
             then_condition = self._and_conditions(condition, test)
             self._elaborate(statement.then_branch, then_condition)
@@ -191,10 +210,8 @@ class RtlCompiler:
                 self.module.add_gate(GateType.NOT, inverted, [test])
                 else_condition = self._and_conditions(condition, inverted)
                 self._elaborate(statement.else_branch, else_condition)
-        elif isinstance(statement, Assignment):
-            self._elaborate_assignment(statement, condition)
         else:
-            raise TypeError(f"unknown statement {type(statement).__name__}")
+            self._elaborate_assignment(statement, condition)
 
     def _and_conditions(self, outer: Optional[str], inner: str) -> str:
         if outer is None:
@@ -214,20 +231,19 @@ class RtlCompiler:
 
         if isinstance(target, MemoryAccess):
             self._record_writer(target.memory, assignment)
-            self._assign_memory(target, value_bits, condition, assignment.clocked)
+            self._assign_memory(target, value_bits, condition)
             return
 
         if isinstance(target, BitSelect):
-            base = target.operand
-            if not isinstance(base, Identifier):
-                raise ValueError("bit-select assignment target must be a plain name")
-            name = base.name
+            name = target.operand.name
             self._record_writer(name, assignment)
             declaration = self.machine.declaration(name)
             width = declaration.width
             full = list(self._next[name] if assignment.clocked and name in self._next
                         else self._env[name])
-            slice_width = target.high - target.low + 1
+            # Bits selected past the declared width are dropped, as the
+            # simulator's declaration mask drops them.
+            slice_width = min(target.high + 1, width) - target.low
             padded = self._resize(value_bits, slice_width)
             for offset in range(slice_width):
                 full[target.low + offset] = padded[offset]
@@ -254,10 +270,8 @@ class RtlCompiler:
             self._env[name] = self._mux_word(condition, new_bits, previous)
 
     def _assign_memory(self, target: MemoryAccess, value_bits: Bits,
-                       condition: Optional[str], clocked: bool) -> None:
+                       condition: Optional[str]) -> None:
         declaration = self.machine.declaration(target.memory)
-        if not clocked:
-            raise ValueError("memory writes must be clocked transfers (<-)")
         address_bits = self._resize(self._eval(target.address),
                                     max(1, (declaration.depth - 1).bit_length()))
         for word in range(declaration.depth):
@@ -273,11 +287,9 @@ class RtlCompiler:
 
     def _eval(self, expression: Expression) -> Bits:
         if isinstance(expression, Constant):
-            width = expression.width or max(1, expression.value.bit_length())
+            width = expression_width(self.machine, expression)
             return [self._constant_bit((expression.value >> i) & 1) for i in range(width)]
         if isinstance(expression, Identifier):
-            if expression.name not in self._env:
-                raise KeyError(f"undeclared signal {expression.name!r}")
             return list(self._env[expression.name])
         if isinstance(expression, BitSelect):
             base = self._eval(expression.operand)
@@ -299,12 +311,8 @@ class RtlCompiler:
             if expression.operator == "-":
                 inverted = [self._not(bit) for bit in operand]
                 return self._add(inverted, [self._constant_bit(1)], len(operand))
-            if expression.operator == "!":
-                return [self._not(self._reduce_to_bit(operand))]
-            raise ValueError(f"unknown unary operator {expression.operator!r}")
-        if isinstance(expression, BinaryOp):
-            return self._eval_binary(expression)
-        raise TypeError(f"unknown expression {type(expression).__name__}")
+            return [self._not(self._reduce_to_bit(operand))]
+        return self._eval_binary(expression)
 
     def _eval_binary(self, expression: BinaryOp) -> Bits:
         op = expression.operator
@@ -335,9 +343,14 @@ class RtlCompiler:
         if op == "||":
             return [self._binary_gate(GateType.OR, self._reduce_to_bit(left),
                                       self._reduce_to_bit(right))]
-        if op == "*":
-            raise ValueError("multiplication is not supported by the gate compiler")
-        raise ValueError(f"unknown binary operator {op!r}")
+        raise self._unsynthesisable(
+            "RTL202", "multiplication is not supported by the gate compiler")
+
+    def _unsynthesisable(self, code: str, message: str) -> RtlSynthesisError:
+        if self._statement is not None:
+            message += f" in `{render_statement(self._statement)}`"
+        return RtlSynthesisError(
+            message, Diagnostic(Severity.ERROR, code, message, source="rtl"))
 
     def _read_memory(self, access: MemoryAccess) -> Bits:
         declaration = self.machine.declaration(access.memory)
@@ -469,14 +482,13 @@ class RtlCompiler:
         equal = self._equality(a, b)
         if op == "<=":
             return self._binary_gate(GateType.OR, less, equal)
-        if op == ">":
-            greater_or_equal = carry
-            return self._binary_gate(GateType.AND, greater_or_equal, self._not(equal))
-        raise ValueError(f"unknown comparison {op!r}")
+        return self._binary_gate(GateType.AND, carry, self._not(equal))     # ">"
 
     def _shift(self, bits: Bits, amount: Expression, op: str, width: int) -> Bits:
         if not isinstance(amount, Constant):
-            raise ValueError("only constant shift amounts are supported by the gate compiler")
+            raise self._unsynthesisable(
+                "RTL203",
+                "only constant shift amounts are supported by the gate compiler")
         shift = amount.value
         zero = self._constant_bit(0)
         if op == "<<":

@@ -56,6 +56,7 @@ from repro.rtl.ast import (
     Statement,
     UnaryOp,
 )
+from repro.rtl.check import check_machine
 
 
 class RtlSyntaxError(DiagnosticError, ValueError):
@@ -458,9 +459,12 @@ def parse_rtl(text: str,
     and statements (resynchronizing at the next semicolon) and records
     every problem instead of raising on the first; a machine whose header
     or ``always`` section is unreadable comes back with
-    ``machine.poisoned`` set.
+    ``machine.poisoned`` set; any other machine also gets its semantic
+    diagnostics (``RTL1xx``, :func:`~repro.rtl.check.check_machine`) recorded.
     """
     machine = _Parser(_tokenize(text, collector), collector).parse_machine()
     if collector is not None and collector.has_errors:
         machine.poisoned = machine.poisoned or not machine.body.statements
+    if collector is not None and not machine.poisoned:
+        collector.extend(check_machine(machine))
     return machine

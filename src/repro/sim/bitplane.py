@@ -43,6 +43,7 @@ from repro.sim.kernel import (
     OP_OR,
     OP_XNOR,
     OP_XOR,
+    settle_budget_error,
 )
 
 
@@ -237,7 +238,7 @@ class BitplaneEvaluator:
                     changed = True
             if not changed:
                 return
-        raise RuntimeError("combinational loop did not settle (oscillation?)")
+        raise settle_budget_error()
 
     def clock(self) -> None:
         """Capture all DFF D planes, then update the Q planes together."""

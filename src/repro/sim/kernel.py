@@ -27,7 +27,6 @@ over list indices instead of a dictionary walk.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import BudgetExceeded, Diagnostic, Severity
@@ -282,6 +281,17 @@ def compile_netlist(module: Module) -> CompiledNetlist:
     return compiled
 
 
+def settle_budget_error() -> BudgetExceeded:
+    """The ``GRD002`` error of a settle loop that ran out of sweeps."""
+    message = "combinational loop did not settle (oscillation?)"
+    return BudgetExceeded(
+        message,
+        Diagnostic(Severity.ERROR, "GRD002", message,
+                   hint="the netlist oscillates; raise settle_limit only "
+                        "if depth is real",
+                   source="sim"))
+
+
 class ScalarEngine:
     """Event-driven scalar settle on a :class:`CompiledNetlist`.
 
@@ -300,16 +310,11 @@ class ScalarEngine:
     def __init__(self, compiled: CompiledNetlist,
                  values_dict: Dict[str, Optional[int]],
                  state_dict: Dict[str, Optional[int]],
-                 settle_limit: int = 10000,
-                 settle_seconds: Optional[float] = None):
+                 settle_limit: int = 10000):
         self.compiled = compiled
         self.values = values_dict
         self.state = state_dict
         self.settle_limit = settle_limit
-        #: Optional wall-clock budget per settle call, on top of the
-        #: iteration limit (guards adversarial netlists whose sweeps are
-        #: individually huge).
-        self.settle_seconds = settle_seconds
         self.vals: List[Optional[int]] = [None] * compiled.num_slots
         self._net_index = compiled.net_index
         for name, net_id in compiled.net_index.items():
@@ -417,8 +422,6 @@ class ScalarEngine:
         evals = self._evals
         fanout = self.compiled.fanout
         limit = self.settle_limit
-        deadline = (None if self.settle_seconds is None
-                    else time.monotonic() + self.settle_seconds)
         depth = 0
         iterations = 0
         dirty: Set[int] = set()
@@ -426,21 +429,7 @@ class ScalarEngine:
         while True:
             iterations += 1
             if iterations > limit:
-                raise BudgetExceeded(
-                    "combinational loop did not settle (oscillation?)",
-                    Diagnostic(Severity.ERROR, "GRD002",
-                               "combinational loop did not settle "
-                               "(oscillation?)",
-                               hint="the netlist oscillates; raise "
-                                    "settle_limit only if depth is real",
-                               source="sim"))
-            if (deadline is not None and iterations % 64 == 0
-                    and time.monotonic() > deadline):
-                raise BudgetExceeded(
-                    f"settle exceeded {self.settle_seconds}s time budget",
-                    Diagnostic(Severity.ERROR, "GRD002",
-                               f"settle exceeded {self.settle_seconds}s "
-                               "time budget", source="sim"))
+                raise settle_budget_error()
             changed: List[int] = []
             for gate_id in candidates:
                 new_value = evals[gate_id]()

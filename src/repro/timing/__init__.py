@@ -24,6 +24,7 @@ exactly like its DRC/extraction artifacts, so re-timing a chip after an
 edit re-analyzes only the affected cells.
 """
 
+from repro.rtl.ast import render_statement
 from repro.timing.delay import GateDelayModel, SwitchDelayModel
 from repro.timing.graph import PathStep, TimingGraph, TimingPath, timing_graph_for_module
 from repro.timing.parasitics import (
@@ -37,7 +38,6 @@ from repro.timing.sta import (
     TimingReport,
     analyze_module,
     register_paths,
-    render_statement,
 )
 from repro.timing.switch import BlockTiming, SwitchTimingAnalyzer
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.netlist.module import Module
+from repro.rtl.ast import render_statement
 from repro.rtl.compiler import CompiledMachine
 from repro.sim.kernel import compile_netlist
 from repro.timing.delay import GateDelayModel
@@ -156,38 +157,3 @@ def register_paths(compiled_machine: CompiledMachine, technology=None,
                                     statements))
     return results
 
-
-def render_statement(statement) -> str:
-    """Render an RTL AST statement back to (normalised) source text."""
-    from repro.rtl.ast import (
-        Assignment, BinaryOp, BitSelect, Block, Concatenate, Constant,
-        Identifier, IfStatement, MemoryAccess, UnaryOp,
-    )
-
-    def expr(e) -> str:
-        if isinstance(e, Identifier):
-            return e.name
-        if isinstance(e, Constant):
-            return str(e.value)
-        if isinstance(e, BitSelect):
-            if e.high == e.low:
-                return f"{expr(e.operand)}[{e.low}]"
-            return f"{expr(e.operand)}[{e.high}:{e.low}]"
-        if isinstance(e, MemoryAccess):
-            return f"{e.memory}[{expr(e.address)}]"
-        if isinstance(e, UnaryOp):
-            return f"{e.operator}{expr(e.operand)}"
-        if isinstance(e, BinaryOp):
-            return f"({expr(e.left)} {e.operator} {expr(e.right)})"
-        if isinstance(e, Concatenate):
-            return "{" + ", ".join(expr(p) for p in e.parts) + "}"
-        return repr(e)
-
-    if isinstance(statement, Assignment):
-        arrow = "<-" if statement.clocked else "="
-        return f"{expr(statement.target)} {arrow} {expr(statement.value)};"
-    if isinstance(statement, IfStatement):
-        return f"if ({expr(statement.condition)}) ..."
-    if isinstance(statement, Block):
-        return "begin ... end"
-    return repr(statement)

@@ -18,7 +18,7 @@ makes it too slow for the tier-1 suite.  CI runs it explicitly::
 
     FAULT_INJECTION_EXAMPLES=25 pytest tests/fault_injection.py
 
-The default budget (120 examples per property, 10 properties) exercises
+The default budget (120 examples per property, 12 properties) exercises
 more than 1000 mutated inputs per full run.
 """
 
@@ -33,8 +33,10 @@ from repro.cif import parse_cif, write_cif
 from repro.cif.parser import CifSyntaxError
 from repro.diagnostics import (
     BudgetExceeded,
+    Diagnostic,
     DiagnosticCollector,
     DiagnosticError,
+    Severity,
 )
 from repro.drc import DrcChecker
 from repro.erc import ErcChecker
@@ -63,10 +65,19 @@ from repro.reference import (
     BruteDrcChecker,
     BruteExtractor,
     GateLevelInterpreter,
+    RtlInterpreter,
     SwitchLevelReference,
 )
-from repro.rtl import parse_rtl
-from repro.rtl.parser import RtlSyntaxError
+from repro.rtl import (
+    RtlCompiler,
+    RtlSemanticError,
+    RtlSimulator,
+    RtlSynthesisError,
+    RtlSyntaxError,
+    check_machine,
+    parse_rtl,
+)
+from repro.rtl import ast as rtl
 from repro.technology import nmos_technology
 
 EXAMPLES = int(os.environ.get("FAULT_INJECTION_EXAMPLES", "120"))
@@ -133,6 +144,111 @@ def mutations(draw, seed):
     return text
 
 
+# -- RTL semantics --------------------------------------------------------------
+
+
+def check_back_ends(machine, data):
+    """One machine through check, both simulators and the gate compiler.
+
+    Either the check finds ``RTL1xx`` errors and all three back ends refuse
+    the machine at construction with that same error, or all three accept
+    it: the simulators then agree cycle for cycle and the compiler produces
+    a netlist or declines with ``RTL2xx`` — no bare builtin error anywhere.
+    """
+    diagnostics = check_machine(machine)
+    assert all(isinstance(d, Diagnostic) and "RTL100" < d.code < "RTL200"
+               for d in diagnostics)
+    errors = [d for d in diagnostics if Severity.ERROR <= d.severity]
+    back_ends = (RtlSimulator, RtlInterpreter, RtlCompiler)
+    if errors:
+        for back_end in back_ends:
+            with pytest.raises(RtlSemanticError) as info:
+                back_end(machine)
+            assert info.value.diagnostics == errors
+        return
+    production, reference, compiler = (b(machine) for b in back_ends)
+    for _ in range(4):
+        vector = {d.name: data.draw(st.integers(0, d.mask))
+                  for d in machine.inputs}
+        assert production.step(vector) == reference.step(vector)
+        assert production.values == reference.values
+    try:
+        compiler.compile()
+    except RtlSynthesisError as error:
+        assert "RTL200" < error.diagnostic.code < "RTL300"
+
+
+#: ``input a[2]; output y[2]; wire w[2]; register r[2]; memory mem[4][2]``:
+#: each choice below is legal eleven times in twelve, so about half of the
+#: machines pass the check and half break one rule or another.
+def mostly(legal, illegal):
+    return st.integers(0, 11).flatmap(lambda n: legal if n else illegal)
+
+
+def names(*pool):
+    return st.sampled_from(pool)
+
+
+rtl_signals = st.builds(rtl.Identifier, mostly(names("a", "y", "w", "r"),
+                                               names("mem", "ghost")))
+rtl_memories = mostly(st.just("mem"), names("nomem", "r"))
+rtl_expressions = st.recursive(
+    st.one_of(st.builds(rtl.Constant, st.integers(0, 3)), rtl_signals),
+    lambda inner: st.one_of(
+        st.builds(rtl.UnaryOp, mostly(names("~", "-", "!"), st.just("?")),
+                  inner),
+        st.builds(rtl.BinaryOp,
+                  mostly(names("+", "-", "&", "|", "^", "==", "<", ">=", ">>",
+                               "&&", "||", "*", "<<"), st.just("**")),
+                  inner, inner),
+        st.builds(lambda base, low: rtl.BitSelect(base, low + 1, low),
+                  rtl_signals, st.integers(0, 2)),
+        st.builds(rtl.MemoryAccess, rtl_memories, inner),
+        st.builds(lambda left, right: rtl.Concatenate((left, right)),
+                  inner, inner)),
+    max_leaves=4)
+
+
+def rtl_writes(kind_names, clocked):
+    """Assignments to (a field of) a signal of one kind, or to a memory word."""
+    whole = st.builds(rtl.Identifier, mostly(names(*kind_names),
+                                             names("mem", "ghost")))
+    field = st.builds(lambda base, low: rtl.BitSelect(base, low, low),
+                      mostly(whole, rtl_expressions), st.integers(0, 2))
+    return st.builds(rtl.Assignment, st.one_of(whole, whole, field),
+                     rtl_expressions,
+                     mostly(st.just(clocked), st.just(not clocked)))
+
+
+rtl_assignments = st.one_of(
+    rtl_writes(("y", "w", "a"), clocked=False),
+    rtl_writes(("y", "r"), clocked=True),
+    st.builds(rtl.Assignment,
+              st.builds(rtl.MemoryAccess, rtl_memories, rtl_expressions),
+              rtl_expressions, mostly(st.just(True), st.just(False))))
+#: Half the conditionals are dead (constant 0): a rule must hold there too.
+rtl_statements = st.one_of(
+    rtl_assignments,
+    st.builds(lambda condition, then, otherwise: rtl.IfStatement(
+                  condition, rtl.Block((then,)),
+                  None if otherwise is None else rtl.Block((otherwise,))),
+              st.one_of(st.just(rtl.Constant(0)), rtl_expressions),
+              rtl_assignments, st.one_of(st.none(), rtl_assignments)))
+
+
+@st.composite
+def small_machines(draw):
+    machine = rtl.MachineDescription("small")
+    machine.declare(rtl.DeclKind.INPUT, "a", 2)
+    machine.declare(rtl.DeclKind.OUTPUT, "y", 2)
+    machine.declare(rtl.DeclKind.WIRE, "w", 2)
+    machine.declare(rtl.DeclKind.REGISTER, "r", 2)
+    machine.declare(rtl.DeclKind.MEMORY, "mem", 2, depth=4)
+    machine.body = rtl.Block(tuple(draw(
+        st.lists(rtl_statements, min_size=1, max_size=3))))
+    return machine
+
+
 # -- parsers ------------------------------------------------------------------
 
 
@@ -180,6 +296,19 @@ class TestRtlMutation:
             assert isinstance(error, ValueError)
             assert error.diagnostic.code.startswith("RTL")
 
+    @given(text=mutations(SEED_RTL), data=st.data())
+    def test_mutants_that_parse_are_rejected_typed_or_run_everywhere(
+            self, text, data):
+        try:
+            machine = parse_rtl(text)
+        except RtlSyntaxError:
+            return
+        check_back_ends(machine, data)
+
+    @given(machine=small_machines(), data=st.data())
+    def test_back_ends_accept_and_reject_the_same_machines(self, machine, data):
+        check_back_ends(machine, data)
+
 
 # -- netlists -----------------------------------------------------------------
 
@@ -208,9 +337,13 @@ class TestNetlistMutation:
             except NetlistError as error:
                 assert error.diagnostic.code.startswith("NET")
                 return
-        # ERC and validation must be total on whatever was constructed.
-        ErcChecker().check_module(module)
-        module.validate()
+        # ERC and validation must be total on whatever was constructed,
+        # and report the structural rules from the one pass.
+        problems = module.validate()
+        assert all(isinstance(d, Diagnostic) for d in problems)
+        assert [d.code for d in problems] == [
+            code for code in ErcChecker().check_module(module).codes()
+            if code != "ERC004"]
 
         sims = []
         for simulator in (GateLevelSimulator, GateLevelInterpreter):

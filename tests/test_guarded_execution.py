@@ -32,7 +32,7 @@ from repro.diagnostics import BudgetExceeded, DiagnosticCollector
 from repro.drc import DrcChecker
 from repro.extract.extractor import Extractor
 from repro.layout.cell import Cell
-from repro.netlist import GateType, Module
+from repro.netlist import GateType, Module, compare_netlists
 from repro.netlist.gate_sim import GateLevelSimulator
 from repro.netlist.switch_sim import (
     SwitchLevelSimulator,
@@ -48,6 +48,7 @@ from repro.reference import (
     SwitchLevelReference,
 )
 from repro.rtl import RtlSimulator, parse_rtl
+from repro.sim import evaluate_vectors
 from repro.sim.kernel import CompiledNetlist
 from repro.technology import nmos_technology
 from repro.timing import TimingGraph
@@ -97,6 +98,32 @@ class TestOscillationBudgets:
             errors[incremental] = info.value
         assert str(errors[True]) == str(errors[False])
         assert errors[True].diagnostic.code == "GRD003"
+
+    def test_bitplane_raises_the_typed_error_of_the_scalar_engine(self):
+        # A cross-coupled inverter pair is bistable under in-order sweeps;
+        # the odd ring is what oscillates.  ``en`` low parks it, high frees it.
+        ring = Module("ring")
+        ring.add_input("en")
+        ring.add_output("c")
+        ring.add_gate(GateType.NAND, "a", ["en", "c"])
+        ring.add_gate(GateType.NOT, "b", ["a"])
+        ring.add_gate(GateType.NOT, "c", ["b"])
+        with pytest.raises(BudgetExceeded) as info:
+            evaluate_vectors(CompiledNetlist(ring),
+                             [{"en": 1, "a": 0, "b": 0, "c": 0}])
+        assert info.value.diagnostic.code == "GRD002"
+        assert isinstance(info.value, RuntimeError)
+        scalar = GateLevelSimulator(ring, settle_limit=50)
+        scalar.set_inputs({"en": 1, "a": 0, "b": 0, "c": 0})
+        with pytest.raises(BudgetExceeded) as scalar_info:
+            scalar.settle()
+        assert str(info.value) == str(scalar_info.value)
+        # The functional comparison refuses to call an oscillator equivalent
+        # to anything, itself included.
+        result = compare_netlists(ring, ring, functional=True)
+        assert not result.matches
+        assert "inconclusive" in result.mismatches[0]
+        assert str(info.value) in result.mismatches[0]
 
     def test_settle_limit_still_configurable(self):
         # A deep but convergent chain must not trip the budget.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.diagnostics import Severity
 from repro.logic.expr import parse_expr
 from repro.logic.fsm import FSM, StateEncoding, encode_fsm
 from repro.logic.truth_table import TruthTable
@@ -95,8 +96,20 @@ class TestFsm:
         fsm = FSM("m", inputs=[], outputs=[])
         fsm.add_state("A", reset=True)
         fsm.add_state("B")
-        problems = fsm.validate()
-        assert any("unreachable" in p for p in problems)
+        assert [d.code for d in fsm.validate()] == ["FSM002"]
+        with pytest.raises(ValueError, match="unreachable"):
+            encode_fsm(fsm)
+
+    def test_overlapping_conditions_warn_but_encode(self):
+        fsm = FSM("m", inputs=["x", "y"], outputs=[])
+        fsm.add_state("A", reset=True)
+        fsm.add_state("B")
+        fsm.add_transition("A", "B", {"x": 1})
+        fsm.add_transition("A", "A", {"y": 1})      # x=1, y=1 matches both
+        fsm.add_transition("B", "A")
+        [warning] = fsm.validate()
+        assert (warning.code, warning.severity) == ("FSM003", Severity.WARNING)
+        assert encode_fsm(fsm).num_state_bits == 1
 
     def test_simulation_sequence(self):
         fsm = traffic_light()

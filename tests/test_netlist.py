@@ -55,12 +55,12 @@ class TestModule:
         m = Module("m")
         m.add_gate(GateType.NOT, "y", ["a"])
         m.add_gate(GateType.BUF, "y", ["b"])
-        assert any("multiple drivers" in p for p in m.validate())
+        assert [d.code for d in m.validate()] == ["ERC008"]
 
     def test_validate_detects_undriven_output(self):
         m = Module("m")
         m.add_output("y")
-        assert any("never driven" in p for p in m.validate())
+        assert [d.code for d in m.validate()] == ["ERC006"]
 
     def test_submodule_instantiation_and_flattening(self):
         adder = full_adder()

@@ -2,9 +2,32 @@
 
 import pytest
 
+from repro.diagnostics import DiagnosticCollector, Severity
 from repro.netlist import GateLevelSimulator
-from repro.rtl import RtlCompiler, RtlSimulator, RtlSyntaxError, parse_rtl
-from repro.rtl.ast import DeclKind
+from repro.reference import RtlInterpreter
+from repro.rtl import (
+    RtlCompiler,
+    RtlSemanticError,
+    RtlSimulator,
+    RtlSynthesisError,
+    RtlSyntaxError,
+    check_machine,
+    parse_rtl,
+)
+from repro.rtl.ast import (
+    Assignment,
+    BinaryOp,
+    BitSelect,
+    Block,
+    Concatenate,
+    Constant,
+    DeclKind,
+    Identifier,
+    IfStatement,
+    MachineDescription,
+    MemoryAccess,
+    UnaryOp,
+)
 from repro.rtl.compiler import synthesize_layout
 from repro.technology import NMOS
 
@@ -45,6 +68,11 @@ always begin
     dout = mem[addr];
 end
 """
+
+
+#: Everything that consumes a machine: all three refuse an illegal one at
+#: construction, with the same error.
+BACK_ENDS = (RtlSimulator, RtlInterpreter, RtlCompiler)
 
 
 class TestParser:
@@ -145,9 +173,11 @@ class TestSimulator:
             y = w;
         end
         """
-        sim = RtlSimulator(parse_rtl(source))
-        with pytest.raises(ValueError):
-            sim.step({"a": 1})
+        machine = parse_rtl(source)
+        for back_end in BACK_ENDS:
+            with pytest.raises(ValueError) as info:
+                back_end(machine)
+            assert info.value.diagnostic.code == "RTL103"
 
     def test_combinational_assign_to_register_rejected(self):
         source = """
@@ -160,9 +190,11 @@ class TestSimulator:
             y = r;
         end
         """
-        sim = RtlSimulator(parse_rtl(source))
-        with pytest.raises(ValueError):
-            sim.step({"a": 1})
+        machine = parse_rtl(source)
+        for back_end in BACK_ENDS:
+            with pytest.raises(ValueError) as info:
+                back_end(machine)
+            assert info.value.diagnostic.code == "RTL104"
 
     def test_bit_select_read(self):
         source = """
@@ -182,6 +214,149 @@ class TestSimulator:
         sim = RtlSimulator(parse_rtl(COUNTER))
         trace = sim.run(4, [{"load": 0, "data": 0}] * 4)
         assert [t["q"] for t in trace] == [0, 1, 2, 3]
+
+
+def machine_with_body(*statements):
+    """``input a[1]; output y[4]; wire w[1]; register r[4]; memory mem[4][4]``."""
+    machine = MachineDescription("m")
+    machine.declare(DeclKind.INPUT, "a", 1)
+    machine.declare(DeclKind.OUTPUT, "y", 4)
+    machine.declare(DeclKind.WIRE, "w", 1)
+    machine.declare(DeclKind.REGISTER, "r", 4)
+    machine.declare(DeclKind.MEMORY, "mem", 4, depth=4)
+    machine.body = Block(tuple(statements))
+    return machine
+
+
+def assign(target, value, clocked=False):
+    if isinstance(target, str):
+        target = Identifier(target)
+    if isinstance(value, str):
+        value = Identifier(value)
+    return Assignment(target, value, clocked)
+
+
+#: id -> (body, the codes check_machine must report, in order)
+ILLEGAL_MACHINES = {
+    "undeclared_name_in_dead_branch": (
+        [IfStatement(Constant(0), Block((
+            assign("y", BinaryOp("+", Identifier("ghost"), Constant(1))),)))],
+        ["RTL101"]),
+    "bad_value_and_bad_target_both_reported": (
+        [assign("nosuch_target", "nosuch_value")], ["RTL101", "RTL101"]),
+    "clocked_transfer_to_input": (
+        [assign("a", Constant(1), clocked=True)], ["RTL103"]),
+    "clocked_transfer_to_wire": (
+        [assign("w", "a", clocked=True)], ["RTL103"]),
+    "clocked_field_of_wire": (
+        [assign(BitSelect(Identifier("w"), 0, 0), "a", clocked=True)],
+        ["RTL103"]),
+    "combinational_assignment_to_register": (
+        [assign("r", "a")], ["RTL104"]),
+    "undeclared_memory_read_and_its_address": (
+        [assign("y", MemoryAccess("nomem", Identifier("bogus")))],
+        ["RTL102", "RTL101"]),
+    "register_indexed_like_a_memory": (
+        [assign("y", MemoryAccess("r", Identifier("a")))], ["RTL102"]),
+    "undeclared_memory_write": (
+        [assign(MemoryAccess("nomem", Identifier("a")), "a", clocked=True)],
+        ["RTL102"]),
+    "memory_used_as_signal": (
+        [assign("y", BinaryOp("&&", Constant(0), Identifier("mem")))],
+        ["RTL101"]),
+    "memory_as_assignment_target": (
+        [assign("mem", "a")], ["RTL101"]),
+    "bit_select_of_non_name": (
+        [assign(BitSelect(Concatenate((Identifier("w"), Identifier("a"))),
+                          0, 0), "a")], ["RTL105"]),
+    "combinational_memory_write": (
+        [assign(MemoryAccess("mem", Identifier("a")), "a")], ["RTL106"]),
+    "unknown_operators": (
+        [assign("y", BinaryOp("**", UnaryOp("?", Identifier("a")),
+                              Constant(1)))], ["RTL107", "RTL107"]),
+    "unknown_nodes": (
+        [assign("y", 3.5), "not a statement", assign(Constant(1), "a")],
+        ["RTL107", "RTL107", "RTL105"]),
+}
+
+
+class TestCheckMachine:
+    @pytest.mark.parametrize("case", ILLEGAL_MACHINES)
+    def test_back_ends_reject_at_construction(self, case):
+        body, codes = ILLEGAL_MACHINES[case]
+        machine = machine_with_body(*body)
+        diagnostics = check_machine(machine)
+        assert [d.code for d in diagnostics] == codes
+        assert all(d.severity is Severity.ERROR and d.source == "rtl"
+                   for d in diagnostics)
+        errors = []
+        for back_end in BACK_ENDS:
+            with pytest.raises(RtlSemanticError) as info:
+                back_end(machine)
+            errors.append(info.value)
+        assert isinstance(errors[0], ValueError)
+        assert errors[0].diagnostics == diagnostics
+        assert errors[0].diagnostic == diagnostics[0]
+        assert len({str(error) for error in errors}) == 1
+
+    def test_message_names_the_statement(self):
+        machine = machine_with_body(assign("w", "a", clocked=True))
+        [diagnostic] = check_machine(machine)
+        assert diagnostic.message == (
+            "clocked transfer to non-register 'w' in `w <- a;`")
+
+    def test_assignment_to_input_is_a_warning_and_still_runs(self, caplog):
+        machine = machine_with_body(assign("a", Constant(1)), assign("y", "a"))
+        [diagnostic] = check_machine(machine)
+        assert (diagnostic.code, diagnostic.severity) == (
+            "RTL108", Severity.WARNING)
+        with caplog.at_level("WARNING", logger="repro.rtl"):
+            assert RtlSimulator(machine).step({"a": 0}) == {"y": 1}
+        assert "RTL108" in caplog.text
+        RtlCompiler(machine).compile()
+
+    def test_parse_collects_syntax_and_semantics_without_raising(self):
+        collector = DiagnosticCollector("rtl")
+        machine = parse_rtl("""
+        machine m;
+        input a[1];
+        output y[1];
+        wire w[1];
+        always begin
+            w <- a;
+            y = = a;
+            y = ghost;
+        end
+        """, collector=collector)
+        assert not machine.poisoned
+        assert collector.codes() == ["RTL009", "RTL103", "RTL101"]
+        with pytest.raises(RtlSemanticError):
+            RtlSimulator(machine)
+
+    def test_poisoned_parse_is_not_checked(self):
+        collector = DiagnosticCollector("rtl")
+        machine = parse_rtl("machine m; input a[1]; ghost = a;",
+                            collector=collector)
+        assert machine.poisoned
+        assert all(code < "RTL100" for code in collector.codes())
+
+    def test_legal_machines_have_no_diagnostics(self):
+        for source in (COUNTER, ACCUMULATOR, MEMORY_MACHINE):
+            assert check_machine(parse_rtl(source)) == []
+
+    def test_out_of_range_field_is_masked_by_both_back_ends(self):
+        # r is 4 bits wide: bits 4 and 5 of the field fall off the end.
+        machine = machine_with_body(
+            assign(BitSelect(Identifier("r"), 5, 2), Constant(0b1111),
+                   clocked=True),
+            assign("y", "r"))
+        sim = RtlSimulator(machine)
+        sim.step()
+        assert sim.step() == {"y": 0b1100}
+        gate_sim = GateLevelSimulator(RtlCompiler(machine).compile().module)
+        gate_sim.reset()
+        gate_sim.clock()
+        assert [gate_sim.values[f"y_{i}"] for i in range(4)] == [0, 0, 1, 1]
 
 
 class TestCompiler:
@@ -261,6 +436,28 @@ class TestCompiler:
         """
         with pytest.raises(ValueError):
             RtlCompiler(parse_rtl(source)).compile()
+
+    def test_capability_limits_are_typed_apart_from_illegal_rtl(self):
+        deep = MachineDescription("deep")
+        deep.declare(DeclKind.MEMORY, "m", 12, depth=4096)
+        product = BinaryOp("*", Identifier("r"), Identifier("a"))
+        shift = BinaryOp("<<", Identifier("r"), Identifier("a"))
+        refusals = {
+            "RTL201": (deep, "memory 'm' has 4096 words"),
+            "RTL202": (machine_with_body(assign("y", product)),
+                       "in `y = (r * a);`"),
+            "RTL203": (machine_with_body(assign("y", shift)),
+                       "in `y = (r << a);`"),
+        }
+        for code, (machine, text) in refusals.items():
+            assert check_machine(machine) == []
+            RtlSimulator(machine).step()          # legal: the simulator runs it
+            with pytest.raises(RtlSynthesisError) as info:
+                RtlCompiler(machine).compile()
+            assert info.value.diagnostic.code == code
+            assert text in str(info.value)
+            assert isinstance(info.value, ValueError)
+            assert not isinstance(info.value, RtlSemanticError)
 
     def test_variable_shift_rejected(self):
         source = """

@@ -261,85 +261,6 @@ end
 """
 
 
-class TestRtlErrorParity:
-    """Compiled closures must fail exactly when the interpreter fails."""
-
-    @staticmethod
-    def _machine_with_body(*statements):
-        from repro.rtl.ast import Block, DeclKind, MachineDescription
-        machine = MachineDescription("m")
-        machine.declare(DeclKind.INPUT, "a", 1)
-        machine.declare(DeclKind.OUTPUT, "y", 4)
-        machine.declare(DeclKind.MEMORY, "mem", 4, depth=4)
-        machine.body = Block(tuple(statements))
-        return machine
-
-    def test_undeclared_name_in_untaken_branch_defers(self):
-        from repro.rtl.ast import (Assignment, BinaryOp, Block, Constant,
-                                   Identifier, IfStatement)
-        dead = Assignment(Identifier("y"),
-                          BinaryOp("+", Identifier("ghost"), Constant(1)),
-                          clocked=False)
-        machine = self._machine_with_body(
-            IfStatement(Identifier("a"), Block((dead,))),
-        )
-        for simulator in (RtlSimulator, RtlInterpreter):
-            sim = simulator(machine)
-            sim.step({"a": 0})   # branch not taken: no error either way
-            with pytest.raises(KeyError, match="undeclared signal 'ghost'"):
-                sim.step({"a": 1})
-
-    def test_value_expression_raises_before_bad_target(self):
-        from repro.rtl.ast import Assignment, Identifier
-        # The interpreter evaluates the assigned value before looking at
-        # the target, so the value's error must win in both paths.
-        machine = self._machine_with_body(
-            Assignment(Identifier("nosuch_target"), Identifier("nosuch_value"),
-                       clocked=False),
-        )
-        for simulator in (RtlSimulator, RtlInterpreter):
-            sim = simulator(machine)
-            with pytest.raises(KeyError, match="undeclared signal 'nosuch_value'"):
-                sim.step()
-
-    def test_clocked_transfer_to_input_raises_identically(self):
-        from repro.rtl.ast import Assignment, Constant, Identifier
-        machine = self._machine_with_body(
-            Assignment(Identifier("a"), Constant(1), clocked=True),
-        )
-        for simulator in (RtlSimulator, RtlInterpreter):
-            sim = simulator(machine)
-            with pytest.raises(ValueError, match="clocked transfer to non-register"):
-                sim.step()
-
-    def test_undeclared_memory_read_evaluates_address_first(self):
-        from repro.rtl.ast import Assignment, Identifier, MemoryAccess
-        machine = self._machine_with_body(
-            Assignment(Identifier("y"),
-                       MemoryAccess("nomem", Identifier("bogus")),
-                       clocked=False),
-        )
-        for simulator in (RtlSimulator, RtlInterpreter):
-            sim = simulator(machine)
-            # The address operand's own error must surface first.
-            with pytest.raises(KeyError, match="undeclared signal 'bogus'"):
-                sim.step()
-
-    def test_logical_ops_do_not_short_circuit(self):
-        from repro.rtl.ast import Assignment, BinaryOp, Constant, Identifier
-        machine = self._machine_with_body(
-            Assignment(Identifier("y"),
-                       BinaryOp("&&", Constant(0), Identifier("mem")),
-                       clocked=False),
-        )
-        for simulator in (RtlSimulator, RtlInterpreter):
-            sim = simulator(machine)
-            # The interpreter evaluates both operands of && even when the
-            # left is falsy; 'mem' names a memory, which is not a signal.
-            with pytest.raises(KeyError, match="undeclared signal 'mem'"):
-                sim.step({"a": 0})
-
-
 class TestRtlDifferential:
     @pytest.mark.parametrize("source", [_COUNTER, _LFSR, _ALU])
     @given(data=st.data())
