@@ -351,8 +351,8 @@ class HierAnalyzer:
                 orientation=orientation.name, gc_paused=True):
             value = build(self, cell, orientation)
             with obs_trace.span("store.put", cat="store", kind=kind,
-                                cell=cell.name):
-                self.store.put(key, value)
+                                cell=cell.name) as span:
+                span.set(bytes=self.store.put(key, value))
         return value
 
     def _children(self, kind: str, view: _View) -> List:

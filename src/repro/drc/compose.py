@@ -46,6 +46,9 @@ from repro.technology.technology import Technology
 #: ``((element ids...), violation)``, in the flat checker's emission order.
 _Verdict = Tuple[Tuple[int, ...], DrcViolation]
 
+#: :meth:`_DrcArtifact.weight`'s bytes per verdict (ids, rule, location rect).
+_VERDICT_BYTES = 64
+
 
 class _LayerMerge(_StoredSlots):
     """The composed ``_merge_touching`` result of one layer.
@@ -118,6 +121,11 @@ class _DrcArtifact:
         self.merges: Dict[str, _LayerMerge] = {}
         self.viols: List[List[_Verdict]] = []          # per rule index
 
+    def weight(self) -> int:
+        """Estimated pickled size in bytes: the merges' plus the verdicts'."""
+        return (sum(merge.weight() for merge in self.merges.values())
+                + _VERDICT_BYTES * sum(map(len, self.viols)))
+
 
 def compose_drc(technology: Technology, view: _View,
                 children: Sequence[Optional[_DrcArtifact]]) -> _DrcArtifact:
@@ -166,19 +174,23 @@ def _moved_viol(viol: DrcViolation, dx: int, dy: int) -> DrcViolation:
                         viol.actual, viol.location.translated(dx, dy))
 
 
+def _with_area(rects: Sequence[Rect]) -> List[Rect]:
+    """``rects`` without the zero-width / zero-height ones, by their corners."""
+    return [r for r in rects if r.x1 != r.x2 and r.y1 != r.y2]
+
+
 def _compose_merge(view: _View, children: Sequence[Optional[_DrcArtifact]],
                    layer: str) -> _LayerMerge:
     merge = _LayerMerge()
     # The filtered list shares the view's rect objects: filtering commutes
     # with translation, so the slice per source equals the child's filtered
     # inputs translated.
-    merge.inputs = inputs = [r for r in view.layer(layer)
-                             if not r.is_degenerate]
-    own_count = sum(1 for r in view.layer(layer)[:view.layer_offsets(layer)[1]]
-                    if not r.is_degenerate)
-    own_filtered = inputs[:own_count]
+    rects = view.layer(layer)
+    own_end = view.layer_offsets(layer)[1]
+    own_filtered = _with_area(rects[:own_end])
+    merge.inputs = inputs = own_filtered + _with_area(rects[own_end:])
     own_index = build_index(own_filtered)
-    merge.offsets.append(own_count)
+    merge.offsets.append(len(own_filtered))
     block_comps: List[Sequence[Sequence[int]]] = [
         own_index.connected_components()]
     block_indexes: List[SpatialIndex] = [own_index]

@@ -92,6 +92,10 @@ class ErcReport:
     device_count: int = 0
     node_count: int = 0
 
+    def weight(self) -> int:
+        """Estimated pickled size in bytes: ~96 per violation."""
+        return 96 * len(self.violations)
+
     @property
     def clean(self) -> bool:
         """True when no *error*-severity violation was found (warnings ok)."""

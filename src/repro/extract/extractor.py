@@ -61,6 +61,14 @@ class ExtractedCircuit:
     #: annotated by both extraction paths for the timing analyzer.
     parasitics: Dict[str, NetParasitics] = field(default_factory=dict)
 
+    def weight(self) -> int:
+        """Estimated pickled size in bytes (what a memory store charges).
+
+        A pickled ``Transistor`` is ~52 bytes; a node is its name here, in
+        the devices' memo and one ``NetParasitics`` (~74 bytes together).
+        """
+        return 64 * self.transistor_count + 80 * len(self.node_names)
+
     def summary(self) -> Dict[str, int]:
         return {
             "nodes": len(self.node_names),

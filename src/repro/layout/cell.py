@@ -308,10 +308,13 @@ class Cell:
 
     def instance_count(self) -> int:
         """Total number of placed instances in the full hierarchy below this cell."""
-        total = len(self.instances)
-        for instance in self.instances:
-            total += instance.cell.instance_count()
-        return total
+        # Folded over the distinct cells, children first: a shared cell is
+        # counted once however many paths reach it.
+        totals: Dict[int, int] = {}
+        for cell in self.descendants() + [self]:
+            totals[id(cell)] = len(cell.instances) + sum(
+                totals[id(instance.cell)] for instance in cell.instances)
+        return totals[id(self)]
 
     def __repr__(self) -> str:
         return (

@@ -52,9 +52,14 @@ class CellStatistics:
 
 def hierarchy_depth(cell: Cell) -> int:
     """Longest instance chain below (and including) ``cell``; leaf = 1."""
-    if not cell.instances:
-        return 1
-    return 1 + max(hierarchy_depth(instance.cell) for instance in cell.instances)
+    # Folded over the distinct cells, children first: one visit per cell,
+    # not one per instance path.
+    depths: Dict[int, int] = {}
+    for current in cell.descendants() + [cell]:
+        depths[id(current)] = 1 + max(
+            (depths[id(instance.cell)] for instance in current.instances),
+            default=0)
+    return depths[id(cell)]
 
 
 def cell_statistics(cell: Cell) -> CellStatistics:

@@ -45,6 +45,12 @@ from repro.layout.shapes import Label
 
 _ORIGIN = Point(0, 0)
 
+#: :meth:`_StoredSlots.weight`'s bytes per packed rect and per element of any
+#: other list / dict slot; :meth:`_View.weight`'s per pickled ``Label``.
+_RECT_BYTES = 16
+_ELEMENT_BYTES = 8
+_LABEL_BYTES = 32
+
 
 class _StoredSlots:
     """Pickled form of a slotted artifact, as the disk store writes it.
@@ -61,6 +67,27 @@ class _StoredSlots:
     __slots__ = ("__weakref__",)
     _TRANSIENT: Tuple[str, ...] = ()
     _RECT_LISTS: Tuple[str, ...] = ()
+
+    def weight(self) -> int:
+        """Estimated pickled size in bytes, read off the slot lengths.
+
+        What a byte-budgeted store charges for this artifact without
+        serialising it: a packed rect is four C ints, and the other list /
+        dict slots (id maps, partitions, offsets) average a machine word per
+        element.  O(slots) — no element is visited.
+        """
+        total = 0
+        for slot in self.__slots__:
+            if slot in self._TRANSIENT:
+                continue
+            value = getattr(self, slot)
+            if slot in self._RECT_LISTS:
+                total += _RECT_BYTES * (
+                    sum(map(len, value.values())) if isinstance(value, dict)
+                    else len(value))
+            elif isinstance(value, (list, dict)):
+                total += _ELEMENT_BYTES * len(value)
+        return total
 
     def __getstate__(self):
         state = {slot: getattr(self, slot) for slot in self.__slots__
@@ -114,6 +141,24 @@ class _View(_StoredSlots):
         self.path_length = 0
         self._indexes: Optional[Dict[str, SpatialIndex]] = None
         self._layer_bboxes: Optional[Dict[str, Optional[Rect]]] = None
+
+    def weight(self) -> int:
+        """Its slots' estimate plus that of every distinct view below it:
+        a view's pickle embeds its sources' views, each once.  A ``Label``
+        (text, layer, position) is charged as what it is, not as a word."""
+        total = 0
+        seen = {id(self)}
+        pending = [self]
+        while pending:
+            view = pending.pop()
+            total += (_StoredSlots.weight(view)
+                      + (_LABEL_BYTES - _ELEMENT_BYTES) * len(view.labels))
+            for source in view.sources:
+                child = source.view
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    pending.append(child)
+        return total
 
     def layer(self, layer: str) -> List[Rect]:
         return self.rects.get(layer, [])

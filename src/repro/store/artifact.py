@@ -79,6 +79,13 @@ def _store_error(cls, code: str, message: str):
                                    None, None, "store"))
 
 
+def _stated_weight(value) -> Optional[int]:
+    """``value.weight()`` — the analysis artifacts' own estimate of their
+    pickled size — or ``None`` for a value that has none."""
+    weigh = getattr(value, "weight", None)
+    return None if weigh is None else weigh()
+
+
 class ArtifactStore:
     """Interface of every artifact store (see the module docstring)."""
 
@@ -86,8 +93,12 @@ class ArtifactStore:
         """The stored value, or ``None`` on a miss."""
         raise NotImplementedError
 
-    def put(self, key: str, value) -> None:
-        """Store ``value`` under ``key`` (``None`` is not storable)."""
+    def put(self, key: str, value) -> int:
+        """Store ``value`` under ``key`` (``None`` is not storable).
+
+        Returns the bytes the store accounted for it: the payload length
+        where it serialised, the value's own estimate where it did not.
+        """
         raise NotImplementedError
 
     def evict(self, key: str) -> bool:
@@ -106,16 +117,16 @@ class ArtifactStore:
 class MemoryStore(ArtifactStore):
     """In-process LRU over live objects, optionally byte-budgeted.
 
-    Sizes are measured by pickling at put time; the hit path never
-    pickles.  That measurement is not free: a value that is expensive to
-    pickle is expensive to put, budget reached or not.  On a cold sign-off
-    of a 64-tile chip it was 31 % of the run (0.38 s over 35 puts) while
-    rect lists pickled one ``Rect`` at a time, and it is 0.15 s now only
-    because the analysis artifacts pickle their rect lists as columns
-    (:func:`repro.geometry.rect.pack_rects`).
-    When a budget is set, least-recently-used entries are dropped until
-    the store fits — except the entry just inserted, which always survives
-    its own put.
+    The budget counts *estimated* bytes.  An analysis artifact says what it
+    weighs (``value.weight()``: a few multiplications over lengths it
+    already holds, within 2x of its pickled size), so a put costs no
+    serialisation — a memory-only sign-off pickles nothing but its smallest
+    results.  Only a value without ``weight()`` (violation tuples, area
+    dicts, extents) is pickled to be measured, and a caller that already
+    knows the size (:class:`TieredStore`: the payload it wrote) passes it.
+    The hit path never measures.  When a budget is set, least-recently-used
+    entries are dropped until the store fits — except the entry just
+    inserted, which always survives its own put.
     """
 
     def __init__(self, budget_bytes: Optional[int] = DEFAULT_MEMORY_BUDGET):
@@ -139,12 +150,15 @@ class MemoryStore(ArtifactStore):
     def _measure(self, value) -> int:
         if self.budget_bytes is None:
             return 0
+        size = _stated_weight(value)
+        if size is not None:
+            return size
         try:
             return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:            # unpicklable: budget cannot see it
             return 0
 
-    def put(self, key: str, value, size: Optional[int] = None) -> None:
+    def put(self, key: str, value, size: Optional[int] = None) -> int:
         assert value is not None, "None is the miss sentinel, not a value"
         if size is None:
             size = self._measure(value)
@@ -163,6 +177,7 @@ class MemoryStore(ArtifactStore):
                     break
                 self._bytes -= victim_size
                 self._evictions += 1
+        return size
 
     def evict(self, key: str) -> bool:
         entry = self._entries.pop(key, None)
@@ -321,10 +336,11 @@ class DiskStore(ArtifactStore):
 
     # -- writing -------------------------------------------------------------
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: str, value) -> int:
         assert value is not None, "None is the miss sentinel, not a value"
-        self.put_payload(key, pickle.dumps(
-            value, protocol=pickle.HIGHEST_PROTOCOL))
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        self.put_payload(key, payload)
+        return len(payload)
 
     def put_payload(self, key: str, payload: bytes) -> None:
         """Store an already-pickled payload (one pickling for both tiers)."""
@@ -453,18 +469,19 @@ class TieredStore(ArtifactStore):
         self._hits += 1
         return value
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: str, value) -> int:
         assert value is not None, "None is the miss sentinel, not a value"
+        self._puts += 1
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            # Unpicklable artifacts stay in-memory only.
-            self.memory.put(key, value, size=0)
-            self._puts += 1
-            return
-        self.memory.put(key, value, size=len(payload))
+            # Unpicklable artifacts stay in-memory only, at the weight they
+            # state (if none, the budget cannot see them).
+            return self.memory.put(key, value,
+                                   size=_stated_weight(value) or 0)
+        size = self.memory.put(key, value, size=len(payload))
         self.disk.put_payload(key, payload)
-        self._puts += 1
+        return size
 
     def evict(self, key: str) -> bool:
         """Drop from the *memory* tier only (disk cleanup is gc's job)."""

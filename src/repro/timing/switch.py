@@ -81,6 +81,11 @@ class BlockTiming:
     #: Worst arrival at each declared output pin.
     output_arrival_ns: Dict[str, float] = field(default_factory=dict)
 
+    def weight(self) -> int:
+        """Estimated pickled size in bytes: ~17 per arrival entry."""
+        return 17 * (len(self.endpoint_arrivals) + len(self.input_depth_ns)
+                     + len(self.output_arrival_ns))
+
     @property
     def max_frequency_mhz(self) -> float:
         """Cycle-rate estimate: one worst path per clock period."""

@@ -1,5 +1,7 @@
 """Tests for the layout database: cells, instances, ports, libraries."""
 
+import time
+
 import pytest
 
 from repro.geometry.point import Point
@@ -8,6 +10,7 @@ from repro.geometry.transform import Orientation, Transform
 from repro.layout.cell import Cell
 from repro.layout.library import Library
 from repro.layout.shapes import Shape
+from repro.layout.stats import hierarchy_depth
 from repro.technology import NMOS
 
 
@@ -109,6 +112,21 @@ class TestHierarchy:
         parent.place(leaf, 0, 0)
         assert parent.references(leaf)
         assert not leaf.references(parent)
+
+    def test_hierarchy_counts_visit_cells_not_paths(self):
+        # Thirty shape-less cells, each placing the next twice, over one
+        # leaf: 31 cells, 60 instances, 2**31 - 2 instance *paths*.  A count
+        # that recursed per instance would never return.
+        cell = Cell("chain_leaf")
+        for level in range(30):
+            parent = Cell(f"chain_{level}")
+            parent.place(cell, 0, 0)
+            parent.place(cell, 10, 0)
+            cell = parent
+        started = time.perf_counter()
+        assert cell.instance_count() == 2 ** 31 - 2
+        assert hierarchy_depth(cell) == 31
+        assert time.perf_counter() - started < 1.0
 
 
 class TestLibrary:

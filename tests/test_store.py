@@ -1,6 +1,6 @@
 """Content-addressed artifact store: hashes, stores, analyzer rekeying.
 
-Five layers:
+Six layers:
 
 * **config** — the centralized environment-knob parsing in
   :mod:`repro.config` (validation, defaults, errors);
@@ -10,6 +10,9 @@ Five layers:
 * **stores** — the LRU byte budget, the durable disk round-trip, atomic
   envelopes, corruption and format-mismatch recovery (``STO001`` /
   ``STO002``, fatal under ``REPRO_STRICT=1``), ``gc`` and ``stats``;
+* **weights** — the memory tier charges an artifact what it says it weighs
+  (within 2x of its pickled size) and serialises next to nothing; every
+  store's ``put`` returns the bytes it accounted and the trace carries them;
 * **pickling** — what the disk tier serialises (value types, cells with
   their weak parent links, hier artifacts sharing one view) survives the
   round trip;
@@ -23,6 +26,7 @@ import os
 import pickle
 import pickletools
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +41,8 @@ from repro.geometry.transform import Orientation, Transform
 from repro.layout.cell import Cell
 from repro.layout.shapes import Label, Shape
 from repro.logic import TruthTable, parse_expr
+from repro.obs import trace
+from repro.store import artifact as artifact_module
 from repro.store import (
     DiskStore,
     MemoryStore,
@@ -53,6 +59,9 @@ from repro.technology import nmos_technology
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
 from chip_assembly import build_chip  # noqa: E402
+
+from test_pnr import signed_off_chips  # noqa: E402,F401  (fixture)
+from tile_array import TileArray  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +352,107 @@ class TestTieredStore:
         store.put("k", "v")
         assert store.evict("k")
         assert store.get("k") == "v"          # reloaded from disk
+
+
+# -- weights ------------------------------------------------------------------
+
+
+class RecordingStore(MemoryStore):
+    """A memory store that remembers ``(key, value, bytes accounted)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def put(self, key, value, size=None):
+        accounted = super().put(key, value, size)
+        self.log.append((key, value, accounted))
+        return accounted
+
+
+class Weighed:
+    """Says what it weighs and cannot be pickled (it holds a lambda)."""
+
+    def __init__(self):
+        self.hook = lambda: None
+
+    def weight(self):
+        return 4096
+
+
+class TestWeights:
+    def test_memory_sign_off_weighs_and_does_not_serialise(
+            self, technology, signed_off_chips, monkeypatch):
+        pickled = []
+
+        def counting_dumps(value, protocol=None):
+            payload = pickle.dumps(value, protocol=protocol)
+            pickled.append(len(payload))
+            return payload
+
+        monkeypatch.setattr(artifact_module, "pickle", types.SimpleNamespace(
+            dumps=counting_dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+        store = RecordingStore()
+        analyzer = HierAnalyzer(technology, store=store)
+        for assembler, _report in signed_off_chips.values():
+            assembler.sign_off(analyzer)
+        TileArray(technology, "weighed_tiles").sign_off(analyzer)
+
+        # Only values with no weight() were pickled, and they are tiny.
+        total = store.stats()["bytes"]
+        assert total == sum(accounted for _, _, accounted in store.log)
+        assert 0 < sum(pickled) < 0.01 * total
+        assert len(pickled) < len(store.log) / 2
+        # Every put that matters to a budget is within 2x of its pickle.
+        heavy = set()
+        for key, value, accounted in store.log:
+            size = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+            if size >= 64 * 1024:
+                heavy.add(key.split(":")[0])
+                assert 0.5 <= accounted / size <= 2, (key, accounted, size)
+        assert heavy == {"view", "drc", "extract", "circuit"}
+
+    def test_unpicklable_value_keeps_its_stated_weight(self, tmp_path):
+        store = TieredStore(MemoryStore(), DiskStore(str(tmp_path)))
+        value = Weighed()
+        assert store.put("w", value) == 4096
+        assert store.put("f", value.hook) == 0    # no weight: invisible
+        assert store.memory.stats()["bytes"] == 4096
+        assert store.get("w") is value
+        assert store.disk.stats()["entries"] == 0
+
+    def test_put_returns_the_bytes_it_accounted(self, tmp_path):
+        value = {"deep": list(range(50))}
+        payload = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        assert MemoryStore().put("k", value) == payload    # no weight()
+        assert MemoryStore().put("k", value, size=7) == 7
+        assert MemoryStore().put("k", Weighed()) == 4096
+        assert MemoryStore(budget_bytes=None).put("k", value) == 0
+        assert DiskStore(str(tmp_path / "d")).put("k", value) == payload
+        tiered = TieredStore(MemoryStore(), DiskStore(str(tmp_path / "t")))
+        assert tiered.put("k", value) == payload
+        assert tiered.memory.stats()["bytes"] == payload
+
+    @pytest.mark.parametrize("tiered", [False, True])
+    def test_trace_says_which_put_was_heavy(self, technology, tmp_path,
+                                            tiered):
+        memory = MemoryStore()
+        store = (TieredStore(memory, DiskStore(str(tmp_path))) if tiered
+                 else memory)
+        tiles = TileArray(technology, "traced_tiles")
+        trace.enable()
+        try:
+            tiles.sign_off(HierAnalyzer(technology, store=store))
+            puts = [event["args"] for event in trace.drain()
+                    if event["name"] == "store.put"]
+        finally:
+            trace.disable()
+            trace.reset()
+        assert len(puts) == memory.stats()["puts"]
+        assert sum(args["bytes"] for args in puts) == memory.stats()["bytes"]
+        heaviest = max(puts, key=lambda args: args["bytes"])
+        assert heaviest["kind"] in ("view", "drc", "extract")
+        assert heaviest["cell"] == "traced_tiles"
 
 
 def sign_off_bare_cell(analyzer, cell):

@@ -7,8 +7,9 @@ Three layers of pinning:
   launch-to-capture path on small netlists (hand-built and
   hypothesis-generated DAGs, with and without register feedback loops);
 * **switch level** — parasitic annotation identical between the flat
-  extractor and the hierarchical composition, and block timing as a pure
-  function of the extracted circuit (two runs are float-identical);
+  extractor and the hierarchical composition (which share one fold, so that
+  fold has a per-rectangle oracle of its own here), and block timing as a
+  pure function of the extracted circuit (two runs are float-identical);
 * **incremental** — re-timing a chip after a single-cell mutation
   recomputes only the affected cells' timing artifacts (pinned by the
   analyzer's cache-hit counters) and produces results exactly equal to a
@@ -28,19 +29,25 @@ from hypothesis import strategies as st
 
 from repro.analysis import HierAnalyzer
 from repro.assembly import ChipAssembler
+from repro.extract import extractor as extractor_module
 from repro.extract.extractor import Extractor
 from repro.generators import FsmLayoutGenerator, PlaGenerator
+from repro.geometry.rect import Rect
 from repro.logic import TruthTable, parse_expr
 from repro.metrics import format_histogram, slack_histogram
 from repro.netlist import GateType, Module
+from repro.netlist.switch_sim import Transistor
 from repro.rtl import RtlCompiler, parse_rtl
 from repro.sim.kernel import OP_LATCH, CompiledNetlist
 from repro.technology import nmos_technology
 from repro.timing import (
     GateDelayModel,
+    NetParasitics,
+    ParasiticModel,
     SwitchTimingAnalyzer,
     TimingGraph,
     analyze_module,
+    annotate_parasitics,
     register_paths,
 )
 
@@ -48,6 +55,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
 from chip_assembly import build_chip  # noqa: E402
 from traffic_light_controller import build_fsm  # noqa: E402
+
+from test_pnr import signed_off_chips  # noqa: E402,F401  (fixture)
+from tile_array import TileArray  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +340,116 @@ class TestSwitchLevel:
         assert histogram.violations == 0    # critical-period slacks are >= 0
         text = format_histogram(histogram, title="slack")
         assert "endpoints:" in text and "slack" in text
+
+
+# -- the parasitic fold against a per-rectangle sum -----------------------------
+#
+# Flat and hierarchical extraction call the same ``annotate_parasitics``, so
+# comparing them cannot see a bug in it.  The oracle below asks the model for
+# every rectangle's terms and adds them in item order; the production fold
+# must produce the same floats while asking once per (layer, width, height).
+
+
+def per_rect_parasitics(model, items, node_of_item, devices, channels):
+    nets = defaultdict(lambda: [0.0, 0.0, 0.0, 0, 0])
+    for item_id, (layer, rect) in enumerate(items):
+        if item_id in node_of_item:
+            entry = nets[node_of_item[item_id]]
+            entry[0] += model.rect_cap_ff(layer, rect)
+            entry[1] += model.rect_res_ohm(layer, rect)
+    for index, device in enumerate(devices):
+        gate = nets[device.gate]
+        gate[2] += (
+            model.gate_cap_ff(channels[index]) if channels is not None
+            else model.gate_cap_ff_per_sq * (device.width * device.length))
+        gate[3] += 1
+        for terminal in {device.source, device.drain}:
+            nets[terminal][4] += 1
+    return {name: NetParasitics(name, *fields)
+            for name, fields in nets.items()}
+
+
+class CountingModel(ParasiticModel):
+    """Counts how often the fold asks for a rectangle's capacitance."""
+
+    def __init__(self, technology):
+        super().__init__(technology)
+        self.cap_calls = 0
+
+    def rect_cap_ff(self, layer, rect):
+        self.cap_calls += 1
+        return super().rect_cap_ff(layer, rect)
+
+
+def rect_classes(items, node_of_item):
+    return {(layer, rect.width, rect.height)
+            for item_id, (layer, rect) in enumerate(items)
+            if item_id in node_of_item}
+
+
+@st.composite
+def parasitic_cases(draw):
+    nodes = ["vdd", "gnd", "a", "b", "n0", "n1"]
+    rects = st.builds(
+        lambda x, y, w, h: Rect(x, y, x + w, y + h),
+        st.integers(-50, 50), st.integers(-50, 50),
+        st.integers(0, 6), st.integers(0, 6))     # few classes, some degenerate
+    layers = st.sampled_from(["diffusion", "poly", "metal", "unlisted"])
+    items = draw(st.lists(st.tuples(layers, rects), max_size=40))
+    node_of_item = draw(st.dictionaries(
+        st.integers(0, max(len(items) - 1, 0)), st.sampled_from(nodes),
+        max_size=len(items)))
+    node = st.sampled_from(nodes)
+    devices = draw(st.lists(
+        st.builds(Transistor, st.just("m"), node, node, node,
+                  width=st.integers(2, 8), length=st.integers(2, 8)),
+        max_size=8))
+    channels = draw(st.none() | st.lists(
+        rects, min_size=len(devices), max_size=len(devices)))
+    return items, node_of_item, devices, channels
+
+
+class TestParasiticFold:
+    @settings(max_examples=200, deadline=None)
+    @given(parasitic_cases())
+    def test_random_items_match_the_per_rect_sum(self, technology, case):
+        items, node_of_item, devices, channels = case
+        model = CountingModel(technology)
+        assert (annotate_parasitics(model, items, node_of_item, devices,
+                                    channels)
+                == per_rect_parasitics(ParasiticModel(technology), *case))
+        assert model.cap_calls == len(rect_classes(items, node_of_item))
+
+    def test_example_chips_match_the_per_rect_sum_one_call_per_class(
+            self, technology, signed_off_chips, monkeypatch):
+        folds = []
+
+        def recording(model, items, node_of_item, devices, channels):
+            counting = CountingModel(model.technology)
+            nets = annotate_parasitics(counting, items, node_of_item,
+                                       devices, channels)
+            folds.append((items, node_of_item, devices, channels, nets,
+                          counting.cap_calls))
+            return nets
+
+        monkeypatch.setattr(extractor_module, "annotate_parasitics", recording)
+        analyzer = HierAnalyzer(technology)
+        for assembler, _report in signed_off_chips.values():
+            assembler.sign_off(analyzer)
+        tiles = TileArray(technology, "fold_tiles", rom_grid=(3, 2))
+        circuit = analyzer.extract(tiles.top)
+        assert circuit.parasitics is folds[-1][4]
+
+        model = ParasiticModel(technology)
+        assert len(folds) > len(signed_off_chips)     # blocks and tops
+        for *case, nets, cap_calls in folds:
+            assert nets == per_rect_parasitics(model, *case)
+            assert cap_calls == len(rect_classes(case[0], case[1]))
+        # Prove the classes are few: the tile array's thousands of items
+        # asked the model a few dozen times.
+        tile_items, *_, tile_cap_calls = folds[-1]
+        assert len(tile_items) > 4000
+        assert tile_cap_calls < 40
 
 
 class TestReportSurface:
