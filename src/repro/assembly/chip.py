@@ -23,6 +23,7 @@ from repro.obs import trace as obs_trace
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
+from repro.layout.flatten import flat_layer_rects
 from repro.assembly.floorplan import (
     Floorplan,
     UnknownTerminalError,
@@ -333,10 +334,8 @@ class ChipAssembler:
         total_length = 0
         self._route_info = []
         if requests:
-            from repro.layout.flatten import flatten_cell
-
             bounds = Rect(0, 0, ring.total_width, ring.total_height)
-            obstacles = flatten_cell(chip).rects_by_layer().get(layer, [])
+            obstacles = flat_layer_rects(chip, layer)
             router = PnrRouter(self.technology, bounds, obstacles, layer=layer)
             with obs_trace.span("assembly.route", cat="assembly",
                                 nets=len(requests)):

@@ -63,10 +63,12 @@ class CellInstance:
 class Cell:
     """A layout cell: geometry + labels + ports + child instances.
 
-    Mutate cells only through the ``add_*`` methods (or call
-    :meth:`_mutated` after touching ``shapes``/``labels``/``instances``
-    directly): the memoized flat views in :mod:`repro.layout.flatten` rely
-    on the mutation counter those methods maintain.
+    Mutate cells only through the ``add_*`` methods and
+    :meth:`remove_shape` (or call :meth:`_mutated` after touching
+    ``shapes``/``labels``/``instances`` directly): the memoized extent
+    (:meth:`bbox`) and the memoized flat views in
+    :mod:`repro.layout.flatten` rely on the mutation counter those methods
+    maintain.
     """
 
     def __init__(self, name: str):
@@ -83,6 +85,9 @@ class Cell:
         # (repro.analysis.hier) can key on a single integer per cell.
         self._version = 0
         self._flat_cache = None
+        # ``bbox()`` memo, as a 1-tuple (``None`` is a legal extent);
+        # cleared wherever ``_flat_cache`` is.
+        self._bbox_cache: Optional[Tuple[Optional[Rect]]] = None
         # Weak back-references to the cells that instantiate this one, used to
         # propagate mutations upward (transitive invalidation).
         self._parents: Dict[int, "weakref.ref[Cell]"] = {}
@@ -91,9 +96,9 @@ class Cell:
     #
     # Cells are pickled into the disk store (a hier view's sources name
     # their cells).  The parent back-references are weakrefs (not
-    # picklable) and the flat cache is redundant, so both stay behind; the
-    # loading side rebuilds the back-references from the instance lists of
-    # the cells that arrived in the same pickle.  A parent outside the
+    # picklable) and the flat and extent memos are redundant, so all three
+    # stay behind; the loading side rebuilds the back-references from the
+    # instance lists of the cells that arrived in the same pickle.  A parent outside the
     # pickled subgraph is not reconstructed — mutation propagation is scoped
     # to the loaded DAG.
 
@@ -101,6 +106,7 @@ class Cell:
         state = self.__dict__.copy()
         state["_parents"] = {}
         state["_flat_cache"] = None
+        state["_bbox_cache"] = None
         return state
 
     def __setstate__(self, state):
@@ -111,8 +117,8 @@ class Cell:
     # -- construction -------------------------------------------------------
 
     def _mutated(self) -> None:
-        """Record a mutation: invalidates any cached flat view and analysis
-        cache of this cell and, transitively, of every ancestor cell.
+        """Record a mutation: invalidates any cached flat view, extent and
+        analysis cache of this cell and, transitively, of every ancestor cell.
 
         Each affected cell's version is bumped exactly once per mutation,
         even through diamond-shaped instance DAGs.
@@ -123,6 +129,7 @@ class Cell:
             cell = stack.pop()
             cell._version += 1
             cell._flat_cache = None
+            cell._bbox_cache = None
             dead: List[int] = []
             for key, ref in cell._parents.items():
                 parent = ref()
@@ -148,6 +155,12 @@ class Cell:
         self.shapes.append(shape)
         self._mutated()
         return shape
+
+    def remove_shape(self, shape: Shape) -> None:
+        """Take one of this cell's own shapes out again (the router's
+        rip-up); ``ValueError`` if the cell holds no such shape."""
+        self.shapes.remove(shape)
+        self._mutated()
 
     def add_rect(self, layer: str, rect: Rect) -> Shape:
         return self.add_shape(Shape(layer, rect))
@@ -274,7 +287,15 @@ class Cell:
         return order
 
     def bbox(self) -> Optional[Rect]:
-        """Extent of own geometry plus all instance extents (recursive)."""
+        """Extent of own geometry plus all instance extents (recursive).
+
+        Memoised until the next mutation of this cell or of any cell below
+        it (see :meth:`_mutated`), so ``width`` / ``height`` and
+        :attr:`CellInstance.bbox` are a slot read on an unchanged cell.
+        """
+        cached = self._bbox_cache
+        if cached is not None:
+            return cached[0]
         box = BoundingBox()
         for shape in self.shapes:
             box.add_rect(shape.bbox)
@@ -284,7 +305,9 @@ class Cell:
             child_box = instance.bbox
             if child_box is not None:
                 box.add_rect(child_box)
-        return None if box.is_empty else box.rect()
+        extent = None if box.is_empty else box.rect()
+        self._bbox_cache = (extent,)
+        return extent
 
     @property
     def width(self) -> int:

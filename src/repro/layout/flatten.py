@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.geometry.rect import Rect
 from repro.geometry.transform import Transform
 from repro.layout.cell import Cell
-from repro.layout.shapes import Label, Shape
+from repro.layout.shapes import Geometry, Label, Shape
 
 
 def flatten_cell(cell: Cell, max_depth: Optional[int] = None) -> "FlatLayout":
@@ -82,6 +82,46 @@ def _flat_view(cell: Cell, memo: Dict[int, Tuple]) -> "FlatLayout":
             labels.extend(label.transformed(transform) for label in child.labels)
     cell._flat_cache = (token, flat)
     return flat
+
+
+def flat_layer_rects(cell: Cell, layer: str) -> List[Rect]:
+    """The rectangles of one layer of the fully flattened ``cell``.
+
+    Equal, in order, to ``flatten_cell(cell).rects_by_layer().get(layer,
+    [])``, but only the geometry drawn on ``layer`` is carried up through
+    the instance transforms: no :class:`Shape` is built for any other layer
+    and no flat view is cached.  For the one-off question "what is already
+    on the routing layer" of a chip about to be edited.
+    """
+    rects: List[Rect] = []
+    for geometry in _layer_geometry(cell, layer, {}):
+        if isinstance(geometry, Rect):
+            rects.append(geometry)
+        else:
+            rects.extend(Shape(layer, geometry).as_rects())
+    return rects
+
+
+def _layer_geometry(cell: Cell, layer: str,
+                    memo: Dict[int, List[Geometry]]) -> List[Geometry]:
+    """Geometry on ``layer`` below ``cell``, in :func:`_flat_view`'s order
+    (own shapes, then each instance's), in ``cell``'s coordinates.  Wires
+    and polygons stay whole until the top: their rectangles depend on the
+    orientation they end up in."""
+    found = memo.get(id(cell))
+    if found is None:
+        found = [shape.geometry for shape in cell.shapes
+                 if shape.layer == layer]
+        for instance in cell.instances:
+            child = _layer_geometry(instance.cell, layer, memo)
+            transform = instance.transform
+            if transform.is_identity:
+                found.extend(child)
+            else:
+                found.extend(geometry.transformed(transform)
+                             for geometry in child)
+        memo[id(cell)] = found
+    return found
 
 
 class FlatLayout:

@@ -5,7 +5,7 @@ L-shaped pad wires straight across the core; ``repro.pnr`` replaces both
 halves.  :mod:`repro.pnr.placement` refines the shelf packing with
 simulated annealing on half-perimeter wirelength over the pad+block
 connection list, and :mod:`repro.pnr.router` routes connections on a grid
-with a Lee/Dijkstra maze search over a rasterised blockage grid — placed
+with an A* maze search over a rasterised blockage grid — placed
 blocks, the pad ring, and previously routed nets.
 """
 

@@ -2,9 +2,10 @@
 
 Shelf packing (:func:`repro.assembly.floorplan.pack_shelves`) decides block
 positions from dimensions alone; connectivity never enters.  The refiner
-here keeps the packer as the legalizer — every candidate is a shelf packing,
-so candidates are overlap-free by construction — and anneals over the
-*order* in which blocks are handed to it, scoring each candidate by the
+here keeps the packer as the legalizer — every candidate is a shelf packing
+of the real cells (their extents are memoised, so a candidate costs one
+pass over the block list), overlap-free by construction — and anneals over
+the *order* in which blocks are handed to it, scoring each candidate by the
 half-perimeter wirelength (HPWL) of the pad+block connection list.  Pads
 are anchored at the core-edge positions the pad ring's deterministic
 side-assignment will give them, so the placer pulls each block toward the
@@ -35,21 +36,6 @@ from repro.layout.cell import Cell
 
 #: A connection endpoint: a pad name, or a ``(block, port)`` pair.
 Terminal = Union[str, Tuple[str, str]]
-
-
-class _BlockStub:
-    """The placement-relevant snapshot of a cell: its extent and ports.
-
-    Quacks like a :class:`~repro.layout.cell.Cell` as far as the shelf
-    packer and the wirelength evaluator are concerned, but costs nothing to
-    re-measure, which matters when the annealer packs hundreds of candidate
-    orders of blocks whose real ``bbox`` is a full hierarchy walk.
-    """
-
-    def __init__(self, cell: Cell):
-        self.width = cell.width
-        self.height = cell.height
-        self.ports = cell.ports
 
 
 @dataclass
@@ -103,21 +89,16 @@ def refine_placement(blocks: Sequence[Tuple[str, Cell]],
     that is not a known pad name or a ``(known block, port)`` pair raises
     :class:`UnknownTerminalError` (ROU011).
     """
-    # ``Cell.bbox`` is recursive and uncached; the annealer packs hundreds
-    # of candidate orders, so it works on dimension snapshots and only the
-    # winning order is packed with the real cells.
-    stubs = [(name, _BlockStub(cell)) for name, cell in blocks]
-    baseline = pack_shelves(stubs, max_width=max_width, spacing=spacing)
+    baseline = pack_shelves(blocks, max_width=max_width, spacing=spacing)
     _check_terminals(connections, {name for name, _ in blocks},
                      {spec.name for spec in pads})
     anchors = _pad_anchors(pads, baseline.width, baseline.height)
     initial = _wirelength(baseline, connections, anchors)
     if len(blocks) <= 1 or not connections:
-        real = pack_shelves(blocks, max_width=max_width, spacing=spacing)
-        return PlacementReport(real, initial, initial)
+        return PlacementReport(baseline, initial, initial)
 
     rng = random.Random(seed)
-    order = list(stubs)
+    order = list(blocks)
     # The height-sorted packing is the seed candidate: never return worse.
     best_order: Optional[List[str]] = None
     best_cost = initial
@@ -153,7 +134,7 @@ def refine_placement(blocks: Sequence[Tuple[str, Cell]],
 
     by_name = dict(blocks)
     if best_order is None:
-        best_plan = pack_shelves(blocks, max_width=max_width, spacing=spacing)
+        best_plan = baseline
     else:
         best_plan = pack_shelves([(name, by_name[name]) for name in best_order],
                                  max_width=max_width, spacing=spacing,
@@ -239,9 +220,9 @@ def _terminal_position(plan: Floorplan, terminal: Terminal,
         return anchors[terminal]
     block, port_name = terminal
     item = plan.item(block)
-    port = item.cell.ports.get(port_name)
-    if port is not None:
-        return (item.x + port.position.x, item.y + port.position.y)
+    if item.cell.has_port(port_name):
+        position = item.cell.port(port_name).position
+        return (item.x + position.x, item.y + position.y)
     return (item.x + item.width // 2, item.y + item.height // 2)
 
 

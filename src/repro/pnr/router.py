@@ -1,4 +1,4 @@
-"""Obstacle-aware grid routing (Lee/Dijkstra maze search).
+"""Obstacle-aware grid routing (A* maze search on a rasterised lattice).
 
 The maze router works on a uniform lattice over the routing region.  A
 lattice node is usable when a wire footprint centred there, grown by the
@@ -12,11 +12,13 @@ layer and only metal blocks it: poly and diffusion running underneath
 cannot short to a route without a contact cut, which the router never
 draws.
 
-Search is Dijkstra with unit step cost and a small turn penalty (fewer
-corners means fewer rectangles and less capacitance), preceded by a
-two-sided reachability flood so a sealed net fails after exhausting its
-pocket, and budget-bounded so a huge maze terminates with a diagnostic
-instead of flooding.
+Search is A* with unit step cost, a small turn penalty (fewer corners
+means fewer rectangles and less capacitance) and the Manhattan distance to
+the goal as its bound — admissible and consistent, so the path found costs
+exactly what Dijkstra's would (``repro.reference.DijkstraMazeRouter`` is
+the oracle).  It is preceded by a two-sided reachability flood so a sealed
+net fails after exhausting its pocket, and budget-bounded so a huge maze
+terminates with a diagnostic instead of flooding.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.diagnostics import (
     Severity,
 )
 from repro.geometry.index import SpatialIndex, build_index
+from repro.geometry.path import Path
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
@@ -46,6 +49,14 @@ class RoutingError(DiagnosticError, ValueError):
     """No path exists between the requested terminals."""
 
     default_code = "ROU005"
+
+    def __init__(self, message: str, diagnostic: Optional[Diagnostic] = None,
+                 reason: str = "unreachable"):
+        super().__init__(message, diagnostic)
+        #: Why, as the ``reason`` attribute of the routing spans reads:
+        #: ``"unreachable"`` (the lattice does not join the terminals) or
+        #: ``"blocked_terminal"`` (a terminal cannot get onto the lattice).
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,9 @@ class RoutedNet:
     name: str
     points: List[Point]
     length: int
+    #: What the search paid for the lattice part of the path: ``pitch`` per
+    #: step plus the turn penalty per bend (taps excluded).
+    cost: int = 0
 
 
 @dataclass
@@ -144,9 +158,9 @@ class MazeRouter:
     def at_pitch(self, pitch: int) -> "MazeRouter":
         """A router over the same obstacles and blocked nets on another
         lattice (the half-pitch retry's)."""
-        other = MazeRouter(self.bounds, self._obstacles,
-                           wire_width=self.wire_width, spacing=self.spacing,
-                           grid=pitch, max_expansions=self.max_expansions)
+        other = type(self)(self.bounds, self._obstacles,
+                            wire_width=self.wire_width, spacing=self.spacing,
+                            grid=pitch, max_expansions=self.max_expansions)
         for net, rects in self._nets.items():
             other.block(net, rects)
         return other
@@ -205,6 +219,13 @@ class MazeRouter:
         other = self.wire_width - half
         return Rect(x - half, y - half, x + other, y + other)
 
+    def _landing(self, point: Point) -> Rect:
+        """The square around a terminal inside which metal counts as the
+        terminal's own: whatever touches it is what the route lands on."""
+        reach = self.wire_width // 2 + self.spacing
+        return Rect(point.x - reach, point.y - reach,
+                    point.x + reach, point.y + reach)
+
     def _exempt_ids(self, *points: Point) -> Set[int]:
         """Static obstacles a route may legally touch: the terminal shapes.
 
@@ -212,12 +233,9 @@ class MazeRouter:
         the route must land on (pad tail, block port tab); spacing to it is
         not required — connecting to it is the point.
         """
-        reach = self.wire_width // 2 + self.spacing
         exempt: Set[int] = set()
         for point in points:
-            probe = Rect(point.x - reach, point.y - reach,
-                         point.x + reach, point.y + reach)
-            exempt.update(self._index.query(probe))
+            exempt.update(self._index.query(self._landing(point)))
         return exempt
 
     def _static_clear(self, probe: Rect, exempt: Set[int]) -> bool:
@@ -249,9 +267,11 @@ class MazeRouter:
     def route(self, request: RouteRequest) -> RoutedNet:
         """Find a Manhattan path from source to target.
 
-        Raises :class:`RoutingError` (ROU005) when the terminals cannot be
-        joined — decided by a reachability flood before any priced search,
-        so a sealed net costs its pocket's cells, not the budget — or
+        Raises :class:`RoutingError` (ROU005) when a terminal cannot get
+        onto the lattice (no free node nearby, or no tap to it that keeps
+        the spacing rule) or the terminals cannot be joined — decided by a
+        reachability flood before any priced search, so a sealed net costs
+        its pocket's cells, not the budget — or
         :class:`~repro.diagnostics.BudgetExceeded` (ROU006) when a reachable
         target is not found within the expansion budget.
         """
@@ -271,7 +291,9 @@ class MazeRouter:
                 Diagnostic(Severity.ERROR, "ROU005",
                            f"terminals of net {request.name!r} are blocked",
                            hint="clear the area around the terminals or "
-                                "widen the routing region"))
+                                "widen the routing region"),
+                reason="blocked_terminal")
+        head, tail = self._taps(request, start, goal)
 
         path = None
         if self._reachable(start, goal, opened):
@@ -285,11 +307,67 @@ class MazeRouter:
                            f"maze router found no path for net {request.name!r}",
                            hint="the routing region may be fully blocked"))
 
-        points = [Point(*self._node(cell)) for cell in path]
-        points = _attach(source, points, prepend=True)
-        points = _attach(target, points, prepend=False)
-        points = _simplify(points)
-        return RoutedNet(request.name, points, _length(points))
+        points = _simplify(head + [Point(*self._node(cell)) for cell in path]
+                           + tail[::-1])
+        return RoutedNet(request.name, points, _length(points),
+                         cost=self._path_cost(path))
+
+    def _path_cost(self, path: Sequence[int]) -> int:
+        """What the search pays for a cell path: steps and bends."""
+        turns = sum(1 for a, b, c in zip(path, path[1:], path[2:])
+                    if b - a != c - b)
+        return self.pitch * (len(path) - 1) + _TURN_COST * turns
+
+    def _taps(self, request: RouteRequest, start: int,
+              goal: int) -> Tuple[List[Point], List[Point]]:
+        """The source's and the target's tap onto their lattice cells."""
+        terminals = (request.source, request.target)
+        exempt = self._exempt_ids(*terminals)
+        # An earlier net that already runs over a terminal is exempt like the
+        # terminal's own shapes: no tap can keep clear of it.
+        landings = [self._landing(point) for point in terminals]
+        wires = [rect for rects in self._nets.values() for rect in rects
+                 if not any(rect.overlaps(landing, strict=False)
+                            for landing in landings)]
+        return (self._tap(request.name, request.source,
+                          Point(*self._node(start)), exempt, wires),
+                self._tap(request.name, request.target,
+                          Point(*self._node(goal)), exempt, wires))
+
+    def _tap(self, net: str, terminal: Point, anchor: Point,
+             exempt: Set[int], wires: Sequence[Rect]) -> List[Point]:
+        """The points joining an off-lattice terminal to its lattice node
+        ``anchor`` (excluded): an L, whichever way round keeps the spacing
+        rule to every non-exempt obstacle and to ``wires``, the blocked
+        nets' rectangles.
+
+        The lattice guarantees clearance only at its nodes; a tap runs
+        between them.  Raises :class:`RoutingError` when neither L is clear,
+        so the caller escalates to a finer lattice (whose nodes sit nearer
+        the terminal) instead of drawing a short.
+        """
+        if terminal == anchor:
+            return []
+        if terminal.x == anchor.x or terminal.y == anchor.y:
+            taps = [[terminal]]
+        else:
+            taps = [[terminal, Point(terminal.x, anchor.y)],
+                    [terminal, Point(anchor.x, terminal.y)]]
+        for tap in taps:
+            probes = [rect.expanded(self.spacing) for rect in
+                      Path(tap + [anchor], self.wire_width).to_rects()]
+            if all(self._static_clear(probe, exempt) and not any(
+                    probe.overlaps(wire, strict=True) for wire in wires)
+                    for probe in probes):
+                return tap
+        raise RoutingError(
+            f"net {net!r}: no clear tap from {terminal} to the lattice",
+            Diagnostic(Severity.ERROR, "ROU005",
+                       f"terminal {terminal} of net {net!r} cannot reach "
+                       f"lattice node {anchor} without a spacing violation",
+                       hint="a finer lattice or more room around the "
+                            "terminal would let the tap through"),
+            reason="blocked_terminal")
 
     def _reachable(self, start: int, goal: int, opened: Set[int]) -> bool:
         """Whether any lattice path joins the two cells.
@@ -323,35 +401,46 @@ class MazeRouter:
 
     def _search(self, net: str, start: int, goal: int,
                 opened: Set[int]) -> Optional[List[int]]:
-        """Cheapest cell path (Dijkstra, unit steps plus a turn penalty).
+        """Cheapest cell path (A*, unit steps plus a turn penalty).
 
         A state is ``3 * cell + heading`` with headings 0=none,
-        1=horizontal, 2=vertical.  Returns ``None`` when the frontier
-        empties before the goal is reached.
+        1=horizontal, 2=vertical.  The frontier is ordered by cost so far
+        plus ``pitch`` times the Manhattan distance to ``goal`` — a bound
+        no step can undercut (each costs at least ``pitch`` and closes at
+        most one cell), so the first time the goal is popped its cost is
+        the cheapest there is — then by insertion order.  Returns ``None``
+        when the frontier empties before the goal is reached.
         """
         blocked = self._blocked
         pitch = self.pitch
-        steps = ((1, 1), (-1, 1), (self._stride, 2), (-self._stride, 2))
+        stride = self._stride
+        goal_row, goal_column = divmod(goal, stride)
+        # (cell offset, heading, column step, row step)
+        steps = ((1, 1, 1, 0), (-1, 1, -1, 0),
+                 (stride, 2, 0, 1), (-stride, 2, 0, -1))
         budget = Budget(iterations=self.max_expansions,
                         label="maze expansion", code="ROU006")
         message = (f"maze router exceeded {self.max_expansions} expansions "
                    f"routing net {net!r}")
         came: Dict[int, int] = {}
         costs: Dict[int, int] = {3 * start: 0}
-        frontier: List[Tuple[int, int, int]] = [(0, 0, 3 * start)]
+        # (cost + bound, insertion order, cost, state)
+        frontier: List[Tuple[int, int, int, int]] = [(0, 0, 0, 3 * start)]
         tie = 0
         found: Optional[int] = None
         try:
             while frontier:
                 budget.tick(message)
-                cost, _, state = heapq.heappop(frontier)
+                _, _, cost, state = heapq.heappop(frontier)
                 if cost > costs.get(state, cost):
                     continue
                 cell, heading = divmod(state, 3)
                 if cell == goal:
                     found = state
                     break
-                for offset, new_heading in steps:
+                row, column = divmod(cell, stride)
+                across, up = column - goal_column, row - goal_row
+                for offset, new_heading, dx, dy in steps:
                     near = cell + offset
                     if blocked[near] and near not in opened:
                         continue
@@ -363,18 +452,14 @@ class MazeRouter:
                         costs[next_state] = next_cost
                         came[next_state] = state
                         tie += 1
-                        heapq.heappush(frontier, (next_cost, tie, next_state))
+                        bound = pitch * (abs(across + dx) + abs(up + dy))
+                        heapq.heappush(frontier, (next_cost + bound, tie,
+                                                  next_cost, next_state))
         finally:
             obs_metrics.counter("pnr.maze.expansions").inc(budget.count)
         if found is None:
             return None
-        path = [found // 3]
-        state = found
-        while state in came:
-            state = came[state]
-            path.append(state // 3)
-        path.reverse()
-        return path
+        return _walk_back(came, found)
 
     def _usable(self, column: int, row: int,
                 opened: Set[int]) -> Optional[int]:
@@ -458,13 +543,22 @@ class PnrRouter:
 
     @contextmanager
     def _attempt(self, name: str, level: str, request: RouteRequest):
-        """One escalation level for one net, as a span carrying its cost."""
+        """One escalation level for one net, as a span carrying its cost:
+        the Manhattan lower bound it started from, the expansions it spent
+        and, when the level gives up, why."""
         expansions = obs_metrics.counter("pnr.maze.expansions")
         before = expansions.value
-        with obs_trace.span(name, cat="pnr", net=request.name,
-                            level=level) as span:
+        with obs_trace.span(name, cat="pnr", net=request.name, level=level,
+                            bound=_length((request.source, request.target))
+                            ) as span:
             try:
                 yield span
+            except BudgetExceeded:
+                span.set(reason="budget")
+                raise
+            except RoutingError as error:
+                span.set(reason=error.reason)
+                raise
             finally:
                 span.set(expansions=expansions.value - before)
 
@@ -477,26 +571,28 @@ class PnrRouter:
                             nets=len(requests)) as span:
             for request in requests:
                 try:
-                    with self._attempt("pnr.maze", "coarse", request):
+                    with self._attempt("pnr.maze", "coarse",
+                                       request) as attempt:
                         net = self.route_one(cell, request)
+                        attempt.set(path_cost=net.cost)
                     obs_metrics.counter("pnr.route.maze").inc()
                 except (RoutingError, BudgetExceeded) as error:
-                    with self._attempt("pnr.half_pitch", "half_pitch",
-                                       request):
-                        net = self._retry_fine(cell, request)
-                    if net is not None:
+                    try:
+                        with self._attempt("pnr.half_pitch", "half_pitch",
+                                           request) as attempt:
+                            net = self._retry_fine(cell, request)
+                            attempt.set(path_cost=net.cost)
                         obs_metrics.counter("pnr.route.half_pitch").inc()
-                    else:
+                    except (RoutingError, BudgetExceeded):
                         with self._attempt("pnr.ripup", "ripup",
                                            request) as ripup:
                             net = self._rip_and_reroute(cell, request, report,
                                                         ripup)
-                        if net is not None:
-                            obs_metrics.counter("pnr.ripup.success").inc()
-                    if net is None:
-                        obs_metrics.counter("pnr.route.failed").inc()
-                        report.failed.append((request, error))
-                        continue
+                        if net is None:
+                            obs_metrics.counter("pnr.route.failed").inc()
+                            report.failed.append((request, error))
+                            continue
+                        obs_metrics.counter("pnr.ripup.success").inc()
                 report.routed.append(net)
             span.set(routed=len(report.routed), failed=len(report.failed))
         return report
@@ -506,8 +602,7 @@ class PnrRouter:
         self._draw(cell, request, net.points)
         return net
 
-    def _retry_fine(self, cell: Cell,
-                    request: RouteRequest) -> Optional[RoutedNet]:
+    def _retry_fine(self, cell: Cell, request: RouteRequest) -> RoutedNet:
         """Second attempt on a half-pitch lattice.
 
         A corridor narrower than one coarse pitch is invisible to the main
@@ -517,17 +612,25 @@ class PnrRouter:
         """
         fine = self.pitch // 2
         if fine < 2:
-            return None
+            raise RoutingError(f"net {request.name!r}: no lattice finer "
+                               f"than pitch {self.pitch} to retry on")
         if self._fine_maze is None:
             self._fine_maze = self.maze.at_pitch(fine)
             obs_metrics.gauge("pnr.maze.grid_cells").set(
                 sum(maze.grid_cells for maze in self._lattices()))
-        try:
-            net = self._fine_maze.route(request)
-        except (RoutingError, BudgetExceeded):
-            return None
+        net = self._fine_maze.route(request)
         self._draw(cell, request, net.points)
         return net
+
+    def _route_either(self, cell: Cell,
+                      request: RouteRequest) -> Optional[RoutedNet]:
+        """Coarse lattice, then half pitch; ``None`` when neither threads it."""
+        for route in (self.route_one, self._retry_fine):
+            try:
+                return route(cell, request)
+            except (RoutingError, BudgetExceeded):
+                continue
+        return None
 
     def _rip_and_reroute(self, cell: Cell, request: RouteRequest,
                          report: RoutingReport, span) -> Optional[RoutedNet]:
@@ -566,17 +669,11 @@ class PnrRouter:
             span.set(attempts=attempts)
             obs_metrics.counter("pnr.ripup.attempts").inc()
             self._undraw(cell, victim_name)
-            try:
-                net = self.route_one(cell, request)
-            except (RoutingError, BudgetExceeded):
-                net = self._retry_fine(cell, request)
+            net = self._route_either(cell, request)
             if net is None:
                 self._restore(cell, victim_name, shape, rects, victim_request)
                 continue
-            try:
-                victim_net = self.route_one(cell, victim_request)
-            except (RoutingError, BudgetExceeded):
-                victim_net = self._retry_fine(cell, victim_request)
+            victim_net = self._route_either(cell, victim_request)
             if victim_net is None:
                 # The victim can no longer route around the new wire: undo.
                 self._undraw(cell, request.name)
@@ -592,15 +689,12 @@ class PnrRouter:
 
     def _undraw(self, cell: Cell, name: str) -> None:
         shape, _rects, _ = self._drawn.pop(name)
-        try:
-            cell.shapes.remove(shape)
-        except ValueError:
-            pass
+        cell.remove_shape(shape)
         self._unblock(name)
 
     def _restore(self, cell: Cell, name: str, shape, rects: List[Rect],
                  request: RouteRequest) -> None:
-        cell.shapes.append(shape)
+        cell.add_shape(shape)
         self._block(name, rects)
         self._drawn[name] = (shape, rects, request)
 
@@ -623,18 +717,15 @@ def _bookkeeping_error(message: str) -> RoutingError:
         hint="block() and unblock() must pair up, once each per net"))
 
 
-def _attach(terminal: Point, points: List[Point], prepend: bool) -> List[Point]:
-    """Join an off-grid terminal to the grid path with an L-tap."""
-    anchor = points[0] if prepend else points[-1]
-    if terminal == anchor:
-        return points
-    if terminal.x == anchor.x or terminal.y == anchor.y:
-        joint: List[Point] = [terminal]
-    else:
-        joint = [terminal, Point(terminal.x, anchor.y)]
-    if prepend:
-        return joint + points
-    return points + list(reversed(joint))
+def _walk_back(came: Dict[int, int], found: int) -> List[int]:
+    """The cell path ending in search state ``found``."""
+    path = [found // 3]
+    state = found
+    while state in came:
+        state = came[state]
+        path.append(state // 3)
+    path.reverse()
+    return path
 
 
 def _simplify(points: List[Point]) -> List[Point]:

@@ -11,6 +11,7 @@ oracle                          production twin
 :class:`SwitchLevelReference`   :class:`repro.netlist.SwitchLevelSimulator`
 :class:`BruteDrcChecker`        :class:`repro.drc.DrcChecker`
 :class:`BruteExtractor`         :class:`repro.extract.Extractor`
+:class:`DijkstraMazeRouter`     :class:`repro.pnr.MazeRouter`
 ==============================  ==========================================
 
 Every oracle subclasses its twin and overrides the one hook that chooses
@@ -18,18 +19,21 @@ the algorithm, so run loops, VCD export and state access exist once.  The
 differential suites and ``bench_e11``/``bench_e13`` construct oracles from
 here; production code imports this package only lazily, inside the
 ``FBK002``–``FBK006`` fallback callables of
-:func:`repro.diagnostics.run_with_fallback`
-(``tests/test_reference_isolation.py`` enforces both).
+:func:`repro.diagnostics.run_with_fallback` — and the maze router, which
+has no fallback, never (``tests/test_reference_isolation.py`` enforces
+all of it).
 """
 
 from repro.reference.gate_sim import GateLevelInterpreter
 from repro.reference.geometry import BruteDrcChecker, BruteExtractor
+from repro.reference.maze import DijkstraMazeRouter
 from repro.reference.rtl_sim import RtlInterpreter
 from repro.reference.switch_sim import SwitchLevelReference
 
 __all__ = [
     "BruteDrcChecker",
     "BruteExtractor",
+    "DijkstraMazeRouter",
     "GateLevelInterpreter",
     "RtlInterpreter",
     "SwitchLevelReference",

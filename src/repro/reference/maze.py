@@ -1,0 +1,66 @@
+"""The maze router's priced search as plain Dijkstra: no bound, no goal sense.
+
+:class:`DijkstraMazeRouter` is :class:`~repro.pnr.router.MazeRouter` with
+the frontier ordered by cost so far alone — the search the router ran
+before it took the Manhattan bound.  Lattice, blockage bookkeeping,
+reachability flood, snapping and taps are the parent's, so the two differ
+in exactly the order states are popped: the path *cost* must be equal on
+every instance, and the states A* settles are a subset of the ones settled
+here (``tests/test_pnr.py::TestSearchAgainstDijkstra``).
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Dict, List, Optional, Set, Tuple
+
+from repro.diagnostics import Budget
+from repro.obs import metrics as obs_metrics
+from repro.pnr.router import _TURN_COST, MazeRouter, _walk_back
+
+
+class DijkstraMazeRouter(MazeRouter):
+    """:class:`MazeRouter` whose priced search expands by cost alone."""
+
+    def _search(self, net: str, start: int, goal: int,
+                opened: Set[int]) -> Optional[List[int]]:
+        blocked = self._blocked
+        pitch = self.pitch
+        steps = ((1, 1), (-1, 1), (self._stride, 2), (-self._stride, 2))
+        budget = Budget(iterations=self.max_expansions,
+                        label="maze expansion", code="ROU006")
+        message = (f"maze router exceeded {self.max_expansions} expansions "
+                   f"routing net {net!r}")
+        came: Dict[int, int] = {}
+        costs: Dict[int, int] = {3 * start: 0}
+        frontier: List[Tuple[int, int, int]] = [(0, 0, 3 * start)]
+        tie = 0
+        found: Optional[int] = None
+        try:
+            while frontier:
+                budget.tick(message)
+                cost, _, state = heapq.heappop(frontier)
+                if cost > costs.get(state, cost):
+                    continue
+                cell, heading = divmod(state, 3)
+                if cell == goal:
+                    found = state
+                    break
+                for offset, new_heading in steps:
+                    near = cell + offset
+                    if blocked[near] and near not in opened:
+                        continue
+                    next_cost = cost + pitch
+                    if heading and new_heading != heading:
+                        next_cost += _TURN_COST
+                    next_state = 3 * near + new_heading
+                    if next_cost < costs.get(next_state, next_cost + 1):
+                        costs[next_state] = next_cost
+                        came[next_state] = state
+                        tie += 1
+                        heapq.heappush(frontier, (next_cost, tie, next_state))
+        finally:
+            obs_metrics.counter("pnr.maze.expansions").inc(budget.count)
+        if found is None:
+            return None
+        return _walk_back(came, found)

@@ -158,6 +158,15 @@ class TestTransitiveInvalidation:
         assert after is not before
         assert len(after.shapes) == 8
 
+    def test_grandchild_mutation_refreshes_memoized_extent(self):
+        grandchild, child, top = self.make_three_levels()
+        assert top.bbox() is top.bbox() == Rect(0, 0, 14, 24)
+        assert (child.width, child.height) == (14, 4)
+        grandchild.add_box("poly", -3, 0, 2, 9)
+        assert child.bbox() == Rect(-3, 0, 14, 9)
+        assert top.bbox() == flatten_cell(top).bbox() == Rect(-3, 0, 14, 29)
+        assert (top.width, top.height) == (17, 29)
+
     def test_grandchild_mutation_changes_drc_and_hier_cache(self):
         from repro.analysis import HierAnalyzer
         from repro.drc import DrcChecker

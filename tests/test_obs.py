@@ -301,11 +301,37 @@ class TestTracedFlow:
             assert event["args"]["net"]
         assert sum(event["args"]["expansions"]
                    for event in escalations) == expansions > 0
+        # "Which net fell off the coarse lattice and why" is a filter, not a
+        # re-run: a search span carries the Manhattan bound it started from
+        # and either what the path cost or why there is none.
+        searches = [event["args"] for event in escalations
+                    if event["name"] != "pnr.ripup"]
+        for args in searches:
+            assert args["bound"] > 0
+            assert ("path_cost" in args) != ("reason" in args), args
+            if "path_cost" in args:
+                assert args["path_cost"] > 0
+            else:
+                assert args["reason"] in ("unreachable", "budget",
+                                          "blocked_terminal")
+        failed = [args for args in searches if "reason" in args]
+        assert {args["level"] for args in failed} == {"coarse", "half_pitch"}
+        assert {args["reason"] for args in failed} == {"unreachable"}
         ripups = [event["args"] for event in escalations
                   if event["name"] == "pnr.ripup"]
         routed = {net.name for net in assembler.routing_report.routed}
         assert all(args["attempts"] >= 1 and args["victim"] in routed
                    for args in ripups)
+        # A net drawn by its own search and never ripped still has the cost
+        # its span recorded.
+        victims = {args["victim"] for args in ripups}
+        kept = [net for net in assembler.routing_report.routed
+                if net.name not in victims]
+        drawn = {args["net"]: args["path_cost"] for args in searches
+                 if "path_cost" in args}
+        assert any(net.name in drawn for net in kept)
+        assert all(net.cost == drawn[net.name]
+                   for net in kept if net.name in drawn)
 
 
 # -- the collector, visible -----------------------------------------------------

@@ -1,6 +1,6 @@
 """Reference isolation: oracles stay oracles, production has one path.
 
-``repro.reference`` holds the five reference implementations the
+``repro.reference`` holds the six reference implementations the
 differential suites compare against.  Two things keep them from drifting
 back into production branches:
 
@@ -8,9 +8,13 @@ back into production branches:
   ``src/repro`` outside the reference package, and the only imports of
   ``repro.reference`` there sit inside a nested function that is handed to
   :func:`repro.diagnostics.run_with_fallback` as the fallback;
-* a fresh process under ``REPRO_STRICT=1`` builds and signs off an example
-  chip and runs gate, RTL and switch simulation without the package ever
-  being imported.
+* a fresh process under ``REPRO_STRICT=1`` builds, routes and signs off an
+  example chip and runs gate, RTL and switch simulation without the package
+  ever being imported.
+
+The maze router's oracle (``repro.reference.maze``, Dijkstra) has no
+fallback to hide in: nothing in production imports it at all, and
+``repro.pnr`` holds exactly one priced search.
 
 The same kind of scan keeps the hierarchical analyzer a scheduler: geometry
 stays with the composers beside the flat engines, and the artifact store is
@@ -134,6 +138,55 @@ class TestSourceScan:
             "    return run_with_fallback('x', fast, oracle, code='F')\n") == []
 
 
+def heap_loops(source):
+    """``(function, line)`` of every ``while`` loop that pops a heap."""
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(function):
+            if isinstance(loop, ast.While) and any(
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "heappop"
+                    for node in ast.walk(loop)):
+                found.append((function.name, loop.lineno))
+    return found
+
+
+class TestOnePricedSearch:
+    """``MazeRouter`` searches with A*; the Dijkstra loop it replaced is
+    ``repro.reference.maze``'s and nobody's fallback."""
+
+    PNR = os.path.join("src", "repro", "pnr")
+
+    def test_pnr_pops_a_heap_in_one_function(self):
+        loops = [(path, function)
+                 for path, text in production_sources()
+                 if path.startswith(self.PNR)
+                 for function, _line in heap_loops(text)]
+        assert loops == [(os.path.join(self.PNR, "router.py"), "_search")]
+
+    def test_the_oracle_overrides_that_function_and_nothing_else(self):
+        with open(os.path.join(REFERENCE, "maze.py"), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        assert [node.name for node in classes] == ["DijkstraMazeRouter"]
+        assert [node.name for node in classes[0].body
+                if isinstance(node, ast.FunctionDef)] == ["_search"]
+        assert [function for function, _line
+                in heap_loops(ast.unparse(tree))] == ["_search"]
+
+    def test_the_scan_recognises_a_heap_loop(self):
+        assert heap_loops(
+            "def search():\n"
+            "    while frontier:\n"
+            "        cost, state = heapq.heappop(frontier)\n") == [("search", 2)]
+        assert heap_loops(
+            "def drain():\n"
+            "    while queue:\n"
+            "        queue.popleft()\n") == []
+
+
 class TestSchedulerStaysAScheduler:
     """``repro.analysis.hier`` decides what is built when; it touches no
     rectangle and has one get-or-build."""
@@ -229,13 +282,20 @@ from chip_assembly import build_chip
 from repro.cells import InverterCell
 from repro.drc import check_cell
 from repro.extract import extract_cell
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 from repro.netlist import GateLevelSimulator, GateType, Module, SwitchLevelSimulator
+from repro.pnr import MazeRouter, RouteRequest
 from repro.rtl import RtlSimulator, parse_rtl
 from repro.technology import nmos_technology
 
 assembler, chip = build_chip("isolation_4b", 4, 0)
 report = assembler.sign_off()
 assert report.clean and report.circuit.transistor_count > 0
+assert assembler.routing_report.completion == 1.0
+
+maze = MazeRouter(Rect(0, 0, 60, 60), [Rect(28, 0, 32, 40)])
+assert maze.route(RouteRequest("n", Point(6, 6), Point(54, 6))).cost > 48
 
 module = Module("toggle")
 module.add_input("en")
