@@ -5,6 +5,8 @@ Usage::
     python benchmarks/check_regression.py BASELINE.json CURRENT.json [FACTOR]
     python benchmarks/check_regression.py --exact BASELINE CURRENT FIELD...
     python benchmarks/check_regression.py --summarize
+    ... benchmarks/e2e/run.py ... | python benchmarks/check_regression.py \
+        --e19 <chip_area_lambda2> <route_length_lambda> <cif_bytes> <fmax_mhz>
 
 Either argument may also be a bare experiment id (``e13``), which resolves
 to its ``BENCH_<id>.json`` in the results directory via
@@ -20,6 +22,12 @@ denominator together, so the guard stays meaningful across machines.
 ``--exact`` instead requires the named fields to be *equal* in both files:
 for counts that repeat exactly from run to run on any machine (search
 expansions, route lengths), where any difference means behaviour moved.
+
+``--e19`` reads the end-to-end driver's output on stdin and checks its last
+line: ``"correct": true``, and the four quality-of-result counts equal to
+the values given (the three integer counts exactly, ``fmax_mhz`` to 1e-9
+relative) — a chip that moved fails the smoke even if every oracle check
+inside the harness still agrees with itself.
 
 ``--summarize`` instead prints the committed performance trajectory: one
 row per ``BENCH_e*.json`` in the results directory, showing each
@@ -96,9 +104,37 @@ def check_exact(baseline_path: str, current_path: str, fields) -> int:
     return 1 if failures else 0
 
 
+E19_QUALITY = ("chip_area_lambda2", "route_length_lambda", "cif_bytes",
+               "fmax_mhz")
+
+
+def check_e19(expected, stream) -> int:
+    """Fail unless the driver's last line is correct and its four quality
+    counts are the ``expected`` ones (in ``E19_QUALITY`` order)."""
+    lines = stream.read().strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    failures = result.get("correct") is not True
+    print(f"correct: {result.get('correct')} -> "
+          f"{'DIFFERS' if failures else 'ok'}")
+    for field, text in zip(E19_QUALITY, expected):
+        measured = result.get("metrics", {}).get(field, {}).get("value")
+        if field == "fmax_mhz":
+            want = float(text)
+            same = (measured is not None
+                    and abs(measured - want) <= 1e-9 * abs(want))
+        else:
+            same = measured == int(text)
+        print(f"{field}: expected {text}, measured {measured} -> "
+              f"{'ok' if same else 'DIFFERS'}")
+        failures += not same
+    return 1 if failures else 0
+
+
 def main(argv) -> int:
     if len(argv) >= 2 and argv[1] == "--summarize":
         return summarize()
+    if len(argv) == 2 + len(E19_QUALITY) and argv[1] == "--e19":
+        return check_e19(argv[2:], sys.stdin)
     if len(argv) >= 5 and argv[1] == "--exact":
         return check_exact(argv[2], argv[3], argv[4:])
     if len(argv) < 3:

@@ -18,10 +18,10 @@ vocabulary defined here:
   clauses keep working while new code can catch the whole structured family
   with ``except DiagnosticError``;
 * a :class:`Budget` bounds loops that previously could run forever
-  (settle sweeps, component re-merges, routing, path enumeration), raising
+  (settle sweeps, routing, path enumeration), raising
   :class:`BudgetExceeded` instead of hanging;
 * :func:`run_with_fallback` degrades a fast path (compiled kernel, spatial
-  index, incremental settle) to its retained reference implementation with
+  index) to its retained reference implementation with
   a warning — unless ``REPRO_STRICT=1`` is set, in which case the failure
   is fatal so CI cannot silently mask a fast-path regression.
 
@@ -29,11 +29,12 @@ Code families: ``RTL0xx`` RTL syntax, ``RTL1xx`` the static rules both RTL
 back ends enforce at construction (:mod:`repro.rtl.check`), ``RTL2xx`` legal
 RTL the gate compiler cannot synthesise; ``ERC006``–``008`` are also what
 ``Module.validate()`` returns, ``FSM0xx`` what ``FSM.validate()`` returns.
-Codes are stable and never reused: ``FBK007`` (worker-pool degradation) and
-``ROU008`` (legacy blind L-route) are retired along with the code paths
-that emitted them.  ``ROU010`` (duplicate block name, negative spacing)
-and ``ROU011`` (a connection naming an unknown block, port or pad) reject
-a malformed placement problem (:mod:`repro.assembly.floorplan`).
+Codes are stable and never reused: ``FBK003`` (incremental switch-level
+settle), ``FBK007`` (worker-pool degradation) and ``ROU008`` (legacy blind
+L-route) are retired along with the code paths that emitted them.
+``ROU010`` (duplicate block name, negative spacing) and ``ROU011`` (a
+connection naming an unknown block, port or pad) reject a malformed
+placement problem (:mod:`repro.assembly.floorplan`).
 
 Logging: the ``repro`` logger hierarchy carries the same information as the
 diagnostics (a :class:`DiagnosticCollector` logs everything it records).

@@ -1,9 +1,10 @@
 """The one lowering of a :class:`SwitchNetwork` to integer arrays.
 
 What :class:`repro.sim.kernel.CompiledNetlist` is to a gate-level module:
-every *analysis* of a transistor network — electrical rule checking
-(:mod:`repro.erc.checker`) and switch-level timing
-(:mod:`repro.timing.switch`) — reads the network through this module rather
+every engine that reads a transistor network — electrical rule checking
+(:mod:`repro.erc.checker`), switch-level timing
+(:mod:`repro.timing.switch`) and switch-level simulation
+(:mod:`repro.netlist.switch_sim`) — reads it through this module rather
 than walking the name-keyed device list for itself.  It owns three things:
 
 * the **node numbering** and per-device terminal arrays
@@ -12,13 +13,15 @@ than walking the name-keyed device list for itself.  It owns three things:
 * the **channel partition** (:meth:`LoweredSwitchNetwork.channel_groups`):
   nodes joined source-to-drain, parameterised by which nodes are cut out
   and which devices count as conducting — the supply-short check, the live
-  set, the feedback check and the timing CCCs are four settings of it;
+  set, the feedback check, the timing CCCs and each sweep of the simulator
+  are five settings of it;
 * the **strongly connected components** of a directed graph
   (:func:`strongly_connected`), the one iterative Tarjan in the package.
 
-The switch-level *simulator* keeps its own name-keyed fanout tables: its
-partition changes with every settle sweep, and its oracle
-(:mod:`repro.reference.switch_sim`) must stay independent of this module.
+The simulator is the third consumer: each settle sweep asks for the timing
+analyzer's partition (cut at ``vdd`` / ``gnd``) restricted to the devices
+that conduct under the current node values.  Its oracle
+(:mod:`repro.reference.switch_sim`) stays independent of this module.
 """
 
 from __future__ import annotations

@@ -23,41 +23,30 @@ exist only as extraction geometry for reporting; an earlier ``strength``
 (W/L) property was never consulted by conflict resolution and has been
 removed so the model can't silently diverge from its documentation.
 
-Settling is incremental: the gate→device fanout and source/drain channel
-adjacency are precomputed once, and each settle iteration re-merges only
-the connected components whose controlling gate nodes actually changed —
-devices that switched off dissolve their component for a local rebuild,
-devices that switched on merge two components wholesale.  The original
-rebuild-everything loop lives in :mod:`repro.reference.switch_sim` as the
-golden reference; differential tests pin the two value-identical, and an
-incremental-bookkeeping failure degrades to it under ``FBK003``.
+The supplies are *sources*, not wires: a conducting device on ``vdd`` or
+``gnd`` drives the group at its other end, and never joins that group to
+the other groups the same rail feeds — two pulled-up nodes are two nodes.
+Settling therefore runs on the network's one lowering
+(:mod:`repro.netlist.switch_lowering`), with exactly the partition the
+timing analyzer prices: each sweep regroups the nodes by
+``channel_groups`` cut at the supplies and restricted to the devices that
+conduct under the current values, resolves every group, and stops when a
+sweep changes nothing.  The simulator carries no state between settles
+beyond the public name-keyed ``values``.  :mod:`repro.reference.switch_sim`
+is an independent name-keyed implementation of the same model, and the
+differential suites pin the two value-identical on every node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
-from repro.diagnostics import (
-    BudgetExceeded,
-    Diagnostic,
-    Severity,
-    run_with_fallback,
-)
+from repro.diagnostics import BudgetExceeded, Diagnostic, Severity
 
 VDD = "vdd"
 GND = "gnd"
-
-
-def _settle_budget_error() -> BudgetExceeded:
-    return BudgetExceeded(
-        "switch-level simulation did not settle",
-        Diagnostic(Severity.ERROR, "GRD003",
-                   "switch-level simulation did not settle",
-                   hint="the network oscillates; raise settle_limit only "
-                        "if the propagation depth is real",
-                   source="sim"))
 
 
 class TransistorKind(Enum):
@@ -136,15 +125,6 @@ class SwitchLevelSimulator:
         self.values: Dict[str, Optional[int]] = {node: None for node in network.nodes()}
         self.values[VDD] = 1
         self.values[GND] = 0
-        # Incremental settling state (built lazily on first settle).
-        self._num_devices = -1
-        self._gate_fanout: Dict[str, List[int]] = {}
-        self._chan_adj: Dict[str, List[int]] = {}
-        self._on: List[bool] = []
-        self._comp: Dict[str, int] = {}
-        self._members: Dict[int, Set[str]] = {}
-        self._next_comp_id = 0
-        self._topo_valid = False
 
     def set_inputs(self, assignment: Dict[str, int]) -> None:
         for name, value in assignment.items():
@@ -162,208 +142,69 @@ class SwitchLevelSimulator:
 
     # -- internal ------------------------------------------------------------------------
 
-    def _conducting(self, device: Transistor) -> bool:
-        if device.kind is TransistorKind.DEPLETION:
-            return True   # depletion devices conduct regardless of gate voltage
-        gate_value = self.values.get(device.gate)
-        return gate_value == 1
+    def _settle(self) -> None:
+        """Sweep until no node moves.
 
-    def _clamped(self) -> Set[str]:
+        Strength order within a group: a conducting path to GND (strong 0)
+        > one to VDD (weak 1) > clamped input value > stored charge.
+        """
+        # Imported here: the lowering imports this module's network types.
+        from repro.netlist.switch_lowering import lower_switch
+
+        lowered = lower_switch(self.network)
+        names, values = lowered.names, self.values
+        value = [values.get(name) for name in names]
         # Only inputs that have actually been given a value act as drivers; an
         # undriven "inout" terminal (e.g. the far side of a pass transistor)
         # must be free to take whatever value the network gives it.
-        return {name for name in self.network.inputs
-                if self.values.get(name) is not None} | {VDD, GND}
+        clamped = [False] * len(names)
+        for name in self.network.inputs:
+            clamped[lowered.index[name]] = values.get(name) is not None
+        supplies = {lowered.gnd: 0, lowered.vdd: 1}
+        # (device, node, level) where a channel joins a node to a supply; a
+        # device across the rails drives nothing.
+        taps = []
+        for device, (source, drain) in enumerate(zip(lowered.source,
+                                                     lowered.drain)):
+            if (source in supplies) != (drain in supplies):
+                if source in supplies:
+                    source, drain = drain, source
+                taps.append((device, source, supplies[drain]))
 
-    def _settle(self) -> None:
-        clamped = self._clamped()
-
-        # An incremental-bookkeeping bug must not take simulation down:
-        # degrade to the reference full-rebuild loop (with the incremental
-        # state reset, so the next settle rebuilds it from the network
-        # alone).  BudgetExceeded propagates — a genuine oscillation hangs
-        # both paths.
-        def full_rebuild() -> None:
-            from repro.reference.switch_sim import settle_full_rebuild
-
-            self._num_devices = -1
-            self._topo_valid = False
-            settle_full_rebuild(self, clamped)
-
-        run_with_fallback("switch-level settle",
-                          lambda: self._settle_incremental(clamped),
-                          full_rebuild, code="FBK003")
-
-    # -- incremental settling ---------------------------------------------------------------
-
-    def _build_static(self) -> None:
-        """Precompute gate→device fanout and channel adjacency once."""
-        devices = self.network.transistors
-        self._num_devices = len(devices)
-        self._gate_fanout = {}
-        self._chan_adj = {}
-        for index, device in enumerate(devices):
-            if device.kind is TransistorKind.ENHANCEMENT:
-                self._gate_fanout.setdefault(device.gate, []).append(index)
-            self._chan_adj.setdefault(device.source, []).append(index)
-            self._chan_adj.setdefault(device.drain, []).append(index)
-        self._topo_valid = False
-
-    def _rebuild_components(self) -> None:
-        """Full component build from the current conductance states."""
-        devices = self.network.transistors
-        self._on = [self._conducting(device) for device in devices]
-        self._comp = {}
-        self._members = {}
-        self._next_comp_id = 0
-        for node in self.network.nodes():
-            if node in self._comp:
-                continue
-            component = self._flood(node, restrict=None)
-            comp_id = self._next_comp_id
-            self._next_comp_id += 1
-            self._members[comp_id] = component
-            for member in component:
-                self._comp[member] = comp_id
-        self._topo_valid = True
-
-    def _flood(self, start: str, restrict: Optional[Set[str]]) -> Set[str]:
-        """BFS over conducting channels from ``start``.
-
-        ``restrict`` (when given) bounds the walk to a node set known to
-        contain the whole component — used when rebuilding dissolved
-        components, whose nodes cannot conduct to the outside (an on-device
-        to an outside node would have put that node in the same component
-        already).
-        """
-        devices = self.network.transistors
-        on = self._on
-        adjacency = self._chan_adj
-        component = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for device_index in adjacency.get(node, ()):
-                if not on[device_index]:
-                    continue
-                device = devices[device_index]
-                other = device.drain if device.source == node else device.source
-                if other in component:
-                    continue
-                if restrict is not None and other not in restrict:
-                    continue
-                component.add(other)
-                frontier.append(other)
-        return component
-
-    def _settle_incremental(self, clamped: Set[str]) -> None:
-        if self._num_devices != len(self.network.transistors):
-            self._build_static()
-        devices = self.network.transistors
-
-        if not self._topo_valid:
-            self._rebuild_components()
-            flip_candidates: Sequence[int] = ()
-        else:
-            # Values may have moved via set_inputs since the last settle:
-            # one full conductance scan, then change-driven within the loop.
-            flip_candidates = range(len(devices))
-
-        resolve_all = True
-        affected: Set[int] = set()
         for _ in range(self.settle_limit):
-            # -- re-merge only where controlling gates changed ------------------
-            dirty: Set[int] = set()
-            merges: List[int] = []
-            for device_index in flip_candidates:
-                now_on = self._conducting(devices[device_index])
-                if now_on == self._on[device_index]:
-                    continue
-                self._on[device_index] = now_on
-                device = devices[device_index]
-                if now_on:
-                    merges.append(device_index)
-                else:
-                    dirty.add(self._comp[device.source])
-                    dirty.add(self._comp[device.drain])
-            if dirty:
-                region: Set[str] = set()
-                for comp_id in dirty:
-                    region.update(self._members.pop(comp_id))
-                while region:
-                    seed = next(iter(region))
-                    component = self._flood(seed, restrict=region)
-                    region.difference_update(component)
-                    comp_id = self._next_comp_id
-                    self._next_comp_id += 1
-                    self._members[comp_id] = component
-                    affected.add(comp_id)
-                    for member in component:
-                        self._comp[member] = comp_id
-            for device_index in merges:
-                device = devices[device_index]
-                comp_a = self._comp[device.source]
-                comp_b = self._comp[device.drain]
-                if comp_a == comp_b:
-                    affected.add(comp_a)
-                    continue
-                if len(self._members[comp_a]) < len(self._members[comp_b]):
-                    comp_a, comp_b = comp_b, comp_a
-                absorbed = self._members.pop(comp_b)
-                self._members[comp_a].update(absorbed)
-                for member in absorbed:
-                    self._comp[member] = comp_a
-                affected.add(comp_a)
-            affected = {comp_id for comp_id in affected if comp_id in self._members}
-
-            # -- resolve only the groups that could have changed ----------------
-            if resolve_all:
-                to_resolve = list(self._members)
-                resolve_all = False
-            else:
-                to_resolve = list(affected)
-            changed_nodes: List[str] = []
-            for comp_id in to_resolve:
-                group = self._members[comp_id]
-                new_value = self._resolve_group(group, clamped)
-                for node in group:
-                    if node in clamped:
-                        continue
-                    if self.values.get(node) != new_value and new_value is not None:
-                        self.values[node] = new_value
-                        changed_nodes.append(node)
-            if not changed_nodes:
+            on = [depletion or value[gate] == 1   # depletion always conducts
+                  for depletion, gate in zip(lowered.depletion, lowered.gate)]
+            group = lowered.channel_groups(cut=supplies, conducts=on)
+            driven: Dict[int, int] = {}
+            for device, node, level in taps:
+                # Ratioed fight: the pull-down path wins.
+                if on[device] and driven.get(group[node]) != 0:
+                    driven[group[node]] = level
+            members: Dict[int, List[int]] = {}
+            for node in range(lowered.channel_nodes):
+                if group[node] >= 0:
+                    members.setdefault(group[node], []).append(node)
+            changed = False
+            for root, nodes in members.items():
+                level = driven.get(root)
+                if level is None:
+                    if len(nodes) == 1:
+                        continue   # a lone undriven node keeps its charge
+                    levels = ({value[node] for node in nodes if clamped[node]}
+                              or {value[node] for node in nodes} - {None})
+                    if len(levels) != 1:
+                        continue   # nothing, or a fight: every node keeps its charge
+                    level = levels.pop()
+                for node in nodes:
+                    if value[node] != level and not clamped[node]:
+                        value[node] = values[names[node]] = level
+                        changed = True
+            if not changed:
                 return
-            # Next iteration: only devices gated by changed nodes can flip,
-            # and only groups holding changed nodes can resolve differently.
-            next_flips: Set[int] = set()
-            affected = set()
-            for node in changed_nodes:
-                next_flips.update(self._gate_fanout.get(node, ()))
-                affected.add(self._comp[node])
-            flip_candidates = sorted(next_flips)
-        raise _settle_budget_error()
-
-    def _resolve_group(self, group: Set[str], clamped: Set[str]) -> Optional[int]:
-        """Resolve the value of a connected group of nodes.
-
-        Strength order: GND (strong 0) > VDD via depletion (weak 1) >
-        clamped input value > stored charge.
-        """
-        if GND in group and VDD in group:
-            # Ratioed fight: pulldown path wins (that is what ratioing means).
-            return 0
-        if GND in group:
-            return 0
-        if VDD in group:
-            return 1
-        clamped_values = {self.values[node] for node in group if node in clamped
-                          and self.values.get(node) is not None}
-        if len(clamped_values) == 1:
-            return clamped_values.pop()
-        if len(clamped_values) > 1:
-            return None   # conflicting drivers through pass transistors
-        stored = [self.values[node] for node in group if self.values.get(node) is not None]
-        if stored and all(value == stored[0] for value in stored):
-            return stored[0]
-        return None
+        raise BudgetExceeded(
+            "switch-level simulation did not settle",
+            Diagnostic(Severity.ERROR, "GRD003",
+                       "switch-level simulation did not settle",
+                       hint="the network oscillates; raise settle_limit only "
+                            "if the propagation depth is real",
+                       source="sim"))

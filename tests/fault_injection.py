@@ -10,8 +10,8 @@ mutation of every external input format:
   construction APIs; in collector (recovery) mode the parsers must not
   raise at all;
 * **never silently return wrong results** — on inputs both execution
-  paths accept, the compiled/indexed/incremental fast paths must agree
-  with their :mod:`repro.reference` oracles exactly.
+  paths accept, the compiled/indexed fast paths and the switch simulator
+  must agree with their :mod:`repro.reference` oracles exactly.
 
 This module is deliberately *not* named ``test_*``: the mutation budget
 makes it too slow for the tier-1 suite.  CI runs it explicitly::

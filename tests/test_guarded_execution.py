@@ -5,12 +5,12 @@ Pins the robustness contract end to end:
 * an oscillating gate netlist raises :class:`BudgetExceeded` (not a hang,
   not a bare ``RuntimeError``) with *identical* text on the compiled and
   reference paths;
-* an oscillating switch network does the same on the incremental and
-  reference settle loops;
+* an oscillating switch network does the same on the production simulator
+  and its independent reference;
 * a truncated CIF input produces a typed diagnostic with a source span
   instead of a traceback (raising mode) or a recovered partial library
   (collector mode);
-* a failure injected into any of the five fast paths degrades to its
+* a failure injected into any of the four fast paths degrades to its
   :mod:`repro.reference` oracle with a coded warning and a counted
   ``fallback.FBK00x``, and ``REPRO_STRICT=1`` turns the same failure fatal;
 * the channel router and K-worst path enumeration stop at their budgets.
@@ -62,12 +62,14 @@ def oscillating_module():
 
 
 def ring_network():
+    """Three inverters in a ring.  ``a`` is *not* declared an input: a
+    clamped input legitimately breaks the ring, so the test seeds
+    ``values["a"]`` as stored charge instead."""
     network = SwitchNetwork("ring")
     for inp, out in (("a", "b"), ("b", "c"), ("c", "a")):
         network.add_transistor(out, out, "vdd", TransistorKind.DEPLETION,
                                name=f"pu_{out}")
         network.add_transistor(inp, out, "gnd", name=f"pd_{out}")
-    network.add_input("a")
     network.add_output("c")
     return network
 
@@ -89,13 +91,13 @@ class TestOscillationBudgets:
 
     def test_switch_level_raises_identically_on_both_paths(self):
         errors = {}
-        for incremental, simulator in ((True, SwitchLevelSimulator),
-                                       (False, SwitchLevelReference)):
+        for production, simulator in ((True, SwitchLevelSimulator),
+                                      (False, SwitchLevelReference)):
             sim = simulator(ring_network(), settle_limit=30)
             sim.values["a"] = 0
             with pytest.raises(BudgetExceeded) as info:
                 sim.evaluate()
-            errors[incremental] = info.value
+            errors[production] = info.value
         assert str(errors[True]) == str(errors[False])
         assert errors[True].diagnostic.code == "GRD003"
 
@@ -191,15 +193,6 @@ def _half_adder():
     return module
 
 
-def _inverter_network():
-    network = SwitchNetwork("inv")
-    network.add_transistor("out", "out", "vdd", TransistorKind.DEPLETION)
-    network.add_transistor("a", "out", "gnd")
-    network.add_input("a")
-    network.add_output("out")
-    return network
-
-
 _COUNTER_RTL = """
 machine counter;
 input load[1], data[4];
@@ -216,11 +209,6 @@ end
 def _run_gate(simulator):
     sim = simulator(_half_adder())
     return sim.evaluate({"a": 1, "b": 0}), sim.last_depth
-
-
-def _run_switch(simulator):
-    sim = simulator(_inverter_network())
-    return [sim.evaluate({"a": a}) for a in (1, 0, 1)]
 
 
 def _run_rtl(simulator):
@@ -248,8 +236,6 @@ def _run_drc(checker):
 FALLBACK_CASES = [
     ("FBK002", (sim_kernel, "compile_netlist"), _run_gate,
      GateLevelSimulator, GateLevelInterpreter),
-    ("FBK003", (SwitchLevelSimulator, "_settle_incremental"), _run_switch,
-     SwitchLevelSimulator, SwitchLevelReference),
     ("FBK004", (rtl_simulator._StatementCompiler, "compile_block"), _run_rtl,
      RtlSimulator, RtlInterpreter),
     ("FBK005", (extractor_module, "build_index"), _run_extract,
@@ -299,16 +285,6 @@ class TestFallbacks:
         monkeypatch.setattr(sim_kernel, "compile_netlist", _explode)
         with pytest.raises(InjectedFault, match="injected fast-path bug"):
             GateLevelSimulator(_half_adder())
-
-    def test_broken_incremental_settle_degrades(self, monkeypatch, caplog):
-        monkeypatch.delenv("REPRO_STRICT", raising=False)
-        sim = SwitchLevelSimulator(_inverter_network())
-        monkeypatch.setattr(sim, "_settle_incremental", _explode)
-        with caplog.at_level(logging.WARNING, logger="repro.fallback"):
-            assert sim.evaluate({"a": 1})["out"] == 0
-            # The degraded settle leaves the simulator usable afterwards.
-            assert sim.evaluate({"a": 0})["out"] == 1
-        assert any("switch-level settle" in r.message for r in caplog.records)
 
 
 class TestRoutingAndTimingBudgets:

@@ -12,6 +12,7 @@ from repro.netlist import (
     compare_netlists,
 )
 from repro.netlist.compare import compare_switch_networks
+from repro.reference import SwitchLevelReference
 
 
 def full_adder():
@@ -197,6 +198,104 @@ class TestSwitchLevelSimulator:
         n = self.nmos_inverter()
         assert n.device_count() == 2
         assert n.pullup_count() == 1
+
+
+def ratioed_gate(network, kind, output, inputs):
+    """The textbook ratioed-NMOS gate: a depletion load on ``output`` and
+    a pull-down per input — in parallel (``nor``), or stacked in series
+    towards ``gnd`` (``nand``); one input makes either an inverter."""
+    network.add_transistor(output, output, "vdd", TransistorKind.DEPLETION,
+                           name=f"pu_{output}")
+    if kind == "nor":
+        for number, name in enumerate(inputs):
+            network.add_transistor(name, output, "gnd",
+                                   name=f"pd_{output}_{number}")
+        return
+    assert kind == "nand"
+    upper = output
+    for number, name in enumerate(inputs):
+        lower = ("gnd" if number == len(inputs) - 1
+                 else f"{output}_stack{number}")
+        network.add_transistor(name, upper, lower,
+                               name=f"pd_{output}_{number}")
+        upper = lower
+
+
+def ratioed_network(name, inputs, outputs, gates):
+    network = SwitchNetwork(name)
+    for port in inputs:
+        network.add_input(port)
+    for kind, output, gate_inputs in gates:
+        ratioed_gate(network, kind, output, gate_inputs)
+    for port in outputs:
+        network.add_output(port)
+    return network
+
+
+@pytest.mark.parametrize("simulator",
+                         [SwitchLevelSimulator, SwitchLevelReference])
+class TestSwitchLevelTruthTables:
+    """More than one restoring stage: the supplies feed every stage and
+    join none of them.  (A partition that keeps ``vdd`` as an ordinary node
+    shorts every pulled-up output to every other and gets all of these
+    wrong.)  Run on production and on its independent reference."""
+
+    def test_two_independent_inverters(self, simulator):
+        network = ratioed_network("pair", ["a", "b"], ["x", "y"],
+                                  [("nor", "x", ["a"]), ("nor", "y", ["b"])])
+        for a in (0, 1):
+            for b in (0, 1):
+                assert simulator(network).evaluate({"a": a, "b": b}) == {
+                    "x": 1 - a, "y": 1 - b}
+
+    @pytest.mark.parametrize("stages", range(1, 9))
+    def test_inverter_chain(self, simulator, stages):
+        nets = ["a"] + [f"n{stage}" for stage in range(stages)]
+        network = ratioed_network(
+            "chain", ["a"], nets[-1:],
+            [("nor", out, [inp]) for inp, out in zip(nets, nets[1:])])
+        reused = simulator(network)
+        for a in (0, 1, 0):
+            expected = {nets[-1]: (a + stages) % 2}
+            assert simulator(network).evaluate({"a": a}) == expected
+            assert reused.evaluate({"a": a}) == expected
+            assert [reused.node_value(net) for net in nets] == [
+                (a + stage) % 2 for stage in range(stages + 1)]
+
+    def test_nand_then_inverter_is_and(self, simulator):
+        network = ratioed_network(
+            "and2", ["a", "b"], ["y"],
+            [("nand", "n", ["a", "b"]), ("nor", "y", ["n"])])
+        for a in (0, 1):
+            for b in (0, 1):
+                assert simulator(network).evaluate({"a": a, "b": b}) == {
+                    "y": a & b}
+
+    def test_nor_nor_two_level_block(self, simulator):
+        # The shape of a PLA: an AND plane of NOR product lines feeding an
+        # OR plane of NOR outputs.
+        network = ratioed_network(
+            "pla", ["a", "b"], ["o0", "o1"],
+            [("nor", "p0", ["a", "b"]), ("nor", "p1", ["b"]),
+             ("nor", "o0", ["p0", "p1"]), ("nor", "o1", ["p0"])])
+        reused = simulator(network)
+        for a in (0, 1):
+            for b in (0, 1):
+                p0, p1 = 1 - (a | b), 1 - b
+                expected = {"o0": 1 - (p0 | p1), "o1": 1 - p0}
+                assert simulator(network).evaluate({"a": a, "b": b}) == expected
+                assert reused.evaluate({"a": a, "b": b}) == expected
+                assert (reused.node_value("p0"), reused.node_value("p1")) == (
+                    p0, p1)
+
+    def test_cross_coupled_nor_latch_sets_resets_and_holds(self, simulator):
+        network = ratioed_network(
+            "latch", ["s", "r"], ["q", "q_bar"],
+            [("nor", "q", ["r", "q_bar"]), ("nor", "q_bar", ["s", "q"])])
+        sim = simulator(network)
+        for s, r, q in ((1, 0, 1), (0, 0, 1), (0, 1, 0), (0, 0, 0),
+                        (1, 0, 1), (0, 0, 1), (0, 0, 1)):
+            assert sim.evaluate({"s": s, "r": r}) == {"q": q, "q_bar": 1 - q}
 
 
 class TestComparison:

@@ -606,3 +606,27 @@ class TestCliValidators:
                 [sys.executable, script, "--exact", "e15", current, *fields],
                 capture_output=True, text=True, timeout=120)
             assert result.returncode == code, result.stdout + result.stderr
+
+    def test_check_regression_e19_gates_the_quality_counts(self):
+        script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "benchmarks", "check_regression.py")
+
+        def last_line(correct=True, **moved):
+            values = {"chip_area_lambda2": 533820, "route_length_lambda": 2116,
+                      "cif_bytes": 11886, "fmax_mhz": 2.9889701505207897,
+                      "wall_s": 0.3, **moved}
+            return "progress...\n" + json.dumps({
+                "correct": correct,
+                "metrics": {name: {"value": value, "unit": "-"}
+                            for name, value in values.items()}}) + "\n"
+
+        expected = ["533820", "2116", "11886", "2.9889701505"]
+        for text, code in ((last_line(), 0),
+                           (last_line(correct=False), 1),
+                           (last_line(cif_bytes=11887), 1),
+                           (last_line(fmax_mhz=2.98897016), 1),
+                           ("", 1)):
+            result = subprocess.run(
+                [sys.executable, script, "--e19", *expected], input=text,
+                capture_output=True, text=True, timeout=120)
+            assert result.returncode == code, result.stdout + result.stderr

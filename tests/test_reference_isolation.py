@@ -113,12 +113,12 @@ class TestSourceScan:
             assert not bad, f"{path}: lines {bad}"
             if any(imports_reference(n) for n in ast.walk(ast.parse(text))):
                 importers.add(path)
-        # The five guarded engines, and nothing else.
+        # The four guarded engines, and nothing else (the switch simulator
+        # has no fast path left to guard).
         assert sorted(importers) == sorted(
             os.path.join("src", "repro", *parts) for parts in (
                 ("drc", "checker.py"), ("extract", "extractor.py"),
-                ("netlist", "gate_sim.py"), ("netlist", "switch_sim.py"),
-                ("rtl", "simulator.py")))
+                ("netlist", "gate_sim.py"), ("rtl", "simulator.py")))
 
     def test_the_scan_catches_a_top_level_or_unguarded_import(self):
         assert misplaced_reference_imports(
@@ -259,6 +259,28 @@ class TestOneGraphKernel:
                                     "switch_lowering.py"))}
         for path, text in production_sources():
             assert len(graph_kernel_idioms(text)) <= 1, path
+
+    def test_the_switch_oracle_shares_only_the_network_types(self):
+        """It neither subclasses production nor reads the lowering: what it
+        takes from ``repro.netlist`` is the data model and the supply names."""
+        with open(os.path.join(REFERENCE, "switch_sim.py"),
+                  encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        imported = {}
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Import)
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.setdefault(node.module, set()).update(
+                    alias.name for alias in node.names)
+        assert imported.pop("typing")
+        assert imported == {
+            "repro.diagnostics": {"BudgetExceeded", "Diagnostic", "Severity"},
+            "repro.netlist.switch_sim": {"GND", "VDD", "SwitchNetwork",
+                                         "TransistorKind"}}
+        assert [(node.name, node.bases) for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)] == [
+                    ("SwitchLevelReference", [])]
+        assert graph_kernel_idioms(ast.unparse(tree))   # its own union-find
 
     def test_the_scan_recognises_both_idioms(self):
         assert graph_kernel_idioms(

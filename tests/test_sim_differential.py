@@ -1,11 +1,16 @@
 """Differential test suites: compiled paths vs their golden interpreters.
 
 Hypothesis generates random netlists, stimulus sequences, transistor
-networks and RTL input streams; every compiled/incremental execution path
-must be trace-identical to the reference implementation it replaced —
-values, ``last_depth`` and ``critical_path_estimate`` included.  This is
-the simulation-kernel counterpart of ``tests/test_index_golden.py`` and
+networks and RTL input streams; every compiled execution path must be
+trace-identical to the reference implementation it replaced — values,
+``last_depth`` and ``critical_path_estimate`` included — and the switch-level
+simulator value-identical, on every node, to its independent reference.  This
+is the simulation-kernel counterpart of ``tests/test_index_golden.py`` and
 ``tests/test_hier_golden.py`` for the geometry engine.
+
+Two implementations of one model can share a misreading of it, so the switch
+level has a third oracle: random NOT / NAND / NOR netlists mapped to
+ratioed-NMOS transistors must compute what the gate-level simulator computes.
 """
 
 import pytest
@@ -20,6 +25,8 @@ from repro.reference import (
 )
 from repro.rtl import RtlCompiler, RtlSimulator, parse_rtl
 from repro.sim import CompiledNetlist, run_streams
+
+from test_netlist import ratioed_network
 
 # -- random netlist generation -----------------------------------------------------------
 
@@ -193,28 +200,94 @@ def random_networks(draw):
     return network, assignments
 
 
+def _evaluate(simulator, assignment):
+    """``(outputs, None)``, or ``(None, error text)`` on oscillation."""
+    try:
+        return simulator.evaluate(assignment), None
+    except RuntimeError as error:
+        return None, str(error)
+
+
 class TestSwitchLevelDifferential:
     @given(random_networks())
     @settings(max_examples=60, deadline=None)
-    def test_incremental_matches_reference(self, case):
+    def test_production_matches_reference_on_every_node(self, case):
         network, assignments = case
-        incremental = SwitchLevelSimulator(network)
+        production = SwitchLevelSimulator(network)
         reference = SwitchLevelReference(network)
         for assignment in assignments:
-            incremental_error = reference_error = None
-            try:
-                incremental_out = incremental.evaluate(assignment)
-            except RuntimeError as error:
-                incremental_error = str(error)
-            try:
-                reference_out = reference.evaluate(assignment)
-            except RuntimeError as error:
-                reference_error = str(error)
-            assert incremental_error == reference_error
-            if incremental_error is not None:
+            produced, error = _evaluate(production, assignment)
+            assert (produced, error) == _evaluate(reference, assignment)
+            if error is not None:
+                assert "did not settle" in error
                 return   # both diverged identically; states are undefined now
-            assert incremental_out == reference_out
-            assert incremental.values == reference.values
+            assert production.values == reference.values
+            assert set(production.values) == network.nodes()
+            for node in network.nodes():
+                assert production.node_value(node) == reference.node_value(node)
+
+
+@st.composite
+def restoring_netlists(draw):
+    """An acyclic NOT / NAND / NOR netlist as ``(inputs, gates, depth)``:
+    ``gates`` are ``(kind, output, inputs)`` in topological order, ``depth``
+    the longest gate chain."""
+    inputs = [f"i{number}" for number in range(draw(st.integers(1, 4)))]
+    depth_of = dict.fromkeys(inputs, 0)
+    gates = []
+    for number in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("not", "nand", "nor")))
+        fan_in = 1 if kind == "not" else draw(st.integers(2, 3))
+        sources = [draw(st.sampled_from(list(depth_of)))
+                   for _ in range(fan_in)]
+        output = f"g{number}"
+        gates.append((kind, output, sources))
+        depth_of[output] = 1 + max(depth_of[name] for name in sources)
+    return inputs, gates, max(depth_of.values())
+
+
+class TestSwitchLevelAgainstGateLevel:
+    """The model itself, against an engine that shares none of it."""
+
+    _GATE_TYPE = {"not": GateType.NOT, "nand": GateType.NAND,
+                  "nor": GateType.NOR}
+
+    #: Logic depth of every example the property ran, for the "prove it ran"
+    #: test below.
+    depths = []
+
+    @given(restoring_netlists())
+    @settings(max_examples=60, deadline=None)
+    def test_ratioed_nmos_computes_the_gate_netlist(self, case):
+        inputs, gates, depth = case
+        outputs = [output for _kind, output, _sources in gates]
+        module = Module("restoring")
+        module.add_inputs(*inputs)
+        module.add_outputs(*outputs)
+        for kind, output, sources in gates:
+            module.add_gate(self._GATE_TYPE[kind], output, sources)
+        network = ratioed_network(
+            "restoring", inputs, outputs,
+            [("nand" if kind == "nand" else "nor", output, sources)
+             for kind, output, sources in gates])
+        gate_level = GateLevelSimulator(module)
+        reused = [SwitchLevelSimulator(network), SwitchLevelReference(network)]
+        for vector in range(1 << len(inputs)):
+            assignment = {name: (vector >> bit) & 1
+                          for bit, name in enumerate(inputs)}
+            expected = gate_level.evaluate(assignment)
+            assert None not in expected.values()
+            for simulator in reused:
+                assert simulator.evaluate(assignment) == expected
+            assert SwitchLevelSimulator(network).evaluate(assignment) == expected
+        self.depths.append(depth)
+
+    def test_a_third_of_the_examples_had_two_levels_of_logic(self):
+        """Single restoring stages never met the bug this suite exists for."""
+        if not self.depths:
+            pytest.skip("the property did not run in this session")
+        deep = sum(1 for depth in self.depths if depth >= 2)
+        assert 3 * deep >= len(self.depths), (deep, len(self.depths))
 
 
 # -- RTL ---------------------------------------------------------------------------------

@@ -371,8 +371,8 @@ class TestSwitchRegressions:
             {"a": 0, "b": 0}, {"a": 1, "b": 1}, {"a": 1, "b": 0},
             {"a": 0, "b": 1}, {"a": 1, "b": 1}, {"a": None, "b": 1},
         ]
-        incremental = SwitchLevelSimulator(nand())
+        production = SwitchLevelSimulator(nand())
         reference = SwitchLevelReference(nand())
         for assignment in sequence:
-            assert incremental.evaluate(assignment) == reference.evaluate(assignment)
-            assert incremental.values == reference.values
+            assert production.evaluate(assignment) == reference.evaluate(assignment)
+            assert production.values == reference.values

@@ -8,7 +8,8 @@ Three layers:
   partition of a random network under each of the four cut / conduct
   settings ERC and switch timing use.
 * **prove it ran** — a sign-off lowers each analysed circuit once, ERC and
-  timing sharing the result, and the lowering never reaches a pickle.
+  timing sharing the result, and the lowering never reaches a pickle; the
+  switch-level simulator settles the same circuit on that same lowering.
 * **golden** — ``tests/golden/switch_signoff.json`` holds every
   ``ErcReport.violations`` entry (order included) and every ``BlockTiming``
   field of the four example chips and the tile array, written at the commit
@@ -25,10 +26,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import HierAnalyzer
+from repro.cells import NandCell
 from repro.erc import ErcChecker
 from repro.extract.extractor import ExtractedCircuit
 from repro.netlist.switch_lowering import lower_switch, strongly_connected
-from repro.netlist.switch_sim import GND, VDD, SwitchNetwork, TransistorKind
+from repro.netlist.switch_sim import (
+    GND,
+    VDD,
+    SwitchLevelSimulator,
+    SwitchNetwork,
+    TransistorKind,
+)
 from repro.obs import trace
 from repro.timing import NetParasitics, SwitchTimingAnalyzer
 
@@ -168,6 +176,29 @@ def test_sign_off_lowers_each_circuit_once_and_pickles_none(technology):
         TILE_CIRCUIT_PICKLE_BYTES
 
 
+def test_erc_timing_and_simulation_share_one_lowering(technology):
+    """One partition at the switch level: the simulator's groups are the
+    timing analyzer's CCCs restricted to what conducts."""
+    cell = NandCell(technology, inputs=2).cell()
+    analyzer = HierAnalyzer(technology)
+    trace.reset()
+    trace.enable()
+    try:
+        assert analyzer.erc(cell).clean
+        assert analyzer.timing(cell).restoring_stages == 1
+        network = analyzer.extract(cell).network
+        for a in (0, 1):
+            for b in (0, 1):
+                assert SwitchLevelSimulator(network).evaluate(
+                    {"in0": a, "in1": b}) == {"out": 1 - (a & b)}
+    finally:
+        trace.disable()
+    lowerings = [event for event in trace.drain()
+                 if event["name"] == "netlist.lower_switch"]
+    assert len(lowerings) == 1
+    assert lowerings[0]["args"]["devices"] == len(network.transistors)
+
+
 def test_a_grown_network_is_lowered_again():
     network = SwitchNetwork("grows")
     network.add_transistor("a", "out", GND)
@@ -175,6 +206,22 @@ def test_a_grown_network_is_lowered_again():
     network.add_transistor("b", "out", VDD, TransistorKind.DEPLETION)
     assert lower_switch(network) is not first
     assert len(lower_switch(network).gate) == 2
+
+
+def test_a_simulator_follows_its_network_as_it_grows():
+    network = SwitchNetwork("grows")
+    network.add_input("a")
+    network.add_output("out")
+    network.add_transistor("a", "out", GND)
+    sim = SwitchLevelSimulator(network)
+    assert sim.evaluate({"a": 0}) == {"out": None}      # nothing pulls up yet
+    network.add_transistor("out", "out", VDD, TransistorKind.DEPLETION)
+    network.add_transistor("out", "late", GND)          # a node born later
+    network.add_transistor("late", "late", VDD, TransistorKind.DEPLETION)
+    assert sim.evaluate({"a": 0}) == {"out": 1}
+    assert sim.node_value("late") == 0
+    assert sim.evaluate({"a": 1}) == {"out": 0}
+    assert sim.node_value("late") == 1
 
 
 # -- golden: ERC reports and switch timing of whole chips ---------------------
