@@ -22,7 +22,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.extract.extractor import (
     ExtractedCircuit,
+    adjacent_piece_ids,
+    conducting_items,
+    covers,
+    diffusion_crossings,
     finish_circuit,
+    gate_item,
+    label_item_hits,
+    label_probe,
     split_by_channels,
     union_chain,
 )
@@ -125,12 +132,9 @@ def circuit_of(technology: Technology, cell: Cell, view: _View,
         union_chain(finder, touching)
     for touching in art.buried_touch:
         union_chain(finder, touching)
-    items = ([("diffusion", rect) for rect in art.pieces]
-             + [("poly", rect) for rect in poly]
-             + [("metal", rect) for rect in metal])
-    return finish_circuit(technology, cell, view.labels, art.label_hits,
-                          finder, items, poly_start, art.channels,
-                          zip(art.gates, art.terminals, art.depletion))
+    return finish_circuit(technology, cell, view.labels, art.label_hits, finder,
+                          conducting_items(art.pieces, poly, metal), poly_start,
+                          art.channels, zip(art.gates, art.terminals, art.depletion))
 
 
 # -- the per-build context ----------------------------------------------------
@@ -238,7 +242,7 @@ class _Build:
         self.new_pieces: List[int] = []
         self.new_piece_index: Optional[SpatialIndex] = None
         # Set by index_items() once the pieces are final.
-        self.wire_layers: List[Tuple[str, _BoxIndex, List[int], int]] = []
+        self.wire_layers: List[Tuple[str, _BoxIndex, int]] = []
         self.item_maps: List[Optional[Tuple[List[int], int, int, int, int]]] = []
 
     # -- candidate queries ----------------------------------------------------
@@ -256,15 +260,16 @@ class _Build:
         found.sort()
         return found
 
-    def covered(self, layer: str, box_index: _BoxIndex, region: Rect) -> bool:
-        """Does one ``layer`` rect of any source contain ``region``?"""
-        sources = self.sources
-        for k in box_index.near(region):
-            source = sources[k]
-            for cid in source.probe(layer, region):
-                if source.global_rect(layer, cid).contains_rect(region):
-                    return True
-        return False
+    def layer_candidates(self, layer: str, box_index: _BoxIndex, region: Rect,
+                         strict: bool = False, base: int = 0) -> List[int]:
+        """``base`` plus the ids into ``view.layer(layer)`` touching
+        (``strict``: overlapping) region, ascending."""
+        sources, offsets = self.sources, self.view.layer_offsets(layer)
+        found = [base + offsets[k] + cid
+                 for k in box_index.near(region, strict=strict)
+                 for cid in sources[k].probe(layer, region, strict=strict)]
+        found.sort()
+        return found
 
     def piece_candidates(self, region: Rect, strict: bool = False) -> List[int]:
         """Global diffusion-piece ids touching region (stage 2 onwards)."""
@@ -290,15 +295,11 @@ class _Build:
     def conducting_candidates(self, region: Rect, strict: bool = False,
                               include_metal: bool = True) -> List[int]:
         """Global conducting item ids (pieces, poly, metal) touching region."""
-        sources = self.sources
         found = self.piece_candidates(region, strict=strict)
-        for layer, box_index, offsets, start in (
+        for layer, box_index, start in (
                 self.wire_layers if include_metal else self.wire_layers[:1]):
-            for k in box_index.near(region, strict=strict):
-                base = start + offsets[k]
-                for cid in sources[k].probe(layer, region, strict=strict):
-                    found.append(base + cid)
-        found.sort()
+            found += self.layer_candidates(layer, box_index, region,
+                                           strict=strict, base=start)
         return found
 
     def map_item(self, k: int, item: int) -> int:
@@ -314,9 +315,8 @@ class _Build:
         """Freeze the item id spaces once the pieces are final (stage 2)."""
         poly_start = len(self.art.pieces)
         metal_start = poly_start + len(self.poly)
-        self.wire_layers = [
-            ("poly", self.poly_box_index, self.poly_offsets, poly_start),
-            ("metal", self.metal_box_index, self.metal_offsets, metal_start)]
+        self.wire_layers = [("poly", self.poly_box_index, poly_start),
+                            ("metal", self.metal_box_index, metal_start)]
         self.item_maps = [None]
         for k in range(1, len(self.sources)):
             pieces_end = len(self.children[k].pieces)
@@ -337,6 +337,11 @@ def _channels(build: _Build) -> None:
     buried_box_index, chan_box_index = build.buried_box_index, build.chan_box_index
     diffusion, channels = art.diffusion, art.channels
     fresh_channels = build.fresh_channels
+    buried = build.view.layer("buried")
+
+    def buried_over(overlap: Rect) -> bool:
+        return covers(overlap, buried, build.layer_candidates(
+            "buried", buried_box_index, overlap))
 
     suspect_poly: Set[int] = set(range(poly_offsets[0], poly_offsets[1]))
     for k, source in enumerate(sources[1:], 1):
@@ -387,17 +392,14 @@ def _channels(build: _Build) -> None:
                     # material reaches the crossing.
                     if check_buried and any(
                             j != src for j in buried_box_index.near(overlap)):
-                        covered = build.covered("buried", buried_box_index,
-                                                overlap)
+                        covered = buried_over(overlap)
                     crossings.append((cmap[d_local], overlap, covered))
             else:
                 poly_rect = poly[p_gid]
-                for d_gid in build.diffusion_candidates(poly_rect, strict=True):
-                    overlap = poly_rect.intersection(diffusion[d_gid])
-                    if overlap is None or overlap.is_degenerate:
-                        continue
-                    crossings.append((d_gid, overlap, build.covered(
-                        "buried", buried_box_index, overlap)))
+                for d_gid, overlap in diffusion_crossings(
+                        poly_rect, diffusion,
+                        build.diffusion_candidates(poly_rect, strict=True)):
+                    crossings.append((d_gid, overlap, buried_over(overlap)))
             for cross_pos, (d_gid, overlap, covered) in enumerate(crossings):
                 if covered:
                     channel_ids.append(-1)
@@ -582,7 +584,7 @@ def _contacts_and_labels(build: _Build) -> None:
         for l_gid in range(offset, label_offsets[src + 1]):
             label = view.labels[l_gid]
             position = label.position
-            probe = Rect(position.x, position.y, position.x, position.y)
+            probe = label_probe(label)
             if src == 0:
                 recompute = True
             elif own_box is not None and own_box.contains_point(position):
@@ -597,15 +599,8 @@ def _contacts_and_labels(build: _Build) -> None:
                 if all(g >= 0 for g in mapped_hits):
                     hits = mapped_hits
             if hits is None:
-                hits = []
-                for item in build.conducting_candidates(probe):
-                    member_layer = ("diffusion" if item < poly_start else
-                                    "poly" if item < metal_start else "metal")
-                    if label.layer and label.layer != member_layer and not (
-                        label.layer in DL and member_layer == "diffusion"
-                    ):
-                        continue
-                    hits.append(item)
+                hits = label_item_hits(label, build.conducting_candidates(probe),
+                                       poly_start, metal_start, DL)
             art.label_hits.append(sorted(hits))
 
 
@@ -661,6 +656,7 @@ def _compose_touch(build: _Build, layer: str, strict: bool,
 def _devices(build: _Build) -> None:
     art, sources, children = build.art, build.sources, build.children
     poly, poly_offsets, piece_map = build.poly, build.poly_offsets, build.piece_map
+    implant = build.view.layer("implant")
     own_view, device_box_index = build.own_view, build.device_box_index
     fresh_channels = build.fresh_channels
     own_probe_indexes = [own_view.index(layer)
@@ -712,21 +708,12 @@ def _devices(build: _Build) -> None:
             else:
                 valid = False
         if not valid:
-            candidates: List[int] = []
-            for k in build.poly_box_index.near(channel):
-                base = poly_offsets[k]
-                for local in sources[k].probe("poly", channel):
-                    candidates.append(base + local)
-            candidates.sort()
-            for candidate in candidates:
-                rect = poly[candidate]
-                if rect.contains_rect(channel) or rect.overlaps(channel, strict=True):
-                    gate_gid = candidate
-                    break
-            terminals = [g for g in build.piece_candidates(channel)
-                         if not art.pieces[g].overlaps(channel, strict=True)]
-            depletion = build.covered("implant", build.implant_box_index,
-                                      channel)
+            gate_gid = gate_item(poly, build.layer_candidates(
+                "poly", build.poly_box_index, channel), channel)
+            terminals = adjacent_piece_ids(
+                art.pieces, build.piece_candidates(channel), channel)
+            depletion = covers(channel, implant, build.layer_candidates(
+                "implant", build.implant_box_index, channel))
         art.gates.append(gate_gid)
         art.terminals.append(terminals)
         art.depletion.append(depletion)

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import run_with_fallback
-from repro.geometry.index import (
-    IndexFactory,
-    SpatialIndex,
-    UnionFind,
-    build_index,
-)
+from repro.geometry.index import IndexFactory, UnionFind, build_index
 from repro.obs import trace as obs_trace
 from repro.runtime import gc_paused
 from repro.geometry.rect import Rect
@@ -123,8 +118,9 @@ class Extractor:
         buried_index = index(buried)
         channels: List[Rect] = []
         for poly_rect in poly:
-            for _, overlap in diffusion_crossings(poly_rect, diffusion, diffusion_index):
-                if buried_covers(overlap, buried, buried_index):
+            for _, overlap in diffusion_crossings(
+                    poly_rect, diffusion, diffusion_index.query(poly_rect, strict=True)):
+                if covers(overlap, buried, buried_index.query(overlap)):
                     continue
                 channels.append(overlap)
         channels = _dedupe(channels)
@@ -158,10 +154,8 @@ class Extractor:
 
         # 4. Resolve each label to the items whose geometry contains its
         # position via a point query.
-        item_layers = (["diffusion"] * poly_start + ["poly"] * len(poly)
-                       + ["metal"] * len(metal))
-        label_hits = [label_item_hits(label, conducting_index, item_layers,
-                                      self._diffusion_layers)
+        label_hits = [label_item_hits(label, conducting_index.query(label_probe(label)),
+                                      poly_start, metal_start, self._diffusion_layers)
                       for label in flat.labels]
 
         # 5. Per channel: gate, terminals, implant cover.  Lookups run on
@@ -170,14 +164,15 @@ class Extractor:
         diff_piece_index = index(diffusion_pieces)
         implant_index = index(implant)
         devices = (
-            (gate_item(poly, poly_index, channel),
-             adjacent_piece_ids(diffusion_pieces, diff_piece_index, channel),
-             any(implant[i].contains_rect(channel)
-                 for i in implant_index.query(channel)))
+            (gate_item(poly, poly_index.query(channel), channel),
+             adjacent_piece_ids(diffusion_pieces, diff_piece_index.query(channel),
+                                channel),
+             covers(channel, implant, implant_index.query(channel)))
             for channel in channels)
         return finish_circuit(
             self.technology, cell, flat.labels, label_hits, finder,
-            list(zip(item_layers, conducting)), poly_start, channels, devices)
+            conducting_items(diffusion_pieces, poly, metal), poly_start,
+            channels, devices)
 
 
 def extract_cell(cell: Cell, technology: Technology) -> ExtractedCircuit:
@@ -191,14 +186,17 @@ def extract_cell(cell: Cell, technology: Technology) -> ExtractedCircuit:
 # one circuit finisher so the flat extractor above and the hierarchical
 # composer (:mod:`repro.extract.compose`) run exactly the same
 # geometry-to-netlist semantics; the composer merely caches and replays the
-# per-element results per unique cell.
+# per-element results per unique cell.  A per-element stage takes the
+# candidate ids a spatial query returned rather than an index: the flat path
+# queries one index per layer, the composer its per-source blocks, and both
+# apply the same rule to the candidates.
 
 
 def diffusion_crossings(poly_rect: Rect, diffusion: Sequence[Rect],
-                        diffusion_index: SpatialIndex) -> List[Tuple[int, Rect]]:
-    """Non-degenerate poly x diffusion overlaps, ascending by diffusion id."""
+                        candidates: Iterable[int]) -> List[Tuple[int, Rect]]:
+    """Non-degenerate poly x diffusion overlaps, in candidate (ascending) order."""
     crossings: List[Tuple[int, Rect]] = []
-    for diff_id in diffusion_index.query(poly_rect, strict=True):
+    for diff_id in candidates:
         overlap = poly_rect.intersection(diffusion[diff_id])
         if overlap is None or overlap.is_degenerate:
             continue
@@ -206,11 +204,10 @@ def diffusion_crossings(poly_rect: Rect, diffusion: Sequence[Rect],
     return crossings
 
 
-def buried_covers(overlap: Rect, buried: Sequence[Rect],
-                  buried_index: SpatialIndex) -> bool:
-    """True if a buried contact covers the crossing (ohmic, not a channel)."""
-    return any(buried[i].contains_rect(overlap)
-               for i in buried_index.query(overlap))
+def covers(region: Rect, rects: Sequence[Rect], candidates: Iterable[int]) -> bool:
+    """True if one candidate rect contains ``region``: a buried contact over a
+    crossing (ohmic, not a channel), an implant over a channel (depletion)."""
+    return any(rects[i].contains_rect(region) for i in candidates)
 
 
 def split_by_channels(diff_rect: Rect, channels: Sequence[Rect]) -> List[Rect]:
@@ -224,21 +221,21 @@ def split_by_channels(diff_rect: Rect, channels: Sequence[Rect]) -> List[Rect]:
     return pieces
 
 
-def gate_item(poly: Sequence[Rect], poly_index: SpatialIndex,
+def gate_item(poly: Sequence[Rect], candidates: Iterable[int],
               region: Rect) -> Optional[int]:
-    """Id of the first poly rectangle (ascending) overlapping the channel."""
-    for local_id in poly_index.query(region):
-        rect = poly[local_id]
+    """Id of the first candidate poly rectangle (ascending) overlapping the channel."""
+    for poly_id in candidates:
+        rect = poly[poly_id]
         if rect.contains_rect(region) or rect.overlaps(region, strict=True):
-            return local_id
+            return poly_id
     return None
 
 
-def adjacent_piece_ids(pieces: Sequence[Rect], piece_index: SpatialIndex,
+def adjacent_piece_ids(pieces: Sequence[Rect], candidates: Iterable[int],
                        channel: Rect) -> List[int]:
-    """Ids of diffusion pieces abutting (not overlapping) the channel."""
-    return [local_id for local_id in piece_index.query(channel)
-            if not pieces[local_id].overlaps(channel, strict=True)]
+    """Ids of candidate diffusion pieces abutting (not overlapping) the channel."""
+    return [piece_id for piece_id in candidates
+            if not pieces[piece_id].overlaps(channel, strict=True)]
 
 
 def dedupe_nodes(item_ids: Sequence[int], node_of_item: Dict[int, str]) -> List[str]:
@@ -251,15 +248,24 @@ def dedupe_nodes(item_ids: Sequence[int], node_of_item: Dict[int, str]) -> List[
     return found
 
 
-def label_item_hits(label, conducting_index: SpatialIndex,
-                    item_layers: Sequence[str],
-                    diffusion_layers: Sequence[str]) -> List[int]:
-    """Conducting items a label lands on, after the layer filter."""
-    position, layer = label.position, label.layer
-    probe = Rect(position.x, position.y, position.x, position.y)
+def label_probe(label) -> Rect:
+    """The degenerate rect a label's point query runs with."""
+    position = label.position
+    return Rect(position.x, position.y, position.x, position.y)
+
+
+def label_item_hits(label, candidates: Iterable[int], poly_start: int,
+                    metal_start: int, diffusion_layers: Sequence[str]) -> List[int]:
+    """Candidate conducting items a label lands on, after the layer filter.
+
+    Item ids follow the conducting enumeration: diffusion pieces, then poly
+    from ``poly_start``, then metal from ``metal_start``.
+    """
+    layer = label.layer
     hits: List[int] = []
-    for item_id in conducting_index.query(probe):
-        member_layer = item_layers[item_id]
+    for item_id in candidates:
+        member_layer = ("diffusion" if item_id < poly_start else
+                        "poly" if item_id < metal_start else "metal")
         if layer and layer != member_layer and not (
             layer in diffusion_layers and member_layer == "diffusion"
         ):
@@ -346,6 +352,14 @@ def declare_ports(network: SwitchNetwork, declared: Dict[str, object],
             continue
         if name in named_nodes and name not in network.outputs:
             network.add_output(name)
+
+
+def conducting_items(pieces: Sequence[Rect], poly: Sequence[Rect],
+                     metal: Sequence[Rect]) -> List[Tuple[str, Rect]]:
+    """The finisher's item enumeration: diffusion pieces, then poly, then metal."""
+    return ([("diffusion", rect) for rect in pieces]
+            + [("poly", rect) for rect in poly]
+            + [("metal", rect) for rect in metal])
 
 
 def union_chain(finder: UnionFind, ids: Sequence[int], base: int = 0) -> None:

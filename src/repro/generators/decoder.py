@@ -2,19 +2,21 @@
 
 The decoder is structurally the AND plane of a PLA with every minterm
 present: ``2**address_bits`` rows, each with transistors on the complement
-pattern of its address.  Memories (ROM, RAM) instantiate it for word-line
-selection; it is also a useful regular structure on its own for experiment
-E6 (hierarchy leverage of a full binary tree of select lines).
+pattern of its address — drawn by :mod:`repro.generators.plane` with the
+PLA's own input-plane crosspoints.  Memories (ROM, RAM) instantiate it for
+word-line selection; it is also a useful regular structure on its own for
+experiment E6 (hierarchy leverage of a full binary tree of select lines).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
+from repro.generators.plane import Plane, place_row
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.lang.parameters import Parameter, ParameterizedCell
+from repro.lang.parameters import Parameter, ParameterizedCell, shared_brick
 from repro.layout.cell import Cell
 
 
@@ -38,7 +40,7 @@ class DecoderGenerator(ParameterizedCell):
 
     address_bits = Parameter(kind=int, default=3, minimum=1, maximum=10)
     # 10 lambda is the smallest pitch where a contacted crosspoint clears the
-    # Mead & Conway spacing/enclosure rules (see the PLA generator).
+    # Mead & Conway spacing/enclosure rules (see repro.generators.plane).
     pitch = Parameter(kind=int, default=10, minimum=10)
 
     def __init__(self, technology, **parameters):
@@ -50,30 +52,16 @@ class DecoderGenerator(ParameterizedCell):
         pitch = self.pitch
         words = 2 ** n
         cell = Cell(self.cell_name())
-
-        from repro.lang.parameters import shared_brick
-
-        empty = shared_brick(self.technology, f"dec_xp_o_{pitch}",
-                             lambda: self._crosspoint(False))
-        connected = shared_brick(self.technology, f"dec_xp_x_{pitch}",
-                                 lambda: self._crosspoint(True))
         pullup = shared_brick(self.technology, f"dec_pullup_{pitch}", self._pullup)
 
         transistors = 0
         for word in range(words):
             row_y = word * pitch
             cell.place(pullup, 0, row_y, name=f"pullup_{word}")
-            for bit in range(n):
-                bit_value = (word >> (n - 1 - bit)) & 1
-                for polarity, column_offset in ((1, 0), (0, 1)):
-                    x = pitch + (2 * bit + column_offset) * pitch
-                    # Select line goes low unless this row's address matches:
-                    # place a pulldown on the line of the *wrong* polarity.
-                    is_connected = polarity != bit_value
-                    chosen = connected if is_connected else empty
-                    if is_connected:
-                        transistors += 1
-                    cell.place(chosen, x, row_y, name=f"xp_{word}_{bit}_{polarity}")
+            # The row's address, MSB first, as the literals of its minterm:
+            # the select line falls unless every address bit matches.
+            transistors += place_row(self.technology, cell, Plane.INPUT, pitch,
+                                     row_y, pitch, format(word, f"0{n}b"))
             # Word-line (select) port on the right edge.
             cell.add_port(f"select{word}",
                           Point(pitch + 2 * n * pitch - 1, row_y + pitch // 2),
@@ -92,20 +80,6 @@ class DecoderGenerator(ParameterizedCell):
             width=0 if bbox is None else bbox.width,
             height=0 if bbox is None else bbox.height,
         )
-        return cell
-
-    def _crosspoint(self, connected: bool) -> Cell:
-        pitch = self.pitch
-        c = pitch // 2
-        suffix = "x" if connected else "o"
-        cell = Cell(f"dec_xp_{suffix}_{pitch}")
-        cell.add_rect("poly", Rect(c - 1, 0, c + 1, pitch))
-        cell.add_rect("metal", Rect(0, c - 2, pitch, c + 2))
-        if connected:
-            # The strap contact abuts the gate poly and is enclosed by a full
-            # lambda of metal and diffusion (same brick as the PLA AND plane).
-            cell.add_rect("diffusion", Rect(c - 4, c - 2, c + 3, c + 2))
-            cell.add_rect("contact", Rect(c - 3, c - 1, c - 1, c + 1))
         return cell
 
     def _pullup(self) -> Cell:

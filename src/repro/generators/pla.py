@@ -13,18 +13,21 @@ true and complement of every input on vertical poly columns; each product
 term is a horizontal row wire pulled up by a depletion load and pulled down
 by a crosspoint transistor wherever the term must be false; the OR plane
 works the same way with terms as inputs and (inverted) outputs as rows, and
-the output buffers restore polarity.
+the output buffers restore polarity.  Both planes are drawn by
+:mod:`repro.generators.plane`, whose crosspoints the decoder and the ROM
+share; this module adds the periphery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
+from repro.generators.plane import Plane, place_row
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.lang.parameters import Parameter, ParameterizedCell
+from repro.lang.parameters import Parameter, ParameterizedCell, shared_brick
 from repro.layout.cell import Cell
 from repro.logic.cube import Cover
 from repro.logic.minimize import minimize
@@ -39,10 +42,9 @@ class PlaStyle(Enum):
     RELAXED = "relaxed"    # 12 lambda pitch
 
 
-# A crosspoint needs contact (2) + enclosure (2) + poly (2) + terminal (1)
-# = 7 lambda of diffusion per pitch, and S.D.D=3 to the next column's, so
-# 10 lambda is the smallest legal pitch; "relaxed" adds a lambda of slack
-# on every constraint.
+# 10 lambda is the smallest legal crosspoint pitch (see
+# repro.generators.plane); "relaxed" adds a lambda of slack on every
+# constraint.
 _PITCH_OF_STYLE = {PlaStyle.COMPACT: 10, PlaStyle.RELAXED: 12}
 
 
@@ -133,18 +135,8 @@ class PlaGenerator(ParameterizedCell):
 
         cell = Cell(self.cell_name())
 
-        # Sub-cells: the distinct crosspoint/periphery bricks, shared across
-        # all PLA instances built in the same technology.
-        from repro.lang.parameters import shared_brick
-
-        and_empty = shared_brick(self.technology, f"pla_and_o_{pitch}",
-                                 lambda: self._and_crosspoint(False, pitch))
-        and_connected = shared_brick(self.technology, f"pla_and_x_{pitch}",
-                                     lambda: self._and_crosspoint(True, pitch))
-        or_empty = shared_brick(self.technology, f"pla_or_o_{pitch}",
-                                lambda: self._or_crosspoint(False, pitch))
-        or_connected = shared_brick(self.technology, f"pla_or_x_{pitch}",
-                                    lambda: self._or_crosspoint(True, pitch))
+        # Sub-cells: the periphery bricks, shared across all PLA instances
+        # built in the same technology (the crosspoints are the NOR plane's).
         driver = shared_brick(self.technology, f"pla_driver_{pitch}",
                               lambda: self._input_driver(pitch))
         pullup = shared_brick(self.technology, f"pla_pullup_{pitch}",
@@ -168,29 +160,10 @@ class PlaGenerator(ParameterizedCell):
         for term_index, cube in enumerate(cover.cubes):
             row_y = and_y0 + term_index * pitch
             cell.place(pullup, 0, row_y, name=f"pullup_{term_index}")
-            for input_index in range(num_inputs):
-                literal = cube.inputs[input_index]
-                # Column order: true line then complement line for each input.
-                for polarity, column_offset in (("1", 0), ("0", 1)):
-                    x = and_x0 + (2 * input_index + column_offset) * pitch
-                    # A '1' literal means the term must go low when the input
-                    # is 0, i.e. a transistor on the *complement* column; a
-                    # '0' literal puts the transistor on the true column.
-                    connected = (literal == "1" and polarity == "0") or (
-                        literal == "0" and polarity == "1"
-                    )
-                    chosen = and_connected if connected else and_empty
-                    if connected:
-                        crosspoint_transistors += 1
-                    cell.place(chosen, x, row_y,
-                               name=f"and_{term_index}_{input_index}_{polarity}")
-            for output_index in range(num_outputs):
-                x = or_x0 + output_index * pitch
-                connected = cube.outputs[output_index] == "1"
-                chosen = or_connected if connected else or_empty
-                if connected:
-                    crosspoint_transistors += 1
-                cell.place(chosen, x, row_y, name=f"or_{term_index}_{output_index}")
+            crosspoint_transistors += place_row(
+                self.technology, cell, Plane.INPUT, and_x0, row_y, pitch, cube.inputs)
+            crosspoint_transistors += place_row(
+                self.technology, cell, Plane.OUTPUT, or_x0, row_y, pitch, cube.outputs)
 
         # Input drivers along the bottom of the AND plane.
         for input_index in range(num_inputs):
@@ -234,40 +207,7 @@ class PlaGenerator(ParameterizedCell):
         """Evaluate the PLA's logical function (for verification against RTL)."""
         return self.personality().evaluate(assignment)
 
-    # -- brick cells -----------------------------------------------------------------------
-
-    def _and_crosspoint(self, connected: bool, pitch: int = 10) -> Cell:
-        suffix = "x" if connected else "o"
-        c = pitch // 2
-        cell = Cell(f"pla_and_{suffix}_{pitch}")
-        # Vertical poly input column.
-        cell.add_rect("poly", Rect(c - 1, 0, c + 1, pitch))
-        # Horizontal metal term row.
-        cell.add_rect("metal", Rect(0, c - 2, pitch, c + 2))
-        if connected:
-            # Pulldown transistor: diffusion under the poly column, strapped
-            # to the term row by a contact on the source side.  The cut abuts
-            # the gate poly (touching = connected) rather than overlapping it,
-            # and sits 1 lambda inside both the metal row and the diffusion.
-            cell.add_rect("diffusion", Rect(c - 4, c - 2, c + 3, c + 2))
-            cell.add_rect("contact", Rect(c - 3, c - 1, c - 1, c + 1))
-        return cell
-
-    def _or_crosspoint(self, connected: bool, pitch: int = 10) -> Cell:
-        suffix = "x" if connected else "o"
-        c = pitch // 2
-        cell = Cell(f"pla_or_{suffix}_{pitch}")
-        # Vertical metal output column.
-        cell.add_rect("metal", Rect(c - 1, 0, c + 3, pitch))
-        # Horizontal poly term row (the term drives OR-plane gates).
-        cell.add_rect("poly", Rect(0, c - 1, pitch, c + 1))
-        if connected:
-            # Diffusion tops out flush with the term poly so the transistor
-            # has a single source terminal below the gate; the cut abuts the
-            # poly row and is enclosed by metal and diffusion.
-            cell.add_rect("diffusion", Rect(c - 1, c - 4, c + 3, c + 1))
-            cell.add_rect("contact", Rect(c, c - 3, c + 2, c - 1))
-        return cell
+    # -- periphery bricks --------------------------------------------------------------
 
     def _input_driver(self, pitch: int) -> Cell:
         """True/complement driver: a two-inverter column feeding two poly lines."""

@@ -5,7 +5,8 @@ functions" — the ROM is programmed by its contents: a transistor is present
 at (word, bit) exactly where the stored bit is 1.  The generator accepts the
 contents as a list of integers and produces the decoder, the cell matrix and
 the bit-line pullups/buffers, reporting area and transistor count for the
-E3 parameter sweep.
+E3 parameter sweep.  The matrix is the PLA's OR plane — the output-plane
+crosspoints of :mod:`repro.generators.plane`, one row per word.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from typing import List, Optional, Sequence
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.lang.parameters import Parameter, ParameterizedCell
+from repro.lang.parameters import Parameter, ParameterizedCell, shared_brick
 from repro.layout.cell import Cell
 from repro.generators.decoder import DecoderGenerator
+from repro.generators.plane import Plane, place_row
 
 
 @dataclass
@@ -45,7 +47,7 @@ class RomGenerator(ParameterizedCell):
 
     bits_per_word = Parameter(kind=int, default=8, minimum=1, maximum=64)
     # 10 lambda is the smallest pitch where a contacted bit cell clears the
-    # Mead & Conway spacing/enclosure rules (see the PLA generator).
+    # Mead & Conway spacing/enclosure rules (see repro.generators.plane).
     pitch = Parameter(kind=int, default=10, minimum=10)
 
     def __init__(self, technology, contents: Sequence[int], **parameters):
@@ -95,26 +97,16 @@ class RomGenerator(ParameterizedCell):
         cell.place(decoder_cell, 0, 0, name="decoder")
         decoder_width = decoder_cell.width
 
-        from repro.lang.parameters import shared_brick
-
-        cell_programmed = shared_brick(self.technology, f"rom_bit_1_{pitch}",
-                                       lambda: self._bit_cell(True))
-        cell_blank = shared_brick(self.technology, f"rom_bit_0_{pitch}",
-                                  lambda: self._bit_cell(False))
         pullup = shared_brick(self.technology, f"rom_blpullup_{pitch}",
                               self._bitline_pullup)
 
+        # One output-plane row per word, MSB first: a pull-down where the
+        # stored bit is 1.
         stored_ones = 0
         matrix_x0 = decoder_width + pitch
-        for word in range(words):
-            row_y = word * pitch
-            for bit in range(bits):
-                x = matrix_x0 + bit * pitch
-                is_one = (self.contents[word] >> (bits - 1 - bit)) & 1
-                chosen = cell_programmed if is_one else cell_blank
-                if is_one:
-                    stored_ones += 1
-                cell.place(chosen, x, row_y, name=f"bit_{word}_{bit}")
+        for word, value in enumerate(self.contents):
+            stored_ones += place_row(self.technology, cell, Plane.OUTPUT, matrix_x0,
+                                     word * pitch, pitch, format(value, f"0{bits}b"))
 
         # Bit-line pullups and data ports along the top.
         matrix_top = 2 ** self.address_bits * pitch
@@ -141,22 +133,6 @@ class RomGenerator(ParameterizedCell):
         return cell
 
     # -- brick cells --------------------------------------------------------------------
-
-    def _bit_cell(self, programmed: bool) -> Cell:
-        pitch = self.pitch
-        c = pitch // 2
-        suffix = "1" if programmed else "0"
-        cell = Cell(f"rom_bit_{suffix}_{pitch}")
-        # Word line: horizontal poly.  Bit line: vertical metal.
-        cell.add_rect("poly", Rect(0, c - 1, pitch, c + 1))
-        cell.add_rect("metal", Rect(c - 1, 0, c + 3, pitch))
-        if programmed:
-            # Diffusion tops out flush with the word-line poly (one source
-            # terminal); the strap contact abuts the poly and sits a lambda
-            # inside the bit-line metal and the diffusion.
-            cell.add_rect("diffusion", Rect(c - 1, c - 4, c + 3, c + 1))
-            cell.add_rect("contact", Rect(c, c - 3, c + 2, c - 1))
-        return cell
 
     def _bitline_pullup(self) -> Cell:
         pitch = self.pitch

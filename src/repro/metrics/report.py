@@ -52,16 +52,12 @@ class DesignMetrics:
                 "density", "regularity", "depth"]
 
 
-def measure_cell(cell: Cell, technology: Technology,
-                 analyzer=None) -> DesignMetrics:
+def measure_cell(cell: Cell, technology: Technology) -> DesignMetrics:
     """Compute the standard metrics for a cell.
 
-    Pass a :class:`repro.analysis.HierAnalyzer` as ``analyzer`` to compute
-    the same numbers from per-cell cached statistics instead of a full
-    flatten — identical results, hierarchy-leveraged cost.
+    :meth:`repro.analysis.HierAnalyzer.measure` computes the same numbers
+    from per-cell cached statistics instead of a full flatten.
     """
-    if analyzer is not None:
-        return analyzer.measure(cell)
     stats = cell_statistics(cell)
     return metrics_from_stats(stats, technology,
                               wire_length=wire_length_estimate(cell))

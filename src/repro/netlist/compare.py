@@ -49,7 +49,6 @@ class ComparisonResult:
 
 
 def compare_netlists(golden: Module, candidate: Module,
-                     check_names: bool = False,
                      functional: bool = False,
                      exhaustive_limit: int = 12,
                      stimulus_vectors: int = 64,

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.analysis import HierAnalyzer, hier
 from repro.cells import InverterCell, NandCell
 from repro.drc import DrcChecker, check_cell
-from repro.extract import Extractor, extract_cell
+from repro.extract import Extractor, compose, extract_cell
 from repro.geometry.point import Point
+from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
 from repro.netlist.switch_sim import SwitchLevelSimulator, TransistorKind
 from repro.technology import NMOS
@@ -163,3 +165,50 @@ class TestExtraction:
         parent.place(inverter, 40, 0)
         extracted = extract_cell(parent, NMOS)
         assert extracted.transistor_count == 4
+
+
+class TestComposedExtractionStages:
+    """The composer recomputes suspect elements with the flat extractor's own
+    per-element rules: each is called on the composed path."""
+
+    STAGES = ("diffusion_crossings", "covers", "gate_item",
+              "adjacent_piece_ids", "label_item_hits")
+
+    def test_composed_extraction_calls_every_stage_function(self, monkeypatch):
+        calls = dict.fromkeys(self.STAGES, 0)
+
+        def counted(name):
+            function = getattr(compose, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in self.STAGES:
+            monkeypatch.setattr(compose, name, counted(name))
+        monkeypatch.setattr(hier, "_DIRECT_THRESHOLD", 0)
+
+        nand = NandCell(NMOS, inputs=2).cell()
+        top = Cell("stage_top")
+        top.place(nand, 0, 0)
+        top.place(nand, nand.width + 10, 0)
+        # Own geometry is always recomputed: a depletion device with a
+        # labelled gate, and a crossing under a buried contact.
+        top.add_box("diffusion", -20, 0, -16, 12)
+        top.add_box("poly", -22, 5, -14, 7)
+        top.add_box("implant", -23, 3, -13, 9)
+        top.add_label("own_gate", Point(-21, 6), "poly")
+        top.add_box("diffusion", -40, 0, -36, 12)
+        top.add_box("poly", -42, 5, -34, 7)
+        top.add_box("buried", -42, 4, -34, 8)
+
+        analyzer = HierAnalyzer(NMOS)
+        composed = analyzer.extract(top)
+        view = analyzer.store.get(analyzer._key("view", top, Orientation.R0))
+        assert len(view.sources) > 1
+        flat = Extractor(NMOS).extract(top)
+        assert composed.network.transistors == flat.network.transistors
+        assert composed.node_names == flat.node_names
+        assert "own_gate" in composed.node_names
+        assert all(calls.values()), calls

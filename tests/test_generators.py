@@ -1,5 +1,8 @@
 """Tests for the regular-structure generators (PLA, ROM, RAM, decoder, datapath, FSM)."""
 
+import os
+import sys
+
 import pytest
 
 from repro.generators import (
@@ -12,9 +15,16 @@ from repro.generators import (
     RomGenerator,
     SramBitCell,
 )
+from repro.generators.plane import Plane, crosspoint, place_row
+from repro.layout.cell import Cell
+from repro.layout.flatten import flatten_cell
 from repro.layout.stats import cell_statistics
 from repro.logic import FSM, TruthTable, parse_expr
 from repro.technology import NMOS
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "examples"))
+from chip_assembly import build_chip  # noqa: E402
 
 
 def full_adder_table():
@@ -116,6 +126,54 @@ class TestDecoderAndRom:
         large = RomGenerator(NMOS, [i % 16 for i in range(32)], bits_per_word=4)
         small.cell(), large.cell()
         assert large.report.height > small.report.height
+
+
+def geometry(cell):
+    return {layer: sorted(rects)
+            for layer, rects in flatten_cell(cell).rects_by_layer().items()}
+
+
+def crosspoint_masters(top, pitch):
+    """Distinct cells under ``top`` drawn as a ``pitch`` crosspoint, by name-free geometry."""
+    drawn = [geometry(crosspoint(NMOS, plane, programmed, pitch))
+             for plane in Plane for programmed in (False, True)]
+    return {id(cell) for cell in top.descendants() if geometry(cell) in drawn}
+
+
+class TestNorPlane:
+    """The PLA, the decoder and the ROM instantiate one set of crosspoints."""
+
+    def bricks(self, pitch, *planes):
+        return {id(crosspoint(NMOS, plane, programmed, pitch))
+                for plane in planes for programmed in (False, True)}
+
+    def test_generators_share_crosspoint_masters(self):
+        for style, pitch in (("compact", 10), ("relaxed", 12)):
+            pla = PlaGenerator(NMOS, full_adder_table(), style=style,
+                               name=f"pla_shared_{style}").cell()
+            decoder = DecoderGenerator(NMOS, address_bits=3, pitch=pitch).cell()
+            rom = RomGenerator(NMOS, [0b1010, 0b0110, 0b1111], bits_per_word=4,
+                               pitch=pitch).cell()
+            both = self.bricks(pitch, Plane.INPUT, Plane.OUTPUT)
+            assert crosspoint_masters(pla, pitch) == both
+            assert crosspoint_masters(decoder, pitch) == self.bricks(pitch, Plane.INPUT)
+            assert crosspoint_masters(rom, pitch) == both
+
+    def test_family_chip_defines_each_crosspoint_once(self):
+        _assembler, chip = build_chip("plane_family", 8, 2)
+        assert crosspoint_masters(chip, 10) == self.bricks(10, Plane.INPUT, Plane.OUTPUT)
+        assert not crosspoint_masters(chip, 12)
+
+    def test_place_row_counts_pull_downs(self):
+        row = Cell("plane_row")
+        assert place_row(NMOS, row, Plane.INPUT, 0, 0, 10, "10-") == 2
+        assert place_row(NMOS, row, Plane.OUTPUT, 0, 10, 10, "1011") == 3
+        pull_downs = {id(crosspoint(NMOS, plane, True, 10)) for plane in Plane}
+        programmed = [instance.transform.translation.x for instance in row.instances
+                      if id(instance.cell) in pull_downs]
+        # Input plane: '1' programs the complement column, '0' the true one.
+        assert programmed == [10, 20, 0, 20, 30]
+        assert len(row.instances) == 6 + 4
 
 
 class TestRam:
