@@ -7,6 +7,8 @@ Usage::
     python benchmarks/check_regression.py --summarize
     ... benchmarks/e2e/run.py ... | python benchmarks/check_regression.py \
         --e19 <chip_area_lambda2> <route_length_lambda> <cif_bytes> <fmax_mhz>
+    ... benchmarks/e2e/run.py ... --trace 1 | \
+        python benchmarks/check_regression.py --e19-counts NAME=VALUE...
 
 Either argument may also be a bare experiment id (``e13``), which resolves
 to its ``BENCH_<id>.json`` in the results directory via
@@ -27,7 +29,10 @@ expansions, route lengths), where any difference means behaviour moved.
 line: ``"correct": true``, and the four quality-of-result counts equal to
 the values given (the three integer counts exactly, ``fmax_mhz`` to 1e-9
 relative) — a chip that moved fails the smoke even if every oracle check
-inside the harness still agrees with itself.
+inside the harness still agrees with itself.  ``--e19-counts`` checks the
+same verdict and that each named metric (per-layer ones included, with
+``--trace 1``) equals its value exactly: for counts such as
+``sim.settle_iterations`` that a wrong shortcut would move silently.
 
 ``--summarize`` instead prints the committed performance trajectory: one
 row per ``BENCH_e*.json`` in the results directory, showing each
@@ -108,16 +113,27 @@ E19_QUALITY = ("chip_area_lambda2", "route_length_lambda", "cif_bytes",
                "fmax_mhz")
 
 
-def check_e19(expected, stream) -> int:
-    """Fail unless the driver's last line is correct and its four quality
-    counts are the ``expected`` ones (in ``E19_QUALITY`` order)."""
+def read_e19(stream):
+    """The driver's last stdout line as JSON, and its failure count so far
+    (1 unless ``"correct": true``)."""
     lines = stream.read().strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     failures = result.get("correct") is not True
     print(f"correct: {result.get('correct')} -> "
           f"{'DIFFERS' if failures else 'ok'}")
+    return result, int(failures)
+
+
+def e19_value(result, field):
+    return result.get("metrics", {}).get(field, {}).get("value")
+
+
+def check_e19(expected, stream) -> int:
+    """Fail unless the driver's last line is correct and its four quality
+    counts are the ``expected`` ones (in ``E19_QUALITY`` order)."""
+    result, failures = read_e19(stream)
     for field, text in zip(E19_QUALITY, expected):
-        measured = result.get("metrics", {}).get(field, {}).get("value")
+        measured = e19_value(result, field)
         if field == "fmax_mhz":
             want = float(text)
             same = (measured is not None
@@ -130,11 +146,27 @@ def check_e19(expected, stream) -> int:
     return 1 if failures else 0
 
 
+def check_e19_counts(pins, stream) -> int:
+    """Fail unless the driver's last line is correct and every ``NAME=VALUE``
+    pin names a metric whose value is exactly ``VALUE``."""
+    result, failures = read_e19(stream)
+    for pin in pins:
+        field, _, text = pin.partition("=")
+        measured = e19_value(result, field)
+        same = measured is not None and measured == float(text)
+        print(f"{field}: expected {text}, measured {measured} -> "
+              f"{'ok' if same else 'DIFFERS'}")
+        failures += not same
+    return 1 if failures else 0
+
+
 def main(argv) -> int:
     if len(argv) >= 2 and argv[1] == "--summarize":
         return summarize()
     if len(argv) == 2 + len(E19_QUALITY) and argv[1] == "--e19":
         return check_e19(argv[2:], sys.stdin)
+    if len(argv) >= 3 and argv[1] == "--e19-counts":
+        return check_e19_counts(argv[2:], sys.stdin)
     if len(argv) >= 5 and argv[1] == "--exact":
         return check_exact(argv[2], argv[3], argv[4:])
     if len(argv) < 3:

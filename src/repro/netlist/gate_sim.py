@@ -6,9 +6,11 @@ Also reports a unit-delay critical-path estimate per evaluation, which the
 E2 "cost in space and speed" experiment uses as its speed metric.
 
 The netlist is lowered once by :mod:`repro.sim.kernel` to integer-indexed
-arrays with precomputed fanout, so each settle sweep after the first
-touches only the gates downstream of nets that actually changed; every
-operation here delegates to that one engine.  The original
+arrays and then to generated code: on a straight-line netlist a settle is
+one pass over the gates (none when no input or flip-flop moved), and
+otherwise each sweep after the first touches only the gates downstream of
+nets that actually changed; every operation here delegates to that one
+engine.  The original
 rescan-everything interpreter lives in :mod:`repro.reference.gate_sim` as
 the golden semantic reference: differential tests pin the kernel
 trace-identical to it (values, ``last_depth`` and

@@ -43,8 +43,62 @@ from repro.sim.kernel import (
     OP_OR,
     OP_XNOR,
     OP_XOR,
+    compile_chunks,
+    render,
     settle_budget_error,
 )
+
+#: Plane semantics, one statement block per opcode over ``hi`` / ``lo``
+#: (``mask`` = all W vectors; a latch keeps its planes in ``lh`` / ``ll``
+#: by gate id).  Both output planes are computed before either is written:
+#: a gate that reads its own output sees the old value, as the scalar
+#: engines do.  A MUX with select planes s1 / s0 gives
+#: ``hi = (hb & (ha | s1)) | (s0 & ha)``: b where the select is 1, a where
+#: it is 0, and where it is X only a 1 both inputs agree on (``lo`` the
+#: same over the lo planes).  A latch's planes are subsets of ``mask``, so
+#: ``~e & lh`` clears e's bits exactly as ``(mask ^ e) & lh`` would.
+PLANE_TEMPLATES: Dict[int, str] = {
+    OP_AND: "hi[{o}], lo[{o}] = {hi&}, {lo|}",
+    OP_NAND: "hi[{o}], lo[{o}] = {lo|}, {hi&}",
+    OP_OR: "hi[{o}], lo[{o}] = {hi|}, {lo&}",
+    OP_NOR: "hi[{o}], lo[{o}] = {lo&}, {hi|}",
+    OP_XOR: "k = {hilo&}\nh = k & ({hi^})\nhi[{o}], lo[{o}] = h, k ^ h",
+    OP_XNOR: "k = {hilo&}\nh = k & ({hi^})\nhi[{o}], lo[{o}] = k ^ h, h",
+    OP_NOT: "hi[{o}], lo[{o}] = {lo0}, {hi0}",
+    OP_BUF: "hi[{o}], lo[{o}] = {hi0}, {lo0}",
+    OP_MUX2: "hi[{o}], lo[{o}] = ("
+             "({hi2} & ({hi1} | {hi0})) | ({lo0} & {hi1}), "
+             "({lo2} & ({lo1} | {hi0})) | ({lo0} & {lo1}))",
+    OP_LATCH: "e = {hi1}\n"
+              "hi[{o}], lo[{o}] = lh[{g}], ll[{g}] = ("
+              "(e & {hi0}) | (~e & lh[{g}]), (e & {lo0}) | (~e & ll[{g}]))",
+    OP_CONST0: "hi[{o}], lo[{o}] = 0, mask",
+    OP_CONST1: "hi[{o}], lo[{o}] = mask, 0",
+}
+
+_PLANE_ARGS = "hi, lo, mask, lh, ll"
+
+
+def _plane_block(compiled: CompiledNetlist, gate_id: int, indent: str) -> str:
+    block = render(PLANE_TEMPLATES[compiled.gate_ops[gate_id]], compiled, gate_id)
+    return "".join(indent + line + "\n" for line in block.split("\n"))
+
+
+def plane_pass(compiled: CompiledNetlist, schedule: Sequence[int]) -> List[Callable]:
+    """``schedule`` as generated chunks ``f(hi, lo, mask, lh, ll)``."""
+    bodies = [_plane_block(compiled, g, "    ") for g in schedule]
+    return compile_chunks(f"def _chunk({_PLANE_ARGS}):\n", bodies, "plane pass")
+
+
+def plane_evals(compiled: CompiledNetlist, *planes) -> List[Callable[[], None]]:
+    """Per-gate callables over ``planes`` (hi, lo, mask, lh, ll), by gate id."""
+    bodies = ["    def gate():\n" + _plane_block(compiled, g, "        ")
+              + "    add(gate)\n" for g in range(compiled.num_gates)]
+    evals: List[Callable[[], None]] = []
+    for make in compile_chunks(f"def _chunk({_PLANE_ARGS}, add):\n", bodies,
+                               "plane gates"):
+        make(*planes, evals.append)
+    return evals
 
 
 class BitplaneEvaluator:
@@ -61,126 +115,14 @@ class BitplaneEvaluator:
         # All-X initial planes, matching the scalar simulators.
         self.hi: List[int] = [0] * compiled.num_slots
         self.lo: List[int] = [0] * compiled.num_slots
-        self._latch_hi: Dict[int, int] = {}
-        self._latch_lo: Dict[int, int] = {}
-        self._evals: List[Callable[[], None]] = [
-            self._make_eval(g) for g in range(compiled.num_gates)
-        ]
+        latches = [g for g, op in enumerate(compiled.gate_ops) if op == OP_LATCH]
+        self._planes = (self.hi, self.lo, self.mask,
+                        dict.fromkeys(latches, 0), dict.fromkeys(latches, 0))
+        self._pass: Optional[List[Callable]] = None
+        self._evals: Optional[List[Callable[[], None]]] = None
         if compiled.levels is not None:
-            self._schedule: List[int] = [
-                g for level in compiled.levels for g in level
-            ]
-        else:
-            self._schedule = list(range(compiled.num_gates))
-
-    # -- gate closures ---------------------------------------------------------------
-
-    def _make_eval(self, gate_id: int) -> Callable[[], None]:
-        hi = self.hi
-        lo = self.lo
-        mask = self.mask
-        op = self.compiled.gate_ops[gate_id]
-        ins = self.compiled.gate_ins[gate_id]
-        out = self.compiled.gate_outs[gate_id]
-
-        if op in (OP_AND, OP_NAND):
-            invert = op == OP_NAND
-
-            def f_and() -> None:
-                h = mask
-                l = 0
-                for i in ins:
-                    h &= hi[i]
-                    l |= lo[i]
-                if invert:
-                    hi[out], lo[out] = l, h
-                else:
-                    hi[out], lo[out] = h, l
-            return f_and
-        if op in (OP_OR, OP_NOR):
-            invert = op == OP_NOR
-
-            def f_or() -> None:
-                h = 0
-                l = mask
-                for i in ins:
-                    h |= hi[i]
-                    l &= lo[i]
-                if invert:
-                    hi[out], lo[out] = l, h
-                else:
-                    hi[out], lo[out] = h, l
-            return f_or
-        if op in (OP_XOR, OP_XNOR):
-            invert = op == OP_XNOR
-
-            def f_xor() -> None:
-                known = mask
-                parity = 0
-                for i in ins:
-                    known &= hi[i] | lo[i]
-                    parity ^= hi[i]
-                if invert:
-                    parity ^= mask
-                hi[out] = known & parity
-                lo[out] = known & (parity ^ mask)
-            return f_xor
-        if op == OP_NOT:
-            source = ins[0]
-
-            def f_not() -> None:
-                hi[out] = lo[source]
-                lo[out] = hi[source]
-            return f_not
-        if op == OP_BUF:
-            source = ins[0]
-
-            def f_buf() -> None:
-                hi[out] = hi[source]
-                lo[out] = lo[source]
-            return f_buf
-        if op == OP_MUX2:
-            sel_i, a_i, b_i = ins
-
-            def f_mux() -> None:
-                sel_hi = hi[sel_i]
-                sel_lo = lo[sel_i]
-                sel_x = mask ^ (sel_hi | sel_lo)
-                a_hi, a_lo = hi[a_i], lo[a_i]
-                b_hi, b_lo = hi[b_i], lo[b_i]
-                hi[out] = (sel_hi & b_hi) | (sel_lo & a_hi) | (sel_x & a_hi & b_hi)
-                lo[out] = (sel_hi & b_lo) | (sel_lo & a_lo) | (sel_x & a_lo & b_lo)
-            return f_mux
-        if op == OP_LATCH:
-            d_i, en_i = ins
-            latch_hi = self._latch_hi
-            latch_lo = self._latch_lo
-            latch_hi[gate_id] = 0
-            latch_lo[gate_id] = 0
-
-            def f_latch() -> None:
-                enabled = hi[en_i]
-                hold = mask ^ enabled
-                new_hi = (enabled & hi[d_i]) | (hold & latch_hi[gate_id])
-                new_lo = (enabled & lo[d_i]) | (hold & latch_lo[gate_id])
-                latch_hi[gate_id] = new_hi
-                latch_lo[gate_id] = new_lo
-                hi[out] = new_hi
-                lo[out] = new_lo
-            return f_latch
-        if op == OP_CONST0:
-
-            def f_const0() -> None:
-                hi[out] = 0
-                lo[out] = mask
-            return f_const0
-        if op == OP_CONST1:
-
-            def f_const1() -> None:
-                hi[out] = mask
-                lo[out] = 0
-            return f_const1
-        raise AssertionError(f"unhandled opcode {op}")
+            self._pass = plane_pass(
+                compiled, [g for level in compiled.levels for g in level])
 
     # -- plane access -----------------------------------------------------------------
 
@@ -206,34 +148,33 @@ class BitplaneEvaluator:
         return self.hi[net_id], self.lo[net_id]
 
     def get_vector(self, name: str) -> List[Optional[int]]:
-        hi_plane, lo_plane = self.get_planes(name)
-        return [
-            1 if (hi_plane >> w) & 1 else (0 if (lo_plane >> w) & 1 else None)
-            for w in range(self.width)
-        ]
+        return _column(*self.get_planes(name), self.width)
 
     # -- evaluation --------------------------------------------------------------------
 
     def evaluate(self) -> None:
-        """One pass over the levelized schedule (fixpoint for acyclic nets).
+        """One generated pass over the levelized schedule (fixpoint for
+        acyclic nets).
 
         Cyclic netlists fall back to Gauss-Seidel sweeps in instance order
         until the planes stop changing, bounded by ``settle_limit``.
         """
-        evals = self._evals
-        if self.compiled.levels is not None:
-            for gate_id in self._schedule:
-                evals[gate_id]()
+        if self._pass is not None:
+            planes = self._planes
+            for chunk in self._pass:
+                chunk(*planes)
             return
+        if self._evals is None:
+            self._evals = plane_evals(self.compiled, *self._planes)
         hi = self.hi
         lo = self.lo
         outs = self.compiled.gate_outs
         for _ in range(self.settle_limit):
             changed = False
-            for gate_id in self._schedule:
+            for gate_id, gate in enumerate(self._evals):
                 out = outs[gate_id]
                 before = (hi[out], lo[out])
-                evals[gate_id]()
+                gate()
                 if (hi[out], lo[out]) != before:
                     changed = True
             if not changed:
@@ -257,6 +198,22 @@ class BitplaneEvaluator:
         for _name, _d_id, q_id in self.compiled.dffs:
             self.hi[q_id] = q_hi
             self.lo[q_id] = q_lo
+
+
+_OMITTED = object()
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _column(hi_plane: int, lo_plane: int, width: int) -> List[Optional[int]]:
+    """The W scalar values (vector 0 first) carried by one net's planes."""
+    column: List[Optional[int]] = list(
+        format(hi_plane, f"0{width}b")[::-1].encode().translate(_BITS))
+    unknown = ((1 << width) - 1) & ~(hi_plane | lo_plane)
+    while unknown:
+        low = unknown & -unknown
+        column[low.bit_length() - 1] = None
+        unknown ^= low
+    return column
 
 
 def exhaustive_input_planes(num_inputs: int) -> List[Tuple[int, int]]:
@@ -297,8 +254,16 @@ def evaluate_vectors(compiled: CompiledNetlist,
         watch = list(outputs)
     else:
         watch = [compiled.net_names[i] for i in compiled.output_ids]
-    columns = {name: evaluator.get_vector(name) for name in watch}
-    return [{name: columns[name][w] for name in watch} for w in range(width)]
+    return _rows(evaluator, watch)
+
+
+def _rows(evaluator: BitplaneEvaluator,
+          watch: Sequence[str]) -> List[Dict[str, Optional[int]]]:
+    """One ``{net: value}`` dict of the watched nets per packed vector."""
+    columns = [evaluator.get_vector(name) for name in watch]
+    if not columns:
+        return [{} for _ in range(evaluator.width)]
+    return [dict(zip(watch, row)) for row in zip(*columns)]
 
 
 def run_streams(compiled: CompiledNetlist,
@@ -346,39 +311,44 @@ def _run_streams(compiled, stimulus, record, reset_value):
         watch = compiled.module.input_names() + compiled.module.output_names()
 
     width = len(stimulus)
-    cycles = len(stimulus[0])
     evaluator = BitplaneEvaluator(compiled, width)
     if reset_value is not None:
         evaluator.reset(reset_value)
         evaluator.evaluate()
 
+    hi, lo, mask = evaluator.hi, evaluator.lo, evaluator.mask
+    inputs = list(zip(input_names, compiled.input_ids))
+    bits = [1 << w for w in range(width)]
+    # On an acyclic, latch-free netlist the next cycle's evaluate writes
+    # every gate output from the input and Q planes before anything reads
+    # it, so evaluating after the clock edge is dead.  A latch may capture
+    # the post-edge value.
+    evaluate_after_clock = compiled.is_cyclic or compiled.has_latches
+
     traces: List[List[Dict[str, Optional[int]]]] = [[] for _ in range(width)]
-    for cycle in range(cycles):
-        for name in input_names:
+    for column in zip(*stimulus):
+        for name, net_id in inputs:
             # Mirror set_inputs semantics per stream: a named value drives
-            # the net (None drives X), an *omitted* name holds its previous
-            # value.
-            new_hi = 0
-            new_lo = 0
-            keep = 0
-            for w in range(width):
-                vector = stimulus[w][cycle]
-                if name in vector:
-                    value = vector[name]
-                    if value is not None:
-                        if value:
-                            new_hi |= 1 << w
-                        else:
-                            new_lo |= 1 << w
-                else:
-                    keep |= 1 << w
-            old_hi, old_lo = evaluator.get_planes(name)
-            evaluator.set_input_planes(name, (old_hi & keep) | new_hi,
-                                       (old_lo & keep) | new_lo)
+            # the net (None drives X), an *omitted* name holds its
+            # previous value.
+            named = ones = zeros = 0
+            for bit, vector in zip(bits, column):
+                value = vector.get(name, _OMITTED)
+                if value is _OMITTED:
+                    continue
+                named |= bit
+                if value is not None:
+                    if value:
+                        ones |= bit
+                    else:
+                        zeros |= bit
+            keep = mask ^ named
+            hi[net_id] = (hi[net_id] & keep) | ones
+            lo[net_id] = (lo[net_id] & keep) | zeros
         evaluator.evaluate()
-        columns = {name: evaluator.get_vector(name) for name in watch}
-        for w in range(width):
-            traces[w].append({name: columns[name][w] for name in watch})
+        for trace, row in zip(traces, _rows(evaluator, watch)):
+            trace.append(row)
         evaluator.clock()
-        evaluator.evaluate()
+        if evaluate_after_clock:
+            evaluator.evaluate()
     return traces

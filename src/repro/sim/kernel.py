@@ -16,13 +16,21 @@ integer-indexed arrays:
   which gives the single-pass schedule used by the bit-parallel evaluator
   (:mod:`repro.sim.bitplane`) and an O(gates) critical-path computation.
 
+The arrays are then lowered once more, to code.  Each opcode's
+three-valued semantics is written once per engine as a source template
+(:data:`SCALAR_TEMPLATES` here, ``PLANE_TEMPLATES`` in the bitplane
+module); :func:`compile_chunks` instantiates them gate by gate into
+straight-line Python, compiled about 64 gates per ``compile()`` and cached
+process-wide by source text, so structurally identical netlists share the
+code objects whichever :class:`CompiledNetlist` they come from.
+
 The :class:`ScalarEngine` replicates the reference interpreter's settle
 semantics *exactly* — same sweep structure, same instance order, same
 ``last_depth`` accounting, same oscillation limit — which is what lets the
-differential suite pin trace-identical results.  The speed comes from the
-lowering: each sweep after the first touches only the gates downstream of
-nets that actually changed, and each gate evaluation is a pre-built closure
-over list indices instead of a dictionary walk.
+differential suite pin trace-identical results.  On a straight-line
+netlist (see :attr:`CompiledNetlist.straight_line`) the whole settle is
+one generated pass; every other netlist runs the event-driven sweep loop,
+whose per-gate callables come from the same templates.
 """
 
 from __future__ import annotations
@@ -136,6 +144,27 @@ class CompiledNetlist:
         self.output_ids: List[int] = [index[n] for n in flat.output_names()]
 
         self.levels: Optional[List[List[int]]] = self._levelize()
+        self.has_latches: bool = OP_LATCH in self.gate_ops
+        self.straight_line: bool = self._is_straight_line()
+
+    def _is_straight_line(self) -> bool:
+        """True when one instance-order sweep settles every net.
+
+        Latch-free, every net driven by at most one gate, and every
+        driver before its readers in instance order (which rules out
+        cycles).  Then Gauss-Seidel sweep 1 computes each gate from inputs
+        that are already final, so sweep 2 can change nothing.
+        """
+        if self.has_latches:
+            return False
+        driver: Dict[int, int] = {}
+        for gate_id, out in enumerate(self.gate_outs):
+            if out in driver:
+                return False
+            driver[out] = gate_id
+        return all(driver.get(net_id, -1) < gate_id
+                   for gate_id, ins in enumerate(self.gate_ins)
+                   for net_id in ins)
 
     # -- levelization ---------------------------------------------------------------
 
@@ -292,15 +321,149 @@ def settle_budget_error() -> BudgetExceeded:
                    source="sim"))
 
 
+# -- code generation -------------------------------------------------------------------
+
+#: Gates per generated function: one ``compile()`` each.  A whole netlist
+#: as one unit costs ~20 MB of transient compiler memory at 1k gates.
+CHUNK_GATES = 64
+
+# Generated functions keyed by their exact source text; a hit is exact.
+# Unbounded like _COMPILE_CACHE: a chunk is a few kilobytes of source and
+# one code object.
+_CHUNK_CACHE: Dict[str, Callable] = {}
+
+_IDENTITY = {"&": "mask", "|": "0", "^": "0"}
+
+
+class _Fields(dict):
+    """Template fields of one gate, rendered on demand.
+
+    ``{o}`` is the output net id, ``{g}`` the gate id, ``{name}`` the
+    gate's name as a literal.  ``{<array><k>}`` reads input ``k`` —
+    ``{vals0}`` becomes ``vals[17]`` — and ``{<array><op>}`` folds all
+    inputs with ``&``, ``|`` or ``^`` (``{hi&}``: ``hi[3] & hi[9]``; no
+    inputs give the operator's identity) or lists them as a tuple
+    (``{vals,}``).  The array ``hilo`` stands for ``(hi[i] | lo[i])``.
+    """
+
+    def __init__(self, compiled: CompiledNetlist, gate_id: int):
+        super().__init__(o=compiled.gate_outs[gate_id], g=gate_id,
+                         name=repr(compiled.gate_names[gate_id]))
+        self.ins = compiled.gate_ins[gate_id]
+
+    def __missing__(self, key: str) -> str:
+        array, op = key[:-1], key[-1]
+        if array == "hilo":
+            terms = [f"(hi[{i}] | lo[{i}])" for i in self.ins]
+        else:
+            terms = [f"{array}[{i}]" for i in self.ins]
+        if op.isdigit():
+            return terms[int(op)]
+        if op == ",":
+            return "(" + "".join(term + ", " for term in terms) + ")"
+        return f" {op} ".join(terms) or _IDENTITY[op]
+
+
+def render(template: str, compiled: CompiledNetlist, gate_id: int) -> str:
+    """``template`` instantiated for one gate (see :class:`_Fields`)."""
+    return template.format_map(_Fields(compiled, gate_id))
+
+
+def compile_chunks(head: str, bodies: Sequence[str], kind: str,
+                   tail: str = "") -> List[Callable]:
+    """One function per ~:data:`CHUNK_GATES` bodies: ``head + bodies + tail``.
+
+    ``head`` opens a ``def _chunk(...):``; every body is that function's
+    code for one gate.  Compiled functions are cached process-wide by
+    source text, so a netlist lowered again (or a structurally identical
+    one) reuses them.
+    """
+    sources = [head + "".join(bodies[start:start + CHUNK_GATES]) + tail
+               for start in range(0, len(bodies), CHUNK_GATES)]
+    missing = [source for source in dict.fromkeys(sources)
+               if source not in _CHUNK_CACHE]
+    obs_metrics.counter("sim.kernel.hits").inc(len(sources) - len(missing))
+    if missing:
+        obs_metrics.counter("sim.kernel.builds").inc(len(missing))
+        with obs_trace.span("sim.kernel", cat="sim", kind=kind,
+                            gates=len(bodies), chunks=len(missing)):
+            for source in missing:
+                namespace: Dict[str, Callable] = {}
+                exec(compile(source, f"<repro.sim {kind}>", "exec"), namespace)
+                _CHUNK_CACHE[source] = namespace["_chunk"]
+    return [_CHUNK_CACHE[source] for source in sources]
+
+
+#: Scalar three-valued semantics, one expression per opcode over
+#: ``vals`` (0, 1 or None = X); a latch also reads and writes ``state``.
+SCALAR_TEMPLATES: Dict[int, str] = {
+    OP_AND: "0 if 0 in {vals,} else None if None in {vals,} else 1",
+    OP_NAND: "1 if 0 in {vals,} else None if None in {vals,} else 0",
+    OP_OR: "1 if 1 in {vals,} else None if None in {vals,} else 0",
+    OP_NOR: "0 if 1 in {vals,} else None if None in {vals,} else 1",
+    OP_XOR: "None if None in {vals,} else {vals^}",
+    OP_XNOR: "None if None in {vals,} else 1 ^ {vals^}",
+    OP_NOT: "None if {vals0} is None else 1 - {vals0}",
+    OP_BUF: "{vals0}",
+    OP_MUX2: "({vals2} if s else {vals1}) if (s := {vals0}) is not None "
+             "else {vals1} if {vals1} == {vals2} else None",
+    OP_LATCH: "(state.__setitem__({name}, {vals0}) or {vals0}) "
+              "if {vals1} == 1 else state.get({name})",
+    OP_CONST0: "0",
+    OP_CONST1: "1",
+}
+
+
+def _scalar_expr(compiled: CompiledNetlist, gate_id: int) -> str:
+    return render(SCALAR_TEMPLATES[compiled.gate_ops[gate_id]], compiled, gate_id)
+
+
+def scalar_pass(compiled: CompiledNetlist) -> List[Callable]:
+    """One instance-order sweep as generated chunks ``f(vals, values)``.
+
+    Each gate is evaluated and, if its value changed, written to ``vals``
+    and to the name-keyed ``values``; a chunk returns how many changed.
+    """
+    names = compiled.net_names
+    bodies = [
+        f"    v = {_scalar_expr(compiled, g)}\n"
+        f"    if v != vals[{out}]:\n"
+        f"        vals[{out}] = values[{names[out]!r}] = v\n"
+        f"        changed += 1\n"
+        for g, out in enumerate(compiled.gate_outs)
+    ]
+    return compile_chunks("def _chunk(vals, values):\n    changed = 0\n",
+                          bodies, "scalar pass", "    return changed\n")
+
+
+def scalar_evals(compiled: CompiledNetlist, vals: List[Optional[int]],
+                 state: Dict[str, Optional[int]]) -> List[Callable[[], Optional[int]]]:
+    """Per-gate callables over ``vals``/``state``, in gate-id order."""
+    bodies = [f"    add(lambda: {_scalar_expr(compiled, g)})\n"
+              for g in range(compiled.num_gates)]
+    evals: List[Callable[[], Optional[int]]] = []
+    for make in compile_chunks("def _chunk(vals, state, add):\n", bodies,
+                               "scalar gates"):
+        make(vals, state, evals.append)
+    return evals
+
+
 class ScalarEngine:
-    """Event-driven scalar settle on a :class:`CompiledNetlist`.
+    """Scalar settle on a :class:`CompiledNetlist`.
 
     Reproduces the reference interpreter's Gauss-Seidel sweep semantics
-    bit-for-bit (values, ``last_depth``, oscillation limit): the first
-    sweep evaluates every combinational gate in instance order with
-    immediate updates — exactly what the interpreter's ``changed_nets =
-    all nets`` first iteration does — and every later sweep touches only
-    the fanout of nets that changed in the sweep before.
+    bit-for-bit (values, ``last_depth``, oscillation limit, and the sweep
+    count in ``sim.settle.iterations``): the first sweep evaluates every
+    combinational gate in instance order with immediate updates — exactly
+    what the interpreter's ``changed_nets = all nets`` first iteration
+    does — and every later sweep touches only the fanout of nets that
+    changed in the sweep before.
+
+    On a straight-line netlist sweep 1 is the fixpoint, so a settle is one
+    generated pass (two sweeps counted if it changed a net, else one), and
+    no pass at all when no value moved since the last settle:
+    ``set_value``, ``clock`` and ``reset`` record whether one did.  Any
+    other netlist runs the sweep loop (counted in ``sim.settle.sweeps``).
 
     ``values_dict``/``state_dict`` are the simulator-facing name-keyed
     views; the engine keeps them in sync so external readers see the same
@@ -319,113 +482,59 @@ class ScalarEngine:
         self._net_index = compiled.net_index
         for name, net_id in compiled.net_index.items():
             self.vals[net_id] = values_dict.get(name)
-        self._all_gates: List[int] = list(range(compiled.num_gates))
-        self._evals: List[Callable[[], Optional[int]]] = [
-            self._make_eval(g) for g in self._all_gates
-        ]
+        self._pass: Optional[List[Callable]] = (
+            scalar_pass(compiled) if compiled.straight_line else None)
+        self._evals: Optional[List[Callable[[], Optional[int]]]] = None
+        self._moved = True
         self._settle_calls = obs_metrics.counter("sim.settle.calls")
         self._settle_iterations = obs_metrics.counter("sim.settle.iterations")
-
-    # -- gate closures ---------------------------------------------------------------
-
-    def _make_eval(self, gate_id: int) -> Callable[[], Optional[int]]:
-        vals = self.vals
-        op = self.compiled.gate_ops[gate_id]
-        ins = self.compiled.gate_ins[gate_id]
-
-        if op == OP_AND or op == OP_NAND:
-            hit, miss = (0, 1) if op == OP_AND else (1, 0)
-
-            def f_and() -> Optional[int]:
-                result = miss
-                for i in ins:
-                    v = vals[i]
-                    if v == 0:
-                        return hit
-                    if v is None:
-                        result = None
-                return result
-            return f_and
-        if op == OP_OR or op == OP_NOR:
-            hit, miss = (1, 0) if op == OP_OR else (0, 1)
-
-            def f_or() -> Optional[int]:
-                result = miss
-                for i in ins:
-                    v = vals[i]
-                    if v == 1:
-                        return hit
-                    if v is None:
-                        result = None
-                return result
-            return f_or
-        if op == OP_XOR or op == OP_XNOR:
-            flip = 0 if op == OP_XOR else 1
-
-            def f_xor() -> Optional[int]:
-                parity = flip
-                for i in ins:
-                    v = vals[i]
-                    if v is None:
-                        return None
-                    parity ^= v
-                return parity
-            return f_xor
-        if op == OP_NOT:
-            source = ins[0]
-
-            def f_not() -> Optional[int]:
-                v = vals[source]
-                return None if v is None else 1 - v
-            return f_not
-        if op == OP_BUF:
-            source = ins[0]
-            return lambda: vals[source]
-        if op == OP_MUX2:
-            sel_i, a_i, b_i = ins
-
-            def f_mux() -> Optional[int]:
-                sel = vals[sel_i]
-                if sel is None:
-                    a = vals[a_i]
-                    return a if a == vals[b_i] else None
-                return vals[b_i] if sel else vals[a_i]
-            return f_mux
-        if op == OP_LATCH:
-            d_i, en_i = ins
-            state = self.state
-            name = self.compiled.gate_names[gate_id]
-
-            def f_latch() -> Optional[int]:
-                if vals[en_i] == 1:
-                    v = vals[d_i]
-                    state[name] = v
-                    return v
-                return state.get(name)
-            return f_latch
-        if op == OP_CONST0:
-            return lambda: 0
-        if op == OP_CONST1:
-            return lambda: 1
-        raise AssertionError(f"unhandled opcode {op}")
+        self._settle_sweeps = obs_metrics.counter("sim.settle.sweeps")
 
     # -- operations --------------------------------------------------------------------
 
     def set_value(self, name: str, value: Optional[int]) -> None:
-        self.vals[self._net_index[name]] = value
+        net_id = self._net_index[name]
+        if self.vals[net_id] != value:
+            self._moved = True
+        self.vals[net_id] = value
         self.values[name] = value
 
     def settle(self) -> int:
         """Propagate to a fixed point; returns the sweep depth."""
+        if self._pass is None:
+            return self._sweep()
+        if self.settle_limit < 1:
+            raise settle_budget_error()
+        depth = 0
+        if self._moved:
+            self._moved = False
+            vals = self.vals
+            values = self.values
+            changed = 0
+            for chunk in self._pass:
+                changed += chunk(vals, values)
+            if changed:
+                if self.settle_limit < 2:
+                    raise settle_budget_error()
+                depth = 1
+        self._settle_calls.inc()
+        self._settle_iterations.inc(depth + 1)
+        return depth
+
+    def _sweep(self) -> int:
+        """The event-driven sweep loop, for netlists that are not straight-line."""
+        self._settle_sweeps.inc()
         vals = self.vals
         outs = self.compiled.gate_outs
+        if self._evals is None:
+            self._evals = scalar_evals(self.compiled, vals, self.state)
         evals = self._evals
         fanout = self.compiled.fanout
         limit = self.settle_limit
         depth = 0
         iterations = 0
         dirty: Set[int] = set()
-        candidates: Sequence[int] = self._all_gates
+        candidates: Sequence[int] = range(self.compiled.num_gates)
         while True:
             iterations += 1
             if iterations > limit:
@@ -453,28 +562,31 @@ class ScalarEngine:
         self._settle_iterations.inc(iterations)
         return depth
 
+    def _load_dffs(self, captured) -> None:
+        """Set each ``(name, q net id, value)`` flip-flop, noting a move."""
+        vals = self.vals
+        state = self.state
+        values = self.values
+        names = self.compiled.net_names
+        moved = False
+        for name, q_id, value in captured:
+            if vals[q_id] != value:
+                moved = True
+            state[name] = value
+            vals[q_id] = value
+            values[names[q_id]] = value
+        if moved:
+            self._moved = True
+
     def clock(self) -> None:
         """One clock edge: capture all DFF D inputs, then update together."""
         vals = self.vals
-        captured = [(name, q_id, vals[d_id])
-                    for name, d_id, q_id in self.compiled.dffs]
-        state = self.state
-        values = self.values
-        names = self.compiled.net_names
-        for name, q_id, value in captured:
-            state[name] = value
-            vals[q_id] = value
-            values[names[q_id]] = value
+        self._load_dffs([(name, q_id, vals[d_id])
+                         for name, d_id, q_id in self.compiled.dffs])
 
     def reset(self, value: int) -> None:
-        vals = self.vals
-        state = self.state
-        values = self.values
-        names = self.compiled.net_names
-        for name, _d_id, q_id in self.compiled.dffs:
-            state[name] = value
-            vals[q_id] = value
-            values[names[q_id]] = value
+        self._load_dffs([(name, q_id, value)
+                         for name, _d_id, q_id in self.compiled.dffs])
 
     def critical_path_estimate(self) -> int:
         return self.compiled.critical_path_estimate()

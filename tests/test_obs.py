@@ -234,6 +234,33 @@ class TestFlowCounters:
         assert snap["budget.exceeded.OBS998"] >= 1
         assert snap["budget.obs_probe.consumed_fraction"] >= 1.0
 
+    def test_sim_kernel_compiles_each_chunk_once_and_says_so(self):
+        # Net names appear in the generated scalar pass, so a fresh prefix
+        # makes source this process has not compiled yet.
+        prefix = f"k{os.urandom(6).hex()}_"
+        module = Module("obs_chain")
+        module.add_inputs(prefix + "0")
+        for k in range(1, 101):        # 100 gates: two chunks of <= 64
+            module.add_gate(GateType.NOT, prefix + str(k), [prefix + str(k - 1)])
+        module.add_outputs(prefix + "100")
+        builds = metrics.counter("sim.kernel.builds")
+        hits = metrics.counter("sim.kernel.hits")
+        sweeps = metrics.counter("sim.settle.sweeps")
+        built, hit, swept = builds.value, hits.value, sweeps.value
+        trace.enable()
+        first = GateLevelSimulator(module)
+        assert (builds.value - built, hits.value - hit) == (2, 0)
+        GateLevelSimulator(module)
+        assert (builds.value - built, hits.value - hit) == (2, 2)
+        assert first.evaluate({prefix + "0": 1})[prefix + "100"] == 1
+        assert sweeps.value == swept        # one pass, no sweep loop
+        kernel = [event for event in trace.drain()
+                  if event["name"] == "sim.kernel"]
+        assert len(kernel) == 1
+        assert kernel[0]["cat"] == "sim"
+        assert kernel[0]["args"]["chunks"] == 2
+        assert kernel[0]["args"]["gates"] == 100
+
 
 # -- the traced flow, end to end -----------------------------------------------
 
@@ -629,4 +656,26 @@ class TestCliValidators:
             result = subprocess.run(
                 [sys.executable, script, "--e19", *expected], input=text,
                 capture_output=True, text=True, timeout=120)
+            assert result.returncode == code, result.stdout + result.stderr
+
+    def test_check_regression_e19_counts_pins_named_metrics(self):
+        script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "benchmarks", "check_regression.py")
+
+        def last_line(correct=True, **moved):
+            values = {"sim.settle_iterations": 12296, "rtl.gates": 1184,
+                      **moved}
+            return json.dumps({
+                "correct": correct,
+                "metrics": {name: {"value": value, "unit": "count"}
+                            for name, value in values.items()}}) + "\n"
+
+        pins = ["sim.settle_iterations=12296", "rtl.gates=1184"]
+        for text, extra, code in ((last_line(), [], 0),
+                                  (last_line(correct=False), [], 1),
+                                  (last_line(**{"rtl.gates": 1185}), [], 1),
+                                  (last_line(), ["sim.missing=0"], 1)):
+            result = subprocess.run(
+                [sys.executable, script, "--e19-counts", *pins, *extra],
+                input=text, capture_output=True, text=True, timeout=120)
             assert result.returncode == code, result.stdout + result.stderr

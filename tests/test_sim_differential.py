@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netlist import GateLevelSimulator, GateType, Module, \
     SwitchLevelSimulator, SwitchNetwork, TransistorKind
+from repro.obs import metrics as obs_metrics
 from repro.reference import (
     GateLevelInterpreter,
     RtlInterpreter,
@@ -42,7 +43,11 @@ def random_modules(draw):
     State nets are created first so combinational gates can read them; the
     DFFs driving those nets are added last from arbitrary nets, giving
     counter-like feedback across clock edges without combinational cycles.
+    A third of the modules are free to hold latches and one-gate loops; the
+    rest are latch- and loop-free, declared either in creation order (which
+    is topological) or shuffled.
     """
+    shape = draw(st.sampled_from(["topological", "shuffled", "free"]))
     num_inputs = draw(st.integers(1, 4))
     num_state = draw(st.integers(0, 3))
     num_gates = draw(st.integers(1, 24))
@@ -57,26 +62,36 @@ def random_modules(draw):
         module.add_net(name)
     nets.extend(state_nets)
 
+    gates = []
+    kinds = [kind for kind in _COMB_GATES
+             if shape == "free" or kind is not GateType.LATCH]
     for g in range(num_gates):
-        gate = draw(st.sampled_from(_COMB_GATES))
+        gate = draw(st.sampled_from(kinds))
         out = f"n_{g}"
         if gate in (GateType.NOT, GateType.BUF):
             source = draw(st.sampled_from(nets))
-            module.add_gate(gate, out, [source])
+            gates.append((gate, out, [source], {}))
         elif gate is GateType.MUX2:
             sel, a, b = (draw(st.sampled_from(nets)) for _ in range(3))
-            module.add_gate(gate, out, [], sel=sel, a=a, b=b)
+            gates.append((gate, out, [], {"sel": sel, "a": a, "b": b}))
         elif gate is GateType.LATCH:
             data, enable = (draw(st.sampled_from(nets)) for _ in range(2))
-            module.add_gate(gate, out, [data], enable=enable)
+            gates.append((gate, out, [data], {"enable": enable}))
         else:
             arity = draw(st.integers(2, 4))
             # Occasionally feed the gate its own output: a one-gate cycle,
             # exercising the cyclic (sweep/relaxation) kernel paths.
-            pool = nets + ([out] if draw(st.booleans()) else [])
+            loop = shape == "free" and draw(st.booleans())
+            pool = nets + ([out] if loop else [])
             sources = [draw(st.sampled_from(pool)) for _ in range(arity)]
-            module.add_gate(gate, out, sources)
+            gates.append((gate, out, sources, {}))
         nets.append(out)
+    # A shuffled acyclic netlist reads some nets before their driver, which
+    # only the sweep loop settles.
+    if shape == "shuffled":
+        gates = draw(st.permutations(gates))
+    for gate, out, sources, ports in gates:
+        module.add_gate(gate, out, sources, **ports)
 
     for name in state_nets:
         data = draw(st.sampled_from(nets))
@@ -107,31 +122,49 @@ def modules_with_stimulus(draw):
 def _lockstep(compiled, reference, operation):
     """Run one operation on both simulators; oscillation must agree too.
 
+    Both must also add the same sweep count to ``sim.settle.iterations``.
     Returns True when both raised (identically) — the netlist genuinely
     oscillates and the simulators are done; post-raise dictionary state is
     not part of the contract (the compiled path syncs its name-keyed view
     only on successful settles).
     """
+    iterations = obs_metrics.counter("sim.settle.iterations")
     errors = []
+    sweeps = []
     for sim in (compiled, reference):
+        before = iterations.value
         try:
             operation(sim)
             errors.append(None)
         except RuntimeError as error:
             errors.append(str(error))
+        sweeps.append(iterations.value - before)
     assert errors[0] == errors[1]
+    assert sweeps[0] == sweeps[1]
     return errors[0] is not None
 
 
 class TestGateLevelDifferential:
+    #: Settle path of every example the property ran ("straight" = the
+    #: generated one-pass settle, "sweep" = the event-driven sweep loop).
+    paths = []
+
     @given(modules_with_stimulus())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_compiled_matches_interpreter(self, case):
         module, sequence = case
         # A small settle_limit keeps oscillating examples cheap; parity of
         # the limit-triggered RuntimeError is part of the contract.
         compiled = GateLevelSimulator(module, settle_limit=64)
         reference = GateLevelInterpreter(module, settle_limit=64)
+        sweeps = obs_metrics.counter("sim.settle.sweeps")
+        sweeps_before = sweeps.value
+        self._lockstep_trace(compiled, reference, sequence)
+        self.paths.append(
+            "sweep" if sweeps.value > sweeps_before else "straight")
+
+    @staticmethod
+    def _lockstep_trace(compiled, reference, sequence):
         assert compiled.critical_path_estimate() == \
             reference.critical_path_estimate()
         if _lockstep(compiled, reference, lambda sim: sim.reset(0)):
@@ -148,6 +181,13 @@ class TestGateLevelDifferential:
                 return
             assert compiled.values == reference.values
             assert compiled.state == reference.state
+
+    def test_each_settle_path_ran_on_a_quarter_of_the_examples(self):
+        """Both settle paths met the generated netlists, not just one."""
+        if not self.paths:
+            pytest.skip("the property did not run in this session")
+        for path in ("straight", "sweep"):
+            assert 4 * self.paths.count(path) >= len(self.paths), self.paths
 
     @given(modules_with_stimulus())
     @settings(max_examples=30, deadline=None)

@@ -9,6 +9,7 @@ capture, and switch-level charge-sharing behaviour.
 
 import pytest
 
+from repro.diagnostics import BudgetExceeded
 from repro.netlist import (
     GateLevelSimulator,
     GateType,
@@ -18,7 +19,9 @@ from repro.netlist import (
     Transistor,
     TransistorKind,
 )
+from repro.obs import metrics as obs_metrics
 from repro.reference import GateLevelInterpreter, SwitchLevelReference
+from repro.rtl import RtlCompiler, parse_rtl
 from repro.sim import (
     BitplaneEvaluator,
     CompiledNetlist,
@@ -26,6 +29,8 @@ from repro.sim import (
     exhaustive_input_planes,
     run_streams,
 )
+
+from test_compare_functional import LFSR_RTL
 
 
 def full_adder():
@@ -163,6 +168,91 @@ class TestScalarParity:
                 sim.evaluate({"a": 1})
 
 
+def lfsr_bank(instances=32):
+    """E13's bank: ``instances`` RTL-compiled LFSRs sharing one stimulus."""
+    lfsr = RtlCompiler(parse_rtl(LFSR_RTL)).compile().module
+    bank = Module("lfsr_bank")
+    ports = ["load_0"] + [f"seed_{i}" for i in range(8)]
+    bank.add_inputs(*ports)
+    for k in range(instances):
+        connections = {name: name for name in ports}
+        for i in range(8):
+            connections[f"q_{i}"] = f"u{k}_q_{i}"
+            bank.add_net(f"u{k}_q_{i}", is_output=(k == 0))
+        bank.add_submodule(lfsr, connections, name=f"u{k}")
+    return bank
+
+
+def sweep_only(sim):
+    """``sim`` with its generated one-pass settle switched off."""
+    sim._engine._pass = None
+    return sim
+
+
+class TestStraightLineSettle:
+    def test_one_pass_equals_the_sweep_loop_on_the_lfsr_bank(self):
+        bank = lfsr_bank()
+        straight = GateLevelSimulator(bank)
+        sweep = sweep_only(GateLevelSimulator(bank))
+        assert straight._engine.compiled.straight_line
+        iterations = obs_metrics.counter("sim.settle.iterations")
+        sweeps = obs_metrics.counter("sim.settle.sweeps")
+        idle = {"load_0": 0, **{f"seed_{i}": 0 for i in range(8)}}
+        stimulus = [idle] * 512
+        for cycle, word in ((0, 0xA5), (100, 0x3C), (300, 0x81)):
+            stimulus[cycle] = {"load_0": 1,
+                               **{f"seed_{i}": (word >> i) & 1 for i in range(8)}}
+        stimulus[200] = {"load_0": None}     # X load: every state goes X
+        for sim in (straight, sweep):
+            sim.reset(0)
+        for vector in stimulus:
+            counts = []
+            for sim in (straight, sweep):
+                before = iterations.value, sweeps.value
+                sim.set_inputs(vector)
+                sim.settle()
+                counts.append((iterations.value - before[0],
+                               sweeps.value - before[1]))
+                sim.clock()
+            assert counts[0][0] == counts[1][0]
+            assert counts[0][1] == 0 and counts[1][1] == 1
+            assert straight.last_depth == sweep.last_depth
+            assert straight.values == sweep.values
+            assert straight.state == sweep.state
+        assert {straight.values["u0_q_0"], straight.values["u5_q_7"]} <= {0, 1}
+
+    @pytest.mark.parametrize("force_sweep", [False, True])
+    def test_settle_limit_one_raises_grd002_on_both_paths(self, force_sweep):
+        sim = GateLevelSimulator(full_adder(), settle_limit=1)
+        if force_sweep:
+            sweep_only(sim)
+        with pytest.raises(BudgetExceeded) as info:
+            sim.evaluate({"a": 1, "b": 0, "cin": 1})
+        assert info.value.diagnostic.code == "GRD002"
+        # The one sweep that ran was the fixpoint; nothing moves any more.
+        assert sim.settle() == 0
+
+    def test_a_settle_with_nothing_moved_does_no_pass(self):
+        sim = GateLevelSimulator(full_adder())
+        engine = sim._engine
+        passes = []
+        engine._pass = [lambda vals, values, chunk=chunk: passes.append(1)
+                        or chunk(vals, values) for chunk in engine._pass]
+        iterations = obs_metrics.counter("sim.settle.iterations")
+        assert sim.evaluate({"a": 1, "b": 1, "cin": 0})["cout"] == 1
+        assert sim.last_depth == 1
+        before, ran = iterations.value, len(passes)
+        sim.set_inputs({"a": 1, "b": 1})      # the values it already has
+        assert sim.settle() == 0
+        assert iterations.value == before + 1
+        assert len(passes) == ran
+        sim.set_inputs({"cin": 1})
+        assert sim.settle() == 1
+        assert iterations.value == before + 3
+        assert len(passes) > ran
+        assert sim.values["s"] == 1
+
+
 class TestSatelliteRegressions:
     def test_wide_gate_ports_order_numerically(self):
         m = Module("wide")
@@ -290,6 +380,25 @@ class TestBitplane:
         sim = GateLevelSimulator(m)
         assert sim.run(sparse).cycles == traces[0]
         assert [cycle["y"] for cycle in traces[0]] == [1, 1, 0, 0]
+
+    def test_latched_dag_streams_keep_the_post_clock_evaluate(self):
+        # q toggles every edge and the latch follows it while en=1, also
+        # after the edge; with en=0 next cycle it must hold the post-edge q.
+        m = Module("toggle_latch")
+        m.add_inputs("en")
+        m.add_outputs("l")
+        m.add_gate(GateType.NOT, "d", ["q"])
+        m.add_gate(GateType.DFF, "q", ["d"])
+        m.add_gate(GateType.LATCH, "l", ["q"], enable="en")
+        lowered = CompiledNetlist(m)
+        assert not lowered.is_cyclic and not lowered.straight_line
+        stream = [{"en": 1}, {"en": 0}, {"en": 0}, {"en": 1}, {"en": 0}]
+        traces = run_streams(lowered, [stream, stream[::-1]])
+        for trace, sequence in zip(traces, [stream, stream[::-1]]):
+            reference = GateLevelInterpreter(m)
+            reference.reset(0)
+            assert trace == reference.run(sequence).cycles
+        assert [cycle["l"] for cycle in traces[0]] == [0, 1, 1, 1, 0]
 
     def test_latch_streams_hold_and_pass(self):
         m = Module("l")
