@@ -2,7 +2,7 @@
 
 "Regular blocks, such as memories and PLAs, are programmed for specific
 functions."  This benchmark sweeps the generator parameters (PLA inputs and
-product terms, ROM words, RAM bits) and reports how the generated area and
+product terms, ROM words) and reports how the generated area and
 transistor counts scale — the predictability that makes generators usable
 as compilers.
 """
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from benchmarks.conftest import emit, record_bench
-from repro.generators import PlaGenerator, RamGenerator, RomGenerator
+from repro.generators import PlaGenerator, RomGenerator
 from repro.logic import TruthTable
 from repro.metrics import format_table
 
@@ -51,16 +51,6 @@ def sweep_roms(technology):
     return rows
 
 
-def sweep_rams(technology):
-    rows = []
-    for words, bits in ((16, 4), (16, 8), (64, 8)):
-        generator = RamGenerator(technology, words=words, bits_per_word=bits)
-        generator.cell()
-        report = generator.report
-        rows.append([words, bits, report.bits, report.area, report.transistors])
-    return rows
-
-
 def test_e3_pla_parameter_sweep(benchmark, technology):
     rows = benchmark(sweep_plas, technology)
     emit(format_table(
@@ -82,19 +72,14 @@ def test_e3_rom_parameter_sweep(benchmark, technology):
     per_bit = [row[2] / (row[0] * row[1]) for row in rows]
     assert per_bit[-1] < per_bit[0] * 1.5
 
-
-def test_e3_ram_parameter_sweep(benchmark, technology):
-    rows = benchmark(sweep_rams, technology)
-    emit(format_table(["words", "bits/word", "bits", "area", "transistors"], rows,
-                      "E3c: static RAM generator parameter sweep"))
-    assert rows[-1][3] > rows[0][3]
-    # Transistor count is dominated by 6T cells.
-    for words, bits, total_bits, _area, transistors in rows:
-        assert transistors >= 6 * total_bits
-
+    # One file per experiment: the PLA counts come from the same sweep,
+    # whose cells the generator cache already holds.
+    pla_rows = sweep_plas(technology)
     record_bench(
         "e3", benchmark,
-        ram_sweeps=len(rows),
-        largest_ram_bits=rows[-1][2],
-        largest_ram_transistors=rows[-1][4],
+        pla_sweeps=len(pla_rows),
+        largest_pla_terms=pla_rows[-1][2],
+        largest_pla_transistors=pla_rows[-1][6],
+        rom_sweeps=len(rows),
+        largest_rom_transistors=rows[-1][3],
     )

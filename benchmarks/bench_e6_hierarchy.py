@@ -15,7 +15,7 @@ import pytest
 from benchmarks.conftest import emit, record_bench
 from repro.cells import RegisterBitCell
 from repro.cif import CifWriter
-from repro.generators import DecoderGenerator, RamGenerator
+from repro.generators import DecoderGenerator
 from repro.lang.composition import array_cell
 from repro.layout import Library, cell_statistics, flatten_cell
 from repro.layout.cell import Cell
@@ -45,7 +45,6 @@ def build_designs(technology):
         designs.append((f"register_file_{count}",
                         array_cell(f"regfile_{count}", register, columns=1, rows=count)))
     designs.append(("decoder_5bit", DecoderGenerator(technology, address_bits=5).cell()))
-    designs.append(("ram_64x8", RamGenerator(technology, words=64, bits_per_word=8).cell()))
     return designs
 
 
@@ -75,9 +74,11 @@ def test_e6_hierarchy_leverage(benchmark, technology):
     flat_growth = reg_rows[-1][5] / reg_rows[0][5]
     assert hier_growth < flat_growth / 2
     assert float(reg_rows[-1][6][:-1]) > float(reg_rows[0][6][:-1])
-    # Every regular structure beats 4x regularity; the RAM beats 20x.
+    # Every regular structure beats 4x regularity; regularity grows along the
+    # register files and the 64-row file beats 100x.
     assert all(float(row[3]) >= 4.0 for row in rows[1:])
-    assert float(rows[-1][3]) > 20.0
+    regularity = [float(row[3]) for row in reg_rows]
+    assert regularity == sorted(regularity) and regularity[-1] > 100.0
 
     record_bench(
         "e6", benchmark,

@@ -3,7 +3,7 @@
 A from-scratch Python reproduction of the system framed by J.P. Gray,
 "Introduction to Silicon Compilation" (DAC 1979): an extensible layout
 language embedded in Python, parameterised generators for regular structures
-(PLAs, ROMs, RAMs, datapaths), a behavioural register-transfer language with
+(PLAs, ROMs, decoders, datapaths, FSMs), a behavioural register-transfer language with
 a compiler down to layout, physical verification (DRC, extraction, netlist
 comparison), chip assembly, and the Caltech Intermediate Form as the
 manufacturing interface.

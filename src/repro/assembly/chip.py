@@ -435,7 +435,7 @@ class ChipAssembler:
     def description_size(self) -> int:
         """Size of the assembly description: blocks + pads + connections.
 
-        Experiment E5 contrasts this (which stays small) with the size of the
-        layout it produces (which grows with the parameters).
+        It stays small while the layout it produces grows with the
+        parameters.
         """
         return len(self._blocks) + len(self._pads) + len(self._connections)

@@ -1,4 +1,4 @@
-"""The NMOS inverter and super buffer.
+"""The NMOS inverter.
 
 The inverter is the canonical restoring-logic cell of the Mead & Conway
 style: an enhancement pulldown driven by the input, a depletion pullup with
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.lang.builder import LayoutBuilder
-from repro.lang.parameters import Parameter, ParameterError, ParameterizedCell
+from repro.lang.parameters import Parameter, ParameterizedCell
 from repro.layout.cell import Cell
 
 
@@ -113,39 +112,6 @@ class InverterCell(ParameterizedCell):
     @property
     def transistor_count(self) -> int:
         return 2
-
-
-class SuperBufferCell(ParameterizedCell):
-    """A non-inverting (or inverting) super buffer: two cascaded inverters.
-
-    The second stage pulldown is ``scale`` times wider, providing drive for
-    long wires or large fan-out, as in the Mead & Conway super-buffer
-    structure.  Built hierarchically from two :class:`InverterCell`
-    instances abutted horizontally.
-    """
-
-    name_prefix = "superbuf"
-
-    scale = Parameter(kind=int, default=4, minimum=2, maximum=16)
-    inverting = Parameter(kind=bool, default=False)
-
-    def build(self) -> Cell:
-        first = InverterCell(self.technology, pulldown_width=4).cell()
-        second = InverterCell(self.technology, pulldown_width=4 * max(1, self.scale // 2)).cell()
-        cell = Cell(self.cell_name())
-        gap = 4
-        left = cell.place(first, 0, 0, name="stage1")
-        right = cell.place(second, first.width + gap, 0, name="stage2")
-        # Connect stage1 output to stage2 input in metal/poly.
-        out_pos = left.port_position("out")
-        in_pos = right.port_position("in")
-        cell.add_wire("metal", [out_pos, Point(in_pos.x, out_pos.y)], 3)
-        cell.add_wire("poly", [Point(in_pos.x, out_pos.y), in_pos], 2)
-        cell.add_port("in", left.port_position("in"), "poly", "input")
-        cell.add_port("out", right.port_position("out"), "metal", "output")
-        cell.add_port("gnd", left.port_position("gnd"), "metal", "supply")
-        cell.add_port("vdd", left.port_position("vdd"), "metal", "supply")
-        return cell
 
 
 def _contact(cell: Cell, center: Point, bottom: str, top: str) -> None:

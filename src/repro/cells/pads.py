@@ -1,9 +1,9 @@
-"""Bonding pads and pad-frame spacers.
+"""Bonding pads.
 
 A pad is a large metal square with an overglass opening for the bond wire
 and a metal tail reaching into the chip core.  Input pads add a lightning
 arrester (a long resistive diffusion path) as the era's protection
-structure; output pads add a super-buffer-sized driver region.
+structure; output pads add a driver region.
 """
 
 from __future__ import annotations
@@ -66,27 +66,4 @@ class BondingPadCell(ParameterizedCell):
         direction = {"input": "input", "output": "output",
                      "vdd": "supply", "gnd": "supply"}.get(self.kind, "inout")
         cell.add_port("core", tail_end, "metal", direction)
-        return cell
-
-
-class PadFrameSpacer(ParameterizedCell):
-    """A filler cell closing the gaps between pads in a pad ring.
-
-    Carries the ring's supply metal straight through so the ring stays
-    continuous; parameterised by its width.
-    """
-
-    name_prefix = "padspace"
-
-    width = Parameter(kind=int, default=20, minimum=4)
-    height = Parameter(kind=int, default=100, minimum=100)
-    rail_width = Parameter(kind=int, default=8, minimum=4)
-
-    def build(self) -> Cell:
-        cell = Cell(self.cell_name())
-        rail = self.rail_width
-        cell.add_rect("metal", Rect(0, 0, self.width, rail))
-        cell.add_rect("metal", Rect(0, self.height - rail, self.width, self.height))
-        cell.add_port("rail_low", Point(self.width // 2, rail // 2), "metal", "supply")
-        cell.add_port("rail_high", Point(self.width // 2, self.height - rail // 2), "metal", "supply")
         return cell

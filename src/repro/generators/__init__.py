@@ -11,7 +11,6 @@ experiment harness need.
 
 from repro.generators.pla import PlaGenerator, PlaStyle
 from repro.generators.rom import RomGenerator
-from repro.generators.ram import RamGenerator, SramBitCell
 from repro.generators.decoder import DecoderGenerator
 from repro.generators.datapath import DatapathGenerator, DatapathColumn
 from repro.generators.fsm_layout import FsmLayoutGenerator
@@ -20,8 +19,6 @@ __all__ = [
     "PlaGenerator",
     "PlaStyle",
     "RomGenerator",
-    "RamGenerator",
-    "SramBitCell",
     "DecoderGenerator",
     "DatapathGenerator",
     "DatapathColumn",

@@ -3,8 +3,8 @@
 The decoder is structurally the AND plane of a PLA with every minterm
 present: ``2**address_bits`` rows, each with transistors on the complement
 pattern of its address — drawn by :mod:`repro.generators.plane` with the
-PLA's own input-plane crosspoints.  Memories (ROM, RAM) instantiate it for
-word-line selection; it is also a useful regular structure on its own for
+PLA's own input-plane crosspoints.  The ROM instantiates it for word-line
+selection; it is also a useful regular structure on its own for
 experiment E6 (hierarchy leverage of a full binary tree of select lines).
 """
 

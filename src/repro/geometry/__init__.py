@@ -14,7 +14,7 @@ exactly as CIF call transforms do.
 from repro.geometry.point import Point, manhattan_distance
 from repro.geometry.transform import Transform, Orientation
 from repro.geometry.rect import Rect
-from repro.geometry.polygon import Polygon, polygon_area, polygon_centroid
+from repro.geometry.polygon import Polygon, polygon_centroid
 from repro.geometry.path import Path, path_to_polygon
 from repro.geometry.bbox import BoundingBox, union_bbox
 from repro.geometry.index import SpatialIndex, GridIndex, BruteForceIndex, build_index
@@ -30,7 +30,6 @@ __all__ = [
     "BruteForceIndex",
     "build_index",
     "Polygon",
-    "polygon_area",
     "polygon_centroid",
     "Path",
     "path_to_polygon",

@@ -37,10 +37,6 @@ class BoundingBox:
         for rect in rects:
             self.add_rect(rect)
 
-    def add_bbox(self, other: "BoundingBox") -> None:
-        if not other.is_empty:
-            self.add_rect(other.rect())
-
     def rect(self) -> Rect:
         """The accumulated extent.  Raises if nothing was added."""
         if self._rect is None:

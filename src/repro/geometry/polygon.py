@@ -122,11 +122,6 @@ class Polygon:
         return bbox
 
 
-def polygon_area(polygon: Polygon) -> float:
-    """Convenience wrapper over :attr:`Polygon.area`."""
-    return polygon.area
-
-
 def polygon_centroid(polygon: Polygon) -> Tuple[float, float]:
     """Centroid of a simple polygon (shoelace-weighted)."""
     signed = polygon.signed_area

@@ -2,15 +2,17 @@
 
 Gray's central argument is that software engineers should participate in
 silicon design by *writing programs* that compile to manufacturing data.
-This package is that language: a set of Python-hosted abstractions —
-a cursor-based :class:`LayoutBuilder`, a stick-diagram notation, and a
-composition algebra (abut, stack, array, mirror) — that turn structured
-programs into structured layouts.  Data-type extension happens the ordinary
-Python way: generator classes subclass :class:`ParameterizedCell` and add
-their own parameter types and validation.
+This package is that language.  A generator subclasses
+:class:`ParameterizedCell`, declares its :class:`Parameter` s and draws in
+``build()`` with :class:`~repro.layout.cell.Cell`'s own methods
+(``add_rect`` / ``add_box`` / ``add_wire`` / ``place``); repeated bricks
+come from :func:`~repro.lang.parameters.shared_brick`, so a structure that draws the same brick
+many times defines one master.  The composition algebra (abut, stack,
+array, mirror) assembles finished cells.  Data-type extension happens the
+ordinary Python way: generator classes add their own parameter types and
+validation.
 """
 
-from repro.lang.builder import LayoutBuilder, Direction
 from repro.lang.composition import (
     abut_horizontal,
     abut_vertical,
@@ -21,11 +23,8 @@ from repro.lang.composition import (
     column_of,
 )
 from repro.lang.parameters import Parameter, ParameterizedCell, ParameterError
-from repro.lang.sticks import StickDiagram, StickLayer, compile_sticks
 
 __all__ = [
-    "LayoutBuilder",
-    "Direction",
     "abut_horizontal",
     "abut_vertical",
     "array_cell",
@@ -36,7 +35,4 @@ __all__ = [
     "Parameter",
     "ParameterizedCell",
     "ParameterError",
-    "StickDiagram",
-    "StickLayer",
-    "compile_sticks",
 ]

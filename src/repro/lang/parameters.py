@@ -207,11 +207,3 @@ class ParameterizedCell:
         such data for the built-in generators.
         """
         return (self.cell_name(),)
-
-    def description_size(self) -> int:
-        """A proxy for designer effort: the number of declared parameters.
-
-        Used by experiment E5 to contrast the fixed-size textual description
-        against the growing layout it generates.
-        """
-        return len(self.declared_parameters())

@@ -107,8 +107,5 @@ class Library:
             visit(cell)
         return order
 
-    def total_shape_count(self) -> int:
-        return sum(len(cell.shapes) for cell in self._cells.values())
-
     def __repr__(self) -> str:
         return f"Library({self.name!r}, {len(self)} cells, tech={self.technology.name})"

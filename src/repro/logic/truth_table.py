@@ -132,10 +132,6 @@ class TruthTable:
         column = self.output_names.index(output_name)
         return [i for i, row in enumerate(self._rows) if row[column] is None]
 
-    def off_set(self, output_name: str) -> List[int]:
-        column = self.output_names.index(output_name)
-        return [i for i, row in enumerate(self._rows) if row[column] == 0]
-
     # -- conversion -----------------------------------------------------------------
 
     def to_cover(self) -> Cover:

@@ -54,8 +54,7 @@ from repro.technology.technology import Technology
 #: A word value during elaboration: a list of net names, least significant first.
 Bits = List[str]
 
-#: Memories larger than this are rejected (they should use the RAM generator
-#: as a separate physical block rather than being flattened into gates).
+#: Memories are flattened into one register per word; deeper ones are rejected.
 MAX_FLATTENED_MEMORY_WORDS = 256
 
 
@@ -160,8 +159,7 @@ class RtlCompiler:
                 raise self._unsynthesisable(
                     "RTL201",
                     f"memory {declaration.name!r} has {declaration.depth} words; "
-                    f"flattened synthesis is limited to {MAX_FLATTENED_MEMORY_WORDS} — "
-                    "instantiate a RAM block instead"
+                    f"flattened synthesis is limited to {MAX_FLATTENED_MEMORY_WORDS}"
                 )
             for word in range(declaration.depth):
                 word_name = f"{declaration.name}@{word}"

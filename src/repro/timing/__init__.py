@@ -26,7 +26,7 @@ edit re-analyzes only the affected cells.
 
 from repro.rtl.ast import render_statement
 from repro.timing.delay import GateDelayModel, SwitchDelayModel
-from repro.timing.graph import PathStep, TimingGraph, TimingPath, timing_graph_for_module
+from repro.timing.graph import PathStep, TimingGraph, TimingPath
 from repro.timing.parasitics import (
     NetParasitics,
     ParasiticModel,
@@ -47,7 +47,6 @@ __all__ = [
     "PathStep",
     "TimingGraph",
     "TimingPath",
-    "timing_graph_for_module",
     "NetParasitics",
     "ParasiticModel",
     "annotate_parasitics",

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import get_logger
-from repro.netlist.module import Module
-from repro.sim.kernel import OP_LATCH, CompiledNetlist, compile_netlist
+from repro.sim.kernel import OP_LATCH, CompiledNetlist
 from repro.timing.delay import GateDelayModel
 
 _LOG = get_logger("timing")
@@ -65,9 +64,6 @@ class TimingPath:
     @property
     def end(self) -> str:
         return self.steps[-1].net if self.steps else ""
-
-    def slack_ns(self, clock_ns: float) -> float:
-        return clock_ns - self.delay_ns
 
     def describe(self) -> str:
         parts = [f"{self.start} -> {self.end}: {self.delay_ns:.2f} ns"]
@@ -168,9 +164,6 @@ class TimingGraph:
                 break
 
     # -- queries --------------------------------------------------------------
-
-    def launch_nets(self) -> List[int]:
-        return sorted(self._launch)
 
     def capture_nets(self) -> List[int]:
         return sorted(self._capture)
@@ -365,12 +358,3 @@ class TimingGraph:
                                   names[reached], at))
         return TimingPath(self.arrival_ns[end], steps)
 
-
-def timing_graph_for_module(module: Module,
-                            technology=None,
-                            net_caps_ff: Optional[Dict[str, float]] = None
-                            ) -> TimingGraph:
-    """Convenience: flatten, lower and price a structural module."""
-    compiled = compile_netlist(module)
-    model = GateDelayModel(technology)
-    return TimingGraph(compiled, delay_model=model, net_caps_ff=net_caps_ff)

@@ -4,52 +4,18 @@ import pytest
 
 from repro.cells import (
     BondingPadCell,
-    ButtingContactCell,
-    ContactCell,
     InverterCell,
     NandCell,
     NorCell,
     PassTransistorCell,
     RegisterBitCell,
     ShiftRegisterCell,
-    SuperBufferCell,
-    TransistorCell,
 )
 from repro.drc import check_cell
 from repro.extract import extract_cell
 from repro.lang.parameters import ParameterError
 from repro.netlist.switch_sim import SwitchLevelSimulator
 from repro.technology import NMOS
-
-
-class TestPrimitives:
-    def test_contact_layers(self):
-        cell = ContactCell(NMOS).cell()
-        assert {s.layer for s in cell.shapes} == {"diffusion", "metal", "contact"}
-        assert cell.has_port("via")
-
-    def test_poly_contact_variant(self):
-        cell = ContactCell(NMOS, bottom="poly", top="metal").cell()
-        assert "poly" in {s.layer for s in cell.shapes}
-
-    def test_transistor_dimensions(self):
-        gen = TransistorCell(NMOS, width=6, length=2)
-        cell = gen.cell()
-        assert gen.ratio == pytest.approx(2 / 6)
-        diff = cell.shapes_on_layer("diffusion")[0].bbox
-        assert diff.width == 6
-
-    def test_depletion_transistor_has_implant(self):
-        cell = TransistorCell(NMOS, width=4, depletion=True).cell()
-        assert cell.shapes_on_layer("implant")
-
-    def test_transistor_minimum_width_enforced(self):
-        with pytest.raises(ParameterError):
-            TransistorCell(NMOS, width=1)
-
-    def test_butting_contact(self):
-        cell = ButtingContactCell(NMOS).cell()
-        assert {s.layer for s in cell.shapes} == {"diffusion", "poly", "contact", "metal"}
 
 
 class TestInverter:
@@ -79,11 +45,6 @@ class TestInverter:
     def test_invalid_ratio(self):
         with pytest.raises(ParameterError):
             InverterCell(NMOS, ratio=5)
-
-    def test_super_buffer_composes_two_inverters(self):
-        cell = SuperBufferCell(NMOS).cell()
-        assert len(cell.instances) == 2
-        assert set(cell.port_names()) >= {"in", "out", "vdd", "gnd"}
 
 
 class TestGates:

@@ -1,29 +1,36 @@
-"""Tests for the regular-structure generators (PLA, ROM, RAM, decoder, datapath, FSM)."""
+"""Tests for the regular-structure generators (PLA, ROM, decoder, datapath, FSM),
+and for the rule that every cell generator in ``repro`` is drawn by a chip,
+an example or a benchmark design."""
 
+import glob
+import importlib
 import os
+import pkgutil
+import runpy
 import sys
 
 import pytest
 
+import repro
 from repro.generators import (
     DatapathColumn,
     DatapathGenerator,
     DecoderGenerator,
     FsmLayoutGenerator,
     PlaGenerator,
-    RamGenerator,
     RomGenerator,
-    SramBitCell,
 )
 from repro.generators.plane import Plane, crosspoint, place_row
+from repro.lang import parameters
+from repro.lang.parameters import ParameterizedCell
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 from repro.layout.stats import cell_statistics
 from repro.logic import FSM, TruthTable, parse_expr
 from repro.technology import NMOS
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "examples"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "examples"))
 from chip_assembly import build_chip  # noqa: E402
 
 
@@ -176,37 +183,6 @@ class TestNorPlane:
         assert len(row.instances) == 6 + 4
 
 
-class TestRam:
-    def test_sram_bit_cell(self):
-        bit = SramBitCell(NMOS)
-        cell = bit.cell()
-        assert bit.transistor_count == 6
-        assert {"word", "bit", "bitbar"} <= set(cell.port_names())
-
-    def test_ram_behavioural_model(self):
-        ram = RamGenerator(NMOS, words=16, bits_per_word=8)
-        ram.write(5, 0xAB)
-        assert ram.read(5) == 0xAB
-        assert ram.read(6) == 0
-        with pytest.raises(IndexError):
-            ram.write(16, 1)
-
-    def test_ram_write_masks_to_width(self):
-        ram = RamGenerator(NMOS, words=4, bits_per_word=4)
-        ram.write(1, 0xFF)
-        assert ram.read(1) == 0xF
-
-    def test_ram_report(self):
-        ram = RamGenerator(NMOS, words=8, bits_per_word=4)
-        ram.cell()
-        assert ram.report.bits == 32
-        assert ram.report.transistors >= 6 * 32
-
-    def test_ram_regularity_dominated_by_bit_cell(self):
-        cell = RamGenerator(NMOS, words=8, bits_per_word=8).cell()
-        assert cell_statistics(cell).regularity > 10
-
-
 class TestDatapath:
     def columns(self):
         return [
@@ -267,3 +243,53 @@ class TestFsmLayout:
         binary.cell(), one_hot.cell()
         assert one_hot.report.state_bits > binary.report.state_bits
         assert one_hot.report.area >= binary.report.area
+
+
+def cell_generators():
+    """Every :class:`ParameterizedCell` subclass defined in a ``repro`` module."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, pending = set(), [ParameterizedCell]
+    while pending:
+        for subclass in pending.pop().__subclasses__():
+            pending.append(subclass)
+            if subclass.__module__.startswith("repro."):
+                found.add(subclass)
+    return found
+
+
+class TestEveryGeneratorIsDrawn:
+    """A cell generator stays in ``src/`` only if something draws with it.
+
+    "Something" is an example run as a script or a design the end-to-end
+    benchmark builds; a generator only its own tests instantiate is dead code.
+    """
+
+    def test_every_generator_is_instantiated(self, monkeypatch, tmp_path):
+        drawn = set()
+        original = ParameterizedCell.cell
+
+        def recording_cell(self):
+            drawn.add(type(self))
+            return original(self)
+
+        monkeypatch.setattr(ParameterizedCell, "cell", recording_cell)
+        # Empty caches, so a cell an earlier test built is built again and
+        # the generators it composes are reached; both go together, or a
+        # cached brick would hold the old master of a rebuilt leaf cell.
+        monkeypatch.setattr(parameters, "_GENERATED_CELL_CACHE", {})
+        monkeypatch.setattr(parameters, "_SHARED_BRICK_CACHE", {})
+
+        # Examples without an --out option take no arguments at all.
+        for script in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
+            monkeypatch.setattr(sys, "argv", [script, "--out", str(tmp_path)])
+            runpy.run_path(script, run_name="__main__")
+
+        designs = runpy.run_path(os.path.join(ROOT, "benchmarks", "e2e", "designs.py"))
+        for assembler, _rom in (designs["family_chip"](NMOS, "drawn_family", 8, 2, 1979),
+                                designs["small_chip"](NMOS, "drawn_small", 1979)):
+            assembler.assemble()
+        designs["tile_array"](NMOS, "drawn_tiles", 16, (2, 2), (2, 1), 1979)
+
+        undrawn = sorted(generator.__name__ for generator in cell_generators() - drawn)
+        assert not undrawn, f"nothing draws with {', '.join(undrawn)}"

@@ -1,10 +1,8 @@
-"""Tests for the embedded layout language: builder, parameters, composition, sticks."""
+"""Tests for the embedded layout language: parameters and composition."""
 
 import pytest
 
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
-from repro.lang.builder import Direction, LayoutBuilder
 from repro.lang.composition import (
     abut_horizontal,
     abut_vertical,
@@ -15,63 +13,8 @@ from repro.lang.composition import (
     stack_cells,
 )
 from repro.lang.parameters import Parameter, ParameterError, ParameterizedCell
-from repro.lang.sticks import StickDiagram, StickLayer, compile_sticks
 from repro.layout.cell import Cell
-from repro.layout.flatten import flatten_cell
 from repro.technology import CMOS, NMOS
-
-
-class TestLayoutBuilder:
-    def test_box_centred_on_cursor(self):
-        cell = Cell("c")
-        builder = LayoutBuilder(cell, NMOS)
-        builder.move_to(10, 10).box("metal", 4, 6)
-        assert cell.shapes[0].bbox == Rect(8, 7, 12, 13)
-
-    def test_wire_straight(self):
-        cell = Cell("c")
-        builder = LayoutBuilder(cell, NMOS)
-        builder.move_to(0, 0).begin_wire("metal").wire(Direction.EAST, 20).end_wire()
-        assert cell.shapes[0].bbox.width == 20 + 3   # includes end caps
-
-    def test_wire_default_width_is_rule_minimum(self):
-        cell = Cell("c")
-        builder = LayoutBuilder(cell, NMOS)
-        builder.begin_wire("metal").wire(Direction.NORTH, 10).end_wire()
-        assert cell.shapes[0].geometry.width == NMOS.rules.min_width("metal")
-
-    def test_wire_to_creates_elbow(self):
-        cell = Cell("c")
-        builder = LayoutBuilder(cell, NMOS)
-        builder.begin_wire("poly").wire_to(10, 10).end_wire()
-        assert len(cell.shapes[0].geometry.points) == 3
-
-    def test_wire_without_begin_raises(self):
-        builder = LayoutBuilder(Cell("c"), NMOS)
-        with pytest.raises(RuntimeError):
-            builder.wire_to(5, 5)
-
-    def test_contact_draws_three_layers(self):
-        cell = Cell("c")
-        LayoutBuilder(cell, NMOS).move_to(10, 10).contact("diffusion", "metal")
-        layers = {shape.layer for shape in cell.shapes}
-        assert layers == {"diffusion", "metal", "contact"}
-
-    def test_transistor_extensions_follow_rules(self):
-        cell = Cell("c")
-        gate, channel = LayoutBuilder(cell, NMOS).move_to(20, 20).transistor(
-            "poly", "diffusion", width=4
-        )
-        # Gate must extend 2 lambda beyond the channel on both sides.
-        assert gate.height == 4 + 2 * 2
-        assert channel.width == 2 + 2 * 2
-
-    def test_port_and_label(self):
-        cell = Cell("c")
-        builder = LayoutBuilder(cell, NMOS)
-        builder.move_to(5, 5).port("a", "metal", "input")
-        builder.label("note")
-        assert cell.port("a").position == Point(5, 5)
 
 
 class TestParameterizedCell:
@@ -181,45 +124,3 @@ class TestComposition:
         assert top_aligned.bbox().y2 == 0
         with pytest.raises(ValueError):
             abut_horizontal("r2", [a, b], align="middle-ish")
-
-
-class TestSticks:
-    def build_inverterish(self):
-        diagram = StickDiagram("sticks_inv")
-        diagram.stick(StickLayer.DIFFUSION, (1, 0), (1, 3))
-        diagram.stick(StickLayer.POLY, (0, 1), (2, 1))
-        diagram.stick(StickLayer.METAL, (0, 0), (2, 0))
-        diagram.contact((1, 0), StickLayer.DIFFUSION, StickLayer.METAL)
-        diagram.depletion((1, 1))
-        return diagram
-
-    def test_transistor_sites_found(self):
-        assert self.build_inverterish().transistor_sites() == [(1, 1)]
-
-    def test_compile_produces_all_layers(self):
-        cell = compile_sticks(self.build_inverterish(), NMOS)
-        layers = {shape.layer for shape in cell.shapes}
-        assert {"diffusion", "poly", "metal", "contact", "implant"} <= layers
-
-    def test_pitch_scales_layout(self):
-        small = compile_sticks(self.build_inverterish(), NMOS, pitch=7)
-        large = compile_sticks(self.build_inverterish(), NMOS, pitch=14)
-        assert large.width > small.width
-
-    def test_depletion_off_crossing_rejected(self):
-        diagram = StickDiagram("bad")
-        diagram.stick(StickLayer.POLY, (0, 0), (2, 0))
-        diagram.depletion((1, 1))
-        with pytest.raises(ValueError):
-            compile_sticks(diagram, NMOS)
-
-    def test_diagonal_stick_rejected(self):
-        diagram = StickDiagram("bad")
-        with pytest.raises(ValueError):
-            diagram.stick(StickLayer.POLY, (0, 0), (2, 2))
-
-    def test_compiles_for_cmos_active_layer(self):
-        diagram = StickDiagram("c")
-        diagram.stick(StickLayer.DIFFUSION, (0, 0), (2, 0))
-        cell = compile_sticks(diagram, CMOS)
-        assert cell.shapes[0].layer == "active"

@@ -456,6 +456,8 @@ class TestCompiler:
                 RtlCompiler(machine).compile()
             assert info.value.diagnostic.code == code
             assert text in str(info.value)
+            # A refusal states the limit; there is no RAM block to point at.
+            assert "RAM" not in str(info.value)
             assert isinstance(info.value, ValueError)
             assert not isinstance(info.value, RtlSemanticError)
 
