@@ -40,12 +40,14 @@ small blobs and no geometry, and node naming runs once per analysed cell.
 **Builds run with the cyclic collector paused.**  A *miss* — the build and
 its put — runs inside :func:`repro.runtime.gc_paused`: a build allocates
 ~1 M acyclic objects and frees almost none, so the collector's ~1 100 runs
-per incremental sign-off (six of them full, 0.27 s) found nothing.  Hits,
-warm passes and disk loads never enter the pause.  Two extensions were
-measured and left out: pausing around hits and loads as well moves the
-deferred young collection into the warm-from-disk pass (0.034 → 0.039 s),
-and never storing the query root's ``drc`` / ``extract`` artifacts saves
-another 0.10 s and 50 MiB but shifts a full collection into that same pass
+per incremental sign-off (six of them full, 0.27 s) found nothing.  Hits
+and warm passes never enter the pause; a disk load pauses only while it
+unpickles (:class:`repro.store.DiskStore`), for the same reason — since
+composed artifacts hold their instances' lists by reference the process
+holds ~40 % fewer objects, and a warm-from-disk pass's unpickled results
+then tipped a full collection into it (0.024 → 0.045 s).  Never storing the
+query root's ``drc`` / ``extract`` artifacts was measured and left out: it
+saved 0.10 s and 50 MiB but shifted a full collection into that same pass
 (0.036 → 0.063 s) and breaks the "a damaged result is rebuilt from the
 intact composable artifact" contract.
 """
@@ -64,7 +66,8 @@ from repro.extract.extractor import ExtractedCircuit
 from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
 from repro.layout.stats import CellStatistics, hierarchy_depth
-from repro.layout.view import _View, build_view, compose_areas
+from repro.layout.view import (_View, build_view, compose_areas,
+                               interaction_reach)
 from repro.metrics.report import DesignMetrics, metrics_from_stats
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -78,11 +81,13 @@ from repro.timing.switch import BlockTiming, SwitchTimingAnalyzer
 #: when a kind's payload changes shape — 2: ``drc`` / ``extract`` artifacts
 #: no longer embed their view; 3: rect lists pickle as integer columns
 #: (:class:`repro.layout.view._StoredSlots`); 4: the artifact classes moved
-#: module, so an older pickle names classes that no longer exist.  Blobs of
+#: module, so an older pickle names classes that no longer exist; 5: composed
+#: rect lists are blocks by reference (:class:`repro.layout.view._Blocks`),
+#: each distinct child list packed once per blob.  Blobs of
 #: an older generation are never addressed: they miss and wait for ``gc``,
 #: where bumping the store's envelope format would make every one of them an
 #: ``STO002`` (fatal under ``REPRO_STRICT=1``).
-_KEY_SCHEME = 4
+_KEY_SCHEME = 5
 
 #: Cells whose instances average fewer rectangles than this are analyzed
 #: directly on their flat view instead of composed from per-instance
@@ -102,7 +107,7 @@ _DIRECT_THRESHOLD = 96
 def _build_view(analyzer: "HierAnalyzer", cell: Cell,
                 orientation: Orientation) -> _View:
     return build_view(cell, orientation, partial(analyzer._get, "view"),
-                      _DIRECT_THRESHOLD)
+                      _DIRECT_THRESHOLD, interaction_reach(analyzer.technology))
 
 
 def _build_areas(analyzer, cell, orientation) -> Dict[str, int]:

@@ -66,6 +66,16 @@ _ROTATION_TO_ORIENTATION = {
 }
 
 
+#: The writer's header comment, ``( library <name> technology <tech> );``.
+_LIBRARY_HEADER = re.compile(r"\(\s*library\s+([^\s()]+)\s+technology\b[^)]*\)")
+
+
+def _library_name(text: str) -> str:
+    """The library name the writer's header records, else ``"parsed"``."""
+    header = _LIBRARY_HEADER.search(text)
+    return header.group(1) if header else "parsed"
+
+
 def _strip_comments(text: str) -> str:
     """Blank parenthesised comments, preserving offsets and newlines."""
     return re.sub(r"\([^)]*\)",
@@ -118,9 +128,16 @@ class CifParser:
     def __init__(self, technology: Optional[Technology] = None):
         self.technology = technology if technology is not None else NMOS
 
-    def parse(self, text: str, library_name: str = "parsed",
+    def parse(self, text: str, library_name: Optional[str] = None,
               collector: Optional[DiagnosticCollector] = None) -> Library:
-        """Parse ``text``; with a ``collector``, recover instead of raising."""
+        """Parse ``text``; with a ``collector``, recover instead of raising.
+
+        Without a ``library_name`` the library takes the name the writer's
+        header comment records (``"parsed"`` when there is none), so that
+        writing the parsed library reproduces the text it came from.
+        """
+        if library_name is None:
+            library_name = _library_name(text)
         return _Run(self.technology, collector).parse(text, library_name)
 
 
@@ -492,11 +509,13 @@ def _sign(value: int) -> int:
 
 
 def parse_cif(text: str, technology: Optional[Technology] = None,
-              library_name: str = "parsed",
+              library_name: Optional[str] = None,
               collector: Optional[DiagnosticCollector] = None) -> Library:
     """Parse CIF text into a library (convenience wrapper).
 
-    Pass a :class:`~repro.diagnostics.DiagnosticCollector` to recover from
+    The library is named ``library_name``, else by the writer's header
+    comment, else ``"parsed"``.  Pass a
+    :class:`~repro.diagnostics.DiagnosticCollector` to recover from
     malformed commands (poisoning the affected symbols) instead of raising
     on the first error.
     """

@@ -1,16 +1,18 @@
 """Hierarchical DRC: a cell's verdicts composed from its instances'.
 
 :func:`compose_drc` builds the :class:`_DrcArtifact` of one oriented view
-(:mod:`repro.layout.view`) from the artifacts of the view's instances.  A
-child's cached verdict is replayed — location translated, element ids
-re-based by block offsets — unless foreign geometry enters the element's
-interaction halo (the rule's reach): elements near another source's geometry
-are conservatively marked *suspect* and recomputed in the parent's context
-with spatial-index queries against every source.  Over-marking a suspect
-costs time, never correctness, because recomputation calls the flat
-checker's own per-element verdict functions (:mod:`repro.drc.checker`) and
-so yields the flat answer.  The composed violation list is byte-identical
-to :meth:`DrcChecker.check`; ``tests/test_hier_golden.py`` pins it.
+(:mod:`repro.layout.view`) from the artifacts of the view's instances.  An
+isolated instance (:func:`repro.layout.view.isolated_sources`) is replayed as
+one block: its merge output is held by reference, its ids re-based in bulk,
+its verdicts re-based and translated.  Elsewhere a child's cached verdict is
+replayed unless foreign geometry enters the element's interaction halo (the
+rule's reach): elements near another source's geometry are conservatively
+marked *suspect* and recomputed in the parent's context with spatial-index
+queries against every source.  Over-marking a suspect costs time, never
+correctness, because recomputation calls the flat checker's own per-element
+verdict functions (:mod:`repro.drc.checker`) and so yields the flat answer.
+The composed violation list is byte-identical to :meth:`DrcChecker.check`;
+``tests/test_hier_golden.py`` pins it.
 
 The composer sees a view and child artifacts only: caching, store keys,
 spans and the collector pause belong to :mod:`repro.analysis.hier`.
@@ -34,11 +36,16 @@ from repro.geometry.index import SpatialIndex, build_index
 from repro.geometry.rect import Rect
 from repro.layout.view import (
     _BoxIndex,
+    _Blocks,
+    _Part,
     _StoredSlots,
     _View,
     _bounding,
+    _listed,
     _translated,
+    _union_all,
     compose_components,
+    count_sources,
 )
 from repro.technology.rules import DesignRule, RuleKind
 from repro.technology.technology import Technology
@@ -55,35 +62,40 @@ class _LayerMerge(_StoredSlots):
 
     ``inputs`` is the non-degenerate rectangle list in flat order (the merge
     operates on filtered rects), ``components`` its touching-closure
-    partition, ``merged`` the merge output in flat order.  ``child_maps[k]``
+    partition, ``merged`` the merge output in flat order.  That order groups
+    the outputs by the source holding each component's smallest member
+    (``merged_starts[k]`` is source ``k``'s first merged id), so a replayed
+    instance's block of ``merged`` is its child's list by reference.
+    ``fresh`` lists the merged ids computed here, ascending — the cell's
+    own components and those merged across sources; every other merged id
+    in source ``k``'s block is instance ``k``'s output.  ``child_maps[k]``
     re-bases instance ``k``'s merged ids into this cell's merged id space
     (-1 where the child component was merged across sources and its output
     no longer exists as such).
     """
 
     __slots__ = ("inputs", "offsets", "components", "comp_of_input",
-                 "comp_slices", "comp_source", "merged", "merged_source",
+                 "comp_slices", "merged", "merged_starts", "fresh",
                  "child_maps", "block_bboxes", "_input_index", "_merged_index",
-                 "_bbox", "_box_index")
-    _TRANSIENT = ("_input_index", "_merged_index", "_bbox", "_box_index")
+                 "_box_index")
+    _TRANSIENT = ("_input_index", "_merged_index", "_box_index")
     _RECT_LISTS = ("inputs", "merged")
 
     def __init__(self) -> None:
-        self.inputs: List[Rect] = []
+        self.inputs: Sequence[Rect] = []
         self.offsets: List[int] = [0]
         self.components: List[List[int]] = []
         self.comp_of_input: List[int] = []
         self.comp_slices: List[Tuple[int, int]] = []
-        self.comp_source: List[int] = []
-        self.merged: List[Rect] = []
-        self.merged_source: List[int] = []
-        self.child_maps: List[Optional[List[int]]] = []
+        self.merged: Sequence[Rect] = []
+        self.merged_starts: List[int] = [0]
+        self.fresh: List[int] = []
+        self.child_maps: List[Optional[Sequence[int]]] = [None]
         # Per-source bbox of that source's merge inputs, in this cell's
         # frame (None for empty blocks) — the prefilter for interface probes.
         self.block_bboxes: List[Optional[Rect]] = []
         self._input_index: Optional[SpatialIndex] = None
         self._merged_index: Optional[SpatialIndex] = None
-        self._bbox: Optional[Tuple[Optional[Rect]]] = None
         self._box_index: Optional[_BoxIndex] = None
 
     def box_index(self) -> _BoxIndex:
@@ -94,18 +106,22 @@ class _LayerMerge(_StoredSlots):
 
     def input_index(self) -> SpatialIndex:
         if self._input_index is None:
-            self._input_index = build_index(self.inputs)
+            self._input_index = build_index(_listed(self.inputs))
         return self._input_index
 
     def merged_index(self) -> SpatialIndex:
         if self._merged_index is None:
-            self._merged_index = build_index(self.merged)
+            self._merged_index = build_index(_listed(self.merged))
         return self._merged_index
 
     def bbox(self) -> Optional[Rect]:
-        if self._bbox is None:
-            self._bbox = (_bounding(self.inputs),)
-        return self._bbox[0]
+        return _union_all(self.block_bboxes)
+
+    def source_of(self, gid: int, fresh: Set[int]) -> int:
+        """The instance a merged id was reused from; -1 if computed here."""
+        if gid in fresh:
+            return -1
+        return bisect_right(self.merged_starts, gid) - 1
 
 
 class _DrcArtifact:
@@ -122,14 +138,18 @@ class _DrcArtifact:
         self.viols: List[List[_Verdict]] = []          # per rule index
 
     def weight(self) -> int:
-        """Estimated pickled size in bytes: the merges' plus the verdicts'."""
-        return (sum(merge.weight() for merge in self.merges.values())
+        """Estimated pickled size in bytes: the merges' (a rect list two
+        merges share counted once) plus the verdicts'."""
+        seen: Set[int] = set()
+        return (sum(merge.weight(seen) for merge in self.merges.values())
                 + _VERDICT_BYTES * sum(map(len, self.viols)))
 
 
 def compose_drc(technology: Technology, view: _View,
                 children: Sequence[Optional[_DrcArtifact]]) -> _DrcArtifact:
     """The DRC artifact of ``view``; ``children[k]`` is instance ``k``'s."""
+    if len(view.sources) > 1:
+        count_sources(view)
     artifact = _DrcArtifact()
     merges = artifact.merges
     for rule in technology.rules:
@@ -182,116 +202,107 @@ def _with_area(rects: Sequence[Rect]) -> List[Rect]:
 def _compose_merge(view: _View, children: Sequence[Optional[_DrcArtifact]],
                    layer: str) -> _LayerMerge:
     merge = _LayerMerge()
-    # The filtered list shares the view's rect objects: filtering commutes
-    # with translation, so the slice per source equals the child's filtered
-    # inputs translated.
-    rects = view.layer(layer)
-    own_end = view.layer_offsets(layer)[1]
-    own_filtered = _with_area(rects[:own_end])
-    merge.inputs = inputs = own_filtered + _with_area(rects[own_end:])
+    sources = view.sources
+    # Filtering commutes with translation: an instance's filtered block is
+    # its child's merge inputs, placed.
+    own_filtered = _with_area(sources[0].view.layer(layer))
     own_index = build_index(own_filtered)
-    merge.offsets.append(len(own_filtered))
     block_comps: List[Sequence[Sequence[int]]] = [
         own_index.connected_components()]
-    block_indexes: List[SpatialIndex] = [own_index]
+    block_indexes: List[Optional[SpatialIndex]] = [own_index]
     block_moves: List[Tuple[int, int]] = [(0, 0)]
-    merge.block_bboxes = block_bboxes = [_bounding(own_filtered)]
-    for k, source in enumerate(view.sources[1:], 1):
+    merge.block_bboxes = [_bounding(own_filtered)]
+    parts = [_Part(own_filtered)]
+    for k, source in enumerate(sources[1:], 1):
         child = children[k].merges[layer]
-        merge.offsets.append(merge.offsets[-1] + len(child.inputs))
+        parts.append(_Part(child.inputs, source.dx, source.dy))
         block_comps.append(child.components)
-        block_indexes.append(child.input_index())
+        block_indexes.append(None if view.isolated[k] else child.input_index())
         block_moves.append((source.dx, source.dy))
-        block_bboxes.append(source.placed(child.bbox()))
+        merge.block_bboxes.append(source.placed(child.bbox()))
+    if len(parts) == 1:
+        merge.inputs = own_filtered
+        merge.offsets = [0, len(own_filtered)]
+    else:
+        merge.inputs = _Blocks(parts)
+        merge.offsets = merge.inputs.starts
 
     merge.components, crossed = compose_components(
-        inputs, merge.offsets, block_comps, block_indexes, block_moves,
-        block_bboxes)
-    if crossed:
-        _merge_crossed(merge, view, children, layer)
-    else:
-        _merge_concatenated(merge, view, children, layer, len(block_comps[0]))
+        merge.inputs, merge.offsets, block_comps, block_indexes, block_moves,
+        merge.block_bboxes, view.isolated)
+    _fill_merge(merge, view, children, layer, crossed)
     return merge
 
 
-def _merge_crossed(merge: _LayerMerge, view: _View, children,
-                   layer: str) -> None:
-    """Fill ``merge`` from its components when some span two blocks."""
-    inputs = merge.inputs
-    offsets = merge.offsets
-    merge.comp_of_input = [0] * len(inputs)
-    merge.child_maps = [None] + [
-        [-1] * len(children[k].merges[layer].merged)
-        for k in range(1, len(view.sources))
-    ]
-    for comp_index, comp in enumerate(merge.components):
-        for member in comp:
-            merge.comp_of_input[member] = comp_index
-        src = bisect_right(offsets, comp[0]) - 1      # the first member's block
-        single = src >= 1 and comp[-1] < offsets[src + 1]
-        start = len(merge.merged)
-        if single:
-            child = children[src].merges[layer]
-            source = view.sources[src]
-            child_comp = child.comp_of_input[comp[0] - offsets[src]]
-            child_start, child_len = child.comp_slices[child_comp]
-            child_map = merge.child_maps[src]
-            for position in range(child_len):
-                child_map[child_start + position] = start + position
-            if (child_len == 1 and len(comp) == 1
-                    and child.merged[child_start] == child.inputs[comp[0] - offsets[src]]):
-                # Singleton component: the merge output is the input
-                # rect, already materialized in this frame.  (Equality,
-                # not identity: a blob loaded from the store does not
-                # share objects between its rect lists.)
-                merge.merged.append(inputs[comp[0]])
-            else:
-                merge.merged.extend(_translated(
-                    child.merged[child_start:child_start + child_len],
-                    source.dx, source.dy))
-            merge.comp_source.append(src)
-        else:
-            merge.merged.extend(merge_group([inputs[i] for i in comp]))
-            merge.comp_source.append(-1)
-        length = len(merge.merged) - start
-        merge.comp_slices.append((start, length))
-        merge.merged_source.extend([merge.comp_source[-1]] * length)
+def _fill_merge(merge: _LayerMerge, view: _View, children, layer: str,
+                crossed: bool) -> None:
+    """Fill ``merge``'s output and id maps from its components, by source.
 
-
-def _merge_concatenated(merge: _LayerMerge, view: _View, children,
-                        layer: str, own_comps: int) -> None:
-    """Fill ``merge`` for a layer with no cross-block edges.
-
-    Every block's cached partition and merge output carries over under
-    offset arithmetic; only the cell's own components (the first
-    ``own_comps``) need the merge computation.
+    An instance whose components are exactly its child's — an isolated one,
+    or any one when no component crossed two sources — replays the child's
+    merge in bulk: its output block by reference, its id lists re-based.
+    Elsewhere each component whose smallest member lies in the source is
+    either one child component, whose output is reused (translated), or is
+    merged here by the flat checker's :func:`merge_group`.
     """
-    inputs = merge.inputs
-    merged = merge.merged
-    merge.child_maps = [None] * len(view.sources)
-    merge.comp_of_input = [0] * merge.offsets[1]
-    for comp_index, comp in enumerate(merge.components[:own_comps]):
-        for member in comp:
-            merge.comp_of_input[member] = comp_index
-        start = len(merged)
-        merged.extend(merge_group([inputs[i] for i in comp]))
-        length = len(merged) - start
-        merge.comp_slices.append((start, length))
-        merge.comp_source.append(-1)
-        merge.merged_source.extend([-1] * length)
-    comp_base = own_comps
-    for k, source in enumerate(view.sources[1:], 1):
-        child = children[k].merges[layer]
-        merge.comp_of_input.extend(c + comp_base for c in child.comp_of_input)
-        comp_base += len(child.components)
-        merged_base = len(merged)
-        merged.extend(_translated(child.merged, source.dx, source.dy))
-        merge.merged_source.extend([k] * len(child.merged))
-        merge.comp_slices.extend((s + merged_base, length)
-                                 for s, length in child.comp_slices)
-        merge.comp_source.extend([k] * len(child.components))
-        merge.child_maps[k] = list(range(merged_base,
-                                         merged_base + len(child.merged)))
+    inputs, offsets, components = merge.inputs, merge.offsets, merge.components
+    comp_of_input = merge.comp_of_input = [0] * len(inputs)
+    comp_slices, fresh = merge.comp_slices, merge.fresh
+    parts: List[_Part] = []
+    merged_count = 0
+    position = 0
+    for k, source in enumerate(view.sources):
+        child = children[k].merges[layer] if k else None
+        if k and (view.isolated[k] or not crossed):
+            comp_of_input[offsets[k]:offsets[k + 1]] = [
+                c + position for c in child.comp_of_input]
+            comp_slices.extend([(start + merged_count, length)
+                                for start, length in child.comp_slices])
+            merge.child_maps.append(range(merged_count,
+                                          merged_count + len(child.merged)))
+            parts.append(_Part(child.merged, source.dx, source.dy))
+            position += len(child.components)
+            merged_count += len(child.merged)
+            merge.merged_starts.append(merged_count)
+            continue
+        placed: List[Rect] = []
+        child_map = [-1] * len(child.merged) if k else None
+        block = inputs.part(k) if k else None
+        end = offsets[k + 1]
+        while position < len(components) and components[position][0] < end:
+            comp = components[position]
+            for member in comp:
+                comp_of_input[member] = position
+            start = merged_count + len(placed)
+            if k and comp[-1] < end:
+                # One child component: its merge output carries over.
+                local = comp[0] - offsets[k]
+                child_start, child_len = child.comp_slices[
+                    child.comp_of_input[local]]
+                for step in range(child_len):
+                    child_map[child_start + step] = start + step
+                if (child_len == 1 and len(comp) == 1
+                        and child.merged[child_start] == child.inputs[local]):
+                    # Singleton component: the merge output is the input
+                    # rect, already placed in this frame.  (Equality, not
+                    # identity: a blob loaded from the store does not
+                    # share objects between its rect lists.)
+                    placed.append(block[local])
+                else:
+                    placed.extend(_translated(
+                        child.merged[child_start:child_start + child_len],
+                        source.dx, source.dy))
+            else:
+                placed.extend(merge_group([inputs[i] for i in comp]))
+                fresh.extend(range(start, merged_count + len(placed)))
+            comp_slices.append((start, merged_count + len(placed) - start))
+            position += 1
+        if k:
+            merge.child_maps.append(child_map)
+        parts.append(_Part(placed))
+        merged_count += len(placed)
+        merge.merged_starts.append(merged_count)
+    merge.merged = parts[0].rects if len(parts) == 1 else _Blocks(parts)
 
 
 def _compose_width(rule: DesignRule, view: _View, child_viols,
@@ -303,14 +314,11 @@ def _compose_width(rule: DesignRule, view: _View, child_viols,
             gid = child_map[ids[0]]
             if gid >= 0:
                 out.append(((gid,), _moved_viol(viol, source.dx, source.dy)))
-    for comp_index, comp_source in enumerate(merge.comp_source):
-        if comp_source != -1:
-            continue
-        start, length = merge.comp_slices[comp_index]
-        for gid in range(start, start + length):
-            viol = width_violation(rule, merge.merged[gid])
-            if viol is not None:
-                out.append(((gid,), viol))
+    merged = merge.merged
+    for gid in merge.fresh:
+        viol = width_violation(rule, merged[gid])
+        if viol is not None:
+            out.append(((gid,), viol))
     return out
 
 
@@ -327,7 +335,7 @@ def _merged_candidates(view: _View, children, layer: str, merge: _LayerMerge,
     return found
 
 
-def _reused_near(source, child: _LayerMerge, child_map: List[int],
+def _reused_near(source, child: _LayerMerge, child_map: Sequence[int],
                  region: Rect, reach: int) -> List[int]:
     """Merged ids reused from one instance that lie within ``reach``."""
     local = region.translated(-source.dx, -source.dy)
@@ -353,12 +361,12 @@ def _compose_spacing(rule: DesignRule, view: _View, children, child_viols,
                 out.append(((ga, gb), _moved_viol(viol, source.dx, source.dy)))
 
     layer_a, layer_b = rule.layers[0], rule.layers[1]
-    new_a = [g for g, s in enumerate(merge_a.merged_source) if s == -1]
+    new_a = merge_a.fresh
     new_index_a = build_index([merge_a.merged[g] for g in new_a])
     if same_layer:
         new_b, new_index_b = new_a, new_index_a
     else:
-        new_b = [g for g, s in enumerate(merge_b.merged_source) if s == -1]
+        new_b = merge_b.fresh
         new_index_b = build_index([merge_b.merged[g] for g in new_b])
 
     def suspects(merge_from: _LayerMerge, layer_from: str,
@@ -368,7 +376,7 @@ def _compose_spacing(rule: DesignRule, view: _View, children, child_viols,
         from_index = merge_from.box_index()
         for j in range(1, len(sources)):
             other_box = merge_other.block_bboxes[j]
-            if other_box is None:
+            if other_box is None or view.isolated[j]:
                 continue
             for k in from_index.near(other_box, margin=reach):
                 if k != j:
@@ -407,9 +415,10 @@ def _compose_spacing(rule: DesignRule, view: _View, children, child_viols,
                                         merge_b.merged[b], reach):
                 pairs.add((a, b))
 
+    fresh_a, fresh_b = set(new_a), set(new_b)
     for a, b in pairs:
-        source_a = merge_a.merged_source[a]
-        if source_a != -1 and source_a == merge_b.merged_source[b]:
+        source_a = merge_a.source_of(a, fresh_a)
+        if source_a != -1 and source_a == merge_b.source_of(b, fresh_b):
             continue  # same-instance pair: the child artifact covered it
         viol = spacing_violation(rule, merge_a.merged[a], merge_b.merged[b])
         if viol is not None:
@@ -431,19 +440,17 @@ def _compose_enclosure(rule: DesignRule, view: _View,
     own_outer = own_view.layer(outer_layer)
     inner_boxes = [source.layer_bbox(inner_layer) for source in sources]
     outer_boxes = [source.layer_bbox(outer_layer) for source in sources]
+    outer_index = _BoxIndex(outer_boxes)
     for k, source in enumerate(sources[1:], 1):
         box_k = inner_boxes[k]
-        if box_k is None:
+        if box_k is None or view.isolated[k]:
             continue
         offset = inner_offsets[k]
         # Foreign instances' outer geometry.
-        for j in range(1, len(sources)):
-            if j == k:
+        for j in outer_index.near(box_k, margin=margin):
+            if j in (0, k) or box_k.distance_to(outer_boxes[j]) > margin:
                 continue
-            other_box = outer_boxes[j]
-            if other_box is None or box_k.distance_to(other_box) > margin:
-                continue
-            for cid in source.probe(inner_layer, other_box, margin=margin):
+            for cid in source.probe(inner_layer, outer_boxes[j], margin=margin):
                 suspect.add(offset + cid)
         # The cell's own outer geometry near this instance.
         if own_outer:
@@ -462,13 +469,10 @@ def _compose_enclosure(rule: DesignRule, view: _View,
 
     for gid in sorted(suspect):
         rect = inner[gid]
-        grown = rect.expanded(margin)
         triggered = False
         nearby: List[Rect] = []
-        for k, source in enumerate(sources):
-            box = outer_boxes[k]
-            if box is None or not grown.touches(box):
-                continue
+        for k in outer_index.near(rect.expanded(margin)):
+            source = sources[k]
             if not triggered and source.probe(outer_layer, rect, strict=True):
                 triggered = True
             for oid in source.probe(outer_layer, rect, margin=margin):
@@ -482,7 +486,7 @@ def _compose_enclosure(rule: DesignRule, view: _View,
 def _compose_exact(rule: DesignRule, view: _View,
                    child_viols) -> List[_Verdict]:
     layer = rule.layers[0]
-    rects = view.layer(layer)
+    own = view.sources[0].view.layer(layer)
     offsets = view.layer_offsets(layer)
     out: List[_Verdict] = []
     for k, source in enumerate(view.sources[1:], 1):
@@ -490,8 +494,8 @@ def _compose_exact(rule: DesignRule, view: _View,
         for ids, viol in child_viols[k]:
             out.append(((offset + ids[0],),
                         _moved_viol(viol, source.dx, source.dy)))
-    for gid in range(offsets[0], offsets[1]):
-        viol = exact_size_violation(rule, rects[gid])
+    for gid in range(offsets[1]):
+        viol = exact_size_violation(rule, own[gid])
         if viol is not None:
             out.append(((gid,), viol))
     return out

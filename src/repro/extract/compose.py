@@ -4,13 +4,16 @@
 view (:mod:`repro.layout.view`) from the artifacts of the view's instances,
 in the flat extractor's five stages — channels, diffusion split, same-layer
 connectivity, contacts / buried straps / labels, per-channel device data.
-Each stage replays a child's cached per-element result (ids re-based by block
-offsets, geometry translated) unless foreign geometry could change it; those
-*suspect* elements are recomputed in the parent's context with the flat
-extractor's own stage functions (:mod:`repro.extract.extractor`), so
-over-marking costs time, never correctness.  :func:`circuit_of` then runs the
-shared circuit finisher over the composed artifact; the netlist is
-byte-identical to :meth:`Extractor.extract` (``tests/test_hier_golden.py``).
+Each stage replays an isolated instance
+(:func:`repro.layout.view.isolated_sources`) as one block: its rect lists
+by reference, its id lists re-based in bulk.  For the other instances it
+replays a child's cached per-element result (ids re-based by block offsets)
+unless foreign geometry could change it; those *suspect* elements are
+recomputed in the parent's context with the flat extractor's own stage
+functions (:mod:`repro.extract.extractor`), so over-marking costs time,
+never correctness.  :func:`circuit_of` then runs the shared circuit finisher
+over the composed artifact; the netlist is byte-identical to
+:meth:`Extractor.extract` (``tests/test_hier_golden.py``).
 
 The composer sees a view and child artifacts only: caching, store keys,
 spans and the collector pause belong to :mod:`repro.analysis.hier`.
@@ -18,6 +21,7 @@ spans and the collector pause belong to :mod:`repro.analysis.hier`.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.extract.extractor import (
@@ -38,10 +42,16 @@ from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.layout.view import (
     _BoxIndex,
+    _Blocks,
+    _Part,
+    _PartsIndex,
     _StoredSlots,
     _View,
+    _listed,
     _translated,
     compose_components,
+    count_sources,
+    frame_free_lists,
 )
 from repro.technology.technology import Technology
 
@@ -64,20 +74,19 @@ class _ExtractArtifact(_StoredSlots):
                  "contact_touch", "buried_touch", "label_hits", "gates",
                  "terminals", "depletion", "_piece_index")
     _TRANSIENT = ("_piece_index",)
-    # ``crossings`` keeps its per-poly tuples: 12 k rects on a 64-tile top,
-    # ~20 ms of a 0.6 s pass.
     _RECT_LISTS = ("diffusion", "channels", "pieces")
 
     def __init__(self) -> None:
-        self.diffusion: List[Rect] = []
+        self.diffusion: Sequence[Rect] = []
         self.diff_offsets: List[int] = [0]     # per (layer, source) blocks
-        # Per poly rect: [(global diffusion id, overlap, covered)] ascending.
-        self.crossings: List[List[Tuple[int, Rect, bool]]] = []
+        # Per poly rect: [(global diffusion id, covered)] ascending; the
+        # overlap is poly rect ∩ diffusion rect.
+        self.crossings: List[List[Tuple[int, bool]]] = []
         # Per poly rect: channel id per crossing (-1 where buried-covered).
         self.chan_of_poly: List[List[int]] = []
-        self.channels: List[Rect] = []
+        self.channels: Sequence[Rect] = []
         self.chan_x_diff: List[List[int]] = []  # per diffusion id, ascending
-        self.pieces: List[Rect] = []
+        self.pieces: Sequence[Rect] = []
         self.piece_slices: List[Tuple[int, int]] = []
         self.piece_edges: List[Tuple[int, int]] = []
         self.poly_comps: List[List[int]] = []
@@ -92,7 +101,7 @@ class _ExtractArtifact(_StoredSlots):
 
     def piece_index(self) -> SpatialIndex:
         if self._piece_index is None:
-            self._piece_index = build_index(self.pieces)
+            self._piece_index = build_index(_listed(self.pieces))
         return self._piece_index
 
 
@@ -100,6 +109,8 @@ def compose_extract(technology: Technology, view: _View,
                     children: Sequence[Optional[_ExtractArtifact]]
                     ) -> _ExtractArtifact:
     """The extraction artifact of ``view``; ``children[k]`` is instance ``k``'s."""
+    if len(view.sources) > 1:
+        count_sources(view)
     build = _Build(technology, view, children)
     _channels(build)
     _split(build)
@@ -116,7 +127,8 @@ def circuit_of(technology: Technology, cell: Cell, view: _View,
     The item enumeration mirrors the flat extractor's exactly (diffusion
     pieces, then poly, then metal, same layer names), so node names, device
     order and the parasitic annotation are identical whenever the composed
-    structure is.
+    structure is.  Items and channels are handed over block by block, each
+    in its own frame: the finisher reads their sizes only.
     """
     poly, metal = view.layer("poly"), view.layer("metal")
     poly_start = len(art.pieces)
@@ -134,7 +146,18 @@ def circuit_of(technology: Technology, cell: Cell, view: _View,
         union_chain(finder, touching)
     return finish_circuit(technology, cell, view.labels, art.label_hits, finder,
                           conducting_items(art.pieces, poly, metal), poly_start,
-                          art.channels, zip(art.gates, art.terminals, art.depletion))
+                          chain.from_iterable(frame_free_lists(art.channels)),
+                          zip(art.gates, art.terminals, art.depletion))
+
+
+def _composed(parts: List[_Part], composed: bool) -> Sequence[Rect]:
+    """A stage's output list: blocks when the view is composed, else the
+    concatenation of its (unmoved) parts."""
+    if composed:
+        return _Blocks(parts)
+    if len(parts) == 1:
+        return parts[0].rects
+    return [rect for part in parts for rect in part.rects]
 
 
 # -- the per-build context ----------------------------------------------------
@@ -148,13 +171,16 @@ class _Build:
     element did not survive as such), the per-source box indexes that
     localize the interface probes, and the candidate queries the stages
     share.  The stages fill ``art`` in order; each reads what the earlier
-    ones left here.
+    ones left here.  An isolated source (``isolated[k]``) is replayed by
+    every stage in bulk and never probed.
     """
 
     def __init__(self, technology: Technology, view: _View,
                  children: Sequence[Optional[_ExtractArtifact]]):
         self.view = view
         self.sources = sources = view.sources
+        self.isolated = view.isolated
+        self.composed = len(sources) > 1
         self.children = children
         self.art = art = _ExtractArtifact()
         self.DL = DL = [name for name in ("diffusion", "active")
@@ -167,6 +193,8 @@ class _Build:
 
         # Global diffusion list: layer-major, source blocks within a layer —
         # exactly the flat extractor's `[r for layer in DL for r in rects]`.
+        # Its blocks are the view's own (so a block placed for one is placed
+        # for both).
         self.diff_map: List[Optional[List[int]]] = [None] + [
             [0] * len(children[k].diffusion) for k in range(1, len(sources))
         ]
@@ -178,11 +206,15 @@ class _Build:
             for layer in DL:
                 starts.append(starts[-1] + len(source.view.layer(layer)))
             self.child_layer_starts.append(starts)
+        parts: List[_Part] = []
         for layer_pos, layer in enumerate(DL):
-            # The concat shares the view's already-materialized rect lists.
+            rects = view.layer(layer)
             offs = view.layer_offsets(layer)
-            base = len(art.diffusion)
-            art.diffusion.extend(view.layer(layer))
+            base = art.diff_offsets[-1]
+            if isinstance(rects, _Blocks):
+                parts.extend(rects.parts)
+            else:
+                parts.extend([_Part(rects)] + [_Part([])] * (len(sources) - 1))
             self.own_diff_ids.extend(range(base, base + offs[1]))
             art.diff_offsets.append(base + offs[1])
             for k in range(1, len(sources)):
@@ -193,6 +225,7 @@ class _Build:
                 start = base + offs[k]
                 self.diff_map[k][child_start:child_start + offs[k + 1] - offs[k]] = \
                     range(start, base + offs[k + 1])
+        art.diffusion = _composed(parts, self.composed)
 
         diff_boxes: List[Optional[Rect]] = []
         for source in sources:
@@ -228,14 +261,17 @@ class _Build:
             device_boxes.append(box)
         self.chan_box_index = _BoxIndex(chan_boxes, skip_first=True)
         self.device_box_index = _BoxIndex(device_boxes, skip_first=True)
+        # The instances that are not replayed, by touching bbox.
+        self.interface_index = _BoxIndex([
+            box if k and not self.isolated[k] else None
+            for k, box in enumerate(self.src_bbox)])
 
         # Left by the stages for the later ones.
         self.fresh_channels: Set[int] = set()
-        self.chan_map: List[Optional[List[int]]] = [None] + [
+        self.chan_starts: List[int] = [0]        # per source, channel ids
+        self.chan_map: List[Optional[Sequence[int]]] = [None] + [
             [-1] * len(children[k].channels) for k in range(1, len(sources))
         ]
-        # Per-block interface flag: does a foreign channel extent reach it?
-        self.chan_foreign = [False] * len(sources)
         self.piece_map: List[Optional[List[int]]] = [None] + [
             [-1] * len(children[k].pieces) for k in range(1, len(sources))
         ]
@@ -244,6 +280,14 @@ class _Build:
         # Set by index_items() once the pieces are final.
         self.wire_layers: List[Tuple[str, _BoxIndex, int]] = []
         self.item_maps: List[Optional[Tuple[List[int], int, int, int, int]]] = []
+
+    def diffusion_block(self, block: int) -> Sequence[Rect]:
+        """The diffusion rects of one (layer, source) block, placed."""
+        diffusion = self.art.diffusion
+        if isinstance(diffusion, _Blocks):
+            return diffusion.part(block)
+        offsets = self.art.diff_offsets
+        return diffusion[offsets[block]:offsets[block + 1]]
 
     # -- candidate queries ----------------------------------------------------
 
@@ -311,6 +355,15 @@ class _Build:
             return poly_base + item
         return metal_base + item
 
+    def rebased_items(self, k: int, rows: Sequence[Sequence[int]]
+                      ) -> List[List[int]]:
+        """Instance ``k``'s per-element item id lists, all re-based at once
+        (a replayed instance's items all survive)."""
+        pmap, pieces_end, poly_end, poly_base, metal_base = self.item_maps[k]
+        return [[pmap[item] if item < pieces_end
+                 else poly_base + item if item < poly_end
+                 else metal_base + item for item in row] for row in rows]
+
     def index_items(self) -> None:
         """Freeze the item id spaces once the pieces are final (stage 2)."""
         poly_start = len(self.art.pieces)
@@ -333,9 +386,8 @@ class _Build:
 def _channels(build: _Build) -> None:
     art, sources, children = build.art, build.sources, build.children
     poly, poly_offsets = build.poly, build.poly_offsets
-    diff_boxes, src_bbox = build.diff_boxes, build.src_bbox
-    buried_box_index, chan_box_index = build.buried_box_index, build.chan_box_index
-    diffusion, channels = art.diffusion, art.channels
+    diff_boxes, buried_box_index = build.diff_boxes, build.buried_box_index
+    diffusion = art.diffusion
     fresh_channels = build.fresh_channels
     buried = build.view.layer("buried")
 
@@ -344,58 +396,54 @@ def _channels(build: _Build) -> None:
             "buried", buried_box_index, overlap))
 
     suspect_poly: Set[int] = set(range(poly_offsets[0], poly_offsets[1]))
-    for k, source in enumerate(sources[1:], 1):
+    for k in build.interface_index.ids:
         box_k = build.poly_boxes[k]
         if box_k is None:
             continue
         offset = poly_offsets[k]
-        for j in range(len(sources)):
-            if j == k:
-                continue
-            diff_box = diff_boxes[j]
-            if diff_box is None or not box_k.overlaps(diff_box, strict=True):
-                continue
-            for cid in source.probe("poly", diff_box, strict=True):
-                suspect_poly.add(offset + cid)
+        for j in build.diff_box_index.near(box_k, strict=True):
+            if j != k:
+                for cid in sources[k].probe("poly", diff_boxes[j], strict=True):
+                    suspect_poly.add(offset + cid)
 
-    # Per-block interface flags: a block well clear of every other source's
-    # relevant geometry skips the per-element checks entirely.
-    buried_foreign = [False] * len(sources)
-    for k in range(1, len(sources)):
-        box = src_bbox[k]
-        if box is None:
-            continue
-        buried_foreign[k] = any(j != k for j in buried_box_index.near(box))
-        diff_box = diff_boxes[k]
-        if diff_box is not None:
-            build.chan_foreign[k] = any(
-                j != k for j in chan_box_index.near(diff_box, strict=True))
-
+    parts: List[_Part] = []
+    channel_count = 0
     seen_channels: Dict[Rect, int] = {}
     for src, source in enumerate(sources):
         child = children[src]
         cmap = build.diff_map[src]
-        chan_map = build.chan_map[src]
-        check_buried = src == 0 or buried_foreign[src]
-        dx, dy = source.dx, source.dy
-        moves = src > 0 and (dx or dy)
         poly_base = poly_offsets[src]
+        if src and build.isolated[src]:
+            # Replayed: the child's channels, crossings re-based in bulk.
+            art.crossings.extend([[(cmap[d], covered) for d, covered in row]
+                                  for row in child.crossings])
+            art.chan_of_poly.extend([[c + channel_count if c >= 0 else -1
+                                      for c in row]
+                                     for row in child.chan_of_poly])
+            build.chan_map[src] = range(channel_count,
+                                        channel_count + len(child.channels))
+            parts.append(_Part(child.channels, source.dx, source.dy))
+            channel_count += len(child.channels)
+            build.chan_starts.append(channel_count)
+            continue
+        chan_map = build.chan_map[src]
+        polys = poly.part(src) if isinstance(poly, _Blocks) else poly
+        own_channels: List[Rect] = []
         for p_gid in range(poly_base, poly_offsets[src + 1]):
+            poly_rect = polys[p_gid - poly_base]
             crossings: List[Tuple[int, Rect, bool]] = []
             channel_ids: List[int] = []
             reused = src > 0 and p_gid not in suspect_poly
             if reused:
-                for d_local, overlap, covered in child.crossings[p_gid - poly_base]:
-                    if moves:
-                        overlap = overlap.translated(dx, dy)
+                for d_local, covered in child.crossings[p_gid - poly_base]:
+                    d_gid = cmap[d_local]
+                    overlap = poly_rect.intersection(diffusion[d_gid])
                     # The buried-cover verdict can flip if foreign buried
                     # material reaches the crossing.
-                    if check_buried and any(
-                            j != src for j in buried_box_index.near(overlap)):
+                    if any(j != src for j in buried_box_index.near(overlap)):
                         covered = buried_over(overlap)
-                    crossings.append((cmap[d_local], overlap, covered))
+                    crossings.append((d_gid, overlap, covered))
             else:
-                poly_rect = poly[p_gid]
                 for d_gid, overlap in diffusion_crossings(
                         poly_rect, diffusion,
                         build.diffusion_candidates(poly_rect, strict=True)):
@@ -406,8 +454,8 @@ def _channels(build: _Build) -> None:
                     continue
                 cid = seen_channels.get(overlap)
                 if cid is None:
-                    cid = len(channels)
-                    channels.append(overlap)
+                    cid = channel_count + len(own_channels)
+                    own_channels.append(overlap)
                     seen_channels[overlap] = cid
                 channel_ids.append(cid)
                 if reused:
@@ -416,8 +464,13 @@ def _channels(build: _Build) -> None:
                         chan_map[child_cid] = cid
                 else:
                     fresh_channels.add(cid)
-            art.crossings.append(crossings)
+            art.crossings.append([(d_gid, covered)
+                                  for d_gid, _overlap, covered in crossings])
             art.chan_of_poly.append(channel_ids)
+        parts.append(_Part(own_channels))
+        channel_count += len(own_channels)
+        build.chan_starts.append(channel_count)
+    art.channels = _composed(parts, build.composed)
 
 
 # -- stage 2: split diffusion by crossing channels ----------------------------
@@ -425,28 +478,38 @@ def _channels(build: _Build) -> None:
 
 def _split(build: _Build) -> None:
     art, sources, children = build.art, build.sources, build.children
-    diffusion, channels, pieces = art.diffusion, art.channels, art.pieces
-    diff_offsets, chan_box_index = art.diff_offsets, build.chan_box_index
+    channels, diff_offsets = art.channels, art.diff_offsets
+    chan_box_index, isolated = build.chan_box_index, build.isolated
     blocks = len(sources)
 
     suspect_diff: Set[int] = set(build.own_diff_ids)
     for layer_pos in range(len(build.DL)):
-        for src in range(1, blocks):
-            if not build.chan_foreign[src]:
-                # Reused channels of other instances lie inside their
-                # poly ∩ diffusion extents, none of which reach this
-                # block; fresh channels are handled below.
-                continue
+        for src in build.interface_index.ids:
             block = layer_pos * blocks + src
-            for d_gid in range(diff_offsets[block], diff_offsets[block + 1]):
-                if any(j != src for j in chan_box_index.near(
-                        diffusion[d_gid], strict=True)):
-                    suspect_diff.add(d_gid)
+            start = diff_offsets[block]
+            for row, d_rect in enumerate(build.diffusion_block(block)):
+                if any(j != src for j in chan_box_index.near(d_rect,
+                                                             strict=True)):
+                    suspect_diff.add(start + row)
     for cid in build.fresh_channels:
         suspect_diff.update(build.diffusion_candidates(channels[cid],
                                                        strict=True))
 
-    channel_index = build_index(channels)
+    # Only diffusion of the own cell and the interface instances is ever
+    # split here, and only their channels can cross it: index those, once
+    # something needs it.
+    channel_index = None
+
+    def crossing_channels(d_rect: Rect) -> List[int]:
+        nonlocal channel_index
+        if channel_index is None:
+            channel_index = (_PartsIndex(channels, [
+                k for k in range(blocks) if not isolated[k]])
+                if build.composed else build_index(channels))
+        return channel_index.query(d_rect, strict=True)
+
+    parts: List[_Part] = []
+    piece_count = 0
     for layer_pos in range(len(build.DL)):
         for src, source in enumerate(sources):
             block = layer_pos * blocks + src
@@ -454,21 +517,43 @@ def _split(build: _Build) -> None:
             cmap = build.chan_map[src]
             pmap = build.piece_map[src]
             block_start = diff_offsets[block]
+            rows = diff_offsets[block + 1] - block_start
             # This block's first id among the child's own diffusion ids.
-            local_shift = (build.child_layer_starts[src][layer_pos] - block_start
-                           if src else 0)
-            for d_gid in range(block_start, diff_offsets[block + 1]):
-                d_rect = diffusion[d_gid]
+            child_start = build.child_layer_starts[src][layer_pos] if src else 0
+            if src and isolated[src]:
+                # Replayed: the child's pieces of this layer, by reference
+                # (a slice only where the technology has several diffusion
+                # layers), their id lists re-based.
+                slices = child.piece_slices[child_start:child_start + rows]
+                p_lo = slices[0][0] if rows else 0
+                p_hi = slices[-1][0] + slices[-1][1] if rows else 0
+                shift = piece_count - p_lo
+                art.piece_slices.extend([(start + shift, length)
+                                         for start, length in slices])
+                art.chan_x_diff.extend([
+                    [cmap[c] for c in crossing]
+                    for crossing in child.chan_x_diff[child_start:child_start + rows]])
+                pmap[p_lo:p_hi] = range(p_lo + shift, p_hi + shift)
+                whole = p_lo == 0 and p_hi == len(child.pieces)
+                parts.append(_Part(child.pieces if whole
+                                   else child.pieces[p_lo:p_hi],
+                                   source.dx, source.dy))
+                piece_count += p_hi - p_lo
+                continue
+            local_shift = child_start - block_start
+            pieces: List[Rect] = []
+            for row, d_rect in enumerate(build.diffusion_block(block)):
+                d_gid = block_start + row
                 if src >= 1 and d_gid not in suspect_diff:
                     d_local = d_gid + local_shift
                     child_cross = child.chan_x_diff[d_local]
                     if all(cmap[c] >= 0 for c in child_cross):
-                        start = len(pieces)
+                        start = piece_count + len(pieces)
                         p_start, p_len = child.piece_slices[d_local]
                         if (p_len == 1 and child.pieces[p_start]
                                 == child.diffusion[d_local]):
                             # Unsplit rectangle: the piece is the diffusion
-                            # rect, already materialized in this frame.
+                            # rect, already placed in this frame.
                             pieces.append(d_rect)
                         else:
                             pieces.extend(_translated(
@@ -478,16 +563,18 @@ def _split(build: _Build) -> None:
                         art.piece_slices.append((start, p_len))
                         art.chan_x_diff.append(sorted(cmap[c] for c in child_cross))
                         continue
-                crossing_ids = channel_index.query(d_rect, strict=True)
-                start = len(pieces)
+                crossing_ids = crossing_channels(d_rect)
+                start = piece_count + len(pieces)
                 pieces.extend(split_by_channels(
                     d_rect, [channels[i] for i in crossing_ids]))
-                art.piece_slices.append((start, len(pieces) - start))
+                build.new_pieces.extend(range(start, piece_count + len(pieces)))
+                art.piece_slices.append((start, piece_count + len(pieces) - start))
                 art.chan_x_diff.append(list(crossing_ids))
+            parts.append(_Part(pieces))
+            piece_count += len(pieces)
+    art.pieces = _composed(parts, build.composed)
 
-    mapped = {gid for pmap in build.piece_map[1:] for gid in pmap if gid >= 0}
-    build.new_pieces = [g for g in range(len(pieces)) if g not in mapped]
-    build.new_piece_index = build_index([pieces[g] for g in build.new_pieces])
+    build.new_piece_index = build_index([art.pieces[g] for g in build.new_pieces])
     build.index_items()
 
 
@@ -501,6 +588,11 @@ def _connectivity(build: _Build) -> None:
     edge_set: Set[Tuple[int, int]] = set()
     for k in range(1, len(sources)):
         pmap = piece_map[k]
+        if build.isolated[k]:
+            # Every piece survives and the map is a shift: order holds.
+            edge_set.update([(pmap[i], pmap[j])
+                             for i, j in children[k].piece_edges])
+            continue
         for i, j in children[k].piece_edges:
             gi, gj = pmap[i], pmap[j]
             if gi >= 0 and gj >= 0:
@@ -509,20 +601,17 @@ def _connectivity(build: _Build) -> None:
         for other in build.piece_candidates(pieces[gid]):
             if other != gid:
                 edge_set.add((gid, other) if gid < other else (other, gid))
-    # Cross-instance abutments between reused pieces.
-    for k in range(1, len(sources)):
-        child_k, box_k = children[k], src_bbox[k]
-        if not child_k.pieces or box_k is None:
-            continue
-        pmap_k = piece_map[k]
-        source_k = sources[k]
-        for j in range(k + 1, len(sources)):
-            child_j, box_j = children[j], src_bbox[j]
-            if not child_j.pieces or box_j is None or not box_k.touches(box_j):
+    # Abutments between reused pieces of two interface instances.
+    abutting = _BoxIndex([box if k and not build.isolated[k]
+                          and children[k].pieces else None
+                          for k, box in enumerate(src_bbox)])
+    for k in abutting.ids:
+        child_k, pmap_k, source_k = children[k], piece_map[k], sources[k]
+        for j in abutting.near(src_bbox[k]):
+            if j <= k:
                 continue
-            pmap_j = piece_map[j]
-            source_j = sources[j]
-            local_k = box_j.translated(-source_k.dx, -source_k.dy)
+            child_j, pmap_j, source_j = children[j], piece_map[j], sources[j]
+            local_k = src_bbox[j].translated(-source_k.dx, -source_k.dy)
             for ck in child_k.piece_index().query(local_k):
                 gk = pmap_k[ck]
                 if gk < 0:
@@ -542,14 +631,15 @@ def _connectivity(build: _Build) -> None:
 def _layer_components(view: _View, layer: str,
                       child_comps: Sequence[Optional[List[List[int]]]]
                       ) -> List[List[int]]:
-    sources = view.sources
+    sources, isolated = view.sources, view.isolated
     block_comps = [sources[0].view.index(layer).connected_components()]
     block_comps.extend(child_comps[1:])
     components, _crossed = compose_components(
         view.layer(layer), view.layer_offsets(layer), block_comps,
-        [source.view.index(layer) for source in sources],
+        [None if isolated[k] else source.view.index(layer)
+         for k, source in enumerate(sources)],
         [(source.dx, source.dy) for source in sources],
-        [source.layer_bbox(layer) for source in sources])
+        [source.layer_bbox(layer) for source in sources], isolated)
     return components
 
 
@@ -558,7 +648,7 @@ def _layer_components(view: _View, layer: str,
 
 def _contacts_and_labels(build: _Build) -> None:
     art, view, sources = build.art, build.view, build.sources
-    children, src_bbox, DL = build.children, build.src_bbox, build.DL
+    children, DL = build.children, build.DL
     art.contact_touch = _compose_touch(build, "contact", strict=False,
                                        include_metal=True)
     art.buried_touch = _compose_touch(build, "buried", strict=True,
@@ -567,33 +657,21 @@ def _contacts_and_labels(build: _Build) -> None:
     poly_start = len(art.pieces)
     metal_start = poly_start + len(build.poly)
     label_offsets = view.label_offsets
-    # Which other sources could a block's labels land on?  Usually none.
-    # Exact for a label inside its own source's bbox; that bbox spans shapes
-    # only, so a label may lie outside it and is then located by the index.
-    foreign_near = [[j for j in range(len(sources))
-                     if j != k and src_bbox[j] is not None
-                     and src_bbox[k] is not None
-                     and src_bbox[k].touches(src_bbox[j])]
-                    for k in range(len(sources))]
-    src_box_index = _BoxIndex(src_bbox)
+    src_box_index = _BoxIndex(build.src_bbox)
     for src in range(len(sources)):
-        near = foreign_near[src]
-        own_box = src_bbox[src]
         child = children[src]
         offset = label_offsets[src]
+        if src and build.isolated[src]:
+            # Shifts keep each sorted list sorted.
+            art.label_hits.extend(build.rebased_items(src, child.label_hits))
+            continue
         for l_gid in range(offset, label_offsets[src + 1]):
             label = view.labels[l_gid]
-            position = label.position
             probe = label_probe(label)
-            if src == 0:
-                recompute = True
-            elif own_box is not None and own_box.contains_point(position):
-                recompute = any(src_bbox[j].contains_point(position)
-                                for j in near)
-            else:
-                recompute = any(j != src for j in src_box_index.near(probe))
+            # The child's hits stand unless another source's shapes reach
+            # the label's position (which may lie outside its own shapes).
             hits: Optional[List[int]] = None
-            if not recompute:
+            if src and not any(j != src for j in src_box_index.near(probe)):
                 mapped_hits = [build.map_item(src, item)
                                for item in child.label_hits[l_gid - offset]]
                 if all(g >= 0 for g in mapped_hits):
@@ -608,15 +686,15 @@ def _compose_touch(build: _Build, layer: str, strict: bool,
                    include_metal: bool) -> List[List[int]]:
     """Per ``layer`` rect (contact cut or buried strap): the items it joins."""
     view, sources, src_bbox = build.view, build.sources, build.src_bbox
-    own_view = build.own_view
+    own_view, interface = build.own_view, build.interface_index
     rects = view.layer(layer)
     offsets = view.layer_offsets(layer)
     own_cond_layers = [own_layer for own_layer in (build.DL + ["poly", "metal"])
                        if own_view.layer(own_layer)]
     suspect: Set[int] = set(range(offsets[0], offsets[1]))
-    for k, source in enumerate(sources[1:], 1):
-        box_k = src_bbox[k]
-        if not source.view.layer(layer) or box_k is None:
+    for k in interface.ids:
+        source, box_k = sources[k], src_bbox[k]
+        if not source.view.layer(layer):
             continue
         offset = offsets[k]
         # The cell's own conducting rects near this instance.
@@ -625,12 +703,12 @@ def _compose_touch(build: _Build, layer: str, strict: bool,
             for oid in own_view.index(own_layer).query(box_k):
                 for cid in source.probe(layer, own_rects[oid], strict=strict):
                     suspect.add(offset + cid)
-        for j in range(1, len(sources)):
-            box = src_bbox[j]
-            if j == k or box is None or not box_k.touches(box):
-                continue
-            for cid in source.probe(layer, box, strict=strict):
-                suspect.add(offset + cid)
+        # Other interface instances touching it (a replayed one touches
+        # nothing).
+        for j in interface.near(box_k):
+            if j != k:
+                for cid in source.probe(layer, src_bbox[j], strict=strict):
+                    suspect.add(offset + cid)
     result: List[List[int]] = []
     map_item = build.map_item
     for src in range(len(sources)):
@@ -638,6 +716,9 @@ def _compose_touch(build: _Build, layer: str, strict: bool,
             child = build.children[src]
             child_touch = (child.contact_touch if layer == "contact"
                            else child.buried_touch)
+            if build.isolated[src]:
+                result.extend(build.rebased_items(src, child_touch))
+                continue
         base = offsets[src]
         for gid in range(base, offsets[src + 1]):
             if src and gid not in suspect:
@@ -662,58 +743,61 @@ def _devices(build: _Build) -> None:
     own_probe_indexes = [own_view.index(layer)
                          for layer in (build.DL + ["poly", "implant"])
                          if own_view.layer(layer)]
-    reverse_chan: List[int] = [-1] * len(art.channels)
-    reverse_local: List[int] = [-1] * len(art.channels)
-    for k in range(1, len(sources)):
+    # Which interface instance each reused channel came from (the first
+    # one to map it), and its id there.
+    reused_from: Dict[int, Tuple[int, int]] = {}
+    for k in build.interface_index.ids:
         for child_cid, gid in enumerate(build.chan_map[k]):
-            if gid >= 0 and reverse_chan[gid] == -1:
-                reverse_chan[gid] = k
-                reverse_local[gid] = child_cid
+            if gid >= 0 and gid not in reused_from:
+                reused_from[gid] = (k, child_cid)
 
-    # Per-block fast path: a block with no foreign device geometry and no
-    # own-cell poly/diffusion/implant near it keeps every reused channel's
-    # verdicts without any per-channel probing.
-    block_isolated = [False] * len(sources)
-    for k in range(1, len(sources)):
-        box = build.src_bbox[k]
-        block_isolated[k] = (
-            box is not None
-            and not any(j != k for j in device_box_index.near(box))
-            and not any(index.query(box) for index in own_probe_indexes))
-
-    for cid, channel in enumerate(art.channels):
-        src = reverse_chan[cid]
-        valid = src >= 1 and cid not in fresh_channels
-        if valid and not block_isolated[src]:
-            # Foreign device geometry, or the cell's own poly / diffusion /
-            # implant, can also supply a gate, terminal or implant cover;
-            # probe precisely (own extents often span the whole cell).
-            valid = not (
-                any(j != src for j in device_box_index.near(channel))
-                or any(index.query(channel) for index in own_probe_indexes))
-        gate_gid: Optional[int] = None
-        terminals: Optional[List[int]] = None
-        depletion = False
-        if valid:
-            child = children[src]
-            child_cid = reverse_local[cid]
-            pmap = piece_map[src]
-            mapped_terms = [pmap[p] for p in child.terminals[child_cid]]
-            if all(g >= 0 for g in mapped_terms):
-                terminals = mapped_terms
-                depletion = child.depletion[child_cid]
-                child_gate = child.gates[child_cid]
-                if child_gate is not None:
-                    gate_gid = poly_offsets[src] + child_gate
-            else:
-                valid = False
-        if not valid:
-            gate_gid = gate_item(poly, build.layer_candidates(
-                "poly", build.poly_box_index, channel), channel)
-            terminals = adjacent_piece_ids(
-                art.pieces, build.piece_candidates(channel), channel)
-            depletion = covers(channel, implant, build.layer_candidates(
-                "implant", build.implant_box_index, channel))
-        art.gates.append(gate_gid)
-        art.terminals.append(terminals)
-        art.depletion.append(depletion)
+    channels = art.channels
+    for src in range(len(sources)):
+        if src and build.isolated[src]:
+            child, pmap = children[src], piece_map[src]
+            gate_base = poly_offsets[src]
+            art.gates.extend([None if gate is None else gate_base + gate
+                              for gate in child.gates])
+            art.terminals.extend([[pmap[p] for p in terminals]
+                                  for terminals in child.terminals])
+            art.depletion.extend(child.depletion)
+            continue
+        block = channels.part(src) if build.composed else channels
+        first = build.chan_starts[src]
+        for cid in range(first, build.chan_starts[src + 1]):
+            channel = block[cid - first]
+            origin = reused_from.get(cid)
+            valid = origin is not None and cid not in fresh_channels
+            if valid:
+                # Foreign device geometry, or the cell's own poly /
+                # diffusion / implant, can also supply a gate, terminal or
+                # implant cover.
+                valid = not (
+                    any(j != origin[0] for j in device_box_index.near(channel))
+                    or any(index.query(channel) for index in own_probe_indexes))
+            gate_gid: Optional[int] = None
+            terminals: Optional[List[int]] = None
+            depletion = False
+            if valid:
+                k, child_cid = origin
+                child = children[k]
+                pmap = piece_map[k]
+                mapped_terms = [pmap[p] for p in child.terminals[child_cid]]
+                if all(g >= 0 for g in mapped_terms):
+                    terminals = mapped_terms
+                    depletion = child.depletion[child_cid]
+                    child_gate = child.gates[child_cid]
+                    if child_gate is not None:
+                        gate_gid = poly_offsets[k] + child_gate
+                else:
+                    valid = False
+            if not valid:
+                gate_gid = gate_item(poly, build.layer_candidates(
+                    "poly", build.poly_box_index, channel), channel)
+                terminals = adjacent_piece_ids(
+                    art.pieces, build.piece_candidates(channel), channel)
+                depletion = covers(channel, implant, build.layer_candidates(
+                    "implant", build.implant_box_index, channel))
+            art.gates.append(gate_gid)
+            art.terminals.append(terminals)
+            art.depletion.append(depletion)

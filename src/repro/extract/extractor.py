@@ -33,6 +33,7 @@ from repro.runtime import gc_paused
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
+from repro.layout.view import frame_free_lists
 from repro.netlist.switch_sim import SwitchNetwork, Transistor, TransistorKind
 from repro.technology.technology import Technology
 from repro.timing.parasitics import (
@@ -355,11 +356,19 @@ def declare_ports(network: SwitchNetwork, declared: Dict[str, object],
 
 
 def conducting_items(pieces: Sequence[Rect], poly: Sequence[Rect],
-                     metal: Sequence[Rect]) -> List[Tuple[str, Rect]]:
-    """The finisher's item enumeration: diffusion pieces, then poly, then metal."""
-    return ([("diffusion", rect) for rect in pieces]
-            + [("poly", rect) for rect in poly]
-            + [("metal", rect) for rect in metal])
+                     metal: Sequence[Rect]) -> List[Tuple[str, Sequence[Rect]]]:
+    """The finisher's item enumeration, as ``(layer, rects)`` blocks:
+    diffusion pieces, then poly, then metal.
+
+    A composed list contributes the lists it is made of, each in the frame
+    it was built in (:func:`repro.layout.view.frame_free_lists`): what the
+    finisher reads of an item — its layer, width and height — does not
+    depend on the frame, so no block is placed to read it.
+    """
+    return [(layer, rects)
+            for layer, listed in (("diffusion", pieces), ("poly", poly),
+                                  ("metal", metal))
+            for rects in frame_free_lists(listed)]
 
 
 def union_chain(finder: UnionFind, ids: Sequence[int], base: int = 0) -> None:
@@ -370,21 +379,23 @@ def union_chain(finder: UnionFind, ids: Sequence[int], base: int = 0) -> None:
 
 def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
                    label_hits: Iterable[Sequence[int]], finder: UnionFind,
-                   items: Sequence[Tuple[str, Rect]], poly_start: int,
-                   channels: Sequence[Rect],
+                   items: Sequence[Tuple[str, Sequence[Rect]]], poly_start: int,
+                   channels: Iterable[Rect],
                    devices: Iterable[Tuple[Optional[int], Sequence[int], bool]]
                    ) -> ExtractedCircuit:
     """Node naming, device emission, ports and parasitics: the circuit.
 
-    ``items`` are the conducting rectangles (diffusion pieces, then poly
-    from ``poly_start``, then metal) that ``finder`` partitions into
-    electrical nodes; ``label_hits`` runs parallel to ``labels`` and
-    ``devices`` — ``(gate poly id, terminal piece ids, is depletion)`` —
-    parallel to ``channels``.  A group takes the first label that hits it,
-    except that the first supply label (vdd/gnd) to hit always wins; the
-    anonymous names (``n0``, ``n1``, ...) and device names follow the whole
-    design's group and channel enumeration, which is why this stage runs on
-    the analysed cell as a whole in both extraction paths.
+    ``items`` are the conducting rectangles as :func:`conducting_items`
+    blocks (diffusion pieces, then poly from ``poly_start``, then metal)
+    that ``finder`` partitions into electrical nodes; ``label_hits`` runs
+    parallel to ``labels`` and ``devices`` — ``(gate poly id, terminal piece
+    ids, is depletion)`` — parallel to ``channels``.  Item and channel
+    rectangles are read for their size only, so any frame will do.  A group
+    takes the first label that hits it, except that the first supply label
+    (vdd/gnd) to hit always wins; the anonymous names (``n0``, ``n1``, ...)
+    and device names follow the whole design's group and channel
+    enumeration, which is why this stage runs on the analysed cell as a
+    whole in both extraction paths.
     """
     first_hit: Dict[int, str] = {}
     supply_hit: Dict[int, str] = {}
@@ -392,7 +403,7 @@ def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
     for label, hits in zip(labels, label_hits):
         apply_label(label, hits, find, supply_hit, first_hit)
     groups: Dict[int, List[int]] = {}
-    for item in range(len(items)):
+    for item in range(sum(len(rects) for _layer, rects in items)):
         groups.setdefault(find(item), []).append(item)
     names, node_of_item = resolve_node_names(groups, supply_hit, first_hit)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -248,33 +249,43 @@ def unpack_rects(packed: array) -> List[Rect]:
 def merged_area(rects: Iterable[Rect]) -> int:
     """Total area covered by a set of possibly-overlapping rectangles.
 
-    Uses a simple coordinate-compression sweep; adequate for the design sizes
-    this toolchain targets (thousands of rectangles per cell).
+    An active-interval sweep in x: each rectangle's y-interval is active
+    between its left and right edges, and each slab between two event
+    abscissae adds the covered length of the active intervals times its
+    width.  Work per slab is proportional to the rectangles crossing it,
+    not to all of them; :func:`repro.reference.geometry.column_merged_area`
+    is the per-column rescan this replaced, kept as the oracle.
     """
-    rect_list = [r for r in rects if not r.is_degenerate]
-    if not rect_list:
-        return 0
-    xs = sorted({r.x1 for r in rect_list} | {r.x2 for r in rect_list})
+    events: List[Tuple[int, int, int, int]] = []
+    for r in rects:
+        if r.x1 != r.x2 and r.y1 != r.y2:
+            events.append((r.x1, 1, r.y1, r.y2))
+            events.append((r.x2, 0, r.y1, r.y2))
+    events.sort()
+    active: List[Tuple[int, int]] = []          # sorted y-intervals
     total = 0
-    for left, right in zip(xs, xs[1:]):
-        column_width = right - left
-        if column_width == 0:
-            continue
-        spans: List[Tuple[int, int]] = sorted(
-            (r.y1, r.y2) for r in rect_list if r.x1 <= left and r.x2 >= right
-        )
-        covered = 0
-        current_start: Optional[int] = None
-        current_end: Optional[int] = None
-        for y1, y2 in spans:
-            if current_end is None:
-                current_start, current_end = y1, y2
-            elif y1 <= current_end:
-                current_end = max(current_end, y2)
-            else:
-                covered += current_end - current_start
-                current_start, current_end = y1, y2
-        if current_end is not None:
-            covered += current_end - current_start
-        total += covered * column_width
+    left = None
+    for x, entering, y1, y2 in events:
+        if x != left:
+            if active:
+                total += _covered_length(active) * (x - left)
+            left = x
+        if entering:
+            insort(active, (y1, y2))
+        else:
+            del active[bisect_left(active, (y1, y2))]
     return total
+
+
+def _covered_length(intervals: List[Tuple[int, int]]) -> int:
+    """Length of the union of sorted ``(start, end)`` intervals."""
+    covered = 0
+    end: Optional[int] = None
+    for y1, y2 in intervals:
+        if end is None or y1 > end:
+            if end is not None:
+                covered += end - start
+            start, end = y1, y2
+        elif y2 > end:
+            end = y2
+    return covered if end is None else covered + end - start

@@ -2,8 +2,8 @@
 
 A :class:`_View` is the flat geometry of one cell in one orientation's
 frame, remembered as *blocks*: the cell's own shapes first, then one block
-per instance, each a translated copy of the child's view.  Two ideas make
-exact composition of per-cell analysis results possible on top of it:
+per instance, each the child's view placed by a translation.  Three ideas
+make exact composition of per-cell analysis results possible on top of it:
 
 1.  **Oriented frames.**  A child's view is built in the instance's
     *oriented frame* (the child's flat geometry transformed by the placement
@@ -21,11 +21,20 @@ exact composition of per-cell analysis results possible on top of it:
     hits, ...) are replayed by translating their locations and re-basing
     their ids.
 
+3.  **Blocks by reference.**  That concatenation is a :class:`_Blocks`: each
+    block (:class:`_Part`) holds the child's list itself plus the
+    translation, and builds the translated copy only the first time one of
+    its rects is read by id.  The view decides once which instances are
+    *isolated* (:func:`isolated_sources`): nothing else comes within the
+    technology's interaction reach of them, so every composer replays them
+    as one block — ids re-based in bulk, rects never placed — and runs its
+    interface pass over the rest.
+
 This module owns the view, its builder (with the collapse rule for tiling
-arrays of tiny cells), the per-source probes the composers' interface passes
-use, the shared touching-partition composition, and the pickled form every
-composable artifact shares (:class:`_StoredSlots`).  The composers live
-beside their flat engines: :mod:`repro.drc.compose`,
+arrays of tiny cells), the block lists, the per-source probes the composers'
+interface passes use, the shared touching-partition composition, and the
+pickled form every composable artifact shares (:class:`_StoredSlots`).  The
+composers live beside their flat engines: :mod:`repro.drc.compose`,
 :mod:`repro.extract.compose`; the scheduler that caches what they build is
 :mod:`repro.analysis.hier`.
 """
@@ -33,7 +42,9 @@ beside their flat engines: :mod:`repro.drc.compose`,
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.geometry.index import SpatialIndex, UnionFind, build_index
 from repro.geometry.path import Path
@@ -42,49 +53,222 @@ from repro.geometry.rect import Rect, merged_area, pack_rects, unpack_rects
 from repro.geometry.transform import Orientation, Transform
 from repro.layout.cell import Cell
 from repro.layout.shapes import Label
+from repro.obs import metrics as obs_metrics
+from repro.technology.rules import RuleKind
+from repro.technology.technology import Technology
 
 _ORIGIN = Point(0, 0)
 
-#: :meth:`_StoredSlots.weight`'s bytes per packed rect and per element of any
-#: other list / dict slot; :meth:`_View.weight`'s per pickled ``Label``.
+#: :meth:`_StoredSlots.weight`'s bytes per packed rect, per block of a
+#: :class:`_Blocks` list and per element of any other list / dict slot;
+#: :meth:`_View.weight`'s per pickled ``Label``.
 _RECT_BYTES = 16
+_PART_BYTES = 24
 _ELEMENT_BYTES = 8
 _LABEL_BYTES = 32
+
+
+# -- block lists --------------------------------------------------------------
+
+
+class _Part:
+    """One block of a :class:`_Blocks` list: a rect list in the child's
+    frame and the translation that places it in the owner's.
+
+    ``rects`` is shared with the child artifact it came from (a plain list,
+    or the child's own :class:`_Blocks`) and never copied until something
+    reads one of its rects by id: :meth:`placed` then builds the translated
+    list once and keeps it.
+    """
+
+    __slots__ = ("rects", "dx", "dy", "_placed")
+
+    def __init__(self, rects: Sequence[Rect], dx: int = 0, dy: int = 0):
+        self.rects = rects
+        self.dx = dx
+        self.dy = dy
+        plain = not (dx or dy or isinstance(rects, _Blocks))
+        self._placed: Optional[Sequence[Rect]] = rects if plain else None
+
+    @property
+    def is_placed(self) -> bool:
+        """Whether a translated copy of this block exists (or is the list)."""
+        return self._placed is not None
+
+    def placed(self) -> Sequence[Rect]:
+        """This block's rects in the owner's frame, built on first use."""
+        placed = self._placed
+        if placed is None:
+            placed = []
+            _flatten(self.rects, self.dx, self.dy, placed)
+            self._placed = placed
+            obs_metrics.counter("hier.compose.placed").inc()
+        return placed
+
+    def __reduce__(self):
+        return (_Part, (_packed(self.rects), self.dx, self.dy))
+
+
+class _Blocks:
+    """A rect list held as blocks, one per geometry source, by reference.
+
+    Reads by id (``blocks[i]``, or a slice) place only the blocks they
+    touch; :meth:`part` hands a hot loop one block's placed list at once;
+    :func:`frame_free_lists` reads every rect without placing any, for the
+    consumers that need only sizes.  ``starts[k]`` is block ``k``'s first id.
+    Integer ids are non-negative.
+    """
+
+    __slots__ = ("parts", "starts")
+
+    def __init__(self, parts: List[_Part]):
+        self.parts = parts
+        starts = [0]
+        for part in parts:
+            starts.append(starts[-1] + len(part.rects))
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        k = bisect_right(self.starts, index) - 1
+        return self.parts[k].placed()[index - self.starts[k]]
+
+    def __iter__(self):
+        for part in self.parts:
+            yield from part.placed()
+
+    def part(self, k: int) -> Sequence[Rect]:
+        """Block ``k``'s rects in this list's frame (placed on first use)."""
+        return self.parts[k].placed()
+
+    def flat(self) -> List[Rect]:
+        """Every rect in this list's frame, in order (places every block)."""
+        return [rect for part in self.parts for rect in part.placed()]
+
+    def __reduce__(self):
+        return (_Blocks, (self.parts,))
+
+
+def _listed(rects: Sequence[Rect]) -> Sequence[Rect]:
+    """``rects`` as a plain list, for an index that reads every rect by id
+    (a block list is placed in full)."""
+    return rects.flat() if isinstance(rects, _Blocks) else rects
+
+
+def _flatten(rects: Sequence[Rect], dx: int, dy: int, out: List[Rect]) -> None:
+    """Append ``rects`` translated by ``(dx, dy)`` to ``out``, reading the
+    base lists of nested blocks directly (one translation per rect)."""
+    if isinstance(rects, _Blocks):
+        for part in rects.parts:
+            _flatten(part.rects, part.dx + dx, part.dy + dy, out)
+    elif dx or dy:
+        out.extend([rect.translated(dx, dy) for rect in rects])
+    else:
+        out.extend(rects)
+
+
+def frame_free_lists(rects: Sequence[Rect]) -> List[Sequence[Rect]]:
+    """The lists holding ``rects``, in order, each in whatever frame it was
+    built in: exactly the rects of ``rects`` up to translation.
+
+    For consumers of (layer, width, height) only — parasitics, device
+    sizes — which must not place a block to read it.
+    """
+    if not isinstance(rects, _Blocks):
+        return [rects]
+    return [base for part in rects.parts for base in frame_free_lists(part.rects)]
+
+
+class _Packed:
+    """Pickling stand-in for one shared rect list: an integer array.
+
+    A rect list referenced by many blocks (a ROM's geometry, placed forty
+    times) is one object; :func:`_packed` hands every reference to it the
+    same stand-in while a pickle is being written, so the pickler's memo
+    writes it once per blob.  It loads back as a plain list.
+    """
+
+    __slots__ = ("rects", "__weakref__")
+
+    def __init__(self, rects: Sequence[Rect]):
+        self.rects = rects
+
+    def __reduce__(self):
+        return (unpack_rects, (pack_rects(self.rects),))
+
+
+#: Live stand-ins by the id of the list they stand for.  A stand-in lives
+#: as long as some pickler's memo holds it (it holds its list, so the id
+#: cannot be reused meanwhile) and drops out of the table when freed.
+_PACKED: "weakref.WeakValueDictionary[int, _Packed]" = weakref.WeakValueDictionary()
+
+
+def _packed(rects: Sequence[Rect]):
+    """What a rect list pickles as: a block list itself, a plain list as
+    its one shared :class:`_Packed` stand-in."""
+    if isinstance(rects, _Blocks):
+        return rects
+    proxy = _PACKED.get(id(rects))
+    if proxy is None:
+        proxy = _PACKED[id(rects)] = _Packed(rects)
+    return proxy
+
+
+def _rects_weight(rects: Sequence[Rect], seen: Set[int]) -> int:
+    """Pickled bytes of one rect list not yet counted in ``seen``."""
+    if id(rects) in seen:
+        return 0
+    seen.add(id(rects))
+    if isinstance(rects, _Blocks):
+        return sum(_PART_BYTES + _rects_weight(part.rects, seen)
+                   for part in rects.parts)
+    return _RECT_BYTES * len(rects)
+
+
+# -- the pickled form ---------------------------------------------------------
 
 
 class _StoredSlots:
     """Pickled form of a slotted artifact, as the disk store writes it.
 
     ``_TRANSIENT`` slots (lazily built indexes, cheap to rebuild) stay
-    behind and come back ``None``; ``_RECT_LISTS`` slots — a list of
-    ``Rect``, or a dict of such lists — travel as integer columns
-    (:func:`pack_rects`) and come back as fresh lists, because a list of
-    ``Rect`` costs a Python-level ``__getstate__`` call per element and that
-    was ~85 % of every ``dumps``.  A loaded blob therefore shares no ``Rect``
-    objects between its lists.
+    behind and come back ``None``; ``_RECT_LISTS`` slots — a rect list, or
+    a dict of them — travel as integer columns (:func:`pack_rects`), because
+    a list of ``Rect`` costs a Python-level ``__getstate__`` call per
+    element and that was ~85 % of every ``dumps``.  A list shared by several
+    slots or blocks travels once per blob and loads back shared; the
+    translated copies of placed blocks are not stored.
     """
 
     __slots__ = ("__weakref__",)
     _TRANSIENT: Tuple[str, ...] = ()
     _RECT_LISTS: Tuple[str, ...] = ()
 
-    def weight(self) -> int:
+    def weight(self, seen: Optional[Set[int]] = None) -> int:
         """Estimated pickled size in bytes, read off the slot lengths.
 
         What a byte-budgeted store charges for this artifact without
-        serialising it: a packed rect is four C ints, and the other list /
-        dict slots (id maps, partitions, offsets) average a machine word per
-        element.  O(slots) — no element is visited.
+        serialising it: a packed rect is four C ints, counted once per
+        distinct list (``seen`` carries the lists already counted in this
+        blob), a block is its translation, and the other list / dict slots
+        (id maps, partitions, offsets) average a machine word per element.
+        No rect is visited.
         """
+        if seen is None:
+            seen = set()
         total = 0
         for slot in self.__slots__:
             if slot in self._TRANSIENT:
                 continue
             value = getattr(self, slot)
             if slot in self._RECT_LISTS:
-                total += _RECT_BYTES * (
-                    sum(map(len, value.values())) if isinstance(value, dict)
-                    else len(value))
+                for rects in (value.values() if isinstance(value, dict)
+                              else (value,)):
+                    total += _rects_weight(rects, seen)
             elif isinstance(value, (list, dict)):
                 total += _ELEMENT_BYTES * len(value)
         return total
@@ -93,22 +277,16 @@ class _StoredSlots:
         state = {slot: getattr(self, slot) for slot in self.__slots__
                  if slot not in self._TRANSIENT}
         for slot in self._RECT_LISTS:
-            state[slot] = _columns(state[slot], pack_rects)
+            value = state[slot]
+            state[slot] = ({key: _packed(rects) for key, rects in value.items()}
+                           if isinstance(value, dict) else _packed(value))
         return state
 
     def __setstate__(self, state):
         for slot, value in state.items():
             setattr(self, slot, value)
-        for slot in self._RECT_LISTS:
-            setattr(self, slot, _columns(state[slot], unpack_rects))
         for slot in self._TRANSIENT:
             setattr(self, slot, None)
-
-
-def _columns(value, convert):
-    if isinstance(value, dict):
-        return {key: convert(rects) for key, rects in value.items()}
-    return convert(value)
 
 
 class _View(_StoredSlots):
@@ -117,50 +295,58 @@ class _View(_StoredSlots):
     ``rects[layer]`` lists every rectangle of the fully flattened cell,
     transformed by the orientation about the origin, in exactly the order
     the flat path's ``FlatLayout.rects_by_layer`` would produce after the
-    same transform: the cell's own shapes first, then each instance's block.
+    same transform: the cell's own shapes first, then each instance's block
+    (a :class:`_Blocks` when the view is composed, a plain list otherwise).
     ``offsets[layer]`` gives the per-source block starts (source 0 is the
     cell's own geometry, source ``k`` is instance ``k``); ``sources`` holds
-    the child views and their translations inside this frame.
+    the child views and their translations inside this frame;
+    ``isolated[k]`` says whether source ``k`` is replayed as one block
+    (:func:`isolated_sources`; never the own source).
     """
 
     __slots__ = ("name", "rects", "offsets", "labels", "label_offsets",
-                 "sources", "bbox", "shape_count", "path_length", "_indexes",
-                 "_layer_bboxes")
-    _TRANSIENT = ("_indexes", "_layer_bboxes")
+                 "sources", "isolated", "bbox", "shape_count", "path_length",
+                 "_indexes", "_layer_bboxes", "_extent")
+    _TRANSIENT = ("_indexes", "_layer_bboxes", "_extent")
     _RECT_LISTS = ("rects",)
 
     def __init__(self, name: str):
         self.name = name
-        self.rects: Dict[str, List[Rect]] = {}
+        self.rects: Dict[str, Sequence[Rect]] = {}
         self.offsets: Dict[str, List[int]] = {}
         self.labels: List[Label] = []
         self.label_offsets: List[int] = [0]
         self.sources: List["_Source"] = []
+        self.isolated: List[bool] = [False]
         self.bbox: Optional[Rect] = None
         self.shape_count = 0
         self.path_length = 0
         self._indexes: Optional[Dict[str, SpatialIndex]] = None
         self._layer_bboxes: Optional[Dict[str, Optional[Rect]]] = None
+        self._extent: Optional[Tuple[Optional[Rect]]] = None
 
-    def weight(self) -> int:
+    def weight(self, seen: Optional[Set[int]] = None) -> int:
         """Its slots' estimate plus that of every distinct view below it:
-        a view's pickle embeds its sources' views, each once.  A ``Label``
-        (text, layer, position) is charged as what it is, not as a word."""
+        a view's pickle embeds its sources' views, each once, and a rect
+        list they share with this view's blocks once.  A ``Label`` (text,
+        layer, position) is charged as what it is, not as a word."""
+        if seen is None:
+            seen = set()
         total = 0
-        seen = {id(self)}
+        done = {id(self)}
         pending = [self]
         while pending:
             view = pending.pop()
-            total += (_StoredSlots.weight(view)
+            total += (_StoredSlots.weight(view, seen)
                       + (_LABEL_BYTES - _ELEMENT_BYTES) * len(view.labels))
             for source in view.sources:
                 child = source.view
-                if id(child) not in seen:
-                    seen.add(id(child))
+                if id(child) not in done:
+                    done.add(id(child))
                     pending.append(child)
         return total
 
-    def layer(self, layer: str) -> List[Rect]:
+    def layer(self, layer: str) -> Sequence[Rect]:
         return self.rects.get(layer, [])
 
     def layer_offsets(self, layer: str) -> List[int]:
@@ -174,7 +360,7 @@ class _View(_StoredSlots):
             indexes = self._indexes = {}
         index = indexes.get(layer)
         if index is None:
-            index = indexes[layer] = build_index(self.layer(layer))
+            index = indexes[layer] = build_index(_listed(self.layer(layer)))
         return index
 
     def layer_bbox(self, layer: str) -> Optional[Rect]:
@@ -182,8 +368,21 @@ class _View(_StoredSlots):
         if boxes is None:
             boxes = self._layer_bboxes = {}
         if layer not in boxes:
-            boxes[layer] = _bounding(self.layer(layer))
+            rects = self.layer(layer)
+            boxes[layer] = (_union_all(source.layer_bbox(layer)
+                                       for source in self.sources)
+                            if isinstance(rects, _Blocks) else _bounding(rects))
         return boxes[layer]
+
+    def extent(self) -> Optional[Rect]:
+        """Bounding box of the shapes *and* the labels (``bbox`` spans the
+        shapes only, and a label may lie outside them)."""
+        if self._extent is None:
+            self._extent = (_union_all([self.bbox] + [
+                Rect(label.position.x, label.position.y,
+                     label.position.x, label.position.y)
+                for label in self.labels]),)
+        return self._extent[0]
 
 
 def _bounding(rects: Sequence[Rect]) -> Optional[Rect]:
@@ -191,6 +390,11 @@ def _bounding(rects: Sequence[Rect]) -> Optional[Rect]:
     for rect in rects:
         box = rect if box is None else box.union(rect)
     return box
+
+
+def _union_all(boxes: Iterable[Optional[Rect]]) -> Optional[Rect]:
+    """Union of the boxes that are not ``None`` (``None`` if none is)."""
+    return _bounding([box for box in boxes if box is not None])
 
 
 class _Source:
@@ -221,6 +425,10 @@ class _Source:
 
     def bbox(self) -> Optional[Rect]:
         return self.placed(self.view.bbox)
+
+    def extent(self) -> Optional[Rect]:
+        """Shapes and labels of this source, bounded in the parent frame."""
+        return self.placed(self.view.extent())
 
     def layer_bbox(self, layer: str) -> Optional[Rect]:
         """Bounding box of this source's ``layer`` rects, in the parent frame."""
@@ -281,12 +489,55 @@ class _BoxIndex:
                                                  strict=strict)]
 
 
+class _PartsIndex:
+    """Spatial index over some blocks of a :class:`_Blocks` list, answering
+    ids of the whole list (ascending, like any index query).
+
+    The interface passes' view of a composed list: the blocks they may
+    touch are indexed (and so placed), the replayed ones are not.
+    """
+
+    __slots__ = ("ids", "index")
+
+    def __init__(self, rects: _Blocks, blocks: Iterable[int]):
+        members: List[Rect] = []
+        ids: List[int] = []
+        for k in blocks:
+            placed = rects.part(k)
+            members.extend(placed)
+            ids.extend(range(rects.starts[k], rects.starts[k] + len(placed)))
+        self.ids = ids
+        self.index = build_index(members)
+
+    def query(self, region: Rect, margin: int = 0,
+              strict: bool = False) -> List[int]:
+        ids = self.ids
+        return [ids[p] for p in self.index.query(region, margin=margin,
+                                                 strict=strict)]
+
+
 # -- the view builder ---------------------------------------------------------
+
+
+def interaction_reach(technology: Technology) -> int:
+    """How far apart two shapes can be and still change a check's verdict.
+
+    Connectivity, channels, contacts and labels need contact (reach 0);
+    a spacing rule sees gaps up to ``value - 1``, an enclosure rule
+    neighbours up to ``value`` away.  2 λ for the NMOS rules.
+    """
+    reach = 0
+    for rule in technology.rules:
+        if rule.kind is RuleKind.MIN_SPACING:
+            reach = max(reach, rule.value - 1)
+        elif rule.kind is RuleKind.MIN_ENCLOSURE:
+            reach = max(reach, rule.value)
+    return reach
 
 
 def build_view(cell: Cell, orientation: Orientation,
                child_view: Callable[[Cell, Orientation], _View],
-               collapse_below: int) -> _View:
+               collapse_below: int, reach: int) -> _View:
     """The oriented view of ``cell``, over its instances' ``child_view``\\ s.
 
     A cell whose instances average fewer than ``collapse_below`` rectangles
@@ -296,7 +547,9 @@ def build_view(cell: Cell, orientation: Orientation,
     cells, register slices) abut everywhere, so composition would be all
     interface pass and no reuse.  The collapsed artifact still composes into
     *its* parents, which is where the big instances-per-unique-cell reuse
-    lives.
+    lives.  A composed view holds its instances' lists by reference and
+    marks which instances are isolated at ``reach``
+    (:func:`interaction_reach`).
     """
     transform = Transform(orientation, _ORIGIN)
     identity = orientation is Orientation.R0
@@ -329,14 +582,10 @@ def build_view(cell: Cell, orientation: Orientation,
             if layer not in layers:
                 layers.append(layer)
     for layer in layers:
-        buffer: List[Rect] = []
-        offsets = [0]
-        for source in sources:
-            buffer.extend(_translated(source.view.layer(layer),
-                                      source.dx, source.dy))
-            offsets.append(len(buffer))
-        view.rects[layer] = buffer
-        view.offsets[layer] = offsets
+        rects = _Blocks([_Part(source.view.layer(layer), source.dx, source.dy)
+                         for source in sources])
+        view.rects[layer] = rects
+        view.offsets[layer] = rects.starts
     for source in sources:
         if source.dx or source.dy:
             view.labels.extend(label.translated(source.dx, source.dy)
@@ -346,20 +595,66 @@ def build_view(cell: Cell, orientation: Orientation,
         view.label_offsets.append(len(view.labels))
     view.shape_count = sum(source.view.shape_count for source in sources)
     view.path_length = sum(source.view.path_length for source in sources)
-    for source in sources:
-        box = source.bbox()
-        if box is not None:
-            view.bbox = box if view.bbox is None else view.bbox.union(box)
+    view.bbox = _union_all(source.bbox() for source in sources)
 
     instance_count = len(sources) - 1
-    if instance_count:
-        child_rects = sum(offs[-1] - offs[1] for offs in view.offsets.values())
-        if child_rects < collapse_below * instance_count:
-            view.sources = [_OwnSource(view)]
-            view.offsets = {layer: [0, len(rects)]
-                            for layer, rects in view.rects.items()}
-            view.label_offsets = [0, len(view.labels)]
+    if not instance_count:
+        view.rects = own.rects
+        view.offsets = {layer: [0, len(rects)] for layer, rects in own.rects.items()}
+        return view
+    child_rects = sum(offs[-1] - offs[1] for offs in view.offsets.values())
+    if child_rects < collapse_below * instance_count:
+        flat: Dict[str, Sequence[Rect]] = {}
+        for layer, rects in view.rects.items():
+            flat[layer] = []
+            _flatten(rects, 0, 0, flat[layer])
+        view.rects = flat
+        view.sources = [_OwnSource(view)]
+        view.offsets = {layer: [0, len(rects)] for layer, rects in flat.items()}
+        view.label_offsets = [0, len(view.labels)]
+        return view
+    view.isolated = isolated_sources(view, reach)
+    count_sources(view)
     return view
+
+
+def isolated_sources(view: _View, reach: int) -> List[bool]:
+    """Per source of a composed view: is it replayed as one block?
+
+    Instance ``k`` is isolated when no other instance's extent and no own
+    rect of any layer comes within ``reach`` of its own extent.  Extents
+    span shapes *and* labels, because a label may lie outside its cell's
+    shapes: an instance's label landing on foreign geometry, or a foreign
+    label on its geometry, makes it an interface instance.  Then no check
+    can see across its border, and every composer replays its cached
+    results, re-basing ids in bulk.  The cell's own labels do not count:
+    their hits are always resolved in this cell, by probing the instances'
+    cached indexes, which places nothing.  The own source is never
+    isolated.
+    """
+    sources = view.sources
+    extents = [None] + [source.extent() for source in sources[1:]]
+    near = _BoxIndex(extents, skip_first=True)
+    own = sources[0].view
+    own_indexes = [own.index(layer) for layer, rects in own.rects.items()
+                   if rects]
+    isolated = [False]
+    for k in range(1, len(sources)):
+        box = extents[k]
+        isolated.append(box is None or (
+            near.near(box, margin=reach) == [k]
+            and not any(index.query(box, margin=reach)
+                        for index in own_indexes)))
+    return isolated
+
+
+def count_sources(view: _View) -> None:
+    """Add one composable build's replayed and interface instances to the
+    ``hier.compose.replayed`` / ``hier.compose.interface`` counters."""
+    replayed = sum(view.isolated)
+    obs_metrics.counter("hier.compose.replayed").inc(replayed)
+    obs_metrics.counter("hier.compose.interface").inc(
+        len(view.sources) - 1 - replayed)
 
 
 def compose_areas(view: _View,
@@ -367,68 +662,83 @@ def compose_areas(view: _View,
                   ) -> Dict[str, int]:
     """Per-layer merged mask areas, identical to the flat computation.
 
-    Merged area is additive across sources whose layer bounding boxes do
-    not share interior (abutting edges have measure zero); where source
-    extents genuinely overlap, the layer falls back to a global sweep.
+    Merged area is additive across sources whose layer bounding boxes share
+    no interior with any other source's (abutting edges have measure zero):
+    those add their own cached area.  The sources whose extents genuinely
+    overlap are swept together.
     """
+    sources = view.sources
+    if len(sources) > 1:
+        count_sources(view)
     areas: Dict[str, int] = {}
     for layer, rects in view.rects.items():
-        boxes = [box for box in (source.layer_bbox(layer)
-                                 for source in view.sources) if box is not None]
-        disjoint = not any(boxes[i].overlaps(boxes[j], strict=True)
-                           for i in range(len(boxes))
-                           for j in range(i + 1, len(boxes)))
-        if disjoint:
-            total = merged_area(view.sources[0].view.layer(layer))
-            for areas_k in child_areas[1:]:
-                total += areas_k.get(layer, 0)
-            areas[layer] = total
-        else:
+        if len(sources) == 1:
             areas[layer] = merged_area(rects)
+            continue
+        boxes = [source.layer_bbox(layer) for source in sources]
+        box_index = _BoxIndex(boxes)
+        total = 0
+        overlapping: List[int] = []
+        for k, box in enumerate(boxes):
+            if box is None:
+                continue
+            if box_index.near(box, strict=True) != [k]:
+                overlapping.append(k)
+            elif k:
+                total += child_areas[k].get(layer, 0)
+            else:
+                total += merged_area(rects.part(0))
+        if overlapping:
+            total += merged_area(rect for k in overlapping
+                                 for rect in rects.part(k))
+        areas[layer] = total
     return areas
 
 
 # -- shared component composition ---------------------------------------------
 
 
-def _cross_block_pairs(offsets: Sequence[int], items: Sequence[Rect],
-                       block_indexes: Sequence[SpatialIndex],
+def _cross_block_pairs(items: Sequence[Rect],
+                       block_indexes: Sequence[Optional[SpatialIndex]],
                        block_moves: Sequence[Tuple[int, int]],
-                       block_bboxes: Sequence[Optional[Rect]]
-                       ) -> List[Tuple[int, int]]:
-    """Touching pairs that span two blocks, by localized index probes.
+                       block_bboxes: Sequence[Optional[Rect]],
+                       isolated: Sequence[bool]
+                       ) -> List[Tuple[int, int, int, int]]:
+    """Touching pairs ``(i, ci, j, cj)`` that span two blocks ``i < j``.
 
-    For every rect of block *i* near block *j*'s bbox, block *j* is probed
-    with that rect; touching is intrinsic to the pair, so the result is
-    exactly the set of cross-block edges of the global touching graph.
+    Blocks whose bboxes touch are found by a box index over the blocks that
+    are not isolated (an isolated block touches nothing); for every rect of
+    block *i* near block *j*'s bbox, block *j* is probed with that rect.
+    Touching is intrinsic to the pair, so the result is exactly the set of
+    cross-block edges of the global touching graph.
     """
-    pairs: List[Tuple[int, int]] = []
-    blocks = len(block_indexes)
-    for i in range(blocks):
-        box_i = block_bboxes[i]
-        if box_i is None:
-            continue
-        for j in range(i + 1, blocks):
-            box_j = block_bboxes[j]
-            if box_j is None or not box_i.touches(box_j):
+    boxes = _BoxIndex([None if isolated[k] else box
+                       for k, box in enumerate(block_bboxes)])
+    pairs: List[Tuple[int, int, int, int]] = []
+    for i in boxes.ids:
+        dx_i, dy_i = block_moves[i]
+        part_i: Optional[Sequence[Rect]] = None
+        for j in boxes.near(block_bboxes[i]):
+            if j <= i:
                 continue
-            dx_i, dy_i = block_moves[i]
+            if part_i is None:
+                part_i = items.part(i)
             dx_j, dy_j = block_moves[j]
-            probe_region = box_j.translated(-dx_i, -dy_i)
             index_j = block_indexes[j]
-            for ci in block_indexes[i].query(probe_region):
-                rect = items[offsets[i] + ci]
-                local = rect.translated(-dx_j, -dy_j)
+            for ci in block_indexes[i].query(
+                    block_bboxes[j].translated(-dx_i, -dy_i)):
+                local = part_i[ci].translated(-dx_j, -dy_j)
                 for cj in index_j.query(local):
-                    pairs.append((offsets[i] + ci, offsets[j] + cj))
+                    pairs.append((i, ci, j, cj))
     return pairs
 
 
 def compose_components(items: Sequence[Rect], offsets: Sequence[int],
                        block_comps: Sequence[Sequence[Sequence[int]]],
-                       block_indexes: Sequence[SpatialIndex],
+                       block_indexes: Sequence[Optional[SpatialIndex]],
                        block_moves: Sequence[Tuple[int, int]],
-                       block_bboxes: Sequence[Optional[Rect]]
+                       block_bboxes: Sequence[Optional[Rect]],
+                       isolated: Sequence[bool]
                        ) -> Tuple[List[List[int]], bool]:
     """Touching-closure partition of ``items`` from per-block partitions.
 
@@ -436,28 +746,65 @@ def compose_components(items: Sequence[Rect], offsets: Sequence[int],
     all-pairs partition is) and whether any edge crossed two blocks.  With
     no cross-block edge the global partition is the concatenation of the
     block partitions in block order (own ids precede every instance block,
-    so smallest-member order holds) and the union-find replay — the bulk of
-    composition time for well-separated placements — is skipped.  Otherwise
-    each block's partition is replayed under its id offset with the cross
-    edges unioned on top; replayed unions are always valid (rect existence
-    and touching are intrinsic), so the closure equals the flat one.
+    so smallest-member order holds).  Otherwise the blocks that are not
+    isolated replay their partitions into one union-find with the cross
+    edges on top (replayed unions are always valid: rect existence and
+    touching are intrinsic, so the closure equals the flat one), and each
+    isolated block's partition is spliced in, re-based, at its place in
+    smallest-member order.  ``block_indexes`` may be ``None`` for isolated
+    blocks; ``items`` is a :class:`_Blocks` whenever there are two blocks.
     """
-    cross_pairs = _cross_block_pairs(offsets, items, block_indexes,
-                                     block_moves, block_bboxes)
+    cross_pairs = (_cross_block_pairs(items, block_indexes, block_moves,
+                                      block_bboxes, isolated)
+                   if len(block_comps) > 1 else [])
     if not cross_pairs:
-        components: List[List[int]] = []
-        for offset, comps in zip(offsets, block_comps):
-            if offset:
-                components.extend([m + offset for m in comp] for comp in comps)
-            else:
-                components.extend(list(comp) for comp in comps)
-        return components, False
-    finder = UnionFind(len(items))
+        return _rebased(offsets, block_comps, range(len(block_comps))), False
+    interface = [k for k in range(len(block_comps)) if not isolated[k]]
+    # Union-find ids: the interface blocks' items, packed in block order
+    # (the global ids themselves when no block is isolated).
+    to_global: Optional[List[int]] = None
+    shift: Sequence[int] = offsets
+    if len(interface) < len(block_comps):
+        to_global, shift = [], [0] * len(block_comps)
+        for k in interface:
+            shift[k] = len(to_global)
+            to_global.extend(range(offsets[k], offsets[k + 1]))
+    finder = UnionFind(len(items) if to_global is None else len(to_global))
     union = finder.union
-    for offset, comps in zip(offsets, block_comps):
-        for comp in comps:
+    for k in interface:
+        base = shift[k]
+        for comp in block_comps[k]:
             for first, second in zip(comp, comp[1:]):
-                union(offset + first, offset + second)
-    for a, b in cross_pairs:
-        union(a, b)
-    return finder.components(), True
+                union(base + first, base + second)
+    for i, ci, j, cj in cross_pairs:
+        union(shift[i] + ci, shift[j] + cj)
+    if to_global is None:
+        return finder.components(), True
+    joined = [[to_global[member] for member in comp]
+              for comp in finder.components()]
+    components: List[List[int]] = []
+    position = 0
+    for k in range(len(block_comps)):
+        if isolated[k]:
+            components.extend(_rebased(offsets, block_comps, (k,)))
+            continue
+        end = offsets[k + 1]
+        while position < len(joined) and joined[position][0] < end:
+            components.append(joined[position])
+            position += 1
+    return components, True
+
+
+def _rebased(offsets: Sequence[int],
+             block_comps: Sequence[Sequence[Sequence[int]]],
+             blocks: Iterable[int]) -> List[List[int]]:
+    """The partitions of ``blocks``, concatenated under their id offsets."""
+    components: List[List[int]] = []
+    for k in blocks:
+        offset = offsets[k]
+        if offset:
+            components.extend([m + offset for m in comp]
+                              for comp in block_comps[k])
+        else:
+            components.extend(list(comp) for comp in block_comps[k])
+    return components

@@ -39,6 +39,7 @@ from repro.diagnostics import (
     Severity,
     run_with_fallback,
 )
+from repro.runtime import gc_paused
 
 __all__ = [
     "ArtifactStore",
@@ -226,6 +227,8 @@ class DiskStore(ArtifactStore):
         self._puts = 0
         self._corrupt = 0
         self._bytes_written = 0
+        # (entries, bytes) of the last directory walk; None: walk again.
+        self._occupancy: Optional[Tuple[int, int]] = None
 
     # -- paths ---------------------------------------------------------------
 
@@ -271,7 +274,12 @@ class DiskStore(ArtifactStore):
             raise _store_error(StoreCorruption, "STO001",
                                "artifact blob payload checksum mismatch")
         try:
-            value = pickle.loads(payload)
+            # Every object a load allocates survives it (they are the value)
+            # and none is in a cycle: a collection mid-load scans them for
+            # nothing, and in a process holding few objects it can be a
+            # full one.
+            with gc_paused():
+                value = pickle.loads(payload)
         except Exception as exc:
             raise _store_error(StoreCorruption, "STO001",
                                f"artifact blob payload failed to "
@@ -304,6 +312,7 @@ class DiskStore(ArtifactStore):
         def discard():
             """Serial-recompute fallback: drop the bad blob, report a miss."""
             self._corrupt += 1
+            self._occupancy = None
             try:
                 os.remove(path)
             except OSError:
@@ -369,6 +378,7 @@ class DiskStore(ArtifactStore):
                     pass
                 raise
             self._bytes_written += len(blob)
+            self._occupancy = None
             return True
 
         # A write failure (full disk, permissions) degrades to "not
@@ -397,9 +407,10 @@ class DiskStore(ArtifactStore):
     def evict(self, key: str) -> bool:
         try:
             os.remove(self._path(key))
-            return True
         except OSError:
             return False
+        self._occupancy = None
+        return True
 
     def keys(self) -> List[str]:
         """Keys of every readable blob (corrupt blobs are skipped)."""
@@ -420,6 +431,7 @@ class DiskStore(ArtifactStore):
         """
         keep_paths = {self._path(key) for key in keep}
         removed = 0
+        self._occupancy = None
         for path in self._blob_paths():
             if path not in keep_paths:
                 try:
@@ -430,16 +442,26 @@ class DiskStore(ArtifactStore):
         return removed
 
     def stats(self) -> Dict[str, object]:
-        paths = self._blob_paths()
-        on_disk = 0
-        for path in paths:
-            try:
-                on_disk += os.path.getsize(path)
-            except OSError:
-                pass
+        """Counters plus occupancy (``entries``, ``bytes`` on disk).
+
+        Occupancy is a walk of the blob directory, taken on the first call
+        and again after this store has written or removed a blob, so a
+        sign-off that reads only does not pay a walk of a store that grows
+        with every edit; another process's writes show from the next walk.
+        """
+        if self._occupancy is None:
+            paths = self._blob_paths()
+            on_disk = 0
+            for path in paths:
+                try:
+                    on_disk += os.path.getsize(path)
+                except OSError:
+                    pass
+            self._occupancy = (len(paths), on_disk)
+        entries, on_disk = self._occupancy
         return {"hits": self._hits, "misses": self._misses,
                 "puts": self._puts, "corrupt": self._corrupt,
-                "entries": len(paths), "bytes": on_disk,
+                "entries": entries, "bytes": on_disk,
                 "bytes_written": self._bytes_written}
 
 

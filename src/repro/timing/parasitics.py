@@ -15,12 +15,13 @@ static timing needs:
 * **diffusion load** — source/drain junction area is already counted by
   the member-rectangle sweep, because diffusion pieces are node members.
 
-The arithmetic is a pure function of ``(layer, rectangle)`` — translation
-and orientation invariant — which is what lets the hierarchical engine
-(:mod:`repro.analysis.hier`) reuse per-cell annotations across instances:
-both the flat extractor and the hierarchical composition call
-:func:`annotate_parasitics` over the same item enumeration, so their
-parasitic dictionaries are identical whenever their netlists are.
+The arithmetic is a pure function of ``(layer, width, height)`` —
+translation invariant — which is what lets the hierarchical engine
+(:mod:`repro.analysis.hier`) hand over an instance's rectangles in the
+child's frame, never placed: both the flat extractor and the hierarchical
+composition call :func:`annotate_parasitics` over the same item
+enumeration, so their parasitic dictionaries are identical whenever their
+netlists are.
 
 All values are era-scale estimates read from
 :class:`~repro.technology.technology.Technology` properties; absolute
@@ -32,7 +33,7 @@ designs compiled in the same technology are meaningful (the same caveat as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geometry.rect import Rect
 from repro.technology.technology import Technology
@@ -107,20 +108,21 @@ class ParasiticModel:
 
 
 def annotate_parasitics(model: ParasiticModel,
-                        items: Iterable[Tuple[str, Rect]],
+                        items: Iterable[Tuple[str, Sequence[Rect]]],
                         node_of_item: Dict[int, str],
                         devices: Sequence,
                         device_channels: Optional[Sequence[Rect]] = None
                         ) -> Dict[str, NetParasitics]:
     """Fold item geometry and device loading into per-net parasitics.
 
-    ``items`` enumerates the conducting rectangles in item-id order (the
-    extractor's diffusion pieces, then poly, then metal); ``node_of_item``
-    maps item ids to node names; ``devices`` is the emitted transistor list
-    and ``device_channels`` the parallel channel rectangles (gate-oxide
-    geometry).  Both extraction paths — flat and hierarchical — call this
-    with identical enumerations, so the annotation is identical whenever
-    the netlists are.
+    ``items`` enumerates the conducting rectangles in item-id order as
+    ``(layer, rects)`` blocks (the extractor's diffusion pieces, then poly,
+    then metal; a rectangle is read for its size only, so each block may
+    be in its own frame); ``node_of_item`` maps item ids to node names;
+    ``devices`` is the emitted transistor list and ``device_channels`` the
+    parallel channel rectangles (gate-oxide geometry).  Both extraction
+    paths — flat and hierarchical — call this with identical enumerations,
+    so the annotation is identical whenever the netlists are.
     """
     nets: Dict[str, NetParasitics] = {}
 
@@ -133,20 +135,39 @@ def annotate_parasitics(model: ParasiticModel,
 
     # The per-rectangle terms depend on (layer, width, height) only, and a
     # chip has a handful of such classes (24 on a 64-tile array of 74 k
-    # items): ask the model once per class, add per item in item order.
+    # items): ask the model once per class, look a block's classes up once
+    # per distinct list (a tile array repeats a few lists many times), and
+    # add per item in item order.
     terms: Dict[Tuple[str, int, int], Tuple[float, float]] = {}
-    for item_id, (layer, rect) in enumerate(items):
-        name = node_of_item.get(item_id)
-        if name is None:
-            continue
-        shape = (layer, rect.x2 - rect.x1, rect.y2 - rect.y1)
-        term = terms.get(shape)
-        if term is None:
-            term = terms[shape] = (model.rect_cap_ff(layer, rect),
-                                   model.rect_res_ohm(layer, rect))
-        entry = net(name)
-        entry.wire_cap_ff += term[0]
-        entry.wire_res_ohm += term[1]
+    # (layer, id(list)) -> (the list, kept alive so its id stays its own;
+    # the terms of its rects)
+    block_terms: Dict[Tuple[str, int],
+                      Tuple[Sequence[Rect], List[Tuple[float, float]]]] = {}
+    item_id = 0
+    for layer, rects in items:
+        known = block_terms.get((layer, id(rects)))
+        if known is not None:
+            listed = known[1]
+        else:
+            listed = []
+            block_terms[(layer, id(rects))] = (rects, listed)
+            for rect in rects:
+                shape = (layer, rect.x2 - rect.x1, rect.y2 - rect.y1)
+                term = terms.get(shape)
+                if term is None:
+                    term = terms[shape] = (model.rect_cap_ff(layer, rect),
+                                           model.rect_res_ohm(layer, rect))
+                listed.append(term)
+        for cap, res in listed:
+            name = node_of_item.get(item_id)
+            item_id += 1
+            if name is None:
+                continue
+            entry = nets.get(name)
+            if entry is None:
+                entry = nets[name] = NetParasitics(name)
+            entry.wire_cap_ff += cap
+            entry.wire_res_ohm += res
 
     for index, device in enumerate(devices):
         channel = device_channels[index] if device_channels is not None else None

@@ -102,6 +102,40 @@ class TestRoundTrip:
         labels = {label.text for label in parsed.cell("inv").labels}
         assert "out" in labels
 
+    def test_library_name_comes_from_the_header(self):
+        assert parse_cif(write_cif(simple_library())).name == "test"
+        assert parse_cif("DS 1; 9 c; L NM; B 4 4 2 2; DF; E").name == "parsed"
+        assert parse_cif(write_cif(simple_library()),
+                         library_name="given").name == "given"
+
+
+@pytest.fixture(scope="module")
+def example_chips():
+    """The four example designs' chip cells, assembled (not signed off)."""
+    # test_pnr puts examples/ on the path: import it first.
+    from test_pnr import adder_pla, build_chip, build_fsm, wrap_in_chip
+    from pdp8_subset_compiler import compiled_machine_summary
+
+    from repro.generators import FsmLayoutGenerator
+
+    chips = {
+        "quickstart": wrap_in_chip("cif_quickstart", adder_pla(NMOS), NMOS),
+        "fsm": wrap_in_chip("cif_fsm", FsmLayoutGenerator(
+            NMOS, build_fsm()).cell(), NMOS),
+        "family": build_chip("cif_family_4b", 4, 0)[0],
+        "pdp8": wrap_in_chip("cif_pdp8", compiled_machine_summary()[1], NMOS),
+    }
+    return {name: assembler._chip for name, assembler in chips.items()}
+
+
+class TestExampleChipsRoundTrip:
+    @pytest.mark.parametrize("name", ["quickstart", "fsm", "family", "pdp8"])
+    def test_write_parse_write_is_byte_identical(self, example_chips, name):
+        library = Library(f"roundtrip_{name}", NMOS)
+        library.add_cell(example_chips[name])
+        text = write_cif(library)
+        assert write_cif(parse_cif(text, NMOS)) == text
+
 
 class TestParser:
     def test_comments_ignored(self):

@@ -38,8 +38,10 @@ from repro.generators import FsmLayoutGenerator, PlaGenerator
 from repro.geometry.point import Point
 from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
+from repro.layout.view import _Blocks
 from repro.logic import TruthTable, parse_expr
 from repro.metrics import measure_cell
+from repro.obs import metrics
 from repro.reference import BruteDrcChecker, BruteExtractor
 from repro.technology import nmos_technology
 
@@ -48,6 +50,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from chip_assembly import build_chip  # noqa: E402
 from traffic_light_controller import build_fsm  # noqa: E402
 from pdp8_subset_compiler import compiled_machine_summary  # noqa: E402
+
+from tile_array import TileArray  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +78,7 @@ def on_both_paths(test):
     ``check(top)`` is the differential assertion; it returns the analyzer and
     notes which path the top cell took, and each run ends by asserting the
     large majority of its tops took the path it was meant to exercise.
+    ``check.path`` names the run.
     """
     def run(self, technology):
         for path, threshold in (("collapsed", hier._DIRECT_THRESHOLD),
@@ -87,6 +92,7 @@ def on_both_paths(test):
                 composed.append(len(view.sources) > 1)
                 return analyzer
 
+            check.path = path
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(hier, "_DIRECT_THRESHOLD", threshold)
                 test(self, technology, check)
@@ -102,6 +108,24 @@ def on_both_paths(test):
 def examples(tier1):
     """The tier-1 example budget, scaled by the active hypothesis profile."""
     return tier1 * settings.default.max_examples // 100
+
+
+def compose_counts():
+    """Instances replayed as one block / composed by the interface pass,
+    summed over every composable build so far."""
+    return tuple(metrics.counter(f"hier.compose.{kind}").value
+                 for kind in ("replayed", "interface"))
+
+
+def assert_both_kinds_ran(check, before):
+    """On the composed run, the examples since ``before`` replayed some
+    instances and passed others through the interface pass: both paths of
+    every composer were under test."""
+    if check.path != "composed":
+        return
+    replayed, interface = (after - was for after, was
+                           in zip(compose_counts(), before))
+    assert replayed > 0 and interface > 0, (replayed, interface)
 
 
 def assert_hier_equals_flat(cell, technology,
@@ -244,6 +268,23 @@ class TestBoundaryViolations:
         assert circuit.node_names == ["a", "n0"]
         assert circuit.network.outputs == ["a"]
 
+    @on_both_paths
+    def test_own_label_names_a_replayed_instance(self, technology, check):
+        # The cell's own labels do not stop an instance being replayed:
+        # they are resolved in the cell, by probing the instance.
+        wire = Cell("bv_wire")
+        wire.add_box("metal", 0, 0, 10, 3)
+        top = Cell("bv_own_label")
+        top.place(wire, 0, 0)
+        top.place(wire, 0, 20)
+        top.add_label("out", Point(5, 21), "metal")
+        analyzer = check(top)
+        assert analyzer.extract(top).node_names == ["n0", "out"]
+        if check.path == "composed":
+            view = analyzer.store.get(analyzer._key("view", top,
+                                                    Orientation.R0))
+            assert view.isolated == [False, True, True]
+
 
 # -- randomized hierarchies ---------------------------------------------------
 
@@ -303,7 +344,9 @@ class TestRandomizedHierarchies:
         def hierarchical_equals_brute_force(top):
             check(top)
 
+        before = compose_counts()
         hierarchical_equals_brute_force()
+        assert_both_kinds_ran(check, before)
 
     @on_both_paths
     def test_incremental_reanalysis_after_mutation(self, technology, check):
@@ -321,7 +364,58 @@ class TestRandomizedHierarchies:
             victim.add_box(layer, x, x, x + 3, x + 2)
             assert_hier_equals_flat(top, technology, analyzer=analyzer)
 
+        before = compose_counts()
         incremental_reanalysis_after_mutation()
+        assert_both_kinds_ran(check, before)
+
+
+# -- replayed instances -------------------------------------------------------
+
+
+def top_blocks(analyzer, top):
+    """``(source, part)`` of every block list the top's composed artifacts
+    hold: view layers, DRC merge inputs and outputs, extraction lists."""
+    def get(kind):
+        return analyzer.store.get(analyzer._key(kind, top, Orientation.R0))
+
+    view = get("view")
+    sources = len(view.sources)
+    lists = list(view.rects.values())
+    for merge in get("drc").merges.values():
+        lists += [merge.inputs, merge.merged]
+    extract = get("extract")
+    lists += [extract.diffusion, extract.channels, extract.pieces]
+    return view, [(index % sources, part)
+                  for rects in lists if isinstance(rects, _Blocks)
+                  for index, part in enumerate(rects.parts)]
+
+
+class TestReplayedInstances:
+    def test_tile_array_replays_the_clear_tiles_and_places_none(self, technology):
+        """The tile array's rail abuts the bottom ROM row: those two tiles
+        take the interface pass, every other tile is replayed as one block
+        and no replayed block is ever placed (translated) — while the
+        sign-off still equals the flat engines'."""
+        tiles = TileArray(technology, "replayed_tiles")
+        metrics.reset_metrics("hier.compose.")
+        analyzer = HierAnalyzer(technology)
+        assert_hier_equals_flat(tiles.top, technology, analyzer=analyzer,
+                                flat=(DrcChecker, Extractor))
+        tiles.sign_off(analyzer)
+
+        view, blocks = top_blocks(analyzer, tiles.top)
+        names = [instance.name for instance in tiles.top.instances]
+        replayed = {names[k - 1] for k in range(1, len(view.sources))
+                    if view.isolated[k]}
+        assert replayed == {"rom_0_1", "rom_1_1", "pla_0_0", "pla_1_0"}
+        assert view.isolated[0] is False
+        # view, areas, drc and extract each composed the six instances once.
+        assert compose_counts() == (4 * 4, 4 * 2)
+        placed = {names[k - 1] for k, part in blocks
+                  if k and part.is_placed and part.dx | part.dy}
+        assert not placed & replayed
+        assert placed        # the interface pass did read the abutting tiles
+        assert metrics.counter("hier.compose.placed").value > 0
 
 
 # -- cache behaviour ----------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.layout.library import Library
 from repro.logic.cube import Cover, Cube
 from repro.logic.minimize import minimize_exact, minimize_heuristic
 from repro.logic.truth_table import TruthTable
+from repro.reference.geometry import column_merged_area
 from repro.technology import NMOS
 
 coords = st.integers(min_value=-1000, max_value=1000)
@@ -74,6 +75,16 @@ class TestGeometryProperties:
         assert area <= sum(r.area for r in rect_list)
         if rect_list:
             assert area >= max(r.area for r in rect_list)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.builds(
+        lambda x, y, w, h: Rect(x, y, x + w, y + h),
+        st.integers(-20, 20), st.integers(-20, 20),
+        st.integers(0, 12), st.integers(0, 12)), max_size=30))
+    def test_merged_area_sweep_equals_column_scan(self, rect_list):
+        # Dense small coordinates: overlaps, abutments, shared edges and
+        # degenerate rects are all common.
+        assert merged_area(rect_list) == column_merged_area(rect_list)
 
 
 class TestLogicProperties:

@@ -451,7 +451,10 @@ class TestWeights:
         assert len(puts) == memory.stats()["puts"]
         assert sum(args["bytes"] for args in puts) == memory.stats()["bytes"]
         heaviest = max(puts, key=lambda args: args["bytes"])
-        assert heaviest["kind"] in ("view", "drc", "extract")
+        # The composed blobs hold each tile's lists once, by reference, so
+        # the top's circuit (a device and a node per tile element) can
+        # outweigh them.
+        assert heaviest["kind"] in ("view", "drc", "extract", "circuit")
         assert heaviest["cell"] == "traced_tiles"
 
 

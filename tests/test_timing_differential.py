@@ -348,11 +348,17 @@ class TestSwitchLevel:
 # comparing them cannot see a bug in it.  The oracle below asks the model for
 # every rectangle's terms and adds them in item order; the production fold
 # must produce the same floats while asking once per (layer, width, height).
+# Items come as ``(layer, rects)`` blocks, a list possibly repeated.
+
+
+def each_item(items):
+    """``(layer, rect)`` per item, in item-id order."""
+    return [(layer, rect) for layer, rects in items for rect in rects]
 
 
 def per_rect_parasitics(model, items, node_of_item, devices, channels):
     nets = defaultdict(lambda: [0.0, 0.0, 0.0, 0, 0])
-    for item_id, (layer, rect) in enumerate(items):
+    for item_id, (layer, rect) in enumerate(each_item(items)):
         if item_id in node_of_item:
             entry = nets[node_of_item[item_id]]
             entry[0] += model.rect_cap_ff(layer, rect)
@@ -381,10 +387,8 @@ class CountingModel(ParasiticModel):
         return super().rect_cap_ff(layer, rect)
 
 
-def rect_classes(items, node_of_item):
-    return {(layer, rect.width, rect.height)
-            for item_id, (layer, rect) in enumerate(items)
-            if item_id in node_of_item}
+def rect_classes(items):
+    return {(layer, rect.width, rect.height) for layer, rect in each_item(items)}
 
 
 @st.composite
@@ -395,10 +399,13 @@ def parasitic_cases(draw):
         st.integers(-50, 50), st.integers(-50, 50),
         st.integers(0, 6), st.integers(0, 6))     # few classes, some degenerate
     layers = st.sampled_from(["diffusion", "poly", "metal", "unlisted"])
-    items = draw(st.lists(st.tuples(layers, rects), max_size=40))
+    lists = draw(st.lists(st.lists(rects, max_size=8), min_size=1, max_size=4))
+    items = draw(st.lists(st.tuples(layers, st.sampled_from(lists)),
+                          max_size=8))
+    count = len(each_item(items))
     node_of_item = draw(st.dictionaries(
-        st.integers(0, max(len(items) - 1, 0)), st.sampled_from(nodes),
-        max_size=len(items)))
+        st.integers(0, max(count - 1, 0)), st.sampled_from(nodes),
+        max_size=count))
     node = st.sampled_from(nodes)
     devices = draw(st.lists(
         st.builds(Transistor, st.just("m"), node, node, node,
@@ -418,7 +425,7 @@ class TestParasiticFold:
         assert (annotate_parasitics(model, items, node_of_item, devices,
                                     channels)
                 == per_rect_parasitics(ParasiticModel(technology), *case))
-        assert model.cap_calls == len(rect_classes(items, node_of_item))
+        assert model.cap_calls == len(rect_classes(items))
 
     def test_example_chips_match_the_per_rect_sum_one_call_per_class(
             self, technology, signed_off_chips, monkeypatch):
@@ -444,11 +451,11 @@ class TestParasiticFold:
         assert len(folds) > len(signed_off_chips)     # blocks and tops
         for *case, nets, cap_calls in folds:
             assert nets == per_rect_parasitics(model, *case)
-            assert cap_calls == len(rect_classes(case[0], case[1]))
+            assert cap_calls == len(rect_classes(case[0]))
         # Prove the classes are few: the tile array's thousands of items
         # asked the model a few dozen times.
         tile_items, *_, tile_cap_calls = folds[-1]
-        assert len(tile_items) > 4000
+        assert len(each_item(tile_items)) > 4000
         assert tile_cap_calls < 40
 
 
