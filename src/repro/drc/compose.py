@@ -41,7 +41,6 @@ from repro.layout.view import (
     _StoredSlots,
     _View,
     _bounding,
-    _listed,
     _translated,
     _union_all,
     compose_components,
@@ -62,10 +61,11 @@ class _LayerMerge(_StoredSlots):
 
     ``inputs`` is the non-degenerate rectangle list in flat order (the merge
     operates on filtered rects), ``components`` its touching-closure
-    partition, ``merged`` the merge output in flat order.  That order groups
-    the outputs by the source holding each component's smallest member
-    (``merged_starts[k]`` is source ``k``'s first merged id), so a replayed
-    instance's block of ``merged`` is its child's list by reference.
+    partition, ``merged`` the merge output in flat order.  Both are
+    :class:`_Blocks` with one block per source; ``merged``'s order groups
+    the outputs by the source holding each component's smallest member, so
+    a replayed instance's block of ``merged`` is its child's list by
+    reference.
     ``fresh`` lists the merged ids computed here, ascending — the cell's
     own components and those merged across sources; every other merged id
     in source ``k``'s block is instance ``k``'s output.  ``child_maps[k]``
@@ -74,21 +74,19 @@ class _LayerMerge(_StoredSlots):
     no longer exists as such).
     """
 
-    __slots__ = ("inputs", "offsets", "components", "comp_of_input",
-                 "comp_slices", "merged", "merged_starts", "fresh",
+    __slots__ = ("inputs", "components", "comp_of_input",
+                 "comp_slices", "merged", "fresh",
                  "child_maps", "block_bboxes", "_input_index", "_merged_index",
                  "_box_index")
     _TRANSIENT = ("_input_index", "_merged_index", "_box_index")
     _RECT_LISTS = ("inputs", "merged")
 
     def __init__(self) -> None:
-        self.inputs: Sequence[Rect] = []
-        self.offsets: List[int] = [0]
+        self.inputs = _Blocks([])
         self.components: List[List[int]] = []
         self.comp_of_input: List[int] = []
         self.comp_slices: List[Tuple[int, int]] = []
-        self.merged: Sequence[Rect] = []
-        self.merged_starts: List[int] = [0]
+        self.merged = _Blocks([])
         self.fresh: List[int] = []
         self.child_maps: List[Optional[Sequence[int]]] = [None]
         # Per-source bbox of that source's merge inputs, in this cell's
@@ -101,17 +99,18 @@ class _LayerMerge(_StoredSlots):
     def box_index(self) -> _BoxIndex:
         """Index over instance-block bboxes (own block excluded)."""
         if self._box_index is None:
-            self._box_index = _BoxIndex(self.block_bboxes, skip_first=True)
+            self._box_index = _BoxIndex.of_boxes(self.block_bboxes,
+                                                 skip_first=True)
         return self._box_index
 
     def input_index(self) -> SpatialIndex:
         if self._input_index is None:
-            self._input_index = build_index(_listed(self.inputs))
+            self._input_index = build_index(self.inputs.flat())
         return self._input_index
 
     def merged_index(self) -> SpatialIndex:
         if self._merged_index is None:
-            self._merged_index = build_index(_listed(self.merged))
+            self._merged_index = build_index(self.merged.flat())
         return self._merged_index
 
     def bbox(self) -> Optional[Rect]:
@@ -121,7 +120,7 @@ class _LayerMerge(_StoredSlots):
         """The instance a merged id was reused from; -1 if computed here."""
         if gid in fresh:
             return -1
-        return bisect_right(self.merged_starts, gid) - 1
+        return bisect_right(self.merged.starts, gid) - 1
 
 
 class _DrcArtifact:
@@ -205,30 +204,24 @@ def _compose_merge(view: _View, children: Sequence[Optional[_DrcArtifact]],
     sources = view.sources
     # Filtering commutes with translation: an instance's filtered block is
     # its child's merge inputs, placed.
-    own_filtered = _with_area(sources[0].view.layer(layer))
+    own_filtered = _with_area(view.layer(layer).part(0))
     own_index = build_index(own_filtered)
     block_comps: List[Sequence[Sequence[int]]] = [
         own_index.connected_components()]
     block_indexes: List[Optional[SpatialIndex]] = [own_index]
     block_moves: List[Tuple[int, int]] = [(0, 0)]
     merge.block_bboxes = [_bounding(own_filtered)]
-    parts = [_Part(own_filtered)]
+    parts = [_Part.of(own_filtered)]
     for k, source in enumerate(sources[1:], 1):
         child = children[k].merges[layer]
-        parts.append(_Part(child.inputs, source.dx, source.dy))
+        parts.append(child.inputs.moved(source.dx, source.dy))
         block_comps.append(child.components)
         block_indexes.append(None if view.isolated[k] else child.input_index())
         block_moves.append((source.dx, source.dy))
         merge.block_bboxes.append(source.placed(child.bbox()))
-    if len(parts) == 1:
-        merge.inputs = own_filtered
-        merge.offsets = [0, len(own_filtered)]
-    else:
-        merge.inputs = _Blocks(parts)
-        merge.offsets = merge.inputs.starts
-
+    merge.inputs = _Blocks(parts)
     merge.components, crossed = compose_components(
-        merge.inputs, merge.offsets, block_comps, block_indexes, block_moves,
+        merge.inputs, block_comps, block_indexes, block_moves,
         merge.block_bboxes, view.isolated)
     _fill_merge(merge, view, children, layer, crossed)
     return merge
@@ -245,7 +238,8 @@ def _fill_merge(merge: _LayerMerge, view: _View, children, layer: str,
     either one child component, whose output is reused (translated), or is
     merged here by the flat checker's :func:`merge_group`.
     """
-    inputs, offsets, components = merge.inputs, merge.offsets, merge.components
+    inputs, components = merge.inputs, merge.components
+    offsets = inputs.starts
     comp_of_input = merge.comp_of_input = [0] * len(inputs)
     comp_slices, fresh = merge.comp_slices, merge.fresh
     parts: List[_Part] = []
@@ -260,14 +254,13 @@ def _fill_merge(merge: _LayerMerge, view: _View, children, layer: str,
                                 for start, length in child.comp_slices])
             merge.child_maps.append(range(merged_count,
                                           merged_count + len(child.merged)))
-            parts.append(_Part(child.merged, source.dx, source.dy))
+            parts.append(child.merged.moved(source.dx, source.dy))
             position += len(child.components)
             merged_count += len(child.merged)
-            merge.merged_starts.append(merged_count)
             continue
         placed: List[Rect] = []
         child_map = [-1] * len(child.merged) if k else None
-        block = inputs.part(k) if k else None
+        block = inputs.part(k)
         end = offsets[k + 1]
         while position < len(components) and components[position][0] < end:
             comp = components[position]
@@ -299,10 +292,9 @@ def _fill_merge(merge: _LayerMerge, view: _View, children, layer: str,
             position += 1
         if k:
             merge.child_maps.append(child_map)
-        parts.append(_Part(placed))
+        parts.append(_Part.of(placed))
         merged_count += len(placed)
-        merge.merged_starts.append(merged_count)
-    merge.merged = parts[0].rects if len(parts) == 1 else _Blocks(parts)
+    merge.merged = _Blocks(parts)
 
 
 def _compose_width(rule: DesignRule, view: _View, child_viols,
@@ -431,16 +423,16 @@ def _compose_enclosure(rule: DesignRule, view: _View,
     outer_layer, inner_layer = rule.layers[0], rule.layers[1]
     sources = view.sources
     inner = view.layer(inner_layer)
-    inner_offsets = view.layer_offsets(inner_layer)
+    inner_offsets = inner.starts
     margin = rule.value
     suspect: Set[int] = set(range(inner_offsets[0], inner_offsets[1]))
 
     own_view = sources[0].view
     own_outer_index = own_view.index(outer_layer)
-    own_outer = own_view.layer(outer_layer)
+    own_outer = own_view.layer(outer_layer).part(0)
     inner_boxes = [source.layer_bbox(inner_layer) for source in sources]
     outer_boxes = [source.layer_bbox(outer_layer) for source in sources]
-    outer_index = _BoxIndex(outer_boxes)
+    outer_index = _BoxIndex.of_boxes(outer_boxes)
     for k, source in enumerate(sources[1:], 1):
         box_k = inner_boxes[k]
         if box_k is None or view.isolated[k]:
@@ -485,9 +477,8 @@ def _compose_enclosure(rule: DesignRule, view: _View,
 
 def _compose_exact(rule: DesignRule, view: _View,
                    child_viols) -> List[_Verdict]:
-    layer = rule.layers[0]
-    own = view.sources[0].view.layer(layer)
-    offsets = view.layer_offsets(layer)
+    rects = view.layer(rule.layers[0])
+    own, offsets = rects.part(0), rects.starts
     out: List[_Verdict] = []
     for k, source in enumerate(view.sources[1:], 1):
         offset = offsets[k]

@@ -44,14 +44,11 @@ from repro.layout.view import (
     _BoxIndex,
     _Blocks,
     _Part,
-    _PartsIndex,
     _StoredSlots,
     _View,
-    _listed,
     _translated,
     compose_components,
     count_sources,
-    frame_free_lists,
 )
 from repro.technology.technology import Technology
 
@@ -68,7 +65,7 @@ class _ExtractArtifact(_StoredSlots):
     result is cached as the ``circuit`` kind.
     """
 
-    __slots__ = ("diffusion", "diff_offsets", "crossings",
+    __slots__ = ("diffusion", "crossings",
                  "chan_of_poly", "channels", "chan_x_diff", "pieces",
                  "piece_slices", "piece_edges", "poly_comps", "metal_comps",
                  "contact_touch", "buried_touch", "label_hits", "gates",
@@ -77,16 +74,16 @@ class _ExtractArtifact(_StoredSlots):
     _RECT_LISTS = ("diffusion", "channels", "pieces")
 
     def __init__(self) -> None:
-        self.diffusion: Sequence[Rect] = []
-        self.diff_offsets: List[int] = [0]     # per (layer, source) blocks
+        # One block per (diffusion layer, source), layer-major.
+        self.diffusion = _Blocks([])
         # Per poly rect: [(global diffusion id, covered)] ascending; the
         # overlap is poly rect ∩ diffusion rect.
         self.crossings: List[List[Tuple[int, bool]]] = []
         # Per poly rect: channel id per crossing (-1 where buried-covered).
         self.chan_of_poly: List[List[int]] = []
-        self.channels: Sequence[Rect] = []
+        self.channels = _Blocks([])              # one block per source
         self.chan_x_diff: List[List[int]] = []  # per diffusion id, ascending
-        self.pieces: Sequence[Rect] = []
+        self.pieces = _Blocks([])    # one block per (layer, source)
         self.piece_slices: List[Tuple[int, int]] = []
         self.piece_edges: List[Tuple[int, int]] = []
         self.poly_comps: List[List[int]] = []
@@ -101,7 +98,7 @@ class _ExtractArtifact(_StoredSlots):
 
     def piece_index(self) -> SpatialIndex:
         if self._piece_index is None:
-            self._piece_index = build_index(_listed(self.pieces))
+            self._piece_index = build_index(self.pieces.flat())
         return self._piece_index
 
 
@@ -127,8 +124,9 @@ def circuit_of(technology: Technology, cell: Cell, view: _View,
     The item enumeration mirrors the flat extractor's exactly (diffusion
     pieces, then poly, then metal, same layer names), so node names, device
     order and the parasitic annotation are identical whenever the composed
-    structure is.  Items and channels are handed over block by block, each
-    in its own frame: the finisher reads their sizes only.
+    structure is.  Items and channels are handed over as the lists they are
+    made of, each in its own frame: the finisher reads their sizes only, so
+    no block is placed to hand it over.
     """
     poly, metal = view.layer("poly"), view.layer("metal")
     poly_start = len(art.pieces)
@@ -145,19 +143,12 @@ def circuit_of(technology: Technology, cell: Cell, view: _View,
     for touching in art.buried_touch:
         union_chain(finder, touching)
     return finish_circuit(technology, cell, view.labels, art.label_hits, finder,
-                          conducting_items(art.pieces, poly, metal), poly_start,
-                          chain.from_iterable(frame_free_lists(art.channels)),
+                          conducting_items(art.pieces.frame_free_lists(),
+                                           poly.frame_free_lists(),
+                                           metal.frame_free_lists()),
+                          poly_start,
+                          chain.from_iterable(art.channels.frame_free_lists()),
                           zip(art.gates, art.terminals, art.depletion))
-
-
-def _composed(parts: List[_Part], composed: bool) -> Sequence[Rect]:
-    """A stage's output list: blocks when the view is composed, else the
-    concatenation of its (unmoved) parts."""
-    if composed:
-        return _Blocks(parts)
-    if len(parts) == 1:
-        return parts[0].rects
-    return [rect for part in parts for rect in part.rects]
 
 
 # -- the per-build context ----------------------------------------------------
@@ -180,7 +171,6 @@ class _Build:
         self.view = view
         self.sources = sources = view.sources
         self.isolated = view.isolated
-        self.composed = len(sources) > 1
         self.children = children
         self.art = art = _ExtractArtifact()
         self.DL = DL = [name for name in ("diffusion", "active")
@@ -188,8 +178,8 @@ class _Build:
         self.own_view = sources[0].view
         self.src_bbox: List[Optional[Rect]] = [s.bbox() for s in sources]
         self.poly = view.layer("poly")
-        self.poly_offsets = view.layer_offsets("poly")
-        self.metal_offsets = view.layer_offsets("metal")
+        self.poly_offsets = self.poly.starts
+        self.metal_offsets = view.layer("metal").starts
 
         # Global diffusion list: layer-major, source blocks within a layer —
         # exactly the flat extractor's `[r for layer in DL for r in rects]`.
@@ -207,25 +197,20 @@ class _Build:
                 starts.append(starts[-1] + len(source.view.layer(layer)))
             self.child_layer_starts.append(starts)
         parts: List[_Part] = []
+        base = 0
         for layer_pos, layer in enumerate(DL):
             rects = view.layer(layer)
-            offs = view.layer_offsets(layer)
-            base = art.diff_offsets[-1]
-            if isinstance(rects, _Blocks):
-                parts.extend(rects.parts)
-            else:
-                parts.extend([_Part(rects)] + [_Part([])] * (len(sources) - 1))
+            offs = rects.starts
+            parts.extend(rects.parts)
             self.own_diff_ids.extend(range(base, base + offs[1]))
-            art.diff_offsets.append(base + offs[1])
             for k in range(1, len(sources)):
-                art.diff_offsets.append(base + offs[k + 1])
                 # Child diffusion ids are layer-major too; re-base this
                 # layer's block.
                 child_start = self.child_layer_starts[k][layer_pos]
-                start = base + offs[k]
                 self.diff_map[k][child_start:child_start + offs[k + 1] - offs[k]] = \
-                    range(start, base + offs[k + 1])
-        art.diffusion = _composed(parts, self.composed)
+                    range(base + offs[k], base + offs[k + 1])
+            base += len(rects)
+        art.diffusion = _Blocks(parts)
 
         diff_boxes: List[Optional[Rect]] = []
         for source in sources:
@@ -238,14 +223,15 @@ class _Build:
         self.diff_boxes = diff_boxes
         self.poly_boxes = poly_boxes = [s.layer_bbox("poly") for s in sources]
         implant_boxes = [s.layer_bbox("implant") for s in sources]
-        self.diff_box_index = _BoxIndex(diff_boxes)
-        self.child_diff_box_index = _BoxIndex(diff_boxes, skip_first=True)
-        self.poly_box_index = _BoxIndex(poly_boxes)
-        self.metal_box_index = _BoxIndex(
+        self.diff_box_index = _BoxIndex.of_boxes(diff_boxes)
+        self.child_diff_box_index = _BoxIndex.of_boxes(diff_boxes,
+                                                       skip_first=True)
+        self.poly_box_index = _BoxIndex.of_boxes(poly_boxes)
+        self.metal_box_index = _BoxIndex.of_boxes(
             [s.layer_bbox("metal") for s in sources])
-        self.buried_box_index = _BoxIndex(
+        self.buried_box_index = _BoxIndex.of_boxes(
             [s.layer_bbox("buried") for s in sources])
-        self.implant_box_index = _BoxIndex(implant_boxes)
+        self.implant_box_index = _BoxIndex.of_boxes(implant_boxes)
         # Channels of an instance lie inside poly ∩ diffusion of that
         # instance; devices reference poly, diffusion pieces and implant.
         chan_boxes: List[Optional[Rect]] = [None]
@@ -259,16 +245,16 @@ class _Build:
                 if other is not None:
                     box = other if box is None else box.union(other)
             device_boxes.append(box)
-        self.chan_box_index = _BoxIndex(chan_boxes, skip_first=True)
-        self.device_box_index = _BoxIndex(device_boxes, skip_first=True)
+        self.chan_box_index = _BoxIndex.of_boxes(chan_boxes, skip_first=True)
+        self.device_box_index = _BoxIndex.of_boxes(device_boxes,
+                                                   skip_first=True)
         # The instances that are not replayed, by touching bbox.
-        self.interface_index = _BoxIndex([
+        self.interface_index = _BoxIndex.of_boxes([
             box if k and not self.isolated[k] else None
             for k, box in enumerate(self.src_bbox)])
 
         # Left by the stages for the later ones.
         self.fresh_channels: Set[int] = set()
-        self.chan_starts: List[int] = [0]        # per source, channel ids
         self.chan_map: List[Optional[Sequence[int]]] = [None] + [
             [-1] * len(children[k].channels) for k in range(1, len(sources))
         ]
@@ -281,24 +267,16 @@ class _Build:
         self.wire_layers: List[Tuple[str, _BoxIndex, int]] = []
         self.item_maps: List[Optional[Tuple[List[int], int, int, int, int]]] = []
 
-    def diffusion_block(self, block: int) -> Sequence[Rect]:
-        """The diffusion rects of one (layer, source) block, placed."""
-        diffusion = self.art.diffusion
-        if isinstance(diffusion, _Blocks):
-            return diffusion.part(block)
-        offsets = self.art.diff_offsets
-        return diffusion[offsets[block]:offsets[block + 1]]
-
     # -- candidate queries ----------------------------------------------------
 
     def diffusion_candidates(self, region: Rect, strict: bool) -> List[int]:
         """Global diffusion ids touching (``strict``: overlapping) region."""
-        sources, diff_offsets = self.sources, self.art.diff_offsets
+        sources, diff_starts = self.sources, self.art.diffusion.starts
         found: List[int] = []
         for k in self.diff_box_index.near(region, strict=strict):
             source = sources[k]
             for layer_pos, layer in enumerate(self.DL):
-                block_start = diff_offsets[layer_pos * len(sources) + k]
+                block_start = diff_starts[layer_pos * len(sources) + k]
                 for cid in source.probe(layer, region, strict=strict):
                     found.append(block_start + cid)
         found.sort()
@@ -308,7 +286,7 @@ class _Build:
                          strict: bool = False, base: int = 0) -> List[int]:
         """``base`` plus the ids into ``view.layer(layer)`` touching
         (``strict``: overlapping) region, ascending."""
-        sources, offsets = self.sources, self.view.layer_offsets(layer)
+        sources, offsets = self.sources, self.view.layer(layer).starts
         found = [base + offsets[k] + cid
                  for k in box_index.near(region, strict=strict)
                  for cid in sources[k].probe(layer, region, strict=strict)]
@@ -422,12 +400,11 @@ def _channels(build: _Build) -> None:
                                      for row in child.chan_of_poly])
             build.chan_map[src] = range(channel_count,
                                         channel_count + len(child.channels))
-            parts.append(_Part(child.channels, source.dx, source.dy))
+            parts.append(child.channels.moved(source.dx, source.dy))
             channel_count += len(child.channels)
-            build.chan_starts.append(channel_count)
             continue
         chan_map = build.chan_map[src]
-        polys = poly.part(src) if isinstance(poly, _Blocks) else poly
+        polys = poly.part(src)
         own_channels: List[Rect] = []
         for p_gid in range(poly_base, poly_offsets[src + 1]):
             poly_rect = polys[p_gid - poly_base]
@@ -467,10 +444,9 @@ def _channels(build: _Build) -> None:
             art.crossings.append([(d_gid, covered)
                                   for d_gid, _overlap, covered in crossings])
             art.chan_of_poly.append(channel_ids)
-        parts.append(_Part(own_channels))
+        parts.append(_Part.of(own_channels))
         channel_count += len(own_channels)
-        build.chan_starts.append(channel_count)
-    art.channels = _composed(parts, build.composed)
+    art.channels = _Blocks(parts)
 
 
 # -- stage 2: split diffusion by crossing channels ----------------------------
@@ -478,7 +454,7 @@ def _channels(build: _Build) -> None:
 
 def _split(build: _Build) -> None:
     art, sources, children = build.art, build.sources, build.children
-    channels, diff_offsets = art.channels, art.diff_offsets
+    channels, diff_starts = art.channels, art.diffusion.starts
     chan_box_index, isolated = build.chan_box_index, build.isolated
     blocks = len(sources)
 
@@ -486,8 +462,8 @@ def _split(build: _Build) -> None:
     for layer_pos in range(len(build.DL)):
         for src in build.interface_index.ids:
             block = layer_pos * blocks + src
-            start = diff_offsets[block]
-            for row, d_rect in enumerate(build.diffusion_block(block)):
+            start = diff_starts[block]
+            for row, d_rect in enumerate(art.diffusion.part(block)):
                 if any(j != src for j in chan_box_index.near(d_rect,
                                                              strict=True)):
                     suspect_diff.add(start + row)
@@ -503,10 +479,9 @@ def _split(build: _Build) -> None:
     def crossing_channels(d_rect: Rect) -> List[int]:
         nonlocal channel_index
         if channel_index is None:
-            channel_index = (_PartsIndex(channels, [
-                k for k in range(blocks) if not isolated[k]])
-                if build.composed else build_index(channels))
-        return channel_index.query(d_rect, strict=True)
+            channel_index = _BoxIndex.of_blocks(
+                channels, [k for k in range(blocks) if not isolated[k]])
+        return channel_index.near(d_rect, strict=True)
 
     parts: List[_Part] = []
     piece_count = 0
@@ -516,8 +491,8 @@ def _split(build: _Build) -> None:
             child = children[src]
             cmap = build.chan_map[src]
             pmap = build.piece_map[src]
-            block_start = diff_offsets[block]
-            rows = diff_offsets[block + 1] - block_start
+            block_start = diff_starts[block]
+            rows = diff_starts[block + 1] - block_start
             # This block's first id among the child's own diffusion ids.
             child_start = build.child_layer_starts[src][layer_pos] if src else 0
             if src and isolated[src]:
@@ -534,15 +509,16 @@ def _split(build: _Build) -> None:
                     [cmap[c] for c in crossing]
                     for crossing in child.chan_x_diff[child_start:child_start + rows]])
                 pmap[p_lo:p_hi] = range(p_lo + shift, p_hi + shift)
-                whole = p_lo == 0 and p_hi == len(child.pieces)
-                parts.append(_Part(child.pieces if whole
-                                   else child.pieces[p_lo:p_hi],
-                                   source.dx, source.dy))
+                if p_lo == 0 and p_hi == len(child.pieces):
+                    parts.append(child.pieces.moved(source.dx, source.dy))
+                else:
+                    parts.append(_Part([(child.pieces[p_lo:p_hi],
+                                         source.dx, source.dy)]))
                 piece_count += p_hi - p_lo
                 continue
             local_shift = child_start - block_start
             pieces: List[Rect] = []
-            for row, d_rect in enumerate(build.diffusion_block(block)):
+            for row, d_rect in enumerate(art.diffusion.part(block)):
                 d_gid = block_start + row
                 if src >= 1 and d_gid not in suspect_diff:
                     d_local = d_gid + local_shift
@@ -570,9 +546,9 @@ def _split(build: _Build) -> None:
                 build.new_pieces.extend(range(start, piece_count + len(pieces)))
                 art.piece_slices.append((start, piece_count + len(pieces) - start))
                 art.chan_x_diff.append(list(crossing_ids))
-            parts.append(_Part(pieces))
+            parts.append(_Part.of(pieces))
             piece_count += len(pieces)
-    art.pieces = _composed(parts, build.composed)
+    art.pieces = _Blocks(parts)
 
     build.new_piece_index = build_index([art.pieces[g] for g in build.new_pieces])
     build.index_items()
@@ -602,7 +578,7 @@ def _connectivity(build: _Build) -> None:
             if other != gid:
                 edge_set.add((gid, other) if gid < other else (other, gid))
     # Abutments between reused pieces of two interface instances.
-    abutting = _BoxIndex([box if k and not build.isolated[k]
+    abutting = _BoxIndex.of_boxes([box if k and not build.isolated[k]
                           and children[k].pieces else None
                           for k, box in enumerate(src_bbox)])
     for k in abutting.ids:
@@ -635,7 +611,7 @@ def _layer_components(view: _View, layer: str,
     block_comps = [sources[0].view.index(layer).connected_components()]
     block_comps.extend(child_comps[1:])
     components, _crossed = compose_components(
-        view.layer(layer), view.layer_offsets(layer), block_comps,
+        view.layer(layer), block_comps,
         [None if isolated[k] else source.view.index(layer)
          for k, source in enumerate(sources)],
         [(source.dx, source.dy) for source in sources],
@@ -657,7 +633,7 @@ def _contacts_and_labels(build: _Build) -> None:
     poly_start = len(art.pieces)
     metal_start = poly_start + len(build.poly)
     label_offsets = view.label_offsets
-    src_box_index = _BoxIndex(build.src_bbox)
+    src_box_index = _BoxIndex.of_boxes(build.src_bbox)
     for src in range(len(sources)):
         child = children[src]
         offset = label_offsets[src]
@@ -688,7 +664,7 @@ def _compose_touch(build: _Build, layer: str, strict: bool,
     view, sources, src_bbox = build.view, build.sources, build.src_bbox
     own_view, interface = build.own_view, build.interface_index
     rects = view.layer(layer)
-    offsets = view.layer_offsets(layer)
+    offsets = rects.starts
     own_cond_layers = [own_layer for own_layer in (build.DL + ["poly", "metal"])
                        if own_view.layer(own_layer)]
     suspect: Set[int] = set(range(offsets[0], offsets[1]))
@@ -699,7 +675,7 @@ def _compose_touch(build: _Build, layer: str, strict: bool,
         offset = offsets[k]
         # The cell's own conducting rects near this instance.
         for own_layer in own_cond_layers:
-            own_rects = own_view.layer(own_layer)
+            own_rects = own_view.layer(own_layer).part(0)
             for oid in own_view.index(own_layer).query(box_k):
                 for cid in source.probe(layer, own_rects[oid], strict=strict):
                     suspect.add(offset + cid)
@@ -762,9 +738,9 @@ def _devices(build: _Build) -> None:
                                   for terminals in child.terminals])
             art.depletion.extend(child.depletion)
             continue
-        block = channels.part(src) if build.composed else channels
-        first = build.chan_starts[src]
-        for cid in range(first, build.chan_starts[src + 1]):
+        block = channels.part(src)
+        first = channels.starts[src]
+        for cid in range(first, channels.starts[src + 1]):
             channel = block[cid - first]
             origin = reused_from.get(cid)
             valid = origin is not None and cid not in fresh_channels

@@ -33,7 +33,6 @@ from repro.runtime import gc_paused
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
-from repro.layout.view import frame_free_lists
 from repro.netlist.switch_sim import SwitchNetwork, Transistor, TransistorKind
 from repro.technology.technology import Technology
 from repro.timing.parasitics import (
@@ -172,7 +171,7 @@ class Extractor:
             for channel in channels)
         return finish_circuit(
             self.technology, cell, flat.labels, label_hits, finder,
-            conducting_items(diffusion_pieces, poly, metal), poly_start,
+            conducting_items([diffusion_pieces], [poly], [metal]), poly_start,
             channels, devices)
 
 
@@ -355,20 +354,21 @@ def declare_ports(network: SwitchNetwork, declared: Dict[str, object],
             network.add_output(name)
 
 
-def conducting_items(pieces: Sequence[Rect], poly: Sequence[Rect],
-                     metal: Sequence[Rect]) -> List[Tuple[str, Sequence[Rect]]]:
+def conducting_items(pieces: Sequence[Sequence[Rect]],
+                     poly: Sequence[Sequence[Rect]],
+                     metal: Sequence[Sequence[Rect]]
+                     ) -> List[Tuple[str, Sequence[Rect]]]:
     """The finisher's item enumeration, as ``(layer, rects)`` blocks:
-    diffusion pieces, then poly, then metal.
+    diffusion pieces, then poly, then metal, each layer given as the lists
+    that hold its rects in order.
 
-    A composed list contributes the lists it is made of, each in the frame
-    it was built in (:func:`repro.layout.view.frame_free_lists`): what the
-    finisher reads of an item — its layer, width and height — does not
-    depend on the frame, so no block is placed to read it.
+    What the finisher reads of an item — its layer, width and height — does
+    not depend on the frame, so each list may be in its own.
     """
     return [(layer, rects)
-            for layer, listed in (("diffusion", pieces), ("poly", poly),
-                                  ("metal", metal))
-            for rects in frame_free_lists(listed)]
+            for layer, lists in (("diffusion", pieces), ("poly", poly),
+                                 ("metal", metal))
+            for rects in lists]
 
 
 def union_chain(finder: UnionFind, ids: Sequence[int], base: int = 0) -> None:

@@ -21,13 +21,15 @@ make exact composition of per-cell analysis results possible on top of it:
     hits, ...) are replayed by translating their locations and re-basing
     their ids.
 
-3.  **Blocks by reference.**  That concatenation is a :class:`_Blocks`: each
-    block (:class:`_Part`) holds the child's list itself plus the
-    translation, and builds the translated copy only the first time one of
-    its rects is read by id.  The view decides once which instances are
-    *isolated* (:func:`isolated_sources`): nothing else comes within the
-    technology's interaction reach of them, so every composer replays them
-    as one block — ids re-based in bulk, rects never placed — and runs its
+3.  **Blocks by reference.**  Every rect list of a view or a composable
+    artifact is a :class:`_Blocks`, one block (:class:`_Part`) per source —
+    a single block for a leaf or collapsed view.  An instance's block holds
+    the child's lists themselves plus the translation, and builds the
+    translated copy only the first time one of its rects is read by id.
+    The view decides once which instances are *isolated*
+    (:func:`isolated_sources`): nothing else comes within the technology's
+    interaction reach of them, so every composer replays them as one
+    block — ids re-based in bulk, rects never placed — and runs its
     interface pass over the rest.
 
 This module owns the view, its builder (with the collapse rule for tiling
@@ -59,54 +61,76 @@ from repro.technology.technology import Technology
 
 _ORIGIN = Point(0, 0)
 
-#: :meth:`_StoredSlots.weight`'s bytes per packed rect, per block of a
-#: :class:`_Blocks` list and per element of any other list / dict slot;
+#: :meth:`_StoredSlots.weight`'s bytes per packed rect, per run of a
+#: :class:`_Part` and per element of any other list / dict slot;
 #: :meth:`_View.weight`'s per pickled ``Label``.
 _RECT_BYTES = 16
-_PART_BYTES = 24
+_RUN_BYTES = 24
 _ELEMENT_BYTES = 8
 _LABEL_BYTES = 32
 
 
 # -- block lists --------------------------------------------------------------
 
+#: One run of a block: a rect list in the frame it was built in and the
+#: translation that places it in the owner's.
+_Run = Tuple[List[Rect], int, int]
+
 
 class _Part:
-    """One block of a :class:`_Blocks` list: a rect list in the child's
-    frame and the translation that places it in the owner's.
+    """One block of a :class:`_Blocks` list, as runs.
 
-    ``rects`` is shared with the child artifact it came from (a plain list,
-    or the child's own :class:`_Blocks`) and never copied until something
-    reads one of its rects by id: :meth:`placed` then builds the translated
-    list once and keeps it.
+    A block computed in its owner is one unmoved run (:meth:`of`); an
+    instance's block is the child's whole list (:meth:`_Blocks.moved`): the
+    child's runs, shared, each with the instance's translation added.
+    Nothing is copied until something reads one of the block's rects by id:
+    :meth:`placed` then builds the translated list once and keeps it.
     """
 
-    __slots__ = ("rects", "dx", "dy", "_placed")
+    __slots__ = ("runs", "size", "_placed")
 
-    def __init__(self, rects: Sequence[Rect], dx: int = 0, dy: int = 0):
-        self.rects = rects
-        self.dx = dx
-        self.dy = dy
-        plain = not (dx or dy or isinstance(rects, _Blocks))
-        self._placed: Optional[Sequence[Rect]] = rects if plain else None
+    def __init__(self, runs: List[_Run]):
+        self.runs = runs
+        self._placed: Optional[List[Rect]] = None
+        if len(runs) == 1:
+            rects, dx, dy = runs[0]
+            self.size = len(rects)
+            if not (dx or dy):
+                self._placed = rects
+        else:
+            self.size = sum(len(rects) for rects, _dx, _dy in runs)
+            if not runs:
+                self._placed = []
 
-    @property
-    def is_placed(self) -> bool:
-        """Whether a translated copy of this block exists (or is the list)."""
-        return self._placed is not None
+    @staticmethod
+    def of(rects: List[Rect]) -> "_Part":
+        """A block of ``rects`` as they are (already in the owner's frame)."""
+        return _Part([(rects, 0, 0)])
 
-    def placed(self) -> Sequence[Rect]:
+    def placed(self) -> List[Rect]:
         """This block's rects in the owner's frame, built on first use."""
         placed = self._placed
         if placed is None:
-            placed = []
-            _flatten(self.rects, self.dx, self.dy, placed)
-            self._placed = placed
+            placed = self._placed = _laid_out(self.runs)
             obs_metrics.counter("hier.compose.placed").inc()
         return placed
 
     def __reduce__(self):
-        return (_Part, (_packed(self.rects), self.dx, self.dy))
+        return (_Part, ([(_packed(rects), dx, dy)
+                         for rects, dx, dy in self.runs],))
+
+
+#: The block of a source that has no rects on a layer.
+_NO_RECTS = _Part([])
+
+
+def _laid_out(runs: Iterable[_Run]) -> List[Rect]:
+    """The rects of ``runs``, each translated by its run's move, in order."""
+    out: List[Rect] = []
+    for rects, dx, dy in runs:
+        out.extend([rect.translated(dx, dy) for rect in rects]
+                   if dx or dy else rects)
+    return out
 
 
 class _Blocks:
@@ -114,7 +138,7 @@ class _Blocks:
 
     Reads by id (``blocks[i]``, or a slice) place only the blocks they
     touch; :meth:`part` hands a hot loop one block's placed list at once;
-    :func:`frame_free_lists` reads every rect without placing any, for the
+    :meth:`frame_free_lists` reads every rect without placing any, for the
     consumers that need only sizes.  ``starts[k]`` is block ``k``'s first id.
     Integer ids are non-negative.
     """
@@ -125,62 +149,65 @@ class _Blocks:
         self.parts = parts
         starts = [0]
         for part in parts:
-            starts.append(starts[-1] + len(part.rects))
+            starts.append(starts[-1] + part.size)
         self.starts = starts
+
+    @staticmethod
+    def of(rects: List[Rect]) -> "_Blocks":
+        """``rects`` as a one-block list (a leaf's, or a collapsed view's)."""
+        return _Blocks([_Part.of(rects)])
+
+    def moved(self, dx: int, dy: int) -> _Part:
+        """This whole list as one block of an owner that places it at
+        ``(dx, dy)``: its runs by reference, no rect translated."""
+        return _Part([(rects, run_dx + dx, run_dy + dy)
+                      for part in self.parts
+                      for rects, run_dx, run_dy in part.runs if rects])
 
     def __len__(self) -> int:
         return self.starts[-1]
 
     def __getitem__(self, index):
+        starts = self.starts
+        if len(starts) == 2:            # one block: read it directly
+            return self.parts[0].placed()[index]
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        k = bisect_right(self.starts, index) - 1
-        return self.parts[k].placed()[index - self.starts[k]]
+        k = bisect_right(starts, index) - 1
+        return self.parts[k].placed()[index - starts[k]]
 
     def __iter__(self):
         for part in self.parts:
             yield from part.placed()
 
-    def part(self, k: int) -> Sequence[Rect]:
+    def __eq__(self, other) -> bool:
+        """The same rects in the same order (blocks placed to compare)."""
+        if not isinstance(other, (_Blocks, list)):
+            return NotImplemented
+        return self.flat() == list(other)
+
+    def part(self, k: int) -> List[Rect]:
         """Block ``k``'s rects in this list's frame (placed on first use)."""
         return self.parts[k].placed()
 
     def flat(self) -> List[Rect]:
-        """Every rect in this list's frame, in order (places every block)."""
+        """Every rect in this list's frame, in order (places every block).
+        A one-block list hands over its block (not a copy)."""
+        if len(self.parts) == 1:
+            return self.parts[0].placed()
         return [rect for part in self.parts for rect in part.placed()]
+
+    def frame_free_lists(self) -> List[List[Rect]]:
+        """The lists holding these rects, in order, each in the frame it
+        was built in: exactly these rects up to translation.
+
+        For consumers of (layer, width, height) only — parasitics, device
+        sizes — which must not place a block to read it.
+        """
+        return [rects for part in self.parts for rects, _dx, _dy in part.runs]
 
     def __reduce__(self):
         return (_Blocks, (self.parts,))
-
-
-def _listed(rects: Sequence[Rect]) -> Sequence[Rect]:
-    """``rects`` as a plain list, for an index that reads every rect by id
-    (a block list is placed in full)."""
-    return rects.flat() if isinstance(rects, _Blocks) else rects
-
-
-def _flatten(rects: Sequence[Rect], dx: int, dy: int, out: List[Rect]) -> None:
-    """Append ``rects`` translated by ``(dx, dy)`` to ``out``, reading the
-    base lists of nested blocks directly (one translation per rect)."""
-    if isinstance(rects, _Blocks):
-        for part in rects.parts:
-            _flatten(part.rects, part.dx + dx, part.dy + dy, out)
-    elif dx or dy:
-        out.extend([rect.translated(dx, dy) for rect in rects])
-    else:
-        out.extend(rects)
-
-
-def frame_free_lists(rects: Sequence[Rect]) -> List[Sequence[Rect]]:
-    """The lists holding ``rects``, in order, each in whatever frame it was
-    built in: exactly the rects of ``rects`` up to translation.
-
-    For consumers of (layer, width, height) only — parasitics, device
-    sizes — which must not place a block to read it.
-    """
-    if not isinstance(rects, _Blocks):
-        return [rects]
-    return [base for part in rects.parts for base in frame_free_lists(part.rects)]
 
 
 class _Packed:
@@ -207,26 +234,25 @@ class _Packed:
 _PACKED: "weakref.WeakValueDictionary[int, _Packed]" = weakref.WeakValueDictionary()
 
 
-def _packed(rects: Sequence[Rect]):
-    """What a rect list pickles as: a block list itself, a plain list as
-    its one shared :class:`_Packed` stand-in."""
-    if isinstance(rects, _Blocks):
-        return rects
+def _packed(rects: List[Rect]) -> _Packed:
+    """What a run's rect list pickles as: its one shared stand-in."""
     proxy = _PACKED.get(id(rects))
     if proxy is None:
         proxy = _PACKED[id(rects)] = _Packed(rects)
     return proxy
 
 
-def _rects_weight(rects: Sequence[Rect], seen: Set[int]) -> int:
-    """Pickled bytes of one rect list not yet counted in ``seen``."""
-    if id(rects) in seen:
-        return 0
-    seen.add(id(rects))
-    if isinstance(rects, _Blocks):
-        return sum(_PART_BYTES + _rects_weight(part.rects, seen)
-                   for part in rects.parts)
-    return _RECT_BYTES * len(rects)
+def _rects_weight(blocks: _Blocks, seen: Set[int]) -> int:
+    """Pickled bytes of one block list: its runs, and each of their rect
+    lists not yet counted in ``seen``."""
+    total = 0
+    for part in blocks.parts:
+        for rects, _dx, _dy in part.runs:
+            total += _RUN_BYTES
+            if id(rects) not in seen:
+                seen.add(id(rects))
+                total += _RECT_BYTES * len(rects)
+    return total
 
 
 # -- the pickled form ---------------------------------------------------------
@@ -236,12 +262,12 @@ class _StoredSlots:
     """Pickled form of a slotted artifact, as the disk store writes it.
 
     ``_TRANSIENT`` slots (lazily built indexes, cheap to rebuild) stay
-    behind and come back ``None``; ``_RECT_LISTS`` slots — a rect list, or
-    a dict of them — travel as integer columns (:func:`pack_rects`), because
-    a list of ``Rect`` costs a Python-level ``__getstate__`` call per
-    element and that was ~85 % of every ``dumps``.  A list shared by several
-    slots or blocks travels once per blob and loads back shared; the
-    translated copies of placed blocks are not stored.
+    behind and come back ``None``; ``_RECT_LISTS`` slots — a
+    :class:`_Blocks`, or a dict of them — travel as integer columns
+    (:func:`pack_rects`), because a list of ``Rect`` costs a Python-level
+    ``__getstate__`` call per element and that was ~85 % of every ``dumps``.
+    A list shared by several slots or blocks travels once per blob and loads
+    back shared; the translated copies of placed blocks are not stored.
     """
 
     __slots__ = ("__weakref__",)
@@ -254,9 +280,9 @@ class _StoredSlots:
         What a byte-budgeted store charges for this artifact without
         serialising it: a packed rect is four C ints, counted once per
         distinct list (``seen`` carries the lists already counted in this
-        blob), a block is its translation, and the other list / dict slots
-        (id maps, partitions, offsets) average a machine word per element.
-        No rect is visited.
+        blob), a run is its translation, and the other list / dict slots
+        (id maps, partitions) average a machine word per element.  No rect
+        is visited.
         """
         if seen is None:
             seen = set()
@@ -274,13 +300,8 @@ class _StoredSlots:
         return total
 
     def __getstate__(self):
-        state = {slot: getattr(self, slot) for slot in self.__slots__
-                 if slot not in self._TRANSIENT}
-        for slot in self._RECT_LISTS:
-            value = state[slot]
-            state[slot] = ({key: _packed(rects) for key, rects in value.items()}
-                           if isinstance(value, dict) else _packed(value))
-        return state
+        return {slot: getattr(self, slot) for slot in self.__slots__
+                if slot not in self._TRANSIENT}
 
     def __setstate__(self, state):
         for slot, value in state.items():
@@ -295,16 +316,16 @@ class _View(_StoredSlots):
     ``rects[layer]`` lists every rectangle of the fully flattened cell,
     transformed by the orientation about the origin, in exactly the order
     the flat path's ``FlatLayout.rects_by_layer`` would produce after the
-    same transform: the cell's own shapes first, then each instance's block
-    (a :class:`_Blocks` when the view is composed, a plain list otherwise).
-    ``offsets[layer]`` gives the per-source block starts (source 0 is the
-    cell's own geometry, source ``k`` is instance ``k``); ``sources`` holds
-    the child views and their translations inside this frame;
-    ``isolated[k]`` says whether source ``k`` is replayed as one block
-    (:func:`isolated_sources`; never the own source).
+    same transform: the cell's own shapes first, then each instance's.  It
+    is a :class:`_Blocks` with one block per source (source 0 is the cell's
+    own geometry, source ``k`` is instance ``k``), so ``starts`` gives the
+    per-source id offsets; ``sources`` holds the child views and their
+    translations inside this frame (a leaf or collapsed view has one
+    source, itself); ``isolated[k]`` says whether source ``k`` is replayed
+    as one block (:func:`isolated_sources`; never the own source).
     """
 
-    __slots__ = ("name", "rects", "offsets", "labels", "label_offsets",
+    __slots__ = ("name", "rects", "labels", "label_offsets",
                  "sources", "isolated", "bbox", "shape_count", "path_length",
                  "_indexes", "_layer_bboxes", "_extent")
     _TRANSIENT = ("_indexes", "_layer_bboxes", "_extent")
@@ -312,8 +333,7 @@ class _View(_StoredSlots):
 
     def __init__(self, name: str):
         self.name = name
-        self.rects: Dict[str, Sequence[Rect]] = {}
-        self.offsets: Dict[str, List[int]] = {}
+        self.rects: Dict[str, _Blocks] = {}
         self.labels: List[Label] = []
         self.label_offsets: List[int] = [0]
         self.sources: List["_Source"] = []
@@ -346,13 +366,12 @@ class _View(_StoredSlots):
                     pending.append(child)
         return total
 
-    def layer(self, layer: str) -> Sequence[Rect]:
-        return self.rects.get(layer, [])
-
-    def layer_offsets(self, layer: str) -> List[int]:
-        """Block starts of ``layer`` per source (all zero for an absent one)."""
-        offsets = self.offsets.get(layer)
-        return [0] * (len(self.sources) + 1) if offsets is None else offsets
+    def layer(self, layer: str) -> _Blocks:
+        """``layer``'s rects (an absent layer: an empty block per source)."""
+        rects = self.rects.get(layer)
+        if rects is None:
+            rects = _Blocks([_NO_RECTS] * len(self.sources))
+        return rects
 
     def index(self, layer: str) -> SpatialIndex:
         indexes = self._indexes
@@ -360,18 +379,20 @@ class _View(_StoredSlots):
             indexes = self._indexes = {}
         index = indexes.get(layer)
         if index is None:
-            index = indexes[layer] = build_index(_listed(self.layer(layer)))
+            index = indexes[layer] = build_index(self.layer(layer).flat())
         return index
 
     def layer_bbox(self, layer: str) -> Optional[Rect]:
+        """Bounding box of ``layer``'s rects: the union of the sources'
+        cached boxes when composed, else read off the rects."""
         boxes = self._layer_bboxes
         if boxes is None:
             boxes = self._layer_bboxes = {}
         if layer not in boxes:
-            rects = self.layer(layer)
             boxes[layer] = (_union_all(source.layer_bbox(layer)
                                        for source in self.sources)
-                            if isinstance(rects, _Blocks) else _bounding(rects))
+                            if len(self.sources) > 1
+                            else _bounding(self.layer(layer)))
         return boxes[layer]
 
     def extent(self) -> Optional[Rect]:
@@ -469,48 +490,44 @@ def _translated(rects: Sequence[Rect], dx: int, dy: int) -> List[Rect]:
 
 
 class _BoxIndex:
-    """Index over per-source bounding boxes: which sources are near a rect?
+    """Spatial index over some rects, answering the caller's ids for them
+    (ascending when ``ids`` is, like any index query).
 
-    Replaces O(sources) distance scans in the per-element composition loops
-    with one localized query; sources with no geometry are skipped.
+    Over per-source bounding boxes (:meth:`of_boxes`) it says which sources
+    are near a rect, replacing O(sources) distance scans in the composers'
+    per-element loops with one localized query; over some blocks of a list
+    (:meth:`of_blocks`) it indexes those blocks only, so the others — the
+    replayed instances — are never placed.
     """
 
     __slots__ = ("ids", "index")
 
-    def __init__(self, boxes: Sequence[Optional[Rect]], skip_first: bool = False):
+    def __init__(self, ids: List[int], rects: Sequence[Rect]):
+        self.ids = ids
+        self.index = build_index(rects)
+
+    @classmethod
+    def of_boxes(cls, boxes: Sequence[Optional[Rect]],
+                 skip_first: bool = False) -> "_BoxIndex":
+        """Sources by bounding box; one with no geometry (``None``) — and
+        with ``skip_first`` the own source — is never near anything."""
         start = 1 if skip_first else 0
-        self.ids = [i for i in range(start, len(boxes)) if boxes[i] is not None]
-        self.index = build_index([boxes[i] for i in self.ids])
+        ids = [i for i in range(start, len(boxes)) if boxes[i] is not None]
+        return cls(ids, [boxes[i] for i in ids])
 
-    def near(self, region: Rect, margin: int = 0,
-             strict: bool = False) -> List[int]:
-        ids = self.ids
-        return [ids[p] for p in self.index.query(region, margin=margin,
-                                                 strict=strict)]
-
-
-class _PartsIndex:
-    """Spatial index over some blocks of a :class:`_Blocks` list, answering
-    ids of the whole list (ascending, like any index query).
-
-    The interface passes' view of a composed list: the blocks they may
-    touch are indexed (and so placed), the replayed ones are not.
-    """
-
-    __slots__ = ("ids", "index")
-
-    def __init__(self, rects: _Blocks, blocks: Iterable[int]):
-        members: List[Rect] = []
+    @classmethod
+    def of_blocks(cls, rects: _Blocks, blocks: Iterable[int]) -> "_BoxIndex":
+        """Blocks ``blocks`` of ``rects``, answering ids into ``rects``."""
         ids: List[int] = []
+        members: List[Rect] = []
         for k in blocks:
             placed = rects.part(k)
             members.extend(placed)
             ids.extend(range(rects.starts[k], rects.starts[k] + len(placed)))
-        self.ids = ids
-        self.index = build_index(members)
+        return cls(ids, members)
 
-    def query(self, region: Rect, margin: int = 0,
-              strict: bool = False) -> List[int]:
+    def near(self, region: Rect, margin: int = 0,
+             strict: bool = False) -> List[int]:
         ids = self.ids
         return [ids[p] for p in self.index.query(region, margin=margin,
                                                  strict=strict)]
@@ -554,18 +571,25 @@ def build_view(cell: Cell, orientation: Orientation,
     transform = Transform(orientation, _ORIGIN)
     identity = orientation is Orientation.R0
 
+    # The cell's own geometry, as a one-source view of its own.
     own = _View(cell.name)
+    own_rects: Dict[str, List[Rect]] = {}
     for shape in cell.shapes:
         if not identity:
             shape = shape.transformed(transform)
-        own.rects.setdefault(shape.layer, []).extend(shape.as_rects())
+        own_rects.setdefault(shape.layer, []).extend(shape.as_rects())
         box = shape.bbox
         own.bbox = box if own.bbox is None else own.bbox.union(box)
         own.shape_count += 1
         if isinstance(shape.geometry, Path):
             own.path_length += shape.geometry.length
+    own.rects = {layer: _Blocks.of(rects) for layer, rects in own_rects.items()}
     own.labels = (list(cell.labels) if identity
                   else [label.transformed(transform) for label in cell.labels])
+    own.sources = [_OwnSource(own)]
+    own.label_offsets = [0, len(own.labels)]
+    if not cell.instances:
+        return own
 
     view = _View(cell.name)
     view.sources = sources = [_Source(own, 0, 0, None, None)]
@@ -582,10 +606,10 @@ def build_view(cell: Cell, orientation: Orientation,
             if layer not in layers:
                 layers.append(layer)
     for layer in layers:
-        rects = _Blocks([_Part(source.view.layer(layer), source.dx, source.dy)
-                         for source in sources])
-        view.rects[layer] = rects
-        view.offsets[layer] = rects.starts
+        view.rects[layer] = _Blocks([
+            _NO_RECTS if rects is None else rects.moved(source.dx, source.dy)
+            for source in sources
+            for rects in (source.view.rects.get(layer),)])
     for source in sources:
         if source.dx or source.dy:
             view.labels.extend(label.translated(source.dx, source.dy)
@@ -598,19 +622,13 @@ def build_view(cell: Cell, orientation: Orientation,
     view.bbox = _union_all(source.bbox() for source in sources)
 
     instance_count = len(sources) - 1
-    if not instance_count:
-        view.rects = own.rects
-        view.offsets = {layer: [0, len(rects)] for layer, rects in own.rects.items()}
-        return view
-    child_rects = sum(offs[-1] - offs[1] for offs in view.offsets.values())
+    child_rects = sum(len(rects) - rects.starts[1]
+                      for rects in view.rects.values())
     if child_rects < collapse_below * instance_count:
-        flat: Dict[str, Sequence[Rect]] = {}
-        for layer, rects in view.rects.items():
-            flat[layer] = []
-            _flatten(rects, 0, 0, flat[layer])
-        view.rects = flat
+        view.rects = {layer: _Blocks.of(_laid_out(
+                          run for part in rects.parts for run in part.runs))
+                      for layer, rects in view.rects.items()}
         view.sources = [_OwnSource(view)]
-        view.offsets = {layer: [0, len(rects)] for layer, rects in flat.items()}
         view.label_offsets = [0, len(view.labels)]
         return view
     view.isolated = isolated_sources(view, reach)
@@ -634,7 +652,7 @@ def isolated_sources(view: _View, reach: int) -> List[bool]:
     """
     sources = view.sources
     extents = [None] + [source.extent() for source in sources[1:]]
-    near = _BoxIndex(extents, skip_first=True)
+    near = _BoxIndex.of_boxes(extents, skip_first=True)
     own = sources[0].view
     own_indexes = [own.index(layer) for layer, rects in own.rects.items()
                    if rects]
@@ -672,11 +690,8 @@ def compose_areas(view: _View,
         count_sources(view)
     areas: Dict[str, int] = {}
     for layer, rects in view.rects.items():
-        if len(sources) == 1:
-            areas[layer] = merged_area(rects)
-            continue
         boxes = [source.layer_bbox(layer) for source in sources]
-        box_index = _BoxIndex(boxes)
+        box_index = _BoxIndex.of_boxes(boxes)
         total = 0
         overlapping: List[int] = []
         for k, box in enumerate(boxes):
@@ -698,7 +713,7 @@ def compose_areas(view: _View,
 # -- shared component composition ---------------------------------------------
 
 
-def _cross_block_pairs(items: Sequence[Rect],
+def _cross_block_pairs(items: _Blocks,
                        block_indexes: Sequence[Optional[SpatialIndex]],
                        block_moves: Sequence[Tuple[int, int]],
                        block_bboxes: Sequence[Optional[Rect]],
@@ -712,8 +727,8 @@ def _cross_block_pairs(items: Sequence[Rect],
     Touching is intrinsic to the pair, so the result is exactly the set of
     cross-block edges of the global touching graph.
     """
-    boxes = _BoxIndex([None if isolated[k] else box
-                       for k, box in enumerate(block_bboxes)])
+    boxes = _BoxIndex.of_boxes([None if isolated[k] else box
+                                for k, box in enumerate(block_bboxes)])
     pairs: List[Tuple[int, int, int, int]] = []
     for i in boxes.ids:
         dx_i, dy_i = block_moves[i]
@@ -733,7 +748,7 @@ def _cross_block_pairs(items: Sequence[Rect],
     return pairs
 
 
-def compose_components(items: Sequence[Rect], offsets: Sequence[int],
+def compose_components(items: _Blocks,
                        block_comps: Sequence[Sequence[Sequence[int]]],
                        block_indexes: Sequence[Optional[SpatialIndex]],
                        block_moves: Sequence[Tuple[int, int]],
@@ -751,9 +766,10 @@ def compose_components(items: Sequence[Rect], offsets: Sequence[int],
     edges on top (replayed unions are always valid: rect existence and
     touching are intrinsic, so the closure equals the flat one), and each
     isolated block's partition is spliced in, re-based, at its place in
-    smallest-member order.  ``block_indexes`` may be ``None`` for isolated
-    blocks; ``items`` is a :class:`_Blocks` whenever there are two blocks.
+    smallest-member order.  ``items`` has one block per partition;
+    ``block_indexes`` may be ``None`` for isolated blocks.
     """
+    offsets = items.starts
     cross_pairs = (_cross_block_pairs(items, block_indexes, block_moves,
                                       block_bboxes, isolated)
                    if len(block_comps) > 1 else [])

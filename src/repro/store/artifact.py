@@ -445,9 +445,13 @@ class DiskStore(ArtifactStore):
         """Counters plus occupancy (``entries``, ``bytes`` on disk).
 
         Occupancy is a walk of the blob directory, taken on the first call
-        and again after this store has written or removed a blob, so a
-        sign-off that reads only does not pay a walk of a store that grows
-        with every edit; another process's writes show from the next walk.
+        and again only after *this* store object has written, evicted,
+        discarded or collected a blob, so a sign-off that only reads does
+        not pay a walk of a store that grows with every edit.  Writes and
+        removals by anyone else on the same directory — another process, or
+        another ``DiskStore`` object — are not seen until this object next
+        changes the directory itself: the figures it reports until then are
+        those of its last walk.
         """
         if self._occupancy is None:
             paths = self._blob_paths()

@@ -38,7 +38,6 @@ from repro.generators import FsmLayoutGenerator, PlaGenerator
 from repro.geometry.point import Point
 from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
-from repro.layout.view import _Blocks
 from repro.logic import TruthTable, parse_expr
 from repro.metrics import measure_cell
 from repro.obs import metrics
@@ -373,7 +372,7 @@ class TestRandomizedHierarchies:
 
 
 def top_blocks(analyzer, top):
-    """``(source, part)`` of every block list the top's composed artifacts
+    """``(source, block)`` of every rect list the top's composed artifacts
     hold: view layers, DRC merge inputs and outputs, extraction lists."""
     def get(kind):
         return analyzer.store.get(analyzer._key(kind, top, Orientation.R0))
@@ -386,8 +385,7 @@ def top_blocks(analyzer, top):
     extract = get("extract")
     lists += [extract.diffusion, extract.channels, extract.pieces]
     return view, [(index % sources, part)
-                  for rects in lists if isinstance(rects, _Blocks)
-                  for index, part in enumerate(rects.parts)]
+                  for rects in lists for index, part in enumerate(rects.parts)]
 
 
 class TestReplayedInstances:
@@ -411,8 +409,10 @@ class TestReplayedInstances:
         assert view.isolated[0] is False
         # view, areas, drc and extract each composed the six instances once.
         assert compose_counts() == (4 * 4, 4 * 2)
+        # A block is placed once its translated copy exists.
         placed = {names[k - 1] for k, part in blocks
-                  if k and part.is_placed and part.dx | part.dy}
+                  if k and part._placed is not None
+                  and any(dx or dy for _rects, dx, dy in part.runs)}
         assert not placed & replayed
         assert placed        # the interface pass did read the abutting tiles
         assert metrics.counter("hier.compose.placed").value > 0

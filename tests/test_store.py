@@ -261,6 +261,28 @@ class TestDiskStore:
         assert stats["hits"] == 2 and stats["misses"] == 1
         assert stats["entries"] == 2 and stats["bytes"] > 0
 
+    def test_occupancy_is_walked_again_only_after_own_changes(self, tmp_path):
+        """``entries`` / ``bytes`` come from this object's last directory
+        walk: a second store's writes and removals on the same directory
+        show up only once this one writes or removes a blob itself."""
+        mine, other = DiskStore(str(tmp_path)), DiskStore(str(tmp_path))
+        fill(mine, {"k1": 1})
+        assert mine.stats()["entries"] == 1
+        fill(other, {"k2": 2, "k3": 3})
+        assert other.stats()["entries"] == 3
+        assert mine.stats()["entries"] == 1          # stale: not walked again
+        assert mine.get("k2") == 2                   # reads do not walk
+        assert mine.stats()["entries"] == 1
+        fill(mine, {"k4": 4})
+        assert mine.stats()["entries"] == 4          # its own write: walked
+        assert other.evict("k1") and other.stats()["entries"] == 3
+        assert mine.stats()["entries"] == 4
+        assert mine.evict("k2")
+        assert (mine.stats()["entries"], other.stats()["entries"]) == (2, 3)
+        assert mine.stats()["bytes"] == sum(
+            os.path.getsize(os.path.join(root, name))
+            for root, _dirs, names in os.walk(tmp_path) for name in names)
+
     def test_no_temp_files_left_behind(self, tmp_path):
         disk = DiskStore(str(tmp_path))
         fill(disk, {f"k{i}": i for i in range(5)})
