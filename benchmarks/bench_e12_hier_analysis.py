@@ -28,6 +28,7 @@ from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 from repro.logic import TruthTable, parse_expr
 from repro.metrics import format_table, measure_cell
+from repro.obs import metrics
 
 ROM_COLUMNS, ROM_ROWS = 8, 5       # 40 instances of the ROM block
 PLA_COLUMNS, PLA_ROWS = 6, 4       # 24 instances of the PLA block
@@ -67,7 +68,7 @@ def build_tile_chip(technology, name="e12_tile_chip"):
 def netlist_identity(circuit):
     return (circuit.node_names, circuit.network.transistors,
             circuit.network.inputs, circuit.network.outputs,
-            circuit.summary())
+            circuit.summary(), circuit.parasitics)
 
 
 def flat_analysis(chip, technology):
@@ -93,9 +94,16 @@ def test_e12_hierarchical_vs_indexed_flat(benchmark, technology):
         return hier_analysis(chip, HierAnalyzer(technology))
 
     hier_violations, hier_circuit = benchmark(cold_run)
+    metrics.reset_metrics("hier.compose.")
     cold_start = time.perf_counter()
     cold_violations, cold_circuit = cold_run()
     cold_seconds = time.perf_counter() - cold_start
+    # Every tile is replayed (by the view, DRC and extraction builds): the
+    # top's node partition unions its own two rails and splices every other
+    # node from the tiles' partitions.
+    assert metrics.counter("hier.compose.replayed").value == 3 * 64
+    assert metrics.counter("hier.compose.items_unioned").value == 2
+    assert metrics.counter("hier.compose.nodes_spliced").value > 0
 
     # Identical results, ordering included.
     assert hier_violations == flat_violations == cold_violations

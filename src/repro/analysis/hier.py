@@ -83,11 +83,12 @@ from repro.timing.switch import BlockTiming, SwitchTimingAnalyzer
 #: (:class:`repro.layout.view._StoredSlots`); 4: the artifact classes moved
 #: module, so an older pickle names classes that no longer exist; 5: composed
 #: rect lists are blocks by reference (:class:`repro.layout.view._Blocks`),
-#: each distinct child list packed once per blob.  Blobs of
-#: an older generation are never addressed: they miss and wait for ``gc``,
-#: where bumping the store's envelope format would make every one of them an
-#: ``STO002`` (fatal under ``REPRO_STRICT=1``).
-_KEY_SCHEME = 5
+#: each distinct child list packed once per blob; 6: ``extract`` artifacts
+#: carry their node partition (:class:`repro.extract.extractor.NodePartition`).
+#: Blobs of an older generation are never addressed: they miss and wait for
+#: ``gc``, where bumping the store's envelope format would make every one of
+#: them an ``STO002`` (fatal under ``REPRO_STRICT=1``).
+_KEY_SCHEME = 6
 
 #: Cells whose instances average fewer rectangles than this are analyzed
 #: directly on their flat view instead of composed from per-instance
@@ -98,59 +99,63 @@ _DIRECT_THRESHOLD = 96
 
 # -- the kinds ----------------------------------------------------------------
 #
-# One build function per kind, each ``build(analyzer, cell, orientation)``:
-# fetch the inputs through ``analyzer._get`` (children first, so their
-# artifacts are shared by every parent that instantiates them) and hand them
-# to the engine that owns the work.
+# One build function per kind, each ``build(analyzer, cell, orientation,
+# span)``: fetch the inputs through ``analyzer._get`` (children first, so
+# their artifacts are shared by every parent that instantiates them) and hand
+# them to the engine that owns the work.  ``span`` is the build's
+# ``hier.build.<kind>`` span, for what only the build sees.
 
 
 def _build_view(analyzer: "HierAnalyzer", cell: Cell,
-                orientation: Orientation) -> _View:
+                orientation: Orientation, _span) -> _View:
     return build_view(cell, orientation, partial(analyzer._get, "view"),
                       _DIRECT_THRESHOLD, interaction_reach(analyzer.technology))
 
 
-def _build_areas(analyzer, cell, orientation) -> Dict[str, int]:
+def _build_areas(analyzer, cell, orientation, _span) -> Dict[str, int]:
     view = analyzer._get("view", cell, orientation)
     return compose_areas(view, analyzer._children("areas", view))
 
 
-def _build_drc(analyzer, cell, orientation):
+def _build_drc(analyzer, cell, orientation, _span):
     view = analyzer._get("view", cell, orientation)
     return compose_drc(analyzer.technology, view,
                        analyzer._children("drc", view))
 
 
-def _build_extract(analyzer, cell, orientation):
+def _build_extract(analyzer, cell, orientation, _span):
     view = analyzer._get("view", cell, orientation)
     return compose_extract(analyzer.technology, view,
                            analyzer._children("extract", view))
 
 
-def _build_violations(analyzer, cell, orientation):
+def _build_violations(analyzer, cell, orientation, _span):
     artifact = analyzer._get("drc", cell, orientation)
     return tuple(viol for rule_viols in artifact.viols
                  for _ids, viol in rule_viols)
 
 
-def _build_circuit(analyzer, cell, orientation) -> ExtractedCircuit:
-    return circuit_of(analyzer.technology, cell,
-                      analyzer._get("view", cell, orientation),
-                      analyzer._get("extract", cell, orientation))
+def _build_circuit(analyzer, cell, orientation, span) -> ExtractedCircuit:
+    view = analyzer._get("view", cell, orientation)
+    art = analyzer._get("extract", cell, orientation)
+    # How many nodes the partition has, and how many of them it took whole
+    # from replayed instances: the finisher only names and emits.
+    span.set(nodes=art.nodes.count, spliced=art.nodes.spliced)
+    return circuit_of(analyzer.technology, cell, view, art)
 
 
-def _build_extent(analyzer, cell, orientation):
+def _build_extent(analyzer, cell, orientation, _span):
     view = analyzer._get("view", cell, orientation)
     return view.bbox, view.shape_count, view.path_length
 
 
-def _build_erc(analyzer, cell, orientation) -> ErcReport:
+def _build_erc(analyzer, cell, orientation, _span) -> ErcReport:
     analyzer._children("erc", analyzer._get("view", cell, orientation))
     return ErcChecker().check_circuit(
         analyzer._get("circuit", cell, orientation))
 
 
-def _build_timing(analyzer, cell, orientation) -> BlockTiming:
+def _build_timing(analyzer, cell, orientation, _span) -> BlockTiming:
     analyzer._children("timing", analyzer._get("view", cell, orientation))
     return SwitchTimingAnalyzer(analyzer.technology).analyze(
         analyzer._get("circuit", cell, orientation))
@@ -353,11 +358,11 @@ class HierAnalyzer:
         # child's build inside its parent's finds the collector already off.
         with gc_paused(), obs_trace.span(
                 f"hier.build.{kind}", cat=category, cell=cell.name,
-                orientation=orientation.name, gc_paused=True):
-            value = build(self, cell, orientation)
+                orientation=orientation.name, gc_paused=True) as span:
+            value = build(self, cell, orientation, span)
             with obs_trace.span("store.put", cat="store", kind=kind,
-                                cell=cell.name) as span:
-                span.set(bytes=self.store.put(key, value))
+                                cell=cell.name) as put:
+                put.set(bytes=self.store.put(key, value))
         return value
 
     def _children(self, kind: str, view: _View) -> List:

@@ -220,7 +220,7 @@ def _compose_merge(view: _View, children: Sequence[Optional[_DrcArtifact]],
         block_moves.append((source.dx, source.dy))
         merge.block_bboxes.append(source.placed(child.bbox()))
     merge.inputs = _Blocks(parts)
-    merge.components, crossed = compose_components(
+    merge.components, _joined, crossed = compose_components(
         merge.inputs, block_comps, block_indexes, block_moves,
         merge.block_bboxes, view.isolated)
     _fill_merge(merge, view, children, layer, crossed)

@@ -3,10 +3,11 @@
 :func:`compose_extract` builds the :class:`_ExtractArtifact` of one oriented
 view (:mod:`repro.layout.view`) from the artifacts of the view's instances,
 in the flat extractor's five stages — channels, diffusion split, same-layer
-connectivity, contacts / buried straps / labels, per-channel device data.
-Each stage replays an isolated instance
-(:func:`repro.layout.view.isolated_sources`) as one block: its rect lists
-by reference, its id lists re-based in bulk.  For the other instances it
+connectivity, contacts / buried straps / labels, per-channel device data —
+and a sixth, the electrical node partition with its wire sums.  Each stage
+replays an isolated instance (:func:`repro.layout.view.isolated_sources`)
+as one block: its rect lists by reference, its id lists re-based in bulk,
+its nodes spliced in, renumbered.  For the other instances it
 replays a child's cached per-element result (ids re-based by block offsets)
 unless foreign geometry could change it; those *suspect* elements are
 recomputed in the parent's context with the flat extractor's own stage
@@ -21,11 +22,13 @@ spans and the collector pause belong to :mod:`repro.analysis.hier`.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.extract.extractor import (
     ExtractedCircuit,
+    NodePartition,
     adjacent_piece_ids,
     conducting_items,
     covers,
@@ -34,8 +37,8 @@ from repro.extract.extractor import (
     gate_item,
     label_item_hits,
     label_probe,
+    partition_nodes,
     split_by_channels,
-    union_chain,
 )
 from repro.geometry.index import SpatialIndex, UnionFind, build_index
 from repro.geometry.rect import Rect
@@ -50,7 +53,9 @@ from repro.layout.view import (
     compose_components,
     count_sources,
 )
+from repro.obs import metrics as obs_metrics
 from repro.technology.technology import Technology
+from repro.timing.parasitics import ParasiticModel
 
 
 class _ExtractArtifact(_StoredSlots):
@@ -58,18 +63,22 @@ class _ExtractArtifact(_StoredSlots):
 
     Holds everything the flat pipeline derives from geometry *before* node
     naming: channels, diffusion pieces, same-layer connectivity, contact and
-    label resolutions, per-channel device data.  Node naming and port
-    declaration are global (anonymous names follow the whole-chip group
-    order), so they cannot be *composed* from the children's: they run once
-    per analysed cell, in :func:`circuit_of` — linear, query-free work whose
-    result is cached as the ``circuit`` kind.
+    label resolutions, per-channel device data, and the node partition those
+    make of the conducting items, with each node's wire sums (``nodes``).
+    The partition composes; names do not.  Node naming and port declaration
+    are global (anonymous names follow the whole-chip node order, and label
+    text merges nodes across instances), so they run once per analysed cell,
+    in :func:`circuit_of` — linear, query-free work whose result is cached
+    as the ``circuit`` kind.  The edge lists stay beside the partition
+    because a parent that re-splits an interface instance's diffusion needs
+    them.
     """
 
     __slots__ = ("diffusion", "crossings",
                  "chan_of_poly", "channels", "chan_x_diff", "pieces",
                  "piece_slices", "piece_edges", "poly_comps", "metal_comps",
                  "contact_touch", "buried_touch", "label_hits", "gates",
-                 "terminals", "depletion", "_piece_index")
+                 "terminals", "depletion", "nodes", "_piece_index")
     _TRANSIENT = ("_piece_index",)
     _RECT_LISTS = ("diffusion", "channels", "pieces")
 
@@ -94,6 +103,7 @@ class _ExtractArtifact(_StoredSlots):
         self.gates: List[Optional[int]] = []
         self.terminals: List[List[int]] = []
         self.depletion: List[bool] = []
+        self.nodes = NodePartition(array("i"), array("d"), array("d"))
         self._piece_index: Optional[SpatialIndex] = None
 
     def piece_index(self) -> SpatialIndex:
@@ -105,15 +115,24 @@ class _ExtractArtifact(_StoredSlots):
 def compose_extract(technology: Technology, view: _View,
                     children: Sequence[Optional[_ExtractArtifact]]
                     ) -> _ExtractArtifact:
-    """The extraction artifact of ``view``; ``children[k]`` is instance ``k``'s."""
-    if len(view.sources) > 1:
-        count_sources(view)
+    """The extraction artifact of ``view``; ``children[k]`` is instance ``k``'s.
+
+    A composed view adds the nodes it spliced from replayed instances and
+    the items its union-find saw to ``hier.compose.nodes_spliced`` /
+    ``hier.compose.items_unioned``.
+    """
     build = _Build(technology, view, children)
     _channels(build)
     _split(build)
     _connectivity(build)
     _contacts_and_labels(build)
     _devices(build)
+    unioned = _nodes(build, ParasiticModel(technology))
+    if len(view.sources) > 1:
+        count_sources(view)
+        obs_metrics.counter("hier.compose.nodes_spliced").inc(
+            build.art.nodes.spliced)
+        obs_metrics.counter("hier.compose.items_unioned").inc(unioned)
     return build.art
 
 
@@ -122,31 +141,19 @@ def circuit_of(technology: Technology, cell: Cell, view: _View,
     """The ``circuit`` of an analysed cell: the flat finisher on ``art``.
 
     The item enumeration mirrors the flat extractor's exactly (diffusion
-    pieces, then poly, then metal, same layer names), so node names, device
-    order and the parasitic annotation are identical whenever the composed
-    structure is.  Items and channels are handed over as the lists they are
-    made of, each in its own frame: the finisher reads their sizes only, so
-    no block is placed to hand it over.
+    pieces, then poly, then metal, same layer names) and ``art.nodes``
+    partitions it as the flat union-find does, so node names, device order
+    and the parasitic annotation are identical whenever the composed
+    structure is.  Nothing is unioned here.  Items and channels are handed
+    over as the lists they are made of, each in its own frame: the finisher
+    reads their sizes only, so no block is placed to hand it over.
     """
-    poly, metal = view.layer("poly"), view.layer("metal")
-    poly_start = len(art.pieces)
-    metal_start = poly_start + len(poly)
-    finder = UnionFind(metal_start + len(metal))
-    for i, j in art.piece_edges:
-        finder.union(i, j)
-    for comp in art.poly_comps:
-        union_chain(finder, comp, poly_start)
-    for comp in art.metal_comps:
-        union_chain(finder, comp, metal_start)
-    for touching in art.contact_touch:
-        union_chain(finder, touching)
-    for touching in art.buried_touch:
-        union_chain(finder, touching)
-    return finish_circuit(technology, cell, view.labels, art.label_hits, finder,
+    return finish_circuit(technology, cell, view.labels, art.label_hits,
+                          art.nodes,
                           conducting_items(art.pieces.frame_free_lists(),
-                                           poly.frame_free_lists(),
-                                           metal.frame_free_lists()),
-                          poly_start,
+                                           view.layer("poly").frame_free_lists(),
+                                           view.layer("metal").frame_free_lists()),
+                          len(art.pieces),
                           chain.from_iterable(art.channels.frame_free_lists()),
                           zip(art.gates, art.terminals, art.depletion))
 
@@ -266,6 +273,13 @@ class _Build:
         # Set by index_items() once the pieces are final.
         self.wire_layers: List[Tuple[str, _BoxIndex, int]] = []
         self.item_maps: List[Optional[Tuple[List[int], int, int, int, int]]] = []
+        # What joins the items of the own source and the interface instances
+        # (a replayed instance's items join only each other): piece edges,
+        # per-layer components (ids into the layer), contact / buried
+        # touches.  The node partition unions these and nothing else.
+        self.joined_edges: Set[Tuple[int, int]] = set()
+        self.joined_comps: Dict[str, List[List[int]]] = {}
+        self.joined_touches: List[List[int]] = []
 
     # -- candidate queries ----------------------------------------------------
 
@@ -561,12 +575,13 @@ def _connectivity(build: _Build) -> None:
     art, sources, children = build.art, build.sources, build.children
     pieces, piece_map, src_bbox = art.pieces, build.piece_map, build.src_bbox
 
-    edge_set: Set[Tuple[int, int]] = set()
+    edge_set = build.joined_edges
+    replayed: List[Tuple[int, int]] = []
     for k in range(1, len(sources)):
         pmap = piece_map[k]
         if build.isolated[k]:
             # Every piece survives and the map is a shift: order holds.
-            edge_set.update([(pmap[i], pmap[j])
+            replayed.extend([(pmap[i], pmap[j])
                              for i, j in children[k].piece_edges])
             continue
         for i, j in children[k].piece_edges:
@@ -597,26 +612,30 @@ def _connectivity(build: _Build) -> None:
                     gj = pmap_j[cj]
                     if gj >= 0:
                         edge_set.add((gk, gj) if gk < gj else (gj, gk))
-    art.piece_edges = sorted(edge_set)
-    art.poly_comps = _layer_components(build.view, "poly", [
-        child.poly_comps if child else None for child in children])
-    art.metal_comps = _layer_components(build.view, "metal", [
-        child.metal_comps if child else None for child in children])
+    art.piece_edges = sorted(edge_set.union(replayed))
+    art.poly_comps, build.joined_comps["poly"] = _layer_components(
+        build.view, "poly",
+        [child.poly_comps if child else None for child in children])
+    art.metal_comps, build.joined_comps["metal"] = _layer_components(
+        build.view, "metal",
+        [child.metal_comps if child else None for child in children])
 
 
 def _layer_components(view: _View, layer: str,
                       child_comps: Sequence[Optional[List[List[int]]]]
-                      ) -> List[List[int]]:
+                      ) -> Tuple[List[List[int]], List[List[int]]]:
+    """``layer``'s components, and those of them that are not a replayed
+    instance's."""
     sources, isolated = view.sources, view.isolated
     block_comps = [sources[0].view.index(layer).connected_components()]
     block_comps.extend(child_comps[1:])
-    components, _crossed = compose_components(
+    components, joined, _crossed = compose_components(
         view.layer(layer), block_comps,
         [None if isolated[k] else source.view.index(layer)
          for k, source in enumerate(sources)],
         [(source.dx, source.dy) for source in sources],
         [source.layer_bbox(layer) for source in sources], isolated)
-    return components
+    return components, joined
 
 
 # -- stage 4: contacts, buried straps, labels ---------------------------------
@@ -695,6 +714,7 @@ def _compose_touch(build: _Build, layer: str, strict: bool,
             if build.isolated[src]:
                 result.extend(build.rebased_items(src, child_touch))
                 continue
+        first = len(result)
         base = offsets[src]
         for gid in range(base, offsets[src + 1]):
             if src and gid not in suspect:
@@ -704,6 +724,7 @@ def _compose_touch(build: _Build, layer: str, strict: bool,
                     continue
             result.append(build.conducting_candidates(
                 rects[gid], strict=strict, include_metal=include_metal))
+        build.joined_touches.extend(result[first:])
     return result
 
 
@@ -777,3 +798,104 @@ def _devices(build: _Build) -> None:
             art.gates.append(gate_gid)
             art.terminals.append(terminals)
             art.depletion.append(depletion)
+
+
+# -- stage 6: the node partition ----------------------------------------------
+
+
+class _Walk:
+    """One partition being spliced: how many of its items the segment walk
+    has passed, how many of its nodes are numbered in this cell so far, and
+    their numbers here."""
+
+    __slots__ = ("nodes", "walked", "numbered", "number")
+
+    def __init__(self, nodes: NodePartition):
+        self.nodes = nodes
+        self.walked = self.numbered = 0
+        self.number = [0] * nodes.count
+
+
+def _nodes(build: _Build, model: ParasiticModel) -> int:
+    """The node partition of the items and its wire sums; returns how many
+    items went through the union-find.
+
+    The items come in segments, one per (layer, source): each diffusion
+    layer's piece blocks, then the poly blocks, then the metal blocks.  The
+    own and interface segments' items go through one union-find with the
+    joins among them (``build.joined_*``), and :func:`partition_nodes`
+    numbers that partition by first occurrence and folds its wire sums.  A
+    replayed instance's items join only each other, so its segments are its
+    child's partition, sliced in the child's own item order.  Walking the
+    segments in item order, the nodes of a partition first met in a segment
+    are the next run of its own (first-occurrence) numbering; that run takes
+    the next ids here and brings its sums along.  The result is the
+    first-occurrence partition of the whole enumeration — the flat
+    union-find's — and no union and no ``find`` touches a replayed item.
+    """
+    art, isolated = build.art, build.isolated
+    blocks = len(build.sources)
+    poly, metal = build.poly, build.view.layer("metal")
+    poly_start = len(art.pieces)
+    metal_start = poly_start + len(poly)
+    segments = [("diffusion", block % blocks, start, part) for block, (start, part)
+                in enumerate(zip(art.pieces.starts, art.pieces.parts))]
+    for layer, rects, base in (("poly", poly, poly_start),
+                               ("metal", metal, metal_start)):
+        segments.extend((layer, src, base + start, part) for src, (start, part)
+                        in enumerate(zip(rects.starts, rects.parts)))
+
+    replays = any(isolated)
+    joined = [(layer, start, part) for layer, src, start, part in segments
+              if not isolated[src]]
+    to_joined: Sequence[int] = range(metal_start + len(metal))
+    if replays:
+        to_joined = [-1] * len(to_joined)
+        count = 0
+        for _layer, start, part in joined:
+            to_joined[start:start + part.size] = range(count, count + part.size)
+            count += part.size
+    unioned = sum(part.size for _layer, _start, part in joined)
+    finder = UnionFind(unioned)
+    union = finder.union
+    for i, j in build.joined_edges:
+        union(to_joined[i], to_joined[j])
+    chains = [(poly_start, comp) for comp in build.joined_comps["poly"]]
+    chains += [(metal_start, comp) for comp in build.joined_comps["metal"]]
+    chains += [(0, touching) for touching in build.joined_touches]
+    for base, ids in chains:
+        for first, second in zip(ids, ids[1:]):
+            union(to_joined[base + first], to_joined[base + second])
+    own = partition_nodes(finder, model, [
+        (layer, rects) for layer, _start, part in joined
+        for rects, _dx, _dy in part.runs])
+    if not replays:
+        art.nodes = own
+        return unioned
+
+    own_walk = _Walk(own)
+    walks = [_Walk(build.children[k].nodes) if isolated[k] else own_walk
+             for k in range(blocks)]
+    node_of, wire_cap, wire_res = array("i"), array("d"), array("d")
+    runs = []
+    for _layer, src, _start, part in segments:
+        if not part.size:
+            continue
+        walk = walks[src]
+        nodes, walked, numbered, number = (walk.nodes, walk.walked,
+                                           walk.numbered, walk.number)
+        ids = nodes.node_of[walked:walked + part.size]
+        walk.walked = walked + part.size
+        met = max(ids) + 1
+        first = len(wire_cap)
+        if met > numbered:
+            number[numbered:met] = range(first, first + met - numbered)
+            wire_cap.extend(nodes.wire_cap[numbered:met])
+            wire_res.extend(nodes.wire_res[numbered:met])
+            walk.numbered = met
+        node_of.fromlist([number[node] for node in ids])
+        runs.append((src if isolated[src] else 0, nodes, walked, part.size,
+                     numbered, walk.numbered, first))
+    art.nodes = NodePartition(node_of, wire_cap, wire_res,
+                              spliced=len(wire_cap) - own.count, runs=runs)
+    return unioned

@@ -23,7 +23,12 @@ the oracle the golden-equivalence tests compare netlists against and the
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import accumulate
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import run_with_fallback
@@ -36,9 +41,11 @@ from repro.layout.flatten import flatten_cell
 from repro.netlist.switch_sim import SwitchNetwork, Transistor, TransistorKind
 from repro.technology.technology import Technology
 from repro.timing.parasitics import (
+    Items,
     NetParasitics,
     ParasiticModel,
     annotate_parasitics,
+    fold_wires,
 )
 
 
@@ -71,6 +78,121 @@ class ExtractedCircuit:
             "enhancement": self.enhancement_count,
             "depletion": self.depletion_count,
         }
+
+
+#: One run of a spliced partition's items: ``(walk, source, start, size,
+#: low, high, first)`` — ``size`` items of partition ``source`` from its
+#: item ``start``, which brought its nodes ``low`` to ``high`` (exclusive)
+#: into this partition as ``first`` onwards.  ``walk`` tells the sources
+#: apart: 0 for the partition a cell's own and interface items share, ``k``
+#: for replayed instance ``k`` (instances of one cell share their source).
+_Run = Tuple[int, "NodePartition", int, int, int, int, int]
+
+
+class NodePartition:
+    """The conducting items grouped into electrical nodes, with their wires.
+
+    ``node_of[item]`` is an item's node; nodes are numbered by first
+    occurrence in item order (diffusion pieces, then poly, then metal), so
+    node ids are the order the finisher names nodes in.  ``wire_cap`` /
+    ``wire_res`` hold each node's :func:`repro.timing.parasitics.fold_wires`
+    sums.  ``spliced`` counts the nodes a hierarchical cell took whole from
+    its replayed instances' partitions (:mod:`repro.extract.compose`), and
+    ``runs`` says where a spliced partition's items came from — kept in
+    memory only, for :meth:`refold`; a partition without them is read as
+    one run of its own.
+    """
+
+    __slots__ = ("node_of", "wire_cap", "wire_res", "spliced", "runs")
+
+    def __init__(self, node_of: array, wire_cap: array, wire_res: array,
+                 spliced: int = 0, runs: Optional[List[_Run]] = None):
+        self.node_of = node_of
+        self.wire_cap = wire_cap
+        self.wire_res = wire_res
+        self.spliced = spliced
+        self.runs = runs
+
+    @property
+    def count(self) -> int:
+        return len(self.wire_cap)
+
+    def weight(self) -> int:
+        """Pickled size in bytes: the three arrays' buffers."""
+        return sum(values.itemsize * len(values) for values in
+                   (self.node_of, self.wire_cap, self.wire_res))
+
+    def __reduce__(self):
+        return (NodePartition, (self.node_of, self.wire_cap, self.wire_res,
+                                self.spliced))
+
+    def refold(self, model: ParasiticModel, items: Items,
+               groups: Dict[str, Sequence[int]]
+               ) -> Dict[str, Tuple[float, float]]:
+        """Per group of nodes (a name several nodes carry): wire capacitance
+        and resistance over all their items, added in item order — what
+        :func:`repro.timing.parasitics.fold_wires` gives the group's nodes
+        merged into one.  Float addition does not associate, so the nodes'
+        own sums cannot be added instead.
+
+        Each run contributes, per group, the terms of its group members in
+        order.  Instances of one cell replay the same source run with the
+        same names on the same nodes, so those terms are gathered once per
+        distinct run and added by ``reduce``, never item by item again.
+        """
+        runs = self.runs or [(0, self, 0, len(self.node_of), 0, self.count, 0)]
+        # The runs that brought nodes in, by the first node each brought.
+        introducing = [(first, walk, low) for walk, _source, _start, _size,
+                       low, high, first in runs if high > low]
+        firsts = [first for first, _walk, _low in introducing]
+        # Per walk: its own node -> the group name, for the grouped nodes.
+        wanted: Dict[int, Dict[int, str]] = {}
+        for name, nodes in groups.items():
+            for node in nodes:
+                first, walk, low = introducing[bisect_right(firsts, node) - 1]
+                wanted.setdefault(walk, {})[low + node - first] = name
+        block_starts = list(accumulate((len(rects) for _layer, rects in items),
+                                       initial=0))
+        sums = {name: (0.0, 0.0) for name in groups}
+        gathered: Dict[tuple, Dict[str, Tuple[List[float], List[float]]]] = {}
+        at = 0
+        for walk, source, start, size, _low, _high, _first in runs:
+            names = wanted.get(walk)
+            if names:
+                key = (id(source), start, size, tuple(sorted(names.items())))
+                terms = gathered.get(key)
+                if terms is None:
+                    terms = gathered[key] = _member_terms(
+                        model, items, block_starts, at,
+                        source.node_of[start:start + size], names)
+                for name, (caps, ress) in terms.items():
+                    cap, res = sums[name]
+                    sums[name] = (reduce(add, caps, cap), reduce(add, ress, res))
+            at += size
+        return sums
+
+
+def _member_terms(model: ParasiticModel, items: Items, block_starts: List[int],
+                  at: int, nodes: Sequence[int], names: Dict[int, str]
+                  ) -> Dict[str, Tuple[List[float], List[float]]]:
+    """Per name: the ``(cap, res)`` terms of the items ``at`` onwards whose
+    node (``nodes``, one per item) ``names`` carries, in item order."""
+    terms: Dict[str, Tuple[List[float], List[float]]] = {
+        name: ([], []) for name in names.values()}
+    end = at + len(nodes)
+    block = bisect_right(block_starts, at) - 1
+    while block < len(items) and block_starts[block] < end:
+        layer, rects = items[block]
+        base = block_starts[block]
+        for item in range(max(at, base), min(end, block_starts[block + 1])):
+            name = names.get(nodes[item - at])
+            if name is not None:
+                caps, ress = terms[name]
+                cap, res = model.wire_terms(layer, rects[item - base])
+                caps.append(cap)
+                ress.append(res)
+        block += 1
+    return terms
 
 
 class Extractor:
@@ -151,6 +273,8 @@ class Extractor:
             union_chain(finder, [item_id for item_id in
                                  conducting_index.query(buried_rect, strict=True)
                                  if item_id < metal_start])
+        items = conducting_items([diffusion_pieces], [poly], [metal])
+        nodes = partition_nodes(finder, ParasiticModel(self.technology), items)
 
         # 4. Resolve each label to the items whose geometry contains its
         # position via a point query.
@@ -169,10 +293,8 @@ class Extractor:
                                 channel),
              covers(channel, implant, implant_index.query(channel)))
             for channel in channels)
-        return finish_circuit(
-            self.technology, cell, flat.labels, label_hits, finder,
-            conducting_items([diffusion_pieces], [poly], [metal]), poly_start,
-            channels, devices)
+        return finish_circuit(self.technology, cell, flat.labels, label_hits,
+                              nodes, items, poly_start, channels, devices)
 
 
 def extract_cell(cell: Cell, technology: Technology) -> ExtractedCircuit:
@@ -238,13 +360,14 @@ def adjacent_piece_ids(pieces: Sequence[Rect], candidates: Iterable[int],
             if not pieces[piece_id].overlaps(channel, strict=True)]
 
 
-def dedupe_nodes(item_ids: Sequence[int], node_of_item: Dict[int, str]) -> List[str]:
+def dedupe_nodes(item_ids: Sequence[int], node_of: Sequence[int],
+                 names: Sequence[str]) -> List[str]:
     """Map item ids to node names, keeping the first occurrence of each."""
     found: List[str] = []
     for item_id in item_ids:
-        node = node_of_item[item_id]
-        if node not in found:
-            found.append(node)
+        name = names[node_of[item_id]]
+        if name not in found:
+            found.append(name)
     return found
 
 
@@ -274,42 +397,37 @@ def label_item_hits(label, candidates: Iterable[int], poly_start: int,
     return hits
 
 
-def apply_label(label, hit_item_ids: Sequence[int], find,
+def apply_label(label, hit_item_ids: Sequence[int], node_of: Sequence[int],
                 supply_hit: Dict[int, str], first_hit: Dict[int, str]) -> None:
-    """Fold one label into the naming precedence maps.
+    """Fold one label into the naming precedence maps (keyed by node).
 
-    A group takes the first non-supply label that hits it, except that the
+    A node takes the first non-supply label that hits it, except that the
     first supply label (vdd/gnd) always wins.
     """
     lowered = label.text.lower()
     is_supply = lowered in ("vdd", "gnd")
     for item_id in hit_item_ids:
-        root = find(item_id)
+        node = node_of[item_id]
         if is_supply:
-            supply_hit.setdefault(root, lowered)
+            supply_hit.setdefault(node, lowered)
         else:
-            first_hit.setdefault(root, label.text)
+            first_hit.setdefault(node, label.text)
 
 
-def resolve_node_names(groups: Dict[int, List[int]],
-                       supply_hit: Dict[int, str],
-                       first_hit: Dict[int, str]) -> Tuple[Dict[int, str], Dict[int, str]]:
-    """Assign every group its name (label-derived or a fresh ``n<k>``)."""
-    names: Dict[int, str] = {}
+def resolve_node_names(node_count: int, supply_hit: Dict[int, str],
+                       first_hit: Dict[int, str]) -> List[str]:
+    """Every node's name, by node id: label-derived, or a fresh ``n<k>``
+    counted over the unlabelled nodes in id (first-occurrence) order."""
+    labelled = {**first_hit, **supply_hit}
+    names: List[str] = []
     counter = 0
-    for root in groups:
-        name = supply_hit.get(root)
-        if name is None:
-            name = first_hit.get(root)
+    for node in range(node_count):
+        name = labelled.get(node)
         if name is None:
             name = f"n{counter}"
             counter += 1
-        names[root] = name
-    node_of_item: Dict[int, str] = {}
-    for root, members in groups.items():
-        for member in members:
-            node_of_item[member] = names[root]
-    return names, node_of_item
+        names.append(name)
+    return names
 
 
 def emit_transistor(network: SwitchNetwork, index: int, channel: Rect,
@@ -356,8 +474,7 @@ def declare_ports(network: SwitchNetwork, declared: Dict[str, object],
 
 def conducting_items(pieces: Sequence[Sequence[Rect]],
                      poly: Sequence[Sequence[Rect]],
-                     metal: Sequence[Sequence[Rect]]
-                     ) -> List[Tuple[str, Sequence[Rect]]]:
+                     metal: Sequence[Sequence[Rect]]) -> Items:
     """The finisher's item enumeration, as ``(layer, rects)`` blocks:
     diffusion pieces, then poly, then metal, each layer given as the lists
     that hold its rects in order.
@@ -377,44 +494,60 @@ def union_chain(finder: UnionFind, ids: Sequence[int], base: int = 0) -> None:
         finder.union(base + first, base + second)
 
 
+def partition_nodes(finder: UnionFind, model: ParasiticModel,
+                    items: Items) -> NodePartition:
+    """The partition ``finder`` makes of ``items``, as a :class:`NodePartition`:
+    one ``find`` per item, in item order, numbers the nodes by first
+    occurrence; the wire terms fold per node in the same order."""
+    find = finder.find
+    node_of_root: Dict[int, int] = {}
+    node_of = array("i")
+    for item in range(sum(len(rects) for _layer, rects in items)):
+        root = find(item)
+        node = node_of_root.get(root)
+        if node is None:
+            node = node_of_root[root] = len(node_of_root)
+        node_of.append(node)
+    return NodePartition(node_of, *fold_wires(model, items, node_of,
+                                              len(node_of_root)))
+
+
 def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
-                   label_hits: Iterable[Sequence[int]], finder: UnionFind,
-                   items: Sequence[Tuple[str, Sequence[Rect]]], poly_start: int,
-                   channels: Iterable[Rect],
+                   label_hits: Iterable[Sequence[int]], nodes: NodePartition,
+                   items: Items, poly_start: int, channels: Iterable[Rect],
                    devices: Iterable[Tuple[Optional[int], Sequence[int], bool]]
                    ) -> ExtractedCircuit:
     """Node naming, device emission, ports and parasitics: the circuit.
 
-    ``items`` are the conducting rectangles as :func:`conducting_items`
-    blocks (diffusion pieces, then poly from ``poly_start``, then metal)
-    that ``finder`` partitions into electrical nodes; ``label_hits`` runs
+    ``nodes`` partitions ``items`` — the conducting rectangles as
+    :func:`conducting_items` blocks (diffusion pieces, then poly from
+    ``poly_start``, then metal) — into electrical nodes; ``label_hits`` runs
     parallel to ``labels`` and ``devices`` — ``(gate poly id, terminal piece
     ids, is depletion)`` — parallel to ``channels``.  Item and channel
-    rectangles are read for their size only, so any frame will do.  A group
+    rectangles are read for their size only, so any frame will do.  A node
     takes the first label that hits it, except that the first supply label
     (vdd/gnd) to hit always wins; the anonymous names (``n0``, ``n1``, ...)
-    and device names follow the whole design's group and channel
+    and device names follow the whole design's node and channel
     enumeration, which is why this stage runs on the analysed cell as a
-    whole in both extraction paths.
+    whole in both extraction paths.  Only a net whose name several nodes
+    carry reads ``items`` (:func:`annotate_parasitics`).
     """
+    node_of = nodes.node_of
     first_hit: Dict[int, str] = {}
     supply_hit: Dict[int, str] = {}
-    find = finder.find
     for label, hits in zip(labels, label_hits):
-        apply_label(label, hits, find, supply_hit, first_hit)
-    groups: Dict[int, List[int]] = {}
-    for item in range(sum(len(rects) for _layer, rects in items)):
-        groups.setdefault(find(item), []).append(item)
-    names, node_of_item = resolve_node_names(groups, supply_hit, first_hit)
+        apply_label(label, hits, node_of, supply_hit, first_hit)
+    names = resolve_node_names(nodes.count, supply_hit, first_hit)
 
     network = SwitchNetwork(cell.name)
     enhancement = depletion = 0
     device_channels: List[Rect] = []
     for index, (channel, (gate_id, terminal_ids, is_depletion)) in enumerate(
             zip(channels, devices)):
-        gate_node = None if gate_id is None else node_of_item[poly_start + gate_id]
+        gate_node = (None if gate_id is None
+                     else names[node_of[poly_start + gate_id]])
         device = emit_transistor(network, index, channel, gate_node,
-                                 dedupe_nodes(terminal_ids, node_of_item),
+                                 dedupe_nodes(terminal_ids, node_of, names),
                                  is_depletion)
         if device is not None:
             device_channels.append(channel)
@@ -423,17 +556,20 @@ def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
             else:
                 enhancement += 1
 
-    declare_ports(network, cell.ports, set(names.values()), labels)
+    named = set(names)
+    declare_ports(network, cell.ports, named, labels)
+    model = ParasiticModel(technology)
     return ExtractedCircuit(
         cell_name=cell.name,
         network=network,
-        node_names=sorted(set(names.values())),
+        node_names=sorted(named),
         transistor_count=len(network.transistors),
         enhancement_count=enhancement,
         depletion_count=depletion,
         parasitics=annotate_parasitics(
-            ParasiticModel(technology), items, node_of_item,
-            network.transistors, device_channels),
+            model, names, nodes.wire_cap, nodes.wire_res,
+            partial(nodes.refold, model, items), network.transistors,
+            device_channels),
     )
 
 

@@ -280,9 +280,10 @@ class _StoredSlots:
         What a byte-budgeted store charges for this artifact without
         serialising it: a packed rect is four C ints, counted once per
         distinct list (``seen`` carries the lists already counted in this
-        blob), a run is its translation, and the other list / dict slots
-        (id maps, partitions) average a machine word per element.  No rect
-        is visited.
+        blob), a run is its translation, the other list / dict slots (id
+        maps, partitions) average a machine word per element, and a slot
+        value with a ``weight()`` of its own (a packed node partition) states
+        it.  No rect is visited.
         """
         if seen is None:
             seen = set()
@@ -297,6 +298,8 @@ class _StoredSlots:
                     total += _rects_weight(rects, seen)
             elif isinstance(value, (list, dict)):
                 total += _ELEMENT_BYTES * len(value)
+            elif hasattr(value, "weight"):
+                total += value.weight()
         return total
 
     def __getstate__(self):
@@ -754,28 +757,32 @@ def compose_components(items: _Blocks,
                        block_moves: Sequence[Tuple[int, int]],
                        block_bboxes: Sequence[Optional[Rect]],
                        isolated: Sequence[bool]
-                       ) -> Tuple[List[List[int]], bool]:
+                       ) -> Tuple[List[List[int]], List[List[int]], bool]:
     """Touching-closure partition of ``items`` from per-block partitions.
 
     Returns the components (ordered by smallest member, as the flat
-    all-pairs partition is) and whether any edge crossed two blocks.  With
-    no cross-block edge the global partition is the concatenation of the
-    block partitions in block order (own ids precede every instance block,
-    so smallest-member order holds).  Otherwise the blocks that are not
-    isolated replay their partitions into one union-find with the cross
-    edges on top (replayed unions are always valid: rect existence and
-    touching are intrinsic, so the closure equals the flat one), and each
-    isolated block's partition is spliced in, re-based, at its place in
-    smallest-member order.  ``items`` has one block per partition;
-    ``block_indexes`` may be ``None`` for isolated blocks.
+    all-pairs partition is), those of them over the blocks that are not
+    isolated, and whether any edge crossed two blocks.  With no cross-block
+    edge the global partition is the concatenation of the block partitions
+    in block order (own ids precede every instance block, so smallest-member
+    order holds).  Otherwise the blocks that are not isolated replay their
+    partitions into one union-find with the cross edges on top (replayed
+    unions are always valid: rect existence and touching are intrinsic, so
+    the closure equals the flat one), and each isolated block's partition is
+    spliced in, re-based, at its place in smallest-member order.  ``items``
+    has one block per partition; ``block_indexes`` may be ``None`` for
+    isolated blocks.
     """
     offsets = items.starts
     cross_pairs = (_cross_block_pairs(items, block_indexes, block_moves,
                                       block_bboxes, isolated)
                    if len(block_comps) > 1 else [])
-    if not cross_pairs:
-        return _rebased(offsets, block_comps, range(len(block_comps))), False
     interface = [k for k in range(len(block_comps)) if not isolated[k]]
+    if not cross_pairs:
+        components = _rebased(offsets, block_comps, range(len(block_comps)))
+        if len(interface) < len(block_comps):
+            return components, _rebased(offsets, block_comps, interface), False
+        return components, components, False
     # Union-find ids: the interface blocks' items, packed in block order
     # (the global ids themselves when no block is isolated).
     to_global: Optional[List[int]] = None
@@ -795,10 +802,11 @@ def compose_components(items: _Blocks,
     for i, ci, j, cj in cross_pairs:
         union(shift[i] + ci, shift[j] + cj)
     if to_global is None:
-        return finder.components(), True
+        components = finder.components()
+        return components, components, True
     joined = [[to_global[member] for member in comp]
               for comp in finder.components()]
-    components: List[List[int]] = []
+    components = []
     position = 0
     for k in range(len(block_comps)):
         if isolated[k]:
@@ -808,7 +816,7 @@ def compose_components(items: _Blocks,
         while position < len(joined) and joined[position][0] < end:
             components.append(joined[position])
             position += 1
-    return components, True
+    return components, joined, True
 
 
 def _rebased(offsets: Sequence[int],

@@ -410,6 +410,13 @@ class MazeRouter:
         most one cell), so the first time the goal is popped its cost is
         the cheapest there is — then by insertion order.  Returns ``None``
         when the frontier empties before the goal is reached.
+
+        The expansion budget and ``pnr.maze.expansions`` count *settled*
+        states; a heap entry a cheaper push superseded is dropped uncounted.
+        The bound is consistent, so every state settled before the goal has
+        cost below the path's, and Dijkstra
+        (:class:`repro.reference.DijkstraMazeRouter`) settles all of those:
+        this search never counts more.
         """
         blocked = self._blocked
         pitch = self.pitch
@@ -430,10 +437,10 @@ class MazeRouter:
         found: Optional[int] = None
         try:
             while frontier:
-                budget.tick(message)
                 _, _, cost, state = heapq.heappop(frontier)
                 if cost > costs.get(state, cost):
-                    continue
+                    continue                # superseded: a cheaper push won
+                budget.tick(message)
                 cell, heading = divmod(state, 3)
                 if cell == goal:
                     found = state

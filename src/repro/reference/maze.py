@@ -5,8 +5,9 @@ the frontier ordered by cost so far alone — the search the router ran
 before it took the Manhattan bound.  Lattice, blockage bookkeeping,
 reachability flood, snapping and taps are the parent's, so the two differ
 in exactly the order states are popped: the path *cost* must be equal on
-every instance, and the states A* settles are a subset of the ones settled
-here (``tests/test_pnr.py::TestSearchAgainstDijkstra``).
+every instance, and the states A* settles — what both count, superseded
+heap entries left out — are no more than the ones settled here
+(``tests/test_pnr.py::TestSearchAgainstDijkstra``).
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ class DijkstraMazeRouter(MazeRouter):
         found: Optional[int] = None
         try:
             while frontier:
-                budget.tick(message)
                 cost, _, state = heapq.heappop(frontier)
                 if cost > costs.get(state, cost):
                     continue
+                budget.tick(message)
                 cell, heading = divmod(state, 3)
                 if cell == goal:
                     found = state

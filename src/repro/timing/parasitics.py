@@ -18,10 +18,14 @@ static timing needs:
 The arithmetic is a pure function of ``(layer, width, height)`` —
 translation invariant — which is what lets the hierarchical engine
 (:mod:`repro.analysis.hier`) hand over an instance's rectangles in the
-child's frame, never placed: both the flat extractor and the hierarchical
-composition call :func:`annotate_parasitics` over the same item
-enumeration, so their parasitic dictionaries are identical whenever their
-netlists are.
+child's frame, never placed.  The wire terms are folded *per electrical
+node* (:func:`fold_wires`), in item order, when the node partition is
+built: a hierarchical cell splices a replayed instance's node sums instead
+of re-adding its rectangles.  :func:`annotate_parasitics` then names them:
+a net carried by one node takes its sums, a net whose name several nodes
+carry re-folds their items in item order
+(:meth:`repro.extract.extractor.NodePartition.refold`), so every float
+equals the per-item fold over the named net on both extraction paths.
 
 All values are era-scale estimates read from
 :class:`~repro.technology.technology.Technology` properties; absolute
@@ -32,8 +36,9 @@ designs compiled in the same technology are meaningful (the same caveat as
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.rect import Rect
 from repro.technology.technology import Technology
@@ -87,8 +92,21 @@ class ParasiticModel:
         self.pullup_res_ohm = technology.property("pullup_resistance_ohm", 40000.0)
         self.pulldown_res_ohm = technology.property("pulldown_resistance_ohm", 10000.0)
         self.pass_res_ohm = technology.property("pass_resistance_ohm", 15000.0)
+        # (layer, width, height) -> (cap, res): a chip has a handful of such
+        # classes (24 on a 64-tile array of 72 k items).
+        self._wire_terms: Dict[Tuple[str, int, int], Tuple[float, float]] = {}
 
     # -- per-rectangle terms (pure in (layer, rect): reusable across frames) --
+
+    def wire_terms(self, layer: str, rect: Rect) -> Tuple[float, float]:
+        """``(rect_cap_ff, rect_res_ohm)`` of one conducting rectangle,
+        computed once per ``(layer, width, height)`` class."""
+        shape = (layer, rect.x2 - rect.x1, rect.y2 - rect.y1)
+        terms = self._wire_terms.get(shape)
+        if terms is None:
+            terms = self._wire_terms[shape] = (self.rect_cap_ff(layer, rect),
+                                               self.rect_res_ohm(layer, rect))
+        return terms
 
     def rect_cap_ff(self, layer: str, rect: Rect) -> float:
         area_cap = self._area_cap.get(layer, 0.3)
@@ -107,67 +125,66 @@ class ParasiticModel:
         return channel.width * channel.height * self.gate_cap_ff_per_sq
 
 
-def annotate_parasitics(model: ParasiticModel,
-                        items: Iterable[Tuple[str, Sequence[Rect]]],
-                        node_of_item: Dict[int, str],
+#: Conducting items as ``(layer, rects)`` blocks in item-id order (the
+#: extractor's diffusion pieces, then poly, then metal).  A rectangle is
+#: read for its size only, so each block may be in its own frame.
+Items = Sequence[Tuple[str, Sequence[Rect]]]
+
+
+def fold_wires(model: ParasiticModel, items: Items, node_of: Sequence[int],
+               node_count: int) -> Tuple[array, array]:
+    """Per node of a partition (``node_of[item]``): wire capacitance and
+    resistance, each item's terms added in item order."""
+    cap = array("d", bytes(8 * node_count))
+    res = array("d", bytes(8 * node_count))
+    terms = model.wire_terms
+    nodes = iter(node_of)
+    for layer, rects in items:
+        for rect, node in zip(rects, nodes):
+            item_cap, item_res = terms(layer, rect)
+            cap[node] += item_cap
+            res[node] += item_res
+    return cap, res
+
+
+def annotate_parasitics(model: ParasiticModel, node_names: Sequence[str],
+                        wire_cap: Sequence[float], wire_res: Sequence[float],
+                        refold: Callable[[Dict[str, List[int]]],
+                                         Dict[str, Tuple[float, float]]],
                         devices: Sequence,
                         device_channels: Optional[Sequence[Rect]] = None
                         ) -> Dict[str, NetParasitics]:
-    """Fold item geometry and device loading into per-net parasitics.
+    """Per-net parasitics: a node partition's wire sums, named, plus the
+    device loading.
 
-    ``items`` enumerates the conducting rectangles in item-id order as
-    ``(layer, rects)`` blocks (the extractor's diffusion pieces, then poly,
-    then metal; a rectangle is read for its size only, so each block may
-    be in its own frame); ``node_of_item`` maps item ids to node names;
-    ``devices`` is the emitted transistor list and ``device_channels`` the
-    parallel channel rectangles (gate-oxide geometry).  Both extraction
-    paths — flat and hierarchical — call this with identical enumerations,
-    so the annotation is identical whenever the netlists are.
+    ``node_names[node]`` names each node of a partition numbered by first
+    occurrence, and ``wire_cap`` / ``wire_res`` are its per-node
+    :func:`fold_wires` sums.  A net carried by one node takes that node's
+    sums; the names several nodes carry (label text merges them into one
+    net) go to ``refold`` together — ``{name: nodes}`` — which re-folds each
+    group's items in item order.  ``devices`` is the emitted transistor list
+    and ``device_channels`` the parallel channel rectangles (gate-oxide
+    geometry).  Both extraction paths call this with identical arguments
+    whenever their netlists are identical, so the annotations are too.
     """
-    nets: Dict[str, NetParasitics] = {}
+    first: Dict[str, int] = {}
+    shared: Dict[str, List[int]] = {}
+    for node, name in enumerate(node_names):
+        if name not in first:
+            first[name] = node
+        else:
+            shared.setdefault(name, [first[name]]).append(node)
+    nets = {name: NetParasitics(name, wire_cap[node], wire_res[node])
+            for name, node in first.items()}
+    for name, (cap, res) in (refold(shared) if shared else {}).items():
+        nets[name].wire_cap_ff = cap
+        nets[name].wire_res_ohm = res
 
     def net(name: str) -> NetParasitics:
         entry = nets.get(name)
         if entry is None:
-            entry = NetParasitics(name)
-            nets[name] = entry
+            entry = nets[name] = NetParasitics(name)
         return entry
-
-    # The per-rectangle terms depend on (layer, width, height) only, and a
-    # chip has a handful of such classes (24 on a 64-tile array of 74 k
-    # items): ask the model once per class, look a block's classes up once
-    # per distinct list (a tile array repeats a few lists many times), and
-    # add per item in item order.
-    terms: Dict[Tuple[str, int, int], Tuple[float, float]] = {}
-    # (layer, id(list)) -> (the list, kept alive so its id stays its own;
-    # the terms of its rects)
-    block_terms: Dict[Tuple[str, int],
-                      Tuple[Sequence[Rect], List[Tuple[float, float]]]] = {}
-    item_id = 0
-    for layer, rects in items:
-        known = block_terms.get((layer, id(rects)))
-        if known is not None:
-            listed = known[1]
-        else:
-            listed = []
-            block_terms[(layer, id(rects))] = (rects, listed)
-            for rect in rects:
-                shape = (layer, rect.x2 - rect.x1, rect.y2 - rect.y1)
-                term = terms.get(shape)
-                if term is None:
-                    term = terms[shape] = (model.rect_cap_ff(layer, rect),
-                                           model.rect_res_ohm(layer, rect))
-                listed.append(term)
-        for cap, res in listed:
-            name = node_of_item.get(item_id)
-            item_id += 1
-            if name is None:
-                continue
-            entry = nets.get(name)
-            if entry is None:
-                entry = nets[name] = NetParasitics(name)
-            entry.wire_cap_ff += cap
-            entry.wire_res_ohm += res
 
     for index, device in enumerate(devices):
         channel = device_channels[index] if device_channels is not None else None

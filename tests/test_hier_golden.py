@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import HierAnalyzer, hier
 from repro.drc import DrcChecker
+from repro.extract import extractor as extractor_module
 from repro.extract.extractor import Extractor
 from repro.generators import FsmLayoutGenerator, PlaGenerator
 from repro.geometry.point import Point
@@ -40,7 +41,7 @@ from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
 from repro.logic import TruthTable, parse_expr
 from repro.metrics import measure_cell
-from repro.obs import metrics
+from repro.obs import metrics, trace
 from repro.reference import BruteDrcChecker, BruteExtractor
 from repro.technology import nmos_technology
 
@@ -59,7 +60,8 @@ def technology():
 
 
 def netlist_identity(circuit):
-    """The full netlist, order-sensitive: names, devices, ports, counts."""
+    """The full netlist, order-sensitive: names, devices, ports, counts, and
+    every net's parasitics, float for float."""
     return (
         circuit.cell_name,
         circuit.node_names,
@@ -67,7 +69,14 @@ def netlist_identity(circuit):
         circuit.network.inputs,
         circuit.network.outputs,
         circuit.summary(),
+        circuit.parasitics,
     )
+
+
+def partition_identity(nodes):
+    """A node partition: node per item (first-occurrence numbering) and
+    each node's wire sums, float for float."""
+    return nodes.node_of, nodes.wire_cap, nodes.wire_res
 
 
 def on_both_paths(test):
@@ -109,37 +118,65 @@ def examples(tier1):
     return tier1 * settings.default.max_examples // 100
 
 
-def compose_counts():
-    """Instances replayed as one block / composed by the interface pass,
-    summed over every composable build so far."""
+#: What the composers count, per composable build: instances replayed as
+#: one block / composed by the interface pass, and the extraction's node
+#: partition's nodes spliced whole from replayed instances / items that went
+#: through its union-find.
+COMPOSE_COUNTS = ("replayed", "interface", "nodes_spliced", "items_unioned")
+
+
+def compose_counts(kinds=COMPOSE_COUNTS):
+    """The ``hier.compose.<kind>`` counters, summed over every build so far."""
     return tuple(metrics.counter(f"hier.compose.{kind}").value
-                 for kind in ("replayed", "interface"))
+                 for kind in kinds)
 
 
 def assert_both_kinds_ran(check, before):
     """On the composed run, the examples since ``before`` replayed some
-    instances and passed others through the interface pass: both paths of
-    every composer were under test."""
+    instances and passed others through the interface pass, and their node
+    partitions both spliced nodes and unioned items: both paths of every
+    composer were under test."""
     if check.path != "composed":
         return
-    replayed, interface = (after - was for after, was
-                           in zip(compose_counts(), before))
-    assert replayed > 0 and interface > 0, (replayed, interface)
+    gained = [after - was for after, was in zip(compose_counts(), before)]
+    assert all(count > 0 for count in gained), dict(zip(COMPOSE_COUNTS,
+                                                        gained))
+
+
+def flat_extraction(extractor, cell):
+    """The flat circuit of ``cell`` and the node partition its union-find
+    made (what the flat path hands the shared finisher)."""
+    partitions = []
+    finish = extractor_module.finish_circuit
+
+    def recording(technology, cell, labels, label_hits, nodes, *rest):
+        partitions.append(nodes)
+        return finish(technology, cell, labels, label_hits, nodes, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extractor_module, "finish_circuit", recording)
+        circuit = extractor.extract(cell)
+    return circuit, partitions[-1]
 
 
 def assert_hier_equals_flat(cell, technology,
                             flat=(BruteDrcChecker, BruteExtractor),
                             analyzer=None, check_metrics=True):
-    """The differential assertion: hierarchical == flat, byte for byte."""
+    """The differential assertion: hierarchical == flat, byte for byte —
+    the netlist with its parasitics, and the cell's node partition (the
+    extraction artifact's, spliced or not, against the flat union-find's)."""
     if analyzer is None:
         analyzer = HierAnalyzer(technology)
     flat_checker, flat_extractor = flat
     flat_violations = flat_checker(technology).check(cell)
     hier_violations = analyzer.drc(cell)
     assert hier_violations == flat_violations
-    flat_circuit = flat_extractor(technology).extract(cell)
+    flat_circuit, flat_nodes = flat_extraction(flat_extractor(technology), cell)
     hier_circuit = analyzer.extract(cell)
     assert netlist_identity(hier_circuit) == netlist_identity(flat_circuit)
+    artifact = analyzer.store.get(analyzer._key("extract", cell,
+                                                Orientation.R0))
+    assert partition_identity(artifact.nodes) == partition_identity(flat_nodes)
     if check_metrics:
         assert analyzer.measure(cell) == measure_cell(cell, technology)
     return analyzer
@@ -337,6 +374,8 @@ def hierarchies(draw):
 class TestRandomizedHierarchies:
     @on_both_paths
     def test_hierarchical_equals_brute_force(self, technology, check):
+        """Netlist, parasitics, DRC, metrics — and the extraction artifact's
+        node partition equals the flat extractor's first-occurrence one."""
         @settings(max_examples=examples(30), deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
         @given(top=hierarchies())
@@ -408,7 +447,7 @@ class TestReplayedInstances:
         assert replayed == {"rom_0_1", "rom_1_1", "pla_0_0", "pla_1_0"}
         assert view.isolated[0] is False
         # view, areas, drc and extract each composed the six instances once.
-        assert compose_counts() == (4 * 4, 4 * 2)
+        assert compose_counts(("replayed", "interface")) == (4 * 4, 4 * 2)
         # A block is placed once its translated copy exists.
         placed = {names[k - 1] for k, part in blocks
                   if k and part._placed is not None
@@ -416,6 +455,50 @@ class TestReplayedInstances:
         assert not placed & replayed
         assert placed        # the interface pass did read the abutting tiles
         assert metrics.counter("hier.compose.placed").value > 0
+
+    def test_tile_array_unions_only_its_own_and_interface_items(
+            self, technology):
+        """The top's node partition unions the rail's and the two abutting
+        tiles' items and nothing else: the four replayed tiles' nodes are
+        spliced in whole, and the circuit build's span says how many."""
+        tiles = TileArray(technology, "spliced_tiles")
+        metrics.reset_metrics("hier.compose.")
+        analyzer = HierAnalyzer(technology)
+        trace.reset()
+        trace.enable()
+        try:
+            assert_hier_equals_flat(tiles.top, technology, analyzer=analyzer,
+                                    flat=(DrcChecker, Extractor))
+            events = trace.drain()
+        finally:
+            trace.disable()
+            trace.reset()
+
+        def get(kind, cell, orientation=Orientation.R0):
+            return analyzer.store.get(analyzer._key(kind, cell, orientation))
+
+        view, extract = get("view", tiles.top), get("extract", tiles.top)
+        sources, isolated = len(view.sources), view.isolated
+        joined = [k for k in range(sources) if not isolated[k]]
+        unioned = (sum(part.size for block, part
+                       in enumerate(extract.pieces.parts)
+                       if not isolated[block % sources])
+                   + sum(view.layer(layer).parts[k].size
+                         for layer in ("poly", "metal") for k in joined))
+        nodes = extract.nodes
+        assert 0 < unioned < len(nodes.node_of)
+        assert compose_counts(("items_unioned",)) == (unioned,)
+        # Every node of a replayed tile, and nothing else, was spliced.
+        assert nodes.spliced == sum(
+            get("extract", source.cell, source.orientation).nodes.count
+            for k, source in enumerate(view.sources) if isolated[k])
+        assert 0 < nodes.spliced < nodes.count
+        assert compose_counts(("nodes_spliced",)) == (nodes.spliced,)
+        [span] = [event for event in events
+                  if event["name"] == "hier.build.circuit"
+                  and event["args"]["cell"] == tiles.top.name]
+        assert (span["args"]["nodes"], span["args"]["spliced"]) == (
+            nodes.count, nodes.spliced)
 
 
 # -- cache behaviour ----------------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.assembly.channel import (ChannelNet, ChannelRouter,
@@ -269,6 +269,13 @@ def walled_mazes(draw):
             draw(inside), draw(inside))
 
 
+def walled(side, obstacles, width, spacing, source, target):
+    """One :func:`walled_mazes` draw, given: for ``@example`` pins."""
+    coarse = MazeRouter(Rect(0, 0, side, side), obstacles, wire_width=width,
+                        spacing=spacing, max_expansions=10**6)
+    return (coarse, coarse.at_pitch(max(coarse.pitch // 2, 1)), source, target)
+
+
 class TestBlockedCellGrid:
     @settings(max_examples=60, deadline=None)
     @given(setup=mazes(), terminals=st.lists(points, max_size=2),
@@ -324,18 +331,22 @@ class TestBlockedCellGrid:
 
     @settings(max_examples=100, deadline=None)
     @given(setup=walled_mazes())
+    @example(setup=walled(54, [Rect(9, 0, 11, 54), Rect(0, 46, 54, 48)],
+                          width=3, spacing=2, source=Point(2, 2),
+                          target=Point(15, 52)))
     def test_flood_reaches_iff_priced_search_finds_a_path(self, setup):
         source, target = setup[2:]
+        request = RouteRequest("n", source, target)
         for maze in setup[:2]:
             if source == target:      # nothing to draw, walled in or not
-                assert maze.route(RouteRequest("n", source, target)).length == 0
+                assert maze.route(request).length == 0
                 continue
             opened = maze._opened(source, target)
             start = maze._snap(source, opened)
             goal = maze._snap(target, opened)
             if start is None or goal is None:
                 with pytest.raises(RoutingError) as caught:
-                    maze.route(RouteRequest("n", source, target))
+                    maze.route(request)
                 assert caught.value.diagnostic.code == "ROU005"
                 continue
             path = maze._search("n", start, goal, opened)
@@ -343,9 +354,16 @@ class TestBlockedCellGrid:
             if path is None:
                 sealed = metrics.counter("pnr.maze.unreachable")
                 before = sealed.value
-                with pytest.raises(RoutingError):
-                    maze.route(RouteRequest("n", source, target))
-                assert sealed.value == before + 1
+                with pytest.raises(RoutingError) as caught:
+                    maze.route(request)
+                if caught.value.reason == "blocked_terminal":
+                    # The taps are checked before the flood: a refused tap
+                    # raises first, and the flood never runs.
+                    with pytest.raises(RoutingError):
+                        maze._taps(request, start, goal)
+                    assert sealed.value == before
+                else:
+                    assert sealed.value == before + 1
                 continue
             assert path[0] == start and path[-1] == goal
             for here, there in zip(path, path[1:]):
@@ -389,6 +407,11 @@ class TestSearchAgainstDijkstra:
 
     @settings(max_examples=150, deadline=None)
     @given(setup=walled_mazes(), budget=st.sampled_from((40, 400, 10**6)))
+    @example(setup=walled(36, [Rect(29, 0, 31, 1), Rect(5, 29, 36, 31),
+                               Rect(11, 0, 13, 36)],
+                          width=3, spacing=1, source=Point(6, 2),
+                          target=Point(6, 34)),
+             budget=400)
     def test_same_cost_same_errors_fewer_expansions(self, setup, budget):
         source, target = setup[2:]
         request = RouteRequest("n", source, target)
@@ -402,13 +425,13 @@ class TestSearchAgainstDijkstra:
             expected, expected_error, oracle_spent = outcome(oracle, request)
             # Deterministic: the identical point list, twice.
             assert (net, error, spent) == (again, error_again, spent_again)
-            # The theorem is about states settled: A* settles a subset of
-            # Dijkstra's.  The counter also ticks for superseded heap
-            # entries (a state pushed again, cheaper, round a turn), and how
-            # many of those there are depends on pop order: over 26 000
-            # random mazes A* came out one pop over Dijkstra once (43 to
-            # 42) and never further.
-            assert spent <= oracle_spent + 2
+            # Both count settled states, superseded heap entries left out.
+            # With a consistent bound every state A* settles before the
+            # goal costs less than the path, and Dijkstra settles all of
+            # those.  Heap pops would not do: A* pushes a state again,
+            # cheaper, round a turn more often, and the pinned maze's
+            # half-pitch search pops 146 against Dijkstra's 143.
+            assert spent <= oracle_spent
             if expected is None:
                 # A* may still find, inside the budget, what Dijkstra ran
                 # out of budget looking for; every other failure is shared.

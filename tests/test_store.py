@@ -594,9 +594,9 @@ class TestPickling:
         finished = []
         category, named, finish = hier._KINDS["circuit"]
 
-        def counting(analyzer, cell, orientation):
+        def counting(analyzer, cell, orientation, span):
             finished.append((cell.name, cell_digest(cell), orientation))
-            return finish(analyzer, cell, orientation)
+            return finish(analyzer, cell, orientation, span)
 
         monkeypatch.setitem(hier._KINDS, "circuit", (category, named, counting))
         assembler, _chip = build_chip("store_once_4b", 4, 0)

@@ -22,6 +22,7 @@ a positive max-frequency estimate for all four example designs.
 import os
 import sys
 from collections import defaultdict
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,8 +31,9 @@ from hypothesis import strategies as st
 from repro.analysis import HierAnalyzer
 from repro.assembly import ChipAssembler
 from repro.extract import extractor as extractor_module
-from repro.extract.extractor import Extractor
+from repro.extract.extractor import Extractor, partition_nodes
 from repro.generators import FsmLayoutGenerator, PlaGenerator
+from repro.geometry.index import UnionFind
 from repro.geometry.rect import Rect
 from repro.logic import TruthTable, parse_expr
 from repro.metrics import format_histogram, slack_histogram
@@ -344,11 +346,13 @@ class TestSwitchLevel:
 
 # -- the parasitic fold against a per-rectangle sum -----------------------------
 #
-# Flat and hierarchical extraction call the same ``annotate_parasitics``, so
-# comparing them cannot see a bug in it.  The oracle below asks the model for
-# every rectangle's terms and adds them in item order; the production fold
-# must produce the same floats while asking once per (layer, width, height).
-# Items come as ``(layer, rects)`` blocks, a list possibly repeated.
+# Flat and hierarchical extraction share the per-node wire fold and the
+# re-fold of names several nodes carry, so comparing them cannot see a bug
+# in either.  The oracle below asks the model for every rectangle's terms
+# and adds them per net name in item order; production must produce the
+# same floats — the hierarchical side splicing replayed instances' node sums
+# — while asking once per (layer, width, height).  Items come as
+# ``(layer, rects)`` blocks, a list possibly repeated.
 
 
 def each_item(items):
@@ -359,10 +363,9 @@ def each_item(items):
 def per_rect_parasitics(model, items, node_of_item, devices, channels):
     nets = defaultdict(lambda: [0.0, 0.0, 0.0, 0, 0])
     for item_id, (layer, rect) in enumerate(each_item(items)):
-        if item_id in node_of_item:
-            entry = nets[node_of_item[item_id]]
-            entry[0] += model.rect_cap_ff(layer, rect)
-            entry[1] += model.rect_res_ohm(layer, rect)
+        entry = nets[node_of_item[item_id]]
+        entry[0] += model.rect_cap_ff(layer, rect)
+        entry[1] += model.rect_res_ohm(layer, rect)
     for index, device in enumerate(devices):
         gate = nets[device.gate]
         gate[2] += (
@@ -391,9 +394,14 @@ def rect_classes(items):
     return {(layer, rect.width, rect.height) for layer, rect in each_item(items)}
 
 
+NET_NAMES = ["vdd", "gnd", "a", "b", "n0", "n1"]
+
+
 @st.composite
 def parasitic_cases(draw):
-    nodes = ["vdd", "gnd", "a", "b", "n0", "n1"]
+    """Items, a group per item (items of a group are one node), a net name
+    per group — two groups may share one, as label text merges nodes —
+    devices and their channels."""
     rects = st.builds(
         lambda x, y, w, h: Rect(x, y, x + w, y + h),
         st.integers(-50, 50), st.integers(-50, 50),
@@ -403,40 +411,59 @@ def parasitic_cases(draw):
     items = draw(st.lists(st.tuples(layers, st.sampled_from(lists)),
                           max_size=8))
     count = len(each_item(items))
-    node_of_item = draw(st.dictionaries(
-        st.integers(0, max(count - 1, 0)), st.sampled_from(nodes),
-        max_size=count))
-    node = st.sampled_from(nodes)
+    groups = draw(st.lists(st.integers(0, 5), min_size=count, max_size=count))
+    group_names = draw(st.lists(st.sampled_from(NET_NAMES), min_size=6,
+                                max_size=6))
+    node = st.sampled_from(NET_NAMES)
     devices = draw(st.lists(
         st.builds(Transistor, st.just("m"), node, node, node,
                   width=st.integers(2, 8), length=st.integers(2, 8)),
         max_size=8))
     channels = draw(st.none() | st.lists(
         rects, min_size=len(devices), max_size=len(devices)))
-    return items, node_of_item, devices, channels
+    return items, groups, group_names, devices, channels
 
 
 class TestParasiticFold:
     @settings(max_examples=200, deadline=None)
     @given(parasitic_cases())
     def test_random_items_match_the_per_rect_sum(self, technology, case):
-        items, node_of_item, devices, channels = case
+        items, groups, group_names, devices, channels = case
+        finder = UnionFind(len(groups))
+        first = {}
+        for item, group in enumerate(groups):
+            finder.union(first.setdefault(group, item), item)
         model = CountingModel(technology)
-        assert (annotate_parasitics(model, items, node_of_item, devices,
-                                    channels)
-                == per_rect_parasitics(ParasiticModel(technology), *case))
+        nodes = partition_nodes(finder, model, items)
+        names = [None] * nodes.count
+        for item, node in enumerate(nodes.node_of):
+            names[node] = group_names[groups[item]]
+        node_of_item = {item: names[node]
+                        for item, node in enumerate(nodes.node_of)}
+        assert (annotate_parasitics(model, names, nodes.wire_cap,
+                                    nodes.wire_res,
+                                    partial(nodes.refold, model, items),
+                                    devices, channels)
+                == per_rect_parasitics(ParasiticModel(technology), items,
+                                       node_of_item, devices, channels))
         assert model.cap_calls == len(rect_classes(items))
 
     def test_example_chips_match_the_per_rect_sum_one_call_per_class(
             self, technology, signed_off_chips, monkeypatch):
         folds = []
 
-        def recording(model, items, node_of_item, devices, channels):
+        def recording(model, names, wire_cap, wire_res, refold, devices,
+                      channels):
+            # The finisher hands over ``partial(nodes.refold, model, items)``.
+            nodes, (_model, items) = refold.func.__self__, refold.args
             counting = CountingModel(model.technology)
-            nets = annotate_parasitics(counting, items, node_of_item,
-                                       devices, channels)
+            nets = annotate_parasitics(
+                counting, names, wire_cap, wire_res,
+                partial(nodes.refold, counting, items), devices, channels)
+            node_of_item = {item: names[node]
+                            for item, node in enumerate(nodes.node_of)}
             folds.append((items, node_of_item, devices, channels, nets,
-                          counting.cap_calls))
+                          counting.cap_calls, nodes))
             return nets
 
         monkeypatch.setattr(extractor_module, "annotate_parasitics", recording)
@@ -449,14 +476,19 @@ class TestParasiticFold:
 
         model = ParasiticModel(technology)
         assert len(folds) > len(signed_off_chips)     # blocks and tops
-        for *case, nets, cap_calls in folds:
+        for *case, nets, cap_calls, _nodes in folds:
             assert nets == per_rect_parasitics(model, *case)
-            assert cap_calls == len(rect_classes(case[0]))
-        # Prove the classes are few: the tile array's thousands of items
-        # asked the model a few dozen times.
-        tile_items, *_, tile_cap_calls = folds[-1]
+            # Only the re-fold of shared names asks, once per class at most.
+            assert cap_calls <= len(rect_classes(case[0]))
+        # The tile array's thousands of items fall in a few dozen classes;
+        # its partition was spliced from the replayed tiles, and names merge
+        # nodes across tiles, so the run-wise re-fold is what matched.
+        tile_items, tile_names, *_, tile_cap_calls, tile_nodes = folds[-1]
         assert len(each_item(tile_items)) > 4000
-        assert tile_cap_calls < 40
+        assert len(rect_classes(tile_items)) < 40
+        assert tile_nodes.runs and tile_nodes.spliced
+        assert len(set(tile_names.values())) < tile_nodes.count
+        assert tile_cap_calls > 0
 
 
 class TestReportSurface:
