@@ -43,12 +43,7 @@ from repro.netlist.switch_lowering import (
     lower_switch,
     strongly_connected,
 )
-from repro.netlist.switch_sim import (
-    GND,
-    SwitchNetwork,
-    TransistorKind,
-    VDD,
-)
+from repro.netlist.switch_sim import GND, VDD, SwitchNetwork
 
 _LOG = get_logger("erc")
 
@@ -142,7 +137,6 @@ class ErcChecker:
         report = ErcReport(name or network.name,
                            device_count=network.device_count(),
                            node_count=len(lowered.names))
-        devices = network.transistors
         inputs = {lowered.index[port] for port in network.inputs}
         supplies = {lowered.vdd, lowered.gnd}
         # Named boundary nodes are assumed driven by the next level up; at
@@ -151,11 +145,11 @@ class ErcChecker:
                                       for port in network.outputs}
         live = self._live_nodes(lowered, driven)
 
-        self._check_floating_gates(report, devices, lowered, driven, live)
-        self._check_supply_short(report, devices, lowered)
+        self._check_floating_gates(report, lowered, driven, live)
+        self._check_supply_short(report, lowered)
         self._check_dead_ports(report, network, lowered)
-        self._check_feedback(report, devices, lowered, supplies | inputs, live)
-        self._check_pullups(report, devices, lowered, live)
+        self._check_feedback(report, lowered, supplies | inputs, live)
+        self._check_pullups(report, lowered, live)
         for violation in report.violations:
             _LOG.log(30 if Severity.ERROR <= violation.severity else 20,
                      "%s: %s", report.name, violation)
@@ -167,8 +161,9 @@ class ErcChecker:
 
     # -- switch-level checks --------------------------------------------------
     #
-    # All of them read the shared lowering (node ids, terminal arrays, channel
-    # partition) and go back to names only to word a violation.
+    # All of them read the shared lowering (node ids, terminal, kind and size
+    # arrays, channel partition) and go back to names only to word a
+    # violation.
 
     @staticmethod
     def _live_nodes(lowered: LoweredSwitchNetwork, seeds) -> List[bool]:
@@ -183,21 +178,22 @@ class ErcChecker:
         live_groups = {group[seed] for seed in seeds}
         return [root in live_groups for root in group]
 
-    def _check_floating_gates(self, report: ErcReport, devices, lowered,
-                              driven, live) -> None:
+    def _check_floating_gates(self, report: ErcReport, lowered, driven,
+                              live) -> None:
         for device, gate, source, drain in zip(
-                devices, lowered.gate, lowered.source, lowered.drain):
+                lowered.device_names, lowered.gate, lowered.source,
+                lowered.drain):
             if gate < lowered.channel_nodes or gate in driven:
                 continue
             if not (live[source] or live[drain]):
                 continue  # dead cluster: cannot disturb the circuit
+            name = lowered.names[gate]
             report.violations.append(ErcViolation(
                 "ERC001", Severity.ERROR,
-                f"gate of {device.name} on node {device.gate!r} "
-                "is floating (never driven)",
-                nodes=(device.gate,), devices=(device.name,)))
+                f"gate of {device} on node {name!r} is floating (never driven)",
+                nodes=(name,), devices=(device,)))
 
-    def _check_supply_short(self, report: ErcReport, devices, lowered) -> None:
+    def _check_supply_short(self, report: ErcReport, lowered) -> None:
         # Join source/drain across devices that conduct no matter what the
         # circuit state is; a VDD~GND merge is a hard short.
         always_on = [depletion or gate == lowered.vdd for depletion, gate
@@ -208,8 +204,8 @@ class ErcChecker:
                 "ERC002", Severity.ERROR,
                 "VDD is shorted to GND through always-conducting devices",
                 nodes=(VDD, GND),
-                devices=tuple(device.name for device, on
-                              in zip(devices, always_on) if on)))
+                devices=tuple(device for device, on
+                              in zip(lowered.device_names, always_on) if on)))
 
     def _check_dead_ports(self, report: ErcReport, network: SwitchNetwork,
                           lowered) -> None:
@@ -221,8 +217,7 @@ class ErcChecker:
                     "ERC003", Severity.WARNING,
                     f"port {port!r} touches no device", nodes=(port,)))
 
-    def _check_feedback(self, report: ErcReport, devices, lowered, cut,
-                        live) -> None:
+    def _check_feedback(self, report: ErcReport, lowered, cut, live) -> None:
         """Cycles of gate→channel dependence between channel groups.
 
         Nodes are first merged into channel-connected groups (source/drain
@@ -242,9 +237,10 @@ class ErcChecker:
         # Gate -> channel edges between groups; a gate that is no channel
         # terminal has nothing upstream and cannot close a cycle.
         edges: List[Set[int]] = [set() for _ in roots]
-        self_loop_devices: List = []
-        for device, gate, source, drain in zip(
-                devices, lowered.gate, lowered.source, lowered.drain):
+        self_loops: List[Tuple[str, int]] = []     # (device name, gate)
+        for device, depletion, gate, source, drain in zip(
+                lowered.device_names, lowered.depletion, lowered.gate,
+                lowered.source, lowered.drain):
             gate_group = position.get(group[gate])
             if gate_group is None:
                 continue
@@ -253,22 +249,22 @@ class ErcChecker:
                 if term_group is None:
                     continue
                 if term_group == gate_group:
-                    if (device.kind is TransistorKind.ENHANCEMENT
-                            and live[terminal]):
-                        self_loop_devices.append(device)
+                    if not depletion and live[terminal]:
+                        self_loops.append((device, gate))
                     continue
                 edges[gate_group].add(term_group)
 
         reported: Set[str] = set()
-        for device in self_loop_devices:
-            if device.name in reported:
+        for device, gate in self_loops:
+            if device in reported:
                 continue
-            reported.add(device.name)
+            reported.add(device)
+            name = lowered.names[gate]
             report.violations.append(ErcViolation(
                 "ERC004", Severity.WARNING,
-                f"device {device.name} gates its own channel group "
-                f"(node {device.gate!r})",
-                nodes=(device.gate,), devices=(device.name,)))
+                f"device {device} gates its own channel group "
+                f"(node {name!r})",
+                nodes=(name,), devices=(device,)))
 
         _, sccs = strongly_connected([sorted(dsts) for dsts in edges])
         for scc in sccs:
@@ -280,33 +276,35 @@ class ErcChecker:
             report.violations.append(_feedback_violation(
                 "nodes", sorted(lowered.names[node] for node in nodes)))
 
-    def _check_pullups(self, report: ErcReport, devices, lowered,
-                       live) -> None:
+    def _check_pullups(self, report: ErcReport, lowered, live) -> None:
         supplies = (lowered.vdd, lowered.gnd)
+        names = lowered.names
         # Strongest pulldown (enhancement W/L) adjacent to each node.
         pulldown_strength: Dict[int, float] = {}
-        for device, source, drain in zip(devices, lowered.source,
-                                         lowered.drain):
-            if device.kind is not TransistorKind.ENHANCEMENT:
+        for depletion, width, length, source, drain in zip(
+                lowered.depletion, lowered.width, lowered.length,
+                lowered.source, lowered.drain):
+            if depletion:
                 continue
-            strength = device.width / device.length
+            strength = width / length
             for terminal in (source, drain):
                 if terminal in supplies:
                     continue
                 if strength > pulldown_strength.get(terminal, 0.0):
                     pulldown_strength[terminal] = strength
-        for device, source, drain in zip(devices, lowered.source,
-                                         lowered.drain):
-            if device.kind is not TransistorKind.DEPLETION:
+        for device, depletion, width, length, source, drain in zip(
+                lowered.device_names, lowered.depletion, lowered.width,
+                lowered.length, lowered.source, lowered.drain):
+            if not depletion:
                 continue
             if lowered.vdd not in (source, drain):
                 if live[source] or live[drain]:
                     report.violations.append(ErcViolation(
                         "ERC005", Severity.WARNING,
-                        f"depletion device {device.name} has no VDD terminal "
+                        f"depletion device {device} has no VDD terminal "
                         "(cannot act as a pullup)",
-                        nodes=(device.source, device.drain),
-                        devices=(device.name,)))
+                        nodes=(names[source], names[drain]),
+                        devices=(device,)))
                 continue
             output = drain if source == lowered.vdd else source
             if output in supplies:
@@ -316,15 +314,15 @@ class ErcChecker:
                 # A pullup with no pulldown is a constant-1 node — legal
                 # (it is how const1 cells are built).
                 continue
-            pullup = device.width / device.length
+            pullup = width / length
             if pullup > strongest:
-                name = lowered.names[output]
+                name = names[output]
                 report.violations.append(ErcViolation(
                     "ERC005", Severity.ERROR,
-                    f"pullup {device.name} on node {name!r} is stronger "
+                    f"pullup {device} on node {name!r} is stronger "
                     f"(W/L {pullup:g}) than the strongest pulldown "
                     f"(W/L {strongest:g})",
-                    nodes=(name,), devices=(device.name,)))
+                    nodes=(name,), devices=(device,)))
 
     # -- gate-level module check ----------------------------------------------
 

@@ -38,7 +38,7 @@ from repro.runtime import gc_paused
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
-from repro.netlist.switch_sim import SwitchNetwork, Transistor, TransistorKind
+from repro.netlist.switch_sim import SwitchNetwork
 from repro.technology.technology import Technology
 from repro.timing.parasitics import (
     Items,
@@ -46,12 +46,19 @@ from repro.timing.parasitics import (
     ParasiticModel,
     annotate_parasitics,
     fold_wires,
+    parasitic_columns,
+    parasitics_of_columns,
 )
 
 
 @dataclass
 class ExtractedCircuit:
-    """The result of extraction: a switch network plus bookkeeping."""
+    """The result of extraction: a switch network plus bookkeeping.
+
+    Pickled, it is arrays: the network's device columns and ports, and
+    ``parasitics`` as columns (:func:`repro.timing.parasitics.parasitic_columns`)
+    that a load turns back into the dict.
+    """
 
     cell_name: str
     network: SwitchNetwork
@@ -66,10 +73,20 @@ class ExtractedCircuit:
     def weight(self) -> int:
         """Estimated pickled size in bytes (what a memory store charges).
 
-        A pickled ``Transistor`` is ~52 bytes; a node is its name here, in
-        the devices' memo and one ``NetParasitics`` (~74 bytes together).
+        Class names and field keys take ~640 bytes; a device ~32, its 21
+        bytes of columns and its name; a net ~48, its name, two references
+        to it and its 32 bytes of parasitic columns.
         """
-        return 64 * self.transistor_count + 80 * len(self.node_names)
+        return 640 + 32 * self.transistor_count + 48 * len(self.parasitics)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["parasitics"] = parasitic_columns(self.parasitics)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.parasitics = parasitics_of_columns(*state["parasitics"])
 
     def summary(self) -> Dict[str, int]:
         return {
@@ -360,17 +377,6 @@ def adjacent_piece_ids(pieces: Sequence[Rect], candidates: Iterable[int],
             if not pieces[piece_id].overlaps(channel, strict=True)]
 
 
-def dedupe_nodes(item_ids: Sequence[int], node_of: Sequence[int],
-                 names: Sequence[str]) -> List[str]:
-    """Map item ids to node names, keeping the first occurrence of each."""
-    found: List[str] = []
-    for item_id in item_ids:
-        name = names[node_of[item_id]]
-        if name not in found:
-            found.append(name)
-    return found
-
-
 def label_probe(label) -> Rect:
     """The degenerate rect a label's point query runs with."""
     position = label.position
@@ -428,20 +434,6 @@ def resolve_node_names(node_count: int, supply_hit: Dict[int, str],
             counter += 1
         names.append(name)
     return names
-
-
-def emit_transistor(network: SwitchNetwork, index: int, channel: Rect,
-                    gate_node: Optional[str], terminals: Sequence[str],
-                    is_depletion: bool) -> Optional[Transistor]:
-    """Emit one device, or nothing if the channel has no gate or terminals."""
-    if gate_node is None or not terminals:
-        return None
-    source = terminals[0]
-    drain = terminals[1] if len(terminals) > 1 else terminals[0]
-    kind = TransistorKind.DEPLETION if is_depletion else TransistorKind.ENHANCEMENT
-    size = max(2, min(channel.width, channel.height))
-    return network.add_transistor(gate_node, source, drain, kind,
-                                  width=size, length=size, name=f"m{index}")
 
 
 def declare_ports(network: SwitchNetwork, declared: Dict[str, object],
@@ -517,7 +509,8 @@ def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
                    items: Items, poly_start: int, channels: Iterable[Rect],
                    devices: Iterable[Tuple[Optional[int], Sequence[int], bool]]
                    ) -> ExtractedCircuit:
-    """Node naming, device emission, ports and parasitics: the circuit.
+    """Node naming, device emission into the network's columns, ports and
+    parasitics: the circuit.
 
     ``nodes`` partitions ``items`` — the conducting rectangles as
     :func:`conducting_items` blocks (diffusion pieces, then poly from
@@ -539,37 +532,47 @@ def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
         apply_label(label, hits, node_of, supply_hit, first_hit)
     names = resolve_node_names(nodes.count, supply_hit, first_hit)
 
+    # Devices go straight into the network's columns.  A channel with no
+    # gate or no terminal emits nothing; the source is the first terminal's
+    # net and the drain the first other net (the source again if none).
     network = SwitchNetwork(cell.name)
-    enhancement = depletion = 0
+    net_of = network.intern(names)          # per node: its net's name id
+    gates, sources, drains, sizes, device_names = [], [], [], [], []
+    depletion = bytearray()
     device_channels: List[Rect] = []
     for index, (channel, (gate_id, terminal_ids, is_depletion)) in enumerate(
             zip(channels, devices)):
-        gate_node = (None if gate_id is None
-                     else names[node_of[poly_start + gate_id]])
-        device = emit_transistor(network, index, channel, gate_node,
-                                 dedupe_nodes(terminal_ids, node_of, names),
-                                 is_depletion)
-        if device is not None:
-            device_channels.append(channel)
-            if is_depletion:
-                depletion += 1
-            else:
-                enhancement += 1
+        if gate_id is None or not terminal_ids:
+            continue
+        source = drain = net_of[node_of[terminal_ids[0]]]
+        for item in terminal_ids:
+            drain = net_of[node_of[item]]
+            if drain != source:
+                break
+        gates.append(net_of[node_of[poly_start + gate_id]])
+        sources.append(source)
+        drains.append(drain)
+        depletion.append(is_depletion)
+        sizes.append(max(2, min(channel.width, channel.height)))
+        device_names.append(f"m{index}")
+        device_channels.append(channel)
+    network.extend(gates, sources, drains, depletion, sizes, sizes,
+                   device_names)
 
     named = set(names)
     declare_ports(network, cell.ports, named, labels)
     model = ParasiticModel(technology)
+    depletion_count = sum(depletion)
     return ExtractedCircuit(
         cell_name=cell.name,
         network=network,
         node_names=sorted(named),
-        transistor_count=len(network.transistors),
-        enhancement_count=enhancement,
-        depletion_count=depletion,
+        transistor_count=len(gates),
+        enhancement_count=len(gates) - depletion_count,
+        depletion_count=depletion_count,
         parasitics=annotate_parasitics(
             model, names, nodes.wire_cap, nodes.wire_res,
-            partial(nodes.refold, model, items), network.transistors,
-            device_channels),
+            partial(nodes.refold, model, items), network, device_channels),
     )
 
 

@@ -5,11 +5,15 @@ every engine that reads a transistor network — electrical rule checking
 (:mod:`repro.erc.checker`), switch-level timing
 (:mod:`repro.timing.switch`) and switch-level simulation
 (:mod:`repro.netlist.switch_sim`) — reads it through this module rather
-than walking the name-keyed device list for itself.  It owns three things:
+than keying devices by name for itself.  It owns three things:
 
-* the **node numbering** and per-device terminal arrays
+* the **node numbering** and per-device arrays
   (:class:`LoweredSwitchNetwork`, obtained through :func:`lower_switch`,
-  which builds it once per network however many analyses ask);
+  which builds it once per network however many analyses ask and memoises
+  it on the network).  The network's device columns are canonical: the
+  lowering renumbers their name ids channel-first with whole-array passes
+  and carries kind, size and device names along, so no engine reads a
+  :class:`~repro.netlist.switch_sim.Transistor`;
 * the **channel partition** (:meth:`LoweredSwitchNetwork.channel_groups`):
   nodes joined source-to-drain, parameterised by which nodes are cut out
   and which devices count as conducting — the supply-short check, the live
@@ -26,16 +30,15 @@ that conduct under the current node values.  Its oracle
 
 from __future__ import annotations
 
-import weakref
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.index import UnionFind
-from repro.netlist.switch_sim import GND, VDD, SwitchNetwork, TransistorKind
+from repro.netlist.switch_sim import GND, VDD, SwitchNetwork
 from repro.obs import trace as obs_trace
 
 
 class LoweredSwitchNetwork:
-    """Dense node ids and per-device terminal arrays of one network.
+    """Dense node ids and per-device arrays of one network.
 
     Ids follow first appearance, channel graph first: the source and drain
     of every device in device order, then the gates that are no device's
@@ -43,33 +46,43 @@ class LoweredSwitchNetwork:
     ids below :attr:`channel_nodes` are exactly the nodes a channel can
     charge and ids below :attr:`device_nodes` exactly those touching a
     device, and the numbering is a pure function of the device and port
-    lists — the reports built on it are deterministic.
+    lists — the reports built on it are deterministic.  The network's
+    columns are renumbered into these ids by whole-array passes; size and
+    device names are the network's own columns, shared.
     """
 
     __slots__ = ("names", "index", "channel_nodes", "device_nodes", "gate",
-                 "source", "drain", "depletion", "vdd", "gnd", "shape")
+                 "source", "drain", "depletion", "width", "length",
+                 "device_names", "vdd", "gnd")
 
     def __init__(self, network: SwitchNetwork):
-        devices = network.transistors
-        index: Dict[str, int] = {}
-        self.source: List[int] = []
-        self.drain: List[int] = []
-        for device in devices:
-            self.source.append(index.setdefault(device.source, len(index)))
-            self.drain.append(index.setdefault(device.drain, len(index)))
-        self.channel_nodes = len(index)
-        self.gate: List[int] = [index.setdefault(device.gate, len(index))
-                                for device in devices]
-        self.device_nodes = len(index)
+        source, drain = network.source, network.drain
+        channel = [0] * (2 * len(source))
+        channel[0::2] = source
+        channel[1::2] = drain
+        order = dict.fromkeys(channel)     # network name ids, in lowered order
+        self.channel_nodes = len(order)
+        order.update(dict.fromkeys(network.gate))
+        self.device_nodes = len(order)
+        new_id = [0] * len(network.node_names)
+        for new, old in enumerate(order):
+            new_id[old] = new
+        renumber = new_id.__getitem__
+        index = dict(zip(map(network.node_names.__getitem__, order),
+                         range(len(order))))
         for name in (*network.inputs, *network.outputs, VDD, GND):
             index.setdefault(name, len(index))
-        #: ``kind is DEPLETION`` per device.
-        self.depletion: List[bool] = [
-            device.kind is TransistorKind.DEPLETION for device in devices]
-        self.index = index
+        self.index: Dict[str, int] = index
         self.names: List[str] = list(index)
+        self.source: List[int] = list(map(renumber, source))
+        self.drain: List[int] = list(map(renumber, drain))
+        self.gate: List[int] = list(map(renumber, network.gate))
+        #: ``kind is DEPLETION`` per device.
+        self.depletion: List[bool] = list(map(bool, network.depletion))
+        self.width: Sequence[int] = network.width
+        self.length: Sequence[int] = network.length
+        self.device_names: List[str] = network.device_names
         self.vdd, self.gnd = index[VDD], index[GND]
-        self.shape = _shape(network)
 
     def channel_groups(self, cut: Collection[int] = (),
                        conducts: Optional[Sequence[bool]] = None) -> List[int]:
@@ -90,30 +103,19 @@ class LoweredSwitchNetwork:
                 for node in range(len(self.names))]
 
 
-def _shape(network: SwitchNetwork) -> Tuple[int, int, int]:
-    return (len(network.transistors), len(network.inputs),
-            len(network.outputs))
-
-
-# Lowerings by network identity, dropped with their network.  A network only
-# grows (devices are frozen, the lists append-only), so list lengths tell a
-# stale lowering from a current one.  Nothing here is ever pickled: a circuit
-# loaded from the store is lowered again on first use.
-_LOWERED: "weakref.WeakKeyDictionary[SwitchNetwork, LoweredSwitchNetwork]"
-_LOWERED = weakref.WeakKeyDictionary()
-
-
 def lower_switch(network: SwitchNetwork) -> LoweredSwitchNetwork:
     """The lowered form of ``network``, shared by every caller.
 
-    Callers must treat the result as immutable.
+    Memoised on the network itself: growing the network drops it, and a
+    pickle never carries it, so a circuit loaded from the store is lowered
+    again on first use.  Callers must treat the result as immutable.
     """
-    lowered = _LOWERED.get(network)
-    if lowered is None or lowered.shape != _shape(network):
+    lowered = network._lowered
+    if lowered is None:
         with obs_trace.span("netlist.lower_switch", cat="netlist",
                             network=network.name,
-                            devices=len(network.transistors)):
-            lowered = _LOWERED[network] = LoweredSwitchNetwork(network)
+                            devices=network.device_count()):
+            lowered = network._lowered = LoweredSwitchNetwork(network)
     return lowered
 
 

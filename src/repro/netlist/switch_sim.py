@@ -5,6 +5,14 @@ netlists from layout; this simulator evaluates them so a compiled chip's
 *physical* description can be checked against its *behavioural* one — the
 closing of the loop the paper asks for ("verification by simulation").
 
+A :class:`SwitchNetwork` is a device table: interned node names and one
+column per device field (gate, source and drain name ids, kind, width,
+length, name).  The extractor emits straight into the columns, ERC, timing
+and this simulator read them through the network's lowering, and the store
+pickles them as arrays.  :class:`Transistor` objects exist only as the
+read-only :attr:`SwitchNetwork.transistors` view, for the public API, the
+netlist comparison and the reference simulator.
+
 The model is the classic ratioed-NMOS switch model:
 
 * a node driven to VDD through a depletion load is a *weak* 1;
@@ -39,11 +47,13 @@ differential suites pin the two value-identical on every node.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.diagnostics import BudgetExceeded, Diagnostic, Severity
+from repro.runtime import gc_paused
 
 VDD = "vdd"
 GND = "gnd"
@@ -54,9 +64,10 @@ class TransistorKind(Enum):
     DEPLETION = "depletion"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transistor:
-    """One MOS device: gate, source, drain node names plus its kind and size.
+    """One MOS device: gate, source, drain node names plus its kind and size
+    — a row of a :class:`SwitchNetwork`'s device columns.
 
     ``width`` and ``length`` are extraction geometry (reported, compared in
     LVS); they deliberately play no role in conflict resolution — see the
@@ -73,47 +84,129 @@ class Transistor:
 
 
 class SwitchNetwork:
-    """A flat transistor network with named nodes."""
+    """A flat transistor network with named nodes, held as device columns.
+
+    Node names are interned once (:attr:`node_names`; a name's id is its
+    position there).  Each device is one entry of the parallel columns
+    :attr:`gate`, :attr:`source` and :attr:`drain` (name ids),
+    :attr:`depletion` (1 for a depletion device), :attr:`width`,
+    :attr:`length` and :attr:`device_names`.  An interned name need not
+    touch a device: an extracted network interns every node name of its
+    layout.  The columns are the network; :attr:`transistors` is a read-only
+    view of them as :class:`Transistor` objects, built on first read.
+
+    Grow a network through :meth:`add_transistor` / :meth:`extend` and
+    :meth:`add_input` / :meth:`add_output` only: they drop the view and the
+    lowering :func:`repro.netlist.switch_lowering.lower_switch` memoises
+    here.  A pickle holds the columns and the ports, never either of those.
+    """
 
     def __init__(self, name: str = "network"):
         self.name = name
-        self.transistors: List[Transistor] = []
+        self.node_names: List[str] = []
+        self.gate = array("i")
+        self.source = array("i")
+        self.drain = array("i")
+        self.depletion = bytearray()
+        self.width = array("i")
+        self.length = array("i")
+        self.device_names: List[str] = []
         self.inputs: List[str] = []
         self.outputs: List[str] = []
-        self._counter = 0
+        self._ids: Optional[Dict[str, int]] = None
+        self._view: Optional[List[Transistor]] = None
+        self._lowered = None    # owned by repro.netlist.switch_lowering
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for memo in ("_ids", "_view", "_lowered"):
+            del state[memo]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._ids = self._view = self._lowered = None
+
+    def intern(self, names: Sequence[str]) -> List[int]:
+        """The name id of each of ``names``, interning new names in order."""
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = dict(zip(self.node_names,
+                                       range(len(self.node_names))))
+        for name in dict.fromkeys(names):
+            if name not in ids:
+                ids[name] = len(self.node_names)
+                self.node_names.append(name)
+        return list(map(ids.__getitem__, names))
+
+    def extend(self, gate: Iterable[int], source: Iterable[int],
+               drain: Iterable[int], depletion: Iterable[int],
+               width: Iterable[int], length: Iterable[int],
+               device_names: Iterable[str]) -> None:
+        """Append devices given as columns of name ids (see :meth:`intern`)."""
+        self.gate.extend(gate)
+        self.source.extend(source)
+        self.drain.extend(drain)
+        self.depletion.extend(depletion)
+        self.width.extend(width)
+        self.length.extend(length)
+        self.device_names.extend(device_names)
+        self._view = self._lowered = None
 
     def add_transistor(self, gate: str, source: str, drain: str,
                        kind: TransistorKind = TransistorKind.ENHANCEMENT,
                        width: int = 2, length: int = 2,
-                       name: Optional[str] = None) -> Transistor:
-        device = Transistor(
-            name or f"m{self._counter}", gate, source, drain, kind, width, length
-        )
-        self._counter += 1
-        self.transistors.append(device)
-        return device
+                       name: Optional[str] = None) -> str:
+        """Append one device; returns its name (``m<k>`` for the k-th device
+        when none is given)."""
+        name = name or f"m{len(self.device_names)}"
+        gate_id, source_id, drain_id = self.intern((gate, source, drain))
+        self.extend((gate_id,), (source_id,), (drain_id,),
+                    (kind is TransistorKind.DEPLETION,), (width,), (length,),
+                    (name,))
+        return name
 
     def add_input(self, name: str) -> None:
         if name not in self.inputs:
             self.inputs.append(name)
+            self._lowered = None
 
     def add_output(self, name: str) -> None:
         if name not in self.outputs:
             self.outputs.append(name)
+            self._lowered = None
+
+    @property
+    def transistors(self) -> List[Transistor]:
+        """The devices as :class:`Transistor` objects, in device order.
+
+        Built from the columns on first read and kept until the network
+        grows; treat the list as read-only.
+        """
+        if self._view is None:
+            name_of = self.node_names.__getitem__
+            kind_of = (TransistorKind.ENHANCEMENT,
+                       TransistorKind.DEPLETION).__getitem__
+            with gc_paused():     # thousands of acyclic objects, all kept
+                self._view = list(map(
+                    Transistor, self.device_names, map(name_of, self.gate),
+                    map(name_of, self.source), map(name_of, self.drain),
+                    map(kind_of, self.depletion), self.width, self.length))
+        return self._view
 
     def nodes(self) -> Set[str]:
-        result: Set[str] = {VDD, GND}
-        for device in self.transistors:
-            result.update((device.gate, device.source, device.drain))
-        result.update(self.inputs)
-        result.update(self.outputs)
+        used = set(self.gate)
+        used.update(self.source)
+        used.update(self.drain)
+        result: Set[str] = {VDD, GND, *self.inputs, *self.outputs}
+        result.update(map(self.node_names.__getitem__, used))
         return result
 
     def device_count(self) -> int:
-        return len(self.transistors)
+        return len(self.gate)
 
     def pullup_count(self) -> int:
-        return sum(1 for t in self.transistors if t.kind is TransistorKind.DEPLETION)
+        return sum(self.depletion)
 
 
 class SwitchLevelSimulator:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.rect import Rect
+from repro.netlist.switch_sim import SwitchNetwork
 from repro.technology.technology import Technology
 
 #: Fallback per-layer area capacitance (fF / sq lambda) for technologies
@@ -151,7 +152,7 @@ def annotate_parasitics(model: ParasiticModel, node_names: Sequence[str],
                         wire_cap: Sequence[float], wire_res: Sequence[float],
                         refold: Callable[[Dict[str, List[int]]],
                                          Dict[str, Tuple[float, float]]],
-                        devices: Sequence,
+                        network: SwitchNetwork,
                         device_channels: Optional[Sequence[Rect]] = None
                         ) -> Dict[str, NetParasitics]:
     """Per-net parasitics: a node partition's wire sums, named, plus the
@@ -162,10 +163,12 @@ def annotate_parasitics(model: ParasiticModel, node_names: Sequence[str],
     :func:`fold_wires` sums.  A net carried by one node takes that node's
     sums; the names several nodes carry (label text merges them into one
     net) go to ``refold`` together — ``{name: nodes}`` — which re-folds each
-    group's items in item order.  ``devices`` is the emitted transistor list
-    and ``device_channels`` the parallel channel rectangles (gate-oxide
-    geometry).  Both extraction paths call this with identical arguments
-    whenever their netlists are identical, so the annotations are too.
+    group's items in item order.  ``network`` holds the emitted devices as
+    columns and ``device_channels`` their channel rectangles (gate-oxide
+    geometry; without them a device's W x L stands in).  A net's gate load
+    folds over its devices in device order.  Both extraction paths call this
+    with identical arguments whenever their netlists are identical, so the
+    annotations are too.
     """
     first: Dict[str, int] = {}
     shared: Dict[str, List[int]] = {}
@@ -180,22 +183,49 @@ def annotate_parasitics(model: ParasiticModel, node_names: Sequence[str],
         nets[name].wire_cap_ff = cap
         nets[name].wire_res_ohm = res
 
-    def net(name: str) -> NetParasitics:
-        entry = nets.get(name)
-        if entry is None:
-            entry = nets[name] = NetParasitics(name)
-        return entry
-
-    for index, device in enumerate(devices):
-        channel = device_channels[index] if device_channels is not None else None
-        gate_entry = net(device.gate)
-        gate_entry.gate_count += 1
-        if channel is not None:
-            gate_entry.gate_cap_ff += model.gate_cap_ff(channel)
-        else:
-            gate_entry.gate_cap_ff += model.gate_cap_ff_per_sq * (
-                device.width * device.length)
-        net(device.source).channel_count += 1
-        if device.drain != device.source:
-            net(device.drain).channel_count += 1
+    # Per interned name of the network: gate load, gate and channel counts.
+    count = len(network.node_names)
+    gate_cap = [0.0] * count
+    gate_count = [0] * count
+    channel_count = [0] * count
+    if device_channels is None:
+        per_sq = model.gate_cap_ff_per_sq
+        oxide = [per_sq * (width * length)
+                 for width, length in zip(network.width, network.length)]
+    else:
+        oxide = map(model.gate_cap_ff, device_channels)
+    for gate, cap in zip(network.gate, oxide):
+        gate_cap[gate] += cap
+        gate_count[gate] += 1
+    for source, drain in zip(network.source, network.drain):
+        channel_count[source] += 1
+        if drain != source:
+            channel_count[drain] += 1
+    for name, cap, gates, channels in zip(network.node_names, gate_cap,
+                                          gate_count, channel_count):
+        if gates or channels:
+            entry = nets.get(name)
+            if entry is None:
+                entry = nets[name] = NetParasitics(name)
+            entry.gate_cap_ff = cap
+            entry.gate_count = gates
+            entry.channel_count = channels
     return nets
+
+
+def parasitic_columns(nets: Dict[str, NetParasitics]) -> tuple:
+    """``nets`` as columns: the names in order, the three float fields as
+    ``array("d")`` and the two counts as ``array("i")`` — the pickled form of
+    an extracted circuit's parasitics.  Entries are keyed by their name."""
+    return (list(nets),
+            array("d", [net.wire_cap_ff for net in nets.values()]),
+            array("d", [net.wire_res_ohm for net in nets.values()]),
+            array("d", [net.gate_cap_ff for net in nets.values()]),
+            array("i", [net.gate_count for net in nets.values()]),
+            array("i", [net.channel_count for net in nets.values()]))
+
+
+def parasitics_of_columns(names: List[str], *fields: array
+                          ) -> Dict[str, NetParasitics]:
+    """The inverse of :func:`parasitic_columns`."""
+    return dict(zip(names, map(NetParasitics, names, *fields)))

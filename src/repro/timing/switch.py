@@ -36,8 +36,9 @@ structured it:
    convention of synchronous timing analysis; the condensed loop count
    is reported so unexpected feedback is visible.
 
-Node ids, the channel partition and the SCC pass come from the network's one
-lowering (:mod:`repro.netlist.switch_lowering`), shared with ERC.
+Node ids, device kinds and names, the channel partition and the SCC pass
+come from the network's one lowering (:mod:`repro.netlist.switch_lowering`),
+shared with ERC.
 
 Everything is a deterministic pure function of the extracted circuit, so
 two runs over byte-identical netlists produce float-identical timing —
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.switch_lowering import lower_switch, strongly_connected
-from repro.netlist.switch_sim import GND, VDD, TransistorKind
+from repro.netlist.switch_sim import GND, VDD
 
 if TYPE_CHECKING:   # import cycle: the extractor annotates with our parasitics
     from repro.extract.extractor import ExtractedCircuit
@@ -146,17 +147,19 @@ class SwitchTimingAnalyzer:
             return parasitics.get(name, empty)
 
         # Restoring stages: nodes held up by a depletion load on VDD.
+        supplies = (lowered.vdd, lowered.gnd)
         restoring: Set[str] = set()
-        for device in network.transistors:
-            if device.kind is TransistorKind.DEPLETION:
-                if device.source == VDD and device.drain not in _SUPPLIES:
-                    restoring.add(device.drain)
-                if device.drain == VDD and device.source not in _SUPPLIES:
-                    restoring.add(device.source)
+        for depletion, source, drain in zip(lowered.depletion, lowered.source,
+                                            lowered.drain):
+            if depletion:
+                if source == lowered.vdd and drain not in supplies:
+                    restoring.add(lowered.names[drain])
+                if drain == lowered.vdd and source not in supplies:
+                    restoring.add(lowered.names[source])
 
         # 1. Channel-connected components over the non-supply nodes, numbered
         #    in name order (deterministic ids), members in name order.
-        group = lowered.channel_groups(cut={lowered.vdd, lowered.gnd})
+        group = lowered.channel_groups(cut=set(supplies))
         ccc_of_group: Dict[int, int] = {}
         ccc_of_node = [-1] * len(group)
         ccc_members: List[List[str]] = []
@@ -181,7 +184,7 @@ class SwitchTimingAnalyzer:
         arcs: List[List[int]] = [[] for _ in ccc_members]
         arc_device: Dict[Tuple[int, int], str] = {}
         for device, depletion, gate, source, drain in zip(
-                network.transistors, lowered.depletion, lowered.gate,
+                lowered.device_names, lowered.depletion, lowered.gate,
                 lowered.source, lowered.drain):
             if depletion:
                 continue   # depletion loads are priced inside their stage
@@ -192,7 +195,7 @@ class SwitchTimingAnalyzer:
             if driver < 0 or target < 0:
                 continue
             if (driver, target) not in arc_device:
-                arc_device[(driver, target)] = device.name
+                arc_device[(driver, target)] = device
                 arcs[driver].append(target)
 
         comp_of, comps = strongly_connected(arcs)
@@ -205,7 +208,7 @@ class SwitchTimingAnalyzer:
             network, scc_of_port)
         timing.name = circuit.cell_name
         timing.node_count = len(names)
-        timing.device_count = len(network.transistors)
+        timing.device_count = len(lowered.gate)
         timing.restoring_stages = len(restoring)
         timing.total_cap_ff = sum(para(name).total_cap_ff for name in names)
         return timing

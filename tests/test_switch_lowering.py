@@ -6,10 +6,13 @@ Three layers:
   partition of a random digraph, numbered sinks-first;
   :meth:`LoweredSwitchNetwork.channel_groups` is the name-keyed union-find
   partition of a random network under each of the four cut / conduct
-  settings ERC and switch timing use.
+  settings ERC and switch timing use; a network's device columns survive a
+  pickle, and their lowering equals the name-keyed numbering walk over the
+  :class:`Transistor` view, before the pickle and after.
 * **prove it ran** — a sign-off lowers each analysed circuit once, ERC and
-  timing sharing the result, and the lowering never reaches a pickle; the
-  switch-level simulator settles the same circuit on that same lowering.
+  timing sharing the result, and the lowering never reaches a pickle; it
+  builds no :class:`Transistor` object; the switch-level simulator settles
+  the same circuit on that same lowering.
 * **golden** — ``tests/golden/switch_signoff.json`` holds every
   ``ErcReport.violations`` entry (order included) and every ``BlockTiming``
   field of the four example chips and the tile array, written at the commit
@@ -29,6 +32,7 @@ from repro.analysis import HierAnalyzer
 from repro.cells import NandCell
 from repro.erc import ErcChecker
 from repro.extract.extractor import ExtractedCircuit
+from repro.netlist import switch_sim
 from repro.netlist.switch_lowering import lower_switch, strongly_connected
 from repro.netlist.switch_sim import (
     GND,
@@ -38,6 +42,7 @@ from repro.netlist.switch_sim import (
     TransistorKind,
 )
 from repro.obs import trace
+from repro.technology import nmos_technology
 from repro.timing import NetParasitics, SwitchTimingAnalyzer
 
 from test_pnr import signed_off_chips, technology  # noqa: F401  (fixtures)
@@ -83,18 +88,28 @@ def test_scc_is_the_mutual_reachability_partition(successors):
 
 
 NODES = [VDD, GND, "a", "b", "c", "d", "e", "f"]
+#: Names no device is drawn on: ports that touch nothing.
+PORT_ONLY = ["lone", "spare"]
 
 
 @st.composite
 def switch_networks(draw):
+    """Few names, so nodes repeat across devices and source often equals
+    drain; device names are drawn too, repeats and all, or left to the
+    network's ``m<k>``."""
     network = SwitchNetwork("random")
     for _ in range(draw(st.integers(0, 12))):
         gate, source, drain = (draw(st.sampled_from(NODES)) for _ in range(3))
         network.add_transistor(gate, source, drain,
-                               draw(st.sampled_from(list(TransistorKind))))
-    for port in draw(st.lists(st.sampled_from(NODES[2:]), max_size=3)):
+                               draw(st.sampled_from(list(TransistorKind))),
+                               width=draw(st.integers(2, 9)),
+                               length=draw(st.integers(2, 9)),
+                               name=draw(st.none() | st.sampled_from(
+                                   ["pu", "pd", "m0", "m3"])))
+    ports = st.sampled_from(NODES[2:] + PORT_ONLY)
+    for port in draw(st.lists(ports, max_size=3)):
         network.add_input(port)
-    for port in draw(st.lists(st.sampled_from(NODES[2:]), max_size=3)):
+    for port in draw(st.lists(ports, max_size=3)):
         network.add_output(port)
     return network
 
@@ -144,11 +159,81 @@ def test_channel_groups_equal_the_name_keyed_partition(network):
             name_keyed_groups(network, cut, conducts)
 
 
+LOWERED_FIELDS = ("names", "index", "channel_nodes", "device_nodes", "gate",
+                  "source", "drain", "depletion", "width", "length",
+                  "device_names", "vdd", "gnd")
+
+
+def name_keyed_numbering(network):
+    """The reference lowering: one walk over the :class:`Transistor` view,
+    numbering names by first appearance — sources and drains in device order,
+    then gates, then ports and supplies."""
+    devices = network.transistors
+    index = {}
+    source, drain = [], []
+    for device in devices:
+        source.append(index.setdefault(device.source, len(index)))
+        drain.append(index.setdefault(device.drain, len(index)))
+    channel_nodes = len(index)
+    gate = [index.setdefault(device.gate, len(index)) for device in devices]
+    device_nodes = len(index)
+    for name in (*network.inputs, *network.outputs, VDD, GND):
+        index.setdefault(name, len(index))
+    return {"names": list(index), "index": index,
+            "channel_nodes": channel_nodes, "device_nodes": device_nodes,
+            "gate": gate, "source": source, "drain": drain,
+            "depletion": [device.kind is TransistorKind.DEPLETION
+                          for device in devices],
+            "width": [device.width for device in devices],
+            "length": [device.length for device in devices],
+            "device_names": [device.name for device in devices],
+            "vdd": index[VDD], "gnd": index[GND]}
+
+
+def lowered_fields(network):
+    """The lowering's fields, its array columns read as lists."""
+    lowered = lower_switch(network)
+    return {field: (list(value) if field in ("width", "length") else value)
+            for field in LOWERED_FIELDS
+            for value in (getattr(lowered, field),)}
+
+
+TECHNOLOGY = nmos_technology()
+
+
+def switch_sign_off(circuit):
+    """ERC and switch timing of a circuit, as comparable values."""
+    return (ErcChecker().check_circuit(circuit),
+            dataclasses.asdict(SwitchTimingAnalyzer(TECHNOLOGY).analyze(circuit)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(network=switch_networks())
+def test_columns_survive_a_pickle_and_lower_as_the_name_keyed_walk(network):
+    circuit = ExtractedCircuit("random", network, parasitics={
+        name: NetParasitics(name, wire_cap_ff=3.0 + len(name), wire_res_ohm=2.5)
+        for name in sorted(network.nodes())})
+    original = switch_sign_off(circuit)
+    assert lowered_fields(network) == name_keyed_numbering(network)
+    blob = pickle.dumps(circuit, protocol=pickle.HIGHEST_PROTOCOL)
+    assert b"LoweredSwitchNetwork" not in blob and b"Transistor" not in blob
+    copy = pickle.loads(blob)
+    assert copy.parasitics == circuit.parasitics
+    assert list(copy.parasitics) == list(circuit.parasitics)
+    assert copy.network.transistors == network.transistors
+    assert (copy.network.inputs, copy.network.outputs) == (network.inputs,
+                                                            network.outputs)
+    assert copy.network.nodes() == network.nodes()
+    assert lowered_fields(copy.network) == name_keyed_numbering(copy.network)
+    assert lowered_fields(copy.network) == lowered_fields(network)
+    assert switch_sign_off(copy) == original
+
+
 # -- prove it ran: one lowering per analysed circuit, none in a pickle --------
 
-#: ``len(pickle.dumps(circuit))`` of the tile array's top at the commit before
-#: the lowering existed.
-TILE_CIRCUIT_PICKLE_BYTES = 80826
+#: ``len(pickle.dumps(circuit))`` of the tile array's top, its devices and
+#: parasitics held as columns.
+TILE_CIRCUIT_PICKLE_BYTES = 44466
 
 
 def test_sign_off_lowers_each_circuit_once_and_pickles_none(technology):
@@ -174,6 +259,30 @@ def test_sign_off_lowers_each_circuit_once_and_pickles_none(technology):
     assert lower_switch(circuit.network) is lower_switch(circuit.network)
     assert len(pickle.dumps(circuit, protocol=pickle.HIGHEST_PROTOCOL)) == \
         TILE_CIRCUIT_PICKLE_BYTES
+
+
+def test_a_cold_sign_off_builds_no_transistor_objects(technology,
+                                                     monkeypatch):
+    built = []
+
+    def counting(*fields):
+        built.append(fields[0])
+        return Transistor(*fields)
+
+    Transistor = switch_sim.Transistor
+    monkeypatch.setattr(switch_sim, "Transistor", counting)
+    tiles = TileArray(technology, "columns_tiles")
+    analyzer = HierAnalyzer(technology)
+    top = tiles.top
+    analyzer.drc(top)
+    circuit = analyzer.extract(top)
+    analyzer.measure(top)
+    analyzer.timing(top)
+    analyzer.erc(top)
+    assert built == []
+    # The view is made on demand, once, and nowhere else.
+    assert circuit.network.transistors is circuit.network.transistors
+    assert len(built) == circuit.transistor_count > 0
 
 
 def test_erc_timing_and_simulation_share_one_lowering(technology):

@@ -38,7 +38,7 @@ from repro.geometry.rect import Rect
 from repro.logic import TruthTable, parse_expr
 from repro.metrics import format_histogram, slack_histogram
 from repro.netlist import GateType, Module
-from repro.netlist.switch_sim import Transistor
+from repro.netlist.switch_sim import SwitchNetwork, Transistor
 from repro.rtl import RtlCompiler, parse_rtl
 from repro.sim.kernel import OP_LATCH, CompiledNetlist
 from repro.technology import nmos_technology
@@ -440,10 +440,15 @@ class TestParasiticFold:
             names[node] = group_names[groups[item]]
         node_of_item = {item: names[node]
                         for item, node in enumerate(nodes.node_of)}
+        network = SwitchNetwork("devices")
+        for device in devices:
+            network.add_transistor(device.gate, device.source, device.drain,
+                                   device.kind, device.width, device.length,
+                                   device.name)
         assert (annotate_parasitics(model, names, nodes.wire_cap,
                                     nodes.wire_res,
                                     partial(nodes.refold, model, items),
-                                    devices, channels)
+                                    network, channels)
                 == per_rect_parasitics(ParasiticModel(technology), items,
                                        node_of_item, devices, channels))
         assert model.cap_calls == len(rect_classes(items))
@@ -452,17 +457,18 @@ class TestParasiticFold:
             self, technology, signed_off_chips, monkeypatch):
         folds = []
 
-        def recording(model, names, wire_cap, wire_res, refold, devices,
+        def recording(model, names, wire_cap, wire_res, refold, network,
                       channels):
             # The finisher hands over ``partial(nodes.refold, model, items)``.
             nodes, (_model, items) = refold.func.__self__, refold.args
             counting = CountingModel(model.technology)
             nets = annotate_parasitics(
                 counting, names, wire_cap, wire_res,
-                partial(nodes.refold, counting, items), devices, channels)
+                partial(nodes.refold, counting, items), network, channels)
             node_of_item = {item: names[node]
                             for item, node in enumerate(nodes.node_of)}
-            folds.append((items, node_of_item, devices, channels, nets,
+            folds.append((items, node_of_item, network.transistors, channels,
+                          nets,
                           counting.cap_calls, nodes))
             return nets
 
