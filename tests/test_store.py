@@ -427,7 +427,7 @@ class TestWeights:
         assert len(pickled) < len(store.log) / 2
         # Every put that matters to a budget is within 2x of its pickle, and
         # so is every circuit: its columns keep it under the heavy cut here,
-        # but the largest chips' circuits are the heaviest blobs of all.
+        # but a large chip's circuit is one of its heaviest blobs.
         heavy = set()
         circuits = 0
         for key, value, accounted in store.log:
