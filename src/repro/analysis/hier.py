@@ -85,11 +85,12 @@ from repro.timing.switch import BlockTiming, SwitchTimingAnalyzer
 #: rect lists are blocks by reference (:class:`repro.layout.view._Blocks`),
 #: each distinct child list packed once per blob; 6: ``extract`` artifacts
 #: carry their node partition (:class:`repro.extract.extractor.NodePartition`);
-#: 7: a ``circuit`` pickles its devices and parasitics as columns.
+#: 7: a ``circuit`` pickles its devices and parasitics as columns; 8: a net
+#: several nodes carry sums its nodes' wire sums, so its results' floats moved.
 #: Blobs of an older generation are never addressed: they miss and wait for
 #: ``gc``, where bumping the store's envelope format would make every one of
 #: them an ``STO002`` (fatal under ``REPRO_STRICT=1``).
-_KEY_SCHEME = 7
+_KEY_SCHEME = 8
 
 #: Cells whose instances average fewer rectangles than this are analyzed
 #: directly on their flat view instead of composed from per-instance

@@ -30,7 +30,6 @@ from repro.extract.extractor import (
     ExtractedCircuit,
     NodePartition,
     adjacent_piece_ids,
-    conducting_items,
     covers,
     diffusion_crossings,
     finish_circuit,
@@ -140,20 +139,16 @@ def circuit_of(technology: Technology, cell: Cell, view: _View,
                art: _ExtractArtifact) -> ExtractedCircuit:
     """The ``circuit`` of an analysed cell: the flat finisher on ``art``.
 
-    The item enumeration mirrors the flat extractor's exactly (diffusion
-    pieces, then poly, then metal, same layer names) and ``art.nodes``
-    partitions it as the flat union-find does, so node names, device order
-    and the parasitic annotation are identical whenever the composed
-    structure is.  Nothing is unioned here.  Items and channels are handed
-    over as the lists they are made of, each in its own frame: the finisher
-    reads their sizes only, so no block is placed to hand it over.
+    ``art.nodes`` partitions the items (diffusion pieces, then poly, then
+    metal) as the flat union-find does, with the same wire sums, so node
+    names, device order and the parasitic annotation are identical
+    whenever the composed structure is.  Nothing is unioned here.  Channels
+    are handed over as the lists they are made of, each in its own frame:
+    the finisher reads their sizes only, so no block is placed to hand
+    them over.
     """
     return finish_circuit(technology, cell, view.labels, art.label_hits,
-                          art.nodes,
-                          conducting_items(art.pieces.frame_free_lists(),
-                                           view.layer("poly").frame_free_lists(),
-                                           view.layer("metal").frame_free_lists()),
-                          len(art.pieces),
+                          art.nodes, len(art.pieces),
                           chain.from_iterable(art.channels.frame_free_lists()),
                           zip(art.gates, art.terminals, art.depletion))
 
@@ -877,7 +872,6 @@ def _nodes(build: _Build, model: ParasiticModel) -> int:
     walks = [_Walk(build.children[k].nodes) if isolated[k] else own_walk
              for k in range(blocks)]
     node_of, wire_cap, wire_res = array("i"), array("d"), array("d")
-    runs = []
     for _layer, src, _start, part in segments:
         if not part.size:
             continue
@@ -894,8 +888,6 @@ def _nodes(build: _Build, model: ParasiticModel) -> int:
             wire_res.extend(nodes.wire_res[numbered:met])
             walk.numbered = met
         node_of.fromlist([number[node] for node in ids])
-        runs.append((src if isolated[src] else 0, nodes, walked, part.size,
-                     numbered, walk.numbered, first))
     art.nodes = NodePartition(node_of, wire_cap, wire_res,
-                              spliced=len(wire_cap) - own.count, runs=runs)
+                              spliced=len(wire_cap) - own.count)
     return unioned

@@ -24,11 +24,7 @@ the oracle the golden-equivalence tests compare netlists against and the
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from itertools import accumulate
-from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import run_with_fallback
@@ -97,15 +93,6 @@ class ExtractedCircuit:
         }
 
 
-#: One run of a spliced partition's items: ``(walk, source, start, size,
-#: low, high, first)`` — ``size`` items of partition ``source`` from its
-#: item ``start``, which brought its nodes ``low`` to ``high`` (exclusive)
-#: into this partition as ``first`` onwards.  ``walk`` tells the sources
-#: apart: 0 for the partition a cell's own and interface items share, ``k``
-#: for replayed instance ``k`` (instances of one cell share their source).
-_Run = Tuple[int, "NodePartition", int, int, int, int, int]
-
-
 class NodePartition:
     """The conducting items grouped into electrical nodes, with their wires.
 
@@ -113,22 +100,20 @@ class NodePartition:
     occurrence in item order (diffusion pieces, then poly, then metal), so
     node ids are the order the finisher names nodes in.  ``wire_cap`` /
     ``wire_res`` hold each node's :func:`repro.timing.parasitics.fold_wires`
-    sums.  ``spliced`` counts the nodes a hierarchical cell took whole from
-    its replayed instances' partitions (:mod:`repro.extract.compose`), and
-    ``runs`` says where a spliced partition's items came from — kept in
-    memory only, for :meth:`refold`; a partition without them is read as
-    one run of its own.
+    sums, final: a net's sums are its nodes' added in node order
+    (:func:`repro.timing.parasitics.annotate_parasitics`).  ``spliced``
+    counts the nodes a hierarchical cell took whole from its replayed
+    instances' partitions (:mod:`repro.extract.compose`).
     """
 
-    __slots__ = ("node_of", "wire_cap", "wire_res", "spliced", "runs")
+    __slots__ = ("node_of", "wire_cap", "wire_res", "spliced")
 
     def __init__(self, node_of: array, wire_cap: array, wire_res: array,
-                 spliced: int = 0, runs: Optional[List[_Run]] = None):
+                 spliced: int = 0):
         self.node_of = node_of
         self.wire_cap = wire_cap
         self.wire_res = wire_res
         self.spliced = spliced
-        self.runs = runs
 
     @property
     def count(self) -> int:
@@ -142,74 +127,6 @@ class NodePartition:
     def __reduce__(self):
         return (NodePartition, (self.node_of, self.wire_cap, self.wire_res,
                                 self.spliced))
-
-    def refold(self, model: ParasiticModel, items: Items,
-               groups: Dict[str, Sequence[int]]
-               ) -> Dict[str, Tuple[float, float]]:
-        """Per group of nodes (a name several nodes carry): wire capacitance
-        and resistance over all their items, added in item order — what
-        :func:`repro.timing.parasitics.fold_wires` gives the group's nodes
-        merged into one.  Float addition does not associate, so the nodes'
-        own sums cannot be added instead.
-
-        Each run contributes, per group, the terms of its group members in
-        order.  Instances of one cell replay the same source run with the
-        same names on the same nodes, so those terms are gathered once per
-        distinct run and added by ``reduce``, never item by item again.
-        """
-        runs = self.runs or [(0, self, 0, len(self.node_of), 0, self.count, 0)]
-        # The runs that brought nodes in, by the first node each brought.
-        introducing = [(first, walk, low) for walk, _source, _start, _size,
-                       low, high, first in runs if high > low]
-        firsts = [first for first, _walk, _low in introducing]
-        # Per walk: its own node -> the group name, for the grouped nodes.
-        wanted: Dict[int, Dict[int, str]] = {}
-        for name, nodes in groups.items():
-            for node in nodes:
-                first, walk, low = introducing[bisect_right(firsts, node) - 1]
-                wanted.setdefault(walk, {})[low + node - first] = name
-        block_starts = list(accumulate((len(rects) for _layer, rects in items),
-                                       initial=0))
-        sums = {name: (0.0, 0.0) for name in groups}
-        gathered: Dict[tuple, Dict[str, Tuple[List[float], List[float]]]] = {}
-        at = 0
-        for walk, source, start, size, _low, _high, _first in runs:
-            names = wanted.get(walk)
-            if names:
-                key = (id(source), start, size, tuple(sorted(names.items())))
-                terms = gathered.get(key)
-                if terms is None:
-                    terms = gathered[key] = _member_terms(
-                        model, items, block_starts, at,
-                        source.node_of[start:start + size], names)
-                for name, (caps, ress) in terms.items():
-                    cap, res = sums[name]
-                    sums[name] = (reduce(add, caps, cap), reduce(add, ress, res))
-            at += size
-        return sums
-
-
-def _member_terms(model: ParasiticModel, items: Items, block_starts: List[int],
-                  at: int, nodes: Sequence[int], names: Dict[int, str]
-                  ) -> Dict[str, Tuple[List[float], List[float]]]:
-    """Per name: the ``(cap, res)`` terms of the items ``at`` onwards whose
-    node (``nodes``, one per item) ``names`` carries, in item order."""
-    terms: Dict[str, Tuple[List[float], List[float]]] = {
-        name: ([], []) for name in names.values()}
-    end = at + len(nodes)
-    block = bisect_right(block_starts, at) - 1
-    while block < len(items) and block_starts[block] < end:
-        layer, rects = items[block]
-        base = block_starts[block]
-        for item in range(max(at, base), min(end, block_starts[block + 1])):
-            name = names.get(nodes[item - at])
-            if name is not None:
-                caps, ress = terms[name]
-                cap, res = model.wire_terms(layer, rects[item - base])
-                caps.append(cap)
-                ress.append(res)
-        block += 1
-    return terms
 
 
 class Extractor:
@@ -290,8 +207,9 @@ class Extractor:
             union_chain(finder, [item_id for item_id in
                                  conducting_index.query(buried_rect, strict=True)
                                  if item_id < metal_start])
-        items = conducting_items([diffusion_pieces], [poly], [metal])
-        nodes = partition_nodes(finder, ParasiticModel(self.technology), items)
+        nodes = partition_nodes(finder, ParasiticModel(self.technology),
+                                [("diffusion", diffusion_pieces),
+                                 ("poly", poly), ("metal", metal)])
 
         # 4. Resolve each label to the items whose geometry contains its
         # position via a point query.
@@ -311,7 +229,7 @@ class Extractor:
              covers(channel, implant, implant_index.query(channel)))
             for channel in channels)
         return finish_circuit(self.technology, cell, flat.labels, label_hits,
-                              nodes, items, poly_start, channels, devices)
+                              nodes, poly_start, channels, devices)
 
 
 def extract_cell(cell: Cell, technology: Technology) -> ExtractedCircuit:
@@ -464,22 +382,6 @@ def declare_ports(network: SwitchNetwork, declared: Dict[str, object],
             network.add_output(name)
 
 
-def conducting_items(pieces: Sequence[Sequence[Rect]],
-                     poly: Sequence[Sequence[Rect]],
-                     metal: Sequence[Sequence[Rect]]) -> Items:
-    """The finisher's item enumeration, as ``(layer, rects)`` blocks:
-    diffusion pieces, then poly, then metal, each layer given as the lists
-    that hold its rects in order.
-
-    What the finisher reads of an item — its layer, width and height — does
-    not depend on the frame, so each list may be in its own.
-    """
-    return [(layer, rects)
-            for layer, lists in (("diffusion", pieces), ("poly", poly),
-                                 ("metal", metal))
-            for rects in lists]
-
-
 def union_chain(finder: UnionFind, ids: Sequence[int], base: int = 0) -> None:
     """Union consecutive members of ``ids`` (offset by ``base``) into one set."""
     for first, second in zip(ids, ids[1:]):
@@ -506,24 +408,24 @@ def partition_nodes(finder: UnionFind, model: ParasiticModel,
 
 def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
                    label_hits: Iterable[Sequence[int]], nodes: NodePartition,
-                   items: Items, poly_start: int, channels: Iterable[Rect],
+                   poly_start: int, channels: Iterable[Rect],
                    devices: Iterable[Tuple[Optional[int], Sequence[int], bool]]
                    ) -> ExtractedCircuit:
     """Node naming, device emission into the network's columns, ports and
     parasitics: the circuit.
 
-    ``nodes`` partitions ``items`` — the conducting rectangles as
-    :func:`conducting_items` blocks (diffusion pieces, then poly from
-    ``poly_start``, then metal) — into electrical nodes; ``label_hits`` runs
-    parallel to ``labels`` and ``devices`` — ``(gate poly id, terminal piece
-    ids, is depletion)`` — parallel to ``channels``.  Item and channel
-    rectangles are read for their size only, so any frame will do.  A node
-    takes the first label that hits it, except that the first supply label
-    (vdd/gnd) to hit always wins; the anonymous names (``n0``, ``n1``, ...)
-    and device names follow the whole design's node and channel
-    enumeration, which is why this stage runs on the analysed cell as a
-    whole in both extraction paths.  Only a net whose name several nodes
-    carry reads ``items`` (:func:`annotate_parasitics`).
+    ``nodes`` partitions the conducting items (diffusion pieces, then poly
+    from ``poly_start``, then metal) into electrical nodes, with their wire
+    sums; ``label_hits`` runs parallel to ``labels`` and ``devices`` —
+    ``(gate poly id, terminal piece ids, is depletion)`` — parallel to
+    ``channels``.  Channel rectangles are read for their size only, so any
+    frame will do.  A node takes the first label that hits it, except that
+    the first supply label (vdd/gnd) to hit always wins; the anonymous
+    names (``n0``, ``n1``, ...) and device names follow the whole design's
+    node and channel enumeration, which is why this stage runs on the
+    analysed cell as a whole in both extraction paths.  A net whose name
+    several nodes carry adds their wire sums in node order
+    (:func:`annotate_parasitics`).
     """
     node_of = nodes.node_of
     first_hit: Dict[int, str] = {}
@@ -571,8 +473,8 @@ def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
         enhancement_count=len(gates) - depletion_count,
         depletion_count=depletion_count,
         parasitics=annotate_parasitics(
-            model, names, nodes.wire_cap, nodes.wire_res,
-            partial(nodes.refold, model, items), network, device_channels),
+            model, net_of, nodes.wire_cap, nodes.wire_res, network,
+            device_channels),
     )
 
 

@@ -22,10 +22,9 @@ child's frame, never placed.  The wire terms are folded *per electrical
 node* (:func:`fold_wires`), in item order, when the node partition is
 built: a hierarchical cell splices a replayed instance's node sums instead
 of re-adding its rectangles.  :func:`annotate_parasitics` then names them:
-a net carried by one node takes its sums, a net whose name several nodes
-carry re-folds their items in item order
-(:meth:`repro.extract.extractor.NodePartition.refold`), so every float
-equals the per-item fold over the named net on both extraction paths.
+a net's sums are its nodes' sums, added in node order (first occurrence
+in item order, the order the finisher names nodes in).  Both extraction
+paths hand it the same partition, so every float is identical on both.
 
 All values are era-scale estimates read from
 :class:`~repro.technology.technology.Technology` properties; absolute
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.geometry.rect import Rect
 from repro.netlist.switch_sim import SwitchNetwork
@@ -148,69 +147,48 @@ def fold_wires(model: ParasiticModel, items: Items, node_of: Sequence[int],
     return cap, res
 
 
-def annotate_parasitics(model: ParasiticModel, node_names: Sequence[str],
+def annotate_parasitics(model: ParasiticModel, net_of: Sequence[int],
                         wire_cap: Sequence[float], wire_res: Sequence[float],
-                        refold: Callable[[Dict[str, List[int]]],
-                                         Dict[str, Tuple[float, float]]],
                         network: SwitchNetwork,
-                        device_channels: Optional[Sequence[Rect]] = None
+                        device_channels: Sequence[Rect]
                         ) -> Dict[str, NetParasitics]:
-    """Per-net parasitics: a node partition's wire sums, named, plus the
+    """Per-net parasitics: a node partition's wire sums, per net, plus the
     device loading.
 
-    ``node_names[node]`` names each node of a partition numbered by first
-    occurrence, and ``wire_cap`` / ``wire_res`` are its per-node
-    :func:`fold_wires` sums.  A net carried by one node takes that node's
-    sums; the names several nodes carry (label text merges them into one
-    net) go to ``refold`` together — ``{name: nodes}`` — which re-folds each
-    group's items in item order.  ``network`` holds the emitted devices as
-    columns and ``device_channels`` their channel rectangles (gate-oxide
-    geometry; without them a device's W x L stands in).  A net's gate load
-    folds over its devices in device order.  Both extraction paths call this
-    with identical arguments whenever their netlists are identical, so the
-    annotations are too.
+    ``net_of[node]`` is the name id in ``network`` of each node of a
+    partition numbered by first occurrence, and ``wire_cap`` / ``wire_res``
+    are its per-node :func:`fold_wires` sums; a net's wire sums are its
+    nodes', added in node order (label text may merge several nodes into
+    one net).  ``network`` holds the emitted devices as columns and
+    ``device_channels`` their channel rectangles (gate-oxide geometry); a
+    net's gate load folds over its devices in device order.  Both
+    extraction paths call this with identical arguments whenever their
+    netlists are identical, so the annotations are too.
     """
-    first: Dict[str, int] = {}
-    shared: Dict[str, List[int]] = {}
-    for node, name in enumerate(node_names):
-        if name not in first:
-            first[name] = node
-        else:
-            shared.setdefault(name, [first[name]]).append(node)
-    nets = {name: NetParasitics(name, wire_cap[node], wire_res[node])
-            for name, node in first.items()}
-    for name, (cap, res) in (refold(shared) if shared else {}).items():
-        nets[name].wire_cap_ff = cap
-        nets[name].wire_res_ohm = res
-
-    # Per interned name of the network: gate load, gate and channel counts.
+    # Per interned name of the network: wire sums, gate load, gate and
+    # channel counts.
     count = len(network.node_names)
+    cap_of = [0.0] * count
+    res_of = [0.0] * count
+    wired = bytearray(count)
+    for net, cap, res in zip(net_of, wire_cap, wire_res):
+        cap_of[net] += cap
+        res_of[net] += res
+        wired[net] = 1
     gate_cap = [0.0] * count
     gate_count = [0] * count
     channel_count = [0] * count
-    if device_channels is None:
-        per_sq = model.gate_cap_ff_per_sq
-        oxide = [per_sq * (width * length)
-                 for width, length in zip(network.width, network.length)]
-    else:
-        oxide = map(model.gate_cap_ff, device_channels)
-    for gate, cap in zip(network.gate, oxide):
+    for gate, cap in zip(network.gate, map(model.gate_cap_ff, device_channels)):
         gate_cap[gate] += cap
         gate_count[gate] += 1
     for source, drain in zip(network.source, network.drain):
         channel_count[source] += 1
         if drain != source:
             channel_count[drain] += 1
-    for name, cap, gates, channels in zip(network.node_names, gate_cap,
-                                          gate_count, channel_count):
-        if gates or channels:
-            entry = nets.get(name)
-            if entry is None:
-                entry = nets[name] = NetParasitics(name)
-            entry.gate_cap_ff = cap
-            entry.gate_count = gates
-            entry.channel_count = channels
-    return nets
+    return {name: NetParasitics(name, cap_of[net], res_of[net], gate_cap[net],
+                                gate_count[net], channel_count[net])
+            for net, name in enumerate(network.node_names)
+            if wired[net] or gate_count[net] or channel_count[net]}
 
 
 def parasitic_columns(nets: Dict[str, NetParasitics]) -> tuple:

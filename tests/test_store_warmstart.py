@@ -181,6 +181,37 @@ def test_corrupted_blob_recomputes_identically(
     assert third.store.stats()["puts"] == 0
 
 
+def test_corrupted_circuit_of_the_tile_array_is_finished_from_its_stored_partition(
+        tmp_path, caplog, monkeypatch):
+    """The tile array's ``circuit`` blob truncated: a fresh analyzer finishes
+    the circuit again from the ``extract`` artifact it loads from disk — a
+    node partition spliced from the replayed tiles, with names that several
+    nodes carry — and it equals the cold circuit, parasitics included."""
+    from repro.geometry.transform import Orientation
+
+    from tile_array import TileArray
+
+    monkeypatch.delenv("REPRO_STRICT", raising=False)
+    technology = nmos_technology()
+    array = TileArray(technology, "corrupt_tiles")
+    store_dir = str(tmp_path / "store")
+    first = _analyzer(technology, store_dir)
+    golden = _netlist(first.extract(array.top))
+    _truncate_blob(first, "circuit", array.top, store_dir)
+
+    second = _analyzer(technology, store_dir)
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        recomputed = second.extract(array.top)
+    assert _netlist(recomputed) == golden
+    assert any("STO001" in record.message for record in caplog.records)
+    assert second.stats["circuit_artifacts"] == 1
+    assert second.stats["extract_artifacts"] == 0
+    nodes = second.store.get(second._key("extract", array.top,
+                                         Orientation.R0)).nodes
+    assert nodes.spliced > 0
+    assert len(recomputed.node_names) < nodes.count
+
+
 @each_layer
 def test_corrupted_composable_blob_surfaces_on_the_edit_that_needs_it(
         store_dir, caplog, monkeypatch, result, composable, run_pass, identity):

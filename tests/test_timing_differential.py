@@ -22,14 +22,15 @@ a positive max-frequency estimate for all four example designs.
 import os
 import sys
 from collections import defaultdict
-from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import HierAnalyzer
+from repro.analysis import hier as hier_module
 from repro.assembly import ChipAssembler
+from repro.extract import compose as compose_module
 from repro.extract import extractor as extractor_module
 from repro.extract.extractor import Extractor, partition_nodes
 from repro.generators import FsmLayoutGenerator, PlaGenerator
@@ -347,12 +348,13 @@ class TestSwitchLevel:
 # -- the parasitic fold against a per-rectangle sum -----------------------------
 #
 # Flat and hierarchical extraction share the per-node wire fold and the
-# re-fold of names several nodes carry, so comparing them cannot see a bug
-# in either.  The oracle below asks the model for every rectangle's terms
-# and adds them per net name in item order; production must produce the
-# same floats — the hierarchical side splicing replayed instances' node sums
-# — while asking once per (layer, width, height).  Items come as
-# ``(layer, rects)`` blocks, a list possibly repeated.
+# per-net sum of node sums, so comparing them cannot see a bug in either.
+# The oracle below asks the model for every rectangle's terms, adds them per
+# node in item order and the nodes' sums per net name in node order (first
+# occurrence in item order); production must produce the same floats — the
+# hierarchical side splicing replayed instances' node sums — while asking
+# once per (layer, width, height).  Items come as ``(layer, rects)`` blocks,
+# a list possibly repeated.
 
 
 def each_item(items):
@@ -360,17 +362,21 @@ def each_item(items):
     return [(layer, rect) for layer, rects in items for rect in rects]
 
 
-def per_rect_parasitics(model, items, node_of_item, devices, channels):
+def per_rect_parasitics(model, items, node_of_item, name_of_node, devices,
+                        channels):
+    wires = {}                  # per node, in order of first occurrence
+    for node, (layer, rect) in zip(node_of_item, each_item(items)):
+        cap, res = wires.get(node, (0.0, 0.0))
+        wires[node] = (cap + model.rect_cap_ff(layer, rect),
+                       res + model.rect_res_ohm(layer, rect))
     nets = defaultdict(lambda: [0.0, 0.0, 0.0, 0, 0])
-    for item_id, (layer, rect) in enumerate(each_item(items)):
-        entry = nets[node_of_item[item_id]]
-        entry[0] += model.rect_cap_ff(layer, rect)
-        entry[1] += model.rect_res_ohm(layer, rect)
-    for index, device in enumerate(devices):
+    for node, (cap, res) in wires.items():
+        entry = nets[name_of_node[node]]
+        entry[0] += cap
+        entry[1] += res
+    for device, channel in zip(devices, channels):
         gate = nets[device.gate]
-        gate[2] += (
-            model.gate_cap_ff(channels[index]) if channels is not None
-            else model.gate_cap_ff_per_sq * (device.width * device.length))
+        gate[2] += model.gate_cap_ff(channel)
         gate[3] += 1
         for terminal in {device.source, device.drain}:
             nets[terminal][4] += 1
@@ -419,8 +425,8 @@ def parasitic_cases(draw):
         st.builds(Transistor, st.just("m"), node, node, node,
                   width=st.integers(2, 8), length=st.integers(2, 8)),
         max_size=8))
-    channels = draw(st.none() | st.lists(
-        rects, min_size=len(devices), max_size=len(devices)))
+    channels = draw(st.lists(rects, min_size=len(devices),
+                             max_size=len(devices)))
     return items, groups, group_names, devices, channels
 
 
@@ -438,63 +444,74 @@ class TestParasiticFold:
         names = [None] * nodes.count
         for item, node in enumerate(nodes.node_of):
             names[node] = group_names[groups[item]]
-        node_of_item = {item: names[node]
-                        for item, node in enumerate(nodes.node_of)}
         network = SwitchNetwork("devices")
         for device in devices:
             network.add_transistor(device.gate, device.source, device.drain,
                                    device.kind, device.width, device.length,
                                    device.name)
-        assert (annotate_parasitics(model, names, nodes.wire_cap,
-                                    nodes.wire_res,
-                                    partial(nodes.refold, model, items),
-                                    network, channels)
+        assert (annotate_parasitics(model, network.intern(names),
+                                    nodes.wire_cap, nodes.wire_res, network,
+                                    channels)
                 == per_rect_parasitics(ParasiticModel(technology), items,
-                                       node_of_item, devices, channels))
+                                       groups, group_names, devices, channels))
         assert model.cap_calls == len(rect_classes(items))
 
     def test_example_chips_match_the_per_rect_sum_one_call_per_class(
             self, technology, signed_off_chips, monkeypatch):
-        folds = []
+        finished, folds = [], []
+        circuit_of = hier_module.circuit_of
+        annotate = extractor_module.annotate_parasitics
+        partition = compose_module.partition_nodes
 
-        def recording(model, names, wire_cap, wire_res, refold, network,
-                      channels):
-            # The finisher hands over ``partial(nodes.refold, model, items)``.
-            nodes, (_model, items) = refold.func.__self__, refold.args
-            counting = CountingModel(model.technology)
-            nets = annotate_parasitics(
-                counting, names, wire_cap, wire_res,
-                partial(nodes.refold, counting, items), network, channels)
-            node_of_item = {item: names[node]
-                            for item, node in enumerate(nodes.node_of)}
-            folds.append((items, node_of_item, network.transistors, channels,
-                          nets,
-                          counting.cap_calls, nodes))
+        def recording_circuit_of(technology, cell, view, art):
+            # The items the finisher's partition (``art.nodes``) covers.
+            items = [(layer, rects) for layer, blocks in (
+                ("diffusion", art.pieces), ("poly", view.layer("poly")),
+                ("metal", view.layer("metal")))
+                for rects in blocks.frame_free_lists()]
+            finished.append((items, art.nodes))
+            return circuit_of(technology, cell, view, art)
+
+        def recording_annotate(model, net_of, wire_cap, wire_res, network,
+                               channels):
+            nets = annotate(model, net_of, wire_cap, wire_res, network,
+                            channels)
+            names = [network.node_names[net] for net in net_of]
+            items, nodes = finished[-1]
+            folds.append((items, nodes.node_of, names, network.transistors,
+                          channels, nets, nodes))
             return nets
 
-        monkeypatch.setattr(extractor_module, "annotate_parasitics", recording)
+        def counting_partition(finder, model, items):
+            counting = CountingModel(model.technology)
+            nodes = partition(finder, counting, items)
+            assert counting.cap_calls == len(rect_classes(items))
+            return nodes
+
+        monkeypatch.setattr(hier_module, "circuit_of", recording_circuit_of)
+        monkeypatch.setattr(extractor_module, "annotate_parasitics",
+                            recording_annotate)
+        monkeypatch.setattr(compose_module, "partition_nodes",
+                            counting_partition)
         analyzer = HierAnalyzer(technology)
         for assembler, _report in signed_off_chips.values():
             assembler.sign_off(analyzer)
         tiles = TileArray(technology, "fold_tiles", rom_grid=(3, 2))
         circuit = analyzer.extract(tiles.top)
-        assert circuit.parasitics is folds[-1][4]
+        assert circuit.parasitics is folds[-1][5]
 
         model = ParasiticModel(technology)
-        assert len(folds) > len(signed_off_chips)     # blocks and tops
-        for *case, nets, cap_calls, _nodes in folds:
+        assert len(folds) == len(finished) > len(signed_off_chips)
+        for *case, nets, _nodes in folds:
             assert nets == per_rect_parasitics(model, *case)
-            # Only the re-fold of shared names asks, once per class at most.
-            assert cap_calls <= len(rect_classes(case[0]))
         # The tile array's thousands of items fall in a few dozen classes;
         # its partition was spliced from the replayed tiles, and names merge
-        # nodes across tiles, so the run-wise re-fold is what matched.
-        tile_items, tile_names, *_, tile_cap_calls, tile_nodes = folds[-1]
+        # nodes across tiles, so node sums added per name is what matched.
+        tile_items, _node_of, tile_names, *_, tile_nodes = folds[-1]
         assert len(each_item(tile_items)) > 4000
         assert len(rect_classes(tile_items)) < 40
-        assert tile_nodes.runs and tile_nodes.spliced
-        assert len(set(tile_names.values())) < tile_nodes.count
-        assert tile_cap_calls > 0
+        assert tile_nodes.spliced > 0
+        assert len(set(tile_names)) < tile_nodes.count
 
 
 class TestReportSurface:
