@@ -8,11 +8,10 @@ The full table:
 ===================== ============ ===================================================
 Variable              Default      Meaning
 ===================== ============ ===================================================
-``REPRO_STRICT``      off          ``1`` (any non-``0`` value) makes every guarded
-                                   fallback fatal — FBK/ROU degradations *and* the
-                                   artifact store's STO corruption recoveries —
-                                   so CI surfaces fast-path bugs instead of hiding
-                                   them behind reference recomputation.
+``REPRO_STRICT``      off          ``1`` (any non-``0`` value) makes the artifact
+                                   store's STO corruption recoveries fatal, so CI
+                                   surfaces a bad blob or a failed write instead
+                                   of hiding it behind recomputation.
 ``REPRO_STORE``       unset        Directory of the persistent content-addressed
                                    artifact store (:mod:`repro.store`).  When set,
                                    every :class:`~repro.analysis.HierAnalyzer`
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 def strict_mode() -> bool:
-    """True when ``REPRO_STRICT`` is set (CI): fallbacks become fatal."""
+    """True when ``REPRO_STRICT`` is set (CI): store recoveries become fatal."""
     return os.environ.get("REPRO_STRICT", "") not in ("", "0")
 
 

@@ -20,18 +20,22 @@ vocabulary defined here:
 * a :class:`Budget` bounds loops that previously could run forever
   (settle sweeps, routing, path enumeration), raising
   :class:`BudgetExceeded` instead of hanging;
-* :func:`run_with_fallback` degrades a fast path (compiled kernel, spatial
-  index) to its retained reference implementation with
-  a warning — unless ``REPRO_STRICT=1`` is set, in which case the failure
-  is fatal so CI cannot silently mask a fast-path regression.
+* :func:`run_with_fallback` recovers from a failed step with a warning —
+  the artifact store discards a corrupt blob and reports a miss
+  (``STO001``–``STO003``) — unless ``REPRO_STRICT=1`` is set, in which case
+  the failure is fatal so CI cannot silently mask it.  Engines have no
+  fallback: a fault in a compiled kernel or spatial index propagates as
+  itself, and their reference implementations are test oracles only.
 
 Code families: ``RTL0xx`` RTL syntax, ``RTL1xx`` the static rules both RTL
 back ends enforce at construction (:mod:`repro.rtl.check`), ``RTL2xx`` legal
 RTL the gate compiler cannot synthesise; ``ERC006``–``008`` are also what
 ``Module.validate()`` returns, ``FSM0xx`` what ``FSM.validate()`` returns.
-Codes are stable and never reused: ``FBK003`` (incremental switch-level
-settle), ``FBK007`` (worker-pool degradation) and ``ROU008`` (legacy blind
-L-route) are retired along with the code paths that emitted them.
+Codes are stable and never reused: ``FBK001``–``FBK007`` (the default
+fallback code, the gate-level kernel, incremental switch-level settle, the
+RTL compiler, indexed extraction, indexed DRC and worker-pool degradation)
+and ``ROU008`` (legacy blind L-route) are retired along with the code paths
+that emitted them.
 ``ROU010`` (duplicate block name, negative spacing) and ``ROU011`` (a
 connection naming an unknown block, port or pad) reject a malformed
 placement problem (:mod:`repro.assembly.floorplan`).
@@ -45,8 +49,7 @@ The library installs only a ``NullHandler``; applications opt in with
 from __future__ import annotations
 
 import logging
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, List, Optional, TypeVar
 
@@ -88,7 +91,7 @@ def configure_logging(level: int = logging.INFO,
 
 
 def strict_mode() -> bool:
-    """True when ``REPRO_STRICT`` is set (CI): fallbacks become fatal."""
+    """True when ``REPRO_STRICT`` is set (CI): store recoveries become fatal."""
     from repro import config
 
     return config.strict_mode()
@@ -255,7 +258,7 @@ class DiagnosticError(Exception):
 
 
 class BudgetExceeded(DiagnosticError, RuntimeError):
-    """An iteration or wall-clock budget ran out before convergence.
+    """An iteration budget ran out before convergence.
 
     Replaces the bare ``RuntimeError`` the settle/enumeration loops used to
     raise (and still subclasses it, so ``except RuntimeError`` holds).
@@ -264,27 +267,24 @@ class BudgetExceeded(DiagnosticError, RuntimeError):
     default_code = "GRD001"
 
 
+#: Ticks between updates of a budget's ``consumed_fraction`` gauge.
+_GAUGE_EVERY = 256
+
+
 @dataclass
 class Budget:
-    """An iteration/time budget for a loop that must not hang.
+    """An iteration budget for a loop that must not hang.
 
-    ``tick()`` counts one iteration and raises :class:`BudgetExceeded` when
-    either the iteration cap or the wall-clock cap is exhausted.  The time
-    check runs only every ``time_check_every`` ticks so the common case
-    stays one integer compare.
+    ``tick()`` counts one iteration and raises :class:`BudgetExceeded` once
+    the iteration cap is exhausted.  The consumption gauge is updated only
+    every ``_GAUGE_EVERY`` ticks so the common case stays one integer
+    compare.
     """
 
     iterations: Optional[int] = None
-    seconds: Optional[float] = None
     label: str = "loop"
     code: str = "GRD001"
-    time_check_every: int = 256
     count: int = 0
-    _deadline: Optional[float] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.seconds is not None:
-            self._deadline = time.monotonic() + self.seconds
 
     def consumed_fraction(self) -> float:
         """How much of the iteration budget is used (0.0–1.0+, 0 if uncapped)."""
@@ -308,17 +308,8 @@ class Budget:
                            message or (f"{self.label} exceeded "
                                        f"{self.iterations} iterations"),
                            hint="raise the budget or check for oscillation"))
-        if self.count % self.time_check_every == 0:
+        if self.count % _GAUGE_EVERY == 0:
             self._record_consumption()
-        if (self._deadline is not None
-                and self.count % self.time_check_every == 0
-                and time.monotonic() > self._deadline):
-            _metrics.counter(f"budget.exceeded.{self.code}").inc()
-            raise BudgetExceeded(
-                message or f"{self.label} exceeded {self.seconds}s time budget",
-                Diagnostic(Severity.ERROR, self.code,
-                           message or (f"{self.label} exceeded "
-                                       f"{self.seconds}s time budget")))
         return self.count
 
 
@@ -329,17 +320,15 @@ def run_with_fallback(label: str,
                       primary: Callable[[], _T],
                       fallback: Callable[[], _T],
                       *,
-                      code: str = "FBK001",
-                      collector: Optional[DiagnosticCollector] = None,
-                      logger: Optional[logging.Logger] = None) -> _T:
+                      code: str) -> _T:
     """Run ``primary``; on unexpected failure degrade to ``fallback``.
 
-    The degradation is *never* silent: it is logged as a warning (and
-    recorded on ``collector`` when given).  :class:`BudgetExceeded` always
-    propagates — a budget trip means the input genuinely diverges, and the
-    reference path would hang on it too.  With ``REPRO_STRICT=1`` the
-    original exception propagates instead of falling back, so CI surfaces
-    fast-path bugs rather than hiding them behind the reference result.
+    The degradation is *never* silent: it is logged as a warning on the
+    ``repro.fallback`` logger and counted as ``fallback.<code>``.
+    :class:`BudgetExceeded` always propagates — a budget trip means the
+    input genuinely diverges.  With ``REPRO_STRICT=1`` the original
+    exception propagates instead of falling back, so CI surfaces the
+    failure rather than hiding it behind the recovery.
     """
     try:
         return primary()
@@ -349,18 +338,13 @@ def run_with_fallback(label: str,
         if strict_mode():
             raise
         _metrics.counter(f"fallback.{code}").inc()
-        message = (f"{label}: fast path failed "
-                   f"({type(exc).__name__}: {exc}); "
-                   "falling back to the reference implementation")
-        diagnostic = Diagnostic(Severity.WARNING, code, message,
-                                hint="set REPRO_STRICT=1 to make this fatal")
-        if collector is not None:
-            collector.add(diagnostic)
-        else:
-            # Render the full diagnostic (not just the message) so the
-            # stable code is greppable in plain logs too.
-            (logger or get_logger("fallback")).warning(
-                "%s", diagnostic.render())
+        diagnostic = Diagnostic(
+            Severity.WARNING, code,
+            f"{label}: failed ({type(exc).__name__}: {exc}); falling back",
+            hint="set REPRO_STRICT=1 to make this fatal")
+        # Render the full diagnostic (not just the message) so the
+        # stable code is greppable in plain logs too.
+        get_logger("fallback").warning("%s", diagnostic.render())
         return fallback()
 
 

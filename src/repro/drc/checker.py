@@ -17,8 +17,7 @@ neighbourhood questions go through the spatial index
 (:mod:`repro.geometry.index`), so the cost per rectangle depends on its
 local neighbourhood, not on the total rectangle count.  The same checks run
 on an all-pairs index are :class:`repro.reference.BruteDrcChecker`, the
-oracle the golden-equivalence tests compare against and the ``FBK006``
-fallback.
+oracle the golden-equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.diagnostics import run_with_fallback
 from repro.geometry.index import IndexFactory, SpatialIndex, build_index
 from repro.obs import trace as obs_trace
 from repro.runtime import gc_paused
@@ -142,6 +140,9 @@ def exact_size_violation(rule: DesignRule, rect: Rect) -> Optional[DrcViolation]
 class DrcChecker:
     """Checks a cell hierarchy against a technology's rule set."""
 
+    #: Builds the spatial index every neighbourhood question goes through.
+    index: IndexFactory = staticmethod(build_index)
+
     def __init__(self, technology: Technology):
         self.technology = technology
 
@@ -149,23 +150,12 @@ class DrcChecker:
         """Flatten ``cell`` and return all violations found."""
         with gc_paused(), obs_trace.span("drc.check", cat="drc",
                                          cell=cell.name) as span:
-            violations = self._check_entry(cell)
+            violations = self._check(cell)
             span.set(violations=len(violations))
             return violations
 
-    def _check_entry(self, cell: Cell) -> List[DrcViolation]:
-        def all_pairs() -> List[DrcViolation]:
-            from repro.reference.geometry import BruteDrcChecker
-
-            return BruteDrcChecker(self.technology)._check_entry(cell)
-
-        # An index bug must not block verification: degrade to the
-        # all-pairs reference with a warning (fatal under REPRO_STRICT=1).
-        return run_with_fallback(
-            "indexed DRC", lambda: self._check(cell, build_index), all_pairs,
-            code="FBK006")
-
-    def _check(self, cell: Cell, index: IndexFactory) -> List[DrcViolation]:
+    def _check(self, cell: Cell) -> List[DrcViolation]:
+        index = self.index
         flat = flatten_cell(cell)
         rects_by_layer = flat.rects_by_layer()
         merged = {layer: _merge_touching(rects, index)

@@ -17,8 +17,7 @@ connectivity, contact hits, channel terminals) are answered by the spatial
 index (:mod:`repro.geometry.index`), so extraction cost scales with local
 congestion rather than quadratically with total rectangle count.  The same
 pipeline run on an all-pairs index is :class:`repro.reference.BruteExtractor`,
-the oracle the golden-equivalence tests compare netlists against and the
-``FBK005`` fallback.
+the oracle the golden-equivalence tests compare netlists against.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.diagnostics import run_with_fallback
 from repro.geometry.index import IndexFactory, UnionFind, build_index
 from repro.obs import trace as obs_trace
 from repro.runtime import gc_paused
@@ -132,6 +130,9 @@ class NodePartition:
 class Extractor:
     """Extract transistor netlists from NMOS layout."""
 
+    #: Builds the spatial index every neighbourhood question goes through.
+    index: IndexFactory = staticmethod(build_index)
+
     def __init__(self, technology: Technology):
         self.technology = technology
         self._diffusion_layers = [
@@ -143,23 +144,12 @@ class Extractor:
     def extract(self, cell: Cell) -> ExtractedCircuit:
         with gc_paused(), obs_trace.span("extract.extract", cat="extract",
                                          cell=cell.name) as span:
-            circuit = self._extract_entry(cell)
+            circuit = self._extract(cell)
             span.set(transistors=circuit.transistor_count)
             return circuit
 
-    def _extract_entry(self, cell: Cell) -> ExtractedCircuit:
-        def all_pairs() -> ExtractedCircuit:
-            from repro.reference.geometry import BruteExtractor
-
-            return BruteExtractor(self.technology)._extract_entry(cell)
-
-        # An index bug must not block extraction: degrade to the all-pairs
-        # reference with a warning (fatal under REPRO_STRICT=1).
-        return run_with_fallback(
-            "indexed extractor", lambda: self._extract(cell, build_index),
-            all_pairs, code="FBK005")
-
-    def _extract(self, cell: Cell, index: IndexFactory) -> ExtractedCircuit:
+    def _extract(self, cell: Cell) -> ExtractedCircuit:
+        index = self.index
         flat = flatten_cell(cell)
         rects = flat.rects_by_layer()
         diffusion = [r for layer in self._diffusion_layers for r in rects.get(layer, [])]

@@ -14,8 +14,8 @@ engine.  The original
 rescan-everything interpreter lives in :mod:`repro.reference.gate_sim` as
 the golden semantic reference: differential tests pin the kernel
 trace-identical to it (values, ``last_depth`` and
-``critical_path_estimate`` included), and a lowering failure degrades to
-it under ``FBK002``.
+``critical_path_estimate`` included).  It is a test oracle only; a
+lowering failure propagates as itself.
 
 ``values`` and ``state`` are live name-keyed views that the engine keeps
 in sync; mutate state through ``set_inputs``/``reset``, not by writing
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
-from repro.diagnostics import run_with_fallback
 from repro.netlist.module import Module, NetlistError
 from repro.obs import trace as obs_trace
 from repro.obs import vcd as obs_vcd
@@ -79,20 +78,8 @@ class GateLevelSimulator:
         # imported first.
         from repro.sim.kernel import ScalarEngine, compile_netlist
 
-        def interpreter():
-            from repro.reference.gate_sim import InterpreterEngine
-
-            return InterpreterEngine(
-                self.module, self.values, self.state, self.settle_limit)
-
-        # A lowering bug must not take the simulator down: degrade to the
-        # reference interpreter with a warning (fatal under REPRO_STRICT=1
-        # so CI still surfaces it).
-        return run_with_fallback(
-            "gate-level simulator",
-            lambda: ScalarEngine(compile_netlist(self.module), self.values,
-                                 self.state, self.settle_limit),
-            interpreter, code="FBK002")
+        return ScalarEngine(compile_netlist(self.module), self.values,
+                            self.state, self.settle_limit)
 
     # -- evaluation -----------------------------------------------------------------
 

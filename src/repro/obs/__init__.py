@@ -7,7 +7,7 @@ Three pillars, one package:
   compiled-sim settle, STA, store get/put), exported as Chrome trace-event
   JSON (``REPRO_TRACE=<path>``) viewable in Perfetto;
 * :mod:`repro.obs.metrics` — a process-global registry of counters,
-  gauges and histograms with stable dotted names (fallback firings by FBK
+  gauges and histograms with stable dotted names (store recoveries by STO
   code, store hits/misses, rip-up counts, settle iterations, ...),
   snapshotted onto ``SignOffReport.flow_metrics`` and dumpable as JSON
   (``REPRO_METRICS=<path>``);

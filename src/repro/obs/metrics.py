@@ -5,7 +5,7 @@ stable dotted names, so a sign-off can snapshot the whole flow's state in
 one call instead of each layer growing its own ad-hoc stats dict:
 
 * ``fallback.<code>``                 — :func:`repro.diagnostics.run_with_fallback`
-                                        degradations by FBK code;
+                                        recoveries by STO code;
 * ``diagnostics.<code>``              — diagnostics recorded by collectors;
 * ``budget.exceeded.<code>``          — budget trips by GRD/ROU code;
 * ``budget.<label>.consumed_fraction``— how much of an iteration budget a

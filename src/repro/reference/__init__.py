@@ -19,11 +19,9 @@ chooses the algorithm, so run loops, VCD export and state access exist once;
 :class:`SwitchLevelReference` shares nothing with its twin but the network
 data types, because the model itself is what it checks.  The differential
 suites and ``bench_e11``/``bench_e13`` construct oracles from here;
-production code imports this package only lazily, inside the ``FBK002`` and
-``FBK004``–``FBK006`` fallback callables of
-:func:`repro.diagnostics.run_with_fallback` — and the maze router and the
-switch simulator, which have no fallback, never
-(``tests/test_reference_isolation.py`` enforces all of it).
+production code never imports this package, and a fault in a production
+engine propagates as itself rather than rerunning its oracle
+(``tests/test_reference_isolation.py`` enforces the import rule).
 """
 
 from repro.reference.gate_sim import GateLevelInterpreter

@@ -11,27 +11,24 @@ differentials) and ``bench_e11`` compare the indexed engines against.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
-from repro.drc.checker import DrcChecker, DrcViolation
-from repro.extract.extractor import ExtractedCircuit, Extractor
+from repro.drc.checker import DrcChecker
+from repro.extract.extractor import Extractor
 from repro.geometry.index import BruteForceIndex
 from repro.geometry.rect import Rect
-from repro.layout.cell import Cell
 
 
 class BruteDrcChecker(DrcChecker):
-    """:class:`DrcChecker` on all-pairs scans, with no fallback beneath it."""
+    """:class:`DrcChecker` on all-pairs scans."""
 
-    def _check_entry(self, cell: Cell) -> List[DrcViolation]:
-        return self._check(cell, BruteForceIndex)
+    index = BruteForceIndex
 
 
 class BruteExtractor(Extractor):
-    """:class:`Extractor` on all-pairs scans, with no fallback beneath it."""
+    """:class:`Extractor` on all-pairs scans."""
 
-    def _extract_entry(self, cell: Cell) -> ExtractedCircuit:
-        return self._extract(cell, BruteForceIndex)
+    index = BruteForceIndex
 
 
 def column_merged_area(rects: Iterable[Rect]) -> int:

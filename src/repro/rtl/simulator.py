@@ -14,15 +14,15 @@ a name or a target kind.  The body is then **compiled once** into Python
 closures with widths and masks resolved up front, so a cycle is a chain of
 direct calls instead of an ``isinstance`` walk over the AST.  The
 tree-walking interpreter lives in :mod:`repro.reference.rtl_sim` as the
-golden reference; differential tests pin the two cycle-for-cycle identical
-and a lowering failure degrades to it under ``FBK004``.
+golden reference; differential tests pin the two cycle-for-cycle
+identical.  It is a test oracle only; a lowering failure propagates as
+itself.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.diagnostics import run_with_fallback
 from repro.rtl.ast import (
     Assignment,
     BinaryOp,
@@ -68,20 +68,7 @@ class RtlSimulator:
 
     def _compile_body(self) -> _StmtFn:
         """The machine body as one callable, run once per cycle."""
-        machine = self.machine
-
-        def tree_walker() -> _StmtFn:
-            from repro.reference.rtl_sim import TreeWalker
-
-            return TreeWalker(machine)
-
-        # The machine is already checked, so a failure *here* is a
-        # lowering bug: degrade to the tree-walking reference with a
-        # warning rather than taking the simulator down.
-        return run_with_fallback(
-            "rtl simulator",
-            lambda: _StatementCompiler(machine).compile_block(machine.body),
-            tree_walker, code="FBK004")
+        return _StatementCompiler(self.machine).compile_block(self.machine.body)
 
     # -- state access ----------------------------------------------------------------
 

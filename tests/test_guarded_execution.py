@@ -1,4 +1,4 @@
-"""Guarded execution: budgets terminate divergent inputs, fallbacks degrade.
+"""Guarded execution: budgets terminate divergent inputs, faults propagate.
 
 Pins the robustness contract end to end:
 
@@ -10,9 +10,9 @@ Pins the robustness contract end to end:
 * a truncated CIF input produces a typed diagnostic with a source span
   instead of a traceback (raising mode) or a recovered partial library
   (collector mode);
-* a failure injected into any of the four fast paths degrades to its
-  :mod:`repro.reference` oracle with a coded warning and a counted
-  ``fallback.FBK00x``, and ``REPRO_STRICT=1`` turns the same failure fatal;
+* a failure injected into any of the four fast paths propagates as itself,
+  with or without ``REPRO_STRICT``: no engine reruns its
+  :mod:`repro.reference` oracle, logs a fallback or counts one;
 * the channel router and K-worst path enumeration stop at their budgets.
 """
 
@@ -20,8 +20,6 @@ import logging
 
 import pytest
 
-import repro.drc.checker as drc_checker
-import repro.extract.extractor as extractor_module
 import repro.rtl.simulator as rtl_simulator
 import repro.sim.kernel as sim_kernel
 from repro.assembly.channel import ChannelNet, ChannelRouter
@@ -173,16 +171,15 @@ class TestTruncatedCif:
 
 
 class InjectedFault(Exception):
-    """Raised by the fast path a fallback test has sabotaged."""
+    """Raised by the fast path a fault-injection test has sabotaged."""
 
 
 def _explode(*args, **kwargs):
     raise InjectedFault("injected fast-path bug")
 
 
-def _fallback_count(code):
-    return metrics.snapshot(prefix=f"fallback.{code}").get(
-        f"fallback.{code}", 0)
+def _fallback_counts():
+    return metrics.snapshot(prefix="fallback.")
 
 
 def _half_adder():
@@ -231,54 +228,42 @@ def _run_drc(checker):
     return violations
 
 
-#: code, (module, attribute) the failure is injected at, runner, production
-#: class, repro.reference oracle.
-FALLBACK_CASES = [
-    ("FBK002", (sim_kernel, "compile_netlist"), _run_gate,
+#: engine, (owner, attribute, replacement) the failure is injected at,
+#: runner, production class, repro.reference oracle.
+FAULT_CASES = [
+    ("gate_sim", (sim_kernel, "compile_netlist", _explode), _run_gate,
      GateLevelSimulator, GateLevelInterpreter),
-    ("FBK004", (rtl_simulator._StatementCompiler, "compile_block"), _run_rtl,
-     RtlSimulator, RtlInterpreter),
-    ("FBK005", (extractor_module, "build_index"), _run_extract,
+    ("rtl_sim", (rtl_simulator._StatementCompiler, "compile_block", _explode),
+     _run_rtl, RtlSimulator, RtlInterpreter),
+    ("extract", (Extractor, "index", staticmethod(_explode)), _run_extract,
      Extractor, BruteExtractor),
-    ("FBK006", (drc_checker, "build_index"), _run_drc,
+    ("drc", (DrcChecker, "index", staticmethod(_explode)), _run_drc,
      DrcChecker, BruteDrcChecker),
 ]
 
 
 class TestFallbacks:
+    """No engine has one: its oracle is a test reference, never a rescue."""
+
     @pytest.mark.parametrize(
-        "code, target, run, production, oracle", FALLBACK_CASES,
-        ids=[case[0] for case in FALLBACK_CASES])
-    def test_every_fast_path_degrades_to_its_oracle(
-            self, code, target, run, production, oracle, monkeypatch, caplog):
+        "engine, target, run, production, oracle", FAULT_CASES,
+        ids=[case[0] for case in FAULT_CASES])
+    def test_a_fast_path_fault_propagates(
+            self, engine, target, run, production, oracle, monkeypatch,
+            caplog):
         monkeypatch.delenv("REPRO_STRICT", raising=False)
         expected = run(oracle)
         assert run(production) == expected     # healthy fast path agrees
-        healthy = _fallback_count(code)
+        before = _fallback_counts()
 
-        monkeypatch.setattr(*target, _explode)
-        with caplog.at_level(logging.WARNING, logger="repro.fallback"):
-            assert run(production) == expected
-        assert _fallback_count(code) > healthy
-        warnings = [r.getMessage() for r in caplog.records]
-        assert any(code in text and "InjectedFault" in text
-                   for text in warnings)
-
-        monkeypatch.setenv("REPRO_STRICT", "1")
-        with pytest.raises(InjectedFault):
-            run(production)
-
-    def test_broken_kernel_degrades_to_interpreter(self, monkeypatch, caplog):
-        monkeypatch.delenv("REPRO_STRICT", raising=False)
-        monkeypatch.setattr(sim_kernel, "CompiledNetlist", _explode)
-        module = _half_adder()
-        module.name = "half_uncached"    # lowering is cached by content
-        before = _fallback_count("FBK002")
-        with caplog.at_level(logging.WARNING, logger="repro.fallback"):
-            sim = GateLevelSimulator(module)
-        assert _fallback_count("FBK002") == before + 1   # degraded, not dead
-        assert sim.evaluate({"a": 1, "b": 0})["s"] == 1
-        assert any("falling back" in r.message for r in caplog.records)
+        monkeypatch.setattr(*target)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            with pytest.raises(InjectedFault):
+                run(production)
+            assert run(oracle) == expected     # the oracle is untouched
+        assert _fallback_counts() == before
+        assert not any("falling back" in r.getMessage()
+                       for r in caplog.records)
 
     def test_strict_mode_makes_kernel_failure_fatal(self, monkeypatch):
         monkeypatch.setenv("REPRO_STRICT", "1")

@@ -205,15 +205,15 @@ class TestMetricsRegistry:
 class TestFlowCounters:
     def test_run_with_fallback_counts_degradations(self, monkeypatch):
         monkeypatch.delenv("REPRO_STRICT", raising=False)
-        before = metrics.snapshot(prefix="fallback.FBK006").get(
-            "fallback.FBK006", 0)
+        before = metrics.snapshot(prefix="fallback.STO001").get(
+            "fallback.STO001", 0)
 
         def broken():
             raise RuntimeError("primary failed")
 
         assert run_with_fallback("obs test", broken, lambda: 42,
-                                 code="FBK006") == 42
-        after = metrics.snapshot(prefix="fallback.FBK006")["fallback.FBK006"]
+                                 code="STO001") == 42
+        after = metrics.snapshot(prefix="fallback.STO001")["fallback.STO001"]
         assert after == before + 1
 
     def test_diagnostics_counted_by_code(self):

@@ -5,16 +5,14 @@ differential suites compare against.  Two things keep them from drifting
 back into production branches:
 
 * a source scan — none of the deleted engine flags reappears anywhere in
-  ``src/repro`` outside the reference package, and the only imports of
-  ``repro.reference`` there sit inside a nested function that is handed to
-  :func:`repro.diagnostics.run_with_fallback` as the fallback;
-* a fresh process under ``REPRO_STRICT=1`` builds, routes and signs off an
-  example chip and runs gate, RTL and switch simulation without the package
-  ever being imported.
+  ``src/repro`` outside the reference package, and no module there imports
+  ``repro.reference``, at any nesting depth;
+* a fresh process in the default environment (``REPRO_STRICT`` unset)
+  builds, routes and signs off an example chip and runs gate, RTL and
+  switch simulation without the package ever being imported.
 
-The maze router's oracle (``repro.reference.maze``, Dijkstra) has no
-fallback to hide in: nothing in production imports it at all, and
-``repro.pnr`` holds exactly one priced search.
+``repro.pnr`` holds exactly one priced search; the maze router's oracle
+(``repro.reference.maze``, Dijkstra) overrides it and nothing else.
 
 The same kind of scan keeps the hierarchical analyzer a scheduler: geometry
 stays with the composers beside the flat engines, and the artifact store is
@@ -59,43 +57,10 @@ def imports_reference(node):
     return False
 
 
-def is_fallback_of(function, enclosing):
-    """``function`` is passed as the fallback of a guard in ``enclosing``."""
-    for node in ast.walk(enclosing):
-        if (isinstance(node, ast.Call)
-                and getattr(node.func, "id", getattr(node.func, "attr", ""))
-                == "run_with_fallback"
-                and len(node.args) >= 3
-                and isinstance(node.args[2], ast.Name)
-                and node.args[2].id == function.name):
-            return True
-    return False
-
-
-def misplaced_reference_imports(source):
-    """Line numbers of ``repro.reference`` imports outside fallback callables."""
-    tree = ast.parse(source)
-    parents = {}
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def enclosing_function(node):
-        node = parents.get(node)
-        while node is not None and not isinstance(node, functions):
-            node = parents.get(node)
-        return node
-
-    bad = []
-    for node in ast.walk(tree):
-        if not imports_reference(node):
-            continue
-        callable_ = enclosing_function(node)
-        guard = None if callable_ is None else enclosing_function(callable_)
-        if guard is None or not is_fallback_of(callable_, guard):
-            bad.append(node.lineno)
-    return bad
+def reference_imports(source):
+    """Line numbers of every ``repro.reference`` import, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if imports_reference(node)]
 
 
 class TestSourceScan:
@@ -106,36 +71,23 @@ class TestSourceScan:
                 if DELETED_FLAGS.search(line)]
         assert not hits, "\n".join(hits)
 
-    def test_reference_is_imported_only_inside_fallback_callables(self):
-        importers = set()
-        for path, text in production_sources():
-            bad = misplaced_reference_imports(text)
-            assert not bad, f"{path}: lines {bad}"
-            if any(imports_reference(n) for n in ast.walk(ast.parse(text))):
-                importers.add(path)
-        # The four guarded engines, and nothing else (the switch simulator
-        # has no fast path left to guard).
-        assert sorted(importers) == sorted(
-            os.path.join("src", "repro", *parts) for parts in (
-                ("drc", "checker.py"), ("extract", "extractor.py"),
-                ("netlist", "gate_sim.py"), ("rtl", "simulator.py")))
+    def test_production_never_imports_reference(self):
+        hits = [f"{path}: lines {lines}"
+                for path, text in production_sources()
+                if (lines := reference_imports(text))]
+        assert not hits, "\n".join(hits)
 
     def test_the_scan_catches_a_top_level_or_unguarded_import(self):
-        assert misplaced_reference_imports(
+        assert reference_imports(
             "from repro.reference import BruteDrcChecker\n") == [1]
-        assert misplaced_reference_imports(
+        assert reference_imports(
             "def check():\n"
             "    import repro.reference.geometry\n") == [2]
-        assert misplaced_reference_imports(
+        assert reference_imports(
             "def check():\n"
             "    def oracle():\n"
             "        from repro.reference import BruteDrcChecker\n"
-            "    return oracle()\n") == [3]
-        assert misplaced_reference_imports(
-            "def check():\n"
-            "    def oracle():\n"
-            "        from repro.reference import BruteDrcChecker\n"
-            "    return run_with_fallback('x', fast, oracle, code='F')\n") == []
+            "    return run_with_fallback('x', fast, oracle, code='F')\n") == [3]
 
 
 def heap_loops(source):
@@ -355,8 +307,9 @@ print("production flow ran without repro.reference")
 """
 
 
-def test_strict_production_flow_never_imports_reference():
-    environment = dict(os.environ, REPRO_STRICT="1")
+def test_production_flow_never_imports_reference():
+    environment = dict(os.environ)
+    environment.pop("REPRO_STRICT", None)
     environment.pop("REPRO_STORE", None)
     result = subprocess.run(
         [sys.executable, "-c", PRODUCTION_FLOW.format(root=os.path.abspath(ROOT))],

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis import HierAnalyzer, hier
 from repro.diagnostics import BudgetExceeded
-from repro.drc import DrcChecker, checker as drc_checker
+from repro.drc import DrcChecker
 from repro.extract.extractor import Extractor
 from repro.runtime import gc_paused
 from repro.store import DiskStore, MemoryStore, StoreCorruption, TieredStore
@@ -120,8 +120,8 @@ class TestPauseRestoresTheCollector:
         with pytest.raises(StoreCorruption):
             analyzer().drc(array.top)
         assert gc.isenabled() == collector
-        # A sabotaged fast path of a flat engine (FBK006).
-        monkeypatch.setattr(drc_checker, "build_index", _explode)
+        # A sabotaged spatial index of a flat engine.
+        monkeypatch.setattr(DrcChecker, "index", staticmethod(_explode))
         with pytest.raises(InjectedFault):
             DrcChecker(technology).check(array.top)
         assert gc.isenabled() == collector
