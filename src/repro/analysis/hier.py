@@ -65,7 +65,7 @@ from repro.extract.compose import circuit_of, compose_extract
 from repro.extract.extractor import ExtractedCircuit
 from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
-from repro.layout.stats import CellStatistics, hierarchy_depth
+from repro.layout.stats import CellStatistics, hierarchy_counts
 from repro.layout.view import (_View, build_view, compose_areas,
                                interaction_reach)
 from repro.metrics.report import DesignMetrics, metrics_from_stats
@@ -86,11 +86,13 @@ from repro.timing.switch import BlockTiming, SwitchTimingAnalyzer
 #: each distinct child list packed once per blob; 6: ``extract`` artifacts
 #: carry their node partition (:class:`repro.extract.extractor.NodePartition`);
 #: 7: a ``circuit`` pickles its devices and parasitics as columns; 8: a net
-#: several nodes carry sums its nodes' wire sums, so its results' floats moved.
+#: several nodes carry sums its nodes' wire sums, so its results' floats moved;
+#: 9: an ``erc`` report pickles its findings as columns
+#: (:class:`repro.erc.checker.ErcReport`).
 #: Blobs of an older generation are never addressed: they miss and wait for
 #: ``gc``, where bumping the store's envelope format would make every one of
 #: them an ``STO002`` (fatal under ``REPRO_STRICT=1``).
-_KEY_SCHEME = 8
+_KEY_SCHEME = 9
 
 #: Cells whose instances average fewer rectangles than this are analyzed
 #: directly on their flat view instead of composed from per-instance
@@ -286,7 +288,7 @@ class HierAnalyzer:
             # the metrics can.
             bbox, shape_count, path_length = self._get(
                 "extent", cell, Orientation.R0)
-            distinct_cells = cell.descendants() + [cell]
+            distinct_cells, instance_count, depth = hierarchy_counts(cell)
             stats = CellStatistics(
                 name=cell.name,
                 bbox_width=0 if bbox is None else bbox.width,
@@ -295,8 +297,8 @@ class HierAnalyzer:
                 flattened_shape_count=shape_count,
                 distinct_shape_count=sum(len(c.shapes) for c in distinct_cells),
                 distinct_cell_count=len(distinct_cells),
-                instance_count=cell.instance_count(),
-                hierarchy_depth=hierarchy_depth(cell),
+                instance_count=instance_count,
+                hierarchy_depth=depth,
                 mask_area_by_layer=self._get("areas", cell, Orientation.R0),
             )
             return metrics_from_stats(stats, self.technology,

@@ -32,11 +32,12 @@ Gate-level modules get a structural variant (:meth:`ErcChecker.check_module`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.diagnostics import Diagnostic, Severity, get_logger
 from repro.obs import trace as obs_trace
+from repro.runtime import gc_paused
 from repro.netlist.module import Module
 from repro.netlist.switch_lowering import (
     LoweredSwitchNetwork,
@@ -78,29 +79,106 @@ class ErcViolation:
         return f"[{self.code}] {self.message}"
 
 
-@dataclass
-class ErcReport:
-    """The ERC result for one network or module."""
+#: :class:`Severity` by value, for turning a severity column back into enums.
+_SEVERITY = {severity.value: severity for severity in Severity}
+_ERRORS = frozenset(severity.value for severity in Severity
+                    if Severity.ERROR <= severity)
 
-    name: str
-    violations: List[ErcViolation] = field(default_factory=list)
-    device_count: int = 0
-    node_count: int = 0
+
+class ErcReport:
+    """The ERC result for one network or module, held as columns.
+
+    One row per finding, in the order the checks found them: its code,
+    severity (a ``bytearray`` of :class:`Severity` values), message, and the
+    ``nodes`` / ``devices`` it names (tuples).  Rows are appended through
+    :meth:`add` only.  :attr:`violations` is a read-only view of the rows as
+    :class:`ErcViolation` objects, built on first read and dropped by
+    :meth:`add`; :attr:`clean`, :meth:`codes`, :meth:`summary` and
+    :meth:`weight` read the columns, and :meth:`errors` / :meth:`warnings`
+    build objects for the rows they return only.  A pickle holds the
+    columns, never the view, and two reports are equal when their names,
+    counts and rows are.
+    """
+
+    def __init__(self, name: str, device_count: int = 0,
+                 node_count: int = 0):
+        self.name = name
+        self.device_count = device_count
+        self.node_count = node_count
+        self._codes: List[str] = []
+        self._severities = bytearray()
+        self._messages: List[str] = []
+        self._nodes: List[Tuple[str, ...]] = []
+        self._devices: List[Tuple[str, ...]] = []
+        self._view: Optional[List[ErcViolation]] = None
+
+    def add(self, code: str, severity: Severity, message: str,
+            nodes: Tuple[str, ...] = (),
+            devices: Tuple[str, ...] = ()) -> None:
+        """Append one finding as a row."""
+        self._codes.append(code)
+        self._severities.append(severity.value)
+        self._messages.append(message)
+        self._nodes.append(nodes)
+        self._devices.append(devices)
+        self._view = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_view"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._view = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ErcReport):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __repr__(self) -> str:
+        return (f"ErcReport({self.name!r}, {len(self._codes)} finding(s), "
+                f"{self.device_count} devices, {self.node_count} nodes)")
+
+    def _select(self, severities) -> List[ErcViolation]:
+        """The rows whose severity value is in ``severities``, as objects."""
+        return [ErcViolation(code, _SEVERITY[severity], message, nodes,
+                             devices)
+                for code, severity, message, nodes, devices in zip(
+                    self._codes, self._severities, self._messages,
+                    self._nodes, self._devices)
+                if severity in severities]
+
+    @property
+    def violations(self) -> List[ErcViolation]:
+        """The rows as :class:`ErcViolation` objects, in row order.
+
+        Built on first read and kept until the next :meth:`add`; treat the
+        list as read-only.
+        """
+        if self._view is None:
+            with gc_paused():     # thousands of acyclic objects, all kept
+                self._view = list(map(
+                    ErcViolation, self._codes,
+                    map(_SEVERITY.__getitem__, self._severities),
+                    self._messages, self._nodes, self._devices))
+        return self._view
 
     def weight(self) -> int:
-        """Estimated pickled size in bytes: ~96 per violation."""
-        return 96 * len(self.violations)
+        """Estimated pickled size in bytes: ~80 per finding."""
+        return 80 * len(self._codes)
 
     @property
     def clean(self) -> bool:
         """True when no *error*-severity violation was found (warnings ok)."""
-        return not self.errors()
+        return _ERRORS.isdisjoint(self._severities)
 
     def errors(self) -> List[ErcViolation]:
-        return [v for v in self.violations if Severity.ERROR <= v.severity]
+        return self._select(_ERRORS)
 
     def warnings(self) -> List[ErcViolation]:
-        return [v for v in self.violations if v.severity is Severity.WARNING]
+        return self._select((Severity.WARNING.value,))
 
     def by_code(self) -> Dict[str, List[ErcViolation]]:
         table: Dict[str, List[ErcViolation]] = {}
@@ -109,13 +187,14 @@ class ErcReport:
         return table
 
     def codes(self) -> List[str]:
-        return [v.code for v in self.violations]
+        return list(self._codes)
 
     def diagnostics(self) -> List[Diagnostic]:
         return [v.diagnostic() for v in self.violations]
 
     def summary(self) -> str:
-        errors, warnings = len(self.errors()), len(self.warnings())
+        errors = sum(severity in _ERRORS for severity in self._severities)
+        warnings = self._severities.count(Severity.WARNING.value)
         return (f"{self.name}: {self.device_count} devices, "
                 f"{self.node_count} nodes, {errors} error(s), "
                 f"{warnings} warning(s)")
@@ -150,9 +229,10 @@ class ErcChecker:
         self._check_dead_ports(report, network, lowered)
         self._check_feedback(report, lowered, supplies | inputs, live)
         self._check_pullups(report, lowered, live)
-        for violation in report.violations:
-            _LOG.log(30 if Severity.ERROR <= violation.severity else 20,
-                     "%s: %s", report.name, violation)
+        for code, severity, message in zip(
+                report._codes, report._severities, report._messages):
+            _LOG.log(30 if severity in _ERRORS else 20,
+                     "%s: [%s] %s", report.name, code, message)
         return report
 
     def check_circuit(self, circuit) -> ErcReport:
@@ -188,10 +268,10 @@ class ErcChecker:
             if not (live[source] or live[drain]):
                 continue  # dead cluster: cannot disturb the circuit
             name = lowered.names[gate]
-            report.violations.append(ErcViolation(
+            report.add(
                 "ERC001", Severity.ERROR,
                 f"gate of {device} on node {name!r} is floating (never driven)",
-                nodes=(name,), devices=(device,)))
+                nodes=(name,), devices=(device,))
 
     def _check_supply_short(self, report: ErcReport, lowered) -> None:
         # Join source/drain across devices that conduct no matter what the
@@ -200,12 +280,12 @@ class ErcChecker:
                      in zip(lowered.depletion, lowered.gate)]
         group = lowered.channel_groups(conducts=always_on)
         if group[lowered.vdd] == group[lowered.gnd]:
-            report.violations.append(ErcViolation(
+            report.add(
                 "ERC002", Severity.ERROR,
                 "VDD is shorted to GND through always-conducting devices",
                 nodes=(VDD, GND),
                 devices=tuple(device for device, on
-                              in zip(lowered.device_names, always_on) if on)))
+                              in zip(lowered.device_names, always_on) if on))
 
     def _check_dead_ports(self, report: ErcReport, network: SwitchNetwork,
                           lowered) -> None:
@@ -213,9 +293,8 @@ class ErcChecker:
                                             if p not in network.inputs]:
             if (lowered.index[port] >= lowered.device_nodes
                     and port not in (VDD, GND)):
-                report.violations.append(ErcViolation(
-                    "ERC003", Severity.WARNING,
-                    f"port {port!r} touches no device", nodes=(port,)))
+                report.add("ERC003", Severity.WARNING,
+                           f"port {port!r} touches no device", nodes=(port,))
 
     def _check_feedback(self, report: ErcReport, lowered, cut, live) -> None:
         """Cycles of gate→channel dependence between channel groups.
@@ -260,11 +339,11 @@ class ErcChecker:
                 continue
             reported.add(device)
             name = lowered.names[gate]
-            report.violations.append(ErcViolation(
+            report.add(
                 "ERC004", Severity.WARNING,
                 f"device {device} gates its own channel group "
                 f"(node {name!r})",
-                nodes=(name,), devices=(device,)))
+                nodes=(name,), devices=(device,))
 
         _, sccs = strongly_connected([sorted(dsts) for dsts in edges])
         for scc in sccs:
@@ -273,8 +352,8 @@ class ErcChecker:
             nodes = [node for i in scc for node in members[roots[i]]]
             if not any(live[node] for node in nodes):
                 continue  # a dead cluster has no supply to oscillate with
-            report.violations.append(_feedback_violation(
-                "nodes", sorted(lowered.names[node] for node in nodes)))
+            _add_feedback(report, "nodes",
+                          sorted(lowered.names[node] for node in nodes))
 
     def _check_pullups(self, report: ErcReport, lowered, live) -> None:
         supplies = (lowered.vdd, lowered.gnd)
@@ -299,12 +378,12 @@ class ErcChecker:
                 continue
             if lowered.vdd not in (source, drain):
                 if live[source] or live[drain]:
-                    report.violations.append(ErcViolation(
+                    report.add(
                         "ERC005", Severity.WARNING,
                         f"depletion device {device} has no VDD terminal "
                         "(cannot act as a pullup)",
                         nodes=(names[source], names[drain]),
-                        devices=(device,)))
+                        devices=(device,))
                 continue
             output = drain if source == lowered.vdd else source
             if output in supplies:
@@ -317,12 +396,12 @@ class ErcChecker:
             pullup = width / length
             if pullup > strongest:
                 name = names[output]
-                report.violations.append(ErcViolation(
+                report.add(
                     "ERC005", Severity.ERROR,
                     f"pullup {device} on node {name!r} is stronger "
                     f"(W/L {pullup:g}) than the strongest pulldown "
                     f"(W/L {strongest:g})",
-                    nodes=(name,), devices=(device,)))
+                    nodes=(name,), devices=(device,))
 
     # -- gate-level module check ----------------------------------------------
 
@@ -331,9 +410,8 @@ class ErcChecker:
         report = ErcReport(module.name,
                            device_count=module.gate_count(),
                            node_count=len(module.nets))
-        report.violations.extend(
-            ErcViolation(code, Severity.ERROR, message, nets, instances)
-            for code, message, nets, instances in module.rule_violations())
+        for code, message, nets, instances in module.rule_violations():
+            report.add(code, Severity.ERROR, message, nets, instances)
         self._check_module_feedback(report, module)
         return report
 
@@ -361,13 +439,12 @@ class ErcChecker:
         _, sccs = strongly_connected([sorted(nets) for nets in fanin])
         for scc in sccs:
             if len(scc) >= 2:
-                report.violations.append(_feedback_violation(
-                    "nets", [names[i] for i in scc]))
+                _add_feedback(report, "nets", [names[i] for i in scc])
 
 
-def _feedback_violation(what: str, members: List[str]) -> ErcViolation:
-    """The ``ERC004`` entry of one cycle (``members`` in name order)."""
-    return ErcViolation(
+def _add_feedback(report: ErcReport, what: str, members: List[str]) -> None:
+    """Add the ``ERC004`` row of one cycle (``members`` in name order)."""
+    report.add(
         "ERC004", Severity.WARNING,
         f"combinational feedback through {what} "
         + ", ".join(repr(m) for m in members[:6])

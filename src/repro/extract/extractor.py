@@ -23,7 +23,6 @@ the oracle the golden-equivalence tests compare netlists against.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.index import IndexFactory, UnionFind, build_index
@@ -45,24 +44,40 @@ from repro.timing.parasitics import (
 )
 
 
-@dataclass
 class ExtractedCircuit:
     """The result of extraction: a switch network plus bookkeeping.
 
-    Pickled, it is arrays: the network's device columns and ports, and
-    ``parasitics`` as columns (:func:`repro.timing.parasitics.parasitic_columns`)
-    that a load turns back into the dict.
+    ``parasitics`` holds the per-net RC estimates (wire/gate capacitance,
+    lumped resistance) both extraction paths annotate for the timing
+    analyzer.  Pickled, the circuit is arrays: the network's device columns
+    and ports, and the parasitics as columns
+    (:func:`repro.timing.parasitics.parasitic_columns`).  A loaded circuit
+    keeps those columns until :attr:`parasitics` is first read, which
+    builds the dict; one never read pickles back to the bytes it came from.
     """
 
-    cell_name: str
-    network: SwitchNetwork
-    node_names: List[str] = field(default_factory=list)
-    transistor_count: int = 0
-    enhancement_count: int = 0
-    depletion_count: int = 0
-    #: Per-net RC estimates (wire/gate capacitance, lumped resistance),
-    #: annotated by both extraction paths for the timing analyzer.
-    parasitics: Dict[str, NetParasitics] = field(default_factory=dict)
+    def __init__(self, cell_name: str, network: SwitchNetwork,
+                 node_names: Optional[List[str]] = None,
+                 transistor_count: int = 0, enhancement_count: int = 0,
+                 depletion_count: int = 0,
+                 parasitics: Optional[Dict[str, NetParasitics]] = None):
+        self.cell_name = cell_name
+        self.network = network
+        self.node_names = [] if node_names is None else node_names
+        self.transistor_count = transistor_count
+        self.enhancement_count = enhancement_count
+        self.depletion_count = depletion_count
+        self._parasitics = {} if parasitics is None else parasitics
+        self._columns: Optional[tuple] = None
+
+    @property
+    def parasitics(self) -> Dict[str, NetParasitics]:
+        """Per-net :class:`NetParasitics`, keyed by net name; read-only."""
+        if self._parasitics is None:
+            with gc_paused():     # thousands of acyclic objects, all kept
+                self._parasitics = parasitics_of_columns(*self._columns)
+            self._columns = None
+        return self._parasitics
 
     def weight(self) -> int:
         """Estimated pickled size in bytes (what a memory store charges).
@@ -71,16 +86,21 @@ class ExtractedCircuit:
         bytes of columns and its name; a net ~48, its name, two references
         to it and its 32 bytes of parasitic columns.
         """
-        return 640 + 32 * self.transistor_count + 48 * len(self.parasitics)
+        nets = (len(self._columns[0]) if self._parasitics is None
+                else len(self._parasitics))
+        return 640 + 32 * self.transistor_count + 48 * nets
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["parasitics"] = parasitic_columns(self.parasitics)
+        columns, parasitics = state.pop("_columns"), state.pop("_parasitics")
+        state["parasitics"] = (columns if parasitics is None
+                               else parasitic_columns(parasitics))
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self.parasitics = parasitics_of_columns(*state["parasitics"])
+        self._columns = self.__dict__.pop("parasitics")
+        self._parasitics = None
 
     def summary(self) -> Dict[str, int]:
         return {

@@ -10,7 +10,7 @@ complexity; experiment E6 measures exactly this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Tuple
 
 from repro.geometry.rect import merged_area
 from repro.layout.cell import Cell
@@ -50,23 +50,37 @@ class CellStatistics:
         return min(1.0, self.total_mask_area / self.bbox_area)
 
 
+def hierarchy_counts(cell: Cell) -> Tuple[List[Cell], int, int]:
+    """``cell``'s distinct cells (children first, ``cell`` last), its
+    instance count and its hierarchy depth, from one walk of the hierarchy.
+
+    Both counts are folded over the distinct cells, children first: one
+    visit per cell, not one per instance path, so a shared cell is counted
+    once however many paths reach it.  The instance count is
+    :meth:`Cell.instance_count`; the depth is the longest instance chain
+    below and including ``cell`` (a leaf is 1).
+    """
+    cells = cell.descendants() + [cell]
+    counts: Dict[int, Tuple[int, int]] = {}     # id -> (instances, depth)
+    for current in cells:
+        below = [counts[id(instance.cell)] for instance in current.instances]
+        counts[id(current)] = (
+            len(below) + sum(instances for instances, _ in below),
+            1 + max((depth for _, depth in below), default=0))
+    instances, depth = counts[id(cell)]
+    return cells, instances, depth
+
+
 def hierarchy_depth(cell: Cell) -> int:
     """Longest instance chain below (and including) ``cell``; leaf = 1."""
-    # Folded over the distinct cells, children first: one visit per cell,
-    # not one per instance path.
-    depths: Dict[int, int] = {}
-    for current in cell.descendants() + [cell]:
-        depths[id(current)] = 1 + max(
-            (depths[id(instance.cell)] for instance in current.instances),
-            default=0)
-    return depths[id(cell)]
+    return hierarchy_counts(cell)[2]
 
 
 def cell_statistics(cell: Cell) -> CellStatistics:
     """Compute summary statistics for a cell and its hierarchy."""
     flat = flatten_cell(cell)
     bbox = flat.bbox()
-    distinct_cells = cell.descendants() + [cell]
+    distinct_cells, instance_count, depth = hierarchy_counts(cell)
     distinct_shapes = sum(len(c.shapes) for c in distinct_cells)
     area_by_layer: Dict[str, int] = {}
     for layer, rects in flat.rects_by_layer().items():
@@ -79,8 +93,8 @@ def cell_statistics(cell: Cell) -> CellStatistics:
         flattened_shape_count=len(flat.shapes),
         distinct_shape_count=distinct_shapes,
         distinct_cell_count=len(distinct_cells),
-        instance_count=cell.instance_count(),
-        hierarchy_depth=hierarchy_depth(cell),
+        instance_count=instance_count,
+        hierarchy_depth=depth,
         mask_area_by_layer=area_by_layer,
     )
 

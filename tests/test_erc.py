@@ -1,6 +1,6 @@
 """Electrical rule checking: unit checks, goldens, and sign-off integration.
 
-Three layers:
+Four layers:
 
 * **hand-built networks** — each check (ERC001–ERC005) demonstrated on the
   smallest network that trips it, plus the legitimate structures (series
@@ -8,12 +8,16 @@ Three layers:
   the error-severity checks;
 * **gate-level modules** — the structural variants (ERC006–ERC008 and
   module-level feedback);
+* **the report's columns** — every read of an ``ErcReport`` answers the
+  same before and after a pickle round trip, the column reads build no
+  ``ErcViolation``, and ``add`` drops the memoised list;
 * **goldens** — the four example designs of the flow, checked through the
   hierarchical analyzer's ERC artifact cache and the assembler's
   ``sign_off``, with corrupted variants producing the expected codes.
 """
 
 import os
+import pickle
 import sys
 
 import pytest
@@ -21,7 +25,7 @@ import pytest
 from repro.analysis import HierAnalyzer
 from repro.cells import InverterCell, NandCell
 from repro.diagnostics import Severity
-from repro.erc import ErcChecker, check_network
+from repro.erc import ErcChecker, ErcViolation, check_network
 from repro.extract import extract_cell
 from repro.generators import FsmLayoutGenerator, PlaGenerator
 from repro.logic import TruthTable, parse_expr
@@ -237,6 +241,94 @@ class TestModuleChecks:
         report = ErcChecker().check_module(module)
         assert report.clean
         assert not report.violations
+
+
+# -- the report's columns -----------------------------------------------------
+
+
+def mixed_reports():
+    """Reports with error and warning rows from both checkers: ERC001,
+    ERC003 and ERC004 on one network, ERC005 (error) on another, and
+    ERC006 / ERC008 / ERC004 on a gate-level module."""
+    floating = SwitchNetwork("mixed")
+    inverter_into(floating, "nowhere", "out")
+    inverter_into(floating, "q", "q")
+    floating.add_input("unused")
+    ratio = SwitchNetwork("ratio")
+    ratio.add_transistor("out", "out", "vdd", TransistorKind.DEPLETION,
+                         width=8, length=2, name="pu")
+    ratio.add_transistor("a", "out", "gnd", width=2, length=2)
+    ratio.add_input("a")
+    module = Module("contended")
+    module.add_inputs("a", "b")
+    module.add_outputs("y", "z")
+    module.add_gate(GateType.NOT, "y", ["a"])
+    module.add_gate(GateType.NOT, "y", ["b"])
+    module.add_gate(GateType.NOT, "p", ["r"])
+    module.add_gate(GateType.NOT, "r", ["p"])
+    checker = ErcChecker()
+    return [checker.check_network(floating), checker.check_network(ratio),
+            checker.check_module(module)]
+
+
+def answers(report):
+    """Everything the report's read API says, as one comparable tuple."""
+    return (report.name, report.device_count, report.node_count,
+            report.clean, report.errors(), report.warnings(), report.codes(),
+            report.by_code(), report.diagnostics(), report.summary(),
+            report.violations)
+
+
+class TestReportColumns:
+    def test_the_reports_cover_errors_and_warnings_of_both_checkers(self):
+        codes = [set(report.codes()) for report in mixed_reports()]
+        assert codes == [{"ERC001", "ERC003", "ERC004"}, {"ERC005"},
+                         {"ERC006", "ERC008", "ERC004"}]
+        for report in mixed_reports():
+            assert not report.clean
+            assert all(v.severity is Severity.ERROR for v in report.errors())
+
+    def test_reads_agree_across_a_pickle_round_trip(self, monkeypatch):
+        from repro.erc import checker
+
+        built = []
+
+        def counting(*fields):
+            built.append(fields[0])
+            return ErcViolation(*fields)
+
+        for report in mixed_reports():
+            before = answers(report)
+            blob = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
+            assert b"ErcViolation" not in blob
+            copy = pickle.loads(blob)
+            assert copy == report
+            with monkeypatch.context() as patch:
+                patch.setattr(checker, "ErcViolation", counting)
+                # The column reads build nothing; errors() builds its rows.
+                assert (copy.clean, copy.codes(), copy.summary(),
+                        copy.weight()) == (report.clean, report.codes(),
+                                           report.summary(), report.weight())
+                assert built == []
+                assert len(copy.errors()) == len(built) > 0
+            assert answers(copy) == before
+            del built[:]
+
+    def test_add_after_a_read_drops_the_view(self):
+        report = mixed_reports()[1]
+        first = report.violations
+        assert report.violations is first
+        report.add("ERC003", Severity.WARNING, "port 'x' touches no device",
+                   nodes=("x",))
+        again = report.violations
+        assert again is not first
+        assert again[:-1] == first
+        assert again[-1] == ErcViolation("ERC003", Severity.WARNING,
+                                         "port 'x' touches no device",
+                                         nodes=("x",))
+        assert report.violations is again
+        assert report.warnings() == [again[-1]]
+        assert report.codes() == [v.code for v in again]
 
 
 # -- goldens: leaf cells and the four example designs -------------------------

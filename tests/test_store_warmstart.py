@@ -15,6 +15,8 @@ diagnostic and a rebuild from the intact composable artifact; a truncated
 *composable* artifact under an intact result is never opened by a warm
 pass and is detected by the first edit that needs it; both are fatal under
 ``REPRO_STRICT=1``.  Blobs of an older key scheme miss instead of loading.
+A warm-from-disk sign-off of the tile array makes no ``ErcViolation`` and
+no ``NetParasitics``: its ``erc`` and ``circuit`` blobs load as columns.
 """
 
 import json
@@ -320,3 +322,72 @@ def test_edit_after_restart_composes_from_artifacts_loaded_from_disk(tmp_path):
     assert netlist == (flat.node_names, flat.network.transistors,
                        flat.summary(), flat.parasitics)
     assert metrics == measure_cell(array.top, technology)
+
+
+def _payload(analyzer, kind, cell, store_dir):
+    """The pickled bytes of one blob, as the disk tier holds them."""
+    from repro.geometry.transform import Orientation
+
+    path = DiskStore(store_dir)._path(analyzer._key(kind, cell, Orientation.R0))
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    return blob[DiskStore._parse_header(blob)["_payload_start"]:]
+
+
+def test_a_warm_disk_sign_off_loads_findings_and_parasitics_as_columns(
+        tmp_path, monkeypatch):
+    """Prove it ran: a fresh analyzer over a populated disk store signs the
+    tile array off without making one ``ErcViolation`` or ``NetParasitics``
+    — the ``erc`` report and the ``circuit`` stay columns until read.  Read
+    afterwards, they equal a cold analyzer's; unread, they pickle back to
+    the bytes on disk."""
+    import pickle
+
+    from repro.erc import checker
+    from repro.timing import parasitics
+
+    from tile_array import TileArray
+
+    technology = nmos_technology()
+    array = TileArray(technology, "column_tiles")
+    top = array.top
+    store_dir = str(tmp_path / "store")
+    array.sign_off(_analyzer(technology, store_dir))
+
+    built = {"ErcViolation": 0, "NetParasitics": 0}
+
+    def counting(module, name):
+        make = getattr(module, name)
+
+        def count(*args, **kwargs):
+            built[name] += 1
+            return make(*args, **kwargs)
+        return count
+
+    warm = _analyzer(technology, store_dir)
+    with monkeypatch.context() as patch:
+        patch.setattr(checker, "ErcViolation",
+                      counting(checker, "ErcViolation"))
+        patch.setattr(parasitics, "NetParasitics",
+                      counting(parasitics, "NetParasitics"))
+        warm.drc(top)
+        circuit = warm.extract(top)
+        warm.measure(top)
+        warm.timing(top)
+        report = warm.erc(top)
+    assert built == {"ErcViolation": 0, "NetParasitics": 0}
+    assert warm.store.stats()["puts"] == 0
+    assert warm.stats["circuit_artifacts"] == warm.stats["erc_artifacts"] == 0
+
+    for kind, value in (("erc", report), ("circuit", circuit)):
+        assert pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL) == \
+            _payload(warm, kind, top, store_dir), kind
+
+    cold = HierAnalyzer(technology, store=MemoryStore())
+    cold_report, cold_circuit = cold.erc(top), cold.extract(top)
+    assert report.violations == cold_report.violations
+    assert len(report.violations) > 0
+    assert report == cold_report
+    assert circuit.parasitics == cold_circuit.parasitics
+    assert list(circuit.parasitics) == list(cold_circuit.parasitics)
+    assert len(circuit.parasitics) > 0
