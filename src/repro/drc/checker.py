@@ -23,9 +23,10 @@ oracle the golden-equivalence tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry.index import IndexFactory, SpatialIndex, build_index
+from repro.geometry.index import (IndexFactory, SpatialIndex, build_index,
+                                  layer_indexes)
 from repro.obs import trace as obs_trace
 from repro.runtime import gc_paused
 from repro.geometry.rect import Rect, merged_area
@@ -137,6 +138,147 @@ def exact_size_violation(rule: DesignRule, rect: Rect) -> Optional[DrcViolation]
     return None
 
 
+# -- the rule loops over rect lists ---------------------------------------------
+#
+# Each rule's loop runs over plain rect lists and returns id'd verdicts, ids
+# being positions in those lists.  :class:`DrcChecker` runs them on the
+# flattened layout; :func:`repro.drc.compose.compose_drc` runs them on the
+# one-source view of a leaf or collapsed cell and keeps the ids.
+
+#: ``((element ids...), violation)``, in the flat checker's emission order.
+Verdict = Tuple[Tuple[int, ...], DrcViolation]
+
+
+class MergedLayer:
+    """One layer's touching-merge (what width and spacing rules check).
+
+    ``inputs`` are the layer's rects with area, ``components`` their
+    touching-closure partition (ordered by smallest member), ``merged``
+    each component's :func:`merge_group` output in component order and
+    ``slices[c]`` component ``c``'s ``(start, length)`` in ``merged``.
+    """
+
+    __slots__ = ("inputs", "components", "merged", "slices", "_merged_index")
+
+    def __init__(self, rects: Sequence[Rect], index: IndexFactory):
+        self.inputs = inputs = [r for r in rects
+                                if r.x1 != r.x2 and r.y1 != r.y2]
+        self.components = index(inputs).connected_components()
+        self.merged: List[Rect] = []
+        self.slices: List[Tuple[int, int]] = []
+        for component in self.components:
+            start = len(self.merged)
+            self.merged.extend(merge_group([inputs[i] for i in component]))
+            self.slices.append((start, len(self.merged) - start))
+        self._merged_index: Optional[SpatialIndex] = None
+
+    def merged_index(self, index: IndexFactory) -> SpatialIndex:
+        if self._merged_index is None:
+            self._merged_index = index(self.merged)
+        return self._merged_index
+
+
+def width_verdicts(rule: DesignRule, rects: Sequence[Rect]) -> List[Verdict]:
+    verdicts = []
+    for rect_id, rect in enumerate(rects):
+        violation = width_violation(rule, rect)
+        if violation is not None:
+            verdicts.append(((rect_id,), violation))
+    return verdicts
+
+
+def spacing_verdicts(rule: DesignRule, rects_a: Sequence[Rect],
+                     index_b: SpatialIndex, same_layer: bool) -> List[Verdict]:
+    verdicts = []
+    rects_b = index_b.rects
+    # Only rectangles with a gap strictly below the rule value can violate
+    # it; the index hands back exactly that neighbourhood.
+    reach = rule.value - 1
+    for index_a, rect_a in enumerate(rects_a):
+        for candidate in index_b.neighbors(rect_a, reach):
+            if same_layer and candidate <= index_a:
+                continue   # each unordered pair once, as in the pair scan
+            violation = spacing_violation(rule, rect_a, rects_b[candidate])
+            if violation is not None:
+                verdicts.append(((index_a, candidate), violation))
+    return verdicts
+
+
+def enclosure_verdicts(rule: DesignRule, outer: Sequence[Rect],
+                       outer_index: SpatialIndex,
+                       inner: Sequence[Rect]) -> List[Verdict]:
+    verdicts = []
+    for rect_id, rect in enumerate(inner):
+        # Rectangles not touching the grown region can neither contain nor
+        # help cover it, so the check runs on the neighbourhood only.
+        nearby = [outer[i] for i in outer_index.query(rect, margin=rule.value)]
+        # Conditional rule: enclosure is only required where the two layers
+        # actually interact (e.g. implant around *depletion* gates, poly
+        # around *poly* contacts).
+        triggered = any(out.overlaps(rect, strict=True) for out in nearby)
+        violation = enclosure_violation(rule, rect, nearby, triggered)
+        if violation is not None:
+            verdicts.append(((rect_id,), violation))
+    return verdicts
+
+
+def exact_size_verdicts(rule: DesignRule, rects: Sequence[Rect]) -> List[Verdict]:
+    verdicts = []
+    for rect_id, rect in enumerate(rects):
+        violation = exact_size_violation(rule, rect)
+        if violation is not None:
+            verdicts.append(((rect_id,), violation))
+    return verdicts
+
+
+def rule_verdicts(technology: Technology, rects_by_layer: Dict[str, List[Rect]],
+                  layer_index: Callable[[str], SpatialIndex],
+                  index: IndexFactory
+                  ) -> Tuple[Dict[str, MergedLayer], List[List[Verdict]]]:
+    """Every rule's verdicts on one flat geometry, per rule in rule order.
+
+    ``layer_index(layer)`` indexes ``rects_by_layer[layer]`` (an absent layer
+    is an empty list); ``index`` builds every other index.  Returns the
+    layer merges the width and spacing rules ran on, keyed in the order the
+    rules first name their layers, and the verdict lists: merged ids for
+    width and spacing, layer rect ids for enclosure and exact size.
+    MIN_EXTENSION and MIN_OVERLAP are device-formation rules, validated by
+    the extractor, which knows which crossings are intended transistors:
+    their lists stay empty, like those of the enclosure rules that are not
+    checked geometrically (:func:`checked_geometrically`).
+    """
+    merges: Dict[str, MergedLayer] = {}
+
+    def merge(layer: str) -> MergedLayer:
+        merged = merges.get(layer)
+        if merged is None:
+            merged = merges[layer] = MergedLayer(rects_by_layer.get(layer, []),
+                                                 index)
+        return merged
+
+    verdicts: List[List[Verdict]] = []
+    for rule in technology.rules:
+        found: List[Verdict] = []
+        if rule.kind is RuleKind.MIN_WIDTH:
+            found = width_verdicts(rule, merge(rule.layers[0]).merged)
+        elif rule.kind is RuleKind.MIN_SPACING:
+            merged_a, merged_b = merge(rule.layers[0]), merge(rule.layers[1])
+            found = spacing_verdicts(rule, merged_a.merged,
+                                     merged_b.merged_index(index),
+                                     same_layer=merged_a is merged_b)
+        elif rule.kind is RuleKind.MIN_ENCLOSURE:
+            if checked_geometrically(technology, rule):
+                found = enclosure_verdicts(
+                    rule, rects_by_layer.get(rule.layers[0], []),
+                    layer_index(rule.layers[0]),
+                    rects_by_layer.get(rule.layers[1], []))
+        elif rule.kind is RuleKind.EXACT_SIZE:
+            found = exact_size_verdicts(rule,
+                                        rects_by_layer.get(rule.layers[0], []))
+        verdicts.append(found)
+    return merges, verdicts
+
+
 class DrcChecker:
     """Checks a cell hierarchy against a technology's rule set."""
 
@@ -155,105 +297,11 @@ class DrcChecker:
             return violations
 
     def _check(self, cell: Cell) -> List[DrcViolation]:
-        index = self.index
-        flat = flatten_cell(cell)
-        rects_by_layer = flat.rects_by_layer()
-        merged = {layer: _merge_touching(rects, index)
-                  for layer, rects in rects_by_layer.items()}
-        # One index per layer, shared by every rule touching that layer.
-        merged_index: Dict[str, SpatialIndex] = {}
-        raw_index: Dict[str, SpatialIndex] = {}
-
-        def index_of(table: Dict[str, SpatialIndex], rects: Dict[str, List[Rect]],
-                     layer: str) -> SpatialIndex:
-            built = table.get(layer)
-            if built is None:
-                built = index(rects.get(layer, []))
-                table[layer] = built
-            return built
-
-        violations: List[DrcViolation] = []
-        for rule in self.technology.rules:
-            if rule.kind is RuleKind.MIN_WIDTH:
-                violations.extend(self._check_width(rule, merged.get(rule.layers[0], [])))
-            elif rule.kind is RuleKind.MIN_SPACING:
-                violations.extend(self._check_spacing(
-                    rule,
-                    merged.get(rule.layers[0], []),
-                    index_of(merged_index, merged, rule.layers[1]),
-                    same_layer=rule.layers[0] == rule.layers[1],
-                ))
-            elif rule.kind is RuleKind.MIN_ENCLOSURE:
-                if not checked_geometrically(self.technology, rule):
-                    continue
-                violations.extend(self._check_enclosure(
-                    rule,
-                    rects_by_layer.get(rule.layers[0], []),
-                    index_of(raw_index, rects_by_layer, rule.layers[0]),
-                    rects_by_layer.get(rule.layers[1], []),
-                ))
-            elif rule.kind is RuleKind.EXACT_SIZE:
-                violations.extend(self._check_exact_size(
-                    rule, rects_by_layer.get(rule.layers[0], [])
-                ))
-            # MIN_EXTENSION and MIN_OVERLAP are device-formation rules; they
-            # are validated by the extractor, which knows which crossings are
-            # intended transistors.
-        return violations
-
-    # -- individual checks ----------------------------------------------------------
-
-    def _check_width(self, rule: DesignRule, rects: List[Rect]) -> List[DrcViolation]:
-        violations = []
-        for rect in rects:
-            violation = width_violation(rule, rect)
-            if violation is not None:
-                violations.append(violation)
-        return violations
-
-    def _check_spacing(self, rule: DesignRule, rects_a: List[Rect],
-                       index_b: SpatialIndex, same_layer: bool) -> List[DrcViolation]:
-        violations = []
-        rects_b = index_b.rects
-        # Only rectangles with a gap strictly below the rule value can
-        # violate it; the index hands back exactly that neighbourhood.
-        reach = rule.value - 1
-        for index_a, rect_a in enumerate(rects_a):
-            for candidate in index_b.neighbors(rect_a, reach):
-                if same_layer and candidate <= index_a:
-                    continue   # each unordered pair once, as in the pair scan
-                violation = spacing_violation(rule, rect_a, rects_b[candidate])
-                if violation is not None:
-                    violations.append(violation)
-        return violations
-
-    def _check_enclosure(self, rule: DesignRule, outer: List[Rect],
-                         outer_index: SpatialIndex,
-                         inner: List[Rect]) -> List[DrcViolation]:
-        violations = []
-        for rect in inner:
-            # Conditional rule: enclosure is only required where the two
-            # layers actually interact (e.g. implant around *depletion*
-            # gates, poly around *poly* contacts).
-            triggered = any(outer[i].overlaps(rect, strict=True)
-                            for i in outer_index.query(rect, strict=True))
-            if not triggered:
-                continue
-            # Rectangles not touching the grown region can neither contain
-            # nor help cover it, so the check runs on the neighbourhood only.
-            nearby = [outer[i] for i in outer_index.query(rect.expanded(rule.value))]
-            violation = enclosure_violation(rule, rect, nearby, triggered)
-            if violation is not None:
-                violations.append(violation)
-        return violations
-
-    def _check_exact_size(self, rule: DesignRule, rects: List[Rect]) -> List[DrcViolation]:
-        violations = []
-        for rect in rects:
-            violation = exact_size_violation(rule, rect)
-            if violation is not None:
-                violations.append(violation)
-        return violations
+        rects_by_layer = flatten_cell(cell).rects_by_layer()
+        _merges, verdicts = rule_verdicts(
+            self.technology, rects_by_layer,
+            layer_indexes(rects_by_layer, self.index), self.index)
+        return [viol for found in verdicts for _ids, viol in found]
 
 
 def check_cell(cell: Cell, technology: Technology) -> List[DrcViolation]:
@@ -262,21 +310,6 @@ def check_cell(cell: Cell, technology: Technology) -> List[DrcViolation]:
 
 
 # -- geometry helpers ---------------------------------------------------------------------
-
-
-def _merge_touching(rects: Sequence[Rect], index: IndexFactory) -> List[Rect]:
-    """Merge overlapping/abutting same-layer rectangles into maximal regions.
-
-    Connectivity comes from the index's ``connected_components``; each
-    component merges by :func:`merge_group`.
-    """
-    remaining = [r for r in rects if not r.is_degenerate]
-    if not remaining:
-        return []
-    merged: List[Rect] = []
-    for component in index(remaining).connected_components():
-        merged.extend(merge_group([remaining[i] for i in component]))
-    return merged
 
 
 def _covered_by(target: Rect, covers: Sequence[Rect]) -> bool:

@@ -12,7 +12,9 @@ queries against every source.  Over-marking a suspect costs time, never
 correctness, because recomputation calls the flat checker's own per-element
 verdict functions (:mod:`repro.drc.checker`) and so yields the flat answer.
 The composed violation list is byte-identical to :meth:`DrcChecker.check`;
-``tests/test_hier_golden.py`` pins it.
+``tests/test_hier_golden.py`` pins it.  A view with one source (a leaf or a
+collapsed cell) has nothing to replay: its artifact is the flat checker's
+rule loops themselves (:func:`repro.drc.checker.rule_verdicts`).
 
 The composer sees a view and child artifacts only: caching, store keys,
 spans and the collector pause belong to :mod:`repro.analysis.hier`.
@@ -25,10 +27,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.drc.checker import (
     DrcViolation,
+    MergedLayer,
+    Verdict,
     checked_geometrically,
     enclosure_violation,
     exact_size_violation,
     merge_group,
+    rule_verdicts,
     spacing_violation,
     width_violation,
 )
@@ -46,11 +51,9 @@ from repro.layout.view import (
     compose_components,
     count_sources,
 )
+from repro.obs import metrics as obs_metrics
 from repro.technology.rules import DesignRule, RuleKind
 from repro.technology.technology import Technology
-
-#: ``((element ids...), violation)``, in the flat checker's emission order.
-_Verdict = Tuple[Tuple[int, ...], DrcViolation]
 
 #: :meth:`_DrcArtifact.weight`'s bytes per verdict (ids, rule, location rect).
 _VERDICT_BYTES = 64
@@ -113,6 +116,23 @@ class _LayerMerge(_StoredSlots):
             self._merged_index = build_index(self.merged.flat())
         return self._merged_index
 
+    @classmethod
+    def of_layer(cls, layer: MergedLayer) -> "_LayerMerge":
+        """The merge of a one-source view: the flat checker's, every
+        merged id computed here."""
+        merge = cls()
+        merge.inputs = _Blocks.of(layer.inputs)
+        merge.components = layer.components
+        comp_of_input = merge.comp_of_input = [0] * len(layer.inputs)
+        for position, component in enumerate(layer.components):
+            for member in component:
+                comp_of_input[member] = position
+        merge.comp_slices = layer.slices
+        merge.merged = _Blocks.of(layer.merged)
+        merge.fresh = list(range(len(layer.merged)))
+        merge.block_bboxes = [_bounding(layer.inputs)]
+        return merge
+
     def bbox(self) -> Optional[Rect]:
         return _union_all(self.block_bboxes)
 
@@ -134,7 +154,7 @@ class _DrcArtifact:
 
     def __init__(self) -> None:
         self.merges: Dict[str, _LayerMerge] = {}
-        self.viols: List[List[_Verdict]] = []          # per rule index
+        self.viols: List[List[Verdict]] = []          # per rule index
 
     def weight(self) -> int:
         """Estimated pickled size in bytes: the merges' (a rect list two
@@ -146,9 +166,17 @@ class _DrcArtifact:
 
 def compose_drc(technology: Technology, view: _View,
                 children: Sequence[Optional[_DrcArtifact]]) -> _DrcArtifact:
-    """The DRC artifact of ``view``; ``children[k]`` is instance ``k``'s."""
-    if len(view.sources) > 1:
-        count_sources(view)
+    """The DRC artifact of ``view``; ``children[k]`` is instance ``k``'s.
+
+    A one-source view — a leaf or a collapsed cell — has no instance to
+    replay and no interface: its artifact is the flat checker's own rule
+    loops (:func:`repro.drc.checker.rule_verdicts`) run on the view's rect
+    lists, whose positions are the artifact's ids, counted in
+    ``hier.compose.one_source``.
+    """
+    if len(view.sources) == 1:
+        return _one_source(technology, view)
+    count_sources(view)
     artifact = _DrcArtifact()
     merges = artifact.merges
     for rule in technology.rules:
@@ -166,7 +194,7 @@ def compose_drc(technology: Technology, view: _View,
     for rule_index, rule in enumerate(technology.rules):
         child_viols = [None] + [child.viols[rule_index]
                                 for child in children[1:]]
-        composed: List[_Verdict] = []
+        composed: List[Verdict] = []
         if rule.kind is RuleKind.MIN_WIDTH:
             composed = _compose_width(rule, view, child_viols,
                                       merges[rule.layers[0]])
@@ -183,6 +211,18 @@ def compose_drc(technology: Technology, view: _View,
         # geometrically (matches the flat checker).
         composed.sort(key=lambda entry: entry[0])
         artifact.viols.append(composed)
+    return artifact
+
+
+def _one_source(technology: Technology, view: _View) -> _DrcArtifact:
+    obs_metrics.counter("hier.compose.one_source").inc()
+    merges, verdicts = rule_verdicts(
+        technology, {layer: rects.part(0) for layer, rects in view.rects.items()},
+        view.index, build_index)
+    artifact = _DrcArtifact()
+    artifact.merges = {layer: _LayerMerge.of_layer(merged)
+                       for layer, merged in merges.items()}
+    artifact.viols = verdicts
     return artifact
 
 
@@ -298,8 +338,8 @@ def _fill_merge(merge: _LayerMerge, view: _View, children, layer: str,
 
 
 def _compose_width(rule: DesignRule, view: _View, child_viols,
-                   merge: _LayerMerge) -> List[_Verdict]:
-    out: List[_Verdict] = []
+                   merge: _LayerMerge) -> List[Verdict]:
+    out: List[Verdict] = []
     for k, source in enumerate(view.sources[1:], 1):
         child_map = merge.child_maps[k]
         for ids, viol in child_viols[k]:
@@ -338,11 +378,11 @@ def _reused_near(source, child: _LayerMerge, child_map: Sequence[int],
 
 def _compose_spacing(rule: DesignRule, view: _View, children, child_viols,
                      merge_a: _LayerMerge, merge_b: _LayerMerge
-                     ) -> List[_Verdict]:
+                     ) -> List[Verdict]:
     same_layer = merge_a is merge_b
     reach = rule.value - 1
     sources = view.sources
-    out: List[_Verdict] = []
+    out: List[Verdict] = []
     for k, source in enumerate(sources[1:], 1):
         map_a = merge_a.child_maps[k]
         map_b = merge_b.child_maps[k]
@@ -419,7 +459,7 @@ def _compose_spacing(rule: DesignRule, view: _View, children, child_viols,
 
 
 def _compose_enclosure(rule: DesignRule, view: _View,
-                       child_viols) -> List[_Verdict]:
+                       child_viols) -> List[Verdict]:
     outer_layer, inner_layer = rule.layers[0], rule.layers[1]
     sources = view.sources
     inner = view.layer(inner_layer)
@@ -451,7 +491,7 @@ def _compose_enclosure(rule: DesignRule, view: _View,
                                         margin=margin):
                     suspect.add(offset + cid)
 
-    out: List[_Verdict] = []
+    out: List[Verdict] = []
     for k, source in enumerate(sources[1:], 1):
         offset = inner_offsets[k]
         for ids, viol in child_viols[k]:
@@ -476,10 +516,10 @@ def _compose_enclosure(rule: DesignRule, view: _View,
 
 
 def _compose_exact(rule: DesignRule, view: _View,
-                   child_viols) -> List[_Verdict]:
+                   child_viols) -> List[Verdict]:
     rects = view.layer(rule.layers[0])
     own, offsets = rects.part(0), rects.starts
-    out: List[_Verdict] = []
+    out: List[Verdict] = []
     for k, source in enumerate(view.sources[1:], 1):
         offset = offsets[k]
         for ids, viol in child_viols[k]:

@@ -14,7 +14,10 @@ recomputed in the parent's context with the flat extractor's own stage
 functions (:mod:`repro.extract.extractor`), so over-marking costs time,
 never correctness.  :func:`circuit_of` then runs the shared circuit finisher
 over the composed artifact; the netlist is byte-identical to
-:meth:`Extractor.extract` (``tests/test_hier_golden.py``).
+:meth:`Extractor.extract` (``tests/test_hier_golden.py``).  A view with one
+source (a leaf or a collapsed cell) has nothing to replay: its artifact is
+the flat extractor's stage loops themselves
+(:func:`repro.extract.extractor.run_stages`).
 
 The composer sees a view and child artifacts only: caching, store keys,
 spans and the collector pause belong to :mod:`repro.analysis.hier`.
@@ -32,11 +35,13 @@ from repro.extract.extractor import (
     adjacent_piece_ids,
     covers,
     diffusion_crossings,
+    diffusion_layers,
     finish_circuit,
     gate_item,
     label_item_hits,
     label_probe,
     partition_nodes,
+    run_stages,
     split_by_channels,
 )
 from repro.geometry.index import SpatialIndex, UnionFind, build_index
@@ -116,10 +121,16 @@ def compose_extract(technology: Technology, view: _View,
                     ) -> _ExtractArtifact:
     """The extraction artifact of ``view``; ``children[k]`` is instance ``k``'s.
 
-    A composed view adds the nodes it spliced from replayed instances and
-    the items its union-find saw to ``hier.compose.nodes_spliced`` /
-    ``hier.compose.items_unioned``.
+    A one-source view — a leaf or a collapsed cell — has no instance to
+    replay and no interface: its artifact is the flat extractor's own stage
+    loops (:func:`repro.extract.extractor.run_stages`) run on the view's
+    rect lists, whose positions are the artifact's ids, counted in
+    ``hier.compose.one_source``.  A composed view adds the nodes it spliced
+    from replayed instances and the items its union-find saw to
+    ``hier.compose.nodes_spliced`` / ``hier.compose.items_unioned``.
     """
+    if len(view.sources) == 1:
+        return _one_source(technology, view)
     build = _Build(technology, view, children)
     _channels(build)
     _split(build)
@@ -127,12 +138,41 @@ def compose_extract(technology: Technology, view: _View,
     _contacts_and_labels(build)
     _devices(build)
     unioned = _nodes(build, ParasiticModel(technology))
-    if len(view.sources) > 1:
-        count_sources(view)
-        obs_metrics.counter("hier.compose.nodes_spliced").inc(
-            build.art.nodes.spliced)
-        obs_metrics.counter("hier.compose.items_unioned").inc(unioned)
+    count_sources(view)
+    obs_metrics.counter("hier.compose.nodes_spliced").inc(
+        build.art.nodes.spliced)
+    obs_metrics.counter("hier.compose.items_unioned").inc(unioned)
     return build.art
+
+
+def _one_source(technology: Technology, view: _View) -> _ExtractArtifact:
+    obs_metrics.counter("hier.compose.one_source").inc()
+    stages = run_stages(
+        technology, {layer: rects.part(0) for layer, rects in view.rects.items()},
+        view.labels, view.index, build_index)
+    art = _ExtractArtifact()
+    layers = diffusion_layers(technology)
+    art.diffusion = _Blocks([part for layer in layers
+                             for part in view.layer(layer).parts])
+    art.crossings, art.chan_of_poly = stages.crossings, stages.chan_of_poly
+    art.channels = _Blocks.of(stages.channels)
+    art.chan_x_diff = stages.chan_x_diff
+    # One block of pieces per diffusion layer: each starts at the first
+    # piece of the layer's first rect.
+    pieces, piece_slices = stages.pieces, stages.piece_slices
+    bounds = [piece_slices[first][0] if first < len(piece_slices)
+              else len(pieces) for first in art.diffusion.starts[:-1]]
+    bounds.append(len(pieces))
+    art.pieces = _Blocks([_Part.of(pieces[start:end])
+                          for start, end in zip(bounds, bounds[1:])])
+    art.piece_slices, art.piece_edges = piece_slices, stages.piece_edges
+    art.poly_comps, art.metal_comps = stages.poly_comps, stages.metal_comps
+    art.contact_touch, art.buried_touch = (stages.contact_touch,
+                                           stages.buried_touch)
+    art.label_hits = stages.label_hits
+    art.gates, art.terminals = stages.gates, stages.terminals
+    art.depletion, art.nodes = stages.depletion, stages.nodes
+    return art
 
 
 def circuit_of(technology: Technology, cell: Cell, view: _View,
@@ -175,8 +215,7 @@ class _Build:
         self.isolated = view.isolated
         self.children = children
         self.art = art = _ExtractArtifact()
-        self.DL = DL = [name for name in ("diffusion", "active")
-                        if technology.has_layer(name)]
+        self.DL = DL = diffusion_layers(technology)
         self.own_view = sources[0].view
         self.src_bbox: List[Optional[Rect]] = [s.bbox() for s in sources]
         self.poly = view.layer("poly")

@@ -23,9 +23,12 @@ the oracle the golden-equivalence tests compare netlists against.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.geometry.index import IndexFactory, UnionFind, build_index
+from repro.geometry.index import (IndexFactory, SpatialIndex, UnionFind,
+                                  build_index, layer_indexes)
 from repro.obs import trace as obs_trace
 from repro.runtime import gc_paused
 from repro.geometry.rect import Rect
@@ -155,9 +158,6 @@ class Extractor:
 
     def __init__(self, technology: Technology):
         self.technology = technology
-        self._diffusion_layers = [
-            name for name in ("diffusion", "active") if technology.has_layer(name)
-        ]
 
     # -- main entry point ------------------------------------------------------------
 
@@ -169,77 +169,15 @@ class Extractor:
             return circuit
 
     def _extract(self, cell: Cell) -> ExtractedCircuit:
-        index = self.index
         flat = flatten_cell(cell)
         rects = flat.rects_by_layer()
-        diffusion = [r for layer in self._diffusion_layers for r in rects.get(layer, [])]
-        poly = rects.get("poly", [])
-        metal = rects.get("metal", [])
-        contacts = rects.get("contact", [])
-        buried = rects.get("buried", [])
-        implant = rects.get("implant", [])
-
-        # 1. Find channels: poly x diffusion crossings not covered by buried.
-        diffusion_index = index(diffusion)
-        buried_index = index(buried)
-        channels: List[Rect] = []
-        for poly_rect in poly:
-            for _, overlap in diffusion_crossings(
-                    poly_rect, diffusion, diffusion_index.query(poly_rect, strict=True)):
-                if covers(overlap, buried, buried_index.query(overlap)):
-                    continue
-                channels.append(overlap)
-        channels = _dedupe(channels)
-
-        # 2. Split diffusion by the channels that actually cross each piece.
-        channel_index = index(channels)
-        diffusion_pieces: List[Rect] = []
-        for diff_rect in diffusion:
-            crossing = [channels[i] for i in channel_index.query(diff_rect, strict=True)]
-            diffusion_pieces.extend(split_by_channels(diff_rect, crossing))
-
-        # 3. Build electrical nodes over diffusion pieces, poly and metal:
-        # one union-find and one index over all conducting items.
-        conducting = diffusion_pieces + poly + metal
-        poly_start = len(diffusion_pieces)
-        metal_start = poly_start + len(poly)
-        finder = UnionFind(len(conducting))
-        for base, layer_rects in ((0, diffusion_pieces), (poly_start, poly),
-                                  (metal_start, metal)):
-            for component in index(layer_rects).connected_components():
-                union_chain(finder, component, base)
-        conducting_index = index(conducting)
-        # Contacts join every conducting layer they touch.
-        for cut in contacts:
-            union_chain(finder, conducting_index.query(cut))
-        # Buried contacts join poly and diffusion directly.
-        for buried_rect in buried:
-            union_chain(finder, [item_id for item_id in
-                                 conducting_index.query(buried_rect, strict=True)
-                                 if item_id < metal_start])
-        nodes = partition_nodes(finder, ParasiticModel(self.technology),
-                                [("diffusion", diffusion_pieces),
-                                 ("poly", poly), ("metal", metal)])
-
-        # 4. Resolve each label to the items whose geometry contains its
-        # position via a point query.
-        label_hits = [label_item_hits(label, conducting_index.query(label_probe(label)),
-                                      poly_start, metal_start, self._diffusion_layers)
-                      for label in flat.labels]
-
-        # 5. Per channel: gate, terminals, implant cover.  Lookups run on
-        # per-layer indexes whose ids are the finisher's poly / piece ids.
-        poly_index = index(poly)
-        diff_piece_index = index(diffusion_pieces)
-        implant_index = index(implant)
-        devices = (
-            (gate_item(poly, poly_index.query(channel), channel),
-             adjacent_piece_ids(diffusion_pieces, diff_piece_index.query(channel),
-                                channel),
-             covers(channel, implant, implant_index.query(channel)))
-            for channel in channels)
-        return finish_circuit(self.technology, cell, flat.labels, label_hits,
-                              nodes, poly_start, channels, devices)
+        stages = run_stages(self.technology, rects, flat.labels,
+                            layer_indexes(rects, self.index), self.index)
+        return finish_circuit(self.technology, cell, flat.labels,
+                              stages.label_hits, stages.nodes,
+                              len(stages.pieces), stages.channels,
+                              zip(stages.gates, stages.terminals,
+                                  stages.depletion))
 
 
 def extract_cell(cell: Cell, technology: Technology) -> ExtractedCircuit:
@@ -416,6 +354,189 @@ def partition_nodes(finder: UnionFind, model: ParasiticModel,
                                               len(node_of_root)))
 
 
+# -- the stage loops over rect lists ------------------------------------------
+#
+# Each stage's loop runs over plain rect lists and returns its output by id,
+# ids being positions in those lists.  :class:`Extractor` runs them on the
+# flattened layout; :func:`repro.extract.compose.compose_extract` runs them
+# on the one-source view of a leaf or collapsed cell and keeps the ids.
+
+
+def diffusion_layers(technology: Technology) -> List[str]:
+    """The layers whose rects form the diffusion list, in list order."""
+    return [name for name in ("diffusion", "active") if technology.has_layer(name)]
+
+
+def find_channels(poly: Sequence[Rect], diffusion: Sequence[Rect],
+                  diffusion_index: SpatialIndex, buried: Sequence[Rect],
+                  buried_index: SpatialIndex
+                  ) -> Tuple[List[Rect], List[List[Tuple[int, bool]]],
+                             List[List[int]]]:
+    """Channels: the poly x diffusion crossings not covered by buried.
+
+    Returns the distinct channels in first-occurrence order and, per poly
+    rect, its crossings ``(diffusion id, buried-covered)`` in ascending
+    diffusion order and the channel id of each (-1 where covered).
+    """
+    channels: List[Rect] = []
+    seen: Dict[Rect, int] = {}
+    crossings: List[List[Tuple[int, bool]]] = []
+    chan_of_poly: List[List[int]] = []
+    for poly_rect in poly:
+        row: List[Tuple[int, bool]] = []
+        channel_ids: List[int] = []
+        for diff_id, overlap in diffusion_crossings(
+                poly_rect, diffusion, diffusion_index.query(poly_rect, strict=True)):
+            covered = covers(overlap, buried, buried_index.query(overlap))
+            row.append((diff_id, covered))
+            if covered:
+                channel_ids.append(-1)
+                continue
+            channel_id = seen.get(overlap)
+            if channel_id is None:
+                channel_id = seen[overlap] = len(channels)
+                channels.append(overlap)
+            channel_ids.append(channel_id)
+        crossings.append(row)
+        chan_of_poly.append(channel_ids)
+    return channels, crossings, chan_of_poly
+
+
+def split_diffusion(diffusion: Sequence[Rect], channels: Sequence[Rect],
+                    channel_index: SpatialIndex
+                    ) -> Tuple[List[Rect], List[Tuple[int, int]], List[List[int]]]:
+    """Every diffusion rect split by the channels crossing it.
+
+    Returns the pieces in diffusion order and, per diffusion rect, its
+    pieces' ``(start, length)`` and the ids of its crossing channels.
+    """
+    pieces: List[Rect] = []
+    piece_slices: List[Tuple[int, int]] = []
+    chan_x_diff: List[List[int]] = []
+    for diff_rect in diffusion:
+        crossing = channel_index.query(diff_rect, strict=True)
+        start = len(pieces)
+        pieces.extend(split_by_channels(diff_rect,
+                                        [channels[i] for i in crossing]))
+        piece_slices.append((start, len(pieces) - start))
+        chan_x_diff.append(crossing)
+    return pieces, piece_slices, chan_x_diff
+
+
+def touching_pairs(rects: Sequence[Rect], index: SpatialIndex
+                   ) -> List[Tuple[int, int]]:
+    """Every touching pair ``(i, j)`` of ``rects``, ``i < j``, ascending
+    (how diffusion pieces connect)."""
+    pairs: List[Tuple[int, int]] = []
+    for first, rect in enumerate(rects):
+        pairs.extend([(first, second) for second in index.query(rect)
+                      if second > first])
+    return pairs
+
+
+def item_touches(pieces: List[Rect], poly: List[Rect], metal: List[Rect],
+                 contacts: Sequence[Rect], buried: Sequence[Rect],
+                 labels: Sequence[object], layers: Sequence[str],
+                 index: IndexFactory
+                 ) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
+    """Per contact cut the items it touches (every conducting layer), per
+    buried strap those it overlaps (poly and diffusion only), per label
+    those containing its position, after the layer filter.
+
+    Items are the diffusion pieces, then poly, then metal.
+    """
+    poly_start = len(pieces)
+    metal_start = poly_start + len(poly)
+    query = index(pieces + poly + metal).query
+    contact_touch = [query(cut) for cut in contacts]
+    buried_touch = [[item for item in query(strap, strict=True)
+                     if item < metal_start] for strap in buried]
+    label_hits = [label_item_hits(label, query(label_probe(label)),
+                                  poly_start, metal_start, layers)
+                  for label in labels]
+    return contact_touch, buried_touch, label_hits
+
+
+class StageOutputs:
+    """What the extraction stages derive from one flat geometry, by id.
+
+    Items (the conducting elements nodes are made of) are the diffusion
+    ``pieces``, then the poly rects, then the metal rects.  ``piece_edges``,
+    ``poly_comps`` / ``metal_comps`` (ids into their layer) and the
+    ``contact_touch`` / ``buried_touch`` rows (item ids) are every join the
+    node partition ``nodes`` is made of; ``gates`` (poly ids), ``terminals``
+    (piece ids) and ``depletion`` run parallel to ``channels``.
+    """
+
+    __slots__ = ("channels", "crossings", "chan_of_poly", "pieces",
+                 "piece_slices", "chan_x_diff", "piece_edges", "poly_comps",
+                 "metal_comps", "contact_touch", "buried_touch", "label_hits",
+                 "gates", "terminals", "depletion", "nodes")
+
+
+def run_stages(technology: Technology, rects: Dict[str, List[Rect]],
+               labels: Sequence[object],
+               layer_index: Callable[[str], SpatialIndex],
+               index: IndexFactory) -> StageOutputs:
+    """Every extraction stage on one flat geometry, before node naming.
+
+    ``layer_index(layer)`` indexes ``rects[layer]`` (an absent layer is an
+    empty list); ``index`` builds every other index.
+    """
+    out = StageOutputs()
+    layers = diffusion_layers(technology)
+    diffusion = [r for layer in layers for r in rects.get(layer, [])]
+    poly = rects.get("poly", [])
+    metal = rects.get("metal", [])
+    buried = rects.get("buried", [])
+    implant = rects.get("implant", [])
+
+    out.channels, out.crossings, out.chan_of_poly = find_channels(
+        poly, diffusion,
+        layer_index(layers[0]) if len(layers) == 1 else index(diffusion),
+        buried, layer_index("buried"))
+    channels = out.channels
+    out.pieces, out.piece_slices, out.chan_x_diff = split_diffusion(
+        diffusion, channels, index(channels))
+    pieces = out.pieces
+    piece_index = index(pieces)
+    # Same-layer connectivity: touching pieces, poly and metal components.
+    out.piece_edges = touching_pairs(pieces, piece_index)
+    out.poly_comps = layer_index("poly").connected_components()
+    out.metal_comps = layer_index("metal").connected_components()
+    out.contact_touch, out.buried_touch, out.label_hits = item_touches(
+        pieces, poly, metal, rects.get("contact", []), buried, labels, layers,
+        index)
+
+    # Per channel: gate, terminals, implant cover.
+    poly_index, implant_index = layer_index("poly"), layer_index("implant")
+    out.gates = [gate_item(poly, poly_index.query(channel), channel)
+                 for channel in channels]
+    out.terminals = [adjacent_piece_ids(pieces, piece_index.query(channel),
+                                        channel)
+                     for channel in channels]
+    out.depletion = [covers(channel, implant, implant_index.query(channel))
+                     for channel in channels]
+
+    # The node partition: one union-find over the items, every join.
+    poly_start = len(pieces)
+    metal_start = poly_start + len(poly)
+    finder = UnionFind(metal_start + len(metal))
+    union = finder.union
+    for first, second in out.piece_edges:
+        union(first, second)
+    for base, components in ((poly_start, out.poly_comps),
+                             (metal_start, out.metal_comps)):
+        for component in components:
+            union_chain(finder, component, base)
+    for touching in chain(out.contact_touch, out.buried_touch):
+        union_chain(finder, touching)
+    out.nodes = partition_nodes(finder, ParasiticModel(technology),
+                                [("diffusion", pieces), ("poly", poly),
+                                 ("metal", metal)])
+    return out
+
+
 def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
                    label_hits: Iterable[Sequence[int]], nodes: NodePartition,
                    poly_start: int, channels: Iterable[Rect],
@@ -486,16 +607,3 @@ def finish_circuit(technology: Technology, cell: Cell, labels: Sequence[object],
             model, net_of, nodes.wire_cap, nodes.wire_res, network,
             device_channels),
     )
-
-
-# -- helpers ------------------------------------------------------------------------------
-
-
-def _dedupe(rects: Sequence[Rect]) -> List[Rect]:
-    seen: Set[Rect] = set()
-    result: List[Rect] = []
-    for rect in rects:
-        if rect not in seen:
-            seen.add(rect)
-            result.append(rect)
-    return result

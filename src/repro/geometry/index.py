@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.geometry.rect import Rect
 
 __all__ = ["SpatialIndex", "GridIndex", "BruteForceIndex", "UnionFind",
-           "IndexFactory", "build_index"]
+           "IndexFactory", "build_index", "layer_indexes"]
 
 
 class SpatialIndex:
@@ -100,7 +100,9 @@ class GridIndex(SpatialIndex):
     queries gather candidates from the cells covered by the (grown) probe and
     then filter precisely.  The cell size defaults to roughly the mean
     rectangle side length, which keeps both the cells-per-rectangle and the
-    rectangles-per-cell counts small for layout-shaped data.
+    rectangles-per-cell counts small for layout-shaped data.  The bins
+    are filled on the first query: an index only asked for its connected
+    components (a plane sweep) never fills them.
     """
 
     def __init__(self, rects: Sequence[Rect], cell_size: Optional[int] = None):
@@ -110,8 +112,12 @@ class GridIndex(SpatialIndex):
         if cell_size < 1:
             raise ValueError("grid cell size must be >= 1")
         self.cell_size = cell_size
+        self._bins: Optional[Dict[Tuple[int, int], List[int]]] = None
+
+    def _fill_bins(self) -> None:
+        rects = self.rects
         bins: Dict[Tuple[int, int], List[int]] = {}
-        size = cell_size
+        size = self.cell_size
         for index, r in enumerate(rects):
             for bx in range(r.x1 // size, r.x2 // size + 1):
                 for by in range(r.y1 // size, r.y2 // size + 1):
@@ -159,6 +165,8 @@ class GridIndex(SpatialIndex):
                     yield bucket
 
     def query(self, rect: Rect, margin: int = 0, strict: bool = False) -> List[int]:
+        if self._bins is None:
+            self._fill_bins()
         x1, y1 = rect.x1 - margin, rect.y1 - margin
         x2, y2 = rect.x2 + margin, rect.y2 + margin
         rects = self.rects
@@ -181,6 +189,8 @@ class GridIndex(SpatialIndex):
         return found
 
     def neighbors(self, rect: Rect, margin: int) -> List[int]:
+        if self._bins is None:
+            self._fill_bins()
         x1, y1 = rect.x1 - margin, rect.y1 - margin
         x2, y2 = rect.x2 + margin, rect.y2 + margin
         rects = self.rects
@@ -216,6 +226,21 @@ def build_index(rects: Sequence[Rect]) -> SpatialIndex:
 #: Anything that indexes a rectangle list: :func:`build_index` in production,
 #: :class:`BruteForceIndex` in the ``repro.reference`` oracles.
 IndexFactory = Callable[[Sequence[Rect]], SpatialIndex]
+
+
+def layer_indexes(rects_by_layer: Dict[str, Sequence[Rect]],
+                  index: IndexFactory) -> Callable[[str], SpatialIndex]:
+    """A memoised ``layer_index(layer)``: the index over
+    ``rects_by_layer[layer]`` (an absent layer's list is empty), built by
+    ``index`` the first time ``layer`` is asked for."""
+    built: Dict[str, SpatialIndex] = {}
+
+    def layer_index(layer: str) -> SpatialIndex:
+        found = built.get(layer)
+        if found is None:
+            found = built[layer] = index(rects_by_layer.get(layer, []))
+        return found
+    return layer_index
 
 
 # -- connectivity helpers -----------------------------------------------------------

@@ -176,13 +176,10 @@ class Rect:
 
     def expanded(self, margin: int) -> "Rect":
         """Grow (or shrink, for negative margin) by ``margin`` on every side."""
-        rect = Rect.from_points(
-            Point(self.x1 - margin, self.y1 - margin),
-            Point(self.x2 + margin, self.y2 + margin),
-        )
         if margin < 0 and (self.width + 2 * margin < 0 or self.height + 2 * margin < 0):
             raise ValueError("shrink margin larger than rectangle")
-        return rect
+        return Rect(self.x1 - margin, self.y1 - margin,
+                    self.x2 + margin, self.y2 + margin)
 
     def union(self, other: "Rect") -> "Rect":
         return Rect(

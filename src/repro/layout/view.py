@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_right
+from operator import attrgetter
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -60,6 +61,7 @@ from repro.technology.rules import RuleKind
 from repro.technology.technology import Technology
 
 _ORIGIN = Point(0, 0)
+_X1, _Y1, _X2, _Y2 = (attrgetter(corner) for corner in ("x1", "y1", "x2", "y2"))
 
 #: :meth:`_StoredSlots.weight`'s bytes per packed rect, per run of a
 #: :class:`_Part` and per element of any other list / dict slot;
@@ -410,10 +412,12 @@ class _View(_StoredSlots):
 
 
 def _bounding(rects: Sequence[Rect]) -> Optional[Rect]:
-    box: Optional[Rect] = None
-    for rect in rects:
-        box = rect if box is None else box.union(rect)
-    return box
+    """Bounding box of ``rects``: ``None`` if there are none, the rect
+    itself if there is one."""
+    if len(rects) <= 1:
+        return rects[0] if rects else None
+    return Rect(min(map(_X1, rects)), min(map(_Y1, rects)),
+                max(map(_X2, rects)), max(map(_Y2, rects)))
 
 
 def _union_all(boxes: Iterable[Optional[Rect]]) -> Optional[Rect]:
@@ -562,8 +566,8 @@ def build_view(cell: Cell, orientation: Orientation,
 
     A cell whose instances average fewer than ``collapse_below`` rectangles
     is *collapsed* to one own-geometry source, so the analysis artifacts are
-    computed directly on its flat view (the composers treat own geometry
-    exactly like the flat engines): tiling arrays of tiny cells (ROM/PLA bit
+    computed directly on its flat view (the composers run the flat engines'
+    own loops on a one-source view): tiling arrays of tiny cells (ROM/PLA bit
     cells, register slices) abut everywhere, so composition would be all
     interface pass and no reuse.  The collapsed artifact still composes into
     *its* parents, which is where the big instances-per-unique-cell reuse

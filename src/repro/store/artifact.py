@@ -227,8 +227,9 @@ class DiskStore(ArtifactStore):
         self._puts = 0
         self._corrupt = 0
         self._bytes_written = 0
-        # (entries, bytes) of the last directory walk; None: walk again.
-        self._occupancy: Optional[Tuple[int, int]] = None
+        # [entries, bytes]: the last directory walk, kept current by this
+        # object's own writes and removals; None: walk on the next stats().
+        self._occupancy: Optional[List[int]] = None
 
     # -- paths ---------------------------------------------------------------
 
@@ -312,11 +313,7 @@ class DiskStore(ArtifactStore):
         def discard():
             """Serial-recompute fallback: drop the bad blob, report a miss."""
             self._corrupt += 1
-            self._occupancy = None
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+            self._remove(path)
             return None
 
         header = run_with_fallback(label, lambda: self._parse_header(blob),
@@ -367,6 +364,7 @@ class DiskStore(ArtifactStore):
             os.makedirs(directory, exist_ok=True)
             handle, temp_path = tempfile.mkstemp(dir=directory,
                                                  suffix=".tmp")
+            replaced = self._size(path)
             try:
                 with os.fdopen(handle, "wb") as stream:
                     stream.write(blob)
@@ -378,7 +376,10 @@ class DiskStore(ArtifactStore):
                     pass
                 raise
             self._bytes_written += len(blob)
-            self._occupancy = None
+            if self._occupancy is not None:
+                if replaced is None:
+                    self._occupancy[0] += 1
+                self._occupancy[1] += len(blob) - (replaced or 0)
             return True
 
         # A write failure (full disk, permissions) degrades to "not
@@ -405,11 +406,28 @@ class DiskStore(ArtifactStore):
         return paths
 
     def evict(self, key: str) -> bool:
+        return self._remove(self._path(key))
+
+    def _size(self, path: str) -> Optional[int]:
+        """The size of the blob at ``path`` (``None``: there is none), read
+        only while the occupancy is kept."""
+        if self._occupancy is None:
+            return None
         try:
-            os.remove(self._path(key))
+            return os.stat(path).st_size
+        except OSError:
+            return None
+
+    def _remove(self, path: str) -> bool:
+        """Delete one blob, taking it off the kept occupancy."""
+        size = self._size(path)
+        try:
+            os.remove(path)
         except OSError:
             return False
-        self._occupancy = None
+        if self._occupancy is not None and size is not None:
+            self._occupancy[0] -= 1
+            self._occupancy[1] -= size
         return True
 
     def keys(self) -> List[str]:
@@ -444,29 +462,43 @@ class DiskStore(ArtifactStore):
     def stats(self) -> Dict[str, object]:
         """Counters plus occupancy (``entries``, ``bytes`` on disk).
 
-        Occupancy is a walk of the blob directory, taken on the first call
-        and again only after *this* store object has written, evicted,
-        discarded or collected a blob, so a sign-off that only reads does
-        not pay a walk of a store that grows with every edit.  Writes and
-        removals by anyone else on the same directory — another process, or
-        another ``DiskStore`` object — are not seen until this object next
-        changes the directory itself: the figures it reports until then are
-        those of its last walk.
+        Occupancy is one ``os.scandir`` walk of the blob directory, taken on
+        the first call and again only after :meth:`gc`.  In between, this
+        object's own puts (a replaced blob's old size taken off), evictions
+        and discarded corrupt blobs keep it current, so a sign-off that
+        writes does not pay a walk of a store that grows with every edit.
+        Writes and removals by anyone else on the same directory — another
+        process, or another ``DiskStore`` object — are not seen until this
+        object next collects.
         """
         if self._occupancy is None:
-            paths = self._blob_paths()
-            on_disk = 0
-            for path in paths:
-                try:
-                    on_disk += os.path.getsize(path)
-                except OSError:
-                    pass
-            self._occupancy = (len(paths), on_disk)
+            self._occupancy = self._walk()
         entries, on_disk = self._occupancy
         return {"hits": self._hits, "misses": self._misses,
                 "puts": self._puts, "corrupt": self._corrupt,
                 "entries": entries, "bytes": on_disk,
                 "bytes_written": self._bytes_written}
+
+    def _walk(self) -> List[int]:
+        """``[entries, bytes]`` of the blobs on disk, in one scandir pass."""
+        entries = on_disk = 0
+        try:
+            shards = os.scandir(self._objects)
+        except OSError:
+            return [0, 0]
+        with shards:
+            for shard in shards:
+                if not shard.is_dir():
+                    continue
+                with os.scandir(shard.path) as blobs:
+                    for blob in blobs:
+                        if blob.name.endswith(".blob"):
+                            entries += 1
+                            try:
+                                on_disk += blob.stat().st_size
+                            except OSError:
+                                pass
+        return [entries, on_disk]
 
 
 class TieredStore(ArtifactStore):

@@ -43,6 +43,7 @@ from repro.logic import TruthTable, parse_expr
 from repro.metrics import measure_cell
 from repro.obs import metrics, trace
 from repro.reference import BruteDrcChecker, BruteExtractor
+from repro.store import MemoryStore
 from repro.technology import nmos_technology
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -86,7 +87,10 @@ def on_both_paths(test):
     ``check(top)`` is the differential assertion; it returns the analyzer and
     notes which path the top cell took, and each run ends by asserting the
     large majority of its tops took the path it was meant to exercise.
-    ``check.path`` names the run.
+    ``check`` also asserts that exactly the one-source views' DRC and
+    extraction builds took the composers' one-source case
+    (``hier.compose.one_source``): every collapsed top's, and on the
+    composed run only leaves'.  ``check.path`` names the run.
     """
     def run(self, technology):
         for path, threshold in (("collapsed", hier._DIRECT_THRESHOLD),
@@ -94,10 +98,18 @@ def on_both_paths(test):
             composed = []
 
             def check(top):
-                analyzer = assert_hier_equals_flat(top, technology)
+                one_source = metrics.counter("hier.compose.one_source")
+                before = one_source.value
+                analyzer = assert_hier_equals_flat(
+                    top, technology,
+                    analyzer=HierAnalyzer(technology, store=MemoryStore()))
                 view = analyzer.store.get(
                     analyzer._key("view", top, Orientation.R0))
                 composed.append(len(view.sources) > 1)
+                cells = one_source_cells(analyzer, top)
+                assert one_source.value - before == 2 * len(cells)
+                if path == "composed":
+                    assert all(not cell.instances for cell in cells)
                 return analyzer
 
             check.path = path
@@ -111,6 +123,27 @@ def on_both_paths(test):
     run.__name__ = test.__name__
     run.__doc__ = test.__doc__
     return run
+
+
+def one_source_cells(analyzer, top):
+    """The cells under ``top`` (``top`` included) whose DRC and extraction
+    artifacts ``analyzer`` built on a one-source view, one per distinct
+    artifact: what the composers' one-source case must have counted."""
+    found, seen = [], set()
+    pending = [(top, Orientation.R0)]
+    while pending:
+        cell, orientation = pending.pop()
+        key = analyzer._key("view", cell, orientation)
+        if key in seen:
+            continue
+        seen.add(key)
+        view = analyzer.store.get(key)
+        if len(view.sources) == 1:
+            found.append(cell)
+        else:
+            pending.extend((source.cell, source.orientation)
+                           for source in view.sources[1:])
+    return found
 
 
 def examples(tier1):

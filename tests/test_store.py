@@ -261,10 +261,11 @@ class TestDiskStore:
         assert stats["hits"] == 2 and stats["misses"] == 1
         assert stats["entries"] == 2 and stats["bytes"] > 0
 
-    def test_occupancy_is_walked_again_only_after_own_changes(self, tmp_path):
+    def test_occupancy_is_walked_again_only_after_gc(self, tmp_path):
         """``entries`` / ``bytes`` come from this object's last directory
-        walk: a second store's writes and removals on the same directory
-        show up only once this one writes or removes a blob itself."""
+        walk, kept current by its own writes and removals: a second store's
+        writes and removals on the same directory show up only once this
+        one collects."""
         mine, other = DiskStore(str(tmp_path)), DiskStore(str(tmp_path))
         fill(mine, {"k1": 1})
         assert mine.stats()["entries"] == 1
@@ -274,14 +275,61 @@ class TestDiskStore:
         assert mine.get("k2") == 2                   # reads do not walk
         assert mine.stats()["entries"] == 1
         fill(mine, {"k4": 4})
-        assert mine.stats()["entries"] == 4          # its own write: walked
-        assert other.evict("k1") and other.stats()["entries"] == 3
-        assert mine.stats()["entries"] == 4
+        assert mine.stats()["entries"] == 2          # its own write, counted
+        assert other.evict("k1") and other.stats()["entries"] == 2
+        assert mine.stats()["entries"] == 2
         assert mine.evict("k2")
-        assert (mine.stats()["entries"], other.stats()["entries"]) == (2, 3)
+        assert (mine.stats()["entries"], other.stats()["entries"]) == (1, 2)
+        assert mine.gc(keep=["k3", "k4"]) == 0       # nothing else is left
+        assert mine.stats()["entries"] == 2          # collected: walked
         assert mine.stats()["bytes"] == sum(
             os.path.getsize(os.path.join(root, name))
             for root, _dirs, names in os.walk(tmp_path) for name in names)
+
+    def test_kept_occupancy_equals_a_fresh_walk(self, tmp_path, monkeypatch):
+        """After new puts, an overwrite, an evict, a discarded corrupt blob
+        and a gc, ``entries`` / ``bytes`` are what a fresh store walks."""
+        monkeypatch.delenv("REPRO_STRICT", raising=False)
+        disk = DiskStore(str(tmp_path))
+
+        def assert_current():
+            kept = disk.stats()
+            walked = DiskStore(str(tmp_path)).stats()
+            assert (kept["entries"], kept["bytes"]) == (
+                walked["entries"], walked["bytes"])
+
+        assert_current()                             # the first walk: empty
+        fill(disk, {f"k{i}": list(range(i)) for i in range(6)})
+        assert_current()
+        disk.put("k1", list(range(500)))             # overwrite, grown
+        disk.put("k2", [])                           # overwrite, shrunk
+        assert_current()
+        assert disk.evict("k3") and not disk.evict("k3")
+        assert_current()
+        with open(disk._path("k4"), "r+b") as handle:  # same size, bad sum
+            handle.seek(-1, os.SEEK_END)
+            handle.write(b"\x00")
+        assert disk.get("k4") is None                # discarded as corrupt
+        assert disk.stats()["corrupt"] == 1
+        assert_current()
+        assert disk.gc(keep=["k0", "k1"]) == 2
+        assert_current()
+        assert disk.stats()["entries"] == 2
+
+    def test_a_put_then_stats_scans_no_directory(self, tmp_path, monkeypatch):
+        disk = DiskStore(str(tmp_path))
+        fill(disk, {"k1": 1})
+        before = disk.stats()
+
+        def no_scan(*_args):
+            raise AssertionError("stats() scanned a directory")
+
+        monkeypatch.setattr(os, "scandir", no_scan)
+        monkeypatch.setattr(os, "listdir", no_scan)
+        fill(disk, {"k1": [1, 2, 3], "k2": 2})
+        after = disk.stats()
+        assert after["entries"] == before["entries"] + 1
+        assert after["bytes"] > before["bytes"]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         disk = DiskStore(str(tmp_path))
