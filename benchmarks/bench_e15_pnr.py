@@ -22,9 +22,18 @@ exactly from run to run, beside the wall time of ``route_all``; CI fails
 when a count or ``total_route_length`` differs from the committed file
 (``check_regression.py --exact``), because either means the search order
 moved.
+
+Every reachability flood the assemble asks is recorded with a copy of the
+blocked-cell array it read, and replayed twice in the same run: through the
+cell-by-cell :func:`repro.reference.cell_flood` and through the production
+:func:`repro.pnr.router.span_flood`, which must answer alike.
+``flood_speedup`` (cell seconds over span seconds, medians of
+``FLOOD_RUNS`` alternated passes over all the queries) rides on CI's 2x
+ratio gate with ``wirelength_speedup``.
 """
 
 import os
+import statistics
 import sys
 import time
 
@@ -32,13 +41,34 @@ from benchmarks.conftest import emit, record_bench
 from repro.metrics import format_table
 from repro.obs import metrics as obs_metrics
 from repro.pnr import PnrRouter
+from repro.pnr.router import MazeRouter, span_flood
+from repro.reference import cell_flood
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
 from chip_assembly import build_chip  # noqa: E402
 
+#: Alternated passes of each flood over every recorded query.
+FLOOD_RUNS = 7
+
+
+def flood_seconds(flood, queries):
+    start = time.perf_counter()
+    for query in queries:
+        flood(*query)
+    return time.perf_counter() - start
+
 
 def test_e15_place_and_route(monkeypatch):
+    floods = []
+    reachable = MazeRouter._reachable
+
+    def recorded_reachable(self, start, goal, opened):
+        floods.append((bytes(self._blocked), self._stride, start, goal,
+                       frozenset(opened)))
+        return reachable(self, start, goal, opened)
+
+    monkeypatch.setattr(MazeRouter, "_reachable", recorded_reachable)
     route_seconds = []
     route_all = PnrRouter.route_all
 
@@ -76,6 +106,18 @@ def test_e15_place_and_route(monkeypatch):
                           / max(placement.final_wirelength, 1))
     assert wirelength_speedup >= 1.0
 
+    assert len(floods) == maze["calls"]
+    answers = [span_flood(*query)[0] for query in floods]
+    assert answers == [cell_flood(*query) for query in floods]
+    assert answers.count(False) == maze["unreachable"]
+    cell_runs, span_runs = [], []
+    for _ in range(FLOOD_RUNS):
+        cell_runs.append(flood_seconds(cell_flood, floods))
+        span_runs.append(flood_seconds(span_flood, floods))
+    cell_seconds = statistics.median(cell_runs)
+    span_seconds = statistics.median(span_runs)
+    flood_speedup = cell_seconds / span_seconds
+
     rows = [[net.name, str(net.length)] for net in routing.routed]
     emit(format_table(
         ["net", "length (lambda)"], rows,
@@ -94,6 +136,8 @@ def test_e15_place_and_route(monkeypatch):
          ["maze searches", f"{maze['calls']} "
                            f"({maze['unreachable']} sealed)"],
          ["maze expansions", str(maze["expansions"])],
+         ["flood time, cell / span (ms)", f"{cell_seconds * 1e3:.1f} / "
+                                          f"{span_seconds * 1e3:.1f}"],
          ["lattice cells", str(after["pnr.maze.grid_cells"])],
          ["assemble time (s)", f"{assemble_seconds:.2f}"],
          ["  of which routing (s)", f"{sum(route_seconds):.2f}"],
@@ -119,4 +163,5 @@ def test_e15_place_and_route(monkeypatch):
         route_seconds=round(sum(route_seconds), 4),
         sign_off_seconds=round(sign_off_seconds, 4),
         wirelength_speedup=round(wirelength_speedup, 4),
+        flood_speedup=round(flood_speedup, 4),
     )

@@ -16,14 +16,24 @@ Search is A* with unit step cost, a small turn penalty (fewer corners
 means fewer rectangles and less capacitance) and the Manhattan distance to
 the goal as its bound — admissible and consistent, so the path found costs
 exactly what Dijkstra's would (``repro.reference.DijkstraMazeRouter`` is
-the oracle).  It is preceded by a two-sided reachability flood so a sealed
-net fails after exhausting its pocket, and budget-bounded so a huge maze
-terminates with a diagnostic instead of flooding.
+the oracle).  It is budget-bounded, so a huge maze terminates with a
+diagnostic instead of flooding, and preceded by a two-sided reachability
+flood, so a sealed net fails after exhausting its pocket.  The flood's unit
+is a maximal free span of one lattice row, not a cell: two spans in
+adjacent rows touch when their columns overlap (the scan-line view of
+line-search routing), so an open region costs one visit per row
+(``repro.reference.cell_flood`` is the cell-by-cell oracle).
+
+The cells a terminal's own shapes block are re-checked against the static
+obstacles once per terminal pair and lattice, and filtered by the nets
+blocked at each call.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -102,6 +112,9 @@ _TURN_COST = 2
 #: the obstacle set or ``bounds`` alone, or by a routed net (whatever else).
 _STATIC, _ROUTED = 1, 2
 
+#: A maximal span of free cells in one lattice row.
+_FREE_SPAN = re.compile(rb"\x00+")
+
 
 class MazeRouter:
     """Grid router over a fixed obstacle set plus the nets blocked so far.
@@ -129,6 +142,9 @@ class MazeRouter:
         self._index: SpatialIndex = build_index(self._obstacles)
         #: Wire rectangles of each blocked net, by net name.
         self._nets: Dict[str, List[Rect]] = {}
+        #: Per terminal tuple, the cells only the terminals' own shapes
+        #: block in ``_static`` (see :meth:`_opened`).
+        self._clearances: Dict[Tuple[Point, ...], List[int]] = {}
 
         half = wire_width // 2
         other = wire_width - half
@@ -246,21 +262,25 @@ class MazeRouter:
         """Cells that only the terminals' own shapes block.
 
         The grid cannot tell which obstacle stamped a cell, so the cells
-        under the exempt shapes are re-checked exactly, once per route; the
-        search treats the survivors as free.
+        under the exempt shapes are re-checked exactly, once per terminal
+        tuple: the check reads the fixed obstacle set only.  Each call keeps
+        the survivors no routed net blocks; the search treats them as free.
         """
-        exempt = self._exempt_ids(*terminals)
+        clear = self._clearances.get(terminals)
+        if clear is None:
+            exempt = self._exempt_ids(*terminals)
+            static = self._static
+            candidates = {cell for i in exempt
+                          for lo, hi in self._row_slices(self._obstacles[i])
+                          for cell in range(lo, hi) if static[cell] == _STATIC}
+            clear = self._clearances[terminals] = []
+            for cell in candidates:
+                foot = self._footprint(*self._node(cell))
+                if (self.bounds.contains_rect(foot) and self._static_clear(
+                        foot.expanded(self.spacing), exempt)):
+                    clear.append(cell)
         blocked = self._blocked
-        candidates = {cell for i in exempt
-                      for lo, hi in self._row_slices(self._obstacles[i])
-                      for cell in range(lo, hi) if blocked[cell] == _STATIC}
-        opened: Set[int] = set()
-        for cell in candidates:
-            foot = self._footprint(*self._node(cell))
-            if (self.bounds.contains_rect(foot) and self._static_clear(
-                    foot.expanded(self.spacing), exempt)):
-                opened.add(cell)
-        return opened
+        return {cell for cell in clear if blocked[cell] == _STATIC}
 
     # -- search ---------------------------------------------------------------------
 
@@ -370,34 +390,14 @@ class MazeRouter:
             reason="blocked_terminal")
 
     def _reachable(self, start: int, goal: int, opened: Set[int]) -> bool:
-        """Whether any lattice path joins the two cells.
-
-        Breadth-first from both ends, always growing the smaller frontier:
-        a sealed terminal's pocket is exhausted after a handful of cells,
-        and the whole flood is bounded by the grid, so it needs no budget.
-        """
-        if start == goal:
-            return True
-        blocked = self._blocked
-        stride = self._stride
-        side_of = bytearray(len(blocked))
-        side_of[start], side_of[goal] = 1, 2
-        frontiers = {1: [start], 2: [goal]}
-        while True:
-            side = 1 if len(frontiers[1]) <= len(frontiers[2]) else 2
-            grown: List[int] = []
-            for cell in frontiers[side]:
-                for near in (cell + 1, cell - 1, cell + stride, cell - stride):
-                    if side_of[near] == side or (
-                            blocked[near] and near not in opened):
-                        continue
-                    if side_of[near]:
-                        return True
-                    side_of[near] = side
-                    grown.append(near)
-            if not grown:
-                return False
-            frontiers[side] = grown
+        """Whether any lattice path joins the two cells (:func:`span_flood`),
+        as a ``pnr.maze.flood`` trace span saying how many free row spans
+        it visited and what it answered."""
+        with obs_trace.span("pnr.maze.flood", cat="pnr") as span:
+            reachable, visited = span_flood(self._blocked, self._stride,
+                                            start, goal, opened)
+            span.set(spans=visited, reachable=reachable)
+        return reachable
 
     def _search(self, net: str, start: int, goal: int,
                 opened: Set[int]) -> Optional[List[int]]:
@@ -713,6 +713,78 @@ class PnrRouter:
         rects = shape.as_rects()
         self._block(request.name, rects)
         self._drawn[request.name] = (shape, rects, request)
+
+
+# -- reachability -------------------------------------------------------------------
+
+
+def span_flood(blocked: bytes, stride: int, start: int, goal: int,
+               opened: Set[int]) -> Tuple[bool, int]:
+    """Whether a 4-connected path of free cells joins ``start`` and
+    ``goal``, and how many free row spans the flood visited to decide it.
+
+    ``blocked`` is a router's ``_blocked`` array of ``stride``-cell rows
+    with a blocked sentinel ring; a cell is free when it is zero or in
+    ``opened``, and both terminals must be free.  The unit is a maximal
+    free span of one row, found when the flood first reaches the row; two
+    spans in adjacent rows touch when their columns overlap.  Like a
+    cell-by-cell flood it grows both ends, always the smaller frontier, so
+    a sealed terminal's pocket is exhausted after a handful of spans; it is
+    bounded by the grid and needs no budget.
+    """
+    opened_rows: Dict[int, List[int]] = {}
+    for cell in opened:
+        opened_rows.setdefault(cell // stride, []).append(cell % stride)
+    # Per row reached: span start columns, span end columns, side per span.
+    rows: Dict[int, Tuple[List[int], List[int], bytearray]] = {}
+
+    def spans(row: int) -> Tuple[List[int], List[int], bytearray]:
+        found = rows.get(row)
+        if found is None:
+            line = blocked[row * stride:(row + 1) * stride]
+            if row in opened_rows:
+                line = bytearray(line)
+                for column in opened_rows[row]:
+                    line[column] = 0
+            starts: List[int] = []
+            ends: List[int] = []
+            for span in _FREE_SPAN.finditer(line):
+                starts.append(span.start())
+                ends.append(span.end())
+            found = rows[row] = (starts, ends, bytearray(len(starts)))
+        return found
+
+    frontiers: Dict[int, List[Tuple[int, int, int]]] = {}
+    for side, cell in ((1, start), (2, goal)):
+        row, column = divmod(cell, stride)
+        starts, ends, sides = spans(row)
+        index = bisect_right(starts, column) - 1
+        if sides[index]:
+            return True, 1                  # one span holds both terminals
+        sides[index] = side
+        frontiers[side] = [(row, starts[index], ends[index])]
+    visited = 2
+    while True:
+        side = 1 if len(frontiers[1]) <= len(frontiers[2]) else 2
+        grown: List[Tuple[int, int, int]] = []
+        for row, lo, hi in frontiers[side]:
+            for near in (row - 1, row + 1):
+                starts, ends, sides = spans(near)
+                # The spans overlapping columns [lo, hi): from the first one
+                # ending past ``lo`` while they start before ``hi``.
+                index = bisect_right(ends, lo)
+                while index < len(starts) and starts[index] < hi:
+                    mark = sides[index]
+                    if mark != side:
+                        if mark:
+                            return True, visited
+                        sides[index] = side
+                        grown.append((near, starts[index], ends[index]))
+                        visited += 1
+                    index += 1
+        if not grown:
+            return False, visited
+        frontiers[side] = grown
 
 
 # -- geometry helpers ---------------------------------------------------------------

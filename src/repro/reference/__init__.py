@@ -1,7 +1,8 @@
 """Reference implementations: test oracles, not production paths.
 
 Each class here has the public API of a production engine and the seed's
-original, obviously-correct algorithm underneath:
+original, obviously-correct algorithm underneath (:func:`cell_flood`, a
+plain function, is the oracle of :func:`repro.pnr.router.span_flood`):
 
 ==============================  ==========================================
 oracle                          production twin
@@ -26,7 +27,7 @@ engine propagates as itself rather than rerunning its oracle
 
 from repro.reference.gate_sim import GateLevelInterpreter
 from repro.reference.geometry import BruteDrcChecker, BruteExtractor
-from repro.reference.maze import DijkstraMazeRouter
+from repro.reference.maze import DijkstraMazeRouter, cell_flood
 from repro.reference.rtl_sim import RtlInterpreter
 from repro.reference.switch_sim import SwitchLevelReference
 
@@ -37,4 +38,5 @@ __all__ = [
     "GateLevelInterpreter",
     "RtlInterpreter",
     "SwitchLevelReference",
+    "cell_flood",
 ]

@@ -1,23 +1,61 @@
-"""The maze router's priced search as plain Dijkstra: no bound, no goal sense.
+"""The maze router's search and flood as first written: plain Dijkstra, a
+cell-by-cell fill.
 
 :class:`DijkstraMazeRouter` is :class:`~repro.pnr.router.MazeRouter` with
 the frontier ordered by cost so far alone — the search the router ran
 before it took the Manhattan bound.  Lattice, blockage bookkeeping,
-reachability flood, snapping and taps are the parent's, so the two differ
-in exactly the order states are popped: the path *cost* must be equal on
-every instance, and the states A* settles — what both count, superseded
-heap entries left out — are no more than the ones settled here
-(``tests/test_pnr.py::TestSearchAgainstDijkstra``).
+terminal clearance, reachability flood, snapping and taps are the
+parent's, so the two differ in exactly the order states are popped: the
+path *cost* must be equal on every instance, and the states A* settles —
+what both count, superseded heap entries left out — are no more than the
+ones settled here (``tests/test_pnr.py::TestSearchAgainstDijkstra``).
+
+:func:`cell_flood` is the reachability flood the router ran before it
+walked free row spans (:func:`~repro.pnr.router.span_flood`): the
+breadth-first fill of Lee's maze router, one cell at a time, over the same
+blocked-cell array.  Both must give the same answer on every query
+(``tests/test_pnr.py::TestSpanFlood``).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import Budget
 from repro.obs import metrics as obs_metrics
 from repro.pnr.router import _TURN_COST, MazeRouter, _walk_back
+
+
+def cell_flood(blocked: Sequence[int], stride: int, start: int, goal: int,
+               opened: Set[int]) -> bool:
+    """Whether a 4-connected path of free cells joins ``start`` and
+    ``goal`` over a router's ``_blocked`` array of ``stride``-cell rows (a
+    cell is free when it is zero or in ``opened``).
+
+    Breadth-first from both ends, one cell at a time, always growing the
+    smaller frontier.
+    """
+    if start == goal:
+        return True
+    side_of = bytearray(len(blocked))
+    side_of[start], side_of[goal] = 1, 2
+    frontiers = {1: [start], 2: [goal]}
+    while True:
+        side = 1 if len(frontiers[1]) <= len(frontiers[2]) else 2
+        grown: List[int] = []
+        for cell in frontiers[side]:
+            for near in (cell + 1, cell - 1, cell + stride, cell - stride):
+                if side_of[near] == side or (
+                        blocked[near] and near not in opened):
+                    continue
+                if side_of[near]:
+                    return True
+                side_of[near] = side
+                grown.append(near)
+        if not grown:
+            return False
+        frontiers[side] = grown
 
 
 class DijkstraMazeRouter(MazeRouter):

@@ -360,6 +360,23 @@ class TestTracedFlow:
         assert all(net.cost == drawn[net.name]
                    for net in kept if net.name in drawn)
 
+    def test_each_flood_is_a_span_saying_what_it_did(self):
+        """Every reachability flood in front of a priced search is one
+        ``pnr.maze.flood`` span carrying the free row spans it visited and
+        its answer; the sealed ones are exactly the ``pnr.maze.unreachable``
+        count (8 of the 8-bit family chip's 15 searches)."""
+        calls = metrics.counter("pnr.maze.calls")
+        sealed = metrics.counter("pnr.maze.unreachable")
+        calls_before, sealed_before = calls.value, sealed.value
+        trace.enable()
+        build_chip("obs_flood_8b", 8, 0)
+        floods = [event["args"] for event in trace.drain()
+                  if event["name"] == "pnr.maze.flood"]
+        assert calls.value - calls_before == len(floods) == 15
+        assert sealed.value - sealed_before == 8
+        assert sum(not args["reachable"] for args in floods) == 8
+        assert all(args["spans"] >= 1 for args in floods)
+
 
 # -- the collector, visible -----------------------------------------------------
 

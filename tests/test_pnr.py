@@ -37,7 +37,7 @@ from repro.obs import metrics
 from repro.pnr import PlacementError, UnknownTerminalError, refine_placement
 from repro.pnr.router import (_TURN_COST, MazeRouter, PnrRouter, RouteRequest,
                               RoutingError)
-from repro.reference import DijkstraMazeRouter
+from repro.reference import DijkstraMazeRouter, cell_flood
 from repro.store import cell_digest
 from repro.technology import nmos_technology
 from repro.timing.parasitics import ParasiticModel
@@ -369,6 +369,65 @@ class TestBlockedCellGrid:
             for here, there in zip(path, path[1:]):
                 assert abs(here - there) in (1, maze._stride)
                 assert not maze._blocked[there] or there in opened
+
+
+# -- maze router: the span flood == the cell flood ---------------------------
+
+
+class TestSpanFlood:
+    """The flood walks maximal free row runs; ``repro.reference.cell_flood``
+    is the cell-by-cell fill it replaced, over the same blocked array."""
+
+    #: Every answer the property below compared, for the coverage test.
+    answers = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(setup=walled_mazes(),
+           edits=st.lists(st.tuples(st.sampled_from("abc"),
+                                    st.lists(rects(0, 60, 12), min_size=1,
+                                             max_size=3)),
+                          max_size=6))
+    @example(setup=walled(54, [Rect(9, 0, 11, 54), Rect(0, 46, 54, 48)],
+                          width=3, spacing=2, source=Point(2, 2),
+                          target=Point(15, 52)),
+             edits=[])
+    @example(setup=walled(40, [Rect(0, 20, 30, 22)], width=3, spacing=1,
+                          source=Point(4, 4), target=Point(4, 36)),
+             edits=[("a", [Rect(30, 20, 40, 22)]), ("a", [])])
+    def test_span_flood_equals_cell_flood_under_block_and_unblock(
+            self, setup, edits):
+        source, target = setup[2:]
+        lattices = setup[:2]
+        blocked = set()
+
+        def compare():
+            for maze in lattices:
+                opened = maze._opened(source, target)
+                start = maze._snap(source, opened)
+                goal = maze._snap(target, opened)
+                if start is None or goal is None:
+                    continue
+                for a, b in ((start, goal), (goal, start)):
+                    expected = cell_flood(maze._blocked, maze._stride, a, b,
+                                          opened)
+                    assert maze._reachable(a, b, opened) == expected
+                    self.answers.add(expected)
+
+        compare()
+        # Each edit toggles one net: blocked nets are ripped up, others drawn.
+        for net, wires in edits:
+            for maze in lattices:
+                if net in blocked:
+                    maze.unblock(net)
+                else:
+                    maze.block(net, wires)
+            blocked ^= {net}
+            compare()
+
+    def test_both_answers_occurred(self):
+        if not self.answers:
+            pytest.skip("the property above was not run")
+        assert self.answers == {True, False}
 
 
 # -- maze router: A* == Dijkstra in cost, cheaper in expansions ---------------

@@ -41,27 +41,48 @@ BUILD_COUNTERS = ("views", "drc_artifacts", "extract_artifacts",
 DESIGNS = ("quickstart", "fsm", "family", "pdp8")
 
 
-def run_driver(store_dir):
-    env = dict(os.environ)
-    if store_dir is None:
-        env.pop("REPRO_STORE", None)
-    else:
-        env["REPRO_STORE"] = str(store_dir)
-    result = subprocess.run(
-        [sys.executable, DRIVER], env=env, capture_output=True, text=True,
-        check=True, timeout=1800)
-    return json.loads(result.stdout.strip().splitlines()[-1])
+def run_drivers(store_dirs):
+    """One driver process per entry of ``store_dirs`` (``None``: no store),
+    all running at once; their results, in order, once every one exits."""
+    processes = []
+    for store_dir in store_dirs:
+        env = dict(os.environ)
+        if store_dir is None:
+            env.pop("REPRO_STORE", None)
+        else:
+            env["REPRO_STORE"] = str(store_dir)
+        processes.append(subprocess.Popen(
+            [sys.executable, DRIVER], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True))
+    try:
+        outputs = [process.communicate(timeout=1800)
+                   for process in processes]
+    finally:
+        for process in processes:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+    results = []
+    for process, (stdout, stderr) in zip(processes, outputs):
+        if process.returncode:
+            raise subprocess.CalledProcessError(
+                process.returncode, process.args, stdout, stderr)
+        results.append(json.loads(stdout.strip().splitlines()[-1]))
+    return results
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Two fresh processes per store mode; each cold run populates its own
-    empty directory, which the matching warm run then reads."""
+    empty directory, which the matching warm run then reads.  A mode's two
+    processes run concurrently (the directories are independent), and each
+    mode starts after the one before it has exited, so cold finishes
+    before warm on each directory."""
     store_dirs = [tmp_path_factory.mktemp(tag) / "store" for tag in "ab"]
     return {
-        "none": [run_driver(None) for _ in store_dirs],
-        "cold": [run_driver(store_dir) for store_dir in store_dirs],
-        "warm": [run_driver(store_dir) for store_dir in store_dirs],
+        "none": run_drivers([None] * len(store_dirs)),
+        "cold": run_drivers(store_dirs),
+        "warm": run_drivers(store_dirs),
     }
 
 
