@@ -10,6 +10,7 @@ ways:
 * the compiled scalar kernel (default) — integer-indexed arrays,
   precomputed fanout, event-driven sweeps, trace-identical by
   construction (asserted here and pinned by the differential suite);
+  timed as the median of five runs from reset;
 * the bit-parallel bitplane kernel — 64 independent stimulus streams
   packed into integer planes, one levelized pass per cycle for all
   streams at once.
@@ -24,6 +25,7 @@ than 2x against the committed baseline (speedups are used rather than raw
 wall times so the guard is meaningful across machines).
 """
 
+import statistics
 import time
 
 from benchmarks.conftest import emit, record_bench
@@ -48,6 +50,7 @@ end
 BANK_INSTANCES = 32
 CYCLES = 256
 STREAMS = 64
+COMPILED_RUNS = 5
 
 
 def build_lfsr_bank(instances: int = BANK_INSTANCES) -> Module:
@@ -108,16 +111,19 @@ def test_e13_sim_kernel_throughput():
     interpreter_trace = interpreter.run(vectors)
     interpreter_seconds = time.perf_counter() - start
 
+    # One scalar run is ~10 ms: time the median of a few, each from reset.
     compiled = GateLevelSimulator(bank)
-    compiled.reset(0)
-    start = time.perf_counter()
-    compiled_trace = compiled.run(vectors)
-    compiled_seconds = time.perf_counter() - start
-
-    # Trace-identical results (the differential suite pins this broadly;
-    # assert it here on the benchmark workload too).
-    assert compiled_trace.cycles == interpreter_trace.cycles
-    assert compiled.last_depth == interpreter.last_depth
+    samples = []
+    for _ in range(COMPILED_RUNS):
+        compiled.reset(0)
+        start = time.perf_counter()
+        compiled_trace = compiled.run(vectors)
+        samples.append(time.perf_counter() - start)
+        # Trace-identical results (the differential suite pins this broadly;
+        # assert it here on the benchmark workload too).
+        assert compiled_trace.cycles == interpreter_trace.cycles
+        assert compiled.last_depth == interpreter.last_depth
+    compiled_seconds = statistics.median(samples)
 
     speedup = interpreter_seconds / max(compiled_seconds, 1e-9)
     assert speedup >= 10.0, (

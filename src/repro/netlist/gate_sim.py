@@ -17,15 +17,18 @@ trace-identical to it (values, ``last_depth`` and
 ``critical_path_estimate`` included).  It is a test oracle only; a
 lowering failure propagates as itself.
 
-``values`` and ``state`` are live name-keyed views that the engine keeps
-in sync; mutate state through ``set_inputs``/``reset``, not by writing
-into ``values``.
+``values`` and ``state`` are read-only name-keyed views over the engine's
+one state, its net-id-indexed value array: ``values[name]`` reads the
+net's slot, ``state`` holds each flip-flop's value as captured at the last
+reset or clock and each latch's held value.  Drive the simulator through
+``set_inputs`` / ``reset`` / ``clock``; assigning into a view raises
+``TypeError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.netlist.module import Module, NetlistError
 from repro.obs import trace as obs_trace
@@ -65,10 +68,18 @@ class GateLevelSimulator:
                 "netlist is not simulatable: "
                 + "; ".join(d.message for d in problems), problems[0])
         self.settle_limit = settle_limit
-        self.values: Dict[str, Optional[int]] = {name: X for name in self.module.nets}
-        self.state: Dict[str, Optional[int]] = {}
         self.last_depth = 0
         self._engine = self._make_engine()
+
+    @property
+    def values(self) -> Mapping[str, Optional[int]]:
+        """Every net's current value, by name (a read-only live view)."""
+        return self._engine.values
+
+    @property
+    def state(self) -> Mapping[str, Optional[int]]:
+        """Flip-flop and latch values by instance name (a read-only live view)."""
+        return self._engine.state
 
     def _make_engine(self) -> "ScalarEngine":
         """The engine every operation below delegates to."""
@@ -78,8 +89,7 @@ class GateLevelSimulator:
         # imported first.
         from repro.sim.kernel import ScalarEngine, compile_netlist
 
-        return ScalarEngine(compile_netlist(self.module), self.values,
-                            self.state, self.settle_limit)
+        return ScalarEngine(compile_netlist(self.module), self.settle_limit)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -89,12 +99,8 @@ class GateLevelSimulator:
         return self.last_depth
 
     def set_inputs(self, assignment: Dict[str, int]) -> None:
-        set_value = self._engine.set_value
-        nets = self.module.nets
-        for name, value in assignment.items():
-            if name not in nets:
-                raise KeyError(f"unknown input net {name!r}")
-            set_value(name, value if value is X else int(bool(value)))
+        """Drive nets by name; ``KeyError`` names one the netlist lacks."""
+        self._engine.set_values(assignment)
 
     def evaluate(self, assignment: Dict[str, int]) -> Dict[str, Optional[int]]:
         """Combinational evaluation: set inputs, settle, read outputs."""
@@ -119,24 +125,20 @@ class GateLevelSimulator:
         watch = list(record) if record is not None else (
             self.module.input_names() + self.module.output_names()
         )
+        sample = self._engine.sampler(watch)
+        set_values = self._engine.set_values
         trace = SimulationTrace()
-        owns_writer = isinstance(vcd, str)
-        writer = (obs_vcd.VcdWriter(vcd, module=self.module.name)
-                  if owns_writer else vcd)
-        try:
-            with obs_trace.span("sim.run", cat="sim", module=self.module.name,
-                                cycles=len(input_sequence)):
-                for time, vector in enumerate(input_sequence):
-                    self.set_inputs(vector)
-                    self.settle()
-                    sampled = {name: self.values.get(name) for name in watch}
-                    trace.cycles.append(sampled)
-                    if writer is not None:
-                        writer.sample(time, sampled)
-                    self.clock()
-        finally:
-            if owns_writer and writer is not None:
-                writer.close()
+        with (obs_vcd.streaming(vcd, self.module.name) as writer,
+              obs_trace.span("sim.run", cat="sim", module=self.module.name,
+                             cycles=len(input_sequence))):
+            for time, vector in enumerate(input_sequence):
+                set_values(vector)
+                self.settle()
+                sampled = dict(zip(watch, sample()))
+                trace.cycles.append(sampled)
+                if writer is not None:
+                    writer.sample(time, sampled)
+                self.clock()
         return trace
 
     def reset(self, value: int = 0) -> None:

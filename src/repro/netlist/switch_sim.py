@@ -53,6 +53,9 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.diagnostics import BudgetExceeded, Diagnostic, Severity
+from repro.netlist.gate_sim import SimulationTrace
+from repro.obs import trace as obs_trace
+from repro.obs import vcd as obs_vcd
 from repro.runtime import gc_paused
 
 VDD = "vdd"
@@ -232,6 +235,31 @@ class SwitchLevelSimulator:
 
     def node_value(self, node: str) -> Optional[int]:
         return self.values.get(node)
+
+    def run(self, vectors: Sequence[Dict[str, int]],
+            record: Optional[Iterable[str]] = None,
+            vcd: Optional[object] = None) -> SimulationTrace:
+        """Apply one input vector per step, settling after each.
+
+        Samples the ``record`` nodes (default: the network's inputs, then
+        its outputs) per step, as :meth:`GateLevelSimulator.run` does per
+        cycle; ``vcd`` streams them to a waveform dump — a path (opened
+        and closed here) or an open :class:`repro.obs.vcd.VcdWriter`
+        (caller keeps ownership).
+        """
+        watch = list(record) if record is not None else (
+            list(self.network.inputs) + list(self.network.outputs))
+        trace = SimulationTrace()
+        with (obs_vcd.streaming(vcd, self.network.name) as writer,
+              obs_trace.span("sim.switch_run", cat="sim",
+                             network=self.network.name, steps=len(vectors))):
+            for time, vector in enumerate(vectors):
+                self.evaluate(vector)
+                sampled = {name: self.values.get(name) for name in watch}
+                trace.cycles.append(sampled)
+                if writer is not None:
+                    writer.sample(time, sampled)
+        return trace
 
     # -- internal ------------------------------------------------------------------------
 

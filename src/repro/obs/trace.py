@@ -106,6 +106,11 @@ class _Span:
         end = time.time_ns()
         if exc_type is not None:
             self.args.setdefault("error", exc_type.__name__)
+            # Imported here: repro.diagnostics imports this package.
+            from repro.diagnostics import DiagnosticError
+
+            if isinstance(exc, DiagnosticError):
+                self.args.setdefault("code", exc.diagnostic.code)
         _EVENTS.append({
             "name": self.name,
             "cat": self.cat,

@@ -4,9 +4,10 @@ The simulators in this toolchain are three-valued: a net is ``0``, ``1``
 or unknown (``None`` in Python, ``x`` in a waveform viewer).  The
 exemplar silicon compilers made their simulators debuggable at scale by
 emitting standard waveform dumps instead of custom logs; :class:`VcdWriter`
-does the same for :class:`~repro.netlist.GateLevelSimulator`, the bitplane
-batch runner and :class:`~repro.rtl.RtlSimulator` — the files load in
-GTKWave or any IEEE 1364 VCD consumer.
+does the same for :class:`~repro.netlist.GateLevelSimulator`,
+:class:`~repro.netlist.SwitchLevelSimulator`, the bitplane batch runner and
+:class:`~repro.rtl.RtlSimulator` — the files load in GTKWave or any IEEE
+1364 VCD consumer.
 
 Only value *changes* are written per timestep, so long quiet traces stay
 small.  Multi-bit signals (RTL registers, buses) are declared with a
@@ -21,11 +22,13 @@ round-trip through it without external tools.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, IO, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, IO, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "VcdWriter",
+    "streaming",
     "VcdTrace",
     "parse_vcd",
     "read_vcd",
@@ -150,6 +153,21 @@ class VcdWriter:
         self._closed = True
         if self._owns_handle:
             self._handle.close()
+
+
+@contextmanager
+def streaming(vcd: Union[None, str, VcdWriter],
+              module: str) -> Iterator[Optional[VcdWriter]]:
+    """A simulator's ``vcd=`` argument as the writer of one run.
+
+    A path is opened here and closed when the run ends; an open
+    :class:`VcdWriter`, or ``None``, passes through and stays the caller's.
+    """
+    if not isinstance(vcd, str):
+        yield vcd
+        return
+    with VcdWriter(vcd, module=module) as writer:
+        yield writer
 
 
 # -- the minimal reader -------------------------------------------------------

@@ -4,32 +4,34 @@
 looks every net up by name — slow, and simple enough to be the golden
 semantic model the compiled kernel (:mod:`repro.sim.kernel`) is pinned
 trace-identical to.  It presents the same engine surface as
-:class:`~repro.sim.kernel.ScalarEngine` (``settle`` / ``set_value`` /
-``clock`` / ``reset`` / ``critical_path_estimate``), so
+:class:`~repro.sim.kernel.ScalarEngine` (read-only ``values`` / ``state``
+views, ``set_values`` / ``sampler`` / ``settle`` / ``clock`` / ``reset`` /
+``critical_path_estimate``) over its own name-keyed dicts, so
 :class:`GateLevelInterpreter` is the production simulator with one method
 overridden.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from types import MappingProxyType
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.diagnostics import BudgetExceeded, Diagnostic, Severity
 from repro.netlist.gate_sim import GateLevelSimulator, X
 from repro.netlist.module import GateType, Instance, Module
 from repro.obs import metrics as obs_metrics
+from repro.sim.kernel import unknown_net
 
 
 class InterpreterEngine:
-    """Scan-everything settle over the name-keyed ``values``/``state`` dicts."""
+    """Scan-everything settle over name-keyed ``values``/``state`` dicts."""
 
-    def __init__(self, module: Module,
-                 values: Dict[str, Optional[int]],
-                 state: Dict[str, Optional[int]],
-                 settle_limit: int = 10000):
+    def __init__(self, module: Module, settle_limit: int = 10000):
         self.module = module
-        self.values = values
-        self.state = state
+        self._values: Dict[str, Optional[int]] = {name: X for name in module.nets}
+        self._state: Dict[str, Optional[int]] = {}
+        self.values = MappingProxyType(self._values)
+        self.state = MappingProxyType(self._state)
         self.settle_limit = settle_limit
         self._dffs: List[Instance] = [
             instance for instance in module.instances
@@ -40,25 +42,25 @@ class InterpreterEngine:
 
     def _gate_output(self, instance: Instance) -> Optional[int]:
         gate: GateType = instance.kind
-        inputs = [self.values.get(net) for net in instance.data_input_nets()]
+        inputs = [self._values.get(net) for net in instance.data_input_nets()]
         if gate is GateType.CONST0:
             return 0
         if gate is GateType.CONST1:
             return 1
         if gate is GateType.MUX2:
-            sel = self.values.get(instance.connections.get("sel", ""))
-            a = self.values.get(instance.connections.get("a", ""))
-            b = self.values.get(instance.connections.get("b", ""))
+            sel = self._values.get(instance.connections.get("sel", ""))
+            a = self._values.get(instance.connections.get("a", ""))
+            b = self._values.get(instance.connections.get("b", ""))
             if sel is X:
                 return a if a == b else X
             return b if sel else a
         if gate is GateType.LATCH:
-            enable = self.values.get(instance.connections.get("enable", ""))
-            data = self.values.get(instance.connections.get("in0", ""))
+            enable = self._values.get(instance.connections.get("enable", ""))
+            data = self._values.get(instance.connections.get("in0", ""))
             if enable == 1:
-                self.state[instance.name] = data   # transparent: track the data
+                self._state[instance.name] = data   # transparent: track the data
                 return data
-            return self.state.get(instance.name, X)
+            return self._state.get(instance.name, X)
         if any(value is X for value in inputs):
             return self._x_result(gate, inputs)
         if gate in (GateType.AND, GateType.NAND):
@@ -110,8 +112,8 @@ class InterpreterEngine:
                 if output_net is None:
                     continue
                 new_value = self._gate_output(instance)
-                if new_value != self.values.get(output_net):
-                    self.values[output_net] = new_value
+                if new_value != self._values.get(output_net):
+                    self._values[output_net] = new_value
                     next_changed.add(output_net)
             if next_changed:
                 depth += 1
@@ -120,25 +122,32 @@ class InterpreterEngine:
         obs_metrics.counter("sim.settle.iterations").inc(iterations)
         return depth
 
-    def set_value(self, name: str, value: Optional[int]) -> None:
-        self.values[name] = value
+    def set_values(self, assignment: Dict[str, Optional[int]]) -> None:
+        for name, value in assignment.items():
+            if name not in self._values:
+                raise unknown_net(name)
+            self._values[name] = value if value is X else int(bool(value))
+
+    def sampler(self, names: Sequence[str]) -> Callable[[], tuple]:
+        values = self._values
+        return lambda: tuple(values.get(name) for name in names)
 
     def clock(self) -> None:
         """One clock edge: capture all DFF D inputs, then update together."""
         # Single pass over the flip-flops: capture every D first, then
         # apply, so a DFF feeding another DFF shifts its *old* value.
         captured = [
-            (instance, self.values.get(instance.connections.get("in0")))
+            (instance, self._values.get(instance.connections.get("in0")))
             for instance in self._dffs
         ]
         for instance, value in captured:
-            self.state[instance.name] = value
-            self.values[instance.connections["out"]] = value
+            self._state[instance.name] = value
+            self._values[instance.connections["out"]] = value
 
     def reset(self, value: int) -> None:
         for instance in self._dffs:
-            self.state[instance.name] = value
-            self.values[instance.connections["out"]] = value
+            self._state[instance.name] = value
+            self._values[instance.connections["out"]] = value
 
     def critical_path_estimate(self) -> int:
         """Longest combinational depth (unit delay per gate) in the module."""
@@ -176,5 +185,4 @@ class GateLevelInterpreter(GateLevelSimulator):
     """:class:`GateLevelSimulator` driven by the reference interpreter."""
 
     def _make_engine(self) -> InterpreterEngine:
-        return InterpreterEngine(
-            self.module, self.values, self.state, self.settle_limit)
+        return InterpreterEngine(self.module, self.settle_limit)

@@ -24,7 +24,7 @@ shift by a non-constant amount.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.diagnostics import Diagnostic, DiagnosticError, Severity
 from repro.layout.cell import Cell
@@ -86,6 +86,23 @@ class CompiledMachine:
         }
 
 
+def _clocked_targets(statement: Statement) -> Set[str]:
+    """The signals that clocked transfers in ``statement`` write."""
+    if isinstance(statement, Block):
+        return set().union(*map(_clocked_targets, statement))
+    if isinstance(statement, IfStatement):
+        names = _clocked_targets(statement.then_branch)
+        if statement.else_branch is not None:
+            names |= _clocked_targets(statement.else_branch)
+        return names
+    target = statement.target
+    if isinstance(target, BitSelect):
+        target = target.operand
+    if statement.clocked and isinstance(target, Identifier):
+        return {target.name}
+    return set()
+
+
 class RtlCompiler:
     """Compile a :class:`MachineDescription` to a structural netlist."""
 
@@ -97,8 +114,10 @@ class RtlCompiler:
         self._const_nets: Dict[int, str] = {}
         # Current symbolic value of every signal (bit nets, LSB first).
         self._env: Dict[str, Bits] = {}
-        # Next-cycle value of registers / memory words.
+        # Next-cycle value of registers / memory words / registered outputs.
         self._next: Dict[str, Bits] = {}
+        # Their flip-flops' Q nets.
+        self._q_nets: Dict[str, Bits] = {}
         # Which source statements wrote each signal (for timing reports).
         self._writers: Dict[str, List[Statement]] = {}
         # The statement being elaborated (named by RTL2xx refusals).
@@ -147,13 +166,8 @@ class RtlCompiler:
 
     def _declare_state(self) -> None:
         for declaration in self.machine.registers:
-            bits = []
-            for index in range(declaration.width):
-                q_net = self.bit_net(declaration.name, index)
-                self.module.add_net(q_net)
-                bits.append(q_net)
-            self._env[declaration.name] = bits
-            self._next[declaration.name] = list(bits)
+            self._declare_register(declaration.name, declaration.name,
+                                   declaration.width)
         for declaration in self.machine.memories:
             if declaration.depth > MAX_FLATTENED_MEMORY_WORDS:
                 raise self._unsynthesisable(
@@ -163,19 +177,32 @@ class RtlCompiler:
                 )
             for word in range(declaration.depth):
                 word_name = f"{declaration.name}@{word}"
-                bits = []
-                for index in range(declaration.width):
-                    q_net = self.bit_net(word_name, index)
-                    self.module.add_net(q_net)
-                    bits.append(q_net)
-                self._env[word_name] = bits
-                self._next[word_name] = list(bits)
+                self._declare_register(word_name, word_name, declaration.width)
+        # An output written by a clocked transfer is a register of its own,
+        # buffered to the port by _finish_outputs.
+        registered = _clocked_targets(self.machine.body)
+        for declaration in self.machine.outputs:
+            if declaration.name in registered:
+                self._declare_register(declaration.name,
+                                       f"{declaration.name}@reg",
+                                       declaration.width)
+
+    def _declare_register(self, name: str, net_base: str, width: int) -> None:
+        """Q nets ``<net_base>_<bit>`` holding signal ``name``."""
+        bits = []
+        for index in range(width):
+            q_net = self.bit_net(net_base, index)
+            self.module.add_net(q_net)
+            bits.append(q_net)
+        self._q_nets[name] = bits
+        self._env[name] = list(bits)
+        self._next[name] = list(bits)
 
     def _finish_state(self) -> None:
         """Create the flip-flops from the accumulated next-value functions."""
         for name, next_bits in self._next.items():
-            current_bits = self._env[name]
-            for index, (q_net, d_net) in enumerate(zip(current_bits, next_bits)):
+            q_nets = self._q_nets[name]
+            for index, (q_net, d_net) in enumerate(zip(q_nets, next_bits)):
                 self.module.add_gate(GateType.DFF, q_net, [d_net],
                                      name=f"dff_{name}_{index}".replace("@", "_"))
 
@@ -258,9 +285,6 @@ class RtlCompiler:
                clocked: bool, width: int) -> None:
         new_bits = self._resize(new_bits, width)
         if clocked:
-            if name not in self._next:
-                # Clocked transfer to an output: give it an implicit register.
-                self._next[name] = list(self._env[name])
             previous = self._next[name]
             self._next[name] = self._mux_word(condition, new_bits, previous)
         else:

@@ -135,15 +135,12 @@ class RtlSimulator:
         from repro.obs import trace as obs_trace
         from repro.obs import vcd as obs_vcd
 
-        owns_writer = isinstance(vcd, str)
-        writer = (obs_vcd.VcdWriter(vcd, module=self.machine.name)
-                  if owns_writer else vcd)
-        if writer is not None:
-            for declaration in self.machine.declarations.values():
-                if declaration.kind is not DeclKind.MEMORY:
-                    writer.add_signal(declaration.name, declaration.width)
         trace: List[Dict[str, int]] = []
-        try:
+        with obs_vcd.streaming(vcd, self.machine.name) as writer:
+            if writer is not None:
+                for declaration in self.machine.declarations.values():
+                    if declaration.kind is not DeclKind.MEMORY:
+                        writer.add_signal(declaration.name, declaration.width)
             with obs_trace.span("rtl.run", cat="rtl",
                                 machine=self.machine.name, cycles=cycles):
                 for cycle in range(cycles):
@@ -156,9 +153,6 @@ class RtlSimulator:
                             name: self.values[name]
                             for name in self.values
                         })
-        finally:
-            if owns_writer and writer is not None:
-                writer.close()
         return trace
 
 

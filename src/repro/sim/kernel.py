@@ -30,12 +30,21 @@ semantics *exactly* — same sweep structure, same instance order, same
 differential suite pin trace-identical results.  On a straight-line
 netlist (see :attr:`CompiledNetlist.straight_line`) the whole settle is
 one generated pass; every other netlist runs the event-driven sweep loop,
-whose per-gate callables come from the same templates.
+whose per-gate callables come from the same templates.  The engine's
+state is one list indexed by net id (``vals``, as in a levelized
+compiled-code simulator) plus the latches' held values; a clock edge is a
+gather of the D slots compared with the Q slots.  The name-keyed
+``values`` / ``state`` a simulator shows are read-only views over it
+(:class:`NetValues`, :class:`SequentialState`), so generated code names
+net ids only and nothing but ``vals`` is written per gate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from collections.abc import Mapping
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.diagnostics import BudgetExceeded, Diagnostic, Severity
 from repro.netlist.module import GateType, Module
@@ -395,7 +404,8 @@ def compile_chunks(head: str, bodies: Sequence[str], kind: str,
 
 
 #: Scalar three-valued semantics, one expression per opcode over
-#: ``vals`` (0, 1 or None = X); a latch also reads and writes ``state``.
+#: ``vals`` (0, 1 or None = X); a latch also reads and writes ``state``,
+#: the engine's held value per latch name.
 SCALAR_TEMPLATES: Dict[int, str] = {
     OP_AND: "0 if 0 in {vals,} else None if None in {vals,} else 1",
     OP_NAND: "1 if 0 in {vals,} else None if None in {vals,} else 0",
@@ -419,20 +429,20 @@ def _scalar_expr(compiled: CompiledNetlist, gate_id: int) -> str:
 
 
 def scalar_pass(compiled: CompiledNetlist) -> List[Callable]:
-    """One instance-order sweep as generated chunks ``f(vals, values)``.
+    """One instance-order sweep as generated chunks ``f(vals)``.
 
-    Each gate is evaluated and, if its value changed, written to ``vals``
-    and to the name-keyed ``values``; a chunk returns how many changed.
+    Each gate is evaluated and, if its value changed, written to ``vals``;
+    a chunk returns how many changed.  The source names no net, so
+    structurally identical netlists share every chunk.
     """
-    names = compiled.net_names
     bodies = [
         f"    v = {_scalar_expr(compiled, g)}\n"
         f"    if v != vals[{out}]:\n"
-        f"        vals[{out}] = values[{names[out]!r}] = v\n"
+        f"        vals[{out}] = v\n"
         f"        changed += 1\n"
         for g, out in enumerate(compiled.gate_outs)
     ]
-    return compile_chunks("def _chunk(vals, values):\n    changed = 0\n",
+    return compile_chunks("def _chunk(vals):\n    changed = 0\n",
                           bodies, "scalar pass", "    return changed\n")
 
 
@@ -446,6 +456,80 @@ def scalar_evals(compiled: CompiledNetlist, vals: List[Optional[int]],
                                "scalar gates"):
         make(vals, state, evals.append)
     return evals
+
+
+def gather(ids: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``f(vals) -> tuple(vals[i] for i in ids)``, in C when it can be."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    return lambda vals: tuple(vals[i] for i in ids)
+
+
+def unknown_net(name: str) -> KeyError:
+    """The error of an assignment to a net the netlist does not have."""
+    return KeyError(f"unknown input net {name!r}")
+
+
+class _NameView(Mapping):
+    """A read-only name-keyed view; shows as the dict it stands for."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class NetValues(_NameView):
+    """Each net's value by name: ``vals[net_index[name]]``, read live."""
+
+    __slots__ = ("_index", "_vals")
+
+    def __init__(self, net_index: Dict[str, int], vals: List[Optional[int]]):
+        self._index = net_index
+        self._vals = vals
+
+    def __getitem__(self, name: str) -> Optional[int]:
+        return self._vals[self._index[name]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+class SequentialState(_NameView):
+    """Each flip-flop's value as captured at the last reset or clock (no
+    flip-flop before the first), then each latch's held value, by instance
+    name — the keys and values of the interpreter's ``state`` dict.
+
+    ``captured`` is a one-slot list the engine rebinds on every edge.
+    """
+
+    __slots__ = ("_flops", "_captured", "_latches")
+
+    def __init__(self, flops: Sequence[str],
+                 captured: List[Optional[tuple]],
+                 latches: Dict[str, Optional[int]]):
+        self._flops = {name: k for k, name in enumerate(flops)}
+        self._captured = captured
+        self._latches = latches
+
+    def __getitem__(self, name: str) -> Optional[int]:
+        k = self._flops.get(name)
+        captured = self._captured[0]
+        if k is None or captured is None:
+            return self._latches[name]
+        return captured[k]
+
+    def __iter__(self) -> Iterator[str]:
+        if self._captured[0] is not None:
+            yield from self._flops
+        yield from self._latches
+
+    def __len__(self) -> int:
+        flops = len(self._flops) if self._captured[0] is not None else 0
+        return flops + len(self._latches)
 
 
 class ScalarEngine:
@@ -462,26 +546,27 @@ class ScalarEngine:
     On a straight-line netlist sweep 1 is the fixpoint, so a settle is one
     generated pass (two sweeps counted if it changed a net, else one), and
     no pass at all when no value moved since the last settle:
-    ``set_value``, ``clock`` and ``reset`` record whether one did.  Any
+    ``set_values``, ``clock`` and ``reset`` record whether one did.  Any
     other netlist runs the sweep loop (counted in ``sim.settle.sweeps``).
 
-    ``values_dict``/``state_dict`` are the simulator-facing name-keyed
-    views; the engine keeps them in sync so external readers see the same
-    dictionaries the interpreter maintains.
+    The simulator state is ``vals`` — one value per net id — plus each
+    latch's held value in ``latches`` and the flip-flop values the last
+    edge captured.  Nothing else is written while simulating: ``values``
+    and ``state`` are read-only name-keyed views over those.
     """
 
-    def __init__(self, compiled: CompiledNetlist,
-                 values_dict: Dict[str, Optional[int]],
-                 state_dict: Dict[str, Optional[int]],
-                 settle_limit: int = 10000):
+    def __init__(self, compiled: CompiledNetlist, settle_limit: int = 10000):
         self.compiled = compiled
-        self.values = values_dict
-        self.state = state_dict
         self.settle_limit = settle_limit
         self.vals: List[Optional[int]] = [None] * compiled.num_slots
-        self._net_index = compiled.net_index
-        for name, net_id in compiled.net_index.items():
-            self.vals[net_id] = values_dict.get(name)
+        self.latches: Dict[str, Optional[int]] = {}
+        self._captured: List[Optional[tuple]] = [None]
+        self.values = NetValues(compiled.net_index, self.vals)
+        self.state = SequentialState([name for name, _d, _q in compiled.dffs],
+                                     self._captured, self.latches)
+        self._q_ids = [q_id for _name, _d_id, q_id in compiled.dffs]
+        self._gather_d = gather([d_id for _name, d_id, _q_id in compiled.dffs])
+        self._gather_q = gather(self._q_ids)
         self._pass: Optional[List[Callable]] = (
             scalar_pass(compiled) if compiled.straight_line else None)
         self._evals: Optional[List[Callable[[], Optional[int]]]] = None
@@ -492,12 +577,26 @@ class ScalarEngine:
 
     # -- operations --------------------------------------------------------------------
 
-    def set_value(self, name: str, value: Optional[int]) -> None:
-        net_id = self._net_index[name]
-        if self.vals[net_id] != value:
-            self._moved = True
-        self.vals[net_id] = value
-        self.values[name] = value
+    def set_values(self, assignment: Dict[str, Optional[int]]) -> None:
+        """Drive each named net to its value (X stays X, else 0 or 1)."""
+        index = self.compiled.net_index
+        vals = self.vals
+        for name, value in assignment.items():
+            net_id = index.get(name)
+            if net_id is None:
+                raise unknown_net(name)
+            if value is not None:
+                value = 1 if value else 0
+            if vals[net_id] != value:
+                vals[net_id] = value
+                self._moved = True
+
+    def sampler(self, names: Sequence[str]) -> Callable[[], tuple]:
+        """A function returning the named nets' values as a tuple, read by
+        id when called (X for a name that is no net)."""
+        index, x_slot = self.compiled.net_index, self.compiled.x_slot
+        return partial(gather([index.get(name, x_slot) for name in names]),
+                       self.vals)
 
     def settle(self) -> int:
         """Propagate to a fixed point; returns the sweep depth."""
@@ -509,10 +608,9 @@ class ScalarEngine:
         if self._moved:
             self._moved = False
             vals = self.vals
-            values = self.values
             changed = 0
             for chunk in self._pass:
-                changed += chunk(vals, values)
+                changed += chunk(vals)
             if changed:
                 if self.settle_limit < 2:
                     raise settle_budget_error()
@@ -527,13 +625,12 @@ class ScalarEngine:
         vals = self.vals
         outs = self.compiled.gate_outs
         if self._evals is None:
-            self._evals = scalar_evals(self.compiled, vals, self.state)
+            self._evals = scalar_evals(self.compiled, vals, self.latches)
         evals = self._evals
         fanout = self.compiled.fanout
         limit = self.settle_limit
         depth = 0
         iterations = 0
-        dirty: Set[int] = set()
         candidates: Sequence[int] = range(self.compiled.num_gates)
         while True:
             iterations += 1
@@ -549,44 +646,30 @@ class ScalarEngine:
             if not changed:
                 break
             depth += 1
-            dirty.update(changed)
             affected: Set[int] = set()
             for out in changed:
                 affected.update(fanout[out])
             candidates = sorted(affected)
-        values = self.values
-        names = self.compiled.net_names
-        for net_id in dirty:
-            values[names[net_id]] = vals[net_id]
         self._settle_calls.inc()
         self._settle_iterations.inc(iterations)
         return depth
 
-    def _load_dffs(self, captured) -> None:
-        """Set each ``(name, q net id, value)`` flip-flop, noting a move."""
+    def _load_dffs(self, new: tuple) -> None:
+        """Capture ``new`` as the flip-flops' values and, unless the Q slots
+        already hold them, write them there, noting a move."""
+        self._captured[0] = new
         vals = self.vals
-        state = self.state
-        values = self.values
-        names = self.compiled.net_names
-        moved = False
-        for name, q_id, value in captured:
-            if vals[q_id] != value:
-                moved = True
-            state[name] = value
-            vals[q_id] = value
-            values[names[q_id]] = value
-        if moved:
+        if new != self._gather_q(vals):
+            for q_id, value in zip(self._q_ids, new):
+                vals[q_id] = value
             self._moved = True
 
     def clock(self) -> None:
         """One clock edge: capture all DFF D inputs, then update together."""
-        vals = self.vals
-        self._load_dffs([(name, q_id, vals[d_id])
-                         for name, d_id, q_id in self.compiled.dffs])
+        self._load_dffs(self._gather_d(self.vals))
 
     def reset(self, value: int) -> None:
-        self._load_dffs([(name, q_id, value)
-                         for name, _d_id, q_id in self.compiled.dffs])
+        self._load_dffs((value,) * len(self._q_ids))
 
     def critical_path_estimate(self) -> int:
         return self.compiled.critical_path_estimate()

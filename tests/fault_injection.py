@@ -154,6 +154,8 @@ def check_back_ends(machine, data):
     the machine at construction with that same error, or all three accept
     it: the simulators then agree cycle for cycle and the compiler produces
     a netlist or declines with ``RTL2xx`` — no bare builtin error anywhere.
+    A netlist it produces drives no net twice (``ERC008``): a clocked
+    transfer to an output gets flip-flops of its own.
     """
     diagnostics = check_machine(machine)
     assert all(isinstance(d, Diagnostic) and "RTL100" < d.code < "RTL200"
@@ -173,9 +175,11 @@ def check_back_ends(machine, data):
         assert production.step(vector) == reference.step(vector)
         assert production.values == reference.values
     try:
-        compiler.compile()
+        compiled = compiler.compile()
     except RtlSynthesisError as error:
         assert "RTL200" < error.diagnostic.code < "RTL300"
+    else:
+        assert "ERC008" not in {d.code for d in compiled.module.validate()}
 
 
 #: ``input a[2]; output y[2]; wire w[2]; register r[2]; memory mem[4][2]``:

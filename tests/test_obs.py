@@ -30,7 +30,7 @@ from repro.diagnostics import (
 )
 from repro.generators import FsmLayoutGenerator, PlaGenerator
 from repro.logic import TruthTable, parse_expr
-from repro.netlist import GateLevelSimulator, GateType, Module
+from repro.netlist import GateLevelSimulator, GateType, Module, SwitchLevelSimulator
 from repro.obs import metrics, trace, vcd
 from repro.rtl import RtlSimulator, parse_rtl
 from repro.technology import nmos_technology
@@ -38,6 +38,7 @@ from repro.technology import nmos_technology
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
 from chip_assembly import build_chip  # noqa: E402
+from test_netlist import ratioed_network  # noqa: E402
 from tile_array import TileArray  # noqa: E402
 from traffic_light_controller import build_fsm  # noqa: E402
 
@@ -234,15 +235,25 @@ class TestFlowCounters:
         assert snap["budget.exceeded.OBS998"] >= 1
         assert snap["budget.obs_probe.consumed_fraction"] >= 1.0
 
-    def test_sim_kernel_compiles_each_chunk_once_and_says_so(self):
-        # Net names appear in the generated scalar pass, so a fresh prefix
-        # makes source this process has not compiled yet.
-        prefix = f"k{os.urandom(6).hex()}_"
+    @staticmethod
+    def _inverter_chain(prefix, length):
+        """``length`` inverters in series, nets declared last-first so that
+        every net id depends on ``length``."""
         module = Module("obs_chain")
+        for k in range(length, 0, -1):
+            module.add_net(prefix + str(k))
         module.add_inputs(prefix + "0")
-        for k in range(1, 101):        # 100 gates: two chunks of <= 64
+        for k in range(1, length + 1):
             module.add_gate(GateType.NOT, prefix + str(k), [prefix + str(k - 1)])
-        module.add_outputs(prefix + "100")
+        module.add_outputs(prefix + str(length))
+        return module
+
+    def test_sim_kernel_compiles_each_chunk_once_and_says_so(self):
+        # The generated scalar pass names net ids, not nets, and every id of
+        # the chain depends on its length, so a fresh length makes source
+        # this process has not compiled yet.
+        length = 65 + os.urandom(1)[0] % 64     # two chunks of <= 64
+        module = self._inverter_chain("a", length)
         builds = metrics.counter("sim.kernel.builds")
         hits = metrics.counter("sim.kernel.hits")
         sweeps = metrics.counter("sim.settle.sweeps")
@@ -252,14 +263,17 @@ class TestFlowCounters:
         assert (builds.value - built, hits.value - hit) == (2, 0)
         GateLevelSimulator(module)
         assert (builds.value - built, hits.value - hit) == (2, 2)
-        assert first.evaluate({prefix + "0": 1})[prefix + "100"] == 1
+        # The same structure under other names shares every chunk.
+        GateLevelSimulator(self._inverter_chain("b", length))
+        assert (builds.value - built, hits.value - hit) == (2, 4)
+        assert first.evaluate({"a0": 1})[f"a{length}"] == 1 - length % 2
         assert sweeps.value == swept        # one pass, no sweep loop
         kernel = [event for event in trace.drain()
                   if event["name"] == "sim.kernel"]
         assert len(kernel) == 1
         assert kernel[0]["cat"] == "sim"
         assert kernel[0]["args"]["chunks"] == 2
-        assert kernel[0]["args"]["gates"] == 100
+        assert kernel[0]["args"]["gates"] == length
 
 
 # -- the traced flow, end to end -----------------------------------------------
@@ -469,6 +483,27 @@ class TestVcd:
             for name, value in values.items():
                 assert parsed.value_at(name, cycle) == value, (name, cycle)
 
+    def test_switch_sim_vcd_matches_trace_and_gate_level(self, tmp_path):
+        gates = [("nand", "n1", ["a", "b"]), ("nor", "y", ["n1", "c"]),
+                 ("nor", "yn", ["y"])]
+        network = ratioed_network("sw", ["a", "b", "c"], ["y", "yn"], gates)
+        module = Module("sw")
+        module.add_inputs("a", "b", "c")
+        module.add_outputs("y", "yn")
+        module.add_gate(GateType.NAND, "n1", ["a", "b"])
+        module.add_gate(GateType.NOR, "y", ["n1", "c"])
+        module.add_gate(GateType.NOT, "yn", ["y"])
+        vectors = [{"a": m & 1, "b": (m >> 1) & 1, "c": (m >> 2) & 1}
+                   for m in (0, 3, 1, 7, 4, 6, 2, 5)]
+        path = str(tmp_path / "sw.vcd")
+        switch_trace = SwitchLevelSimulator(network).run(vectors, vcd=path)
+        parsed = vcd.read_vcd(path)
+        assert set(parsed.signals) == {"a", "b", "c", "y", "yn"}
+        assert [{name: parsed.value_at(name, step) for name in parsed.signals}
+                for step in range(len(vectors))] == switch_trace.cycles
+        assert switch_trace.cycles == GateLevelSimulator(module).run(vectors).cycles
+        assert switch_trace.series("y") == [0, 1, 0, 0, 0, 0, 0, 0]
+
     def test_rtl_lfsr_vcd_matches_golden(self, tmp_path):
         """The E13 LFSR machine's waveform is pinned byte for byte."""
         machine = parse_rtl(LFSR_RTL)
@@ -614,6 +649,28 @@ class TestCliValidators:
         result = self._run(trace_path, vcd_path)
         assert result.returncode == 0, result.stderr
         assert "obs.cli" not in result.stderr
+
+    def test_a_failing_span_names_its_diagnostic_code(self, tmp_path):
+        """An oscillation aborts ``sim.run``; the exit-time trace is still
+        valid and the span says which diagnostic ended it."""
+        script = (
+            "from repro.netlist import GateLevelSimulator, GateType, Module\n"
+            "m = Module('osc')\n"
+            "m.add_inputs('a')\n"
+            "m.add_gate(GateType.NAND, 'y', ['y', 'a'])\n"
+            "m.add_outputs('y')\n"
+            "GateLevelSimulator(m, settle_limit=50).run([{'a': 0}, {'a': 1}])\n")
+        path = str(tmp_path / "failing_trace.json")
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "REPRO_TRACE": path})
+        assert result.returncode == 1
+        assert "BudgetExceeded" in result.stderr
+        runs = [event for event in trace.read_trace(path)["events"]
+                if event["name"] == "sim.run"]
+        assert len(runs) == 1
+        assert runs[0]["args"]["error"] == "BudgetExceeded"
+        assert runs[0]["args"]["code"] == "GRD002"
 
     def test_module_flags_invalid_artifacts(self, tmp_path):
         bad = tmp_path / "bad.vcd"

@@ -377,6 +377,34 @@ class TestCompiler:
         rtl_counts = [rtl_sim.step({"load": 0, "data": 0})["q"] for _ in range(6)]
         assert gate_counts == rtl_counts
 
+    def test_a_clocked_output_is_a_register_of_its_own(self):
+        """``total <- ...`` gets flip-flops buffered to the port, not the
+        port's constant-0 nets, and its value shows one cycle later."""
+        machine = parse_rtl("""
+machine acc;
+input x[4], en[1];
+output total[4], top[1];
+always begin
+    if (en) total <- total + x;
+    top <- total[3];
+end
+""")
+        compiled = RtlCompiler(machine).compile()
+        assert compiled.module.validate() == []
+        assert compiled.dff_count == 5
+        inputs = [{"x": (7 * k + 3) % 16, "en": k % 3 != 1} for k in range(24)]
+        rtl_sim = RtlSimulator(machine)
+        expected = [rtl_sim.step(vector) for vector in inputs]
+        gate_sim = GateLevelSimulator(compiled.module)
+        gate_sim.reset(0)
+        trace = gate_sim.run(
+            [{**{f"x_{i}": (v["x"] >> i) & 1 for i in range(4)}, "en_0": v["en"]}
+             for v in inputs] + [{}])
+        produced = [{"total": self._word(cycle, "total", 4),
+                     "top": cycle["top_0"]} for cycle in trace.cycles]
+        assert produced[1:] == expected
+        assert {cycle["top"] for cycle in expected} == {0, 1}
+
     def test_counter_load_path(self):
         compiled = RtlCompiler(parse_rtl(COUNTER)).compile()
         sim = GateLevelSimulator(compiled.module)

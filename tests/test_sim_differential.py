@@ -124,9 +124,8 @@ def _lockstep(compiled, reference, operation):
 
     Both must also add the same sweep count to ``sim.settle.iterations``.
     Returns True when both raised (identically) — the netlist genuinely
-    oscillates and the simulators are done; post-raise dictionary state is
-    not part of the contract (the compiled path syncs its name-keyed view
-    only on successful settles).
+    oscillates and the simulators are done; post-raise net values are not
+    part of the contract (a settle stops wherever its budget ran out).
     """
     iterations = obs_metrics.counter("sim.settle.iterations")
     errors = []
@@ -202,6 +201,118 @@ class TestGateLevelDifferential:
         expected = reference.run(sequence)
         assert traces[0] == expected.cycles
         assert traces[1] == expected.cycles
+
+
+def _counter():
+    """A straight-line two-bit counter: flip-flops ``ff0`` / ``ff1``."""
+    module = Module("counter2")
+    module.add_inputs("en")
+    module.add_net("q0")
+    module.add_net("q1")
+    module.add_gate(GateType.XOR, "d0", ["q0", "en"])
+    module.add_gate(GateType.AND, "c0", ["q0", "en"])
+    module.add_gate(GateType.XOR, "d1", ["q1", "c0"])
+    module.add_gate(GateType.DFF, "q0", ["d0"], name="ff0")
+    module.add_gate(GateType.DFF, "q1", ["d1"], name="ff1")
+    module.add_outputs("q0", "q1")
+    return module
+
+
+class TestViewsAreTheInterpretersDicts:
+    """The compiled simulator's ``values`` / ``state`` views equal the
+    interpreter's dicts in the corners a random netlist seldom reaches."""
+
+    @staticmethod
+    def _pair(module):
+        return GateLevelSimulator(module), GateLevelInterpreter(module)
+
+    @staticmethod
+    def _step(pair, operation):
+        for sim in pair:
+            operation(sim)
+        compiled, reference = pair
+        assert compiled.values == reference.values
+        assert compiled.state == reference.state
+        assert dict(compiled.state) == dict(reference.state)
+        assert compiled.last_depth == reference.last_depth
+
+    def test_state_is_empty_until_the_first_reset_or_clock(self):
+        pair = self._pair(_counter())
+        self._step(pair, lambda sim: sim.evaluate({"en": 1}))
+        for sim in pair:
+            assert dict(sim.state) == {} and "ff0" not in sim.state
+        self._step(pair, lambda sim: sim.clock())
+        assert dict(pair[0].state) == {"ff0": None, "ff1": None}
+        self._step(pair, lambda sim: sim.reset(1))
+        assert dict(pair[0].state) == {"ff0": 1, "ff1": 1}
+
+    def test_a_forced_q_net_is_not_the_captured_state(self):
+        pair = self._pair(_counter())
+        self._step(pair, lambda sim: sim.reset(0))
+        for vector in ({"q1": 1, "en": 0}, {"q0": 1, "en": 1}, {"en": 1},
+                       {"q0": None}, {"q1": 0, "en": 0}):
+            self._step(pair, lambda sim: sim.evaluate(vector))
+            self._step(pair, lambda sim: sim.clock())
+        compiled = pair[0]
+        compiled.set_inputs({"q1": 1})
+        compiled.settle()
+        assert compiled.values["q1"] == 1 and compiled.state["ff1"] == 0
+
+    def test_a_transparent_latch(self):
+        module = Module("latch")
+        module.add_inputs("d", "en")
+        module.add_gate(GateType.LATCH, "q", ["d"], enable="en", name="l0")
+        module.add_gate(GateType.NOT, "qn", ["q"])
+        module.add_outputs("q", "qn")
+        pair = self._pair(module)
+        for vector in ({"d": 1, "en": 0}, {"en": 1}, {"d": 0}, {"en": 0},
+                       {"d": 1}, {"en": None}):
+            self._step(pair, lambda sim: sim.evaluate(vector))
+        assert dict(pair[0].state) == {"l0": 0}
+        assert pair[0].values["qn"] == 1
+
+    def test_a_netlist_on_the_sweep_path(self):
+        module = Module("shuffled")
+        module.add_inputs("a", "b")
+        module.add_net("s")
+        module.add_gate(GateType.OR, "y", ["x", "s"])     # reads x before
+        module.add_gate(GateType.AND, "x", ["a", "b"])    # x is computed
+        module.add_gate(GateType.DFF, "s", ["y"], name="ff")
+        module.add_outputs("y")
+        pair = self._pair(module)
+        assert not pair[0]._engine.compiled.straight_line
+        sweeps = obs_metrics.counter("sim.settle.sweeps")
+        before = sweeps.value
+        self._step(pair, lambda sim: sim.reset(0))
+        for vector in ({"a": 1, "b": 0}, {"b": 1}, {"a": 0}, {"a": None}):
+            self._step(pair, lambda sim: sim.evaluate(vector))
+            self._step(pair, lambda sim: sim.clock())
+        assert sweeps.value > before
+        assert dict(pair[0].state) == {"ff": 1}
+
+    @pytest.mark.parametrize("record", [None, ["q1", "en", "d1", "no_such_net"]])
+    def test_run_samples_what_the_interpreter_samples(self, record):
+        vectors = [{"en": 1}, {"en": 0}, {"en": 1, "q0": 0}, {"en": None},
+                   {"en": 1}, {}]
+        pair = self._pair(_counter())
+        self._step(pair, lambda sim: sim.reset(0))
+        traces = [sim.run(vectors, record=record).cycles for sim in pair]
+        assert traces[0] == traces[1]
+        assert len(traces[0]) == len(vectors)
+        assert pair[0].values == pair[1].values
+        assert pair[0].state == pair[1].state
+
+    def test_the_views_are_read_only_and_unknown_nets_raise(self):
+        for sim in self._pair(_counter()):
+            sim.reset(0)
+            with pytest.raises(TypeError):
+                sim.values["en"] = 1
+            with pytest.raises(TypeError):
+                sim.state["ff0"] = 1
+            with pytest.raises(KeyError, match="unknown input net 'nope'"):
+                sim.set_inputs({"nope": 1})
+            with pytest.raises(KeyError, match="unknown input net 'nope'"):
+                sim.run([{"nope": 1}])
 
 
 # -- switch level ------------------------------------------------------------------------

@@ -236,8 +236,8 @@ class TestStraightLineSettle:
         sim = GateLevelSimulator(full_adder())
         engine = sim._engine
         passes = []
-        engine._pass = [lambda vals, values, chunk=chunk: passes.append(1)
-                        or chunk(vals, values) for chunk in engine._pass]
+        engine._pass = [lambda vals, chunk=chunk: passes.append(1)
+                        or chunk(vals) for chunk in engine._pass]
         iterations = obs_metrics.counter("sim.settle.iterations")
         assert sim.evaluate({"a": 1, "b": 1, "cin": 0})["cout"] == 1
         assert sim.last_depth == 1
