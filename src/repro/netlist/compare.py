@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from functools import reduce
+from operator import or_, xor
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.diagnostics import BudgetExceeded
 from repro.netlist.module import Module
@@ -137,21 +139,44 @@ def _functional_mismatches(golden_flat: Module, candidate_flat: Module,
                 f"functional check inconclusive: {error} under random "
                 f"stimulus (seed {seed}); not provably equivalent"
             ]
-        for stream in range(stimulus_vectors):
-            for cycle in range(stimulus_cycles):
-                golden_cycle = golden_traces[stream][cycle]
-                candidate_cycle = candidate_traces[stream][cycle]
-                if golden_cycle == candidate_cycle:
-                    continue
-                name = next(n for n in outputs
-                            if golden_cycle[n] != candidate_cycle[n])
-                return [
-                    "functional mismatch: output "
-                    f"{name!r} = {candidate_cycle[name]} vs {golden_cycle[name]} "
-                    f"at cycle {cycle} of random stimulus stream {stream} "
-                    f"(seed {seed}, {stimulus_vectors} parallel streams from reset)"
-                ]
-        return []
+        if not golden_traces:
+            return []
+        # Compare the recorded planes, all streams of a cycle at once; a
+        # mismatch is reported at its lowest stream, then that stream's
+        # first differing cycle, then the first differing output.
+        golden = golden_traces[0].planes
+        candidate = candidate_traces[0].planes
+        differing = [
+            (cycle, reduce(or_, map(xor, g_hi + g_lo, c_hi + c_lo)))
+            for cycle, (g_hi, g_lo, c_hi, c_lo) in enumerate(zip(
+                golden.hi, golden.lo, candidate.hi, candidate.lo))
+            if g_hi != c_hi or g_lo != c_lo
+        ]
+        if not differing:
+            return []
+        streams = reduce(or_, (bits for _cycle, bits in differing))
+        stream = (streams & -streams).bit_length() - 1
+        cycle = next(cycle for cycle, bits in differing if bits >> stream & 1)
+
+        def value(planes, k: int) -> Optional[int]:
+            if planes.hi[cycle][k] >> stream & 1:
+                return 1
+            if planes.lo[cycle][k] >> stream & 1:
+                return 0
+            return None
+
+        # A net's hi and lo planes never share a bit, so differing planes
+        # are a differing value.
+        name, got, expected = next(
+            (name, value(candidate, k), value(golden, k))
+            for k, name in enumerate(outputs)
+            if value(candidate, k) != value(golden, k))
+        return [
+            "functional mismatch: output "
+            f"{name!r} = {got} vs {expected} "
+            f"at cycle {cycle} of random stimulus stream {stream} "
+            f"(seed {seed}, {stimulus_vectors} parallel streams from reset)"
+        ]
 
     num_inputs = len(inputs)
     if num_inputs <= exhaustive_limit:

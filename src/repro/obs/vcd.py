@@ -297,10 +297,11 @@ def trace_to_vcd(cycles: Iterable[Mapping[str, Optional[int]]],
                  module: str = "top") -> None:
     """Dump an already-recorded trace (one mapping per cycle) as VCD.
 
-    Convenience wrapper for post-hoc export — e.g. the per-stream traces
-    :func:`repro.sim.bitplane.run_streams` returns, or a
-    ``SimulationTrace.cycles`` list.  ``widths`` widens named signals
-    beyond the 1-bit default.
+    Convenience wrapper for post-hoc export — e.g. one of the per-stream
+    ``StreamTrace`` sequences :func:`repro.sim.bitplane.run_streams`
+    returns (its row dicts are built when first read, so dumping a stream
+    builds that stream's rows), or a ``SimulationTrace.cycles`` list.
+    ``widths`` widens named signals beyond the 1-bit default.
     """
     with VcdWriter(target, timescale=timescale, module=module) as writer:
         first = True

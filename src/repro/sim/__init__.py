@@ -11,6 +11,7 @@ engine behind functional equivalence checking and stream co-simulation).
 from repro.sim.kernel import CompiledNetlist, ScalarEngine, compile_netlist
 from repro.sim.bitplane import (
     BitplaneEvaluator,
+    StreamTrace,
     evaluate_vectors,
     exhaustive_input_planes,
     run_streams,
@@ -21,6 +22,7 @@ __all__ = [
     "ScalarEngine",
     "compile_netlist",
     "BitplaneEvaluator",
+    "StreamTrace",
     "evaluate_vectors",
     "exhaustive_input_planes",
     "run_streams",

@@ -19,13 +19,18 @@ Uses:
   over per-vector input dicts;
 * :func:`run_streams` — clocked co-simulation of W independent stimulus
   streams, trace-compatible with ``GateLevelSimulator.run`` per stream
-  (the sequential side of the functional equivalence check);
+  (the sequential side of the functional equivalence check).  It records
+  the watched nets' planes each cycle (:class:`StreamPlanes`) and returns
+  one :class:`StreamTrace` per stream, whose row dicts are built when read;
 * :func:`exhaustive_input_planes` — the standard variable-ordering planes
   for exhaustive equivalence sweeps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
+from itertools import chain, repeat
+from operator import or_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import trace as obs_trace
@@ -44,8 +49,10 @@ from repro.sim.kernel import (
     OP_XNOR,
     OP_XOR,
     compile_chunks,
+    gather,
     render,
     settle_budget_error,
+    unknown_net,
 )
 
 #: Plane semantics, one statement block per opcode over ``hi`` / ``lo``
@@ -118,6 +125,8 @@ class BitplaneEvaluator:
         latches = [g for g, op in enumerate(compiled.gate_ops) if op == OP_LATCH]
         self._planes = (self.hi, self.lo, self.mask,
                         dict.fromkeys(latches, 0), dict.fromkeys(latches, 0))
+        self._q_ids = [q_id for _name, _d_id, q_id in compiled.dffs]
+        self._gather_d = gather([d_id for _name, d_id, _q_id in compiled.dffs])
         self._pass: Optional[List[Callable]] = None
         self._evals: Optional[List[Callable[[], None]]] = None
         if compiled.levels is not None:
@@ -185,9 +194,8 @@ class BitplaneEvaluator:
         """Capture all DFF D planes, then update the Q planes together."""
         hi = self.hi
         lo = self.lo
-        captured = [(q_id, hi[d_id], lo[d_id])
-                    for _name, d_id, q_id in self.compiled.dffs]
-        for q_id, d_hi, d_lo in captured:
+        for q_id, d_hi, d_lo in zip(self._q_ids, self._gather_d(hi),
+                                    self._gather_d(lo)):
             hi[q_id] = d_hi
             lo[q_id] = d_lo
 
@@ -195,13 +203,15 @@ class BitplaneEvaluator:
         """Force all DFF outputs to a known value across every vector."""
         q_hi = self.mask if value else 0
         q_lo = 0 if value else self.mask
-        for _name, _d_id, q_id in self.compiled.dffs:
+        for q_id in self._q_ids:
             self.hi[q_id] = q_hi
             self.lo[q_id] = q_lo
 
 
 _OMITTED = object()
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+#: A stimulus byte as a binary digit: 0 -> "0", anything else -> "1".
+_DIGITS = b"0" + b"1" * 255
 
 
 def _column(hi_plane: int, lo_plane: int, width: int) -> List[Optional[int]]:
@@ -235,6 +245,99 @@ def exhaustive_input_planes(num_inputs: int) -> List[Tuple[int, int]]:
     return planes
 
 
+class StreamPlanes:
+    """The watched nets' planes after each cycle's settle, shared by the W
+    streams of one :func:`run_streams` call.
+
+    ``hi[c][k]`` / ``lo[c][k]`` are net ``watch[k]``'s planes at cycle c;
+    bit w is stream w.  :meth:`rows` turns one stream into row dicts.
+    """
+
+    __slots__ = ("watch", "width", "hi", "lo", "_bits", "_unknown")
+
+    def __init__(self, watch: Sequence[str], width: int,
+                 hi: List[tuple], lo: List[tuple]):
+        self.watch = list(watch)
+        self.width = width
+        self.hi = hi
+        self.lo = lo
+        self._bits: Optional[bytes] = None
+        self._unknown: List[Tuple[int, int, int]] = []
+
+    def _format(self) -> bytes:
+        """Every hi plane as W bytes of 0 / 1, stream W-1 first, in (cycle,
+        net) order; X bits are noted in ``_unknown`` as (cycle, k, bits)."""
+        if self._bits is None:
+            width = self.width
+            self._bits = "".join(map(
+                format, chain.from_iterable(self.hi), repeat(f"0{width}b"),
+            )).encode().translate(_BITS)
+            mask = (1 << width) - 1
+            nets = len(self.watch)
+            for cycle, (his, los) in enumerate(zip(self.hi, self.lo)):
+                known = list(map(or_, his, los))
+                if known.count(mask) != nets:
+                    self._unknown.extend((cycle, k, mask ^ bits)
+                                         for k, bits in enumerate(known)
+                                         if bits != mask)
+        return self._bits
+
+    def rows(self, stream: int) -> List[Dict[str, Optional[int]]]:
+        """Stream ``stream``'s ``{net: value}`` dict per cycle."""
+        watch = self.watch
+        if not watch:
+            return [{} for _ in self.hi]
+        width = self.width
+        values = self._format()[width - 1 - stream::width]
+        rows = list(map(dict, map(zip, repeat(watch),
+                                  zip(*[iter(values)] * len(watch)))))
+        for cycle, k, unknown in self._unknown:
+            if unknown >> stream & 1:
+                rows[cycle][watch[k]] = None
+        return rows
+
+
+class StreamTrace(SequenceABC):
+    """One stream's trace from :func:`run_streams`: a read-only sequence of
+    ``{net: value}`` dicts, one per cycle.
+
+    It compares equal to the list of dicts ``GateLevelSimulator.run``
+    records (either operand order) and shows as that list.  The rows are
+    built from the shared :class:`StreamPlanes` on first read, all at once.
+    """
+
+    __slots__ = ("planes", "stream", "_rows")
+
+    def __init__(self, planes: StreamPlanes, stream: int):
+        self.planes = planes
+        self.stream = stream
+        self._rows: Optional[List[Dict[str, Optional[int]]]] = None
+
+    def _built(self) -> List[Dict[str, Optional[int]]]:
+        if self._rows is None:
+            self._rows = self.planes.rows(self.stream)
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.planes.hi)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, StreamTrace):
+            other = other._built()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._built() == other
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 def evaluate_vectors(compiled: CompiledNetlist,
                      input_vectors: Sequence[Dict[str, Optional[int]]],
                      outputs: Optional[Sequence[str]] = None,
@@ -254,32 +357,33 @@ def evaluate_vectors(compiled: CompiledNetlist,
         watch = list(outputs)
     else:
         watch = [compiled.net_names[i] for i in compiled.output_ids]
-    return _rows(evaluator, watch)
-
-
-def _rows(evaluator: BitplaneEvaluator,
-          watch: Sequence[str]) -> List[Dict[str, Optional[int]]]:
-    """One ``{net: value}`` dict of the watched nets per packed vector."""
-    columns = [evaluator.get_vector(name) for name in watch]
-    if not columns:
-        return [{} for _ in range(evaluator.width)]
-    return [dict(zip(watch, row)) for row in zip(*columns)]
+    get_planes = gather([compiled.net_index[name] for name in watch])
+    planes = StreamPlanes(watch, width, [get_planes(evaluator.hi)],
+                          [get_planes(evaluator.lo)])
+    return [planes.rows(w)[0] for w in range(width)]
 
 
 def run_streams(compiled: CompiledNetlist,
                 stimulus: Sequence[Sequence[Dict[str, Optional[int]]]],
                 record: Optional[Sequence[str]] = None,
                 reset_value: Optional[int] = 0,
-                ) -> List[List[Dict[str, Optional[int]]]]:
+                ) -> List[StreamTrace]:
     """Clocked co-simulation of W independent stimulus streams.
 
     ``stimulus[w][c]`` is stream w's input vector for cycle c (all streams
     must supply the same number of cycles).  The returned trace for each
-    stream matches ``GateLevelSimulator.run`` on the same netlist after a
-    ``reset(reset_value)`` — one recorded dict per cycle, sampled after the
-    combinational settle and before the clock edge; as with ``set_inputs``,
-    an input omitted from a cycle's vector holds its previous value while
-    an explicit ``None`` drives X.
+    stream equals ``GateLevelSimulator.run(...).cycles`` on the same netlist
+    after a ``reset(reset_value)`` — one recorded dict per cycle, sampled
+    after the combinational settle and before the clock edge; as with
+    ``set_inputs``, an input omitted from a cycle's vector holds its
+    previous value while an explicit ``None`` drives X.
+
+    Each cycle records the watched nets' planes once for all streams; a
+    :class:`StreamTrace` builds its row dicts when first read.  The
+    ``sim.run_streams`` span's ``exact_columns`` counts the (cycle, input)
+    columns packed bit by bit because a vector omitted the input or gave it
+    ``None`` or a value that is not a byte; every other column is packed in
+    one C-level conversion.
     """
     width = len(stimulus)
     if width == 0:
@@ -288,27 +392,31 @@ def run_streams(compiled: CompiledNetlist,
     if len(cycle_counts) != 1:
         raise ValueError("all stimulus streams must have the same length")
     with obs_trace.span("sim.run_streams", cat="sim", streams=width,
-                        cycles=next(iter(cycle_counts))):
-        return _run_streams(compiled, stimulus, record, reset_value)
+                        cycles=next(iter(cycle_counts))) as span:
+        planes, exact_columns = _run_streams(compiled, stimulus, record,
+                                             reset_value)
+        span.set(exact_columns=exact_columns)
+    return [StreamTrace(planes, w) for w in range(width)]
 
 
 def _run_streams(compiled, stimulus, record, reset_value):
-    """``run_streams`` body (inputs length-checked by the wrapper)."""
+    """``run_streams`` body (inputs length-checked by the wrapper): the
+    recorded planes and the number of columns packed bit by bit."""
 
     input_names = [compiled.net_names[i] for i in compiled.input_ids]
     known_inputs = set(input_names)
     for stream in stimulus:
-        for vector in stream:
-            for name in vector:
-                if name not in known_inputs:
-                    # set_inputs parity: a typo must error, not produce a
-                    # plausible trace (streams drive primary inputs only).
-                    raise KeyError(f"unknown input net {name!r}")
+        if not all(map(known_inputs.issuperset, stream)):
+            # set_inputs parity: a typo must error, not produce a
+            # plausible trace (streams drive primary inputs only).
+            raise unknown_net(next(name for vector in stream for name in vector
+                                   if name not in known_inputs))
 
     if record is not None:
         watch = list(record)
     else:
         watch = compiled.module.input_names() + compiled.module.output_names()
+    get_planes = gather([compiled.net_index[name] for name in watch])
 
     width = len(stimulus)
     evaluator = BitplaneEvaluator(compiled, width)
@@ -325,12 +433,27 @@ def _run_streams(compiled, stimulus, record, reset_value):
     # the post-edge value.
     evaluate_after_clock = compiled.is_cyclic or compiled.has_latches
 
-    traces: List[List[Dict[str, Optional[int]]]] = [[] for _ in range(width)]
+    his: List[tuple] = []
+    los: List[tuple] = []
+    exact_columns = 0
     for column in zip(*stimulus):
+        backwards = column[::-1]
         for name, net_id in inputs:
-            # Mirror set_inputs semantics per stream: a named value drives
+            # Every vector names the input with a byte value: its digits,
+            # stream W-1 first, are the hi plane and the rest is lo.
+            try:
+                ones = int(bytes(map(dict.get, backwards, repeat(name)))
+                           .translate(_DIGITS), 2)
+            except (TypeError, ValueError):
+                pass
+            else:
+                hi[net_id] = ones
+                lo[net_id] = mask ^ ones
+                continue
+            # Otherwise mirror set_inputs per stream: a named value drives
             # the net (None drives X), an *omitted* name holds its
             # previous value.
+            exact_columns += 1
             named = ones = zeros = 0
             for bit, vector in zip(bits, column):
                 value = vector.get(name, _OMITTED)
@@ -346,9 +469,9 @@ def _run_streams(compiled, stimulus, record, reset_value):
             hi[net_id] = (hi[net_id] & keep) | ones
             lo[net_id] = (lo[net_id] & keep) | zeros
         evaluator.evaluate()
-        for trace, row in zip(traces, _rows(evaluator, watch)):
-            trace.append(row)
+        his.append(get_planes(hi))
+        los.append(get_planes(lo))
         evaluator.clock()
         if evaluate_after_clock:
             evaluator.evaluate()
-    return traces
+    return StreamPlanes(watch, width, his, los), exact_columns

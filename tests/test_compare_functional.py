@@ -174,3 +174,42 @@ class TestSequentialFunctional:
         assert not result.matches
         assert "functional mismatch" in result.mismatches[0]
         assert "cycle" in result.mismatches[0]
+
+    def test_a_mismatch_is_reported_at_its_lowest_stream_then_cycle(self):
+        # z flips whenever all six i<k> are 1 in a cycle; with this seed
+        # that first happens in stream 3 at cycle 5, while stream 6 meets
+        # it earlier, at cycle 4: the lowest stream wins, then its first
+        # cycle, then the first differing output ('y' never differs).
+        def build(flip):
+            m = Module("flip" if flip else "reg")
+            ins = [f"i{k}" for k in range(6)]
+            m.add_inputs("a", *ins)
+            m.add_outputs("y", "z")
+            m.add_gate(GateType.DFF, "q", ["a"])
+            m.add_gate(GateType.BUF, "y", ["q"])
+            if flip:
+                m.add_gate(GateType.AND, "all", ins)
+                m.add_gate(GateType.XOR, "z", ["q", "all"])
+            else:
+                m.add_gate(GateType.BUF, "z", ["q"])
+            return m
+        result = compare_netlists(build(False), build(True), functional=True,
+                                  stimulus_vectors=8, stimulus_cycles=16,
+                                  seed=1)
+        assert result.mismatches == [
+            "functional mismatch: output 'z' = 0 vs 1 at cycle 5 of random "
+            "stimulus stream 3 (seed 1, 8 parallel streams from reset)"]
+
+    def test_an_x_output_is_reported_as_none(self):
+        def build(floating):
+            m = Module("m")
+            m.add_inputs("a")
+            m.add_outputs("z")
+            m.add_gate(GateType.DFF, "q", ["a"])
+            m.add_gate(GateType.AND, "z", ["q", "floating" if floating else "q"])
+            return m
+        result = compare_netlists(build(False), build(True), functional=True,
+                                  stimulus_vectors=8, stimulus_cycles=16)
+        assert result.mismatches == [
+            "functional mismatch: output 'z' = None vs 1 at cycle 1 of random "
+            "stimulus stream 0 (seed 0, 8 parallel streams from reset)"]

@@ -14,7 +14,7 @@ ratioed-NMOS transistors must compute what the gate-level simulator computes.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.netlist import GateLevelSimulator, GateType, Module, \
     SwitchLevelSimulator, SwitchNetwork, TransistorKind
@@ -102,14 +102,16 @@ def random_modules(draw):
     return module
 
 
-def vector_sequences(module, max_cycles=6):
+def input_vectors(module):
     # Every input is optional per cycle: omitted names must hold their
     # previous value in every engine, explicit None drives X.
-    inputs = module.input_names()
-    vector = st.fixed_dictionaries({}, optional={
-        name: st.sampled_from([0, 1, None]) for name in inputs
+    return st.fixed_dictionaries({}, optional={
+        name: st.sampled_from([0, 1, None]) for name in module.input_names()
     })
-    return st.lists(vector, min_size=1, max_size=max_cycles)
+
+
+def vector_sequences(module, max_cycles=6):
+    return st.lists(input_vectors(module), min_size=1, max_size=max_cycles)
 
 
 @st.composite
@@ -117,6 +119,47 @@ def modules_with_stimulus(draw):
     module = draw(random_modules())
     sequence = draw(vector_sequences(module))
     return module, sequence
+
+
+@st.composite
+def modules_with_streams(draw, max_cycles=6):
+    """A random module and 3-5 distinct stimulus sequences of one length,
+    so a stream delivered in the wrong bit position shows."""
+    module = draw(random_modules())
+    cycles = draw(st.integers(1, max_cycles))
+    sequences = draw(st.lists(
+        st.lists(input_vectors(module), min_size=cycles, max_size=cycles),
+        min_size=3, max_size=5,
+        unique_by=lambda sequence: repr([sorted(v.items()) for v in sequence])))
+    return module, sequences
+
+
+def _gated_register():
+    """``q <- (a ^ q) & b``: two inputs, one flip-flop, both observed."""
+    module = Module("gated")
+    module.add_inputs("a", "b")
+    module.add_net("q")
+    module.add_gate(GateType.XOR, "x", ["a", "q"])
+    module.add_gate(GateType.AND, "y", ["x", "b"])
+    module.add_gate(GateType.DFF, "q", ["y"])
+    module.add_outputs("y", "q")
+    return module
+
+
+#: Streams whose every column names both inputs with a byte value (packed
+#: in one C conversion) ...
+_BYTE_STREAMS = [
+    [{"a": 1, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}, {"a": 1, "b": 1}],
+    [{"a": 2, "b": True}, {"a": 0, "b": 0}, {"a": True, "b": 1},
+     {"a": 0, "b": 2}],
+    [{"a": 0, "b": 1}, {"a": 1, "b": 2}, {"a": 0, "b": 0}, {"a": 1, "b": 1}],
+]
+#: ... and streams with X, omitted names and -1 (packed bit by bit).
+_EXACT_STREAMS = [
+    [{"a": 1, "b": None}, {"a": -1}, {"b": 0}, {"a": 0, "b": 1}],
+    [{}, {"a": 0, "b": -1}, {"a": None, "b": 1}, {"b": 1}],
+    [{"a": None}, {"b": 1}, {"a": 1, "b": 0}, {"a": -1, "b": -1}],
+]
 
 
 def _lockstep(compiled, reference, operation):
@@ -188,19 +231,21 @@ class TestGateLevelDifferential:
         for path in ("straight", "sweep"):
             assert 4 * self.paths.count(path) >= len(self.paths), self.paths
 
-    @given(modules_with_stimulus())
+    @given(modules_with_streams())
+    @example((_gated_register(), _BYTE_STREAMS))
+    @example((_gated_register(), _EXACT_STREAMS))
     @settings(max_examples=30, deadline=None)
     def test_bitplane_streams_match_interpreter(self, case):
-        module, sequence = case
+        module, sequences = case
         lowered = CompiledNetlist(module)
         if lowered.is_cyclic:
             return   # stream runner guarantees exactness for DAGs only
-        traces = run_streams(lowered, [sequence, sequence])
-        reference = GateLevelInterpreter(module)
-        reference.reset(0)
-        expected = reference.run(sequence)
-        assert traces[0] == expected.cycles
-        assert traces[1] == expected.cycles
+        traces = run_streams(lowered, sequences)
+        assert len(traces) == len(sequences)
+        for trace, sequence in zip(traces, sequences):
+            reference = GateLevelInterpreter(module)
+            reference.reset(0)
+            assert trace == reference.run(sequence).cycles
 
 
 def _counter():

@@ -7,6 +7,8 @@ satellite regressions: numeric input-port ordering, simultaneous DFF
 capture, and switch-level charge-sharing behaviour.
 """
 
+import io
+
 import pytest
 
 from repro.diagnostics import BudgetExceeded
@@ -19,12 +21,14 @@ from repro.netlist import (
     Transistor,
     TransistorKind,
 )
-from repro.obs import metrics as obs_metrics
+from repro.obs import metrics as obs_metrics, trace as obs_trace
+from repro.obs.vcd import trace_to_vcd
 from repro.reference import GateLevelInterpreter, SwitchLevelReference
 from repro.rtl import RtlCompiler, parse_rtl
 from repro.sim import (
     BitplaneEvaluator,
     CompiledNetlist,
+    StreamTrace,
     evaluate_vectors,
     exhaustive_input_planes,
     run_streams,
@@ -410,6 +414,105 @@ class TestBitplane:
         sim = GateLevelSimulator(m)
         expected = sim.run(stream)
         assert expected.cycles == traces[0]
+
+
+def _counter_streams():
+    """Three distinct ``en`` streams over the two-bit counter, the last
+    with an X and an omitted input, and each stream's expected trace."""
+    streams = [
+        [{"en": 1}] * 5,
+        [{"en": 0}, {"en": 1}, {"en": 1}, {"en": 0}, {"en": 1}],
+        [{"en": 1}, {"en": None}, {}, {"en": 0}, {"en": 1}],
+    ]
+    expected = []
+    for stream in streams:
+        sim = GateLevelSimulator(two_bit_counter())
+        sim.reset(0)
+        expected.append(sim.run(stream).cycles)
+    return streams, expected
+
+
+class TestStreamTrace:
+    """``run_streams`` returns one read-only ``StreamTrace`` per stream
+    that behaves like the list of dicts ``GateLevelSimulator.run`` records."""
+
+    def test_equals_the_list_in_both_operand_orders(self):
+        streams, expected = _counter_streams()
+        traces = run_streams(CompiledNetlist(two_bit_counter()), streams)
+        assert all(isinstance(trace, StreamTrace) for trace in traces)
+        for trace, cycles in zip(traces, expected):
+            assert trace == cycles
+            assert cycles == trace
+            assert not trace != cycles
+        assert traces[0] != expected[1]
+        assert expected[1] != traces[0]
+        assert traces[0] != tuple(expected[0])
+        assert traces == expected
+
+    def test_length_indexing_and_slices(self):
+        streams, expected = _counter_streams()
+        trace = run_streams(CompiledNetlist(two_bit_counter()), streams)[2]
+        assert len(trace) == 5
+        assert trace[0] == expected[2][0]
+        assert trace[-1] == expected[2][-1]
+        assert trace[-2] == expected[2][-2]
+        assert trace[1:4] == expected[2][1:4]
+        assert trace[::-2] == expected[2][::-2]
+        assert list(trace) == expected[2]
+        assert trace[1]["en"] is None and trace[2]["en"] is None
+        with pytest.raises(IndexError):
+            trace[5]
+
+    def test_repr_is_the_lists(self):
+        streams, expected = _counter_streams()
+        traces = run_streams(CompiledNetlist(two_bit_counter()), streams)
+        for trace, cycles in zip(traces, expected):
+            assert repr(trace) == repr(cycles)
+
+    def test_rows_cannot_be_assigned(self):
+        streams, _expected = _counter_streams()
+        trace = run_streams(CompiledNetlist(two_bit_counter()), streams)[0]
+        with pytest.raises(TypeError):
+            trace[0] = {"en": 0}
+        with pytest.raises(TypeError):
+            del trace[0]
+        with pytest.raises(TypeError):
+            hash(trace)
+
+    def test_vcd_of_a_trace_is_the_vcd_of_its_list(self):
+        streams, expected = _counter_streams()
+        traces = run_streams(CompiledNetlist(two_bit_counter()), streams)
+        for trace, cycles in zip(traces, expected):
+            from_trace, from_list = io.StringIO(), io.StringIO()
+            trace_to_vcd(trace, from_trace)
+            trace_to_vcd(cycles, from_list)
+            assert from_trace.getvalue() == from_list.getvalue()
+
+    def test_span_counts_the_columns_packed_bit_by_bit(self):
+        lowered = CompiledNetlist(two_bit_counter())
+
+        def exact_columns(streams):
+            obs_trace.enable()
+            try:
+                run_streams(lowered, streams)
+            finally:
+                obs_trace.disable()
+            spans = [event for event in obs_trace.drain()
+                     if event["name"] == "sim.run_streams"]
+            assert len(spans) == 1
+            return spans[0]["args"]["exact_columns"]
+
+        binary = [[{"en": e} for e in bits]
+                  for bits in ((1, 0, 1), (0, 0, 1), (True, 2, 0))]
+        assert exact_columns(binary) == 0
+        with_x = [list(stream) for stream in binary]
+        with_x[1][2] = {"en": None}
+        assert exact_columns(with_x) == 1
+        with_gap = [list(stream) for stream in binary]
+        with_gap[0][0] = {}
+        with_gap[2][1] = {"en": -1}
+        assert exact_columns(with_gap) == 2
+        assert exact_columns(_counter_streams()[0]) > 0
 
 
 class TestSwitchRegressions:
