@@ -8,24 +8,37 @@ engines and once on the all-pairs oracles
 results are identical and recording the speedup in ``BENCH_e11.json``.  This is the number the ROADMAP's "fast as the
 hardware allows" goal is graded on: the indexed engine must scale
 near-linearly where the reference scales quadratically.
+
+A second block times one flat sign-off of E12's 64-tile chip (77 322 flat
+shapes) step by step — ``flatten_cell``, flat DRC, flat extraction and
+``measure_cell``, each the median of ``CHIP_RUNS`` — and asserts that
+violations, netlist and metrics equal a ``HierAnalyzer`` sign-off.  The
+chip-scale ``*_seconds`` fields are wall times on the recording machine
+(see the file's ``cpu_count``), not gated ratios.
 """
 
 import os
+import statistics
 import sys
 import time
 
 import pytest
 
+from benchmarks.bench_e12_hier_analysis import build_tile_chip, netlist_identity
 from benchmarks.conftest import emit, record_bench
+from repro.analysis import HierAnalyzer
 from repro.drc import DrcChecker
 from repro.extract.extractor import Extractor
 from repro.layout.flatten import flatten_cell
-from repro.metrics import format_table
+from repro.metrics import format_table, measure_cell
 from repro.reference import BruteDrcChecker, BruteExtractor
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
 from chip_assembly import build_chip  # noqa: E402  (examples/ is not a package)
+
+
+CHIP_RUNS = 3
 
 
 def netlist_signature(circuit):
@@ -48,6 +61,45 @@ def analyse(chips, technology, checker_class, extractor_class):
         violations.append([str(v) for v in checker.check(chip)])
         netlists.append(netlist_signature(extractor.extract(chip)))
     return time.perf_counter() - start, violations, netlists
+
+
+def median_seconds(step):
+    """Median wall time of ``CHIP_RUNS`` calls of ``step``; its last result."""
+    samples = []
+    for _ in range(CHIP_RUNS):
+        start = time.perf_counter()
+        result = step()
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples), result
+
+
+def chip_scale_flat_signoff(technology):
+    """Seconds of each flat sign-off step on the 64-tile chip."""
+    chip, _rom = build_tile_chip(technology, name="e11_tile_chip")
+    cells = chip.descendants() + [chip]
+
+    def cold_flatten():
+        for cell in cells:
+            cell._flat_cache = None
+        return flatten_cell(chip)
+
+    flatten_seconds, flat = median_seconds(cold_flatten)
+    drc_seconds, violations = median_seconds(
+        lambda: DrcChecker(technology).check(chip))
+    extract_seconds, circuit = median_seconds(
+        lambda: Extractor(technology).extract(chip))
+    measure_seconds, chip_metrics = median_seconds(
+        lambda: measure_cell(chip, technology))
+
+    analyzer = HierAnalyzer(technology)
+    assert violations == analyzer.drc(chip)
+    assert netlist_identity(circuit) == netlist_identity(analyzer.extract(chip))
+    assert chip_metrics == analyzer.measure(chip)
+    return {"chip_flat_shapes": len(flat.shapes),
+            "chip_flatten_seconds": round(flatten_seconds, 4),
+            "chip_drc_seconds": round(drc_seconds, 4),
+            "chip_extract_seconds": round(extract_seconds, 4),
+            "chip_measure_seconds": round(measure_seconds, 4)}
 
 
 def test_e11_indexed_analysis_vs_brute_force(benchmark, technology):
@@ -80,6 +132,15 @@ def test_e11_indexed_analysis_vs_brute_force(benchmark, technology):
     # number (recorded below) is typically far higher.
     assert speedup > 2.0
 
+    chip_scale = chip_scale_flat_signoff(technology)
+    emit(format_table(
+        ["step", "seconds"],
+        [[step, f"{chip_scale[f'chip_{step}_seconds']:.3f}"]
+         for step in ("flatten", "drc", "extract", "measure")],
+        f"E11: flat sign-off of the 64-tile chip "
+        f"({chip_scale['chip_flat_shapes']} flat shapes, median of "
+        f"{CHIP_RUNS})"))
+
     record_bench(
         "e11", benchmark,
         flattened_shapes=sum(shape_counts),
@@ -88,4 +149,5 @@ def test_e11_indexed_analysis_vs_brute_force(benchmark, technology):
         indexed_seconds=round(indexed_seconds, 4),
         brute_force_seconds=round(brute_seconds, 4),
         speedup=round(speedup, 2),
+        **chip_scale,
     )

@@ -37,7 +37,8 @@ same verdict and that each named metric (per-layer ones included, with
 ``--summarize`` instead prints the committed performance trajectory: one
 row per ``BENCH_e*.json`` in the results directory, showing each
 experiment's speedup fields (falling back to ``wall_time_s`` for
-experiments that measure no ratio).
+experiments that measure no ratio) and what measured them: the commit,
+the Python version and the CPU count ``record_bench`` stamped.
 """
 
 import glob
@@ -68,22 +69,25 @@ def summarize() -> int:
             result = json.load(handle)
         experiment = result.get(
             "experiment", os.path.basename(path)[len("BENCH_"):-len(".json")])
+        stamp = (f"{result['commit']} py{result['python']} "
+                 f"{result['cpu_count']}cpu" if "commit" in result else "-")
         ratios = sorted(
             key for key in result
             if "speedup" in key and isinstance(result[key], (int, float))
         )
         if ratios:
             for field in ratios:
-                rows.append((experiment, field, f"{result[field]:.2f}x"))
+                rows.append((experiment, field, f"{result[field]:.2f}x",
+                             stamp))
         elif isinstance(result.get("wall_time_s"), (int, float)):
             rows.append((experiment, "wall_time_s",
-                         f"{result['wall_time_s']:.3f}s"))
+                         f"{result['wall_time_s']:.3f}s", stamp))
         else:
-            rows.append((experiment, "-", "no speedup or wall-time field"))
+            rows.append((experiment, "-", "no speedup or wall-time field",
+                         stamp))
 
-    widths = [max(len(row[column]) for row in rows) for column in range(3)]
-    header = ("experiment", "metric", "value")
-    widths = [max(width, len(name)) for width, name in zip(widths, header)]
+    header = ("experiment", "metric", "value", "measured on")
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     line = "  ".join(name.ljust(width) for name, width in zip(header, widths))
     print(line)
     print("  ".join("-" * width for width in widths))

@@ -13,6 +13,8 @@ PRs by diffing small JSON files instead of parsing benchmark logs.
 
 import json
 import os
+import platform
+import subprocess
 import sys
 
 import pytest
@@ -44,18 +46,35 @@ def benchmark_seconds(benchmark):
         return None
 
 
+def provenance() -> dict:
+    """What measured a result: CPU count, Python version and the commit
+    (``git describe --dirty``: ``-dirty`` when the tree had edits)."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
+            cwd=os.path.dirname(os.path.abspath(__file__)), check=True,
+            capture_output=True, text=True, timeout=30).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    return {"cpu_count": os.cpu_count(),
+            "python": platform.python_version(), "commit": commit}
+
+
 def record_bench(experiment: str, benchmark=None, **fields) -> str:
     """Write ``benchmarks/results/BENCH_<experiment>.json``.
 
     ``benchmark`` may be the pytest-benchmark fixture; its mean wall time is
     recorded as ``wall_time_s``.  Additional keyword fields (shape counts,
-    transistor counts, speedups, ...) are stored verbatim.  Returns the path
-    written so callers can mention it in logs.
+    transistor counts, speedups, ...) are stored verbatim, beside the
+    :func:`provenance` stamp.  Returns the path written so callers can
+    mention it in logs.
     """
-    # No timestamp/host fields: the files are committed so the trajectory is
-    # diffable across PRs, and non-measurement churn would bury real changes
-    # (git history already dates each value).
-    payload = {"experiment": experiment}
+    # No timestamp or host name: the files are committed so the trajectory
+    # is diffable across PRs, and such churn would bury real changes (git
+    # history already dates each value).  The stamp stays because a wall
+    # time or a ratio means little without it: it moves with the core
+    # count, the interpreter and the code that was measured.
+    payload = {"experiment": experiment, **provenance()}
     wall = benchmark_seconds(benchmark) if benchmark is not None else None
     if wall is not None:
         payload["wall_time_s"] = round(wall, 4)

@@ -12,7 +12,7 @@ same three questions about large soups of rectangles:
 Answering them with all-pairs scans is O(n^2) and dominates the runtime on
 chip-scale layouts.  This module provides a uniform-grid bin index
 (:class:`GridIndex`) that answers point queries in expected O(k) for k local
-candidates, plus a sweep-line merge for connectivity, and a deliberately
+candidates, plus a banded sweep-line merge for connectivity, and a deliberately
 naive :class:`BruteForceIndex` with identical semantics that serves as the
 golden reference for equivalence tests.
 
@@ -23,7 +23,6 @@ iteration order of the historical all-pairs loops get identical results.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.rect import Rect
@@ -100,9 +99,15 @@ class GridIndex(SpatialIndex):
     queries gather candidates from the cells covered by the (grown) probe and
     then filter precisely.  The cell size defaults to roughly the mean
     rectangle side length, which keeps both the cells-per-rectangle and the
-    rectangles-per-cell counts small for layout-shaped data.  The bins
-    are filled on the first query: an index only asked for its connected
-    components (a plane sweep) never fills them.
+    rectangles-per-cell counts small for layout-shaped data.
+
+    The bins are filled on the first query (an index only asked for its
+    connected components never fills them) into a dict keyed by one integer
+    per occupied bin, ``bx * stride + (by - min_by)``, so bin memory is one
+    entry per (rectangle, covered bin) however far apart the geometry lies.
+    A query costs O(b + c) for b bins under the probe window (clamped to the
+    occupied extent; the occupied bins instead, when they are fewer) and c
+    candidates in them.
     """
 
     def __init__(self, rects: Sequence[Rect], cell_size: Optional[int] = None):
@@ -112,104 +117,119 @@ class GridIndex(SpatialIndex):
         if cell_size < 1:
             raise ValueError("grid cell size must be >= 1")
         self.cell_size = cell_size
-        self._bins: Optional[Dict[Tuple[int, int], List[int]]] = None
+        self._bins: Optional[Dict[int, List[int]]] = None
 
     def _fill_bins(self) -> None:
         rects = self.rects
-        bins: Dict[Tuple[int, int], List[int]] = {}
         size = self.cell_size
+        bins: Dict[int, List[int]] = {}
+        # Occupied bin extent: probe windows are clamped to it so that a
+        # query with a huge margin cannot walk billions of empty bins.
+        if rects:
+            min_bx = min([r.x1 for r in rects]) // size
+            max_bx = max([r.x2 for r in rects]) // size
+            min_by = min([r.y1 for r in rects]) // size
+            max_by = max([r.y2 for r in rects]) // size
+        else:
+            min_bx = max_bx = min_by = max_by = 0
+        stride = max_by - min_by + 1
         for index, r in enumerate(rects):
-            for bx in range(r.x1 // size, r.x2 // size + 1):
-                for by in range(r.y1 // size, r.y2 // size + 1):
-                    bucket = bins.get((bx, by))
+            by1 = r.y1 // size - min_by
+            by2 = r.y2 // size - min_by + 1
+            for base in range(r.x1 // size * stride, r.x2 // size * stride + 1,
+                              stride):
+                for key in range(base + by1, base + by2):
+                    bucket = bins.get(key)
                     if bucket is None:
-                        bins[(bx, by)] = [index]
+                        bins[key] = [index]
                     else:
                         bucket.append(index)
         self._bins = bins
-        # Occupied bin extent: probe windows are clamped to it so that a
-        # query with a huge margin cannot walk billions of empty bins.
-        if bins:
-            self._min_bx = min(bx for bx, _ in bins)
-            self._max_bx = max(bx for bx, _ in bins)
-            self._min_by = min(by for _, by in bins)
-            self._max_by = max(by for _, by in bins)
-        else:
-            self._min_bx = self._max_bx = self._min_by = self._max_by = 0
-        # Epoch-stamped dedupe scratchpad, reused across queries so a query
-        # costs O(local candidates), not O(total rectangles).
-        self._stamp = [0] * len(rects)
-        self._epoch = 0
+        self._extent = (min_bx, max_bx, min_by, max_by, stride)
 
-    def _buckets_in(self, x1: int, y1: int, x2: int, y2: int):
-        """Occupied buckets whose bin intersects the coordinate window."""
-        size = self.cell_size
+    def _buckets(self, x1: int, y1: int, x2: int, y2: int) -> List[List[int]]:
+        """The occupied buckets whose bin meets the coordinate window.
+
+        A bucket lists each id once, in ascending order, so the hits of a
+        one-bucket window are the answer as they come; hits gathered from
+        several buckets are deduplicated and sorted by the caller.
+        """
+        if self._bins is None:
+            self._fill_bins()
         bins = self._bins
-        bx1 = max(x1 // size, self._min_bx)
-        bx2 = min(x2 // size, self._max_bx)
-        by1 = max(y1 // size, self._min_by)
-        by2 = min(y2 // size, self._max_by)
+        size = self.cell_size
+        min_bx, max_bx, min_by, max_by, stride = self._extent
+        bx1, bx2 = x1 // size, x2 // size
+        by1, by2 = y1 // size, y2 // size
+        if bx1 < min_bx:
+            bx1 = min_bx
+        if bx2 > max_bx:
+            bx2 = max_bx
+        if by1 < min_by:
+            by1 = min_by
+        if by2 > max_by:
+            by2 = max_by
         if bx1 > bx2 or by1 > by2:
-            return
+            return []
+        by1 -= min_by
+        by2 -= min_by
+        if bx1 == bx2 and by1 == by2:
+            bucket = bins.get(bx1 * stride + by1)
+            return [] if bucket is None else [bucket]
         if (bx2 - bx1 + 1) * (by2 - by1 + 1) >= len(bins):
             # Window covers most of the grid: walking the occupied bins is
             # cheaper than scanning the (possibly enormous) window.
-            for (bx, by), bucket in bins.items():
-                if bx1 <= bx <= bx2 and by1 <= by <= by2:
-                    yield bucket
-            return
-        for bx in range(bx1, bx2 + 1):
-            for by in range(by1, by2 + 1):
-                bucket = bins.get((bx, by))
+            return [bucket for key, bucket in bins.items()
+                    if bx1 <= key // stride <= bx2
+                    and by1 <= key % stride <= by2]
+        buckets = []
+        for base in range(bx1 * stride, bx2 * stride + 1, stride):
+            for key in range(base + by1, base + by2 + 1):
+                bucket = bins.get(key)
                 if bucket is not None:
-                    yield bucket
+                    buckets.append(bucket)
+        return buckets
 
     def query(self, rect: Rect, margin: int = 0, strict: bool = False) -> List[int]:
-        if self._bins is None:
-            self._fill_bins()
         x1, y1 = rect.x1 - margin, rect.y1 - margin
         x2, y2 = rect.x2 + margin, rect.y2 + margin
         rects = self.rects
-        stamp = self._stamp
-        self._epoch += 1
-        epoch = self._epoch
-        found: List[int] = []
-        for bucket in self._buckets_in(x1, y1, x2, y2):
-            for index in bucket:
-                if stamp[index] == epoch:
-                    continue
-                stamp[index] = epoch
-                r = rects[index]
-                if strict:
-                    if x1 < r.x2 and r.x1 < x2 and y1 < r.y2 and r.y1 < y2:
-                        found.append(index)
-                elif x1 <= r.x2 and r.x1 <= x2 and y1 <= r.y2 and r.y1 <= y2:
-                    found.append(index)
-        found.sort()
+        buckets = self._buckets(x1, y1, x2, y2)
+        if strict:
+            found = [index for bucket in buckets for index in bucket
+                     if x1 < (r := rects[index]).x2 and r.x1 < x2
+                     and y1 < r.y2 and r.y1 < y2]
+        else:
+            found = [index for bucket in buckets for index in bucket
+                     if x1 <= (r := rects[index]).x2 and r.x1 <= x2
+                     and y1 <= r.y2 and r.y1 <= y2]
+        if len(buckets) > 1 and len(found) > 1:
+            found = sorted(set(found))
         return found
 
     def neighbors(self, rect: Rect, margin: int) -> List[int]:
-        if self._bins is None:
-            self._fill_bins()
-        x1, y1 = rect.x1 - margin, rect.y1 - margin
-        x2, y2 = rect.x2 + margin, rect.y2 + margin
+        x1, y1, x2, y2 = rect.x1, rect.y1, rect.x2, rect.y2
         rects = self.rects
-        stamp = self._stamp
-        self._epoch += 1
-        epoch = self._epoch
+        buckets = self._buckets(x1 - margin, y1 - margin,
+                                x2 + margin, y2 + margin)
         found: List[int] = []
-        for bucket in self._buckets_in(x1, y1, x2, y2):
+        for bucket in buckets:
             for index in bucket:
-                if stamp[index] == epoch:
-                    continue
-                stamp[index] = epoch
-                if rect.distance_to(rects[index]) <= margin:
+                # Rect.distance_to, inline: the gap is dx + dy (one of them
+                # is 0 unless the rectangles are diagonal to each other).
+                r = rects[index]
+                dx = (r.x1 - x2 if r.x1 > x2
+                      else x1 - r.x2 if x1 > r.x2 else 0)
+                dy = (r.y1 - y2 if r.y1 > y2
+                      else y1 - r.y2 if y1 > r.y2 else 0)
+                if dx + dy <= margin:
                     found.append(index)
-        found.sort()
+        if len(buckets) > 1 and len(found) > 1:
+            found = sorted(set(found))
         return found
 
     def connected_components(self) -> List[List[int]]:
-        return _sweep_components(self.rects)
+        return _sweep_components(self.rects, self.cell_size)
 
 
 def build_index(rects: Sequence[Rect]) -> SpatialIndex:
@@ -291,33 +311,51 @@ class UnionFind:
         return list(groups.values())
 
 
-def _sweep_components(rects: Sequence[Rect]) -> List[List[int]]:
-    """Connected components of touching rectangles via a plane sweep.
+def _sweep_components(rects: Sequence[Rect], band: int) -> List[List[int]]:
+    """Connected components of touching rectangles via a banded plane sweep.
 
-    Rectangles enter the active set in order of their left edge and are
-    evicted once the sweep passes their right edge; each entering rectangle
-    is united with every active rectangle whose y-interval touches its own.
-    Expected cost is O(n log n + n * k) for k simultaneously active
-    neighbours, against O(n^2) for the all-pairs scan.
+    Rectangles enter in order of their left edge.  The active set is split
+    into horizontal bands ``band`` units tall: each rectangle is listed in
+    every band its closed y-interval covers, and an entering rectangle is
+    tested only against the bands it covers itself (two touching closed
+    intervals share a point, hence a band).  A rectangle whose right edge
+    the sweep has passed is dropped from a band the next time that band is
+    read.  So a long rail meets only the rectangles of its own bands, not
+    every rectangle that enters while it is active.  Expected cost is
+    O(n log n + m + n * k) for m (rectangle, band) entries and k active
+    rectangles per band, against O(n^2) for the all-pairs scan.
     """
     count = len(rects)
     finder = UnionFind(count)
-    order = sorted(range(count), key=lambda i: rects[i].x1)
-    # Heap of (x2, id) so eviction is O(log n); active maps id -> (y1, y2).
-    expiry: List[Tuple[int, int]] = []
-    active: Dict[int, Tuple[int, int]] = {}
+    parent, find = finder.parent, finder.find
+    order = sorted(range(count), key=[r.x1 for r in rects].__getitem__)
+    bands: Dict[int, List[Tuple[int, int, int, int]]] = {}
+    # stamp[i] == index: rect i was already tested against rect index.
+    stamp = [-1] * count
     for index in order:
         r = rects[index]
-        x1 = r.x1
-        while expiry and expiry[0][0] < x1:
-            _, expired = heapq.heappop(expiry)
-            active.pop(expired, None)
-        y1, y2 = r.y1, r.y2
-        for other, (other_y1, other_y2) in active.items():
-            if other_y1 <= y2 and y1 <= other_y2:
-                finder.union(index, other)
-        active[index] = (y1, y2)
-        heapq.heappush(expiry, (r.x2, index))
+        x1, y1, y2 = r.x1, r.y1, r.y2
+        entry = (r.x2, y1, y2, index)
+        # Nothing was united with ``index`` before it entered, so it is a
+        # root, and the root of every active rect it touches goes under it.
+        for key in range(y1 // band, y2 // band + 1):
+            members = bands.get(key)
+            if members is None:
+                bands[key] = [entry]
+                continue
+            expired = False
+            for other_x2, other_y1, other_y2, other in members:
+                if other_x2 < x1:
+                    expired = True
+                elif stamp[other] != index:
+                    stamp[other] = index
+                    if other_y1 <= y2 and y1 <= other_y2:
+                        root = find(other)
+                        if root != index:
+                            parent[root] = index
+            if expired:
+                members[:] = [kept for kept in members if kept[0] >= x1]
+            members.append(entry)
     return finder.components()
 
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.geometry.rect import Rect
-from repro.geometry.transform import Transform
+from repro.geometry.transform import Orientation, Transform
 from repro.layout.cell import Cell
 from repro.layout.shapes import Geometry, Label, Shape
+from repro.obs import trace as obs_trace
+from repro.runtime import gc_paused
 
 
 def flatten_cell(cell: Cell, max_depth: Optional[int] = None) -> "FlatLayout":
@@ -30,13 +32,21 @@ def flatten_cell(cell: Cell, max_depth: Optional[int] = None) -> "FlatLayout":
     ``max_depth`` limits how many levels of hierarchy are expanded;
     ``None`` means fully flatten.  Depth 0 returns only the cell's own
     geometry.  Full flattens are served from the per-cell cache; depth-
-    limited flattens are always built fresh.
+    limited flattens are always built fresh.  Each call is one
+    ``layout.flatten`` trace span saying how many ``shapes`` the view has
+    and whether it was ``cached``.
     """
-    if max_depth is not None:
-        flat = FlatLayout(cell.name)
-        _flatten_into(flat, cell, Transform.identity(), 0, max_depth)
+    with gc_paused(), obs_trace.span("layout.flatten", cat="layout",
+                                     cell=cell.name) as span:
+        if max_depth is not None:
+            flat = FlatLayout(cell.name)
+            _flatten_into(flat, cell, Transform.identity(), 0, max_depth)
+            cached = False
+        else:
+            cached = _is_current(cell)
+            flat = _flat_view(cell, {})
+        span.set(shapes=len(flat.shapes), cached=cached)
         return flat
-    return _flat_view(cell, {})
 
 
 def _flatten_into(flat: "FlatLayout", cell: Cell, transform: Transform,
@@ -57,16 +67,21 @@ def _flatten_into(flat: "FlatLayout", cell: Cell, transform: Transform,
 # -- memoized flat views ------------------------------------------------------
 
 
+def _is_current(cell: Cell) -> bool:
+    cached = cell._flat_cache
+    return cached is not None and cached[0] == cell._version
+
+
 def _flat_view(cell: Cell, memo: Dict[int, Tuple]) -> "FlatLayout":
     """The cached flat view of ``cell``, rebuilt if any subtree cell mutated.
 
     The cache key is the cell's :attr:`~repro.layout.cell.Cell.subtree_version`
     counter, which mutation propagation keeps in sync with the whole subtree.
+    An unrotated placement moves its child's shapes and labels by
+    ``translated``; only the other seven orientations pay for a transform.
     """
-    token = cell._version
-    cached = cell._flat_cache
-    if cached is not None and cached[0] == token:
-        return cached[1]
+    if _is_current(cell):
+        return cell._flat_cache[1]
     flat = FlatLayout(cell.name)
     shapes, labels = flat.shapes, flat.labels
     shapes.extend(cell.shapes)
@@ -74,13 +89,20 @@ def _flat_view(cell: Cell, memo: Dict[int, Tuple]) -> "FlatLayout":
     for instance in cell.instances:
         child = _flat_view(instance.cell, memo)
         transform = instance.transform
-        if transform.is_identity:
-            shapes.extend(child.shapes)
-            labels.extend(child.labels)
+        if transform.orientation is Orientation.R0:
+            dx, dy = transform.translation.x, transform.translation.y
+            if dx or dy:
+                shapes.extend([shape.translated(dx, dy)
+                               for shape in child.shapes])
+                labels.extend([label.translated(dx, dy)
+                               for label in child.labels])
+            else:
+                shapes.extend(child.shapes)
+                labels.extend(child.labels)
         else:
             shapes.extend(shape.transformed(transform) for shape in child.shapes)
             labels.extend(label.transformed(transform) for label in child.labels)
-    cell._flat_cache = (token, flat)
+    cell._flat_cache = (cell._version, flat)
     return flat
 
 
@@ -115,8 +137,13 @@ def _layer_geometry(cell: Cell, layer: str,
         for instance in cell.instances:
             child = _layer_geometry(instance.cell, layer, memo)
             transform = instance.transform
-            if transform.is_identity:
-                found.extend(child)
+            if transform.orientation is Orientation.R0:
+                dx, dy = transform.translation.x, transform.translation.y
+                if dx or dy:
+                    found.extend([geometry.translated(dx, dy)
+                                  for geometry in child])
+                else:
+                    found.extend(child)
             else:
                 found.extend(geometry.transformed(transform)
                              for geometry in child)
@@ -184,10 +211,13 @@ class FlatLayout:
         return list(self._buckets().keys())
 
     def bbox(self) -> Optional[Rect]:
-        box: Optional[Rect] = None
-        for shape in self.shapes:
-            box = shape.bbox if box is None else box.union(shape.bbox)
-        return box
+        if not self.shapes:
+            return None
+        boxes = [shape.bbox for shape in self.shapes]
+        return Rect(min([box.x1 for box in boxes]),
+                    min([box.y1 for box in boxes]),
+                    max([box.x2 for box in boxes]),
+                    max([box.y2 for box in boxes]))
 
     def __len__(self) -> int:
         return len(self.shapes)

@@ -1,15 +1,19 @@
-"""``Cell.bbox`` memo and the single-layer walker against uncached oracles.
+"""``Cell.bbox`` memo, the memoized flat view and the single-layer walker
+against uncached oracles.
 
-Both ride on the mutation counter: ``Cell.bbox()`` keeps its result until
+All ride on the mutation counter: ``Cell.bbox()`` keeps its result until
 ``_mutated()`` clears it (here: at any depth, through every mutating method,
 across a pickle round-trip), and ``flat_layer_rects`` must list exactly what
 the memoized flat view lists for one layer, in the same order — the maze
-router's obstacle ids, and with them every routed point, depend on it.
+router's obstacle ids, and with them every routed point, depend on it.  The
+memoized view itself (translated, transformed or shared per placement) must
+equal the depth-limited walk, which composes every transform from the top.
 """
 
 import os
 import pickle
 import sys
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +153,57 @@ def hierarchies(draw):
         if not top.references(child):
             top.place(child, draw(coords), draw(coords), draw(orientations))
     return cells
+
+
+#: Deeper than any hierarchy drawn here: the walk expands every level.
+DEEP = 64
+
+
+def assert_flat_view_matches_walk(top):
+    """The memoized view equals the composed-transform walk, in order."""
+    flat = flatten_cell(top)
+    walked = flatten_cell(top, max_depth=DEEP)
+    assert walked.unexpanded_instances == 0
+    assert flat.shapes == walked.shapes
+    assert flat.labels == walked.labels
+    assert flat.bbox() == (reduce(Rect.union, [s.bbox for s in walked.shapes])
+                           if walked.shapes else None)
+    by_layer = flat.rects_by_layer()
+    for layer in LAYERS:
+        assert flat_layer_rects(top, layer) == by_layer.get(layer, [])
+
+
+@st.composite
+def every_placement(draw):
+    """``hierarchies()`` whose cells also carry wires, L polygons and labels,
+    and whose top places the bottom cell once under each of the eight
+    orientations, by a pure translation along each axis and as the
+    identity."""
+    cells = draw(hierarchies())
+    for which in range(len(cells)):
+        for serial in range(draw(st.integers(1, 3))):
+            edit = (draw(st.sampled_from(("add_wire", "add_polygon",
+                                          "add_label", "add_rect"))),
+                    draw(st.sampled_from(LAYERS)), draw(coords), draw(coords),
+                    draw(sizes), draw(sizes), Orientation.R0, 0)
+            apply_edit(cells, which, edit, serial)
+    top, bottom = cells[-1], cells[0]
+    for orientation in Orientation:
+        top.place(bottom, draw(coords), draw(coords), orientation)
+    top.place(bottom, draw(sizes), 0)
+    top.place(bottom, 0, -draw(sizes))
+    top.add_instance(bottom)
+    return cells
+
+
+class TestFlatViewEqualsTheWalk:
+    @settings(max_examples=30, deadline=None)
+    @given(cells=every_placement())
+    def test_memoized_view_equals_composed_transforms(self, cells):
+        assert_flat_view_matches_walk(cells[-1])
+        # A middle cell's view, built for the top, is the same when asked
+        # for directly.
+        assert_flat_view_matches_walk(cells[len(cells) // 2])
 
 
 class TestExtentMemo:

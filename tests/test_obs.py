@@ -28,7 +28,9 @@ from repro.diagnostics import (
     Severity,
     run_with_fallback,
 )
+from repro.drc import check_cell
 from repro.generators import FsmLayoutGenerator, PlaGenerator
+from repro.layout import flatten_cell
 from repro.logic import TruthTable, parse_expr
 from repro.netlist import GateLevelSimulator, GateType, Module, SwitchLevelSimulator
 from repro.obs import metrics, trace, vcd
@@ -391,6 +393,25 @@ class TestTracedFlow:
         assert sum(not args["reachable"] for args in floods) == 8
         assert all(args["spans"] >= 1 for args in floods)
 
+    def test_a_flat_sign_off_says_what_it_flattened(self, technology):
+        """``check_cell`` on the family chip is one ``layout.flatten`` span
+        (the top call only, not one per cell of the walk) naming the flat
+        shape count, and whether the view came from the cache."""
+        _assembler, chip = build_chip("obs_flatten_4b", 4, 0)
+        for cell in chip.descendants() + [chip]:
+            cell._flat_cache = None
+        trace.enable()
+        check_cell(chip, technology)
+        check_cell(chip, technology)
+        flattens = [event["args"] for event in trace.drain()
+                    if event["name"] == "layout.flatten"]
+        trace.disable()
+        shapes = len(flatten_cell(chip).shapes)
+        assert shapes > 1000
+        assert flattens == [
+            {"cell": chip.name, "shapes": shapes, "cached": False},
+            {"cell": chip.name, "shapes": shapes, "cached": True}]
+
 
 # -- the collector, visible -----------------------------------------------------
 
@@ -687,6 +708,10 @@ class TestCliValidators:
         assert result.returncode == 0, result.stderr
         assert "e13" in result.stdout
         assert "speedup" in result.stdout
+        # Every committed result says what measured it.
+        assert "measured on" in result.stdout
+        assert all(line.rstrip().endswith("cpu")
+                   for line in result.stdout.splitlines()[2:])
 
     def test_check_regression_exact_gates_counts(self, tmp_path):
         script = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -3,8 +3,10 @@
 The grid index is pure optimisation: for any rectangle soup, ``query``,
 ``neighbors`` and ``connected_components`` must return byte-identical
 results to :class:`BruteForceIndex`.  Randomised soups (hypothesis) probe
-the general case; the unit tests pin the touch/overlap edge semantics the
-DRC and extractor depend on.
+the general case; railed soups probe the banded sweep (rails stay active
+across the whole sweep, verticals cover every band); far-apart clusters
+probe the bin layout; the unit tests pin the touch/overlap edge semantics
+the DRC and extractor depend on.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -76,6 +78,73 @@ class TestIndexAgreesWithBruteForce:
         assert grid.connected_components() == brute.connected_components()
         if soup:
             assert grid.query(soup[0]) == brute.query(soup[0])
+
+
+@st.composite
+def railed_soups(draw):
+    """``(soup, cell_size)``: short rects, some with edges on multiples of
+    ``cell_size`` (a band edge of the sweep), among full-width rails and
+    full-height verticals; coordinates run negative and zero-area rects
+    are allowed."""
+    cell_size = draw(st.integers(min_value=1, max_value=16))
+    coord = st.one_of(st.integers(min_value=-120, max_value=120),
+                      st.integers(min_value=-8, max_value=8).map(
+                          lambda k: k * cell_size))
+    side = st.integers(min_value=0, max_value=12)
+    soup = draw(st.lists(st.builds(lambda x, y, w, h: Rect(x, y, x + w, y + h),
+                                   coord, coord, side, side), max_size=30))
+    low, high = -140, 140
+    soup += [Rect(low, y, high, y + h) for y, h in
+             draw(st.lists(st.tuples(coord, side), max_size=3))]
+    soup += [Rect(x, low, x + w, high) for x, w in
+             draw(st.lists(st.tuples(coord, side), max_size=3))]
+    return draw(st.permutations(soup)), cell_size
+
+
+class TestRailedSoups:
+    @given(railed_soups())
+    @settings(max_examples=50, deadline=None)
+    def test_components_match_at_default_and_explicit_cell_size(self, drawn):
+        soup, cell_size = drawn
+        expected = BruteForceIndex(soup).connected_components()
+        assert GridIndex(soup).connected_components() == expected
+        assert GridIndex(soup, cell_size).connected_components() == expected
+
+    def test_touch_on_a_band_edge_connects(self):
+        # Band 10: the short rects end and start exactly on y = 10, x = 10,
+        # and the rail spans the whole soup on band 0 only.
+        soup = [Rect(-50, 0, 50, 2), Rect(3, 2, 5, 10), Rect(4, 10, 10, 20),
+                Rect(10, 20, 12, 30), Rect(40, 30, 41, 30), Rect(41, 30, 41, 40)]
+        expected = [[0, 1, 2, 3], [4, 5]]
+        assert BruteForceIndex(soup).connected_components() == expected
+        assert GridIndex(soup, 10).connected_components() == expected
+
+
+class TestSparseLayouts:
+    """Two clusters a million lambda and more apart: bin memory must follow
+    the rectangles, not the extent between them."""
+
+    @given(rect_soups(max_rects=15), st.sampled_from((10 ** 6, 3 * 10 ** 6)),
+           probes, st.integers(min_value=0, max_value=30))
+    @settings(max_examples=40, deadline=None)
+    def test_far_clusters_match_and_bins_stay_linear(self, soup, gap, probe,
+                                                     margin):
+        far = soup + [r.translated(gap, -gap) for r in soup]
+        grid, brute = GridIndex(far), BruteForceIndex(far)
+        spanning = Rect(0, -gap, gap, 0)
+        for window in (probe, probe.translated(gap, -gap), spanning):
+            assert grid.query(window, margin) == brute.query(window, margin)
+            assert grid.query(window, margin, strict=True) == \
+                brute.query(window, margin, strict=True)
+            assert grid.neighbors(window, margin) == \
+                brute.neighbors(window, margin)
+        assert grid.connected_components() == brute.connected_components()
+        # Each rect is in at most the bins its box covers: the gap between
+        # the clusters costs no bin at all.
+        size = grid.cell_size
+        covered = sum((r.x2 // size - r.x1 // size + 1)
+                      * (r.y2 // size - r.y1 // size + 1) for r in far)
+        assert len(grid._bins) <= covered
 
 
 class TestIndexSemantics:
