@@ -44,6 +44,7 @@ from repro.geometry.transform import Orientation, Transform
 from repro.layout.cell import Cell
 from repro.layout.library import Library
 from repro.layout.shapes import Shape
+from repro.runtime import gc_paused
 from repro.technology.technology import Technology
 from repro.technology.nmos import NMOS
 
@@ -138,7 +139,8 @@ class CifParser:
         """
         if library_name is None:
             library_name = _library_name(text)
-        return _Run(self.technology, collector).parse(text, library_name)
+        with gc_paused():
+            return _Run(self.technology, collector).parse(text, library_name)
 
 
 class _Run:
@@ -269,6 +271,10 @@ class _Run:
             values = self._ints(args)
             if len(values) < 6 or len(values) % 2:
                 self.error("CIF009", f"malformed polygon: {raw!r}")
+            rect = _written_rect(values)
+            if rect is not None:
+                self.current_cell.add_shape(Shape(self.current_layer, rect))
+                return False
             points = [Point(values[i], values[i + 1])
                       for i in range(0, len(values), 2)]
             try:
@@ -498,6 +504,26 @@ class _Run:
                 self.error("CIF013",
                            f"unrecognised call transform {token!r} in {raw!r}")
         return call_id, transform
+
+
+def _written_rect(values: List[int]) -> Optional[Rect]:
+    """The rect a ``P`` with these coordinates was written for, if any.
+
+    The writer emits a rect as ``B`` when its centre is on the grid and
+    otherwise as the ``P`` of its corners counter-clockwise from the
+    lower-left (:meth:`Rect.corners`).  Exactly that form parses back to a
+    :class:`Rect`, so the shape is placed and checked as the rect it was
+    drawn as, and writing it again gives the same ``P``.  Any other
+    polygon, a rectangle in another vertex order or a degenerate one
+    included, stays a :class:`Polygon`.
+    """
+    if len(values) != 8:
+        return None
+    x1, y1, x2, y1b, x2b, y2, x1b, y2b = values
+    if (x1 < x2 and y1 < y2 and x2b == x2 and x1b == x1 and y1b == y1
+            and y2b == y2 and ((x1 + x2) % 2 or (y1 + y2) % 2)):
+        return Rect(x1, y1, x2, y2)
+    return None
 
 
 def _sign(value: int) -> int:

@@ -73,12 +73,20 @@ def merge_group(group: Sequence[Rect]) -> Sequence[Rect]:
     """
     if len(group) == 1:
         return group
-    bounding = group[0]
-    for rect in group[1:]:
-        bounding = bounding.union(rect)
-    if merged_area(group) == bounding.area:
-        return [bounding]
-    return group
+    first = group[0]
+    x1, y1, x2, y2 = first.x1, first.y1, first.x2, first.y2
+    for r in group:
+        if r.x1 < x1:
+            x1 = r.x1
+        if r.y1 < y1:
+            y1 = r.y1
+        if r.x2 > x2:
+            x2 = r.x2
+        if r.y2 > y2:
+            y2 = r.y2
+    if merged_area(group) != (x2 - x1) * (y2 - y1):
+        return group
+    return [Rect(x1, y1, x2, y2)]
 
 
 def checked_geometrically(technology: Technology, rule: DesignRule) -> bool:
@@ -208,17 +216,35 @@ def enclosure_verdicts(rule: DesignRule, outer: Sequence[Rect],
                        outer_index: SpatialIndex,
                        inner: Sequence[Rect]) -> List[Verdict]:
     verdicts = []
+    margin = rule.value
+    query = outer_index.query
     for rect_id, rect in enumerate(inner):
         # Rectangles not touching the grown region can neither contain nor
         # help cover it, so the check runs on the neighbourhood only.
-        nearby = [outer[i] for i in outer_index.query(rect, margin=rule.value)]
+        nearby = query(rect, margin)
+        x1, y1, x2, y2 = rect.x1, rect.y1, rect.x2, rect.y2
+        gx1, gy1, gx2, gy2 = x1 - margin, y1 - margin, x2 + margin, y2 + margin
         # Conditional rule: enclosure is only required where the two layers
         # actually interact (e.g. implant around *depletion* gates, poly
-        # around *poly* contacts).
-        triggered = any(out.overlaps(rect, strict=True) for out in nearby)
-        violation = enclosure_violation(rule, rect, nearby, triggered)
-        if violation is not None:
-            verdicts.append(((rect_id,), violation))
+        # around *poly* contacts): some outer rect shares interior area
+        # with the inner one.  One outer rect containing the grown bounds
+        # passes the rule, triggered or not; only the rest take
+        # :func:`enclosure_violation`'s covering test.
+        triggered = False
+        for i in nearby:
+            out = outer[i]
+            if (out.x1 <= gx1 and out.y1 <= gy1
+                    and out.x2 >= gx2 and out.y2 >= gy2):
+                break
+            if (not triggered and out.x1 < x2 and x1 < out.x2
+                    and out.y1 < y2 and y1 < out.y2):
+                triggered = True
+        else:
+            if triggered:
+                violation = enclosure_violation(
+                    rule, rect, [outer[i] for i in nearby], True)
+                if violation is not None:
+                    verdicts.append(((rect_id,), violation))
     return verdicts
 
 

@@ -172,7 +172,15 @@ class Rect:
     # -- derived rectangles ---------------------------------------------------
 
     def translated(self, dx: int, dy: int) -> "Rect":
-        return Rect(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
+        # A moved valid rect is valid: built through the slots, not through
+        # the frozen ``__init__`` and ``__post_init__`` (flattening places
+        # rects by the hundred thousand).
+        moved = _new(Rect)
+        _set_x1(moved, self.x1 + dx)
+        _set_y1(moved, self.y1 + dy)
+        _set_x2(moved, self.x2 + dx)
+        _set_y2(moved, self.y2 + dy)
+        return moved
 
     def expanded(self, margin: int) -> "Rect":
         """Grow (or shrink, for negative margin) by ``margin`` on every side."""
@@ -216,6 +224,10 @@ class Rect:
             pieces.append(Rect(clipped.x2, clipped.y1, self.x2, clipped.y2))
         return [piece for piece in pieces if not piece.is_degenerate]
 
+
+_new = object.__new__
+_set_x1, _set_y1, _set_x2, _set_y2 = (
+    Rect.__dict__[name].__set__ for name in ("x1", "y1", "x2", "y2"))
 
 _CORNERS = attrgetter("x1", "y1", "x2", "y2")
 

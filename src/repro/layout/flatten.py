@@ -16,7 +16,7 @@ read-only; the shape and label objects are shared with the cache.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.geometry.rect import Rect
 from repro.geometry.transform import Orientation, Transform
@@ -44,7 +44,7 @@ def flatten_cell(cell: Cell, max_depth: Optional[int] = None) -> "FlatLayout":
             cached = False
         else:
             cached = _is_current(cell)
-            flat = _flat_view(cell, {})
+            flat = _flat_view(cell)
         span.set(shapes=len(flat.shapes), cached=cached)
         return flat
 
@@ -72,7 +72,7 @@ def _is_current(cell: Cell) -> bool:
     return cached is not None and cached[0] == cell._version
 
 
-def _flat_view(cell: Cell, memo: Dict[int, Tuple]) -> "FlatLayout":
+def _flat_view(cell: Cell) -> "FlatLayout":
     """The cached flat view of ``cell``, rebuilt if any subtree cell mutated.
 
     The cache key is the cell's :attr:`~repro.layout.cell.Cell.subtree_version`
@@ -87,7 +87,7 @@ def _flat_view(cell: Cell, memo: Dict[int, Tuple]) -> "FlatLayout":
     shapes.extend(cell.shapes)
     labels.extend(cell.labels)
     for instance in cell.instances:
-        child = _flat_view(instance.cell, memo)
+        child = _flat_view(instance.cell)
         transform = instance.transform
         if transform.orientation is Orientation.R0:
             dx, dy = transform.translation.x, transform.translation.y

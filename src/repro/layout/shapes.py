@@ -67,7 +67,12 @@ class Shape:
         return Shape(self.layer, self.geometry.transformed(transform))
 
     def translated(self, dx: int, dy: int) -> "Shape":
-        return Shape(self.layer, self.geometry.translated(dx, dy))
+        # A translated valid shape is valid: built through the slots, not
+        # through the frozen ``__init__`` and ``__post_init__``.
+        moved = _new(Shape)
+        _set_layer(moved, self.layer)
+        _set_geometry(moved, self.geometry.translated(dx, dy))
+        return moved
 
     def as_rects(self) -> List[Rect]:
         """Reduce the geometry to rectangles (for DRC, extraction, area)."""
@@ -88,6 +93,11 @@ class Shape:
         from repro.geometry.rect import merged_area
 
         return merged_area(self.as_rects())
+
+
+_new = object.__new__
+_set_layer, _set_geometry = (
+    Shape.__dict__[name].__set__ for name in ("layer", "geometry"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,6 +15,7 @@ from repro.geometry.path import Path
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 from repro.layout.stats import cell_statistics
+from repro.runtime import gc_paused
 from repro.technology.technology import Technology
 
 
@@ -58,9 +59,10 @@ def measure_cell(cell: Cell, technology: Technology) -> DesignMetrics:
     :meth:`repro.analysis.HierAnalyzer.measure` computes the same numbers
     from per-cell cached statistics instead of a full flatten.
     """
-    stats = cell_statistics(cell)
-    return metrics_from_stats(stats, technology,
-                              wire_length=wire_length_estimate(cell))
+    with gc_paused():
+        stats = cell_statistics(cell)
+        return metrics_from_stats(stats, technology,
+                                  wire_length=wire_length_estimate(cell))
 
 
 def metrics_from_stats(stats, technology: Technology,

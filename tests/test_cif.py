@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cif import CifSyntaxError, cell_to_cif, parse_cif, write_cif
+from repro.diagnostics import DiagnosticCollector
 from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
@@ -177,6 +179,43 @@ class TestParser:
     def test_malformed_polygon_raises(self):
         with pytest.raises(CifSyntaxError):
             parse_cif("DS 1 100 1; L NM; P 0 0 1; DF; E")
+
+    def test_odd_sized_rect_parses_back_as_a_rect(self):
+        lib = Library("odd", NMOS)
+        cell = lib.new_cell("c")
+        cell.add_box("metal", 0, 0, 3, 3)
+        cell.add_box("poly", -1, 2, 5, 9)
+        text = write_cif(lib)
+        assert "P 0 0 3 0 3 3 0 3;" in text and "P -1 2 5 2 5 9 -1 9;" in text
+        parsed = parse_cif(text).cell("c")
+        assert [shape.geometry for shape in parsed.shapes] == \
+            [Rect(0, 0, 3, 3), Rect(-1, 2, 5, 9)]
+        assert write_cif(parse_cif(text)) == text
+
+    @pytest.mark.parametrize("coords", [
+        "0 0 4 0 6 4 2 4",        # skewed: a parallelogram
+        "0 0 3 1 3 4 0 3",        # four vertices, not axis-aligned
+        "0 0 0 3 3 3 3 0",        # a rectangle, clockwise
+        "3 0 3 3 0 3 0 0",        # a rectangle, from another corner
+        "0 0 4 0 4 4 0 4",        # centre on the grid: written as B
+        "0 0 3 0 3 0 0 0",        # zero height
+    ])
+    def test_any_other_four_vertex_polygon_stays_a_polygon(self, coords):
+        text = f"DS 1 100 1; 9 c; L NM; P {coords}; DF; C 1; E"
+        shape = parse_cif(text).cell("c").shapes[0]
+        assert isinstance(shape.geometry, Polygon)
+        assert [coord for vertex in shape.geometry.vertices
+                for coord in vertex] == [int(c) for c in coords.split()]
+
+    @pytest.mark.parametrize("coords", ["0 0 1", "0 0 3 0", "0 0 3 0 3 3 0"])
+    def test_degenerate_polygon_is_cif009_raised_or_collected(self, coords):
+        text = f"DS 1 100 1; 9 c; L NM; P {coords}; DF; C 1; E"
+        with pytest.raises(CifSyntaxError) as raised:
+            parse_cif(text)
+        assert raised.value.diagnostic.code == "CIF009"
+        collector = DiagnosticCollector("cif")
+        parse_cif(text, collector=collector)
+        assert "CIF009" in collector.codes()
 
     def test_unknown_command_raises(self):
         with pytest.raises(CifSyntaxError):

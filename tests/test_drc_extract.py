@@ -1,17 +1,21 @@
 """Tests for design-rule checking and circuit extraction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import HierAnalyzer, hier
 from repro.cells import InverterCell, NandCell
 from repro.drc import DrcChecker, check_cell
+from repro.drc.checker import enclosure_verdicts, enclosure_violation, merge_group
 from repro.extract import Extractor, compose, extract_cell
+from repro.geometry.index import BruteForceIndex, GridIndex
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect, merged_area
 from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
 from repro.netlist.switch_sim import SwitchLevelSimulator, TransistorKind
 from repro.technology import NMOS
-from repro.technology.rules import RuleKind
+from repro.technology.rules import DesignRule, RuleKind
 
 
 class TestDrcWidth:
@@ -94,6 +98,45 @@ class TestDrcContactsAndEnclosure:
     def test_library_cells_are_clean(self):
         assert check_cell(InverterCell(NMOS).cell(), NMOS) == []
         assert check_cell(NandCell(NMOS, inputs=3).cell(), NMOS) == []
+
+
+small_rects = st.builds(lambda x, y, w, h: Rect(x, y, x + w, y + h),
+                        st.integers(-12, 12), st.integers(-12, 12),
+                        st.integers(0, 8), st.integers(0, 8))
+
+
+class TestVerdictLoopsKeepTheRule:
+    """``merge_group`` and ``enclosure_verdicts`` take shortcuts (one
+    bounding-box pass, containment tested inline); the flat
+    checker, the composer and the brute-force oracle all share them, so
+    each is held here to the rule written out directly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_rects, min_size=1, max_size=6))
+    def test_merge_group_is_the_bounding_box_exactly_when_covered(self, group):
+        bounding = group[0]
+        for rect in group[1:]:
+            bounding = bounding.union(rect)
+        covered = merged_area(group) == bounding.area
+        expected = [bounding] if covered and len(group) > 1 else group
+        assert list(merge_group(group)) == list(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_rects, max_size=8), st.lists(small_rects, max_size=5),
+           st.integers(0, 3))
+    def test_enclosure_verdicts_equal_the_rule_per_inner_rect(self, outer,
+                                                              inner, value):
+        rule = DesignRule(RuleKind.MIN_ENCLOSURE, ("metal", "contact"), value)
+        expected = []
+        for rect_id, rect in enumerate(inner):
+            grown = rect.expanded(value)
+            nearby = [out for out in outer if out.touches(grown)]
+            triggered = any(out.overlaps(rect, strict=True) for out in nearby)
+            violation = enclosure_violation(rule, rect, nearby, triggered)
+            if violation is not None:
+                expected.append(((rect_id,), violation))
+        for index in (BruteForceIndex(outer), GridIndex(outer)):
+            assert enclosure_verdicts(rule, outer, index, inner) == expected
 
 
 class TestExtraction:

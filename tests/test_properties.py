@@ -1,14 +1,21 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cif import parse_cif, write_cif
+from repro.geometry.path import Path
 from repro.geometry.point import Point, manhattan_distance
+from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect, merged_area
 from repro.geometry.transform import Orientation, Transform
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 from repro.layout.library import Library
+from repro.layout.shapes import Shape
 from repro.logic.cube import Cover, Cube
 from repro.logic.minimize import minimize_exact, minimize_heuristic
 from repro.logic.truth_table import TruthTable
@@ -85,6 +92,44 @@ class TestGeometryProperties:
         # Dense small coordinates: overlaps, abutments, shared edges and
         # degenerate rects are all common.
         assert merged_area(rect_list) == column_merged_area(rect_list)
+
+
+def _same_value(moved, built):
+    """``moved`` is indistinguishable from the constructor's ``built``."""
+    assert type(moved) is type(built)
+    assert moved == built and hash(moved) == hash(built)
+    assert repr(moved) == repr(built)
+    assert pickle.dumps(moved) == pickle.dumps(built)
+    assert pickle.loads(pickle.dumps(moved)) == built
+
+
+class TestTranslatedWithoutTheConstructor:
+    """``Rect.translated`` and ``Shape.translated`` fill the slots of a new
+    object directly; the result must be the constructor's, frozen alike."""
+
+    @settings(max_examples=60)
+    @given(rects(), coords, coords)
+    def test_rect(self, rect, dx, dy):
+        moved = rect.translated(dx, dy)
+        _same_value(moved, Rect(rect.x1 + dx, rect.y1 + dy,
+                                rect.x2 + dx, rect.y2 + dy))
+        with pytest.raises(FrozenInstanceError):
+            moved.x1 = 0
+
+    @settings(max_examples=60)
+    @given(rects(), st.sampled_from(("rect", "polygon", "wire")), coords,
+           coords)
+    def test_shape(self, rect, kind, dx, dy):
+        geometry = {"rect": rect, "polygon": Polygon.from_rect(rect),
+                    "wire": Path([rect.lower_left, rect.lower_right,
+                                  rect.upper_right], 3)}[kind]
+        shape = Shape("metal", geometry)
+        moved = shape.translated(dx, dy)
+        _same_value(moved, Shape("metal", geometry.translated(dx, dy)))
+        assert moved.as_rects() == \
+            [r.translated(dx, dy) for r in shape.as_rects()]
+        with pytest.raises(FrozenInstanceError):
+            moved.layer = "poly"
 
 
 class TestLogicProperties:

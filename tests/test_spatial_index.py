@@ -11,7 +11,8 @@ the DRC and extractor depend on.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.index import BruteForceIndex, GridIndex, build_index
+from repro.geometry.index import (_SWEEP_BAND_CELLS, BruteForceIndex,
+                                  GridIndex, build_index)
 from repro.geometry.rect import Rect
 
 coords = st.integers(min_value=-300, max_value=300)
@@ -83,13 +84,14 @@ class TestIndexAgreesWithBruteForce:
 @st.composite
 def railed_soups(draw):
     """``(soup, cell_size)``: short rects, some with edges on multiples of
-    ``cell_size`` (a band edge of the sweep), among full-width rails and
-    full-height verticals; coordinates run negative and zero-area rects
-    are allowed."""
+    the sweep's band (``_SWEEP_BAND_CELLS * cell_size``), among full-width
+    rails and full-height verticals; coordinates run negative and zero-area
+    rects are allowed."""
     cell_size = draw(st.integers(min_value=1, max_value=16))
+    band = _SWEEP_BAND_CELLS * cell_size
     coord = st.one_of(st.integers(min_value=-120, max_value=120),
                       st.integers(min_value=-8, max_value=8).map(
-                          lambda k: k * cell_size))
+                          lambda k: k * band))
     side = st.integers(min_value=0, max_value=12)
     soup = draw(st.lists(st.builds(lambda x, y, w, h: Rect(x, y, x + w, y + h),
                                    coord, coord, side, side), max_size=30))
@@ -113,11 +115,13 @@ class TestRailedSoups:
     def test_touch_on_a_band_edge_connects(self):
         # Band 10: the short rects end and start exactly on y = 10, x = 10,
         # and the rail spans the whole soup on band 0 only.
+        assert 10 % _SWEEP_BAND_CELLS == 0
         soup = [Rect(-50, 0, 50, 2), Rect(3, 2, 5, 10), Rect(4, 10, 10, 20),
                 Rect(10, 20, 12, 30), Rect(40, 30, 41, 30), Rect(41, 30, 41, 40)]
         expected = [[0, 1, 2, 3], [4, 5]]
         assert BruteForceIndex(soup).connected_components() == expected
-        assert GridIndex(soup, 10).connected_components() == expected
+        grid = GridIndex(soup, 10 // _SWEEP_BAND_CELLS)
+        assert grid.connected_components() == expected
 
 
 class TestSparseLayouts:
