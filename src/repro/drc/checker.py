@@ -27,9 +27,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.index import (IndexFactory, SpatialIndex, build_index,
                                   layer_indexes)
+from repro.geometry.merge import MergedLayer
 from repro.obs import trace as obs_trace
 from repro.runtime import gc_paused
-from repro.geometry.rect import Rect, merged_area
+from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 from repro.technology.rules import DesignRule, RuleKind
@@ -58,35 +59,10 @@ class DrcViolation:
 # -- per-element verdicts -----------------------------------------------------
 #
 # Each check reduces to a verdict on one element (a merged rectangle, an
-# unordered pair, an inner rectangle with its outer neighbourhood, a touching
-# group to merge).  The flat checker below and the hierarchical composer
-# (:mod:`repro.drc.compose`) both call these, so the two paths cannot drift
-# apart.
-
-
-def merge_group(group: Sequence[Rect]) -> Sequence[Rect]:
-    """The merged form of one touching-closed group of rectangles.
-
-    The merge is approximate: the group's bounding box when the group covers
-    it exactly, otherwise the group's own rectangles.  This is sufficient to
-    avoid false width errors from rail segments drawn as several pieces.
-    """
-    if len(group) == 1:
-        return group
-    first = group[0]
-    x1, y1, x2, y2 = first.x1, first.y1, first.x2, first.y2
-    for r in group:
-        if r.x1 < x1:
-            x1 = r.x1
-        if r.y1 < y1:
-            y1 = r.y1
-        if r.x2 > x2:
-            x2 = r.x2
-        if r.y2 > y2:
-            y2 = r.y2
-    if merged_area(group) != (x2 - x1) * (y2 - y1):
-        return group
-    return [Rect(x1, y1, x2, y2)]
+# unordered pair, an inner rectangle with its outer neighbourhood); the
+# touching groups are merged by :mod:`repro.geometry.merge`.  The flat
+# checker below and the hierarchical composer (:mod:`repro.drc.compose`) both
+# call these, so the two paths cannot drift apart.
 
 
 def checked_geometrically(technology: Technology, rule: DesignRule) -> bool:
@@ -155,35 +131,6 @@ def exact_size_violation(rule: DesignRule, rect: Rect) -> Optional[DrcViolation]
 
 #: ``((element ids...), violation)``, in the flat checker's emission order.
 Verdict = Tuple[Tuple[int, ...], DrcViolation]
-
-
-class MergedLayer:
-    """One layer's touching-merge (what width and spacing rules check).
-
-    ``inputs`` are the layer's rects with area, ``components`` their
-    touching-closure partition (ordered by smallest member), ``merged``
-    each component's :func:`merge_group` output in component order and
-    ``slices[c]`` component ``c``'s ``(start, length)`` in ``merged``.
-    """
-
-    __slots__ = ("inputs", "components", "merged", "slices", "_merged_index")
-
-    def __init__(self, rects: Sequence[Rect], index: IndexFactory):
-        self.inputs = inputs = [r for r in rects
-                                if r.x1 != r.x2 and r.y1 != r.y2]
-        self.components = index(inputs).connected_components()
-        self.merged: List[Rect] = []
-        self.slices: List[Tuple[int, int]] = []
-        for component in self.components:
-            start = len(self.merged)
-            self.merged.extend(merge_group([inputs[i] for i in component]))
-            self.slices.append((start, len(self.merged) - start))
-        self._merged_index: Optional[SpatialIndex] = None
-
-    def merged_index(self, index: IndexFactory) -> SpatialIndex:
-        if self._merged_index is None:
-            self._merged_index = index(self.merged)
-        return self._merged_index
 
 
 def width_verdicts(rule: DesignRule, rects: Sequence[Rect]) -> List[Verdict]:
@@ -259,27 +206,31 @@ def exact_size_verdicts(rule: DesignRule, rects: Sequence[Rect]) -> List[Verdict
 
 def rule_verdicts(technology: Technology, rects_by_layer: Dict[str, List[Rect]],
                   layer_index: Callable[[str], SpatialIndex],
+                  layer_merge: Callable[[str], MergedLayer],
                   index: IndexFactory
                   ) -> Tuple[Dict[str, MergedLayer], List[List[Verdict]]]:
     """Every rule's verdicts on one flat geometry, per rule in rule order.
 
     ``layer_index(layer)`` indexes ``rects_by_layer[layer]`` (an absent layer
-    is an empty list); ``index`` builds every other index.  Returns the
-    layer merges the width and spacing rules ran on, keyed in the order the
-    rules first name their layers, and the verdict lists: merged ids for
-    width and spacing, layer rect ids for enclosure and exact size.
-    MIN_EXTENSION and MIN_OVERLAP are device-formation rules, validated by
-    the extractor, which knows which crossings are intended transistors:
-    their lists stay empty, like those of the enclosure rules that are not
-    checked geometrically (:func:`checked_geometrically`).
+    is an empty list) and ``layer_merge(layer)`` is its
+    :class:`~repro.geometry.merge.MergedLayer`; ``index`` builds every other
+    index.  The spacing rules' indexes over merged regions are built here
+    and dropped on return.  Returns the layer merges the width and spacing
+    rules ran on, keyed in the order the rules first name their layers, and
+    the verdict lists: merged ids for width and spacing, layer rect ids for
+    enclosure and exact size.  MIN_EXTENSION and MIN_OVERLAP are
+    device-formation rules, validated by the extractor, which knows which
+    crossings are intended transistors: their lists stay empty, like those
+    of the enclosure rules that are not checked geometrically
+    (:func:`checked_geometrically`).
     """
     merges: Dict[str, MergedLayer] = {}
+    merged_indexes: Dict[str, SpatialIndex] = {}
 
     def merge(layer: str) -> MergedLayer:
         merged = merges.get(layer)
         if merged is None:
-            merged = merges[layer] = MergedLayer(rects_by_layer.get(layer, []),
-                                                 index)
+            merged = merges[layer] = layer_merge(layer)
         return merged
 
     verdicts: List[List[Verdict]] = []
@@ -288,9 +239,12 @@ def rule_verdicts(technology: Technology, rects_by_layer: Dict[str, List[Rect]],
         if rule.kind is RuleKind.MIN_WIDTH:
             found = width_verdicts(rule, merge(rule.layers[0]).merged)
         elif rule.kind is RuleKind.MIN_SPACING:
-            merged_a, merged_b = merge(rule.layers[0]), merge(rule.layers[1])
-            found = spacing_verdicts(rule, merged_a.merged,
-                                     merged_b.merged_index(index),
+            layer_b = rule.layers[1]
+            merged_a, merged_b = merge(rule.layers[0]), merge(layer_b)
+            index_b = merged_indexes.get(layer_b)
+            if index_b is None:
+                index_b = merged_indexes[layer_b] = index(merged_b.merged)
+            found = spacing_verdicts(rule, merged_a.merged, index_b,
                                      same_layer=merged_a is merged_b)
         elif rule.kind is RuleKind.MIN_ENCLOSURE:
             if checked_geometrically(technology, rule):
@@ -323,10 +277,12 @@ class DrcChecker:
             return violations
 
     def _check(self, cell: Cell) -> List[DrcViolation]:
-        rects_by_layer = flatten_cell(cell).rects_by_layer()
+        flat = flatten_cell(cell)
+        rects_by_layer = flat.rects_by_layer()
         _merges, verdicts = rule_verdicts(
             self.technology, rects_by_layer,
-            layer_indexes(rects_by_layer, self.index), self.index)
+            layer_indexes(rects_by_layer, self.index),
+            lambda layer: flat.layer_merge(layer, self.index), self.index)
         return [viol for found in verdicts for _ids, viol in found]
 
 

@@ -27,17 +27,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.drc.checker import (
     DrcViolation,
-    MergedLayer,
     Verdict,
     checked_geometrically,
     enclosure_violation,
     exact_size_violation,
-    merge_group,
     rule_verdicts,
     spacing_violation,
     width_violation,
 )
 from repro.geometry.index import SpatialIndex, build_index
+from repro.geometry.merge import MergedLayer, merge_group
 from repro.geometry.rect import Rect
 from repro.layout.view import (
     _BoxIndex,
@@ -127,7 +126,7 @@ class _LayerMerge(_StoredSlots):
         for position, component in enumerate(layer.components):
             for member in component:
                 comp_of_input[member] = position
-        merge.comp_slices = layer.slices
+        merge.comp_slices = layer.slices()
         merge.merged = _Blocks.of(layer.merged)
         merge.fresh = list(range(len(layer.merged)))
         merge.block_bboxes = [_bounding(layer.inputs)]
@@ -216,9 +215,12 @@ def compose_drc(technology: Technology, view: _View,
 
 def _one_source(technology: Technology, view: _View) -> _DrcArtifact:
     obs_metrics.counter("hier.compose.one_source").inc()
+    rects_by_layer = {layer: rects.part(0)
+                      for layer, rects in view.rects.items()}
     merges, verdicts = rule_verdicts(
-        technology, {layer: rects.part(0) for layer, rects in view.rects.items()},
-        view.index, build_index)
+        technology, rects_by_layer, view.index,
+        lambda layer: MergedLayer(rects_by_layer.get(layer, []), build_index),
+        build_index)
     artifact = _DrcArtifact()
     artifact.merges = {layer: _LayerMerge.of_layer(merged)
                        for layer, merged in merges.items()}
@@ -276,7 +278,8 @@ def _fill_merge(merge: _LayerMerge, view: _View, children, layer: str,
     merge in bulk: its output block by reference, its id lists re-based.
     Elsewhere each component whose smallest member lies in the source is
     either one child component, whose output is reused (translated), or is
-    merged here by the flat checker's :func:`merge_group`.
+    merged here by the flat checker's
+    :func:`~repro.geometry.merge.merge_group`.
     """
     inputs, components = merge.inputs, merge.components
     offsets = inputs.starts

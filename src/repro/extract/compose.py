@@ -149,7 +149,8 @@ def _one_source(technology: Technology, view: _View) -> _ExtractArtifact:
     obs_metrics.counter("hier.compose.one_source").inc()
     stages = run_stages(
         technology, {layer: rects.part(0) for layer, rects in view.rects.items()},
-        view.labels, view.index, build_index)
+        view.labels, view.index,
+        lambda layer: view.index(layer).connected_components(), build_index)
     art = _ExtractArtifact()
     layers = diffusion_layers(technology)
     art.diffusion = _Blocks([part for layer in layers

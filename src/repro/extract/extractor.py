@@ -171,8 +171,19 @@ class Extractor:
     def _extract(self, cell: Cell) -> ExtractedCircuit:
         flat = flatten_cell(cell)
         rects = flat.rects_by_layer()
-        stages = run_stages(self.technology, rects, flat.labels,
-                            layer_indexes(rects, self.index), self.index)
+        layer_index = layer_indexes(rects, self.index)
+
+        def layer_components(layer: str) -> List[List[int]]:
+            # The flat view's layer merge, shared with DRC and the mask
+            # area, partitions the rects with area; a flat view holds no
+            # other (a shape's rects all have area), so its ids are the
+            # layer's.
+            merge = flat.layer_merge(layer, self.index)
+            assert len(merge.inputs) == len(rects.get(layer, ()))
+            return merge.components
+
+        stages = run_stages(self.technology, rects, flat.labels, layer_index,
+                            layer_components, self.index)
         return finish_circuit(self.technology, cell, flat.labels,
                               stages.label_hits, stages.nodes,
                               len(stages.pieces), stages.channels,
@@ -477,11 +488,14 @@ class StageOutputs:
 def run_stages(technology: Technology, rects: Dict[str, List[Rect]],
                labels: Sequence[object],
                layer_index: Callable[[str], SpatialIndex],
+               layer_components: Callable[[str], List[List[int]]],
                index: IndexFactory) -> StageOutputs:
     """Every extraction stage on one flat geometry, before node naming.
 
     ``layer_index(layer)`` indexes ``rects[layer]`` (an absent layer is an
-    empty list); ``index`` builds every other index.
+    empty list) and ``layer_components(layer)`` is that index's
+    ``connected_components()``, or a partition equal to it; ``index``
+    builds every other index.
     """
     out = StageOutputs()
     layers = diffusion_layers(technology)
@@ -502,8 +516,8 @@ def run_stages(technology: Technology, rects: Dict[str, List[Rect]],
     piece_index = index(pieces)
     # Same-layer connectivity: touching pieces, poly and metal components.
     out.piece_edges = touching_pairs(pieces, piece_index)
-    out.poly_comps = layer_index("poly").connected_components()
-    out.metal_comps = layer_index("metal").connected_components()
+    out.poly_comps = layer_components("poly")
+    out.metal_comps = layer_components("metal")
     out.contact_touch, out.buried_touch, out.label_hits = item_touches(
         pieces, poly, metal, rects.get("contact", []), buried, labels, layers,
         index)

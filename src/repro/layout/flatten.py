@@ -16,12 +16,15 @@ read-only; the shape and label objects are shared with the cache.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.geometry.index import IndexFactory
+from repro.geometry.merge import MergedLayer
 from repro.geometry.rect import Rect
 from repro.geometry.transform import Orientation, Transform
 from repro.layout.cell import Cell
 from repro.layout.shapes import Geometry, Label, Shape
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import gc_paused
 
@@ -156,9 +159,11 @@ class FlatLayout:
 
     Layer lookups are served from buckets built once per view on first use
     and cached, so ``shapes_on_layer`` / ``rects_by_layer`` are cheap no
-    matter how often the analysis passes ask.  A ``FlatLayout`` is
-    **read-only after construction**: instances returned by
-    :func:`flatten_cell` may be shared by the cache, and mutating
+    matter how often the analysis passes ask; so are the bounding box and
+    each layer's touching-merge (:meth:`layer_merge`), which the flat DRC,
+    the flat extractor and the mask-area statistic share.  A
+    ``FlatLayout`` is **read-only after construction**: instances returned
+    by :func:`flatten_cell` may be shared by the cache, and mutating
     ``shapes``/``labels`` after the first layer query would serve stale
     buckets.
     """
@@ -170,6 +175,8 @@ class FlatLayout:
         self.unexpanded_instances = 0
         self._shapes_by_layer: Optional[Dict[str, List[Shape]]] = None
         self._rects_by_layer: Optional[Dict[str, List[Rect]]] = None
+        self._bbox: Optional[Tuple[Optional[Rect]]] = None
+        self._merges: Dict[Tuple[str, IndexFactory], MergedLayer] = {}
 
     # -- layer buckets ------------------------------------------------------
 
@@ -189,13 +196,8 @@ class FlatLayout:
     def shapes_on_layer(self, layer: str) -> List[Shape]:
         return list(self._buckets().get(layer, ()))
 
-    def rects_by_layer(self) -> Dict[str, List[Rect]]:
-        """All geometry reduced to rectangles, grouped by layer.
-
-        The rectangle decomposition is cached; callers get fresh dict/list
-        containers (sharing the immutable ``Rect`` values), so mutating the
-        result cannot corrupt the cached view.
-        """
+    def _layer_rects(self) -> Dict[str, List[Rect]]:
+        """The cached rectangle decomposition itself (not to be mutated)."""
         rects = self._rects_by_layer
         if rects is None:
             rects = {}
@@ -205,19 +207,49 @@ class FlatLayout:
                     layer_rects.extend(shape.as_rects())
                 rects[layer] = layer_rects
             self._rects_by_layer = rects
-        return {layer: list(layer_rects) for layer, layer_rects in rects.items()}
+        return rects
+
+    def rects_by_layer(self) -> Dict[str, List[Rect]]:
+        """All geometry reduced to rectangles, grouped by layer.
+
+        The rectangle decomposition is cached; callers get fresh dict/list
+        containers (sharing the immutable ``Rect`` values), so mutating the
+        result cannot corrupt the cached view.
+        """
+        return {layer: list(layer_rects)
+                for layer, layer_rects in self._layer_rects().items()}
+
+    def layer_merge(self, layer: str, index: IndexFactory) -> MergedLayer:
+        """The :class:`~repro.geometry.merge.MergedLayer` of ``layer``'s
+        rects (an absent layer's is empty), built with ``index`` once per
+        view and index factory; each build counts ``layout.flat.merges``.
+
+        Keyed by the factory too, so an all-pairs oracle never reads the
+        merge production's grid index built.  The merge holds no index.
+        """
+        key = (layer, index)
+        merge = self._merges.get(key)
+        if merge is None:
+            merge = self._merges[key] = MergedLayer(
+                self._layer_rects().get(layer, []), index)
+            obs_metrics.counter("layout.flat.merges").inc()
+        return merge
 
     def layers(self) -> List[str]:
         return list(self._buckets().keys())
 
     def bbox(self) -> Optional[Rect]:
-        if not self.shapes:
-            return None
-        boxes = [shape.bbox for shape in self.shapes]
-        return Rect(min([box.x1 for box in boxes]),
-                    min([box.y1 for box in boxes]),
-                    max([box.x2 for box in boxes]),
-                    max([box.y2 for box in boxes]))
+        cached = self._bbox
+        if cached is None:
+            extent = None
+            if self.shapes:
+                boxes = [shape.bbox for shape in self.shapes]
+                extent = Rect(min([box.x1 for box in boxes]),
+                              min([box.y1 for box in boxes]),
+                              max([box.x2 for box in boxes]),
+                              max([box.y2 for box in boxes]))
+            cached = self._bbox = (extent,)
+        return cached[0]
 
     def __len__(self) -> int:
         return len(self.shapes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.geometry.rect import merged_area
+from repro.geometry.index import build_index
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 
@@ -77,14 +77,19 @@ def hierarchy_depth(cell: Cell) -> int:
 
 
 def cell_statistics(cell: Cell) -> CellStatistics:
-    """Compute summary statistics for a cell and its hierarchy."""
+    """Compute summary statistics for a cell and its hierarchy.
+
+    A layer's mask area is its flat view's layer merge's
+    (:meth:`~repro.layout.flatten.FlatLayout.layer_merge`), the merge the
+    flat DRC and extractor read too.
+    """
     flat = flatten_cell(cell)
     bbox = flat.bbox()
     distinct_cells, instance_count, depth = hierarchy_counts(cell)
     distinct_shapes = sum(len(c.shapes) for c in distinct_cells)
-    area_by_layer: Dict[str, int] = {}
-    for layer, rects in flat.rects_by_layer().items():
-        area_by_layer[layer] = merged_area(rects)
+    area_by_layer: Dict[str, int] = {
+        layer: flat.layer_merge(layer, build_index).area
+        for layer in flat.layers()}
     return CellStatistics(
         name=cell.name,
         bbox_width=0 if bbox is None else bbox.width,

@@ -20,6 +20,8 @@ one call instead of each layer growing its own ad-hoc stats dict:
                                         ``expansions``, and lattice cells
                                         rasterised (``grid_cells``, gauge);
 * ``sim.settle.*``                    — simulator settle calls/iterations;
+* ``layout.flat.merges``              — layer merges a flat view built
+                                        (:meth:`repro.layout.flatten.FlatLayout.layer_merge`);
 * ``runtime.gc.gen{0,1,2}.collections`` / ``runtime.gc.pause_s``
                                       — runs of the cyclic collector and the
                                         time they took, counted only while

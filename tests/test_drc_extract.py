@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import HierAnalyzer, hier
 from repro.cells import InverterCell, NandCell
 from repro.drc import DrcChecker, check_cell
-from repro.drc.checker import enclosure_verdicts, enclosure_violation, merge_group
+from repro.drc.checker import enclosure_verdicts, enclosure_violation
 from repro.extract import Extractor, compose, extract_cell
 from repro.geometry.index import BruteForceIndex, GridIndex
+from repro.geometry.merge import merge_group
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect, merged_area
 from repro.geometry.transform import Orientation

@@ -19,16 +19,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.drc import DrcChecker
+from repro.extract import Extractor
+from repro.geometry.index import BruteForceIndex, build_index
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, merged_area
 from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
 from repro.layout.flatten import flat_layer_rects, flatten_cell
+from repro.layout.stats import cell_statistics
+from repro.metrics import measure_cell
+from repro.obs import metrics
+from repro.reference import BruteDrcChecker, BruteExtractor
+from repro.technology import NMOS
+from repro.technology.rules import RuleKind
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "examples"))
 from chip_assembly import build_chip  # noqa: E402
+from tile_array import TileArray  # noqa: E402
 
 LAYERS = ("metal", "poly", "diffusion")
 
@@ -249,3 +259,65 @@ class TestSingleLayerWalker:
             cell._flat_cache = None
         assert len(flat_layer_rects(chip, "metal")) > 100
         assert all(cell._flat_cache is None for cell in cells)
+
+
+class TestLayerMergeMemo:
+    """The flat DRC, the flat extractor and ``measure_cell`` share one
+    touching-merge per flat view and layer; the all-pairs oracles, keyed by
+    their own index factory, build and read their own."""
+
+    def test_each_layer_is_merged_once_and_the_oracles_merge_their_own(self):
+        top = TileArray(NMOS, "memo_merges", rom_grid=(1, 1),
+                        pla_grid=(1, 1)).top
+        builds = metrics.counter("layout.flat.merges")
+        flat = flatten_cell(top)
+        layers = flat.layers()
+        # Width and spacing rules merge their layers, drawn or not.
+        ruled = {layer for rule in NMOS.rules
+                 if rule.kind in (RuleKind.MIN_WIDTH, RuleKind.MIN_SPACING)
+                 for layer in rule.layers}
+        start = builds.value
+        violations = DrcChecker(NMOS).check(top)
+        assert builds.value - start == len(ruled)
+        circuit = Extractor(NMOS).extract(top)
+        # Poly and metal carry width rules: DRC merged them already.
+        assert {"poly", "metal"} <= ruled
+        assert builds.value - start == len(ruled)
+        # Every drawn layer is ruled: the mask areas are DRC's merges' too.
+        assert set(layers) <= ruled
+        measured = measure_cell(top, NMOS)
+        merges = {layer: flat.layer_merge(layer, build_index)
+                  for layer in layers}
+        built = builds.value - start
+        assert built == len(ruled)
+        assert cell_statistics(top).mask_area_by_layer == {
+            layer: merged_area(rects)
+            for layer, rects in flat.rects_by_layer().items()}
+
+        # Again: every pass reads the memo.
+        assert DrcChecker(NMOS).check(top) == violations
+        assert Extractor(NMOS).extract(top).summary() == circuit.summary()
+        assert measure_cell(top, NMOS) == measured
+        assert builds.value - start == built
+
+        assert BruteDrcChecker(NMOS).check(top) == violations
+        by_brute_drc = builds.value - start - built
+        assert by_brute_drc == len(ruled)
+        assert BruteExtractor(NMOS).extract(top).summary() == \
+            circuit.summary()
+        assert builds.value - start == built + by_brute_drc
+        for layer in ("poly", "metal"):
+            brute = flat.layer_merge(layer, BruteForceIndex)
+            assert brute is not merges[layer]
+            assert brute.components == merges[layer].components
+            assert brute.area == merges[layer].area
+
+    def test_flat_bbox_is_computed_once(self):
+        _assembler, chip = build_chip("memo_family_bbox", 4, 0)
+        flat = flatten_cell(chip)
+        box = flat.bbox()
+        assert flat.bbox() is box
+        assert box == Rect(min(s.bbox.x1 for s in flat.shapes),
+                           min(s.bbox.y1 for s in flat.shapes),
+                           max(s.bbox.x2 for s in flat.shapes),
+                           max(s.bbox.y2 for s in flat.shapes))

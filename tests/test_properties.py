@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cif import parse_cif, write_cif
+from repro.geometry.index import BruteForceIndex, build_index
+from repro.geometry.merge import MergedLayer
 from repro.geometry.path import Path
 from repro.geometry.point import Point, manhattan_distance
 from repro.geometry.polygon import Polygon
@@ -92,6 +94,41 @@ class TestGeometryProperties:
         # Dense small coordinates: overlaps, abutments, shared edges and
         # degenerate rects are all common.
         assert merged_area(rect_list) == column_merged_area(rect_list)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.builds(
+        lambda x, y, w, h: Rect(x, y, x + w, y + h),
+        st.integers(-20, 20), st.integers(-20, 20),
+        st.integers(0, 12), st.integers(0, 12)), max_size=30),
+        st.sampled_from((build_index, BruteForceIndex)))
+    def test_layer_merge_area_equals_merged_area(self, rect_list, index):
+        # Touching components share no area, so the components' areas add
+        # up to the layer's; zero-area rects are left out of the merge.
+        merge = MergedLayer(rect_list, index)
+        assert merge.area == merged_area(rect_list)
+        assert merge.inputs == [r for r in rect_list if not r.is_degenerate]
+        assert sorted(i for c in merge.components for i in c) == \
+            list(range(len(merge.inputs)))
+
+    @settings(max_examples=200)
+    @given(st.tuples(*[st.integers(-3, 3)] * 4),
+           st.tuples(*[st.integers(-3, 3)] * 4))
+    def test_rect_order_is_corner_tuple_order(self, a, b):
+        # Small corner ranges, so ties on leading fields are common.
+        rect_a = Rect(min(a[0], a[2]), min(a[1], a[3]),
+                      max(a[0], a[2]), max(a[1], a[3]))
+        rect_b = Rect(min(b[0], b[2]), min(b[1], b[3]),
+                      max(b[0], b[2]), max(b[1], b[3]))
+        key_a = (rect_a.x1, rect_a.y1, rect_a.x2, rect_a.y2)
+        key_b = (rect_b.x1, rect_b.y1, rect_b.x2, rect_b.y2)
+        assert (rect_a < rect_b) == (key_a < key_b)
+        assert (rect_a <= rect_b) == (key_a <= key_b)
+        assert (rect_a > rect_b) == (key_a > key_b)
+        assert (rect_a >= rect_b) == (key_a >= key_b)
+        for compare in (Rect.__lt__, Rect.__le__, Rect.__gt__, Rect.__ge__):
+            assert compare(rect_a, key_b) is NotImplemented
+        with pytest.raises(TypeError):
+            rect_a < key_b
 
 
 def _same_value(moved, built):

@@ -9,10 +9,9 @@ probe the bin layout; the unit tests pin the touch/overlap edge semantics
 the DRC and extractor depend on.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.geometry.index import (_SWEEP_BAND_CELLS, BruteForceIndex,
-                                  GridIndex, build_index)
+from repro.geometry.index import BruteForceIndex, GridIndex, build_index
 from repro.geometry.rect import Rect
 
 coords = st.integers(min_value=-300, max_value=300)
@@ -36,9 +35,17 @@ probes = st.builds(
 )
 
 
+#: Five 10 x 10 rects in a row: mean side 10, so a 40-unit pitch.
+ROW = [Rect(20 * i, 0, 20 * i + 10, 10) for i in range(5)]
+
+
 class TestIndexAgreesWithBruteForce:
     @given(rect_soups(), probes, st.integers(min_value=0, max_value=20))
     @settings(max_examples=80, deadline=None)
+    # One bin (x 0..39 at pitch 40): one bucket, nothing to deduplicate.
+    @example(soup=ROW, probe=Rect(8, 2, 21, 8), margin=1)
+    # Three bins: buckets gathered, hits deduplicated and sorted.
+    @example(soup=ROW, probe=Rect(8, 2, 81, 8), margin=1)
     def test_query_matches(self, soup, probe, margin):
         grid = GridIndex(soup)
         brute = BruteForceIndex(soup)
@@ -84,14 +91,12 @@ class TestIndexAgreesWithBruteForce:
 @st.composite
 def railed_soups(draw):
     """``(soup, cell_size)``: short rects, some with edges on multiples of
-    the sweep's band (``_SWEEP_BAND_CELLS * cell_size``), among full-width
-    rails and full-height verticals; coordinates run negative and zero-area
-    rects are allowed."""
+    the cell size (the sweep's band), among full-width rails and full-height
+    verticals; coordinates run negative and zero-area rects are allowed."""
     cell_size = draw(st.integers(min_value=1, max_value=16))
-    band = _SWEEP_BAND_CELLS * cell_size
     coord = st.one_of(st.integers(min_value=-120, max_value=120),
                       st.integers(min_value=-8, max_value=8).map(
-                          lambda k: k * band))
+                          lambda k: k * cell_size))
     side = st.integers(min_value=0, max_value=12)
     soup = draw(st.lists(st.builds(lambda x, y, w, h: Rect(x, y, x + w, y + h),
                                    coord, coord, side, side), max_size=30))
@@ -113,15 +118,25 @@ class TestRailedSoups:
         assert GridIndex(soup, cell_size).connected_components() == expected
 
     def test_touch_on_a_band_edge_connects(self):
-        # Band 10: the short rects end and start exactly on y = 10, x = 10,
-        # and the rail spans the whole soup on band 0 only.
-        assert 10 % _SWEEP_BAND_CELLS == 0
+        # Cell 10, band one cell: the short rects end and start exactly on
+        # y = 10, x = 10, and the rail spans the whole soup on band 0 only.
         soup = [Rect(-50, 0, 50, 2), Rect(3, 2, 5, 10), Rect(4, 10, 10, 20),
                 Rect(10, 20, 12, 30), Rect(40, 30, 41, 30), Rect(41, 30, 41, 40)]
         expected = [[0, 1, 2, 3], [4, 5]]
         assert BruteForceIndex(soup).connected_components() == expected
-        grid = GridIndex(soup, 10 // _SWEEP_BAND_CELLS)
+        assert GridIndex(soup, 10).connected_components() == expected
+
+    def test_default_pitch_is_four_mean_sides_and_the_band_one_cell(self):
+        # Sides 2 and 8: mean 5, pitch and band 20.  The touches sit on
+        # y = 20 and y = 40, a band edge each, and x = 20, a bin edge.
+        soup = [Rect(0, 18, 8, 20), Rect(6, 20, 8, 28), Rect(12, 38, 20, 40),
+                Rect(18, 40, 20, 48), Rect(20, 42, 28, 44)]
+        grid = GridIndex(soup)
+        assert grid.cell_size == 20
+        expected = [[0, 1], [2, 3, 4]]
+        assert BruteForceIndex(soup).connected_components() == expected
         assert grid.connected_components() == expected
+        assert grid.query(Rect(20, 40, 20, 42)) == [2, 3, 4]
 
 
 class TestSparseLayouts:
