@@ -10,11 +10,10 @@ import io
 
 import pytest
 
-from benchmarks.conftest import emit, record_bench
+from benchmarks.conftest import emit, record_bench, register_file
 from repro.cells import InverterCell, RegisterBitCell
 from repro.cif import CifWriter, parse_cif, write_cif
 from repro.generators import DecoderGenerator, PlaGenerator, RomGenerator
-from repro.lang.composition import array_cell
 from repro.layout import Library, flatten_cell
 from repro.layout.cell import Cell
 from repro.logic import TruthTable, parse_expr
@@ -27,8 +26,8 @@ def build_blocks(technology):
         input_names=["a", "b", "c"])
     return [
         ("inverter", InverterCell(technology).cell()),
-        ("register_file_16", array_cell("e10_regfile", RegisterBitCell(technology).cell(),
-                                        columns=1, rows=16)),
+        ("register_file_16", register_file("e10_regfile",
+                                           RegisterBitCell(technology).cell(), 16)),
         ("adder_pla", PlaGenerator(technology, table, name="e10_pla").cell()),
         ("decoder_4", DecoderGenerator(technology, address_bits=4).cell()),
         ("rom_32x8", RomGenerator(technology, [i % 251 for i in range(32)],

@@ -12,11 +12,10 @@ import io
 
 import pytest
 
-from benchmarks.conftest import emit, record_bench
+from benchmarks.conftest import emit, record_bench, register_file
 from repro.cells import RegisterBitCell
 from repro.cif import CifWriter
 from repro.generators import DecoderGenerator
-from repro.lang.composition import array_cell
 from repro.layout import Library, cell_statistics, flatten_cell
 from repro.layout.cell import Cell
 from repro.metrics import format_table
@@ -43,7 +42,7 @@ def build_designs(technology):
     register = RegisterBitCell(technology).cell()
     for count in (4, 16, 64):
         designs.append((f"register_file_{count}",
-                        array_cell(f"regfile_{count}", register, columns=1, rows=count)))
+                        register_file(f"regfile_{count}", register, count)))
     designs.append(("decoder_5bit", DecoderGenerator(technology, address_bits=5).cell()))
     return designs
 

@@ -19,6 +19,7 @@ import sys
 
 import pytest
 
+from repro.layout.cell import Cell
 from repro.technology import nmos_technology
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -29,6 +30,20 @@ from paths import bench_result_path, ensure_results_dir  # noqa: E402
 def technology():
     """One NMOS technology instance shared by all benchmarks."""
     return nmos_technology()
+
+
+def register_file(name: str, bit: Cell, rows: int) -> Cell:
+    """``rows`` copies of ``bit`` stacked at its pitch, the way the chip
+    generators draw a register column; row ``r``'s ports are labelled
+    ``port[r][0]`` (row, column)."""
+    regfile = Cell(name)
+    for row in range(rows):
+        instance = regfile.place(bit, 0, row * bit.height, name=f"bit{row}")
+        for port_name in bit.port_names():
+            port = bit.port(port_name)
+            regfile.add_label(f"{port_name}[{row}][0]",
+                              instance.transform.apply(port.position), port.layer)
+    return regfile
 
 
 def emit(table_text: str) -> None:

@@ -26,7 +26,7 @@ from repro.diagnostics import (
     strict_mode,
 )
 from repro.geometry import Point, Rect, Polygon, Path, Transform, Orientation
-from repro.technology import Technology, nmos_technology, cmos_technology, NMOS, CMOS
+from repro.technology import Technology, nmos_technology, NMOS
 from repro.layout import Cell, Library, Port, flatten_cell, cell_statistics
 from repro.cif import write_cif, parse_cif, cell_to_cif
 
@@ -49,9 +49,7 @@ __all__ = [
     "Orientation",
     "Technology",
     "nmos_technology",
-    "cmos_technology",
     "NMOS",
-    "CMOS",
     "Cell",
     "Library",
     "Port",

@@ -7,31 +7,15 @@ This package is that language.  A generator subclasses
 ``build()`` with :class:`~repro.layout.cell.Cell`'s own methods
 (``add_rect`` / ``add_box`` / ``add_wire`` / ``place``); repeated bricks
 come from :func:`~repro.lang.parameters.shared_brick`, so a structure that draws the same brick
-many times defines one master.  The composition algebra (abut, stack,
-array, mirror) assembles finished cells.  Data-type extension happens the
-ordinary Python way: generator classes add their own parameter types and
-validation.
+many times defines one master.  Finished cells are assembled the same way:
+a parent cell ``place`` s each child where its ports abut its neighbours'.
+Data-type extension happens the ordinary Python way: generator classes add
+their own parameter types and validation.
 """
 
-from repro.lang.composition import (
-    abut_horizontal,
-    abut_vertical,
-    array_cell,
-    mirror_cell,
-    stack_cells,
-    row_of,
-    column_of,
-)
 from repro.lang.parameters import Parameter, ParameterizedCell, ParameterError
 
 __all__ = [
-    "abut_horizontal",
-    "abut_vertical",
-    "array_cell",
-    "mirror_cell",
-    "stack_cells",
-    "row_of",
-    "column_of",
     "Parameter",
     "ParameterizedCell",
     "ParameterError",

@@ -9,8 +9,8 @@ instances of other cells placed under orthogonal transforms.  A
 from repro.layout.shapes import ShapeKind, Shape, Label
 from repro.layout.cell import Cell, CellInstance, Port
 from repro.layout.library import Library
-from repro.layout.flatten import flatten_cell, flattened_shapes_by_layer
-from repro.layout.stats import CellStatistics, cell_statistics, regularity_index
+from repro.layout.flatten import flatten_cell
+from repro.layout.stats import CellStatistics, cell_statistics
 
 __all__ = [
     "ShapeKind",
@@ -21,8 +21,6 @@ __all__ = [
     "Port",
     "Library",
     "flatten_cell",
-    "flattened_shapes_by_layer",
     "CellStatistics",
     "cell_statistics",
-    "regularity_index",
 ]

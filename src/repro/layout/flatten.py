@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.geometry.index import IndexFactory
 from repro.geometry.merge import MergedLayer
 from repro.geometry.rect import Rect
-from repro.geometry.transform import Orientation, Transform
+from repro.geometry.transform import Orientation
 from repro.layout.cell import Cell
 from repro.layout.shapes import Geometry, Label, Shape
 from repro.obs import metrics as obs_metrics
@@ -29,42 +29,19 @@ from repro.obs import trace as obs_trace
 from repro.runtime import gc_paused
 
 
-def flatten_cell(cell: Cell, max_depth: Optional[int] = None) -> "FlatLayout":
+def flatten_cell(cell: Cell) -> "FlatLayout":
     """Flatten a cell (and its instance hierarchy) into top-level shapes.
 
-    ``max_depth`` limits how many levels of hierarchy are expanded;
-    ``None`` means fully flatten.  Depth 0 returns only the cell's own
-    geometry.  Full flattens are served from the per-cell cache; depth-
-    limited flattens are always built fresh.  Each call is one
-    ``layout.flatten`` trace span saying how many ``shapes`` the view has
-    and whether it was ``cached``.
+    Served from the per-cell cache.  Each call is one ``layout.flatten``
+    trace span saying how many ``shapes`` the view has and whether it was
+    ``cached``.
     """
     with gc_paused(), obs_trace.span("layout.flatten", cat="layout",
                                      cell=cell.name) as span:
-        if max_depth is not None:
-            flat = FlatLayout(cell.name)
-            _flatten_into(flat, cell, Transform.identity(), 0, max_depth)
-            cached = False
-        else:
-            cached = _is_current(cell)
-            flat = _flat_view(cell)
+        cached = _is_current(cell)
+        flat = _flat_view(cell)
         span.set(shapes=len(flat.shapes), cached=cached)
         return flat
-
-
-def _flatten_into(flat: "FlatLayout", cell: Cell, transform: Transform,
-                  depth: int, max_depth: Optional[int]) -> None:
-    for shape in cell.shapes:
-        flat.shapes.append(shape.transformed(transform))
-    for label in cell.labels:
-        flat.labels.append(label.transformed(transform))
-    if max_depth is not None and depth >= max_depth:
-        for instance in cell.instances:
-            flat.unexpanded_instances += 1 + instance.cell.instance_count()
-        return
-    for instance in cell.instances:
-        child_transform = instance.transform.then(transform)
-        _flatten_into(flat, instance.cell, child_transform, depth + 1, max_depth)
 
 
 # -- memoized flat views ------------------------------------------------------
@@ -172,7 +149,6 @@ class FlatLayout:
         self.name = name
         self.shapes: List[Shape] = []
         self.labels: List[Label] = []
-        self.unexpanded_instances = 0
         self._shapes_by_layer: Optional[Dict[str, List[Shape]]] = None
         self._rects_by_layer: Optional[Dict[str, List[Rect]]] = None
         self._bbox: Optional[Tuple[Optional[Rect]]] = None
@@ -253,8 +229,3 @@ class FlatLayout:
 
     def __len__(self) -> int:
         return len(self.shapes)
-
-
-def flattened_shapes_by_layer(cell: Cell) -> Dict[str, List[Rect]]:
-    """Convenience: fully flatten ``cell`` and return rectangles per layer."""
-    return flatten_cell(cell).rects_by_layer()

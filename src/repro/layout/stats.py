@@ -102,8 +102,3 @@ def cell_statistics(cell: Cell) -> CellStatistics:
         hierarchy_depth=depth,
         mask_area_by_layer=area_by_layer,
     )
-
-
-def regularity_index(cell: Cell) -> float:
-    """Shortcut for :attr:`CellStatistics.regularity`."""
-    return cell_statistics(cell).regularity

@@ -1,8 +1,9 @@
 """Reference implementations: test oracles, not production paths.
 
 Each class here has the public API of a production engine and the seed's
-original, obviously-correct algorithm underneath (:func:`cell_flood`, a
-plain function, is the oracle of :func:`repro.pnr.router.span_flood`):
+original, obviously-correct algorithm underneath (:func:`cell_flood` and
+:func:`flatten_walk` are plain functions; the first is the oracle of
+:func:`repro.pnr.router.span_flood`):
 
 ==============================  ==========================================
 oracle                          production twin
@@ -13,6 +14,7 @@ oracle                          production twin
 :class:`BruteDrcChecker`        :class:`repro.drc.DrcChecker`
 :class:`BruteExtractor`         :class:`repro.extract.Extractor`
 :class:`DijkstraMazeRouter`     :class:`repro.pnr.MazeRouter`
+:func:`flatten_walk`            :func:`repro.layout.flatten_cell`
 ==============================  ==========================================
 
 Every oracle but one subclasses its twin and overrides the one hook that
@@ -26,7 +28,7 @@ engine propagates as itself rather than rerunning its oracle
 """
 
 from repro.reference.gate_sim import GateLevelInterpreter
-from repro.reference.geometry import BruteDrcChecker, BruteExtractor
+from repro.reference.geometry import BruteDrcChecker, BruteExtractor, flatten_walk
 from repro.reference.maze import DijkstraMazeRouter, cell_flood
 from repro.reference.rtl_sim import RtlInterpreter
 from repro.reference.switch_sim import SwitchLevelReference
@@ -39,4 +41,5 @@ __all__ = [
     "RtlInterpreter",
     "SwitchLevelReference",
     "cell_flood",
+    "flatten_walk",
 ]

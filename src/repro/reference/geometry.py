@@ -6,7 +6,9 @@ question with :class:`~repro.geometry.index.BruteForceIndex` — a scan of
 every rectangle, no grid, no sweep line.  They are the oracles the golden
 suites (``test_index_golden``, ``test_hier_golden``, the fault-injection
 differentials) and ``bench_e11`` compare the indexed engines against.
-:func:`column_merged_area` is the same kind of oracle for the area sweep.
+:func:`column_merged_area` is the same kind of oracle for the area sweep,
+and :func:`flatten_walk` for the memoized flat view of
+:func:`~repro.layout.flatten.flatten_cell`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from repro.drc.checker import DrcChecker
 from repro.extract.extractor import Extractor
 from repro.geometry.index import BruteForceIndex
 from repro.geometry.rect import Rect
+from repro.geometry.transform import Transform
+from repro.layout.cell import Cell
+from repro.layout.flatten import FlatLayout
 
 
 class BruteDrcChecker(DrcChecker):
@@ -60,3 +65,23 @@ def column_merged_area(rects: Iterable[Rect]) -> int:
             covered += end - start
         total += covered * (right - left)
     return total
+
+
+def flatten_walk(cell: Cell) -> FlatLayout:
+    """Every shape and label below ``cell``, in top-level coordinates.
+
+    The oracle of :func:`~repro.layout.flatten.flatten_cell`: no cache and
+    no per-orientation shortcut, each instance's transform composed from the
+    top down and applied to every shape afresh.  The order is the memoized
+    view's: a cell's own shapes, then each instance's, depth first.
+    """
+    flat = FlatLayout(cell.name)
+
+    def walk(cell: Cell, transform: Transform) -> None:
+        flat.shapes.extend(shape.transformed(transform) for shape in cell.shapes)
+        flat.labels.extend(label.transformed(transform) for label in cell.labels)
+        for instance in cell.instances:
+            walk(instance.cell, instance.transform.then(transform))
+
+    walk(cell, Transform.identity())
+    return flat

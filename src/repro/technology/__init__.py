@@ -11,7 +11,6 @@ from repro.technology.layers import Layer, LayerPurpose, LayerSet
 from repro.technology.rules import RuleKind, DesignRule, RuleSet
 from repro.technology.technology import Technology
 from repro.technology.nmos import nmos_technology, NMOS
-from repro.technology.cmos import cmos_technology, CMOS
 
 __all__ = [
     "Layer",
@@ -23,6 +22,4 @@ __all__ = [
     "Technology",
     "nmos_technology",
     "NMOS",
-    "cmos_technology",
-    "CMOS",
 ]

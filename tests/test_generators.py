@@ -1,13 +1,20 @@
 """Tests for the regular-structure generators (PLA, ROM, decoder, datapath, FSM),
-and for the rule that every cell generator in ``repro`` is drawn by a chip,
-an example or a benchmark design."""
+and for two rules read from one recorded run of the examples and the
+end-to-end benchmark's reference jobs: every cell generator in ``repro``
+draws a cell, and every production module has a function called."""
 
+import ast
+import contextlib
+import fnmatch
+import gc
 import glob
 import importlib
+import inspect
 import os
 import pkgutil
 import runpy
 import sys
+import types
 
 import pytest
 
@@ -30,7 +37,8 @@ from repro.logic import FSM, TruthTable, parse_expr
 from repro.technology import NMOS
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-sys.path.insert(0, os.path.join(ROOT, "examples"))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "examples")]
+from benchmarks.e2e import flow, tracing  # noqa: E402
 from chip_assembly import build_chip  # noqa: E402
 
 
@@ -246,9 +254,8 @@ class TestFsmLayout:
 
 
 def cell_generators():
-    """Every :class:`ParameterizedCell` subclass defined in a ``repro`` module."""
-    for module in pkgutil.walk_packages(repro.__path__, "repro."):
-        importlib.import_module(module.name)
+    """Every :class:`ParameterizedCell` subclass defined in an imported
+    ``repro`` module (:func:`repro_sources` imports them all)."""
     found, pending = set(), [ParameterizedCell]
     while pending:
         for subclass in pending.pop().__subclasses__():
@@ -258,6 +265,102 @@ def cell_generators():
     return found
 
 
+def repro_sources():
+    """Name -> source text of every module of the installed ``repro``
+    package, each imported."""
+    names = ["repro"] + [module.name for module in
+                         pkgutil.walk_packages(repro.__path__, "repro.")]
+    return {name: inspect.getsource(importlib.import_module(name)) for name in names}
+
+
+@contextlib.contextmanager
+def recording_calls():
+    """The ``__name__`` of every module a Python function is called in
+    inside the block: a ``sys.setprofile`` hook, nothing more."""
+    called = set()
+    add = called.add
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            add(frame.f_globals.get("__name__"))
+
+    sys.setprofile(profile)
+    try:
+        yield called
+    finally:
+        sys.setprofile(None)
+
+
+def defines_function(source):
+    return any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+               for node in ast.walk(ast.parse(source)))
+
+
+def uncalled(sources, called):
+    """The modules of ``sources`` (name -> source text) that define a
+    function but had none in ``called``.
+
+    A module that defines none (a package's re-exports, a table of
+    constants) has nothing to call and is never reported.
+    """
+    return sorted(name for name, source in sources.items()
+                  if name not in called and defines_function(source))
+
+
+@pytest.fixture(scope="module")
+def everything_drawn(tmp_path_factory):
+    """One run of the four examples and of the end-to-end benchmark's three
+    reference jobs (a chip build, a tile-array edit loop and the LFSR logic
+    job, one iteration each): which generators drew a cell, and which
+    ``repro`` modules had a function called.
+
+    Every module is imported before recording starts, so code that runs
+    only at import is no call.  The jobs' ``verify`` (the flat and
+    interpreted oracles) is left out: it reaches no further production
+    module, and under the profiler it adds a third to the jobs' time.
+    """
+    sources = repro_sources()
+    out = tmp_path_factory.mktemp("drawn")
+    drawn = set()
+    original = ParameterizedCell.cell
+
+    def recording_cell(self):
+        drawn.add(type(self))
+        return original(self)
+
+    checks = flow.Checks()
+    run = flow.Run("reached", 1979, NMOS, tracing.Recorder(),
+                   tracing.SpeedProbe(), checks, str(out))
+    # What the suite built so far is no garbage of this run: keep it out of
+    # the jobs' per-iteration collections, as the benchmark harness does.
+    gc.collect()
+    gc.freeze()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ParameterizedCell, "cell", recording_cell)
+            # Empty caches, so a cell an earlier test built is built again and
+            # the generators it composes are reached; both go together, or a
+            # cached brick would hold the old master of a rebuilt leaf cell.
+            patch.setattr(parameters, "_GENERATED_CELL_CACHE", {})
+            patch.setattr(parameters, "_SHARED_BRICK_CACHE", {})
+            with recording_calls() as called:
+                # Examples without an --out option take no arguments at all.
+                for script in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
+                    patch.setattr(sys, "argv", [script, "--out", str(out)])
+                    runpy.run_path(script, run_name="__main__")
+                for job, _repetitions in flow.reference_jobs(run):
+                    try:
+                        job.prepare()
+                        job.iterate()
+                    finally:
+                        job.close()
+    finally:
+        gc.unfreeze()
+    assert checks.failures == []
+    return types.SimpleNamespace(drawn=drawn, sources=sources,
+                                 called=called)
+
+
 class TestEveryGeneratorIsDrawn:
     """A cell generator stays in ``src/`` only if something draws with it.
 
@@ -265,31 +368,53 @@ class TestEveryGeneratorIsDrawn:
     benchmark builds; a generator only its own tests instantiate is dead code.
     """
 
-    def test_every_generator_is_instantiated(self, monkeypatch, tmp_path):
-        drawn = set()
-        original = ParameterizedCell.cell
-
-        def recording_cell(self):
-            drawn.add(type(self))
-            return original(self)
-
-        monkeypatch.setattr(ParameterizedCell, "cell", recording_cell)
-        # Empty caches, so a cell an earlier test built is built again and
-        # the generators it composes are reached; both go together, or a
-        # cached brick would hold the old master of a rebuilt leaf cell.
-        monkeypatch.setattr(parameters, "_GENERATED_CELL_CACHE", {})
-        monkeypatch.setattr(parameters, "_SHARED_BRICK_CACHE", {})
-
-        # Examples without an --out option take no arguments at all.
-        for script in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
-            monkeypatch.setattr(sys, "argv", [script, "--out", str(tmp_path)])
-            runpy.run_path(script, run_name="__main__")
-
-        designs = runpy.run_path(os.path.join(ROOT, "benchmarks", "e2e", "designs.py"))
-        for assembler, _rom in (designs["family_chip"](NMOS, "drawn_family", 8, 2, 1979),
-                                designs["small_chip"](NMOS, "drawn_small", 1979)):
-            assembler.assemble()
-        designs["tile_array"](NMOS, "drawn_tiles", 16, (2, 2), (2, 1), 1979)
-
-        undrawn = sorted(generator.__name__ for generator in cell_generators() - drawn)
+    def test_every_generator_is_instantiated(self, everything_drawn):
+        undrawn = sorted(generator.__name__ for generator
+                         in cell_generators() - everything_drawn.drawn)
         assert not undrawn, f"nothing draws with {', '.join(undrawn)}"
+
+
+#: Production modules that nothing in that run calls, and why each stays.
+NOT_REACHED = {
+    "repro.reference.*": "test oracles; production never imports them",
+    "repro.obs.__main__": "the trace CLI, run as python -m repro.obs",
+    "repro.assembly.channel": "no chip routes through it yet; the ROADMAP "
+                              "router-estate item keeps or deletes it",
+    "repro.assembly.river": "no chip routes through it yet; the ROADMAP "
+                            "router-estate item keeps or deletes it",
+}
+
+
+class TestEveryModuleIsReached:
+    """A production module stays in ``src/`` only if an example or an
+    end-to-end reference job calls one of its functions, or it is in
+    :data:`NOT_REACHED` with a reason."""
+
+    def test_every_module_is_reached(self, everything_drawn):
+        unexplained = [name for name in uncalled(everything_drawn.sources,
+                                                 everything_drawn.called)
+                       if not any(fnmatch.fnmatchcase(name, pattern)
+                                  for pattern in NOT_REACHED)]
+        assert not unexplained, (
+            f"no example or reference job calls {', '.join(unexplained)}")
+
+    def test_every_allowlist_entry_is_still_unreached(self, everything_drawn):
+        sources = everything_drawn.sources
+        unreached = set(uncalled(sources, everything_drawn.called))
+        for pattern in NOT_REACHED:
+            named = {name for name in sources if fnmatch.fnmatchcase(name, pattern)
+                     and defines_function(sources[name])}
+            assert named, f"{pattern} names no module with a function"
+            assert named <= unreached, f"{sorted(named - unreached)} are reached now"
+
+    def test_the_scan_recognises_an_uncalled_module(self):
+        sources = {"made_up.called": "def run():\n    return 1\n",
+                   "made_up.uncalled": "def dead():\n    return 2\n",
+                   "made_up.constants": "WIDTH = 4\n"}
+        modules = {}
+        for name, source in sources.items():
+            modules[name] = types.ModuleType(name)
+            exec(compile(source, name, "exec"), modules[name].__dict__)
+        with recording_calls() as called:
+            modules["made_up.called"].run()
+        assert uncalled(sources, called) == ["made_up.uncalled"]

@@ -116,13 +116,6 @@ class TestFlattenCache:
         assert sorted(rects.keys()) == ["metal"]
         assert len(rects["metal"]) == 4
 
-    def test_depth_limited_flatten_bypasses_cache(self):
-        _, _, top = self.make_hierarchy()
-        flatten_cell(top)
-        shallow = flatten_cell(top, max_depth=1)
-        assert shallow.unexpanded_instances == 4      # 2 mids x 2 leaf instances
-        assert len(shallow.shapes) == 0
-
     def test_labels_follow_cache_invalidation(self):
         leaf, _, top = self.make_hierarchy()
         assert len(flatten_cell(top).labels) == 0

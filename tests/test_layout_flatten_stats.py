@@ -3,9 +3,8 @@
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.layout.cell import Cell
-from repro.layout.flatten import flatten_cell, flattened_shapes_by_layer
-from repro.layout.stats import cell_statistics, hierarchy_depth, regularity_index
-from repro.lang.composition import array_cell
+from repro.layout.flatten import flatten_cell
+from repro.layout.stats import cell_statistics, hierarchy_depth
 
 
 def make_unit():
@@ -19,7 +18,6 @@ class TestFlatten:
     def test_flatten_leaf(self):
         flat = flatten_cell(make_unit())
         assert len(flat.shapes) == 2
-        assert flat.unexpanded_instances == 0
 
     def test_flatten_hierarchy_translates_geometry(self):
         unit = make_unit()
@@ -29,23 +27,12 @@ class TestFlatten:
         metal = [s for s in flat.shapes if s.layer == "metal"][0]
         assert metal.bbox == Rect(10, 20, 14, 24)
 
-    def test_flatten_depth_limit(self):
-        unit = make_unit()
-        mid = Cell("mid")
-        mid.place(unit, 0, 0)
-        top = Cell("top")
-        top.place(mid, 0, 0)
-        flat = flatten_cell(top, max_depth=1)
-        # Only mid's own geometry (none) is expanded; unit remains unexpanded.
-        assert len(flat.shapes) == 0
-        assert flat.unexpanded_instances == 1
-
     def test_rects_by_layer(self):
         unit = make_unit()
         parent = Cell("p")
         parent.place(unit, 0, 0)
         parent.place(unit, 10, 0)
-        rects = flattened_shapes_by_layer(parent)
+        rects = flatten_cell(parent).rects_by_layer()
         assert len(rects["metal"]) == 2
         assert len(rects["poly"]) == 2
 
@@ -74,11 +61,13 @@ class TestStatistics:
 
     def test_array_regularity_scales_with_copies(self):
         unit = make_unit()
-        arr = array_cell("arr", unit, columns=4, rows=4)
+        arr = Cell("arr")
+        for row in range(4):
+            for column in range(4):
+                arr.place(unit, column * unit.width, row * unit.height)
         stats = cell_statistics(arr)
         assert stats.flattened_shape_count == 32
         assert stats.regularity == 16.0
-        assert regularity_index(arr) == 16.0
 
     def test_hierarchy_depth(self):
         unit = make_unit()

@@ -7,7 +7,8 @@ across a pickle round-trip), and ``flat_layer_rects`` must list exactly what
 the memoized flat view lists for one layer, in the same order — the maze
 router's obstacle ids, and with them every routed point, depend on it.  The
 memoized view itself (translated, transformed or shared per placement) must
-equal the depth-limited walk, which composes every transform from the top.
+equal ``repro.reference.flatten_walk``, which composes every transform from
+the top.
 """
 
 import os
@@ -31,7 +32,7 @@ from repro.layout.flatten import flat_layer_rects, flatten_cell
 from repro.layout.stats import cell_statistics
 from repro.metrics import measure_cell
 from repro.obs import metrics
-from repro.reference import BruteDrcChecker, BruteExtractor
+from repro.reference import BruteDrcChecker, BruteExtractor, flatten_walk
 from repro.technology import NMOS
 from repro.technology.rules import RuleKind
 
@@ -165,15 +166,10 @@ def hierarchies(draw):
     return cells
 
 
-#: Deeper than any hierarchy drawn here: the walk expands every level.
-DEEP = 64
-
-
 def assert_flat_view_matches_walk(top):
     """The memoized view equals the composed-transform walk, in order."""
     flat = flatten_cell(top)
-    walked = flatten_cell(top, max_depth=DEEP)
-    assert walked.unexpanded_instances == 0
+    walked = flatten_walk(top)
     assert flat.shapes == walked.shapes
     assert flat.labels == walked.labels
     assert flat.bbox() == (reduce(Rect.union, [s.bbox for s in walked.shapes])

@@ -2,7 +2,6 @@
 
 from repro.cells import InverterCell
 from repro.geometry.point import Point
-from repro.lang.composition import array_cell
 from repro.layout.cell import Cell
 from repro.metrics import format_table, measure_cell, speed_estimate_ns, wire_length_estimate
 from repro.technology import NMOS, nmos_technology
@@ -22,7 +21,11 @@ class TestMeasureCell:
         assert coarse.area_sq_mm > fine.area_sq_mm
 
     def test_regularity_of_array(self):
-        arr = array_cell("arr", InverterCell(NMOS).cell(), columns=4, rows=2)
+        inverter = InverterCell(NMOS).cell()
+        arr = Cell("arr")
+        for row in range(2):
+            for column in range(4):
+                arr.place(inverter, column * inverter.width, row * inverter.height)
         metrics = measure_cell(arr, NMOS)
         assert metrics.regularity >= 8.0
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.technology import CMOS, NMOS, cmos_technology, nmos_technology
+from repro.technology import NMOS, nmos_technology
 from repro.technology.layers import Layer, LayerPurpose, LayerSet
 from repro.technology.rules import DesignRule, RuleKind, RuleSet
 
@@ -23,7 +23,6 @@ class TestLayers:
     def test_has_layer(self):
         assert NMOS.has_layer("poly")
         assert not NMOS.has_layer("nwell")
-        assert CMOS.has_layer("nwell")
 
     def test_duplicate_layer_names_rejected(self):
         with pytest.raises(ValueError):
@@ -105,10 +104,6 @@ class TestTechnologyScaling:
         assert NMOS.property("missing", default=1.5) == 1.5
         with pytest.raises(KeyError):
             NMOS.property("missing")
-
-    def test_cmos_variant(self):
-        assert cmos_technology().name == "cmos-scalable"
-        assert CMOS.rules.min_width("active") == 3
 
     def test_repr_mentions_name(self):
         assert "nmos" in repr(NMOS)
