@@ -13,7 +13,9 @@ ways:
   timed as the median of five runs from reset;
 * the bit-parallel bitplane kernel — 64 independent stimulus streams
   packed into integer planes, one levelized pass per cycle for all
-  streams at once.
+  streams at once; the share of those passes that were the Boolean pass
+  (every input and flip-flop known, ``hi`` alone computed) is recorded
+  as ``stream_boolean_share``.
 
 It also times the bit-parallel functional equivalence check
 (``compare_netlists(..., functional=True)``) of the RTL-compiled LFSR
@@ -31,6 +33,7 @@ import time
 from benchmarks.conftest import emit, record_bench
 from repro.metrics import format_table
 from repro.netlist import GateLevelSimulator, GateType, Module, compare_netlists
+from repro.obs import metrics as obs_metrics
 from repro.reference import GateLevelInterpreter
 from repro.rtl import RtlCompiler, parse_rtl
 from repro.sim import CompiledNetlist, run_streams
@@ -142,10 +145,18 @@ def test_e13_sim_kernel_throughput():
         idle.update({f"seed_{i}": 0 for i in range(8)})
         streams.append([load] + [idle] * (CYCLES - 1))
     watch = flat.input_names() + flat.output_names()
+    passes = [obs_metrics.counter(f"sim.planes.{kind}_passes")
+              for kind in ("boolean", "three_valued")]
+    before = [counter.value for counter in passes]
     start = time.perf_counter()
     stream_traces = run_streams(lowered, streams, record=watch)
     stream_seconds = time.perf_counter() - start
     assert stream_traces[0] == compiled_trace.cycles
+    boolean, three_valued = (counter.value - value
+                             for counter, value in zip(passes, before))
+    stream_boolean_share = boolean / (boolean + three_valued)
+    # Every stimulus vector names all nine inputs with 0 / 1 after reset(0).
+    assert stream_boolean_share == 1.0
 
     stream_cycles_per_s = STREAMS * CYCLES / max(stream_seconds, 1e-9)
     interpreter_cycles_per_s = CYCLES / max(interpreter_seconds, 1e-9)
@@ -172,8 +183,8 @@ def test_e13_sim_kernel_throughput():
          f"{interpreter_cycles_per_s:.0f}", "1.0x"],
         ["compiled scalar kernel", CYCLES, f"{compiled_seconds * 1e3:.1f}",
          f"{CYCLES / max(compiled_seconds, 1e-9):.0f}", f"{speedup:.1f}x"],
-        [f"bitplane x{STREAMS} streams", STREAMS * CYCLES,
-         f"{stream_seconds * 1e3:.1f}",
+        [f"bitplane x{STREAMS} streams ({stream_boolean_share:.0%} Boolean)",
+         STREAMS * CYCLES, f"{stream_seconds * 1e3:.1f}",
          f"{stream_cycles_per_s:.0f}", f"{stream_speedup:.1f}x"],
     ]
     emit(format_table(
@@ -200,5 +211,6 @@ def test_e13_sim_kernel_throughput():
         stream_seconds=round(stream_seconds, 4),
         stream_cycles_per_s=round(stream_cycles_per_s, 1),
         stream_speedup=round(stream_speedup, 2),
+        stream_boolean_share=round(stream_boolean_share, 4),
         equivalence_seconds=round(equivalence_seconds, 4),
     )

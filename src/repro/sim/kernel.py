@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -155,6 +156,28 @@ class CompiledNetlist:
         self.levels: Optional[List[List[int]]] = self._levelize()
         self.has_latches: bool = OP_LATCH in self.gate_ops
         self.straight_line: bool = self._is_straight_line()
+        self.two_valued: bool = self._is_two_valued()
+
+    def _is_two_valued(self) -> bool:
+        """True when known sources make every net a gate or flip-flop reads
+        known, so one levelized pass over 0 / 1 values alone can stand for
+        the three-valued one.
+
+        Acyclic and latch-free; primary inputs, flip-flop outputs and gate
+        outputs are three disjoint sets; and no gate or D input reads the
+        X slot or a net none of them drives.
+        """
+        if self.levels is None or self.has_latches:
+            return False
+        inputs = set(self.input_ids)
+        q_ids = {q_id for _name, _d_id, q_id in self.dffs}
+        outs = set(self.gate_outs)
+        if inputs & q_ids or outs & (inputs | q_ids):
+            return False
+        driven = inputs | q_ids | outs
+        return driven.issuperset(
+            chain(chain.from_iterable(self.gate_ins),
+                  (d_id for _name, d_id, _q_id in self.dffs)))
 
     def _is_straight_line(self) -> bool:
         """True when one instance-order sweep settles every net.

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.netlist import GateLevelSimulator, GateType, Module, \
     SwitchLevelSimulator, SwitchNetwork, TransistorKind
-from repro.obs import metrics as obs_metrics
+from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.reference import (
     GateLevelInterpreter,
     RtlInterpreter,
@@ -123,15 +123,17 @@ def modules_with_stimulus(draw):
 
 @st.composite
 def modules_with_streams(draw, max_cycles=6):
-    """A random module and 3-5 distinct stimulus sequences of one length,
-    so a stream delivered in the wrong bit position shows."""
+    """A random module, 3-5 distinct stimulus sequences of one length, so a
+    stream delivered in the wrong bit position shows, and the reset value
+    (``None``: no reset, every flip-flop starts X)."""
     module = draw(random_modules())
     cycles = draw(st.integers(1, max_cycles))
     sequences = draw(st.lists(
         st.lists(input_vectors(module), min_size=cycles, max_size=cycles),
         min_size=3, max_size=5,
         unique_by=lambda sequence: repr([sorted(v.items()) for v in sequence])))
-    return module, sequences
+    reset_value = draw(st.sampled_from([0, 1, None]))
+    return module, sequences, reset_value
 
 
 def _gated_register():
@@ -160,6 +162,29 @@ _EXACT_STREAMS = [
     [{}, {"a": 0, "b": -1}, {"a": None, "b": 1}, {"b": 1}],
     [{"a": None}, {"b": 1}, {"a": 1, "b": 0}, {"a": -1, "b": -1}],
 ]
+#: Streams that switch passes both ways from reset 0: ``b`` is not yet
+#: driven in cycle 0 (X; ``a`` = 0 keeps ``q`` known), every source is
+#: known in cycles 1-2, stream 1 drives ``a`` X in cycle 3 (``b`` = 0 keeps
+#: ``q`` known), and every source is known again in cycles 4-5.
+_SWITCHING_STREAMS = [
+    [{"a": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}, {"a": 1, "b": 0},
+     {"a": 0, "b": 1}, {"a": 1, "b": 1}],
+    [{"a": 0}, {"a": 1, "b": 1}, {"a": 1, "b": 0}, {"a": None, "b": 0},
+     {"a": 1, "b": 1}, {"a": 1, "b": 1}],
+    [{"a": 0}, {"a": 1, "b": 0}, {"a": 0, "b": 1}, {"a": 0, "b": 1},
+     {"a": 1, "b": 0}, {"a": 0, "b": 1}],
+]
+#: Fully driven streams for a register that starts X (no reset): ``q`` is
+#: X in cycle 0, known from cycle 1 (``b`` = 0 clears it), until stream 2
+#: drives ``b`` X in cycle 3, which leaves ``q`` X in cycle 4 too.
+_X_START_STREAMS = [
+    [{"a": 1, "b": 0}, {"a": 1, "b": 1}, {"a": 0, "b": 1}, {"a": 1, "b": 1},
+     {"a": 0, "b": 0}, {"a": 1, "b": 1}],
+    [{"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}, {"a": 0, "b": 0},
+     {"a": 1, "b": 1}, {"a": 0, "b": 1}],
+    [{"a": 1, "b": 0}, {"a": 0, "b": 0}, {"a": 1, "b": 1}, {"a": 0, "b": None},
+     {"a": 1, "b": 0}, {"a": 1, "b": 0}],
+]
 
 
 def _lockstep(compiled, reference, operation):
@@ -186,12 +211,31 @@ def _lockstep(compiled, reference, operation):
     return errors[0] is not None
 
 
-class TestGateLevelDifferential:
-    #: Settle path of every example the property ran ("straight" = the
-    #: generated one-pass settle, "sweep" = the event-driven sweep loop).
-    paths = []
+def _shuffled_register():
+    """``_gated_register`` with the AND declared before the XOR it reads:
+    acyclic, but not straight-line, so only the sweep loop settles it."""
+    module = Module("shuffled")
+    module.add_inputs("a", "b")
+    module.add_net("q")
+    module.add_gate(GateType.AND, "y", ["x", "b"])
+    module.add_gate(GateType.XOR, "x", ["a", "q"])
+    module.add_gate(GateType.DFF, "q", ["y"])
+    module.add_outputs("y", "q")
+    return module
 
+
+#: One pinned netlist and stimulus per settle path ("straight" = the
+#: generated one-pass settle, "sweep" = the event-driven sweep loop).
+_SETTLE_PATH_CASES = {
+    "straight": (_gated_register(), _EXACT_STREAMS[0] + _BYTE_STREAMS[1]),
+    "sweep": (_shuffled_register(), _EXACT_STREAMS[1] + _BYTE_STREAMS[0]),
+}
+
+
+class TestGateLevelDifferential:
     @given(modules_with_stimulus())
+    @example(_SETTLE_PATH_CASES["straight"])
+    @example(_SETTLE_PATH_CASES["sweep"])
     @settings(max_examples=100, deadline=None)
     def test_compiled_matches_interpreter(self, case):
         module, sequence = case
@@ -199,11 +243,18 @@ class TestGateLevelDifferential:
         # the limit-triggered RuntimeError is part of the contract.
         compiled = GateLevelSimulator(module, settle_limit=64)
         reference = GateLevelInterpreter(module, settle_limit=64)
-        sweeps = obs_metrics.counter("sim.settle.sweeps")
-        sweeps_before = sweeps.value
         self._lockstep_trace(compiled, reference, sequence)
-        self.paths.append(
-            "sweep" if sweeps.value > sweeps_before else "straight")
+
+    @pytest.mark.parametrize("path", sorted(_SETTLE_PATH_CASES))
+    def test_each_settle_path_is_pinned(self, path):
+        """Each pinned case settles on its path, read from
+        ``sim.settle.sweeps``, and matches the interpreter there."""
+        module, sequence = _SETTLE_PATH_CASES[path]
+        sweeps = obs_metrics.counter("sim.settle.sweeps")
+        before = sweeps.value
+        self._lockstep_trace(GateLevelSimulator(module),
+                             GateLevelInterpreter(module), sequence)
+        assert (sweeps.value > before) == (path == "sweep")
 
     @staticmethod
     def _lockstep_trace(compiled, reference, sequence):
@@ -224,28 +275,66 @@ class TestGateLevelDifferential:
             assert compiled.values == reference.values
             assert compiled.state == reference.state
 
-    def test_each_settle_path_ran_on_a_quarter_of_the_examples(self):
-        """Both settle paths met the generated netlists, not just one."""
-        if not self.paths:
-            pytest.skip("the property did not run in this session")
-        for path in ("straight", "sweep"):
-            assert 4 * self.paths.count(path) >= len(self.paths), self.paths
-
     @given(modules_with_streams())
-    @example((_gated_register(), _BYTE_STREAMS))
-    @example((_gated_register(), _EXACT_STREAMS))
+    @example((_gated_register(), _BYTE_STREAMS, 0))
+    @example((_gated_register(), _EXACT_STREAMS, 0))
+    @example((_gated_register(), _SWITCHING_STREAMS, 0))
+    @example((_gated_register(), _X_START_STREAMS, None))
     @settings(max_examples=30, deadline=None)
     def test_bitplane_streams_match_interpreter(self, case):
-        module, sequences = case
+        module, sequences, reset_value = case
         lowered = CompiledNetlist(module)
         if lowered.is_cyclic:
             return   # stream runner guarantees exactness for DAGs only
-        traces = run_streams(lowered, sequences)
+        traces = run_streams(lowered, sequences, reset_value=reset_value)
         assert len(traces) == len(sequences)
         for trace, sequence in zip(traces, sequences):
-            reference = GateLevelInterpreter(module)
-            reference.reset(0)
-            assert trace == reference.run(sequence).cycles
+            assert trace == _reference_trace(module, sequence, reset_value)
+
+    @pytest.mark.parametrize("streams,reset_value", [
+        (_BYTE_STREAMS, 0), (_EXACT_STREAMS, 0), (_SWITCHING_STREAMS, 0),
+        (_X_START_STREAMS, None)],
+        ids=["byte", "exact", "switching", "x_start"])
+    def test_each_stream_pass_is_pinned(self, streams, reset_value):
+        """A cycle takes the Boolean pass exactly when no stream has an X
+        on an input or the flip-flop (read from the interpreter's rows),
+        and the three-valued pass otherwise, counted in
+        ``sim.planes.*_passes`` and the span's ``boolean_cycles``."""
+        module = _gated_register()
+        rows = list(zip(*(_reference_trace(module, sequence, reset_value)
+                          for sequence in streams)))
+        expected = [all(row[net] is not None
+                        for row in cycle for net in ("a", "b", "q"))
+                    for cycle in rows]
+        boolean = obs_metrics.counter("sim.planes.boolean_passes")
+        three_valued = obs_metrics.counter("sim.planes.three_valued_passes")
+        before = boolean.value, three_valued.value
+        obs_trace.enable()
+        try:
+            run_streams(CompiledNetlist(module), streams,
+                        reset_value=reset_value)
+        finally:
+            obs_trace.disable()
+        span, = [event for event in obs_trace.drain()
+                 if event["name"] == "sim.run_streams"]
+        assert boolean.value - before[0] == expected.count(True)
+        assert three_valued.value - before[1] == expected.count(False)
+        assert span["args"]["boolean_cycles"] == expected.count(True)
+        if streams is _BYTE_STREAMS:
+            assert all(expected)
+        if streams in (_SWITCHING_STREAMS, _X_START_STREAMS):
+            # Both ways: X -> known -> X -> known.
+            assert expected[0] is False and expected[-1] is True
+            assert False in expected[expected.index(True):]
+
+
+def _reference_trace(module, sequence, reset_value):
+    """The interpreter's rows for one stream, after ``reset(reset_value)``
+    (none when ``reset_value`` is None)."""
+    reference = GateLevelInterpreter(module)
+    if reset_value is not None:
+        reference.reset(reset_value)
+    return reference.run(sequence).cycles
 
 
 def _counter():

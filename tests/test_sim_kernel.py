@@ -416,6 +416,179 @@ class TestBitplane:
         assert expected.cycles == traces[0]
 
 
+def every_boolean_op():
+    """One gate of every opcode the Boolean pass has, over inputs ``a``,
+    ``b``, ``s`` and a flip-flop ``q`` (D = the XOR gate)."""
+    m = Module("ops")
+    m.add_inputs("a", "b", "s")
+    m.add_net("q")
+    for gate in (GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
+                 GateType.XOR, GateType.XNOR):
+        m.add_gate(gate, gate.value, ["a", "b", "q"])
+    m.add_gate(GateType.NOT, "not", ["a"])
+    m.add_gate(GateType.BUF, "buf", ["q"])
+    m.add_gate(GateType.MUX2, "mux", [], sel="s", a="not", b="q")
+    m.add_gate(GateType.CONST0, "zero", [])
+    m.add_gate(GateType.CONST1, "one", [])
+    m.add_gate(GateType.DFF, "q", [GateType.XOR.value])
+    m.add_outputs("mux", "zero", "one")
+    return m
+
+
+class TestBooleanPass:
+    """When every source plane is known, ``evaluate`` runs the Boolean pass
+    over ``hi`` alone; what it shows must be what the three-valued pass
+    computes."""
+
+    def test_boolean_planes_equal_the_three_valued_planes(self):
+        m = every_boolean_op()
+        lowered = CompiledNetlist(m)
+        forced = CompiledNetlist(m)
+        forced.two_valued = False   # the three-valued pass on every cycle
+        assert lowered.two_valued
+        evaluators = [BitplaneEvaluator(c, 8) for c in (lowered, forced)]
+        boolean = obs_metrics.counter("sim.planes.boolean_passes")
+        before = boolean.value
+        for evaluator in evaluators:
+            evaluator.reset(1)
+        patterns = exhaustive_input_planes(3)
+        for cycle in range(4):
+            for evaluator in evaluators:
+                for k, name in enumerate(["a", "b", "s"]):
+                    evaluator.set_input_planes(name, *patterns[(k + cycle) % 3])
+            assert [evaluator.evaluate() for evaluator in evaluators] == \
+                [True, False]
+            fast, slow = evaluators
+            for name in m.nets:
+                assert fast.get_planes(name) == slow.get_planes(name), name
+                assert fast.get_vector(name) == slow.get_vector(name), name
+            names = list(m.nets)
+            assert fast.sampler(names)() == slow.sampler(names)()
+            for evaluator in evaluators:
+                evaluator.clock()
+        assert boolean.value - before == 4
+
+    def test_an_x_after_boolean_passes_takes_the_three_valued_pass(self):
+        """The lo planes a Boolean pass and the clock left stale are
+        written back before the three-valued pass reads them."""
+        m = every_boolean_op()
+        evaluator = BitplaneEvaluator(CompiledNetlist(m), 2)
+        reference = [GateLevelInterpreter(m) for _ in range(2)]
+        evaluator.reset(0)
+        for sim in reference:
+            sim.reset(0)
+        took = []
+        for vector in ({"a": 1, "b": 1, "s": 0}, {"a": 0, "b": 1, "s": 1},
+                       {"a": None, "b": 0, "s": 1}, {"a": 1, "b": 1, "s": 1}):
+            columns = {name: [value, 1 - value if value is not None else 0]
+                       for name, value in vector.items()}
+            for name, column in columns.items():
+                evaluator.set_input_vector(name, column)
+            took.append(evaluator.evaluate())
+            for w, sim in enumerate(reference):
+                sim.evaluate({name: column[w] for name, column in columns.items()})
+                for name in m.nets:
+                    assert evaluator.get_vector(name)[w] == sim.values[name], name
+            evaluator.clock()
+            for sim in reference:
+                sim.clock()
+        assert took == [True, True, False, False]
+
+    def test_planes_written_after_a_boolean_pass_read_back(self):
+        """An input, a flip-flop and a gate output forced after a Boolean
+        pass read back as written; the other planes as the pass left them."""
+        evaluator = BitplaneEvaluator(CompiledNetlist(every_boolean_op()), 2)
+        evaluator.reset(0)
+        for name in ("a", "b", "s"):
+            evaluator.set_input_vector(name, [0, 1])
+        assert evaluator.evaluate()
+        evaluator.set_input_vector("a", [None, 1])
+        evaluator.set_input_vector("q", [1, None])
+        evaluator.set_input_vector("and", [None, 0])
+        assert evaluator.get_vector("a") == [None, 1]
+        assert evaluator.get_vector("q") == [1, None]
+        assert evaluator.get_vector("and") == [None, 0]
+        assert evaluator.get_vector("or") == [0, 1]
+        assert evaluator.sampler(["a", "q", "or"])() == ((2, 1, 2), (0, 0, 1))
+        assert not evaluator.evaluate()
+        assert evaluator.get_vector("not") == [None, 0]
+        assert evaluator.get_vector("and") == [0, None]
+
+    def test_a_clock_edge_captures_an_x_input_driven_after_it(self):
+        m = Module("sample")
+        m.add_inputs("a")
+        m.add_gate(GateType.DFF, "q", ["a"])
+        m.add_gate(GateType.BUF, "y", ["q"])
+        m.add_outputs("y")
+        evaluator = BitplaneEvaluator(CompiledNetlist(m), 2)
+        evaluator.reset(0)
+        evaluator.set_input_vector("a", [0, 1])
+        assert evaluator.evaluate()
+        evaluator.set_input_vector("a", [None, 1])
+        evaluator.clock()
+        assert evaluator.get_vector("q") == [None, 1]
+        assert not evaluator.evaluate()
+        assert evaluator.get_vector("y") == [None, 1]
+
+    def test_an_undriven_net_nothing_reads_stays_x_beside_it(self):
+        m = Module("dangling")
+        m.add_inputs("a")
+        m.add_gate(GateType.NOT, "y", ["a"])
+        m.add_outputs("y", "dangling")
+        lowered = CompiledNetlist(m)
+        assert lowered.two_valued
+        stream = [{"a": 0}, {"a": 1}]
+        traces = run_streams(lowered, [stream, stream[::-1]])
+        assert [cycle["dangling"] for cycle in traces[0]] == [None, None]
+        assert traces[0] == GateLevelInterpreter(m).run(stream).cycles
+        evaluator = BitplaneEvaluator(lowered, 2)
+        evaluator.set_input_vector("a", [0, 1])
+        assert evaluator.evaluate()
+        assert evaluator.get_vector("dangling") == [None, None]
+        assert evaluator.get_vector("y") == [1, 0]
+
+    @pytest.mark.parametrize("reads", ["undriven", "x_slot"])
+    def test_a_netlist_reading_an_undriven_net_never_takes_it(self, reads):
+        m = Module("floating")
+        m.add_inputs("a", "s")
+        if reads == "undriven":
+            m.add_net("floating")
+            m.add_gate(GateType.AND, "y", ["a", "floating"])
+        else:   # a MUX2 with no ``b`` port reads the always-X slot
+            m.add_gate(GateType.MUX2, "y", [], sel="s", a="a")
+        m.add_outputs("y")
+        lowered = CompiledNetlist(m)
+        assert not lowered.two_valued
+        boolean = obs_metrics.counter("sim.planes.boolean_passes")
+        before = boolean.value
+        vectors = [{"a": a, "s": s} for a in (0, 1) for s in (0, 1)]
+        results = evaluate_vectors(lowered, vectors)
+        assert boolean.value == before
+        for vector, result in zip(vectors, results):
+            assert result == GateLevelInterpreter(m).evaluate(vector)
+        assert None in [result["y"] for result in results]
+
+    def test_a_flip_flop_with_no_d_input_never_takes_it(self):
+        m = Module("no_d")
+        m.add_inputs("a")
+        flop = m.add_gate(GateType.DFF, "q", ["a"])
+        del flop.connections["in0"]   # its D reads the always-X slot
+        m.add_gate(GateType.OR, "y", ["a", "q"])
+        m.add_outputs("y", "q")
+        lowered = CompiledNetlist(m)
+        assert not lowered.two_valued
+        boolean = obs_metrics.counter("sim.planes.boolean_passes")
+        before = boolean.value
+        stream = [{"a": 0}, {"a": 0}, {"a": 1}]
+        traces = run_streams(lowered, [stream, stream[::-1]])
+        assert boolean.value == before
+        for trace, sequence in zip(traces, [stream, stream[::-1]]):
+            reference = GateLevelInterpreter(m)
+            reference.reset(0)
+            assert trace == reference.run(sequence).cycles
+        assert [cycle["q"] for cycle in traces[0]] == [0, None, None]
+
+
 def _counter_streams():
     """Three distinct ``en`` streams over the two-bit counter, the last
     with an X and an omitted input, and each stream's expected trace."""
